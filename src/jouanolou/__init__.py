@@ -10,7 +10,6 @@ from .field import (
     Fp,
     QQ,
     discrete_log,
-    field_arith,
     is_square,
     multiplicative_generator,
     sqrt_witness,
@@ -19,12 +18,8 @@ from .jring import (
     BivarPoly,
     RingElement,
     RingPolyT,
-    basepoint_curve,
     chart_pullback,
-    eval_at_T,
-    eval_basepoint,
     normal_form,
-    tau,
 )
 from .groebner import Certificate, IdealProblem, express_in_ideal
 from .bundle import (
@@ -44,7 +39,6 @@ from .bundle import (
 from .morphism import (
     JMap,
     RationalMapP1,
-    degree,
     g_uv,
     make_map,
     make_row,

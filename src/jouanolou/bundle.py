@@ -42,6 +42,12 @@ def _monomial(ctx, xe: int, ye: int, ze: int, we: int, coeff: int) -> RingElemen
     return m
 
 
+def pure_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
+    """(x^n, y^n, z^n, w^n) in R."""
+    gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
+    return tuple(g(ctx) ** n for g in gens)
+
+
 def rewrite_constants(ctx: FieldCtx, n: int, kind: str = "P") -> list[tuple[RingElement, RingElement]]:
     """For each mixed column index i, the pair (p_i, q_i) in R with
     mixed_i = p_i*[x^n; z^n] + q_i*[y^n; w^n] (Q-case transported by tau).
@@ -111,14 +117,10 @@ class Section:
     @property
     def expanded(self) -> tuple[RingElement, RingElement]:
         """The element of R^2 the section denotes; this is its identity."""
-        ctx = self.ctx
         if self.kind == "O":
             return (self.coeffs[0], self.coeffs[0])
         c0, c1 = self.coeffs
-        xn = RingElement.gen_x(ctx) ** self.n
-        yn = RingElement.gen_y(ctx) ** self.n
-        zn = RingElement.gen_z(ctx) ** self.n
-        wn = RingElement.gen_w(ctx) ** self.n
+        xn, yn, zn, wn = pure_powers(self.ctx, self.n)
         if self.kind == "P":
             return (c0 * xn + c1 * yn, c0 * zn + c1 * wn)
         return (c0 * xn + c1 * zn, c0 * yn + c1 * wn)
@@ -246,10 +248,7 @@ def mn_matrices(ctx: FieldCtx, n: int) -> IdempotentPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     A, B = unit_split(ctx, n)
-    xn = RingElement.gen_x(ctx) ** n
-    yn = RingElement.gen_y(ctx) ** n
-    zn = RingElement.gen_z(ctx) ** n
-    wn = RingElement.gen_w(ctx) ** n
+    xn, yn, zn, wn = pure_powers(ctx, n)
     Mn = ((xn * A, yn * B), (zn * A, wn * B))
     Mn_prime = ((xn * A, zn * B), (yn * A, wn * B))
     return IdempotentPair(n, A, B, Mn, Mn_prime)

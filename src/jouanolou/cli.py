@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on a mathematical failure (non-membership,
 invalid witness, unresolved winding number, non-unimodular input), 2 on
-usage or parse errors.  The groebner step budget honors JOU_STEP_BUDGET.
+usage or parse errors, 3 when the groebner step budget (JOU_STEP_BUDGET)
+ran out before an answer: "Undecided", neither success nor failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 import sys
 
 from . import groebner, textio
-from .errors import JouanolouError, ParseError
+from .errors import BudgetExceeded, JouanolouError, ParseError
 from .field import FieldCtx
 from .homgrp import ReferenceFamily, decompose, oplus
 from .homotopy import verify
@@ -259,6 +260,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceeded as exc:
+        print("Undecided")
+        print(f"BudgetExceeded: {exc}", file=sys.stderr)
+        return 3
     except JouanolouError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

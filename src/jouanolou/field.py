@@ -13,8 +13,12 @@ from fractions import Fraction
 from .errors import ContextMismatch, DivisionByZero, NotPrimeField, ZeroInput
 
 
+# Miller-Rabin with the twelve prime bases 2..37 is exact below psi_12, the
+# least strong pseudoprime to all of them; FieldCtx refuses larger moduli.
+PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, exact for n < 3.3e24
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -48,6 +52,8 @@ class FieldCtx:
 
     def __init__(self, p: int | None = None):
         if p is not None:
+            if p >= PRIME_BOUND:
+                raise NotPrimeField(f"{p} is not below the primality-test bound {PRIME_BOUND}")
             if not _is_prime(p):
                 raise NotPrimeField(f"{p} is not prime")
         self.p = p
@@ -245,21 +251,6 @@ class FieldElem:
 
     def __repr__(self):
         return str(self.val)
-
-
-def field_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    """Dispatch ``add|sub|mul|div`` on two elements of one context."""
-    if a.ctx != b.ctx:
-        raise ContextMismatch("elements from different fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_square(a: FieldElem) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bundle import pure_powers, unit_split
 from .field import FieldCtx, FieldElem
 from .homotopy import (
     HomotopyWitness,
@@ -47,8 +48,6 @@ class ReferenceFamily:
     def qref(self, n: int) -> JMap:
         """The spanning-column map (1,0;0,1)_n, certified by the unit split
         x^n E + w^n F = 1 (columns are the pure powers)."""
-        from .bundle import unit_split
-
         ctx = self.ctx
         one, zero = RingElement.one(ctx), RingElement.zero(ctx)
         E, F = unit_split(ctx, abs(n))
@@ -66,10 +65,9 @@ class ReferenceFamily:
         else:
             pos = n_pi(-n, self.ctx)
             a0, a1, b0, b1 = pos.coeffs
-            coeffs = (a0.tau(), a1.tau(), -b0.tau(), -b1.tau())
             ux, vx, uw, vw = pos.cert
             cert = (ux.tau(), -vx.tau(), uw.tau(), -vw.tau())
-            result = JMap.from_sections(n, coeffs, cert)
+            result = make_map(n, a0.tau(), a1.tau(), -b0.tau(), -b1.tau(), cert=cert)
         self._cache[n] = result
         return result
 
@@ -104,10 +102,7 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
     # expresses it in the column ideal without any new ideal-membership run
     ux, vx, uw, vw = f.cert
     c, cp, d, dp = target_r * vx, target_r * vw, target_r * ux, target_r * uw
-    xn = RingElement.gen_x(ctx) ** n
-    yn = RingElement.gen_y(ctx) ** n
-    zn = RingElement.gen_z(ctx) ** n
-    wn = RingElement.gen_w(ctx) ** n
+    xn, yn, zn, wn = pure_powers(ctx, n)
     if f.kind == "P":
         m_prime = (
             (a0 + yn * c + wn * cp, a1 - xn * c - zn * cp),
@@ -118,15 +113,14 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
             (a0 + zn * c + wn * cp, a1 - xn * c - yn * cp),
             (b0 - zn * d - wn * dp, b1 + xn * d + yn * dp),
         )
-    det = m_prime[0][0] * m_prime[1][1] - m_prime[0][1] * m_prime[1][0]
-    if det != one:
-        raise AssertionError("internal: factorization matrix determinant is not 1")
     e = (a1 - c).eval_basepoint()
     pointed = (
         (m_prime[0][0] - m_prime[1][0].scale(e), m_prime[0][1] - m_prime[1][1].scale(e)),
         m_prime[1],
     )
-    matrix = PointedSL2(pointed)
+    # det(m_prime) = a0*b1 - a1*b0 + target_r = 1 by the certificate identity
+    # (x^n w^n = y^n z^n); the row operation makes it the identity at the basepoint
+    matrix = PointedSL2._of(pointed)
     # straight-line family (a0 - T e b0, a1 - T e b1; b0, b1): T=0 is f,
     # T=1 is act(matrix, qref); certificate transported from f's.
     eT = _scalar_T(ctx, e)
@@ -196,5 +190,5 @@ def naive_sum_deg1(u: FieldElem, f: JMap) -> tuple[JMap, HomotopyWitness]:
     for i, p in enumerate(L0):
         raised0[i + 1] = raised0[i + 1] + p
     raised1 = [p.scale(u) for p in L0] + [zero_r]
-    result = JMap.from_sections(f.degree + 1, quad, cert, homog=(raised0, raised1))
+    result = make_map(f.degree + 1, *quad, cert=cert, homog=(raised0, raised1))
     return result, witness

@@ -34,9 +34,11 @@ from .morphism import (
     JMap,
     cert_expands_to_one,
     generation_columns,
+    groebner_cofactors,
+    pointed_alpha,
 )
 from .polys import MPoly
-from .sl2 import PointedSL2, transform_cert, transform_quadruple
+from .sl2 import Mat2, PointedSL2, transform_cert, transform_quadruple
 
 
 @dataclass
@@ -80,24 +82,13 @@ class Segment:
         """Normalized comparison record at a parameter value, or None when
         the evaluated data is not a pointed map there."""
         vals = self.at(t)
-        if self.degree == 0:
-            A, B = vals
-            if not B.eval_basepoint().is_zero:
-                return None
-            alpha = A.eval_basepoint()
-            if alpha.is_zero:
-                return None
-            inv = alpha.inverse()
-            return (0, (A.scale(inv), B.scale(inv)))
-        a0, a1, b0, b1 = vals
-        if not b0.eval_basepoint().is_zero:
+        alpha = pointed_alpha(vals[0], vals[len(vals) // 2])  # B, or b0
+        if alpha is None or alpha.is_zero:
             return None
-        alpha = a0.eval_basepoint()
-        if alpha.is_zero:
-            return None
+        if self.degree != 0:
+            vals = generation_columns(self.kind, abs(self.degree), *vals)
         inv = alpha.inverse()
-        cols = generation_columns(self.kind, abs(self.degree), a0, a1, b0, b1)
-        return (self.degree, tuple(c.scale(inv) for c in cols))
+        return (self.degree, tuple(c.scale(inv) for c in vals))
 
 
 def map_record(f: JMap):
@@ -218,24 +209,22 @@ def constant_witness(f: JMap) -> HomotopyWitness:
     return HomotopyWitness([Segment(f.degree, data, cert)])
 
 
-class Sl2Path:
-    """A 2x2 matrix over R[T] with determinant 1: a path of completions."""
+class Sl2Path(Mat2):
+    """A 2x2 matrix over R[T] with determinant 1: a path of completions.
 
-    __slots__ = ("entries",)
+    The constructor checks determinant 1 and pointedness (the identity at
+    the basepoint for every T).  :meth:`reverse_T` and :meth:`constant` are
+    closed and skip it; the elementary and conjugating factors, which are
+    not pointed, are built with ``_of``."""
 
-    def __init__(self, entries, require_pointed: bool = False):
-        (e00, e01), (e10, e11) = entries
-        ctx = e00.ctx
-        det = e00 * e11 - e01 * e10
-        if det != RingPolyT.one(ctx):
-            raise ValueError("path determinant is not 1 in R[T]")
+    __slots__ = ()
+
+    def __init__(self, entries):
         self.entries = entries
-        if require_pointed and not self.is_pointed():
+        if self._det() != RingPolyT.one(self.ctx):
+            raise ValueError("path determinant is not 1 in R[T]")
+        if not self.is_pointed():
             raise ValueError("path is not pointed over R[T]")
-
-    @property
-    def ctx(self):
-        return self.entries[0][0].ctx
 
     def is_pointed(self) -> bool:
         (e00, e01), (e10, e11) = self.entries
@@ -256,21 +245,12 @@ class Sl2Path:
         """The matrix at a parameter value (the path must be pointed there)."""
         return PointedSL2(self.entries_at(t))
 
-    def __matmul__(self, other: "Sl2Path") -> "Sl2Path":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return Sl2Path(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-
-    def inverse(self) -> "Sl2Path":
-        (a, b), (c, d) = self.entries
-        return Sl2Path(((d, -b), (-c, a)))
-
     def reverse_T(self) -> "Sl2Path":
-        return Sl2Path(tuple(tuple(e.reverse_T() for e in row) for row in self.entries))
+        return self._of(tuple(tuple(e.reverse_T() for e in row) for row in self.entries))
 
     @classmethod
     def constant(cls, M: PointedSL2) -> "Sl2Path":
-        return cls(tuple(tuple(_const_t(e) for e in row) for row in M.entries))
+        return cls._of(tuple(tuple(_const_t(e) for e in row) for row in M.entries))
 
     def row_segment(self) -> Segment:
         """The first column as a degree-0 segment, certified by the matrix."""
@@ -284,13 +264,13 @@ class Sl2Path:
 def _elem_upper(c: RingPolyT) -> Sl2Path:
     ctx = c.ctx
     one, zero = RingPolyT.one(ctx), RingPolyT.zero(ctx)
-    return Sl2Path(((one, c), (zero, one)))
+    return Sl2Path._of(((one, c), (zero, one)))
 
 
 def _elem_lower(c: RingPolyT) -> Sl2Path:
     ctx = c.ctx
     one, zero = RingPolyT.one(ctx), RingPolyT.zero(ctx)
-    return Sl2Path(((one, zero), (c, one)))
+    return Sl2Path._of(((one, zero), (c, one)))
 
 
 def _scalar_T(ctx, c: FieldElem) -> RingPolyT:
@@ -326,7 +306,7 @@ def interp_lift_path(lift1: PointedSL2, lift2: PointedSL2) -> Sl2Path:
     B = _const_t(lift1.entries[1][0])
     e01 = T * lift2.entries[0][1] + one_minus_T * lift1.entries[0][1]
     e11 = T * lift2.entries[1][1] + one_minus_T * lift1.entries[1][1]
-    return Sl2Path(((A, e01), (B, e11)), require_pointed=True)
+    return Sl2Path(((A, e01), (B, e11)))
 
 
 def interp_lift(row: JMap, lift1: PointedSL2, lift2: PointedSL2) -> HomotopyWitness:
@@ -344,11 +324,9 @@ def transpose_inverse_witness(M: PointedSL2) -> HomotopyWitness:
     T = RingPolyT.gen_T(ctx)
     one = RingPolyT.one(ctx)
     two = RingPolyT.one(ctx).scale(ctx.elem(2))
-    H = Sl2Path(((one - T * T, -T), (T * (two - T * T), one - T * T)))
-    path = H @ Sl2Path.constant(M) @ H.inverse()
-    if not path.is_pointed():
-        raise AssertionError("internal: conjugated path lost pointedness")
-    return path.row_witness()
+    H = Sl2Path._of(((one - T * T, -T), (T * (two - T * T), one - T * T)))
+    # H has entries in k[T], so the conjugate is pointed like M
+    return (H @ Sl2Path.constant(M) @ H.inverse()).row_witness()
 
 
 def scaling_witness(M: PointedSL2, u: FieldElem) -> HomotopyWitness:
@@ -356,11 +334,8 @@ def scaling_witness(M: PointedSL2, u: FieldElem) -> HomotopyWitness:
     elementary-factor path to diag(1/u, u)."""
     if u.is_zero:
         raise ZeroParameter("scaling parameter must be a unit")
-    D = diagonal_path(u)
-    path = D @ Sl2Path.constant(M) @ D.inverse()
-    if not path.is_pointed():
-        raise AssertionError("internal: conjugated path lost pointedness")
-    return path.row_witness()
+    D = diagonal_path(u)  # entries in k[T], like H above
+    return (D @ Sl2Path.constant(M) @ D.inverse()).row_witness()
 
 
 def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
@@ -382,22 +357,14 @@ def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
     if cert is not None and not cert_expands_to_one(cert, (A, B)):
         cert = None
     if cert is None:
-        ctx = seg.ctx
-        gens = [A.to_mpoly(GB_VARS_T), B.to_mpoly(GB_VARS_T)]
-        target = MPoly.const(ctx, GB_VARS_T, ctx.rone)
-        found = groebner.express_in_ideal(
-            groebner.IdealProblem(gens, target, include_relation=True), budget
-        )
-        if found is None:
+        cert = groebner_cofactors((A, B), budget)
+        if cert is None:
             raise NoCertificate("family is not unimodular over R[T]")
-        from .jring import mpoly_to_ringpolyt
-
-        cert = tuple(mpoly_to_ringpolyt(c) for c in found.generator_cofactors)
     U1, V1 = cert
     # re-point the lift: d(T) = V1 makes both corrections vanish at the basepoint
     U2 = U1 + B * V1
     V2 = V1 - A * V1
-    return Sl2Path(((A, -V2), (B, U2)), require_pointed=True)
+    return Sl2Path(((A, -V2), (B, U2)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +438,9 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
 
 def _certify_segment(seg: Segment) -> Segment:
     """Attach a groebner-derived generation certificate to a segment."""
-    from .jring import mpoly_to_ringpolyt
-
-    ctx = seg.ctx
-    gens = [c.to_mpoly(GB_VARS_T) for c in seg.columns()]
-    target = MPoly.const(ctx, GB_VARS_T, ctx.rone)
-    found = groebner.express_in_ideal(
-        groebner.IdealProblem(gens, target, include_relation=True)
-    )
-    if found is None:
+    cert = groebner_cofactors(seg.columns())
+    if cert is None:
         raise NoCertificate("segment sections do not generate over R[T]")
-    cert = tuple(mpoly_to_ringpolyt(c) for c in found.generator_cofactors)
     return Segment(seg.degree, seg.data, cert)
 
 

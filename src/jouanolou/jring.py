@@ -306,14 +306,6 @@ def mpoly_to_ring(p: MPoly) -> RingElement:
     return out
 
 
-def eval_basepoint(r: RingElement) -> FieldElem:
-    return r.eval_basepoint()
-
-
-def tau(r: RingElement) -> RingElement:
-    return r.tau()
-
-
 CHART_VARS = {"phi0": ("a", "b"), "phi1": ("s", "t")}
 
 
@@ -508,11 +500,3 @@ def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:
         return RingPolyT.from_ring(mpoly_to_ring(p))
     parts = p.coefficients_in("T")
     return RingPolyT(p.ctx, [mpoly_to_ring(q) for q in parts])
-
-
-def eval_at_T(p: RingPolyT, t: FieldElem) -> RingElement:
-    return p.eval_at_T(t)
-
-
-def basepoint_curve(p: RingPolyT) -> list[FieldElem]:
-    return p.basepoint_curve()

@@ -3,12 +3,17 @@
 A map of degree n > 0 is a pair of generating sections of P_n recorded by
 the coefficient quadruple (a0, a1; b0, b1) against the two spanning
 columns; degree n < 0 uses Q_|n| the same way.  A map of degree 0 is a
-unimodular row (A, B).  Construction validates everything:
+unimodular row (A, B).
 
-* generation: 1 lies in the four-column ideal (decided by the groebner
-  engine, which returns cofactors that are kept as a certificate),
-* pointedness: the second section vanishes at the basepoint,
-* normalization: data is rescaled so the first section is 1 there.
+:func:`make_map` and :func:`make_row` are the checking constructors, the
+way in for data from outside.  They check pointedness (the second entry
+vanishes at the basepoint), normalize (rescale so the first entry is 1
+there), and check generation: a given certificate must expand to 1, else
+the groebner engine decides membership of 1 and its cofactors become the
+certificate.  A carried homogeneous lift must expand to the sections.
+``JMap(...)`` itself trusts its data; the group action, tau transport and
+first columns of pointed completions map checked data to checked data, so
+they build through it directly.
 
 Equality of maps is equality of degree and of normalized expanded
 sections (coefficient pairs are non-unique, expanded pairs are not).
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groebner
-from .bundle import HomogPair, Section, generation_cofactors, mu_product, sigma
+from .bundle import HomogPair, Section, generation_cofactors, mu_product, pure_powers, sigma
 from .errors import (
     NotGenerating,
     NotNormalizable,
@@ -29,7 +34,7 @@ from .errors import (
     ZeroParameter,
 )
 from .field import FieldCtx, FieldElem
-from .jring import RingElement
+from .jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
 from .polys import MPoly
 
 GB_VARS = ("x", "y", "z")
@@ -39,11 +44,7 @@ GB_VARS_T = ("x", "y", "z", "T")
 def generation_columns(kind: str, n: int, a0, a1, b0, b1):
     """The four ring elements whose ideal must be all of R for the section
     pair to generate.  Generic over R and R[T] coefficients."""
-    ctx = a0.ctx
-    xn = RingElement.gen_x(ctx) ** n
-    yn = RingElement.gen_y(ctx) ** n
-    zn = RingElement.gen_z(ctx) ** n
-    wn = RingElement.gen_w(ctx) ** n
+    xn, yn, zn, wn = pure_powers(a0.ctx, n)
     if kind == "P":
         return (a0 * xn + a1 * yn, b0 * xn + b1 * yn, a0 * zn + a1 * wn, b0 * zn + b1 * wn)
     return (a0 * xn + a1 * zn, b0 * xn + b1 * zn, a0 * yn + a1 * wn, b0 * yn + b1 * wn)
@@ -60,19 +61,22 @@ def cert_expands_to_one(cert, columns) -> bool:
     return acc == one
 
 
-def _groebner_membership(elements, ctx, budget=None):
-    """1 in the ideal spanned by the given ring elements (relation adjoined)?
-    Returns RingElement cofactors or None."""
-    from .jring import mpoly_to_ring
-
-    gens = [e.to_mpoly(GB_VARS) for e in elements]
-    target = MPoly.const(ctx, GB_VARS, ctx.rone)
+def groebner_cofactors(elements, budget=None):
+    """Cofactors expressing 1 in the ideal of the given elements of R, or of
+    R[T] (relation adjoined), decided by the groebner engine; None when 1 is
+    not in it."""
+    over_t = isinstance(elements[0], RingPolyT)
+    vars = GB_VARS_T if over_t else GB_VARS
+    ctx = elements[0].ctx
+    gens = [e.to_mpoly(vars) for e in elements]
+    target = MPoly.const(ctx, vars, ctx.rone)
     cert = groebner.express_in_ideal(
         groebner.IdealProblem(gens, target, include_relation=True), budget
     )
     if cert is None:
         return None
-    return [mpoly_to_ring(c) for c in cert.generator_cofactors]
+    back = mpoly_to_ringpolyt if over_t else mpoly_to_ring
+    return tuple(back(c) for c in cert.generator_cofactors)
 
 
 class JMap:
@@ -93,34 +97,6 @@ class JMap:
         self.cert = cert
         self.homog = homog
         self._expanded = None
-
-    # constructors -----------------------------------------------------------
-    @classmethod
-    def from_sections(cls, degree: int, coeffs, cert, homog=None) -> "JMap":
-        """Internal: build a nonzero-degree map from already-normalized data
-        plus a generation certificate; re-verifies cheap invariants only."""
-        if degree == 0:
-            raise ValueError("degree 0 maps are rows; use from_row")
-        kind = "P" if degree > 0 else "Q"
-        a0, a1, b0, b1 = coeffs
-        if not b0.eval_basepoint().is_zero:
-            raise NotPointed("second section does not vanish at the basepoint")
-        alpha = a0.eval_basepoint()
-        if alpha.is_zero:
-            raise NotNormalizable("first section vanishes at the basepoint")
-        if alpha != alpha.ctx.one:
-            inv = alpha.inverse()
-            a0, a1, b0, b1 = (c.scale(inv) for c in coeffs)
-            cert = tuple(c.scale(alpha) for c in cert)
-            if homog is not None:
-                homog = tuple([e.scale(inv) for e in lst] for lst in homog)
-        cols = generation_columns(kind, abs(degree), a0, a1, b0, b1)
-        if not cert_expands_to_one(cert, cols):
-            raise NotGenerating("generation certificate does not expand to 1")
-        out = cls(degree, kind, (a0, a1, b0, b1), None, tuple(cert), homog)
-        if homog is not None and not out.homog_matches():
-            raise ValueError("homogeneous lift does not expand to the sections")
-        return out
 
     def homog_matches(self) -> bool:
         """Does the carried homogeneous lift expand to the stored sections?"""
@@ -151,24 +127,6 @@ class JMap:
         a0, a1, b0, b1 = self.coeffs
         return ([a1] + [zero] * (n - 1) + [a0], [b1] + [zero] * (n - 1) + [b0])
 
-    @classmethod
-    def from_row(cls, A: RingElement, B: RingElement, cert) -> "JMap":
-        """Internal: build a degree-0 map from a pointed row plus a Bezout
-        certificate (A*U + B*V = 1 after normalization)."""
-        if not B.eval_basepoint().is_zero:
-            raise NotPointed("row is not pointed")
-        alpha = A.eval_basepoint()
-        if alpha.is_zero:
-            raise NotPointed("row evaluates to (0, 0) at the basepoint")
-        U, V = cert
-        if alpha != alpha.ctx.one:
-            inv = alpha.inverse()
-            A, B = A.scale(inv), B.scale(inv)
-            U, V = U.scale(alpha), V.scale(alpha)
-        if A * U + B * V != RingElement.one(A.ctx):
-            raise NotUnimodular("Bezout certificate does not expand to 1")
-        return cls(0, None, None, (A, B), (U, V))
-
     # data views -------------------------------------------------------------
     @property
     def ctx(self) -> FieldCtx:
@@ -198,12 +156,11 @@ class JMap:
 
     def tau_transport(self) -> "JMap":
         """The same map composed with the y-z swap: degree flips sign."""
-        if self.degree == 0:
-            A, B = (r.tau() for r in self.row)
-            return JMap.from_row(A, B, tuple(c.tau() for c in self.cert))
-        coeffs = tuple(c.tau() for c in self.coeffs)
         cert = tuple(c.tau() for c in self.cert)
-        return JMap.from_sections(-self.degree, coeffs, cert)
+        if self.degree == 0:
+            return JMap(0, None, None, tuple(r.tau() for r in self.row), cert)
+        coeffs = tuple(c.tau() for c in self.coeffs)
+        return JMap(-self.degree, "Q" if self.kind == "P" else "P", coeffs, None, cert)
 
     def __eq__(self, other):
         if not isinstance(other, JMap):
@@ -219,10 +176,6 @@ class JMap:
         return map_str(self)
 
 
-def degree(f: JMap) -> int:
-    return f.degree
-
-
 def map_equal(f: JMap, g: JMap) -> bool:
     """Equality of pointed morphisms: same degree, same normalized sections."""
     if f.degree != g.degree:
@@ -230,50 +183,73 @@ def map_equal(f: JMap, g: JMap) -> bool:
     return f.expanded == g.expanded
 
 
-def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap:
-    """Validate and normalize a section-pair map of nonzero degree n.
+def pointed_alpha(first, second) -> FieldElem | None:
+    """first(basepoint) when second vanishes at the basepoint, else None.
+    Dividing a pointed pair by this value (when a unit) normalizes it."""
+    if not second.eval_basepoint().is_zero:
+        return None
+    return first.eval_basepoint()
 
-    Raises NotPointed / NotNormalizable / NotGenerating.  With no provided
-    certificate the generation test runs the groebner engine and keeps its
-    cofactors; a provided certificate is checked by exact expansion instead.
+
+def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap:
+    """Check and normalize a section-pair map of nonzero degree n.
+
+    Raises NotPointed / NotNormalizable / NotGenerating.  A given
+    certificate is checked by exact expansion; without one the groebner
+    engine decides generation and its cofactors are kept.
     """
     if n == 0:
         raise ValueError("degree 0 maps are built by make_row")
-    if cert is not None:
-        return JMap.from_sections(n, (a0, a1, b0, b1), cert, homog)
-    kind = "P" if n > 0 else "Q"
-    ctx = a0.ctx
-    if not b0.eval_basepoint().is_zero:
+    alpha = pointed_alpha(a0, b0)
+    if alpha is None:
         raise NotPointed("second section does not vanish at the basepoint")
-    alpha = a0.eval_basepoint()
     if alpha.is_zero:
         raise NotNormalizable("first section vanishes at the basepoint")
-    if alpha != ctx.one:
+    coeffs = (a0, a1, b0, b1)
+    if alpha != alpha.ctx.one:
         inv = alpha.inverse()
-        a0, a1, b0, b1 = (c.scale(inv) for c in (a0, a1, b0, b1))
+        coeffs = tuple(c.scale(inv) for c in coeffs)
+        if cert is not None:
+            cert = tuple(c.scale(alpha) for c in cert)
         if homog is not None:
             homog = tuple([e.scale(inv) for e in lst] for lst in homog)
-    cols = generation_columns(kind, abs(n), a0, a1, b0, b1)
-    cofactors = _groebner_membership(cols, ctx)
-    if cofactors is None:
-        raise NotGenerating("sections do not generate the bundle")
-    out = JMap(n, kind, (a0, a1, b0, b1), None, tuple(cofactors), homog)
+    kind = "P" if n > 0 else "Q"
+    cols = generation_columns(kind, abs(n), *coeffs)
+    if cert is None:
+        cert = groebner_cofactors(cols)
+        if cert is None:
+            raise NotGenerating("sections do not generate the bundle")
+    elif not cert_expands_to_one(cert, cols):
+        raise NotGenerating("generation certificate does not expand to 1")
+    out = JMap(n, kind, coeffs, None, tuple(cert), homog)
     if homog is not None and not out.homog_matches():
         raise ValueError("homogeneous lift does not expand to the sections")
     return out
 
 
 def make_row(A: RingElement, B: RingElement, cert=None) -> JMap:
-    """Validate and normalize a degree-0 map given as a unimodular row."""
-    ctx = A.ctx
-    if not B.eval_basepoint().is_zero:
+    """Check and normalize a degree-0 map given as a unimodular row.
+
+    Raises NotPointed / NotUnimodular; without a Bezout certificate the
+    groebner engine supplies one.
+    """
+    alpha = pointed_alpha(A, B)
+    if alpha is None:
         raise NotPointed("row is not pointed")
-    if cert is not None:
-        return JMap.from_row(A, B, cert)
-    cofactors = _groebner_membership([A, B], ctx)
-    if cofactors is None:
-        raise NotUnimodular("row does not generate the unit ideal")
-    return JMap.from_row(A, B, tuple(cofactors))
+    if cert is None:
+        cert = groebner_cofactors((A, B))
+        if cert is None:
+            raise NotUnimodular("row does not generate the unit ideal")
+    if alpha.is_zero:
+        raise NotPointed("row evaluates to (0, 0) at the basepoint")
+    U, V = cert
+    if alpha != alpha.ctx.one:
+        inv = alpha.inverse()
+        A, B = A.scale(inv), B.scale(inv)
+        U, V = U.scale(alpha), V.scale(alpha)
+    if A * U + B * V != RingElement.one(A.ctx):
+        raise NotUnimodular("Bezout certificate does not expand to 1")
+    return JMap(0, None, None, (A, B), (U, V))
 
 
 def g_uv(u: FieldElem, v: FieldElem) -> JMap:
@@ -379,10 +355,3 @@ def rational_xu(u: FieldElem) -> RationalMapP1:
         raise ZeroParameter("u must be a unit")
     ctx = u.ctx
     return RationalMapP1(ctx, 1, [ctx.zero, ctx.one], [u])
-
-
-def m_uv(u: FieldElem, v: FieldElem):
-    """The explicit pointed determinant-1 completion of g_uv."""
-    from .sl2 import m_uv as _m
-
-    return _m(u, v)

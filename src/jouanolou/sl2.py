@@ -18,26 +18,66 @@ from .morphism import JMap
 Entries = tuple[tuple, tuple]
 
 
-class PointedSL2:
-    """A matrix ((A, -V), (B, U)) over R with AU + BV = 1 that evaluates to
-    the identity at the basepoint."""
+class Mat2:
+    """2x2 core of :class:`PointedSL2` (over R) and ``homotopy.Sl2Path``
+    (over R[T]).  A subclass ``__init__`` checks outside data; ``@``,
+    ``inverse`` (the adjugate) and ``transpose`` preserve determinant 1 and
+    pointedness, so they build through the unchecked :meth:`_of`."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Entries):
-        (e00, e01), (e10, e11) = entries
-        ctx = e00.ctx
-        det = e00 * e11 - e01 * e10
-        if det != RingElement.one(ctx):
-            raise ValueError("matrix determinant is not 1")
-        bp = [e.eval_basepoint() for e in (e00, e01, e10, e11)]
-        if not (bp[0] == ctx.one and bp[1].is_zero and bp[2].is_zero and bp[3] == ctx.one):
-            raise ValueError("matrix is not the identity at the basepoint")
-        self.entries = entries
+    @classmethod
+    def _of(cls, entries) -> "Mat2":
+        """Build without checking: only for closed or formula-built data."""
+        out = object.__new__(cls)
+        out.entries = entries
+        return out
 
     @property
     def ctx(self):
         return self.entries[0][0].ctx
+
+    def _det(self):
+        (e00, e01), (e10, e11) = self.entries
+        return e00 * e11 - e01 * e10
+
+    def __matmul__(self, other):
+        (a, b), (c, d) = self.entries
+        (e, f), (g, h) = other.entries
+        return self._of(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+
+    def inverse(self):
+        (a, b), (c, d) = self.entries
+        return self._of(((d, -b), (-c, a)))
+
+    def transpose(self):
+        (a, b), (c, d) = self.entries
+        return self._of(((a, c), (b, d)))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+
+class PointedSL2(Mat2):
+    """A matrix ((A, -V), (B, U)) over R with AU + BV = 1 that evaluates to
+    the identity at the basepoint.  The constructor checks both, for parsed
+    and user input; :func:`identity_matrix`, :func:`m_uv` and
+    :func:`complete_pointed` satisfy them by construction and skip it."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Entries):
+        (e00, e01), (e10, e11) = entries
+        self.entries = entries
+        if self._det() != RingElement.one(self.ctx):
+            raise ValueError("matrix determinant is not 1")
+        bp = [e.eval_basepoint() for e in (e00, e01, e10, e11)]
+        one = e00.ctx.one
+        if not (bp[0] == one and bp[1].is_zero and bp[2].is_zero and bp[3] == one):
+            raise ValueError("matrix is not the identity at the basepoint")
 
     @property
     def row_A(self) -> RingElement:
@@ -59,27 +99,9 @@ class PointedSL2:
         return (self.entries[0][0], self.entries[1][0])
 
     def row_map(self) -> JMap:
-        """The degree-0 map of the first column, certified by this matrix."""
-        return JMap.from_row(self.row_A, self.row_B, (self.U, self.V))
-
-    def __matmul__(self, other: "PointedSL2") -> "PointedSL2":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return PointedSL2(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-
-    def inverse(self) -> "PointedSL2":
-        (a, b), (c, d) = self.entries
-        return PointedSL2(((d, -b), (-c, a)))
-
-    def transpose(self) -> "PointedSL2":
-        (a, b), (c, d) = self.entries
-        return PointedSL2(((a, c), (b, d)))
-
-    def __eq__(self, other):
-        return isinstance(other, PointedSL2) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+        """The degree-0 map of the first column, certified by this matrix
+        (pointedness makes the row normalized already)."""
+        return JMap(0, None, None, self.first_column(), (self.U, self.V))
 
     def __repr__(self):
         from .textio import sl2_str
@@ -89,7 +111,7 @@ class PointedSL2:
 
 def identity_matrix(ctx) -> PointedSL2:
     one, zero = RingElement.one(ctx), RingElement.zero(ctx)
-    return PointedSL2(((one, zero), (zero, one)))
+    return PointedSL2._of(((one, zero), (zero, one)))
 
 
 def m_uv(u: FieldElem, v: FieldElem) -> PointedSL2:
@@ -104,7 +126,7 @@ def m_uv(u: FieldElem, v: FieldElem) -> PointedSL2:
         RingElement.gen_z(ctx),
         RingElement.gen_w(ctx),
     )
-    return PointedSL2(
+    return PointedSL2._of(
         (
             (x + w.scale(v / u), z.scale((u - v) / (u * v))),
             (y.scale(u - v), x + w.scale(u / v)),
@@ -117,7 +139,7 @@ def complete_pointed(row: JMap) -> PointedSL2:
 
     Starting from any Bezout lift ((A, -V1), (B, U1)), replacing
     U2 = U1 + B*d and V2 = V1 - A*d with d = V1(basepoint) makes the lift
-    the identity at the basepoint.
+    the identity at the basepoint; the determinant stays A*U1 + B*V1 = 1.
     """
     if row.degree != 0:
         raise ValueError("only degree-0 maps complete to matrices")
@@ -128,7 +150,7 @@ def complete_pointed(row: JMap) -> PointedSL2:
     d = V1.eval_basepoint()
     U2 = U1 + B.scale(d)
     V2 = V1 - A.scale(d)
-    return PointedSL2(((A, -V2), (B, U2)))
+    return PointedSL2._of(((A, -V2), (B, U2)))
 
 
 def row_sum(r1: JMap, r2: JMap) -> JMap:
@@ -182,21 +204,17 @@ def _transform_homog(entries: Entries, homog):
 
 def act(M: PointedSL2, f: JMap) -> JMap:
     """The left action on a nonzero-degree map: sections become
-    (A s0 - V s1, B s0 + U s1).  Degree, generation, and pointedness are
-    preserved; the certificate and homogeneous lift transport exactly."""
+    (A s0 - V s1, B s0 + U s1).  Degree, generation, pointedness and
+    normalization are preserved (M is the identity at the basepoint); the
+    certificate and homogeneous lift transport exactly."""
     if f.degree == 0:
         raise ValueError("degree-0 maps combine by row_sum, not the action")
     quad = transform_quadruple(M.entries, f.coeffs)
     cert = transform_cert(M.entries, f.cert)
-    return JMap.from_sections(f.degree, quad, cert, homog=_transform_homog(M.entries, f.homog))
+    return JMap(f.degree, f.kind, quad, None, cert, _transform_homog(M.entries, f.homog))
 
 
 def boxplus_act(M: PointedSL2, f: JMap) -> JMap:
     """The transpose variant of the action (kept only as the documented
     counterexample: it is not additive on realized degrees)."""
-    if f.degree == 0:
-        raise ValueError("degree-0 maps combine by row_sum, not the action")
-    Mt = M.transpose()
-    quad = transform_quadruple(Mt.entries, f.coeffs)
-    cert = transform_cert(Mt.entries, f.cert)
-    return JMap.from_sections(f.degree, quad, cert, homog=_transform_homog(Mt.entries, f.homog))
+    return act(M.transpose(), f)

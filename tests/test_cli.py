@@ -135,3 +135,18 @@ def test_selftest_reports_failing_criterion_by_name():
     finally:
         st.CRITERIA = original
     assert not ok and any("FAIL 99-injected" in ln for ln in lines)
+
+
+def test_field_beyond_primality_bound_refused(capsys):
+    # psi_12 passes Miller-Rabin to the bases 2..37 but is composite
+    bad, _, _ = run(capsys, "--field", "Fp=4", "normalize", "x")
+    code, _, err = run(capsys, "--field", "Fp=318665857834031151167461", "normalize", "x")
+    assert code == bad != 0 and "NotPrimeField" in err
+
+
+def test_budget_exhaustion_is_undecided(monkeypatch, capsys):
+    monkeypatch.setenv("JOU_STEP_BUDGET", "1")
+    code, out, err = run(
+        capsys, "ideal", "--target", "1", "--gens", "2*x - 1, 2*y", "--with-relation"
+    )
+    assert code == 3 and out.strip() == "Undecided" and "BudgetExceeded" in err

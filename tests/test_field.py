@@ -9,7 +9,6 @@ from jouanolou.field import (
     QQ,
     FieldCtx,
     discrete_log,
-    field_arith,
     is_square,
     multiplicative_generator,
     sqrt_witness,
@@ -17,29 +16,40 @@ from jouanolou.field import (
 
 
 def test_rational_arithmetic():
-    assert field_arith(QQ.elem(Fraction(1, 2)), QQ.elem(Fraction(1, 3)), "add") == QQ.elem(
-        Fraction(5, 6)
-    )
+    assert QQ.elem(Fraction(1, 2)) + QQ.elem(Fraction(1, 3)) == QQ.elem(Fraction(5, 6))
 
 
 def test_prime_field_arithmetic():
     F7 = Fp(7)
-    assert field_arith(F7.elem(3), F7.elem(5), "mul") == F7.elem(1)
+    assert F7.elem(3) * F7.elem(5) == F7.elem(1)
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        field_arith(QQ.one, QQ.zero, "div")
+        QQ.one / QQ.zero
 
 
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
-        field_arith(Fp(5).elem(1), Fp(7).elem(1), "add")
+        Fp(5).elem(1) + Fp(7).elem(1)
 
 
 def test_primality_checked():
     with pytest.raises(NotPrimeField):
         FieldCtx(6)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        318665857834031151167461,  # 399165290221 * 798330580441
+        3317044064679887385961981,  # 1287836182261 * 2575672364521
+    ],
+)
+def test_strong_pseudoprimes_to_all_bases_rejected(n):
+    # both pass Miller-Rabin to the twelve bases 2..37; the first is psi_12
+    with pytest.raises(NotPrimeField):
+        FieldCtx(n)
 
 
 def test_scalar_parsing():

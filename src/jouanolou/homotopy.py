@@ -22,8 +22,6 @@ from .bundle import (
     bezout_from_unit_resultant,
     normalize_pair,
     mu_vector,
-    resultant_univ,
-    unit_scalar,
     unit_split,
 )
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
@@ -430,23 +428,11 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     B0, B1 = normalize_pair(n + 1, h1_vec, "P", ctx)
 
     cert = _raise_cert(ctx, n, F1_t, F2_t, u)
-    segment = Segment(n + 1, (A0, A1, B0, B1), cert=cert)
-    if cert is None:
-        segment = _certify_segment(segment)
-    return HomotopyWitness([segment])
-
-
-def _certify_segment(seg: Segment) -> Segment:
-    """Attach a groebner-derived generation certificate to a segment."""
-    cert = groebner_cofactors(seg.columns())
-    if cert is None:
-        raise NoCertificate("segment sections do not generate over R[T]")
-    return Segment(seg.degree, seg.data, cert)
+    return HomotopyWitness([Segment(n + 1, (A0, A1, B0, B1), cert=cert)])
 
 
 def _raise_cert(ctx, n, F1, F2, u):
-    """Four global cofactors for the raised section pair over R[T], or None
-    when only the groebner engine can supply them.
+    """Four global cofactors for the raised section pair over R[T].
 
     The raised sections are sigma of the degree-(n+1) forms
     S0 = alpha*F1 - (1/u) beta*F2 and S1 = u*beta*F1 built on the canonical
@@ -454,8 +440,11 @@ def _raise_cert(ctx, n, F1, F2, u):
     unit resultant at bounds (n+1, n); its Bezout relation homogenizes to
     S0*(beta U) + S1*V = beta^(2n+1), covering the w-chart.  The x-chart
     needs the reversed pair at full bounds (n+1, n+1), whose Bezout relation
-    homogenizes to a pure alpha power; when that reversed resultant is not a
-    unit the caller falls back to an ideal-membership certificate.
+    homogenizes to a pure alpha power.  Its resultant is +-F1[n] times the
+    raised one, and F1[n] divides the raised one (subtract X/u times H1 from
+    H0), so a constant unit raised resultant makes F1[n] a constant unit too:
+    R[T] has no other units.  Raises ResultantNotUnit when the raised
+    resultant is not a unit.
     """
     zero_t = RingPolyT.zero(ctx)
     inv_u = u.inverse()
@@ -464,15 +453,12 @@ def _raise_cert(ctx, n, F1, F2, u):
     for i, p in enumerate(F1):
         H0[i + 1] = H0[i + 1] + p
     H1 = [p.scale(u) for p in F1]
-    res = resultant_univ(H0, H1, n + 1, n)
-    if unit_scalar(res) is None:
-        raise ResultantNotUnit("raised pair does not have unit resultant")
-    U, V = bezout_from_unit_resultant(H0, H1, n + 1, n)
+    try:
+        U, V = bezout_from_unit_resultant(H0, H1, n + 1, n)
+    except ResultantNotUnit:
+        raise ResultantNotUnit("raised pair does not have unit resultant") from None
     S0_rev = list(reversed(_pad(H0, n + 2, zero_t)))
     S1_rev = [zero_t] + list(reversed(_pad(H1, n + 1, zero_t)))
-    res_rev = resultant_univ(S0_rev, S1_rev, n + 1, n + 1)
-    if unit_scalar(res_rev) is None:
-        return None
     Ur, Vr = bezout_from_unit_resultant(S0_rev, S1_rev, n + 1, n + 1)
     xg, yg = RingElement.gen_x(ctx), RingElement.gen_y(ctx)
     zg, wg = RingElement.gen_z(ctx), RingElement.gen_w(ctx)

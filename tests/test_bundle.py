@@ -2,10 +2,16 @@ import random
 
 import pytest
 
+from jouanolou import bundle
 from jouanolou.bundle import (
+    _BERKOWITZ_MIN_SIZE,
+    _BERKOWITZ_MIN_SIZE_SYMBOLIC,
     HomogPair,
     Section,
+    _adjugate_last_row,
+    _use_berkowitz,
     bezout_from_unit_resultant,
+    det_subset,
     expand_mixed,
     generation_cofactors,
     mn_matrices,
@@ -17,12 +23,15 @@ from jouanolou.bundle import (
     resultant_identities,
     resultant_univ,
     sigma,
+    sylvester_matrix,
+    unit_scalar,
     unit_split,
 )
 from jouanolou.errors import PreconditionViolated, ResultantNotUnit
 from jouanolou.field import Fp, QQ
-from jouanolou.jring import RingElement
-from jouanolou.textio import parse_ring
+from jouanolou.jring import RingElement, RingPolyT
+from jouanolou.morphism import cert_expands_to_one, generation_columns, n_pi
+from jouanolou.textio import parse_ring, ring_str
 
 
 def R(s, ctx=QQ):
@@ -235,8 +244,6 @@ def test_normalize_matches_bruteforce_oracle():
 
 
 def test_generation_cofactors_expand():
-    from jouanolou.morphism import cert_expands_to_one, generation_columns
-
     # the pair behind (X^2+1)/X
     c0 = [ONE, ZERO, ONE]
     c1 = [ZERO, ONE, ZERO]
@@ -261,3 +268,138 @@ def test_resultant_agrees_with_sympy_on_random_draws():
         Bs = sum(v * X**i for i, v in enumerate(b))
         want = sympy.resultant(As, Bs, X)
         assert ours == RingElement.from_scalar(QQ.elem(int(want)))
+
+
+# ---------------------------------------------------------------------------
+# the determinant engine against the subset expansion it replaced
+
+
+def _det_oracle(rows, zero):
+    """Determinant by expansion along rows with subset memoization."""
+    size = len(rows)
+    full = (1 << size) - 1
+    minors = {}
+    for mask in sorted(range(1, full + 1), key=lambda m: m.bit_count()):
+        k = mask.bit_count()
+        row = rows[size - k]
+        acc = None
+        sign = 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            entry = row[low.bit_length() - 1]
+            if not entry.is_zero:
+                term = entry if k == 1 else entry * minors[mask ^ low]
+                if sign < 0:
+                    term = -term
+                acc = term if acc is None else acc + term
+            sign = -sign
+        minors[mask] = zero if acc is None else acc
+    return minors[full]
+
+
+def _replaced_by_last_unit_row(rows, i, zero, one):
+    unit = [zero] * (len(rows) - 1) + [one]
+    return rows[:i] + [unit] + rows[i + 1:]
+
+
+def _cramer_bezout(A, B, m, n):
+    """Bezout cofactors over R by Cramer's rule, one oracle determinant each."""
+    zero, one = RingElement.zero(A[0].ctx), RingElement.one(A[0].ctx)
+    rows = sylvester_matrix(A, B, m, n, zero)
+    inv = unit_scalar(_det_oracle(rows, zero)).inverse()
+    lam = [
+        _det_oracle(_replaced_by_last_unit_row(rows, i, zero, one), zero).scale(inv)
+        for i in range(m + n)
+    ]
+    return [lam[n - 1 - e] for e in range(n)], [lam[n + m - 1 - e] for e in range(m)]
+
+
+def _random_entry(rng, ring, ctx, constant):
+    """Mostly zeros and scalars; unless ``constant``, sometimes times a
+    generator (or T over R[T])."""
+    if rng.random() < 0.5:
+        return ring.zero(ctx)
+    e = RingElement.from_scalar(ctx.elem(rng.randint(-3, 3)))
+    if not constant and rng.random() < 0.25:
+        e = e * rng.choice((RingElement.gen_x, RingElement.gen_y, RingElement.gen_z))(ctx)
+    if ring is RingElement:
+        return e
+    e = RingPolyT.from_ring(e)
+    return e * RingPolyT.gen_T(ctx) if not constant and rng.random() < 0.25 else e
+
+
+RINGS = [(RingElement, QQ), (RingElement, Fp(7)), (RingPolyT, QQ)]
+
+
+def _random_matrix(rng, ring, ctx, size, constant):
+    rows = [[_random_entry(rng, ring, ctx, constant) for _ in range(size)] for _ in range(size)]
+    if not constant:
+        rows[0][0] = rows[0][0] + RingElement.gen_y(ctx)
+    return rows
+
+
+@pytest.mark.parametrize("ring, ctx", RINGS)
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "symbolic"])
+def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
+    rng = random.Random(f"det:{ring.__name__}:{ctx.p}:{constant}")
+    zero, one = ring.zero(ctx), ring.one(ctx)
+    # constant entries cross the split between subset expansion and Berkowitz
+    # here, entries in x, y, z, w or T stay on the subset side
+    assert 1 < _BERKOWITZ_MIN_SIZE < 10 < _BERKOWITZ_MIN_SIZE_SYMBOLIC
+    for size in range(1, 11):
+        rows = _random_matrix(rng, ring, ctx, size, constant)
+        assert _use_berkowitz(rows) == (constant and size >= _BERKOWITZ_MIN_SIZE)
+        want = _det_oracle(rows, zero)
+        assert det_subset(rows, zero) == want
+        det, last = _adjugate_last_row(rows, zero)
+        assert det == want
+        assert len(last) == size
+        for i, entry in enumerate(last):
+            assert entry == _det_oracle(_replaced_by_last_unit_row(rows, i, zero, one), zero)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)])
+def test_determinant_engine_at_the_symbolic_split(ctx):
+    rng = random.Random(f"det:symbolic-split:{ctx.p}")
+    zero = RingElement.zero(ctx)
+    for size in (_BERKOWITZ_MIN_SIZE_SYMBOLIC - 1, _BERKOWITZ_MIN_SIZE_SYMBOLIC):
+        rows = _random_matrix(rng, RingElement, ctx, size, False)
+        assert _use_berkowitz(rows) == (size >= _BERKOWITZ_MIN_SIZE_SYMBOLIC)
+        want = _det_oracle(rows, zero)
+        assert det_subset(rows, zero) == want
+        det, last = _adjugate_last_row(rows, zero)
+        assert det == want and not det.is_zero
+        # last row of adj M times M is det M * e_last, which pins it when det M != 0
+        for j in range(size):
+            acc = zero
+            for i in range(size):
+                acc = acc + last[i] * rows[i][j]
+            assert acc == (det if j == size - 1 else zero)
+
+
+def test_determinant_engine_on_a_singular_matrix():
+    rows = [[RingElement.from_scalar(QQ.elem(i + j)) for j in range(9)] for i in range(9)]
+    assert det_subset(rows, ZERO).is_zero
+    det, last = _adjugate_last_row(rows, ZERO)
+    assert det.is_zero and all(e.is_zero for e in last)  # rank 2 < 8
+
+
+@pytest.mark.parametrize("ctx, top", [(QQ, 6), (Fp(7), 4)])
+def test_reference_cofactors_match_cramer(ctx, top, monkeypatch):
+    ours = {n: generation_cofactors(n, *n_pi(n, ctx).homog) for n in range(1, top + 1)}
+    monkeypatch.setattr(bundle, "bezout_from_unit_resultant", _cramer_bezout)
+    for n, cert in ours.items():
+        f = n_pi(n, ctx)
+        want = generation_cofactors(n, *f.homog)
+        assert cert == want == f.cert
+        assert [ring_str(c) for c in cert] == [ring_str(c) for c in want]
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)])
+def test_reference_maps_of_degree_seven_and_eight(ctx):
+    for n in (7, 8):
+        f = n_pi(n, ctx)
+        assert f.degree == n
+        assert cert_expands_to_one(f.cert, generation_columns("P", n, *f.coeffs))

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from jouanolou import homotopy
 from jouanolou.bundle import resultant_univ, unit_scalar
-from jouanolou.errors import LiftMismatch, NoCertificate, ZeroParameter
+from jouanolou.errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from jouanolou.field import Fp, QQ
 from jouanolou.homotopy import (
     HomotopyWitness,
@@ -184,6 +185,51 @@ def test_gu1_action_witness_endpoints_and_resultant():
     H1 = [p.scale(u) for p in F1t]
     res = resultant_univ(H0, H1, 2, 1)
     assert unit_scalar(res) == -u
+
+
+def _raised_cert_input(top):
+    """Lifts F1 = 1 + top*X, F2 = X over R[T], as _raise_cert takes them."""
+    return [RingPolyT.from_ring(R("1")), RingPolyT.from_ring(top)], [
+        RingPolyT.zero(QQ),
+        RingPolyT.one(QQ),
+    ]
+
+
+def test_raise_cert_refuses_a_raised_pair_without_unit_resultant():
+    F1, F2 = _raised_cert_input(R("y"))
+    with pytest.raises(ResultantNotUnit, match="raised pair does not have unit resultant"):
+        homotopy._raise_cert(QQ, 1, F1, F2, QQ.elem(2))
+    F1, F2 = _raised_cert_input(R("1"))
+    assert homotopy._raise_cert(QQ, 1, F1, F2, QQ.elem(2)) is not None
+
+
+def _random_t_entry(rng, ctx):
+    e = RingElement.from_scalar(ctx.elem(rng.randint(-2, 2)))
+    if rng.random() < 0.5:
+        gen = rng.choice((RingElement.gen_x, RingElement.gen_y, RingElement.gen_w))(ctx)
+        e = e + gen.scale(ctx.elem(rng.randint(1, 2)))
+    t = RingPolyT.from_ring(e)
+    if rng.random() < 0.3:
+        t = t + RingPolyT.gen_T(ctx).scale_ring(RingElement.gen_z(ctx))
+    return t
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)])
+def test_reversed_raised_resultant_is_top_coefficient_times_raised(ctx):
+    # why _raise_cert needs no fallback for the reversed pair: its resultant
+    # is +-F1[n] times the raised one, so it is a unit whenever that one is
+    rng = random.Random(f"raise-cert:{ctx.p}")
+    zero_t, u = RingPolyT.zero(ctx), ctx.elem(3)
+    for n in (1, 1, 2, 2, 2):
+        F1 = [_random_t_entry(rng, ctx) for _ in range(n + 1)]
+        F2 = [_random_t_entry(rng, ctx) for _ in range(n + 1)]
+        H0 = [q.scale(-u.inverse()) for q in F2 + [zero_t]]
+        for i, p in enumerate(F1):
+            H0[i + 1] = H0[i + 1] + p
+        H1 = [p.scale(u) for p in F1]
+        res = resultant_univ(H0, H1, n + 1, n)
+        res_rev = resultant_univ(H0[::-1], [zero_t] + H1[::-1], n + 1, n + 1)
+        assert res_rev in (F1[n] * res, -(F1[n] * res))
 
 
 def test_gu1_example_witness_orientation():

@@ -25,28 +25,32 @@ from math import comb
 
 from .errors import PreconditionViolated, ResultantNotUnit
 from .field import FieldCtx, FieldElem
-from .jring import RingElement
+from .jring import RingElement, RingPolyT, mpoly_to_ring, poly_add, poly_mul
+from .polys import MPoly, dot
 
 _REWRITE_CACHE: dict = {}
 
 
-def _monomial(ctx, xe: int, ye: int, ze: int, we: int, coeff: int) -> RingElement:
-    m = RingElement.from_raw(ctx, ctx.rfrom_int(coeff))
-    if xe:
-        m = m * RingElement.gen_x(ctx) ** xe
-    if ye:
-        m = m * RingElement.gen_y(ctx) ** ye
-    if ze:
-        m = m * RingElement.gen_z(ctx) ** ze
-    if we:
-        m = m * RingElement.gen_w(ctx) ** we
-    return m
+def _ring_sum(ctx: FieldCtx, terms) -> RingElement:
+    """sum(c * x^a y^b z^d w^e) over ((a, b, d, e), c) pairs, c an integer."""
+    raw = {m: r for m, c in terms if (r := ctx.rfrom_int(c))}
+    return mpoly_to_ring(MPoly(ctx, ("x", "y", "z", "w"), raw))
 
 
 def pure_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
     """(x^n, y^n, z^n, w^n) in R."""
     gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
     return tuple(g(ctx) ** n for g in gens)
+
+
+def expand_sections(kind: str, n: int, *pairs) -> list[tuple]:
+    """Each coefficient pair (c0, c1) of a P_n or Q_n section as the element
+    c0*[x^n; z^n] + c1*[y^n; w^n] of R^2 (Q_n: c0*[x^n; y^n] + c1*[z^n; w^n]).
+    Coefficients may lie in R or R[T]."""
+    xn, yn, zn, wn = pure_powers(pairs[0][0].ctx, n)
+    if kind == "Q":
+        yn, zn = zn, yn
+    return [(c0 * xn + c1 * yn, c0 * zn + c1 * wn) for c0, c1 in pairs]
 
 
 def rewrite_constants(ctx: FieldCtx, n: int, kind: str = "P") -> list[tuple[RingElement, RingElement]]:
@@ -62,15 +66,12 @@ def rewrite_constants(ctx: FieldCtx, n: int, kind: str = "P") -> list[tuple[Ring
     out = []
     for i in range(n + 1):
         if i == n:
-            p = RingElement.zero(ctx)
-            q = RingElement.one(ctx)
+            p, q = RingElement.zero(ctx), RingElement.one(ctx)
         else:
-            p = RingElement.zero(ctx)
-            for d in range(0, n - i + 1):
-                p = p + _monomial(ctx, n - i - d, i, 0, d, comb(n, d))
-            q = RingElement.zero(ctx)
-            for d in range(n - i + 1, n + 1):
-                q = q + _monomial(ctx, n - d, 0, n - i, d + i - n, comb(n, d))
+            p = _ring_sum(ctx, (((n - i - d, i, 0, d), comb(n, d)) for d in range(n - i + 1)))
+            q = _ring_sum(
+                ctx, (((n - d, 0, n - i, d + i - n), comb(n, d)) for d in range(n - i + 1, n + 1))
+            )
         if kind == "Q":
             p, q = p.tau(), q.tau()
         out.append((p, q))
@@ -120,11 +121,7 @@ class Section:
         """The element of R^2 the section denotes; this is its identity."""
         if self.kind == "O":
             return (self.coeffs[0], self.coeffs[0])
-        c0, c1 = self.coeffs
-        xn, yn, zn, wn = pure_powers(self.ctx, self.n)
-        if self.kind == "P":
-            return (c0 * xn + c1 * yn, c0 * zn + c1 * wn)
-        return (c0 * xn + c1 * zn, c0 * yn + c1 * wn)
+        return expand_sections(self.kind, self.n, self.coeffs)[0]
 
     def __eq__(self, other):
         return (
@@ -182,8 +179,7 @@ def normalize_section(n: int, vector, kind: str = "P", ctx: FieldCtx | None = No
 
 def expand_mixed(n: int, vector, kind: str, ctx: FieldCtx):
     """Brute-force expansion of a mixed-column combination in R^2 (oracle)."""
-    x, y = RingElement.gen_x(ctx), RingElement.gen_y(ctx)
-    z, w = RingElement.gen_z(ctx), RingElement.gen_w(ctx)
+    x, y, z, w = pure_powers(ctx, 1)
     first = vector[0] - vector[0]
     second = first
     for i, c in enumerate(vector):
@@ -236,12 +232,10 @@ class IdempotentPair:
 
 def unit_split(ctx: FieldCtx, m: int) -> tuple[RingElement, RingElement]:
     """A, B in R with x^m*A + w^m*B = 1 (split of (x+w)^(2m-1) = 1)."""
-    A = RingElement.zero(ctx)
-    for k in range(0, m):
-        A = A + _monomial(ctx, m - 1 - k, 0, 0, k, comb(2 * m - 1, k))
-    B = RingElement.zero(ctx)
-    for k in range(m, 2 * m):
-        B = B + _monomial(ctx, 2 * m - 1 - k, 0, 0, k - m, comb(2 * m - 1, k))
+    A = _ring_sum(ctx, (((m - 1 - k, 0, 0, k), comb(2 * m - 1, k)) for k in range(m)))
+    B = _ring_sum(
+        ctx, (((2 * m - 1 - k, 0, 0, k - m), comb(2 * m - 1, k)) for k in range(m, 2 * m))
+    )
     return A, B
 
 
@@ -464,14 +458,9 @@ def _adjugate_last_row(rows, zero):
 
 def _trim(coeffs: list) -> list:
     out = list(coeffs)
-    while out and _is_zero(out[-1]):
+    while out and out[-1].is_zero:
         out.pop()
     return out
-
-
-def _is_zero(e) -> bool:
-    z = e - e
-    return e == z
 
 
 def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None):
@@ -480,10 +469,8 @@ def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None)
     Default bounds are the actual degrees.  The empty 0x0 case returns 1.
     """
     At, Bt = _trim(A), _trim(B)
-    if m is None:
-        m = len(At) - 1 if At else 0
-    if n is None:
-        n = len(Bt) - 1 if Bt else 0
+    m = max(len(At) - 1, 0) if m is None else m
+    n = max(len(Bt) - 1, 0) if n is None else n
     probe = next(iter(At or Bt or A or B), None)
     if probe is None:
         raise ValueError("resultant of two empty coefficient lists")
@@ -495,12 +482,10 @@ def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None)
 
 
 def _one_like(e):
-    from .jring import RingElement as RE, RingPolyT as RPT
-
-    if isinstance(e, RE):
-        return RE.one(e.ctx)
-    if isinstance(e, RPT):
-        return RPT.one(e.ctx)
+    if isinstance(e, RingElement):
+        return RingElement.one(e.ctx)
+    if isinstance(e, RingPolyT):
+        return RingPolyT.one(e.ctx)
     if isinstance(e, FieldElem):
         return e.ctx.one
     raise TypeError(f"no unit for {type(e)}")
@@ -508,13 +493,11 @@ def _one_like(e):
 
 def unit_scalar(e) -> FieldElem | None:
     """The field constant an element equals, if it is a nonzero constant."""
-    from .jring import RingElement as RE, RingPolyT as RPT
-
-    if isinstance(e, RPT):
+    if isinstance(e, RingPolyT):
         if len(e.coeffs) > 1:
             return None
         e = e.at0()
-    if isinstance(e, RE):
+    if isinstance(e, RingElement):
         if not e.is_constant():
             return None
         v = e.constant_value()
@@ -539,28 +522,17 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
     At, Bt = _trim(A), _trim(B)
     if not At and not Bt:
         raise ResultantNotUnit("both polynomials are zero")
-    if m is None:
-        m = len(At) - 1 if At else 0
-    if n is None:
-        n = len(Bt) - 1 if Bt else 0
-    if m == 0 and n == 0:
-        u = unit_scalar(At[0]) if At else None
-        if u is not None:
-            return [_one_like(At[0]).scale(u.inverse())], []
-        u = unit_scalar(Bt[0]) if Bt else None
-        if u is None:
-            raise ResultantNotUnit("resultant is not a unit")
-        return [], [_one_like(Bt[0]).scale(u.inverse())]
-    if m == 0:
-        u = unit_scalar(At[0]) if At else None
-        if u is None:
-            raise ResultantNotUnit("resultant is not a unit")
-        return [_one_like(At[0]).scale(u.inverse())], []
-    if n == 0:
-        u = unit_scalar(Bt[0]) if Bt else None
-        if u is None:
-            raise ResultantNotUnit("resultant is not a unit")
-        return [], [_one_like(Bt[0]).scale(u.inverse())]
+    m = max(len(At) - 1, 0) if m is None else m
+    n = max(len(Bt) - 1, 0) if n is None else n
+    if m == 0 or n == 0:
+        # a side of bound 0 is the constant the resultant is a power of;
+        # when it is a unit, its inverse alone solves the system
+        for i, (side, bound) in enumerate(((At, m), (Bt, n))):
+            u = unit_scalar(side[0]) if bound == 0 and side else None
+            if u is not None:
+                solution = [_one_like(side[0]).scale(u.inverse())]
+                return (solution, []) if i == 0 else ([], solution)
+        raise ResultantNotUnit("resultant is not a unit")
     zero = (At or Bt)[0] - (At or Bt)[0]
     res, lam = _adjugate_last_row(sylvester_matrix(A, B, m, n, zero), zero)
     u = unit_scalar(res)
@@ -571,21 +543,6 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
     U = [lam[n - 1 - e].scale(inv) for e in range(n)]
     V = [lam[n + m - 1 - e].scale(inv) for e in range(m)]
     return U, V
-
-
-def poly_mul(A: list, B: list, zero):
-    if not A or not B:
-        return []
-    out = [zero] * (len(A) + len(B) - 1)
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def poly_add(A: list, B: list, zero):
-    n = max(len(A), len(B))
-    return [(A[i] if i < len(A) else zero) + (B[i] if i < len(B) else zero) for i in range(n)]
 
 
 def poly_scale(A: list, c):
@@ -602,12 +559,8 @@ def generation_cofactors(n: int, L0: list, L1: list):
     (Ux, Vx, Uw, Vw) against the columns (S0(x,y), S1(x,y), S0(z,w), S1(z,w)).
     Generic over R and R[T] coefficient lists.
     """
-    from .jring import RingElement
-
     if len(L0) != n + 1 or len(L1) != n + 1:
         raise ValueError("homogeneous coefficient lists must have length n+1")
-    probe = L0[0]
-    zero = probe - probe
     res = resultant_univ(L0, L1, n, n)
     if unit_scalar(res) is None:
         raise ResultantNotUnit("pair does not have unit resultant")
@@ -618,26 +571,22 @@ def generation_cofactors(n: int, L0: list, L1: list):
         raise ResultantNotUnit("reversed pair does not have unit resultant")
     Ur, Vr = bezout_from_unit_resultant(L0r, L1r, n, n)
 
-    def pad(lst):
-        return list(lst) + [zero] * (n - len(lst))
-
-    def homog(coeffs, first, second):
-        acc = None
-        for i, c in enumerate(coeffs):
-            term = c * (first**i * second ** (n - 1 - i))
-            acc = term if acc is None else acc + term
-        return acc
-
-    ctx = probe.ctx
-    xg, yg = RingElement.gen_x(ctx), RingElement.gen_y(ctx)
-    zg, wg = RingElement.gen_z(ctx), RingElement.gen_w(ctx)
+    ctx = L0[0].ctx
+    xg, yg, zg, wg = pure_powers(ctx, 1)
     E, F = unit_split(ctx, 2 * n - 1)
     return (
-        homog(pad(Ur), yg, xg) * E,
-        homog(pad(Vr), yg, xg) * E,
-        homog(pad(U), zg, wg) * F,
-        homog(pad(V), zg, wg) * F,
+        homog_eval(Ur, n - 1, yg, xg) * E,
+        homog_eval(Vr, n - 1, yg, xg) * E,
+        homog_eval(U, n - 1, zg, wg) * F,
+        homog_eval(V, n - 1, zg, wg) * F,
     )
+
+
+def homog_eval(coeffs: list, d: int, first: RingElement, second: RingElement):
+    """sum(coeffs[i] * first^i * second^(d-i)) for a nonempty list of
+    coefficients over R or R[T]; zero coefficients are skipped."""
+    acc = dot((c, first**i * second ** (d - i)) for i, c in enumerate(coeffs) if not c.is_zero)
+    return coeffs[0] if acc is None else acc
 
 
 @dataclass
@@ -684,7 +633,7 @@ def resultant_identities(A: list, B: list, C: list, u: FieldElem) -> ResultantRe
 
     # Bezout extraction re-verifies A*U + B*V = 1
     U, V = bezout_from_unit_resultant(A, B)
-    combo = poly_add(poly_mul(A, U, zero), poly_mul(B, V, zero), zero)
+    combo = poly_add(poly_mul(A, U, zero), poly_mul(B, V, zero))
     bezout_ok = _trim(combo) == [one]
 
     # reversal at the shared bound (trim first: reversal is bound-sensitive)
@@ -702,7 +651,7 @@ def resultant_identities(A: list, B: list, C: list, u: FieldElem) -> ResultantRe
     BC = poly_mul(B, C, zero)
     if len(_trim(BC)) - 1 > m:
         raise PreconditionViolated("shift identity needs deg(BC) <= deg(A)")
-    shift_lhs = resultant_univ(poly_add(A, BC, zero), B, m, nb)
+    shift_lhs = resultant_univ(poly_add(A, BC), B, m, nb)
     shift_rhs = resultant_univ(A, B, m, nb)
 
     # conservation: res(A*X - (1/u)B, u*A) = (-1)^deg(A) * u * res(A, B) at
@@ -713,7 +662,7 @@ def resultant_identities(A: list, B: list, C: list, u: FieldElem) -> ResultantRe
     if Bt and len(Bt) - 1 > m:
         raise PreconditionViolated("conservation identity needs deg(B) <= deg(A)")
     AX = [zero] + list(A)  # A * X
-    left_first = poly_add(AX, poly_scale(B, -(u.inverse())), zero)
+    left_first = poly_add(AX, poly_scale(B, -(u.inverse())))
     conservation_lhs = resultant_univ(left_first, poly_scale(A, u), m + 1, m)
     signed = resultant_univ(A, B, m, m)
     if m % 2 == 1:

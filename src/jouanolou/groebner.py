@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .field import FieldCtx
-from .polys import MPoly, drl_key
+from .polys import MPoly, dot, drl_key
 
 DEFAULT_BUDGET = 10**6
 
@@ -63,10 +63,7 @@ class Certificate:
         gens = self.problem.all_generators()
         if len(gens) != len(self.cofactors):
             return False
-        acc = MPoly.zero(self.problem.target.ctx, self.problem.target.vars)
-        for c, g in zip(self.cofactors, gens):
-            acc = acc + c * g
-        return acc == self.problem.target
+        return dot(zip(self.cofactors, gens)) == self.problem.target
 
     @property
     def generator_cofactors(self) -> list[MPoly]:

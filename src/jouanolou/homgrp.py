@@ -20,6 +20,7 @@ from .homotopy import (
     Segment,
     apply_matrix,
     gu1_action_witness,
+    raised_lift,
     _const_t,
     _scalar_T,
 )
@@ -177,18 +178,16 @@ def naive_sum_deg1(u: FieldElem, f: JMap) -> tuple[JMap, HomotopyWitness]:
 
     Returns the raised map together with the witness family whose T=0 end
     is the raised map and whose T=1 end is m_(u,1) acting on the raise by 1.
+    Precondition, that of :func:`gu1_action_witness`: the homogeneous lift
+    (L0, L1) of f has a nonzero constant L0[n] and, unless u = 1, L1[n] = 0
+    (true of the reference maps and of pullbacks; usually false after
+    ``act`` with a nonconstant matrix), else ResultantNotUnit.
     """
     witness = gu1_action_witness(u, f)
     seg = witness.segments[0]
     zero = u.ctx.zero
     quad = seg.at(zero)
     cert = tuple(c.eval_at_T(zero) for c in seg.cert)
-    inv_u = u.inverse()
-    L0, L1 = f.canonical_lift()
-    zero_r = RingElement.zero(f.ctx)
-    raised0 = [q.scale(-inv_u) for q in list(L1) + [zero_r]]
-    for i, p in enumerate(L0):
-        raised0[i + 1] = raised0[i + 1] + p
-    raised1 = [p.scale(u) for p in L0] + [zero_r]
-    result = make_map(f.degree + 1, *quad, cert=cert, homog=(raised0, raised1))
+    raised = raised_lift(u, *f.canonical_lift(), RingElement.zero(f.ctx))
+    result = make_map(f.degree + 1, *quad, cert=cert, homog=raised)
     return result, witness

@@ -17,25 +17,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import groebner
 from .bundle import (
     bezout_from_unit_resultant,
+    homog_eval,
     normalize_pair,
     mu_vector,
+    pure_powers,
     unit_split,
 )
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
 from .jring import RingElement, RingPolyT
 from .morphism import (
-    GB_VARS_T,
     JMap,
     cert_expands_to_one,
     generation_columns,
     groebner_cofactors,
     pointed_alpha,
 )
-from .polys import MPoly
 from .sl2 import Mat2, PointedSL2, transform_cert, transform_quadruple
 
 
@@ -118,9 +117,6 @@ class HomotopyWitness:
     def start_record(self):
         return self.segments[0].record(self.ctx.zero)
 
-    def end_record(self):
-        return self.segments[-1].record(self.ctx.one)
-
     def __repr__(self):
         return f"HomotopyWitness({len(self.segments)} segment(s))"
 
@@ -155,13 +151,7 @@ def _segment_generates(seg: Segment, budget=None) -> bool:
     cols = seg.columns()
     if seg.cert is not None and cert_expands_to_one(seg.cert, cols):
         return True
-    ctx = seg.ctx
-    gens = [c.to_mpoly(GB_VARS_T) for c in cols]
-    target = MPoly.const(ctx, GB_VARS_T, ctx.rone)
-    cert = groebner.express_in_ideal(
-        groebner.IdealProblem(gens, target, include_relation=True), budget
-    )
-    return cert is not None
+    return groebner_cofactors(cols, budget) is not None
 
 
 def verify(w: HomotopyWitness, f: JMap, g: JMap, budget=None) -> Verdict:
@@ -369,23 +359,6 @@ def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
 # the degree-raising witness
 
 
-def homog_eval(coeffs, d: int, first: RingElement, second: RingElement):
-    """sum(coeffs[i] * first^i * second^(d-i)); coefficients over R or R[T]."""
-    ctx = first.ctx
-    acc = None
-    for i, c in enumerate(coeffs):
-        mono = first**i * second ** (d - i)
-        term = c * mono
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return RingPolyT.zero(ctx)
-    return acc
-
-
-def _pad(coeffs, length, zero):
-    return list(coeffs) + [zero] * (length - len(coeffs))
-
-
 def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     """The explicit family between the composite raising a degree-n map f by
     X/u and the matrix m_(u,1) acting on the raise by X/1:
@@ -396,6 +369,14 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     dehomogenized pair has unit resultant (shift invariance in T plus the
     degree-raising conservation identity), and chart Bezout solves recombine
     through the x^m/w^m unit split into four global cofactors.
+
+    Precondition: f's homogeneous lift (L0, L1) = f.canonical_lift() has a
+    nonzero constant L0[n] and, unless u = 1, L1[n] = 0, as the reference
+    maps and pullbacks of rational maps do.  The raised resultant has the
+    twisted top coefficient L0[n] - ((u-1)/u)*y*T*L1[n] as a factor, so
+    otherwise (e.g. f moved by a nonconstant pointed matrix through ``act``)
+    it is no unit and ResultantNotUnit is raised; there is no Groebner
+    fallback.
     """
     if u.is_zero:
         raise ZeroParameter("u must be a unit")
@@ -431,6 +412,16 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     return HomotopyWitness([Segment(n + 1, (A0, A1, B0, B1), cert=cert)])
 
 
+def raised_lift(u: FieldElem, F1: list, F2: list, zero) -> tuple[list, list]:
+    """The homogeneous lift (alpha*F1 - (1/u) beta*F2, u beta*F1) of the raise
+    by X/u of a map with lift (F1, F2); coefficients over R or R[T]."""
+    neg_inv = -u.inverse()
+    S0 = [q.scale(neg_inv) for q in F2] + [zero]
+    for i, p in enumerate(F1):
+        S0[i + 1] = S0[i + 1] + p
+    return S0, [p.scale(u) for p in F1] + [zero]
+
+
 def _raise_cert(ctx, n, F1, F2, u):
     """Four global cofactors for the raised section pair over R[T].
 
@@ -446,27 +437,20 @@ def _raise_cert(ctx, n, F1, F2, u):
     R[T] has no other units.  Raises ResultantNotUnit when the raised
     resultant is not a unit.
     """
-    zero_t = RingPolyT.zero(ctx)
-    inv_u = u.inverse()
     # dehomogenized: H0 = X*F1 - (1/u) F2 (bound n+1), H1 = u*F1 (bound n)
-    H0 = [q.scale(-inv_u) for q in _pad(F2, n + 2, zero_t)]
-    for i, p in enumerate(F1):
-        H0[i + 1] = H0[i + 1] + p
-    H1 = [p.scale(u) for p in F1]
+    H0, H1 = raised_lift(u, F1, F2, RingPolyT.zero(ctx))
     try:
         U, V = bezout_from_unit_resultant(H0, H1, n + 1, n)
     except ResultantNotUnit:
         raise ResultantNotUnit("raised pair does not have unit resultant") from None
-    S0_rev = list(reversed(_pad(H0, n + 2, zero_t)))
-    S1_rev = [zero_t] + list(reversed(_pad(H1, n + 1, zero_t)))
+    S0_rev, S1_rev = list(reversed(H0)), list(reversed(H1))
     Ur, Vr = bezout_from_unit_resultant(S0_rev, S1_rev, n + 1, n + 1)
-    xg, yg = RingElement.gen_x(ctx), RingElement.gen_y(ctx)
-    zg, wg = RingElement.gen_z(ctx), RingElement.gen_w(ctx)
+    xg, yg, zg, wg = pure_powers(ctx, 1)
     E, Fw = unit_split(ctx, 2 * n + 1)
-    Ux = homog_eval(_pad(Ur, n + 1, zero_t), n, yg, xg) * E
-    Vx = homog_eval(_pad(Vr, n + 1, zero_t), n, yg, xg) * E
-    Uw = (homog_eval(_pad(U, n, zero_t), n - 1, zg, wg) * wg) * Fw
-    Vw = homog_eval(_pad(V, n + 1, zero_t), n, zg, wg) * Fw
+    Ux = homog_eval(Ur, n, yg, xg) * E
+    Vx = homog_eval(Vr, n, yg, xg) * E
+    Uw = (homog_eval(U, n - 1, zg, wg) * wg) * Fw
+    Vw = homog_eval(V, n, zg, wg) * Fw
     return (Ux, Vx, Uw, Vw)
 
 

@@ -4,15 +4,29 @@ The ring is R = k[x,y,z,w]/(x+w-1, xw-yz), identified with
 k[x,y,z]/(x^2 - x + yz) by eliminating w = 1 - x.  Every element has the
 unique normal form a(y,z) + x*b(y,z), kept reduced by the rewrite
 x^2 -> x - yz, so equality is literal equality of coefficient dictionaries.
+``RingElement`` arithmetic runs the sparse kernel of :mod:`polys`
+(``terms_add``, ``terms_mul``) directly on the term dicts of a and b; the
+product by yz is a shift of exponents.
 
 R[T], the one-variable polynomial extension used by homotopies, is a dense
-coefficient list of ring elements with trailing zeros trimmed.
+coefficient list of ring elements with trailing zeros trimmed.  ``poly_add``
+and ``poly_mul`` here are the one dense univariate kernel: ``RingPolyT``
+and the resultant toolkit of :mod:`bundle` both use it.
 """
 
 from __future__ import annotations
 
 from .field import FieldCtx, FieldElem
-from .polys import MPoly
+from .polys import (
+    MPoly,
+    common_ctx,
+    eval_terms,
+    power,
+    terms_add,
+    terms_mul,
+    terms_neg,
+    terms_scale,
+)
 
 
 class BivarPoly:
@@ -29,54 +43,22 @@ class BivarPoly:
         return cls(ctx, {(0, 0): raw} if raw else {})
 
     def __add__(self, other):
-        ctx = self.ctx
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = ctx.radd(terms.get(m, ctx.rzero), c)
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return BivarPoly(ctx, terms)
+        ctx = common_ctx(self.ctx, other.ctx)
+        return BivarPoly(ctx, terms_add(ctx, self.terms, other.terms))
 
     def __sub__(self, other):
-        ctx = self.ctx
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = ctx.rsub(terms.get(m, ctx.rzero), c)
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return BivarPoly(ctx, terms)
+        ctx = common_ctx(self.ctx, other.ctx)
+        return BivarPoly(ctx, terms_add(ctx, self.terms, other.terms, negate=True))
 
     def __neg__(self):
-        ctx = self.ctx
-        return BivarPoly(ctx, {m: ctx.rneg(c) for m, c in self.terms.items()})
+        return BivarPoly(self.ctx, terms_neg(self.ctx, self.terms))
 
     def __mul__(self, other):
-        ctx = self.ctx
-        out: dict = {}
-        mul, add = ctx.rmul, ctx.radd
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                m = (i1 + i2, j1 + j2)
-                prod = mul(c1, c2)
-                if m in out:
-                    s = add(out[m], prod)
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                elif prod:
-                    out[m] = prod
-        return BivarPoly(ctx, out)
+        ctx = common_ctx(self.ctx, other.ctx)
+        return BivarPoly(ctx, terms_mul(ctx, self.terms, other.terms))
 
     def scale(self, raw):
-        ctx = self.ctx
-        if not raw:
-            return BivarPoly(ctx)
-        return BivarPoly(ctx, {m: ctx.rmul(c, raw) for m, c in self.terms.items()})
+        return BivarPoly(self.ctx, terms_scale(self.ctx, self.terms, raw))
 
     @property
     def is_zero(self):
@@ -90,18 +72,6 @@ class BivarPoly:
 
     def eval_float(self, y: float, z: float) -> float:
         return sum(float(c) * y**i * z**j for (i, j), c in self.terms.items())
-
-    def eval_raw(self, y_raw, z_raw):
-        ctx = self.ctx
-        acc = ctx.rzero
-        for (i, j), c in self.terms.items():
-            t = c
-            if i:
-                t = ctx.rmul(t, y_raw**i if ctx.p is None else pow(y_raw, i, ctx.p))
-            if j:
-                t = ctx.rmul(t, z_raw**j if ctx.p is None else pow(z_raw, j, ctx.p))
-            acc = ctx.radd(acc, t)
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, BivarPoly) and self.ctx == other.ctx and self.terms == other.terms
@@ -163,14 +133,22 @@ class RingElement:
             return RingPolyT.from_ring(self) + other
         if not isinstance(other, RingElement):
             return NotImplemented
-        return RingElement(self.a + other.a, self.b + other.b)
+        ctx = common_ctx(self.a.ctx, other.a.ctx)
+        return RingElement(
+            BivarPoly(ctx, terms_add(ctx, self.a.terms, other.a.terms)),
+            BivarPoly(ctx, terms_add(ctx, self.b.terms, other.b.terms)),
+        )
 
     def __sub__(self, other):
         if isinstance(other, RingPolyT):
             return RingPolyT.from_ring(self) - other
         if not isinstance(other, RingElement):
             return NotImplemented
-        return RingElement(self.a - other.a, self.b - other.b)
+        ctx = common_ctx(self.a.ctx, other.a.ctx)
+        return RingElement(
+            BivarPoly(ctx, terms_add(ctx, self.a.terms, other.a.terms, negate=True)),
+            BivarPoly(ctx, terms_add(ctx, self.b.terms, other.b.terms, negate=True)),
+        )
 
     def __neg__(self):
         return RingElement(-self.a, -self.b)
@@ -181,24 +159,20 @@ class RingElement:
             return RingPolyT.from_ring(self) * other
         if not isinstance(other, RingElement):
             return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        bb = b1 * b2
-        yz = BivarPoly(self.ctx, {(1, 1): self.ctx.rone})
-        return RingElement(a1 * a2 - yz * bb, a1 * b2 + a2 * b1 + bb)
+        ctx = common_ctx(self.a.ctx, other.a.ctx)
+        a1, b1, a2, b2 = self.a.terms, self.b.terms, other.a.terms, other.b.terms
+        bb = terms_mul(ctx, b1, b2)
+        minus_yz_bb = {(i + 1, j + 1): -c for (i, j), c in bb.items()}
+        a = terms_mul(ctx, a1, a2, minus_yz_bb)
+        b = terms_mul(ctx, a1, b2, terms_mul(ctx, a2, b1, bb))
+        return RingElement(BivarPoly(ctx, a), BivarPoly(ctx, b))
 
     def scale(self, c) -> "RingElement":
         raw = c.val if isinstance(c, FieldElem) else c
         return RingElement(self.a.scale(raw), self.b.scale(raw))
 
     def __pow__(self, e: int) -> "RingElement":
-        out = RingElement.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, RingElement.one(self.ctx))
 
     # queries -------------------------------------------------------------------
     @property
@@ -235,34 +209,23 @@ class RingElement:
     def eval_float(self, x: float, y: float, z: float) -> float:
         return self.a.eval_float(y, z) + x * self.b.eval_float(y, z)
 
-    def eval_point(self, x: FieldElem, y: FieldElem, z: FieldElem) -> FieldElem:
-        ctx = self.ctx
-        av = self.a.eval_raw(y.val, z.val)
-        bv = self.b.eval_raw(y.val, z.val)
-        return FieldElem(ctx, ctx.radd(av, ctx.rmul(x.val, bv)))
-
     def to_mpoly(self, vars: tuple[str, ...]) -> MPoly:
         """Lift the normal form to the free polynomial ring on ``vars``."""
-        ctx = self.ctx
-        ix, iy, iz = vars.index("x"), vars.index("y"), vars.index("z")
-        n = len(vars)
-        terms: dict = {}
+        return MPoly(self.ctx, vars, self._lifted_terms(vars, 0))
 
-        def put(xdeg, i, j, c):
-            m = [0] * n
-            m[ix], m[iy], m[iz] = xdeg, i, j
-            terms[tuple(m)] = c
-
-        for (i, j), c in self.a.terms.items():
-            put(0, i, j, c)
-        for (i, j), c in self.b.terms.items():
-            put(1, i, j, c)
-        return MPoly(ctx, vars, terms)
-
-    def max_degree(self) -> int:
-        d = max((i + j for (i, j) in self.a.terms), default=0)
-        db = max((i + j + 1 for (i, j) in self.b.terms), default=0)
-        return max(d, db)
+    def _lifted_terms(self, vars: tuple[str, ...], t: int) -> dict:
+        """The lift's term dict times T^t (``vars`` holds T when t > 0)."""
+        ix, iy, iz = (vars.index(v) for v in "xyz")
+        base = [0] * len(vars)
+        if t:
+            base[vars.index("T")] = t
+        out = {}
+        for xdeg, part in ((0, self.a), (1, self.b)):
+            for (i, j), c in part.terms.items():
+                m = list(base)
+                m[ix], m[iy], m[iz] = xdeg, i, j
+                out[tuple(m)] = c
+        return out
 
 
 def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
@@ -284,26 +247,10 @@ def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
 
 def mpoly_to_ring(p: MPoly) -> RingElement:
     ctx = p.ctx
-    names = p.vars
-    x = RingElement.gen_x(ctx)
-    w = RingElement.gen_w(ctx)
-    gens = {"x": x, "y": RingElement.gen_y(ctx), "z": RingElement.gen_z(ctx), "w": w}
-    # x powers reduce quadratically, so iterate monomials directly
-    out = RingElement.zero(ctx)
-    pow_cache: dict[tuple[str, int], RingElement] = {}
-    for mon, c in p.terms.items():
-        term = RingElement.from_raw(ctx, c)
-        for name, e in zip(names, mon):
-            if not e:
-                continue
-            if name == "T":
-                raise ValueError("T does not live in R; use mpoly_to_ringpolyt")
-            key = (name, e)
-            if key not in pow_cache:
-                pow_cache[key] = gens[name] ** e
-            term = term * pow_cache[key]
-        out = out + term
-    return out
+    if "T" in p.vars and p.degree_in("T"):
+        raise ValueError("T does not live in R; use mpoly_to_ringpolyt")
+    images = [None if v == "T" else getattr(RingElement, f"gen_{v}")(ctx) for v in p.vars]
+    return eval_terms(p.terms, images, lambda raw: RingElement.from_raw(ctx, raw))
 
 
 CHART_VARS = {"phi0": ("a", "b"), "phi1": ("s", "t")}
@@ -368,16 +315,8 @@ class RingPolyT:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        z = RingElement.zero(self.ctx)
-        return RingPolyT(
-            self.ctx,
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else z)
-                + (o.coeffs[i] if i < len(o.coeffs) else z)
-                for i in range(n)
-            ],
-        )
+        ctx = common_ctx(self.ctx, o.ctx)
+        return RingPolyT(ctx, poly_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -400,17 +339,8 @@ class RingPolyT:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return RingPolyT.zero(self.ctx)
-        z = RingElement.zero(self.ctx)
-        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero:
-                continue
-            for j, cj in enumerate(o.coeffs):
-                if not cj.is_zero:
-                    out[i + j] = out[i + j] + ci * cj
-        return RingPolyT(self.ctx, out)
+        ctx = common_ctx(self.ctx, o.ctx)
+        return RingPolyT(ctx, poly_mul(self.coeffs, o.coeffs, RingElement.zero(ctx)))
 
     __rmul__ = __mul__
 
@@ -444,12 +374,6 @@ class RingPolyT:
 
     def at0(self) -> RingElement:
         return self.coeffs[0] if self.coeffs else RingElement.zero(self.ctx)
-
-    def at1(self) -> RingElement:
-        out = RingElement.zero(self.ctx)
-        for c in self.coeffs:
-            out = out + c
-        return out
 
     def reverse_T(self) -> "RingPolyT":
         """Substitute T -> 1 - T."""
@@ -485,13 +409,36 @@ class RingPolyT:
         return RingPolyT(self.ctx, [c.tau() for c in self.coeffs])
 
     def to_mpoly(self, vars: tuple[str, ...]) -> MPoly:
-        iT = vars.index("T")
-        out = MPoly.zero(self.ctx, vars)
+        terms: dict = {}
         for t, c in enumerate(self.coeffs):
-            lifted = c.to_mpoly(vars)
-            mon = tuple(t if i == iT else 0 for i in range(len(vars)))
-            out = out + lifted.mul_term(mon, self.ctx.rone)
-        return out
+            terms.update(c._lifted_terms(vars, t))
+        return MPoly(self.ctx, vars, terms)
+
+
+def poly_add(A: list, B: list) -> list:
+    """Sum of ascending coefficient lists over R or R[T]; zero entries of
+    the shorter list are skipped."""
+    if len(A) < len(B):
+        A, B = B, A
+    out = list(A)
+    for i, b in enumerate(B):
+        if not b.is_zero:
+            out[i] = out[i] + b
+    return out
+
+
+def poly_mul(A: list, B: list, zero) -> list:
+    """Product of ascending coefficient lists over R or R[T]; zero entries
+    are skipped and ``zero`` fills the untouched slots."""
+    if not A or not B:
+        return []
+    out = [zero] * (len(A) + len(B) - 1)
+    nonzero_b = [(j, b) for j, b in enumerate(B) if not b.is_zero]
+    for i, a in enumerate(A):
+        if not a.is_zero:
+            for j, b in nonzero_b:
+                out[i + j] = out[i + j] + a * b
+    return out
 
 
 def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:

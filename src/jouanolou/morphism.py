@@ -24,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groebner
-from .bundle import HomogPair, Section, generation_cofactors, mu_product, pure_powers, sigma
+from .bundle import (
+    HomogPair,
+    Section,
+    expand_sections,
+    generation_cofactors,
+    homog_eval,
+    mu_product,
+    pure_powers,
+    sigma,
+)
 from .errors import (
     NotGenerating,
     NotNormalizable,
@@ -35,7 +44,7 @@ from .errors import (
 )
 from .field import FieldCtx, FieldElem
 from .jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
-from .polys import MPoly
+from .polys import MPoly, dot
 
 GB_VARS = ("x", "y", "z")
 GB_VARS_T = ("x", "y", "z", "T")
@@ -44,17 +53,12 @@ GB_VARS_T = ("x", "y", "z", "T")
 def generation_columns(kind: str, n: int, a0, a1, b0, b1):
     """The four ring elements whose ideal must be all of R for the section
     pair to generate.  Generic over R and R[T] coefficients."""
-    xn, yn, zn, wn = pure_powers(a0.ctx, n)
-    if kind == "P":
-        return (a0 * xn + a1 * yn, b0 * xn + b1 * yn, a0 * zn + a1 * wn, b0 * zn + b1 * wn)
-    return (a0 * xn + a1 * zn, b0 * xn + b1 * zn, a0 * yn + a1 * wn, b0 * yn + b1 * wn)
+    (ax, aw), (bx, bw) = expand_sections(kind, n, (a0, a1), (b0, b1))
+    return (ax, bx, aw, bw)
 
 
 def cert_expands_to_one(cert, columns) -> bool:
-    acc = None
-    for c, g in zip(cert, columns):
-        term = c * g
-        acc = term if acc is None else acc + term
+    acc = dot(zip(cert, columns))
     one = RingElement.one(columns[0].ctx)
     if hasattr(acc, "coeffs"):  # R[T]
         return len(acc.coeffs) == 1 and acc.coeffs[0] == one
@@ -102,12 +106,9 @@ class JMap:
         """Does the carried homogeneous lift expand to the stored sections?"""
         if self.homog is None or self.kind != "P":
             return self.homog is None
-        from .homotopy import homog_eval  # local: avoids a module cycle
-
         ctx = self.ctx
         n = self.degree
-        x, y = RingElement.gen_x(ctx), RingElement.gen_y(ctx)
-        z, w = RingElement.gen_z(ctx), RingElement.gen_w(ctx)
+        x, y, z, w = pure_powers(ctx, 1)
         F0, F1 = self.homog
         got = (
             homog_eval(F0, n, x, y),
@@ -148,11 +149,6 @@ class JMap:
         n = abs(self.degree)
         a0, a1, b0, b1 = self.coeffs
         return Section(self.kind, n, (a0, a1)), Section(self.kind, n, (b0, b1))
-
-    def generation_cols(self):
-        if self.degree == 0:
-            return self.row
-        return generation_columns(self.kind, abs(self.degree), *self.coeffs)
 
     def tau_transport(self) -> "JMap":
         """The same map composed with the y-z swap: degree flips sign."""
@@ -258,12 +254,7 @@ def g_uv(u: FieldElem, v: FieldElem) -> JMap:
     if u.is_zero or v.is_zero:
         raise ZeroParameter("g parameters must be units")
     ctx = u.ctx
-    x, y, z, w = (
-        RingElement.gen_x(ctx),
-        RingElement.gen_y(ctx),
-        RingElement.gen_z(ctx),
-        RingElement.gen_w(ctx),
-    )
+    x, y, z, w = pure_powers(ctx, 1)
     A = x + w.scale(v / u)
     B = y.scale(u - v)
     U = x + w.scale(u / v)

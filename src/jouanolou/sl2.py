@@ -10,6 +10,7 @@ exactly (no new ideal membership runs are needed).
 
 from __future__ import annotations
 
+from .bundle import pure_powers
 from .errors import NoCertificate, ZeroParameter
 from .field import FieldElem
 from .jring import RingElement
@@ -120,12 +121,7 @@ def m_uv(u: FieldElem, v: FieldElem) -> PointedSL2:
     if u.is_zero or v.is_zero:
         raise ZeroParameter("matrix parameters must be units")
     ctx = u.ctx
-    x, y, z, w = (
-        RingElement.gen_x(ctx),
-        RingElement.gen_y(ctx),
-        RingElement.gen_z(ctx),
-        RingElement.gen_w(ctx),
-    )
+    x, y, z, w = pure_powers(ctx, 1)
     return PointedSL2._of(
         (
             (x + w.scale(v / u), z.scale((u - v) / (u * v))),
@@ -166,14 +162,15 @@ def row_inverse(r: JMap) -> JMap:
 
 def transform_quadruple(entries: Entries, quad):
     """Left matrix action on a coefficient quadruple (generic over R, R[T])."""
+    (a0, a1), (b0, b1) = _transform_rows(entries, quad[:2], quad[2:])
+    return (a0, a1, b0, b1)
+
+
+def _transform_rows(entries: Entries, first, second):
+    """(e00*first + e01*second, e10*first + e11*second), entrywise."""
     (e00, e01), (e10, e11) = entries
-    a0, a1, b0, b1 = quad
-    return (
-        e00 * a0 + e01 * b0,
-        e00 * a1 + e01 * b1,
-        e10 * a0 + e11 * b0,
-        e10 * a1 + e11 * b1,
-    )
+    pairs = list(zip(first, second))
+    return [e00 * a + e01 * b for a, b in pairs], [e10 * a + e11 * b for a, b in pairs]
 
 
 def transform_cert(entries: Entries, cert):
@@ -193,13 +190,7 @@ def transform_cert(entries: Entries, cert):
 
 
 def _transform_homog(entries: Entries, homog):
-    if homog is None:
-        return None
-    (e00, e01), (e10, e11) = entries
-    F0, F1 = homog
-    new0 = [e00 * a + e01 * b for a, b in zip(F0, F1)]
-    new1 = [e10 * a + e11 * b for a, b in zip(F0, F1)]
-    return (new0, new1)
+    return None if homog is None else _transform_rows(entries, *homog)
 
 
 def act(M: PointedSL2, f: JMap) -> JMap:

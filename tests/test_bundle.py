@@ -164,7 +164,7 @@ def test_bezout_reverifies():
             U, V = bezout_from_unit_resultant(A, B)
         except ResultantNotUnit:
             continue
-        combo = poly_add(poly_mul(A, U, ZERO), poly_mul(B, V, ZERO), ZERO)
+        combo = poly_add(poly_mul(A, U, ZERO), poly_mul(B, V, ZERO))
         assert combo[0] == ONE and all(c.is_zero for c in combo[1:])
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jouanolou.errors import ResultantNotUnit
 from jouanolou.field import Fp, QQ
 from jouanolou.homgrp import ReferenceFamily, decompose, naive_sum_deg1, oplus
 from jouanolou.homotopy import verify
@@ -157,6 +158,21 @@ def test_naive_sum_of_pullback():
     assert raised.degree == 3
     target = act(m_uv(u, QQ.one), naive_sum_deg1(QQ.one, f2)[0])
     assert verify(witness, raised, target)
+
+
+def test_naive_sum_needs_a_constant_top_lift_coefficient():
+    # the raised pair's resultant has the top coefficient of the twisted
+    # lift as a factor: a pullback's lift ends in (1, 0) and is certified,
+    # the same map moved by m_(2,3) ends in nonconstants and is refused
+    f = pullback_rational(RationalMapP1(QQ, 1, [QQ.one, QQ.one], [QQ.elem(2)]))
+    raised, witness = naive_sum_deg1(QQ.elem(2), f)
+    assert raised.degree == 2
+    assert verify(witness, raised, act(m_uv(QQ.elem(2), QQ.one), naive_sum_deg1(QQ.one, f)[0]))
+    twisted = act(m_uv(QQ.elem(2), QQ.elem(3)), f)
+    L0, L1 = twisted.canonical_lift()
+    assert not L0[-1].is_constant() and not L1[-1].is_zero
+    with pytest.raises(ResultantNotUnit):
+        naive_sum_deg1(QQ.elem(2), twisted)
 
 
 @pytest.mark.parametrize("p", [5, 7])

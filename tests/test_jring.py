@@ -1,9 +1,11 @@
+import operator
 import random
 
 import pytest
 
+from jouanolou.errors import ContextMismatch
 from jouanolou.field import Fp, QQ
-from jouanolou.jring import RingElement, chart_pullback, normal_form
+from jouanolou.jring import RingElement, RingPolyT, chart_pullback, normal_form
 from jouanolou.polys import MPoly
 from jouanolou.textio import mpoly_str, parse_polyt, parse_ring, ring_str
 
@@ -128,6 +130,19 @@ def test_polyt_reverse():
     assert q.eval_at_T(QQ.zero) == p.eval_at_T(QQ.one)
     assert q.eval_at_T(QQ.one) == p.eval_at_T(QQ.zero)
     assert q.reverse_T() == p
+
+
+def test_arithmetic_across_fields_is_refused():
+    q, f7 = R("3*x"), R("5*y", Fp(7))
+    qt, f7t = parse_polyt("x + T", QQ), parse_polyt("T*y", Fp(7))
+    for a, b in ((q, f7), (qt, f7t), (q, f7t), (qt, f7), (RingPolyT.zero(QQ), f7t)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ContextMismatch):
+                op(a, b)
+            with pytest.raises(ContextMismatch):
+                op(b, a)
+    # equal fields built separately still combine
+    assert R("y", Fp(7)) * R("y", Fp(7)) == R("y^2", Fp(7))
 
 
 def test_canonical_serialization_round_trip():

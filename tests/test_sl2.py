@@ -151,4 +151,4 @@ def test_act_preserves_validity():
         assert g.coeffs[2].eval_basepoint().is_zero
         from jouanolou.morphism import cert_expands_to_one
 
-        assert cert_expands_to_one(g.cert, g.generation_cols())
+        assert cert_expands_to_one(g.cert, g.expanded)

@@ -12,10 +12,12 @@ Mixed spanning columns [x^(n-i) y^i; z^(n-i) w^i] reduce to the two
 canonical ones by multiplying with (x+w)^n = 1 and splitting the binomial
 expansion; ``normalize_section`` applies that rewrite.
 
-The resultant machinery works with univariate polynomials over R given as
-ascending coefficient lists and is generic enough to run over R[T] as
-well; determinants and adjugates avoid any division (subset expansion for
-small matrices, Berkowitz's characteristic polynomial for large ones).
+The resultant machinery works with univariate polynomials in X over R given
+as ascending coefficient lists and is generic enough to run over R[T] as
+well; ``poly_add`` and ``poly_mul`` are its dense kernel, for these
+X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  Determinants
+and adjugates avoid any division (subset expansion for small matrices,
+Berkowitz's characteristic polynomial for large ones).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb
 
 from .errors import PreconditionViolated, ResultantNotUnit
 from .field import FieldCtx, FieldElem
-from .jring import RingElement, RingPolyT, mpoly_to_ring, poly_add, poly_mul
+from .jring import RingElement, mpoly_to_ring
 from .polys import MPoly, dot
 
 _REWRITE_CACHE: dict = {}
@@ -482,10 +484,8 @@ def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None)
 
 
 def _one_like(e):
-    if isinstance(e, RingElement):
-        return RingElement.one(e.ctx)
-    if isinstance(e, RingPolyT):
-        return RingPolyT.one(e.ctx)
+    if isinstance(e, RingElement):  # R or R[T]
+        return e.one(e.ctx)
     if isinstance(e, FieldElem):
         return e.ctx.one
     raise TypeError(f"no unit for {type(e)}")
@@ -493,11 +493,7 @@ def _one_like(e):
 
 def unit_scalar(e) -> FieldElem | None:
     """The field constant an element equals, if it is a nonzero constant."""
-    if isinstance(e, RingPolyT):
-        if len(e.coeffs) > 1:
-            return None
-        e = e.at0()
-    if isinstance(e, RingElement):
+    if isinstance(e, RingElement):  # R or R[T]
         if not e.is_constant():
             return None
         v = e.constant_value()
@@ -543,6 +539,32 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
     U = [lam[n - 1 - e].scale(inv) for e in range(n)]
     V = [lam[n + m - 1 - e].scale(inv) for e in range(m)]
     return U, V
+
+
+def poly_add(A: list, B: list) -> list:
+    """Sum of ascending coefficient lists over R or R[T]; zero entries of
+    the shorter list are skipped."""
+    if len(A) < len(B):
+        A, B = B, A
+    out = list(A)
+    for i, b in enumerate(B):
+        if not b.is_zero:
+            out[i] = out[i] + b
+    return out
+
+
+def poly_mul(A: list, B: list, zero) -> list:
+    """Product of ascending coefficient lists over R or R[T]; zero entries
+    are skipped and ``zero`` fills the untouched slots."""
+    if not A or not B:
+        return []
+    out = [zero] * (len(A) + len(B) - 1)
+    nonzero_b = [(j, b) for j, b in enumerate(B) if not b.is_zero]
+    for i, a in enumerate(A):
+        if not a.is_zero:
+            for j, b in nonzero_b:
+                out[i + j] = out[i + j] + a * b
+    return out
 
 
 def poly_scale(A: list, c):

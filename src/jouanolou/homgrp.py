@@ -126,8 +126,8 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
     # T=1 is act(matrix, qref); certificate transported from f's.
     eT = _scalar_T(ctx, e)
     quad = (
-        _const_t(a0) - eT.scale_ring(b0),
-        _const_t(a1) - eT.scale_ring(b1),
+        _const_t(a0) - eT * b0,
+        _const_t(a1) - eT * b1,
         _const_t(b0),
         _const_t(b1),
     )

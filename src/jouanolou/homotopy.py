@@ -27,7 +27,7 @@ from .bundle import (
 )
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
-from .jring import RingElement, RingPolyT
+from .jring import BivarPoly, RingElement, RingPolyT
 from .morphism import (
     JMap,
     cert_expands_to_one,
@@ -263,7 +263,7 @@ def _elem_lower(c: RingPolyT) -> Sl2Path:
 
 def _scalar_T(ctx, c: FieldElem) -> RingPolyT:
     """The element c*T of k[T] inside R[T]."""
-    return RingPolyT(ctx, [RingElement.zero(ctx), RingElement.from_scalar(c)])
+    return RingPolyT.gen_T(ctx).scale(c)
 
 
 def diagonal_path(u: FieldElem) -> Sl2Path:
@@ -389,7 +389,7 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     one_t = RingPolyT.one(ctx)
     y = RingElement.gen_y(ctx)
     cT = _scalar_T(ctx, -(u - ctx.one) / u)  # -(u-1)/u * T
-    yT = cT.scale_ring(y)
+    yT = cT * y
     # inner pair: E(T) applied to f's coefficient quadruple
     ia0 = _const_t(a0) + yT * b0
     ia1 = _const_t(a1) + yT * b1
@@ -498,27 +498,18 @@ def mutate_witness(w: HomotopyWitness, rng) -> HomotopyWitness:
     seg = w.segments[si]
     di = rng.randrange(len(seg.data))
     poly = seg.data[di]
-    tdeg = rng.randrange(max(len(poly.coeffs), 1) + 1)
+    top = max((m[2] for part in (poly.a, poly.b) for m in part.terms), default=0)
+    tdeg = rng.randrange(top + 2)
     part = "a" if rng.random() < 0.5 else "b"
     mon = (rng.randrange(3), rng.randrange(3))
     if ctx.is_rationals:
         delta = ctx.rfrom_int(rng.choice([1, -1, 2, 3]))
     else:
         delta = ctx.rfrom_int(rng.randrange(1, ctx.p))
-    coeffs = [RingElement(c.a, c.b) for c in poly.coeffs]
-    while len(coeffs) <= tdeg:
-        coeffs.append(RingElement.zero(ctx))
-    target = coeffs[tdeg]
-    from .jring import BivarPoly
-
-    bump = BivarPoly(ctx, {mon: delta})
-    if part == "a":
-        new = RingElement(target.a + bump, target.b)
-    else:
-        new = RingElement(target.a, target.b + bump)
-    coeffs[tdeg] = new
+    bump = BivarPoly(ctx, {(*mon, tdeg): delta})
+    a, b = (poly.a + bump, poly.b) if part == "a" else (poly.a, poly.b + bump)
     data = list(seg.data)
-    data[di] = RingPolyT(ctx, coeffs)
+    data[di] = RingPolyT(a, b)
     segs = list(w.segments)
     segs[si] = Segment(seg.degree, tuple(data), None)
     return HomotopyWitness(segs)

@@ -8,10 +8,12 @@ x^2 -> x - yz, so equality is literal equality of coefficient dictionaries.
 (``terms_add``, ``terms_mul``) directly on the term dicts of a and b; the
 product by yz is a shift of exponents.
 
-R[T], the one-variable polynomial extension used by homotopies, is a dense
-coefficient list of ring elements with trailing zeros trimmed.  ``poly_add``
-and ``poly_mul`` here are the one dense univariate kernel: ``RingPolyT``
-and the resultant toolkit of :mod:`bundle` both use it.
+R[T], the one-variable polynomial extension used by homotopies, is R with a
+T exponent: ``RingPolyT`` keeps the same normal form a + x*b, with term-dict
+keys (i, j, t) for y^i z^j T^t, and runs the same ``RingElement`` code.  An
+operand of R meeting one of R[T] is lifted to (i, j, 0) keys.  The dense
+univariate kernel in :mod:`bundle` serves only the X-polynomials of the
+resultant code.
 """
 
 from __future__ import annotations
@@ -30,17 +32,14 @@ from .polys import (
 
 
 class BivarPoly:
-    """Sparse polynomial in y, z: keys (i, j) for y^i z^j, raw nonzero coefficients."""
+    """Sparse polynomial in y, z: keys (i, j) for y^i z^j, or (i, j, t) for
+    y^i z^j T^t in R[T]; raw nonzero coefficients."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
         self.ctx = ctx
         self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def const(cls, ctx, raw):
-        return cls(ctx, {(0, 0): raw} if raw else {})
 
     def __add__(self, other):
         ctx = common_ctx(self.ctx, other.ctx)
@@ -64,11 +63,8 @@ class BivarPoly:
     def is_zero(self):
         return not self.terms
 
-    def constant_value(self):
-        return self.terms.get((0, 0), self.ctx.rzero)
-
     def swap_vars(self):
-        return BivarPoly(self.ctx, {(j, i): c for (i, j), c in self.terms.items()})
+        return BivarPoly(self.ctx, {(m[1], m[0]) + m[2:]: c for m, c in self.terms.items()})
 
     def eval_float(self, y: float, z: float) -> float:
         return sum(float(c) * y**i * z**j for (i, j), c in self.terms.items())
@@ -85,6 +81,10 @@ class RingElement:
 
     __slots__ = ("a", "b")
 
+    # keys of the monomials 1, y and z, and the variables: x, then one per
+    # key slot; RingPolyT appends T
+    _ONE, _Y, _Z, _VARS = (0, 0), (1, 0), (0, 1), ("x", "y", "z")
+
     def __init__(self, a: BivarPoly, b: BivarPoly):
         self.a = a
         self.b = b
@@ -96,7 +96,7 @@ class RingElement:
     # constructors -----------------------------------------------------------
     @classmethod
     def from_raw(cls, ctx, raw):
-        return cls(BivarPoly.const(ctx, raw), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {cls._ONE: raw} if raw else {}), BivarPoly(ctx))
 
     @classmethod
     def from_scalar(cls, c: FieldElem):
@@ -112,67 +112,78 @@ class RingElement:
 
     @classmethod
     def gen_x(cls, ctx):
-        return cls(BivarPoly(ctx), BivarPoly.const(ctx, ctx.rone))
+        return cls(BivarPoly(ctx), BivarPoly(ctx, {cls._ONE: ctx.rone}))
 
     @classmethod
     def gen_y(cls, ctx):
-        return cls(BivarPoly(ctx, {(1, 0): ctx.rone}), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {cls._Y: ctx.rone}), BivarPoly(ctx))
 
     @classmethod
     def gen_z(cls, ctx):
-        return cls(BivarPoly(ctx, {(0, 1): ctx.rone}), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {cls._Z: ctx.rone}), BivarPoly(ctx))
 
     @classmethod
     def gen_w(cls, ctx):
         # w = 1 - x
-        return cls(BivarPoly.const(ctx, ctx.rone), BivarPoly.const(ctx, ctx.rneg(ctx.rone)))
+        return cls(
+            BivarPoly(ctx, {cls._ONE: ctx.rone}), BivarPoly(ctx, {cls._ONE: ctx.rneg(ctx.rone)})
+        )
 
     # arithmetic ---------------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, RingPolyT):
-            return RingPolyT.from_ring(self) + other
+    def _coerced(self, other):
+        """Both operands in one ring, or None when ``other`` is no ring
+        element: the operand of R meeting one of R[T] is lifted into R[T]."""
         if not isinstance(other, RingElement):
-            return NotImplemented
+            return None
+        if isinstance(other, type(self)):
+            return other.from_ring(self), other
+        return self, self.from_ring(other)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            if (pair := self._coerced(other)) is None:
+                return NotImplemented
+            self, other = pair
         ctx = common_ctx(self.a.ctx, other.a.ctx)
-        return RingElement(
+        return type(self)(
             BivarPoly(ctx, terms_add(ctx, self.a.terms, other.a.terms)),
             BivarPoly(ctx, terms_add(ctx, self.b.terms, other.b.terms)),
         )
 
     def __sub__(self, other):
-        if isinstance(other, RingPolyT):
-            return RingPolyT.from_ring(self) - other
-        if not isinstance(other, RingElement):
-            return NotImplemented
+        if type(other) is not type(self):
+            if (pair := self._coerced(other)) is None:
+                return NotImplemented
+            self, other = pair
         ctx = common_ctx(self.a.ctx, other.a.ctx)
-        return RingElement(
+        return type(self)(
             BivarPoly(ctx, terms_add(ctx, self.a.terms, other.a.terms, negate=True)),
             BivarPoly(ctx, terms_add(ctx, self.b.terms, other.b.terms, negate=True)),
         )
 
     def __neg__(self):
-        return RingElement(-self.a, -self.b)
+        return type(self)(-self.a, -self.b)
 
     def __mul__(self, other):
         # (a1 + x b1)(a2 + x b2) = a1 a2 - yz b1 b2 + x (a1 b2 + a2 b1 + b1 b2)
-        if isinstance(other, RingPolyT):
-            return RingPolyT.from_ring(self) * other
-        if not isinstance(other, RingElement):
-            return NotImplemented
+        if type(other) is not type(self):
+            if (pair := self._coerced(other)) is None:
+                return NotImplemented
+            self, other = pair
         ctx = common_ctx(self.a.ctx, other.a.ctx)
         a1, b1, a2, b2 = self.a.terms, self.b.terms, other.a.terms, other.b.terms
         bb = terms_mul(ctx, b1, b2)
-        minus_yz_bb = {(i + 1, j + 1): -c for (i, j), c in bb.items()}
+        minus_yz_bb = {(m[0] + 1, m[1] + 1) + m[2:]: -c for m, c in bb.items()}
         a = terms_mul(ctx, a1, a2, minus_yz_bb)
         b = terms_mul(ctx, a1, b2, terms_mul(ctx, a2, b1, bb))
-        return RingElement(BivarPoly(ctx, a), BivarPoly(ctx, b))
+        return type(self)(BivarPoly(ctx, a), BivarPoly(ctx, b))
 
     def scale(self, c) -> "RingElement":
         raw = c.val if isinstance(c, FieldElem) else c
-        return RingElement(self.a.scale(raw), self.b.scale(raw))
+        return type(self)(self.a.scale(raw), self.b.scale(raw))
 
     def __pow__(self, e: int) -> "RingElement":
-        return power(self, e, RingElement.one(self.ctx))
+        return power(self, e, self.one(self.ctx))
 
     # queries -------------------------------------------------------------------
     @property
@@ -180,52 +191,50 @@ class RingElement:
         return self.a.is_zero and self.b.is_zero
 
     def is_constant(self) -> bool:
-        return self.b.is_zero and all(m == (0, 0) for m in self.a.terms)
+        return self.b.is_zero and all(m == self._ONE for m in self.a.terms)
 
     def constant_value(self) -> FieldElem:
-        return FieldElem(self.ctx, self.a.constant_value())
+        return FieldElem(self.ctx, self.a.terms.get(self._ONE, self.ctx.rzero))
 
     def __eq__(self, other):
-        return isinstance(other, RingElement) and self.a == other.a and self.b == other.b
+        return type(other) is type(self) and self.a == other.a and self.b == other.b
 
     def __hash__(self):
         return hash((self.a, self.b))
 
     def __repr__(self):
-        from .textio import ring_str
+        from .textio import mpoly_str
 
-        return ring_str(self)
+        return mpoly_str(self.to_mpoly(self._VARS))
 
     # morphisms -------------------------------------------------------------------
     def eval_basepoint(self) -> FieldElem:
         """Image in R/(x-1, y, z, w) = k: substitute x = 1, y = z = 0."""
         ctx = self.ctx
-        return FieldElem(ctx, ctx.radd(self.a.constant_value(), self.b.constant_value()))
+        one, zero = self._ONE, ctx.rzero
+        return FieldElem(ctx, ctx.radd(self.a.terms.get(one, zero), self.b.terms.get(one, zero)))
 
     def tau(self) -> "RingElement":
         """The involution fixing x and w and swapping y with z."""
-        return RingElement(self.a.swap_vars(), self.b.swap_vars())
+        return type(self)(self.a.swap_vars(), self.b.swap_vars())
 
     def eval_float(self, x: float, y: float, z: float) -> float:
         return self.a.eval_float(y, z) + x * self.b.eval_float(y, z)
 
     def to_mpoly(self, vars: tuple[str, ...]) -> MPoly:
         """Lift the normal form to the free polynomial ring on ``vars``."""
-        return MPoly(self.ctx, vars, self._lifted_terms(vars, 0))
-
-    def _lifted_terms(self, vars: tuple[str, ...], t: int) -> dict:
-        """The lift's term dict times T^t (``vars`` holds T when t > 0)."""
-        ix, iy, iz = (vars.index(v) for v in "xyz")
+        ix = vars.index("x")
+        slots = [vars.index(v) for v in self._VARS[1:]]
         base = [0] * len(vars)
-        if t:
-            base[vars.index("T")] = t
         out = {}
-        for xdeg, part in ((0, self.a), (1, self.b)):
-            for (i, j), c in part.terms.items():
+        for part in (self.a, self.b):
+            for key, c in part.terms.items():
                 m = list(base)
-                m[ix], m[iy], m[iz] = xdeg, i, j
+                for s, e in zip(slots, key):
+                    m[s] = e
                 out[tuple(m)] = c
-        return out
+            base[ix] = 1
+        return MPoly(self.ctx, vars, out)
 
 
 def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
@@ -277,173 +286,75 @@ def chart_pullback(r: RingElement, chart: str) -> MPoly:
     return r.to_mpoly(("x", "y", "z")).substitute(images)
 
 
-class RingPolyT:
-    """An element of R[T]: dense list of RingElement coefficients of T powers."""
+class RingPolyT(RingElement):
+    """An element of R[T] in normal form a(y,z,T) + x*b(y,z,T)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, ctx: FieldCtx, coeffs: list[RingElement]):
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        self.ctx = ctx
-        self.coeffs = coeffs
+    _ONE, _Y, _Z, _VARS = (0, 0, 0), (1, 0, 0), (0, 1, 0), ("x", "y", "z", "T")
 
-    @classmethod
-    def from_ring(cls, r: RingElement):
-        return cls(r.ctx, [r])
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, [])
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, [RingElement.one(ctx)])
+    # an entry of this class, not only inherited: the benchmark's layer
+    # tracer counts products in R[T] apart from those in R by this name
+    __mul__ = __rmul__ = RingElement.__mul__
 
     @classmethod
     def gen_T(cls, ctx):
-        return cls(ctx, [RingElement.zero(ctx), RingElement.one(ctx)])
+        return cls(BivarPoly(ctx, {(0, 0, 1): ctx.rone}), BivarPoly(ctx))
 
-    def _coerce(self, other):
-        if isinstance(other, RingPolyT):
-            return other
-        if isinstance(other, RingElement):
-            return RingPolyT.from_ring(other)
-        return None
+    @classmethod
+    def from_ring(cls, r: RingElement) -> "RingPolyT":
+        """An element of R as a constant of R[T]."""
+        a, b = ({(i, j, 0): c for (i, j), c in p.terms.items()} for p in (r.a, r.b))
+        return cls(BivarPoly(r.ctx, a), BivarPoly(r.ctx, b))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ctx = common_ctx(self.ctx, o.ctx)
-        return RingPolyT(ctx, poly_add(self.coeffs, o.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return RingPolyT(self.ctx, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ctx = common_ctx(self.ctx, o.ctx)
-        return RingPolyT(ctx, poly_mul(self.coeffs, o.coeffs, RingElement.zero(ctx)))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "RingPolyT":
-        return RingPolyT(self.ctx, [r.scale(c) for r in self.coeffs])
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingPolyT) and self.ctx == other.ctx and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(self.coeffs)))
-
-    def __repr__(self):
-        from .textio import polyt_str
-
-        return polyt_str(self)
+    def _substitute_T(self, image: "RingPolyT") -> "RingPolyT":
+        """T replaced by ``image``, an element of k[T]: each T^t slice of the
+        terms is multiplied by image^t."""
+        ctx = self.ctx
+        parts = []
+        for part in (self.a, self.b):
+            slices: dict = {}
+            for (i, j, t), c in part.terms.items():
+                slices.setdefault(t, {})[i, j, 0] = c
+            out: dict = {}
+            for t, terms in slices.items():
+                out = terms_mul(ctx, terms, (image**t).a.terms, out)
+            parts.append(BivarPoly(ctx, out))
+        return RingPolyT(*parts)
 
     def eval_at_T(self, t: FieldElem) -> RingElement:
-        out = RingElement.zero(self.ctx)
-        power = FieldElem(self.ctx, self.ctx.rone)
-        for c in self.coeffs:
-            out = out + c.scale(power)
-            power = power * t
-        return out
-
-    def at0(self) -> RingElement:
-        return self.coeffs[0] if self.coeffs else RingElement.zero(self.ctx)
+        at = self._substitute_T(self.from_raw(self.ctx, t.val))
+        a, b = ({m[:2]: c for m, c in p.terms.items()} for p in (at.a, at.b))
+        return RingElement(BivarPoly(at.ctx, a), BivarPoly(at.ctx, b))
 
     def reverse_T(self) -> "RingPolyT":
         """Substitute T -> 1 - T."""
-        ctx = self.ctx
-        out = RingPolyT.zero(ctx)
-        one_minus_T = RingPolyT(
-            ctx, [RingElement.one(ctx), -RingElement.one(ctx)]
-        )
-        power = RingPolyT.one(ctx)
-        for c in self.coeffs:
-            out = out + power.scale_ring(c)
-            power = power * one_minus_T
-        return out
-
-    def scale_ring(self, r: RingElement) -> "RingPolyT":
-        return RingPolyT(self.ctx, [c * r for c in self.coeffs])
+        return self._substitute_T(self.one(self.ctx) - self.gen_T(self.ctx))
 
     def basepoint_curve(self) -> list[FieldElem]:
-        """Coefficientwise basepoint evaluation: the image in k[T]."""
-        return [c.eval_basepoint() for c in self.coeffs]
+        """Basepoint evaluation (x = 1, y = z = 0): the image in k[T] as
+        ascending coefficients, trailing zeros trimmed."""
+        ctx = self.ctx
+        a, b = ({m: c for m, c in p.terms.items() if m[:2] == (0, 0)} for p in (self.a, self.b))
+        image = terms_add(ctx, a, b)
+        curve = [ctx.zero] * (max((t for _, _, t in image), default=-1) + 1)
+        for (_, _, t), c in image.items():
+            curve[t] = FieldElem(ctx, c)
+        return curve
 
     def basepoint_is_zero(self) -> bool:
-        return all(v.is_zero for v in self.basepoint_curve())
+        return not self.basepoint_curve()
 
     def basepoint_constant(self) -> FieldElem | None:
         """The basepoint curve as a constant of k, or None if it genuinely varies."""
         curve = self.basepoint_curve()
-        if any(not v.is_zero for v in curve[1:]):
+        if len(curve) > 1:
             return None
-        return curve[0] if curve else FieldElem(self.ctx, self.ctx.rzero)
-
-    def tau(self) -> "RingPolyT":
-        return RingPolyT(self.ctx, [c.tau() for c in self.coeffs])
-
-    def to_mpoly(self, vars: tuple[str, ...]) -> MPoly:
-        terms: dict = {}
-        for t, c in enumerate(self.coeffs):
-            terms.update(c._lifted_terms(vars, t))
-        return MPoly(self.ctx, vars, terms)
-
-
-def poly_add(A: list, B: list) -> list:
-    """Sum of ascending coefficient lists over R or R[T]; zero entries of
-    the shorter list are skipped."""
-    if len(A) < len(B):
-        A, B = B, A
-    out = list(A)
-    for i, b in enumerate(B):
-        if not b.is_zero:
-            out[i] = out[i] + b
-    return out
-
-
-def poly_mul(A: list, B: list, zero) -> list:
-    """Product of ascending coefficient lists over R or R[T]; zero entries
-    are skipped and ``zero`` fills the untouched slots."""
-    if not A or not B:
-        return []
-    out = [zero] * (len(A) + len(B) - 1)
-    nonzero_b = [(j, b) for j, b in enumerate(B) if not b.is_zero]
-    for i, a in enumerate(A):
-        if not a.is_zero:
-            for j, b in nonzero_b:
-                out[i + j] = out[i + j] + a * b
-    return out
+        return curve[0] if curve else self.ctx.zero
 
 
 def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:
-    """Split an MPoly containing T into R[T] (coefficients normal-formed)."""
-    if "T" not in p.vars:
-        return RingPolyT.from_ring(mpoly_to_ring(p))
-    parts = p.coefficients_in("T")
-    return RingPolyT(p.ctx, [mpoly_to_ring(q) for q in parts])
+    """Normal form in R[T] of a polynomial in x, y, z, w and T."""
+    ctx = p.ctx
+    images = [getattr(RingPolyT, f"gen_{v}")(ctx) for v in p.vars]
+    return eval_terms(p.terms, images, lambda raw: RingPolyT.from_raw(ctx, raw))

@@ -59,10 +59,7 @@ def generation_columns(kind: str, n: int, a0, a1, b0, b1):
 
 def cert_expands_to_one(cert, columns) -> bool:
     acc = dot(zip(cert, columns))
-    one = RingElement.one(columns[0].ctx)
-    if hasattr(acc, "coeffs"):  # R[T]
-        return len(acc.coeffs) == 1 and acc.coeffs[0] == one
-    return acc == one
+    return acc == acc.one(acc.ctx)
 
 
 def groebner_cofactors(elements, budget=None):

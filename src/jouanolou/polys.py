@@ -7,7 +7,9 @@ difference, zero sums dropped), ``terms_mul``, ``terms_scale`` (optionally
 times a monomial) and ``terms_neg`` are the only sparse add/sub/mul loops;
 ``MPoly`` here and ``BivarPoly``/``RingElement`` in :mod:`jring` call them
 directly, and ``common_ctx`` is the single check that operands share a
-field.  ``power`` is the one square-and-multiply, ``eval_terms`` the one
+field.  R[T] runs the same ``RingElement`` code on keys (i, j, t) for
+y^i z^j T^t; the dense univariate kernel of :mod:`bundle` serves only the
+X-polynomials of its resultant code.  ``power`` is the one square-and-multiply, ``eval_terms`` the one
 power-cached evaluation of a term dict, ``dot`` the one sum of products.
 
 ``MPoly`` is the substrate for the Buchberger engine and for parsing:
@@ -232,15 +234,6 @@ class MPoly:
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         return max((m[i] for m in self.terms), default=0)
-
-    def coefficients_in(self, name: str) -> list["MPoly"]:
-        """Split into coefficients of powers of one variable (that slot zeroed)."""
-        i = self.vars.index(name)
-        buckets: list[dict] = [dict() for _ in range(self.degree_in(name) + 1)]
-        for m, c in self.terms.items():
-            stripped = m[:i] + (0,) + m[i + 1 :]
-            buckets[m[i]][stripped] = c
-        return [MPoly(self.ctx, self.vars, b) for b in buckets]
 
     def substitute(self, values: dict[str, "MPoly"]) -> "MPoly":
         """Ring-homomorphic substitution; unnamed variables map to themselves."""

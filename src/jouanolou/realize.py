@@ -135,6 +135,8 @@ def _refine(rm: RealizedMap, t0, t1, phi0, phi1, depth) -> float:
 
 def winding_profile(f: JMap, samples: int = 4096, depth: int = 20):
     """(degree, raw, residual): total angle change along the circle over pi."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rm = RealizedMap(f)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples + 1)
     phis = rm.angles(thetas)

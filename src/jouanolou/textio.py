@@ -312,6 +312,14 @@ def witness_str(w, ctx: FieldCtx) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_int(line: str, expected: str) -> int:
+    """The integer in the last slot of ``expected`` on a witness line."""
+    try:
+        return int(line.split()[len(expected.split()) - 1])
+    except (IndexError, ValueError):
+        raise ParseError(f"bad witness line {line!r}", expected=expected) from None
+
+
 def parse_witness(text: str):
     """Parse a witness file; returns (ctx, HomotopyWitness)."""
     from .homotopy import HomotopyWitness, Segment
@@ -325,13 +333,13 @@ def parse_witness(text: str):
     ctx = parse_field(fields[1][len("field=") :])
     if len(lines) < 2 or not lines[1].startswith("segments"):
         raise ParseError("missing segment count", expected="segments <k>")
-    count = int(lines[1].split()[1])
+    count = _header_int(lines[1], "segments <k>")
     segments = []
     i = 2
     for _ in range(count):
         if i >= len(lines) or not lines[i].startswith("segment degree"):
             raise ParseError("missing segment block", expected="segment degree <n>")
-        degree = int(lines[i].split()[2])
+        degree = _header_int(lines[i], "segment degree <n>")
         i += 1
         width = 2 if degree == 0 else 4
         data = []

@@ -1,3 +1,5 @@
+import pytest
+
 from jouanolou.cli import main
 
 
@@ -106,6 +108,20 @@ def test_verify_homotopy_rejects_wrong_endpoint(tmp_path, capsys):
         "map 1 [1; 0 | 0; 1]",
     )
     assert code == 1 and "EndpointMismatch" in out
+
+
+@pytest.mark.parametrize("body", ["segments\n", "segments abc\n", "segments 1\nsegment degree\n"])
+def test_verify_homotopy_malformed_counts_are_parse_errors(tmp_path, capsys, body):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(f"jouanolou/v1 field=Q\n{body}")
+    identity = "map 1 [1; 0 | 0; 1]"
+    code, _, err = run(capsys, "verify-homotopy", str(wfile), "--from", identity, "--to", identity)
+    assert code == 2 and err.startswith("parse error:")
+
+
+def test_realize_refuses_zero_samples(capsys):
+    code, out, err = run(capsys, "realize", "map 1 [1; 0 | 0; 1]", "--samples", "0")
+    assert code == 2 and out == "" and "samples" in err
 
 
 def test_selftest_filter(capsys):

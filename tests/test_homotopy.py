@@ -156,7 +156,7 @@ def test_interpolating_g_parameters_is_not_unimodular():
     # the straight-line family between g_{1,2} and g_{1,4} degenerates at T=-1,
     # so it is not unimodular over R[T]
     x, y, w = R("x"), R("y"), R("w")
-    vT = RingPolyT(QQ, [RingElement.from_scalar(QQ.elem(2)), RingElement.from_scalar(QQ.elem(2))])
+    vT = (RingPolyT.one(QQ) + RingPolyT.gen_T(QQ)).scale(QQ.elem(2))
     A = RingPolyT.from_ring(x) + vT * w
     B = (RingPolyT.one(QQ) - vT) * y
     with pytest.raises(NoCertificate):
@@ -176,9 +176,8 @@ def test_gu1_action_witness_endpoints_and_resultant():
     zero_t = RingPolyT.zero(QQ)
     F1 = [RingPolyT.from_ring(c) for c in L0]
     F2 = [RingPolyT.from_ring(c) for c in L1]
-    cT = RingPolyT(QQ, [RingElement.zero(QQ), RingElement.from_scalar(-(u - QQ.one) / u)])
-    yT = cT.scale_ring(R("y"))
-    F1t = [p + yT * q.at0() for p, q in zip(F1, F2)]
+    yT = RingPolyT.gen_T(QQ).scale(-(u - QQ.one) / u) * R("y")
+    F1t = [p + yT * q for p, q in zip(F1, F2)]
     H0 = [q.scale(-(u.inverse())) for q in F2 + [zero_t]]
     for i, p in enumerate(F1t):
         H0[i + 1] = H0[i + 1] + p
@@ -210,7 +209,7 @@ def _random_t_entry(rng, ctx):
         e = e + gen.scale(ctx.elem(rng.randint(1, 2)))
     t = RingPolyT.from_ring(e)
     if rng.random() < 0.3:
-        t = t + RingPolyT.gen_T(ctx).scale_ring(RingElement.gen_z(ctx))
+        t = t + RingPolyT.gen_T(ctx) * RingElement.gen_z(ctx)
     return t
 
 

@@ -113,6 +113,12 @@ def test_angle_scale_invariance():
         assert eval_rp1(f, theta) == pytest.approx(eval_rp1(g, theta), abs=1e-9)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_winding_profile_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        winding_profile(n_pi(1, QQ), samples)
+
+
 def test_realization_needs_rationals():
     with pytest.raises(ValueError):
         RealizedMap(n_pi(1, Fp(5)))

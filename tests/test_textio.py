@@ -105,6 +105,21 @@ def test_witness_header_required():
         textio.parse_witness("segments 1\n")
 
 
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("segments\n", "segments <k>"),
+        ("segments abc\n", "segments <k>"),
+        ("segments 1\nsegment degree\n", "segment degree <n>"),
+        ("segments 1\nsegment degree one\n", "segment degree <n>"),
+    ],
+)
+def test_witness_counts_must_be_integers(body, expected):
+    with pytest.raises(ParseError) as exc:
+        textio.parse_witness(f"{textio.WITNESS_HEADER} field=Q\n{body}")
+    assert exc.value.expected == expected
+
+
 def test_round_trip_random_maps_over_f7():
     rng = random.Random(23)
     ctx = Fp(7)

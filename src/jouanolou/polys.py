@@ -9,8 +9,14 @@ times a monomial) and ``terms_neg`` are the only sparse add/sub/mul loops;
 directly, and ``common_ctx`` is the single check that operands share a
 field.  R[T] runs the same ``RingElement`` code on keys (i, j, t) for
 y^i z^j T^t; the dense univariate kernel of :mod:`bundle` serves only the
-X-polynomials of its resultant code.  ``power`` is the one square-and-multiply, ``eval_terms`` the one
-power-cached evaluation of a term dict, ``dot`` the one sum of products.
+X-polynomials of its resultant code.  ``power`` is the one
+square-and-multiply, ``eval_terms`` the one power-cached evaluation of a
+term dict (summed pairwise), ``dot`` the one sum of products.
+
+Products over Q run on cleared integer numerators: ``terms_mul`` scales
+each operand to ints over one common denominator, multiplies and sums ints,
+and builds one ``Fraction`` per output term.  The stored form stays a dict
+of reduced ``Fraction`` values.
 
 ``MPoly`` is the substrate for the Buchberger engine and for parsing:
 polynomials in a free commutative polynomial ring with a fixed ordered
@@ -20,6 +26,8 @@ variable tuple ordered from greatest to least.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import ContextMismatch
@@ -56,24 +64,47 @@ def terms_add(ctx: FieldCtx, A: dict, B: dict, negate: bool = False) -> dict:
     return _reduced(ctx, out)
 
 
-def terms_mul(ctx: FieldCtx, A: dict, B: dict, acc: dict | None = None) -> dict:
-    """A * B, plus ``acc`` when given (its coefficients may be unreduced).
+def _den(terms: dict) -> int:
+    """The least common denominator of rational coefficients."""
+    return lcm(*[c.denominator for c in terms.values()])
 
-    Products are summed unreduced and reduced once at the end.  Pairs of
-    exponents, the keys of ``BivarPoly``, are added inline.
+
+def _numerators(terms: dict, d: int) -> dict:
+    """d * terms as integers; d is a multiple of every denominator."""
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def terms_mul(ctx: FieldCtx, A: dict, B: dict, acc: dict | None = None) -> dict:
+    """A * B, plus ``acc`` when given (over F_p its coefficients may be
+    unreduced).
+
+    One loop sums the products as ints and reduces once at the end.  Over Q
+    the operands and ``acc`` are first cleared to integer numerators over
+    one common denominator D, so the loop needs no gcd, and each nonzero
+    output term is one ``Fraction(c, D)``.  Pairs of exponents, the keys of
+    ``BivarPoly``, are added inline.
     """
+    if not (A and B):
+        return {} if acc is None else _reduced(ctx, acc)
+    p = ctx.p
+    if p is None:
+        dB = _den(B)
+        D = _den(A) * dB
+        if acc:
+            D = lcm(D, _den(acc))
+            acc = _numerators(acc, D)
+        A, B = _numerators(A, D // dB), _numerators(B, dB)
     out = {} if acc is None else dict(acc)
-    if A and B:
-        pair = len(next(iter(A))) == 2
-        for m1, c1 in A.items():
-            for m2, c2 in B.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1]) if pair else tuple(map(add, m1, m2))
-                if m in out:
-                    out[m] += c1 * c2
-                else:
-                    out[m] = c1 * c2
-    elif acc is None:
-        return out
+    pair = len(next(iter(A))) == 2
+    for m1, c1 in A.items():
+        for m2, c2 in B.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1]) if pair else tuple(map(add, m1, m2))
+            if m in out:
+                out[m] += c1 * c2
+            else:
+                out[m] = c1 * c2
+    if p is None:
+        return {m: Fraction(c, D) for m, c in out.items() if c}
     return _reduced(ctx, out)
 
 
@@ -120,8 +151,9 @@ def dot(pairs):
 def eval_terms(terms: dict, images: list, const):
     """sum(const(c) * prod(images[i] ** e_i)) over the terms; each power
     images[i] ** e is computed once.  ``const`` maps a raw coefficient into
-    the target ring, whose elements need ``*``, ``+`` and ``scale(raw)``."""
-    out = None
+    the target ring, whose elements need ``*``, ``+`` and ``scale(raw)``.
+    The terms are summed pairwise, so no running sum is copied per term."""
+    parts = []
     cache: dict = {}
     for m, c in terms.items():
         prod = None
@@ -131,9 +163,13 @@ def eval_terms(terms: dict, images: list, const):
                 if key not in cache:
                     cache[key] = images[i] ** e
                 prod = cache[key] if prod is None else prod * cache[key]
-        term = const(c) if prod is None else prod.scale(c)
-        out = term if out is None else out + term
-    return const(0) if out is None else out
+        parts.append(const(c) if prod is None else prod.scale(c))
+    if not parts:
+        return const(0)
+    while len(parts) > 1:
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + odd
+    return parts[0]
 
 
 def drl_key(exp: tuple[int, ...]):

@@ -42,14 +42,19 @@ def _compile(r) -> list[tuple[float, int, int, int]]:
 
 def _eval_compiled(terms, x, y, z):
     acc = np.zeros_like(x)
+    powers: dict = {}
     for c, xe, ye, ze in terms:
-        t = np.full_like(x, c)
+        t = c
         if xe:
             t = t * x
         if ye:
-            t = t * y**ye
+            if (1, ye) not in powers:
+                powers[1, ye] = y**ye
+            t = t * powers[1, ye]
         if ze:
-            t = t * z**ze
+            if (2, ze) not in powers:
+                powers[2, ze] = z**ze
+            t = t * powers[2, ze]
         acc = acc + t
     return acc
 

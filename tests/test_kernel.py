@@ -5,16 +5,22 @@ free sympy variable.
 Over F_7 the inputs are integer polynomials; sympy works over Q and its
 coefficients are reduced mod 7 afterwards (reduction is a ring map, and the
 divisor x^2 - x + yz is monic, so division commutes with it).
+
+``terms_mul`` is also checked against the plain coefficient loop it replaced
+(large denominators, cancellation, every key width), and the pairwise sum
+of ``eval_terms`` against a running sum.
 """
 
+import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jouanolou.field import Fp, QQ
-from jouanolou.jring import RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
-from jouanolou.polys import MPoly
+from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
+from jouanolou.polys import MPoly, terms_mul
 
 sympy = pytest.importorskip("sympy")
 
@@ -165,3 +171,161 @@ def test_polyt_substitutions_match_sympy(ctx):
         assert Q.tau().to_mpoly(XYZT).terms == from_sympy(swapped, XYZT, ctx)
 
     check()
+
+
+# --- the product kernel against the plain coefficient loop -------------------
+
+
+def plain_terms_mul(ctx, A, B, acc=None):
+    """The product loop on raw coefficients as it was before Q operands were
+    cleared to integer numerators: one Fraction multiply-add per pair of
+    terms, zero sums dropped at the end."""
+    out = {} if acc is None else dict(acc)
+    for m1, c1 in A.items():
+        for m2, c2 in B.items():
+            m = tuple(map(add, m1, m2))
+            if m in out:
+                out[m] += c1 * c2
+            else:
+                out[m] = c1 * c2
+    if ctx.p is None:
+        return {m: c for m, c in out.items() if c}
+    return {m: r for m, c in out.items() if (r := c % ctx.p)}
+
+
+BIG_PRIMES = [998244353, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+
+
+def _q_coefficients():
+    """One coefficient family per operand: denominators up to 2^64 (pairwise
+    coprime primes, or arbitrary), integers only, or small values that make
+    sums cancel often."""
+    big = st.integers(-(2**64), 2**64).filter(bool)
+    return st.sampled_from([
+        st.builds(Fraction, big, st.sampled_from(BIG_PRIMES)),
+        st.builds(Fraction, big, st.integers(1, 2**64)),
+        st.integers(-3, 3).filter(bool).map(Fraction),
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]),
+    ])
+
+
+def term_dicts(nvars, ctx, max_size=5):
+    coeffs = st.just(st.integers(1, ctx.p - 1)) if ctx.p else _q_coefficients()
+    mon = st.tuples(*(st.integers(0, 2) for _ in range(nvars)))
+    sizes = st.sampled_from([1, max_size])
+    return st.tuples(coeffs, sizes).flatmap(
+        lambda cs: st.dictionaries(mon, cs[0], min_size=1, max_size=cs[1])
+    )
+
+
+def _check_product(ctx, got, want):
+    assert got == want
+    assert list(got) == list(want)  # the same key order as the plain loop
+    assert all(got.values())
+    raw = Fraction if ctx.p is None else int
+    assert all(type(c) is raw for c in got.values())
+
+
+KEY_WIDTHS = [pytest.param(2, id="ij"), pytest.param(3, id="ijt"), pytest.param(4, id="mpoly4")]
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("nvars", KEY_WIDTHS)
+def test_terms_mul_matches_plain_coefficient_loop(ctx, nvars):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        A = data.draw(term_dicts(nvars, ctx))
+        B = data.draw(term_dicts(nvars, ctx))
+        _check_product(ctx, terms_mul(ctx, A, B), plain_terms_mul(ctx, A, B))
+        acc = data.draw(term_dicts(nvars, ctx, max_size=8))
+        _check_product(ctx, terms_mul(ctx, A, B, acc), plain_terms_mul(ctx, A, B, acc))
+
+    check()
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("nvars", KEY_WIDTHS)
+def test_terms_mul_with_cancelling_acc(ctx, nvars):
+    """acc = -(A B) cancels to zero; acc holding minus some of the product's
+    terms and some other terms cancels those keys only."""
+    neg = (lambda c: -c) if ctx.p is None else (lambda c: ctx.p - c)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        A = data.draw(term_dicts(nvars, ctx))
+        B = data.draw(term_dicts(nvars, ctx))
+        product = plain_terms_mul(ctx, A, B)
+        minus = {m: neg(c) for m, c in product.items()}
+        assert terms_mul(ctx, A, B, minus) == {}
+        keep = data.draw(st.sets(st.sampled_from(sorted(product)))) if product else set()
+        acc = {m: c for m, c in minus.items() if m not in keep}
+        acc.update(data.draw(term_dicts(nvars, ctx)))
+        got = terms_mul(ctx, A, B, acc)
+        _check_product(ctx, got, plain_terms_mul(ctx, A, B, acc))
+        assert all(m in keep or m in acc for m in got)
+
+    check()
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_terms_mul_products_that_cancel(ctx):
+    """(y + z)(y - z) = y^2 - z^2 drops yz, and a product with nothing left
+    is empty."""
+    one, minus_one = ctx.rone, ctx.rneg(ctx.rone)
+    half = ctx.rfrom_fraction(1, 2)
+    A = {(1, 0): half, (0, 1): half}
+    B = {(1, 0): one, (0, 1): minus_one}
+    _check_product(ctx, terms_mul(ctx, A, B), {(2, 0): half, (0, 2): ctx.rneg(half)})
+    assert terms_mul(ctx, A, B, {(2, 0): ctx.rneg(half), (0, 2): half}) == {}
+    assert terms_mul(ctx, {}, B) == {} and terms_mul(ctx, A, {}, {(0, 0): one}) == {(0, 0): one}
+
+
+# --- eval_terms: the pairwise sum equals the running sum -----------------------
+
+
+def sequential_eval(terms, images, const):
+    """eval_terms as a running sum, one term at a time."""
+    out = None
+    for m, c in terms.items():
+        term = const(c)
+        for image, e in zip(images, m):
+            if e:
+                term = term * image**e
+        out = term if out is None else out + term
+    return const(0) if out is None else out
+
+
+def _random_terms(rng, ctx, nvars, count):
+    terms = {}
+    while len(terms) < count:
+        mon = tuple(rng.randint(0, 6) for _ in range(nvars))
+        terms[mon] = ctx.rfrom_fraction(rng.randint(1, 50), rng.randint(1, 6))
+    return terms
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_large_ringpolyt_conversion_equals_running_sum(ctx):
+    p = MPoly(ctx, XYZWT, _random_terms(random.Random(5), ctx, 5, 2200))
+    images = [getattr(RingPolyT, f"gen_{v}")(ctx) for v in XYZWT]
+    want = sequential_eval(p.terms, images, lambda raw: RingPolyT.from_raw(ctx, raw))
+    assert mpoly_to_ringpolyt(p) == want
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_conversion_with_cancelling_images_equals_running_sum(ctx):
+    """(x + w - 1) q + (x w - y z) r is zero in R, and adding s leaves s: the
+    images w = 1 - x and x^2 = x - yz make whole groups of terms cancel."""
+    rng = random.Random(11)
+    gens = {v: MPoly.var(ctx, XYZW, v) for v in XYZW}
+    one = MPoly.const(ctx, XYZW, ctx.rone)
+    q, r, s = (MPoly(ctx, XYZW, _random_terms(rng, ctx, 4, 40)) for _ in range(3))
+    vanishing = (gens["x"] + gens["w"] - one) * q + (gens["x"] * gens["w"] - gens["y"] * gens["z"]) * r
+    images = [getattr(RingElement, f"gen_{v}")(ctx) for v in XYZW]
+    const = lambda raw: RingElement.from_raw(ctx, raw)  # noqa: E731
+    assert len(vanishing.terms) > 100
+    assert mpoly_to_ring(vanishing).is_zero
+    assert sequential_eval(vanishing.terms, images, const).is_zero
+    total = vanishing + s
+    assert mpoly_to_ring(total) == sequential_eval(total.terms, images, const) == mpoly_to_ring(s)

@@ -9,6 +9,7 @@ from jouanolou.jring import RingElement
 from jouanolou.morphism import g_uv, make_map, make_row, n_pi, pullback_rational, rational_xu
 from jouanolou.realize import (
     RealizedMap,
+    _eval_compiled,
     eval_rp1,
     gamma_point,
     on_surface_defect,
@@ -144,3 +145,43 @@ def test_additivity_with_default_references_on_nonnegative_degrees():
         for g in pool:
             s = oplus(f, g, refs)
             assert winding_degree(s) == winding_degree(f) + winding_degree(g)
+
+
+def _eval_compiled_oracle(terms, x, y, z):
+    """The evaluation loop before powers were cached: every term builds its
+    own constant array and recomputes y**ye and z**ze."""
+    acc = np.zeros_like(x)
+    for c, xe, ye, ze in terms:
+        t = np.full_like(x, c)
+        if xe:
+            t = t * x
+        if ye:
+            t = t * y**ye
+        if ze:
+            t = t * z**ze
+        acc = acc + t
+    return acc
+
+
+def test_cached_powers_evaluate_bitwise_like_the_plain_loop():
+    from jouanolou.homgrp import ReferenceFamily, oplus
+    from jouanolou.morphism import RationalMapP1
+
+    third = QQ.elem("1/3")
+    cubic = RationalMapP1(QQ, 3, [QQ.elem(2), QQ.zero, third, QQ.one], [QQ.one, QQ.elem(-5), QQ.zero])
+    maps = [n_pi(d, QQ) for d in (1, 2, 3, 4)] + [
+        pullback_rational(cubic),
+        oplus(pullback_rational(rational_xu(QQ.elem(3))), n_pi(1, QQ), ReferenceFamily(QQ)),
+    ]
+    thetas = np.linspace(0.0, 2.0 * math.pi, 513)
+    x = (1.0 + np.cos(thetas)) / 2.0
+    y = np.sin(thetas) / 2.0
+    z = np.cos(3.0 * thetas) / 3.0  # y and z differ, so each has its own powers
+    top = 0
+    for f in maps:
+        rm = RealizedMap(f)
+        for terms in rm.chart_x + rm.chart_w:
+            top = max([top] + [max(ye, ze) for _, _, ye, ze in terms])
+            assert np.array_equal(_eval_compiled(terms, x, y, z), _eval_compiled_oracle(terms, x, y, z))
+            assert np.array_equal(_eval_compiled(terms, x, y, y), _eval_compiled_oracle(terms, x, y, y))
+    assert top >= 4

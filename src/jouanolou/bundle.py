@@ -575,23 +575,20 @@ def generation_cofactors(n: int, L0: list, L1: list):
     """Four global cofactors certifying that the sections sigma(S0), sigma(S1)
     of a degree-n homogeneous pair with unit resultant generate.
 
+    Raises ResultantNotUnit unless res(S0, S1) at bounds (n, n) is a unit.
     Bezout for the dehomogenized pair gives S0*U + S1*V = beta^(2n-1) after
-    homogenizing; the reversed pair (unit resultant by the reversal fact)
-    gives the alpha power; the x^m/w^m unit split recombines them.  Returns
-    (Ux, Vx, Uw, Vw) against the columns (S0(x,y), S1(x,y), S0(z,w), S1(z,w)).
-    Generic over R and R[T] coefficient lists.
+    homogenizing; the reversed pair (resultant +-res(S0, S1) by the reversal
+    identity, so not checked again) gives the alpha power; the x^m/w^m unit
+    split recombines them.  Returns (Ux, Vx, Uw, Vw) against the columns
+    (S0(x,y), S1(x,y), S0(z,w), S1(z,w)).  Generic over R and R[T]
+    coefficient lists.
     """
     if len(L0) != n + 1 or len(L1) != n + 1:
         raise ValueError("homogeneous coefficient lists must have length n+1")
-    res = resultant_univ(L0, L1, n, n)
-    if unit_scalar(res) is None:
+    if unit_scalar(resultant_univ(L0, L1, n, n)) is None:
         raise ResultantNotUnit("pair does not have unit resultant")
     U, V = bezout_from_unit_resultant(L0, L1, n, n)
-    L0r, L1r = list(reversed(L0)), list(reversed(L1))
-    res_r = resultant_univ(L0r, L1r, n, n)
-    if unit_scalar(res_r) is None:
-        raise ResultantNotUnit("reversed pair does not have unit resultant")
-    Ur, Vr = bezout_from_unit_resultant(L0r, L1r, n, n)
+    Ur, Vr = bezout_from_unit_resultant(L0[::-1], L1[::-1], n, n)
 
     ctx = L0[0].ctx
     xg, yg, zg, wg = pure_powers(ctx, 1)

@@ -80,7 +80,9 @@ class FieldCtx:
             raise DivisionByZero("zero denominator")
         if self.p is None:
             return Fraction(num, den)
-        return num * pow(den % self.p, -1, self.p) % self.p
+        if den % self.p == 0:
+            raise DivisionByZero(f"denominator {den} is zero in F{self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def radd(self, a, b):
         return a + b if self.p is None else (a + b) % self.p

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import (
-    bezout_from_unit_resultant,
-    homog_eval,
-    normalize_pair,
-    mu_vector,
-    pure_powers,
-    unit_split,
-)
+from .bundle import generation_cofactors, mu_vector, normalize_pair
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
 from .jring import BivarPoly, RingElement, RingPolyT
@@ -33,6 +26,7 @@ from .morphism import (
     cert_expands_to_one,
     generation_columns,
     groebner_cofactors,
+    normalized,
     pointed_alpha,
 )
 from .sl2 import Mat2, PointedSL2, transform_cert, transform_quadruple
@@ -79,18 +73,22 @@ class Segment:
         """Normalized comparison record at a parameter value, or None when
         the evaluated data is not a pointed map there."""
         vals = self.at(t)
-        alpha = pointed_alpha(vals[0], vals[len(vals) // 2])  # B, or b0
-        if alpha is None or alpha.is_zero:
+        alpha = _unit_alpha(vals)
+        if alpha is None:
             return None
         if self.degree != 0:
             vals = generation_columns(self.kind, abs(self.degree), *vals)
-        inv = alpha.inverse()
-        return (self.degree, tuple(c.scale(inv) for c in vals))
+        return (self.degree, normalized(alpha, vals)[0])
+
+
+def _unit_alpha(data):
+    """pointed_alpha of segment data (the first datum against the second: B
+    of a row (A, B), b0 of a quadruple), or None when it is 0."""
+    alpha = pointed_alpha(data[0], data[len(data) // 2])
+    return None if alpha is None or alpha.is_zero else alpha
 
 
 def map_record(f: JMap):
-    if f.degree == 0:
-        return (0, f.row)
     return (f.degree, f.expanded)
 
 
@@ -139,12 +137,7 @@ class Verdict:
 def _segment_pointed(seg: Segment) -> bool:
     """Pointedness over R[T]: the second datum's basepoint curve vanishes
     identically and the first is a nonzero constant of k."""
-    first = seg.data[0]
-    second = seg.data[2] if seg.degree != 0 else seg.data[1]
-    if not second.basepoint_is_zero():
-        return False
-    const = first.basepoint_constant()
-    return const is not None and not const.is_zero
+    return _unit_alpha(seg.data) is not None
 
 
 def _segment_generates(seg: Segment, budget=None) -> bool:
@@ -183,8 +176,7 @@ def verify(w: HomotopyWitness, f: JMap, g: JMap, budget=None) -> Verdict:
 # basic constructors
 
 
-def _const_t(r: RingElement) -> RingPolyT:
-    return RingPolyT.from_ring(r)
+_const_t = RingPolyT.from_ring
 
 
 def constant_witness(f: JMap) -> HomotopyWitness:
@@ -206,24 +198,11 @@ class Sl2Path(Mat2):
     not pointed, are built with ``_of``."""
 
     __slots__ = ()
+    _ring = RingPolyT
 
     def __init__(self, entries):
         self.entries = entries
-        if self._det() != RingPolyT.one(self.ctx):
-            raise ValueError("path determinant is not 1 in R[T]")
-        if not self.is_pointed():
-            raise ValueError("path is not pointed over R[T]")
-
-    def is_pointed(self) -> bool:
-        (e00, e01), (e10, e11) = self.entries
-        one = self.ctx.one
-        c00, c11 = e00.basepoint_constant(), e11.basepoint_constant()
-        return (
-            c00 == one
-            and c11 == one
-            and e01.basepoint_is_zero()
-            and e10.basepoint_is_zero()
-        )
+        self._check()
 
     def entries_at(self, t: FieldElem):
         (e00, e01), (e10, e11) = self.entries
@@ -332,16 +311,10 @@ def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
     """
     if seg.degree != 0:
         raise ValueError("only degree-0 families lift this way")
-    A, B = seg.data
-    alpha = A.basepoint_constant()
-    if alpha is None or alpha.is_zero or not B.basepoint_is_zero():
+    alpha = _unit_alpha(seg.data)
+    if alpha is None:
         raise LiftMismatch("family is not pointed")
-    cert = seg.cert
-    if alpha != alpha.ctx.one:
-        inv = alpha.inverse()
-        A, B = A.scale(inv), B.scale(inv)
-        if cert is not None:
-            cert = tuple(c.scale(alpha) for c in cert)
+    (A, B), cert = normalized(alpha, seg.data, seg.cert)
     if cert is not None and not cert_expands_to_one(cert, (A, B)):
         cert = None
     if cert is None:
@@ -365,18 +338,18 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
 
         h(T) = ((x;z), -(1/u)(y;w); u(y;w), 0) * (1, -((u-1)/u) y T; 0, 1) * (f0; f1)
 
-    Generation over R[T] is certified through the resultant route: the
-    dehomogenized pair has unit resultant (shift invariance in T plus the
-    degree-raising conservation identity), and chart Bezout solves recombine
-    through the x^m/w^m unit split into four global cofactors.
+    Generation over R[T] is certified by ``generation_cofactors`` on the
+    raise (S0, S1) = raised_lift(u, F1, F2) of f's twisted lift (F1, F2),
+    which has unit resultant by shift invariance in T plus the
+    degree-raising conservation identity.
 
     Precondition: f's homogeneous lift (L0, L1) = f.canonical_lift() has a
     nonzero constant L0[n] and, unless u = 1, L1[n] = 0, as the reference
     maps and pullbacks of rational maps do.  The raised resultant has the
     twisted top coefficient L0[n] - ((u-1)/u)*y*T*L1[n] as a factor, so
     otherwise (e.g. f moved by a nonconstant pointed matrix through ``act``)
-    it is no unit and ResultantNotUnit is raised; there is no Groebner
-    fallback.
+    it is no unit and ResultantNotUnit ("raised pair does not have unit
+    resultant") is raised; there is no Groebner fallback.
     """
     if u.is_zero:
         raise ZeroParameter("u must be a unit")
@@ -408,7 +381,10 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     A0, A1 = normalize_pair(n + 1, h0_vec, "P", ctx)
     B0, B1 = normalize_pair(n + 1, h1_vec, "P", ctx)
 
-    cert = _raise_cert(ctx, n, F1_t, F2_t, u)
+    try:
+        cert = generation_cofactors(n + 1, *raised_lift(u, F1_t, F2_t, zero_t))
+    except ResultantNotUnit:
+        raise ResultantNotUnit("raised pair does not have unit resultant") from None
     return HomotopyWitness([Segment(n + 1, (A0, A1, B0, B1), cert=cert)])
 
 
@@ -420,38 +396,6 @@ def raised_lift(u: FieldElem, F1: list, F2: list, zero) -> tuple[list, list]:
     for i, p in enumerate(F1):
         S0[i + 1] = S0[i + 1] + p
     return S0, [p.scale(u) for p in F1] + [zero]
-
-
-def _raise_cert(ctx, n, F1, F2, u):
-    """Four global cofactors for the raised section pair over R[T].
-
-    The raised sections are sigma of the degree-(n+1) forms
-    S0 = alpha*F1 - (1/u) beta*F2 and S1 = u*beta*F1 built on the canonical
-    lifts of the twisted coefficient pairs.  The dehomogenized pair has a
-    unit resultant at bounds (n+1, n); its Bezout relation homogenizes to
-    S0*(beta U) + S1*V = beta^(2n+1), covering the w-chart.  The x-chart
-    needs the reversed pair at full bounds (n+1, n+1), whose Bezout relation
-    homogenizes to a pure alpha power.  Its resultant is +-F1[n] times the
-    raised one, and F1[n] divides the raised one (subtract X/u times H1 from
-    H0), so a constant unit raised resultant makes F1[n] a constant unit too:
-    R[T] has no other units.  Raises ResultantNotUnit when the raised
-    resultant is not a unit.
-    """
-    # dehomogenized: H0 = X*F1 - (1/u) F2 (bound n+1), H1 = u*F1 (bound n)
-    H0, H1 = raised_lift(u, F1, F2, RingPolyT.zero(ctx))
-    try:
-        U, V = bezout_from_unit_resultant(H0, H1, n + 1, n)
-    except ResultantNotUnit:
-        raise ResultantNotUnit("raised pair does not have unit resultant") from None
-    S0_rev, S1_rev = list(reversed(H0)), list(reversed(H1))
-    Ur, Vr = bezout_from_unit_resultant(S0_rev, S1_rev, n + 1, n + 1)
-    xg, yg, zg, wg = pure_powers(ctx, 1)
-    E, Fw = unit_split(ctx, 2 * n + 1)
-    Ux = homog_eval(Ur, n, yg, xg) * E
-    Vx = homog_eval(Vr, n, yg, xg) * E
-    Uw = (homog_eval(U, n - 1, zg, wg) * wg) * Fw
-    Vw = homog_eval(V, n, zg, wg) * Fw
-    return (Ux, Vx, Uw, Vw)
 
 
 def gu1_example_witness(u: FieldElem, f: JMap) -> HomotopyWitness:

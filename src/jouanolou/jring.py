@@ -214,6 +214,12 @@ class RingElement:
         one, zero = self._ONE, ctx.rzero
         return FieldElem(ctx, ctx.radd(self.a.terms.get(one, zero), self.b.terms.get(one, zero)))
 
+    def basepoint_is_zero(self) -> bool:
+        return self.basepoint_constant() == 0  # None (varies with T) is not 0
+
+    # in R the basepoint value is a constant of k; RingPolyT's may vary with T
+    basepoint_constant = eval_basepoint
+
     def tau(self) -> "RingElement":
         """The involution fixing x and w and swapping y with z."""
         return type(self)(self.a.swap_vars(), self.b.swap_vars())
@@ -341,9 +347,6 @@ class RingPolyT(RingElement):
         for (_, _, t), c in image.items():
             curve[t] = FieldElem(ctx, c)
         return curve
-
-    def basepoint_is_zero(self) -> bool:
-        return not self.basepoint_curve()
 
     def basepoint_constant(self) -> FieldElem | None:
         """The basepoint curve as a constant of k, or None if it genuinely varies."""

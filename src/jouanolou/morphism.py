@@ -177,11 +177,27 @@ def map_equal(f: JMap, g: JMap) -> bool:
 
 
 def pointed_alpha(first, second) -> FieldElem | None:
-    """first(basepoint) when second vanishes at the basepoint, else None.
-    Dividing a pointed pair by this value (when a unit) normalizes it."""
-    if not second.eval_basepoint().is_zero:
+    """The basepoint value alpha of ``first`` when ``second`` vanishes at the
+    basepoint, else None.  Works over R and R[T]: over R[T] ``second``'s
+    basepoint curve must vanish identically and alpha is ``first``'s as a
+    constant of k (None when it varies with T).  Pointed data with a unit
+    alpha normalizes by :func:`normalized`."""
+    if not second.basepoint_is_zero():
         return None
-    return first.eval_basepoint()
+    return first.basepoint_constant()
+
+
+def normalized(alpha: FieldElem, data, cert=None):
+    """(data / alpha, cert * alpha) for a unit alpha: the first entry becomes
+    1 at the basepoint and, the columns being linear in the data, the
+    certificate still expands to 1.  Both pass through when alpha is 1."""
+    if alpha == alpha.ctx.one:
+        return data, cert
+    inv = alpha.inverse()
+    data = type(data)(c.scale(inv) for c in data)
+    if cert is not None:
+        cert = tuple(c.scale(alpha) for c in cert)
+    return data, cert
 
 
 def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap:
@@ -198,14 +214,9 @@ def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap
         raise NotPointed("second section does not vanish at the basepoint")
     if alpha.is_zero:
         raise NotNormalizable("first section vanishes at the basepoint")
-    coeffs = (a0, a1, b0, b1)
-    if alpha != alpha.ctx.one:
-        inv = alpha.inverse()
-        coeffs = tuple(c.scale(inv) for c in coeffs)
-        if cert is not None:
-            cert = tuple(c.scale(alpha) for c in cert)
-        if homog is not None:
-            homog = tuple([e.scale(inv) for e in lst] for lst in homog)
+    coeffs, cert = normalized(alpha, (a0, a1, b0, b1), cert)
+    if homog is not None:
+        homog = tuple(normalized(alpha, lst)[0] for lst in homog)
     kind = "P" if n > 0 else "Q"
     cols = generation_columns(kind, abs(n), *coeffs)
     if cert is None:
@@ -235,14 +246,10 @@ def make_row(A: RingElement, B: RingElement, cert=None) -> JMap:
             raise NotUnimodular("row does not generate the unit ideal")
     if alpha.is_zero:
         raise NotPointed("row evaluates to (0, 0) at the basepoint")
-    U, V = cert
-    if alpha != alpha.ctx.one:
-        inv = alpha.inverse()
-        A, B = A.scale(inv), B.scale(inv)
-        U, V = U.scale(alpha), V.scale(alpha)
-    if A * U + B * V != RingElement.one(A.ctx):
+    row, (U, V) = normalized(alpha, (A, B), cert)
+    if not cert_expands_to_one((U, V), row):
         raise NotUnimodular("Bezout certificate does not expand to 1")
-    return JMap(0, None, None, (A, B), (U, V))
+    return JMap(0, None, None, row, (U, V))
 
 
 def g_uv(u: FieldElem, v: FieldElem) -> JMap:

@@ -22,6 +22,7 @@ ON_SURFACE_TOL = 1e-12
 CHART_AGREE_TOL = 1e-9
 RESIDUAL_TOL = 1e-2
 BISECT_JUMP = math.pi / 4
+BISECT_DEPTH = 20
 
 
 def gamma_point(theta: float) -> tuple[float, float, float]:
@@ -138,7 +139,7 @@ def _refine(rm: RealizedMap, t0, t1, phi0, phi1, depth) -> float:
     )
 
 
-def winding_profile(f: JMap, samples: int = 4096, depth: int = 20):
+def winding_profile(f: JMap, samples: int = 4096):
     """(degree, raw, residual): total angle change along the circle over pi."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -150,7 +151,7 @@ def winding_profile(f: JMap, samples: int = 4096, depth: int = 20):
     suspicious = np.abs(diffs) > BISECT_JUMP
     total += float(np.sum(diffs[~suspicious]))
     for idx in np.nonzero(suspicious)[0]:
-        total += _refine(rm, thetas[idx], thetas[idx + 1], phis[idx], phis[idx + 1], depth)
+        total += _refine(rm, thetas[idx], thetas[idx + 1], phis[idx], phis[idx + 1], BISECT_DEPTH)
     raw = total / math.pi
     deg = round(raw)
     residual = abs(raw - deg)
@@ -159,9 +160,9 @@ def winding_profile(f: JMap, samples: int = 4096, depth: int = 20):
     return deg, raw, residual
 
 
-def winding_degree(f: JMap, samples: int = 4096, depth: int = 20) -> int:
+def winding_degree(f: JMap, samples: int = 4096) -> int:
     """The topological degree of the realized map along the circle."""
-    return winding_profile(f, samples, depth)[0]
+    return winding_profile(f, samples)[0]
 
 
 def on_surface_defect(theta: float) -> float:

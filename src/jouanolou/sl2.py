@@ -14,18 +14,20 @@ from .bundle import pure_powers
 from .errors import NoCertificate, ZeroParameter
 from .field import FieldElem
 from .jring import RingElement
-from .morphism import JMap
+from .morphism import JMap, pointed_alpha
 
 Entries = tuple[tuple, tuple]
 
 
 class Mat2:
     """2x2 core of :class:`PointedSL2` (over R) and ``homotopy.Sl2Path``
-    (over R[T]).  A subclass ``__init__`` checks outside data; ``@``,
-    ``inverse`` (the adjugate) and ``transpose`` preserve determinant 1 and
-    pointedness, so they build through the unchecked :meth:`_of`."""
+    (over R[T], the subclass's ``_ring``).  A subclass ``__init__`` stores
+    outside data and runs :meth:`_check`; ``@``, ``inverse`` (the adjugate)
+    and ``transpose`` preserve determinant 1 and pointedness, so they build
+    through the unchecked :meth:`_of`."""
 
     __slots__ = ("entries",)
+    _ring = RingElement
 
     @classmethod
     def _of(cls, entries) -> "Mat2":
@@ -41,6 +43,19 @@ class Mat2:
     def _det(self):
         (e00, e01), (e10, e11) = self.entries
         return e00 * e11 - e01 * e10
+
+    def _check(self):
+        """Outside data: determinant 1 and the identity at the basepoint."""
+        if self._det() != self._ring.one(self.ctx):
+            raise ValueError("matrix determinant is not 1")
+        if not self.is_pointed():
+            raise ValueError("matrix is not the identity at the basepoint")
+
+    def is_pointed(self) -> bool:
+        """The identity at the basepoint (over R[T]: for every T)."""
+        (e00, e01), (e10, e11) = self.entries
+        one = self.ctx.one
+        return pointed_alpha(e00, e10) == one and pointed_alpha(e11, e01) == one
 
     def __matmul__(self, other):
         (a, b), (c, d) = self.entries
@@ -71,14 +86,8 @@ class PointedSL2(Mat2):
     __slots__ = ()
 
     def __init__(self, entries: Entries):
-        (e00, e01), (e10, e11) = entries
         self.entries = entries
-        if self._det() != RingElement.one(self.ctx):
-            raise ValueError("matrix determinant is not 1")
-        bp = [e.eval_basepoint() for e in (e00, e01, e10, e11)]
-        one = e00.ctx.one
-        if not (bp[0] == one and bp[1].is_zero and bp[2].is_zero and bp[3] == one):
-            raise ValueError("matrix is not the identity at the basepoint")
+        self._check()
 
     @property
     def row_A(self) -> RingElement:

@@ -24,6 +24,13 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "parse error" in err
 
 
+def test_denominator_divisible_by_p_exits_like_zero_denominator(capsys):
+    code, _, err = run(capsys, "--field", "Fp=7", "normalize", "1/7*x")
+    zero_code, _, zero_err = run(capsys, "--field", "Fp=7", "normalize", "1/0*x")
+    assert code == zero_code == 1
+    assert err.startswith("DivisionByZero") and zero_err.startswith("DivisionByZero")
+
+
 def test_unknown_flag_rejected(capsys):
     code = main(["normalize", "--bogus", "x"])
     assert code == 2

@@ -29,6 +29,18 @@ def test_division_by_zero():
         QQ.one / QQ.zero
 
 
+@pytest.mark.parametrize("value", ["3/14", "1/-7", Fraction(1, 7), Fraction(-5, 21)])
+def test_prime_field_denominator_divisible_by_p(value):
+    with pytest.raises(DivisionByZero):
+        Fp(7).elem(value)
+
+
+def test_prime_field_parse_scalar_denominator_divisible_by_p():
+    with pytest.raises(DivisionByZero):
+        Fp(7).parse_scalar("3/14")
+    assert Fp(7).parse_scalar("3/15") == Fp(7).elem(3) / Fp(7).elem(15)
+
+
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         Fp(5).elem(1) + Fp(7).elem(1)

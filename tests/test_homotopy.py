@@ -4,8 +4,24 @@ from fractions import Fraction
 import pytest
 
 from jouanolou import homotopy
-from jouanolou.bundle import resultant_univ, unit_scalar
-from jouanolou.errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
+from jouanolou.bundle import (
+    HomogPair,
+    bezout_from_unit_resultant,
+    generation_cofactors,
+    homog_eval,
+    pure_powers,
+    resultant_univ,
+    sigma,
+    unit_scalar,
+    unit_split,
+)
+from jouanolou.errors import (
+    LiftMismatch,
+    NoCertificate,
+    ResultantNotUnit,
+    ResultantZero,
+    ZeroParameter,
+)
 from jouanolou.field import Fp, QQ
 from jouanolou.homotopy import (
     HomotopyWitness,
@@ -25,7 +41,15 @@ from jouanolou.homotopy import (
     verify,
 )
 from jouanolou.jring import RingElement, RingPolyT
-from jouanolou.morphism import g_uv, make_row, n_pi, pullback_rational, rational_xu
+from jouanolou.morphism import (
+    RationalMapP1,
+    g_uv,
+    make_map,
+    make_row,
+    n_pi,
+    pullback_rational,
+    rational_xu,
+)
 from jouanolou.sl2 import PointedSL2, act, complete_pointed, m_uv, row_sum
 from jouanolou.textio import parse_ring
 
@@ -186,20 +210,65 @@ def test_gu1_action_witness_endpoints_and_resultant():
     assert unit_scalar(res) == -u
 
 
-def _raised_cert_input(top):
-    """Lifts F1 = 1 + top*X, F2 = X over R[T], as _raise_cert takes them."""
-    return [RingPolyT.from_ring(R("1")), RingPolyT.from_ring(top)], [
-        RingPolyT.zero(QQ),
-        RingPolyT.one(QQ),
-    ]
+def _lift_map(L0, L1):
+    """The degree-1 map sigma(L0), sigma(L1), carrying its lift (L0, L1)."""
+    s0, s1 = sigma(HomogPair(1, L0, L1))
+    cert = generation_cofactors(1, L0, L1)
+    return make_map(1, *s0.coeffs, *s1.coeffs, cert=cert, homog=(L0, L1))
 
 
 def test_raise_cert_refuses_a_raised_pair_without_unit_resultant():
-    F1, F2 = _raised_cert_input(R("y"))
+    # the lift's top coefficient 1 + y is 1 at the basepoint but no unit of
+    # R, and the twisted top coefficient divides the raised resultant
+    f = _lift_map([R("1"), R("1 + y")], [R("1"), R("y")])
     with pytest.raises(ResultantNotUnit, match="raised pair does not have unit resultant"):
-        homotopy._raise_cert(QQ, 1, F1, F2, QQ.elem(2))
-    F1, F2 = _raised_cert_input(R("1"))
-    assert homotopy._raise_cert(QQ, 1, F1, F2, QQ.elem(2)) is not None
+        gu1_action_witness(QQ.elem(2), f)
+    g = _lift_map([R("1"), R("1")], [R("1"), R("0")])
+    assert gu1_action_witness(QQ.elem(2), g).segments[0].cert is not None
+
+
+def _raise_cert_oracle(ctx, n, F1, F2, u):
+    """The former private certificate builder of the raising witness: bounds
+    (n+1, n) for the raised pair, (n+1, n+1) for the reversed pair."""
+    H0, H1 = homotopy.raised_lift(u, F1, F2, RingPolyT.zero(ctx))
+    try:
+        U, V = bezout_from_unit_resultant(H0, H1, n + 1, n)
+    except ResultantNotUnit:
+        raise ResultantNotUnit("raised pair does not have unit resultant") from None
+    S0_rev, S1_rev = list(reversed(H0)), list(reversed(H1))
+    Ur, Vr = bezout_from_unit_resultant(S0_rev, S1_rev, n + 1, n + 1)
+    xg, yg, zg, wg = pure_powers(ctx, 1)
+    E, Fw = unit_split(ctx, 2 * n + 1)
+    Ux = homog_eval(Ur, n, yg, xg) * E
+    Vx = homog_eval(Vr, n, yg, xg) * E
+    Uw = (homog_eval(U, n - 1, zg, wg) * wg) * Fw
+    Vw = homog_eval(V, n, zg, wg) * Fw
+    return (Ux, Vx, Uw, Vw)
+
+
+def _random_pullback(rng, ctx, n):
+    while True:
+        a = [ctx.elem(rng.randint(-3, 3)) for _ in range(n)] + [ctx.one]
+        b = [ctx.elem(rng.randint(-3, 3)) for _ in range(n)]
+        try:
+            return pullback_rational(RationalMapP1(ctx, n, a, b))
+        except ResultantZero:
+            continue
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)])
+def test_raise_certificate_equals_the_former_builder(ctx):
+    rng = random.Random(f"raise-oracle:{ctx.p}")
+    for n in (1, 2, 3):
+        f = _random_pullback(rng, ctx, n)
+        for u in (ctx.one, ctx.elem(2), ctx.elem(3)):
+            # f's lift twisted by the raising family, as gu1_action_witness does
+            yT = RingPolyT.gen_T(ctx).scale(-(u - ctx.one) / u) * RingElement.gen_y(ctx)
+            L0, L1 = f.canonical_lift()
+            F1 = [RingPolyT.from_ring(p) + yT * q for p, q in zip(L0, L1)]
+            F2 = [RingPolyT.from_ring(q) for q in L1]
+            cert = gu1_action_witness(u, f).segments[0].cert
+            assert cert == _raise_cert_oracle(ctx, n, F1, F2, u)
 
 
 def _random_t_entry(rng, ctx):
@@ -215,8 +284,8 @@ def _random_t_entry(rng, ctx):
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)])
 def test_reversed_raised_resultant_is_top_coefficient_times_raised(ctx):
-    # why _raise_cert needs no fallback for the reversed pair: its resultant
-    # is +-F1[n] times the raised one, so it is a unit whenever that one is
+    # why the raised certificate needs no check of the reversed pair: its
+    # resultant is +-F1[n] times the raised one, a unit whenever that one is
     rng = random.Random(f"raise-cert:{ctx.p}")
     zero_t, u = RingPolyT.zero(ctx), ctx.elem(3)
     for n in (1, 1, 2, 2, 2):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jouanolou.errors import ParseError
+from jouanolou.errors import DivisionByZero, ParseError
 from jouanolou.field import Fp, QQ
 from jouanolou.homotopy import constant_witness, scaling_witness, verify
 from jouanolou.jring import RingElement
@@ -118,6 +118,15 @@ def test_witness_counts_must_be_integers(body, expected):
     with pytest.raises(ParseError) as exc:
         textio.parse_witness(f"{textio.WITNESS_HEADER} field=Q\n{body}")
     assert exc.value.expected == expected
+
+
+def test_witness_denominator_divisible_by_p():
+    text = textio.witness_str(constant_witness(n_pi(1, Fp(7))), Fp(7))
+    lines = text.splitlines()
+    assert lines[0].endswith("field=Fp=7") and lines[3].startswith("a0: ")
+    lines[3] = "a0: 1/7*x"
+    with pytest.raises(DivisionByZero):
+        textio.parse_witness("\n".join(lines) + "\n")
 
 
 def test_round_trip_random_maps_over_f7():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .field import FieldCtx
-from .polys import MPoly, dot, drl_key
+from .polys import MPoly, dot, drl_key, raw_coeff, terms_add
 
 DEFAULT_BUDGET = 10**6
 
@@ -105,27 +105,33 @@ def _reduce_tracked(p: MPoly, vec: list[MPoly], basis: list[_Tracked], budget: _
     """
     ctx = p.ctx
     vars = p.vars
-    tail = MPoly.zero(ctx, vars)
-    work = MPoly(ctx, vars, dict(p.terms))
-    while not work.is_zero:
-        lm, lc = work.leading()
+    tail = {}  # raw coefficients of the irreducible leading terms
+    # the remainder as values over den in a dict of this loop's own (a
+    # nonempty terms_add returns a new dict), so an irreducible leading term
+    # is dropped in place; den may stop being canonical, which raw_coeff and
+    # terms_add do not need
+    work, den = dict(p.terms), p.den
+    while work:
+        lm = max(work, key=drl_key)
+        lc = raw_coeff(ctx, work[lm], den)
         hit = None
         for b in basis:
             if _divides(b.lm, lm):
                 hit = b
                 break
         if hit is None:
-            tail.terms[lm] = lc
-            del work.terms[lm]
+            tail[lm] = lc
+            del work[lm]
             continue
         budget.spend()
         qmon = tuple(a - b for a, b in zip(lm, hit.lm))
         qc = ctx.rdiv(lc, hit.lc)
-        work = work - hit.poly.mul_term(qmon, qc)
+        red = hit.poly.mul_term(qmon, qc)
+        work, den = terms_add(ctx, work, den, red.terms, red.den, negate=True)
         for i, v in enumerate(hit.vec):
             if not v.is_zero:
                 vec[i] = vec[i] - v.mul_term(qmon, qc)
-    return tail, vec
+    return MPoly(ctx, vars, tail), vec
 
 
 def _unit_vec(ctx, vars, n, i):

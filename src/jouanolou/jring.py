@@ -4,9 +4,12 @@ The ring is R = k[x,y,z,w]/(x+w-1, xw-yz), identified with
 k[x,y,z]/(x^2 - x + yz) by eliminating w = 1 - x.  Every element has the
 unique normal form a(y,z) + x*b(y,z), kept reduced by the rewrite
 x^2 -> x - yz, so equality is literal equality of coefficient dictionaries.
-``RingElement`` arithmetic runs the sparse kernel of :mod:`polys`
-(``terms_add``, ``terms_mul``) directly on the term dicts of a and b; the
-product by yz is a shift of exponents.
+a and b are ``BivarPoly`` values in the stored form of :mod:`polys`: int
+values over one denominator each, canonical, so equality is also literal
+equality of (terms, den).  ``RingElement`` arithmetic runs the sparse kernel
+of :mod:`polys` (``terms_add``, ``terms_mul``) directly on those ints; a
+product puts each operand over one denominator once, the product by yz is a
+shift of exponents, and no ``Fraction`` is built.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
 T exponent: ``RingPolyT`` keeps the same normal form a + x*b, with term-dict
@@ -18,62 +21,84 @@ resultant code.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .field import FieldCtx, FieldElem
 from .polys import (
     MPoly,
+    canonical,
+    cleared,
     common_ctx,
     eval_terms,
     power,
+    raw_coeff,
     terms_add,
     terms_mul,
     terms_neg,
+    terms_over,
     terms_scale,
 )
 
 
 class BivarPoly:
     """Sparse polynomial in y, z: keys (i, j) for y^i z^j, or (i, j, t) for
-    y^i z^j T^t in R[T]; raw nonzero coefficients."""
+    y^i z^j T^t in R[T]; nonzero int values over ``den``.  A dict given
+    without ``den`` holds raw coefficients and is cleared into that form."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "den")
 
-    def __init__(self, ctx: FieldCtx, terms: dict | None = None):
+    def __init__(self, ctx: FieldCtx, terms: dict | None = None, den: int | None = None):
         self.ctx = ctx
-        self.terms = terms if terms is not None else {}
+        if den is None:
+            terms, den = cleared(ctx, terms or {})
+        self.terms = terms
+        self.den = den
 
     def __add__(self, other):
         ctx = common_ctx(self.ctx, other.ctx)
-        return BivarPoly(ctx, terms_add(ctx, self.terms, other.terms))
+        return BivarPoly(ctx, *terms_add(ctx, self.terms, self.den, other.terms, other.den))
 
     def __sub__(self, other):
         ctx = common_ctx(self.ctx, other.ctx)
-        return BivarPoly(ctx, terms_add(ctx, self.terms, other.terms, negate=True))
+        diff = terms_add(ctx, self.terms, self.den, other.terms, other.den, negate=True)
+        return BivarPoly(ctx, *diff)
 
     def __neg__(self):
-        return BivarPoly(self.ctx, terms_neg(self.ctx, self.terms))
+        return BivarPoly(self.ctx, terms_neg(self.ctx, self.terms), self.den)
 
     def __mul__(self, other):
         ctx = common_ctx(self.ctx, other.ctx)
-        return BivarPoly(ctx, terms_mul(ctx, self.terms, other.terms))
+        return BivarPoly(ctx, *terms_mul(ctx, self.terms, self.den, other.terms, other.den))
 
     def scale(self, raw):
-        return BivarPoly(self.ctx, terms_scale(self.ctx, self.terms, raw))
+        return BivarPoly(self.ctx, *terms_scale(self.ctx, self.terms, self.den, raw))
+
+    def coeff(self, key):
+        """The raw coefficient of the monomial ``key``."""
+        return raw_coeff(self.ctx, self.terms.get(key, 0), self.den)
 
     @property
     def is_zero(self):
         return not self.terms
 
     def swap_vars(self):
-        return BivarPoly(self.ctx, {(m[1], m[0]) + m[2:]: c for m, c in self.terms.items()})
+        swapped = {(m[1], m[0]) + m[2:]: c for m, c in self.terms.items()}
+        return BivarPoly(self.ctx, swapped, self.den)
 
     def eval_float(self, y: float, z: float) -> float:
-        return sum(float(c) * y**i * z**j for (i, j), c in self.terms.items())
+        den = self.den
+        return sum(c / den * y**i * z**j for (i, j), c in self.terms.items())
 
     def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self.ctx == other.ctx and self.terms == other.terms
+        return (
+            isinstance(other, BivarPoly)
+            and self.ctx == other.ctx
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
+        return hash((self.ctx, self.den, tuple(sorted(self.terms.items()))))
 
 
 class RingElement:
@@ -96,7 +121,7 @@ class RingElement:
     # constructors -----------------------------------------------------------
     @classmethod
     def from_raw(cls, ctx, raw):
-        return cls(BivarPoly(ctx, {cls._ONE: raw} if raw else {}), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {cls._ONE: raw}), BivarPoly(ctx, {}, 1))
 
     @classmethod
     def from_scalar(cls, c: FieldElem):
@@ -104,7 +129,7 @@ class RingElement:
 
     @classmethod
     def zero(cls, ctx):
-        return cls(BivarPoly(ctx), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {}, 1), BivarPoly(ctx, {}, 1))
 
     @classmethod
     def one(cls, ctx):
@@ -112,22 +137,20 @@ class RingElement:
 
     @classmethod
     def gen_x(cls, ctx):
-        return cls(BivarPoly(ctx), BivarPoly(ctx, {cls._ONE: ctx.rone}))
+        return cls(BivarPoly(ctx, {}, 1), BivarPoly(ctx, {cls._ONE: 1}, 1))
 
     @classmethod
     def gen_y(cls, ctx):
-        return cls(BivarPoly(ctx, {cls._Y: ctx.rone}), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {cls._Y: 1}, 1), BivarPoly(ctx, {}, 1))
 
     @classmethod
     def gen_z(cls, ctx):
-        return cls(BivarPoly(ctx, {cls._Z: ctx.rone}), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {cls._Z: 1}, 1), BivarPoly(ctx, {}, 1))
 
     @classmethod
     def gen_w(cls, ctx):
         # w = 1 - x
-        return cls(
-            BivarPoly(ctx, {cls._ONE: ctx.rone}), BivarPoly(ctx, {cls._ONE: ctx.rneg(ctx.rone)})
-        )
+        return cls(BivarPoly(ctx, {cls._ONE: 1}, 1), BivarPoly(ctx, {cls._ONE: ctx.rneg(ctx.rone)}))
 
     # arithmetic ---------------------------------------------------------------
     def _coerced(self, other):
@@ -144,22 +167,14 @@ class RingElement:
             if (pair := self._coerced(other)) is None:
                 return NotImplemented
             self, other = pair
-        ctx = common_ctx(self.a.ctx, other.a.ctx)
-        return type(self)(
-            BivarPoly(ctx, terms_add(ctx, self.a.terms, other.a.terms)),
-            BivarPoly(ctx, terms_add(ctx, self.b.terms, other.b.terms)),
-        )
+        return type(self)(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             if (pair := self._coerced(other)) is None:
                 return NotImplemented
             self, other = pair
-        ctx = common_ctx(self.a.ctx, other.a.ctx)
-        return type(self)(
-            BivarPoly(ctx, terms_add(ctx, self.a.terms, other.a.terms, negate=True)),
-            BivarPoly(ctx, terms_add(ctx, self.b.terms, other.b.terms, negate=True)),
-        )
+        return type(self)(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
         return type(self)(-self.a, -self.b)
@@ -171,16 +186,30 @@ class RingElement:
                 return NotImplemented
             self, other = pair
         ctx = common_ctx(self.a.ctx, other.a.ctx)
-        a1, b1, a2, b2 = self.a.terms, self.b.terms, other.a.terms, other.b.terms
-        bb = terms_mul(ctx, b1, b2)
+        # each operand over one denominator, so every product is an int loop
+        # whose sums lie over d1 * d2 (den 1 skips the gcd pass until the end)
+        (a1, b1, d1), (a2, b2, d2) = self._parts_over(), other._parts_over()
+        bb = terms_mul(ctx, b1, 1, b2, 1)[0]
         minus_yz_bb = {(m[0] + 1, m[1] + 1) + m[2:]: -c for m, c in bb.items()}
-        a = terms_mul(ctx, a1, a2, minus_yz_bb)
-        b = terms_mul(ctx, a1, b2, terms_mul(ctx, a2, b1, bb))
-        return type(self)(BivarPoly(ctx, a), BivarPoly(ctx, b))
+        a = terms_mul(ctx, a1, d1, a2, d2, minus_yz_bb)
+        b = terms_mul(ctx, a1, d1, b2, d2, terms_mul(ctx, a2, 1, b1, 1, bb)[0])
+        return type(self)(BivarPoly(ctx, *a), BivarPoly(ctx, *b))
+
+    def _parts_over(self):
+        """(a, b, d): the values of both parts over d, the lcm of their
+        denominators."""
+        a, b = self.a, self.b
+        if a.den == b.den:
+            return a.terms, b.terms, a.den
+        d = lcm(a.den, b.den)
+        return terms_over(a.terms, a.den, d), terms_over(b.terms, b.den, d), d
 
     def scale(self, c) -> "RingElement":
-        raw = c.val if isinstance(c, FieldElem) else c
-        return type(self)(self.a.scale(raw), self.b.scale(raw))
+        """c * self, for c a field element over the same field or a raw value."""
+        if isinstance(c, FieldElem):
+            common_ctx(self.ctx, c.ctx)
+            c = c.val
+        return type(self)(self.a.scale(c), self.b.scale(c))
 
     def __pow__(self, e: int) -> "RingElement":
         return power(self, e, self.one(self.ctx))
@@ -194,7 +223,7 @@ class RingElement:
         return self.b.is_zero and all(m == self._ONE for m in self.a.terms)
 
     def constant_value(self) -> FieldElem:
-        return FieldElem(self.ctx, self.a.terms.get(self._ONE, self.ctx.rzero))
+        return FieldElem(self.ctx, self.a.coeff(self._ONE))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.a == other.a and self.b == other.b
@@ -210,9 +239,8 @@ class RingElement:
     # morphisms -------------------------------------------------------------------
     def eval_basepoint(self) -> FieldElem:
         """Image in R/(x-1, y, z, w) = k: substitute x = 1, y = z = 0."""
-        ctx = self.ctx
-        one, zero = self._ONE, ctx.rzero
-        return FieldElem(ctx, ctx.radd(self.a.terms.get(one, zero), self.b.terms.get(one, zero)))
+        ctx, one = self.ctx, self._ONE
+        return FieldElem(ctx, ctx.radd(self.a.coeff(one), self.b.coeff(one)))
 
     def basepoint_is_zero(self) -> bool:
         return self.basepoint_constant() == 0  # None (varies with T) is not 0
@@ -232,15 +260,17 @@ class RingElement:
         ix = vars.index("x")
         slots = [vars.index(v) for v in self._VARS[1:]]
         base = [0] * len(vars)
+        # both parts over the lcm of their denominators stay canonical
+        a, b, den = self._parts_over()
         out = {}
-        for part in (self.a, self.b):
-            for key, c in part.terms.items():
+        for part in (a, b):
+            for key, c in part.items():
                 m = list(base)
-                for s, e in zip(slots, key):
-                    m[s] = e
+                for slot, e in zip(slots, key):
+                    m[slot] = e
                 out[tuple(m)] = c
             base[ix] = 1
-        return MPoly(self.ctx, vars, out)
+        return MPoly(self.ctx, vars, out, den)
 
 
 def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
@@ -265,7 +295,7 @@ def mpoly_to_ring(p: MPoly) -> RingElement:
     if "T" in p.vars and p.degree_in("T"):
         raise ValueError("T does not live in R; use mpoly_to_ringpolyt")
     images = [None if v == "T" else getattr(RingElement, f"gen_{v}")(ctx) for v in p.vars]
-    return eval_terms(p.terms, images, lambda raw: RingElement.from_raw(ctx, raw))
+    return eval_terms(p.terms, p.den, images, lambda raw: RingElement.from_raw(ctx, raw))
 
 
 CHART_VARS = {"phi0": ("a", "b"), "phi1": ("s", "t")}
@@ -305,13 +335,14 @@ class RingPolyT(RingElement):
 
     @classmethod
     def gen_T(cls, ctx):
-        return cls(BivarPoly(ctx, {(0, 0, 1): ctx.rone}), BivarPoly(ctx))
+        return cls(BivarPoly(ctx, {(0, 0, 1): 1}, 1), BivarPoly(ctx, {}, 1))
 
     @classmethod
     def from_ring(cls, r: RingElement) -> "RingPolyT":
         """An element of R as a constant of R[T]."""
-        a, b = ({(i, j, 0): c for (i, j), c in p.terms.items()} for p in (r.a, r.b))
-        return cls(BivarPoly(r.ctx, a), BivarPoly(r.ctx, b))
+        a, b = (BivarPoly(r.ctx, {(i, j, 0): c for (i, j), c in p.terms.items()}, p.den)
+                for p in (r.a, r.b))
+        return cls(a, b)
 
     def _substitute_T(self, image: "RingPolyT") -> "RingPolyT":
         """T replaced by ``image``, an element of k[T]: each T^t slice of the
@@ -322,16 +353,17 @@ class RingPolyT(RingElement):
             slices: dict = {}
             for (i, j, t), c in part.terms.items():
                 slices.setdefault(t, {})[i, j, 0] = c
-            out: dict = {}
+            out = BivarPoly(ctx, {}, 1)
             for t, terms in slices.items():
-                out = terms_mul(ctx, terms, (image**t).a.terms, out)
-            parts.append(BivarPoly(ctx, out))
+                out = out + BivarPoly(ctx, *canonical(terms, part.den)) * (image**t).a
+            parts.append(out)
         return RingPolyT(*parts)
 
     def eval_at_T(self, t: FieldElem) -> RingElement:
         at = self._substitute_T(self.from_raw(self.ctx, t.val))
-        a, b = ({m[:2]: c for m, c in p.terms.items()} for p in (at.a, at.b))
-        return RingElement(BivarPoly(at.ctx, a), BivarPoly(at.ctx, b))
+        a, b = (BivarPoly(at.ctx, {m[:2]: c for m, c in p.terms.items()}, p.den)
+                for p in (at.a, at.b))
+        return RingElement(a, b)
 
     def reverse_T(self) -> "RingPolyT":
         """Substitute T -> 1 - T."""
@@ -342,10 +374,10 @@ class RingPolyT(RingElement):
         ascending coefficients, trailing zeros trimmed."""
         ctx = self.ctx
         a, b = ({m: c for m, c in p.terms.items() if m[:2] == (0, 0)} for p in (self.a, self.b))
-        image = terms_add(ctx, a, b)
+        image, den = terms_add(ctx, a, self.a.den, b, self.b.den)
         curve = [ctx.zero] * (max((t for _, _, t in image), default=-1) + 1)
         for (_, _, t), c in image.items():
-            curve[t] = FieldElem(ctx, c)
+            curve[t] = FieldElem(ctx, raw_coeff(ctx, c, den))
         return curve
 
     def basepoint_constant(self) -> FieldElem | None:
@@ -360,4 +392,4 @@ def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:
     """Normal form in R[T] of a polynomial in x, y, z, w and T."""
     ctx = p.ctx
     images = [getattr(RingPolyT, f"gen_{v}")(ctx) for v in p.vars]
-    return eval_terms(p.terms, images, lambda raw: RingPolyT.from_raw(ctx, raw))
+    return eval_terms(p.terms, p.den, images, lambda raw: RingPolyT.from_raw(ctx, raw))

@@ -34,10 +34,10 @@ def gamma_point(theta: float) -> tuple[float, float, float]:
 def _compile(r) -> list[tuple[float, int, int, int]]:
     """RingElement -> [(coeff, x-exp, y-exp, z-exp)] for float evaluation."""
     out = []
-    for (i, j), cval in r.a.terms.items():
-        out.append((float(cval), 0, i, j))
-    for (i, j), cval in r.b.terms.items():
-        out.append((float(cval), 1, i, j))
+    for xe, part in enumerate((r.a, r.b)):
+        den = part.den
+        # int / int is correctly rounded: the same float as float(Fraction)
+        out.extend((c / den, xe, i, j) for (i, j), c in part.terms.items())
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ def poly(s, ctx=QQ, vars=GB_VARS):
 
     parsed = parse_poly(s, ctx, allow_T=False)
     terms = {}
-    for mon, c in parsed.terms.items():
+    for mon, c in parsed.sorted_terms():
         assert mon[3] == 0, "test helper expects w-free input"
         terms[mon[:3]] = c
     return MPoly(ctx, vars, terms)
@@ -167,3 +168,31 @@ def test_membership_agrees_with_sympy_on_random_draws():
         gb = sympy.groebner(sgens, *xs, order="grevlex")
         want = gb.reduce(starget)[1] == 0
         assert got == want, f"{texts} |- {target_text}: engine {got}, oracle {want}"
+
+
+def test_reduction_drops_a_long_irreducible_tail_without_subtracting(monkeypatch):
+    """A remainder with one reducible leading term over a long irreducible
+    tail: each tail term moves to the normal form with no subtraction, so
+    the kernel adds once per reduction step, not once per tail term.  The
+    half on y^30 leaves the remaining values over an even denominator, all
+    even, once it is dropped."""
+    from jouanolou import groebner
+    from jouanolou.polys import terms_add
+
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return terms_add(*args, **kw)
+
+    monkeypatch.setattr(groebner, "terms_add", counted)
+    tail = {(0, 30, 0): Fraction(1, 2)}
+    tail.update({(0, i, j): Fraction(i + 2 * j + 1) for i in range(20) for j in range(1, 20)})
+    p = MPoly(QQ, GB_VARS, {(2, 0, 0): Fraction(1), **tail})
+    g = poly("x - 1/3")
+    zero = MPoly.zero(QQ, GB_VARS)
+    basis = [groebner._Tracked(g, [one()])]
+    normal, vec = groebner._reduce_tracked(p, [zero], basis, groebner._Budget(10))
+    assert len(calls) == 2  # x^2 -> x/3 -> 1/9
+    assert normal == MPoly(QQ, GB_VARS, {**tail, (0, 0, 0): Fraction(1, 9)})
+    assert normal == p + vec[0] * g

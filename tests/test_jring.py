@@ -1,5 +1,6 @@
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -145,6 +146,27 @@ def test_arithmetic_across_fields_is_refused():
     assert R("y", Fp(7)) * R("y", Fp(7)) == R("y^2", Fp(7))
 
 
+def test_scale_by_a_field_element_of_another_field_refuses():
+    half = QQ.elem(Fraction(1, 2))
+    for r in (RingElement.gen_y(Fp(7)), RingPolyT.gen_T(Fp(7))):
+        with pytest.raises(ContextMismatch):
+            r.scale(half)
+    with pytest.raises(ContextMismatch):
+        RingElement.gen_y(QQ).scale(Fp(7).elem(3))
+    assert RingElement.gen_y(Fp(7)).scale(Fp(7).elem(3)) == R("3*y", Fp(7))
+    assert RingElement.gen_y(QQ).scale(half) == R("1/2*y")
+
+
+def test_negative_powers_refuse():
+    # square-and-multiply on e < 0 would shift -1 >> 1 == -1 forever
+    for base in (RingElement.gen_y(QQ), RingPolyT.gen_T(Fp(7)), MPoly.var(QQ, ("y",), "y")):
+        with pytest.raises(ValueError):
+            base ** -1
+        with pytest.raises(ValueError):
+            base ** -4
+    assert R("2*y") ** 0 == RingElement.one(QQ)
+
+
 def test_canonical_serialization_round_trip():
     rng = random.Random(11)
     for ctx in (QQ, Fp(7)):
@@ -172,7 +194,7 @@ def test_charts_agree_on_overlap_numerically():
 
         def eval2(p, u, v):
             total = 0.0
-            for mon, c in p.terms.items():
+            for mon, c in p.sorted_terms():
                 total += float(c) * u ** mon[0] * v ** mon[1]
             return total
 

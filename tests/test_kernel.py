@@ -6,13 +6,16 @@ Over F_7 the inputs are integer polynomials; sympy works over Q and its
 coefficients are reduced mod 7 afterwards (reduction is a ring map, and the
 divisor x^2 - x + yz is monic, so division commutes with it).
 
-``terms_mul`` is also checked against the plain coefficient loop it replaced
-(large denominators, cancellation, every key width), and the pairwise sum
-of ``eval_terms`` against a running sum.
+``terms_mul`` is also checked against the plain loop on raw coefficients
+(large denominators, cancellation, every key width): its operands are the
+stored int forms of the raw dicts, and its canonical (terms, den) result must
+read back as the plain loop's coefficients in the same key order.  The
+pairwise sum of ``eval_terms`` is checked against a running sum.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
-from jouanolou.polys import MPoly, terms_mul
+from jouanolou.polys import MPoly, cleared, raw_coeff, terms_mul, terms_over
 
 sympy = pytest.importorskip("sympy")
 
@@ -49,9 +52,15 @@ def polys(vars, ctx):
     )
 
 
+def raw_terms(p: MPoly) -> dict:
+    """The boundary view of p: monomial -> raw coefficient (Fraction over Q),
+    whatever the stored layout."""
+    return dict(p.sorted_terms())
+
+
 def to_sympy(p: MPoly):
     expr = sympy.Integer(0)
-    for mon, c in p.terms.items():
+    for mon, c in raw_terms(p).items():
         c = Fraction(c)
         term = sympy.Rational(c.numerator, c.denominator)
         for name, e in zip(p.vars, mon):
@@ -89,11 +98,11 @@ def test_mpoly_arithmetic_matches_sympy_expand(ctx):
     @given(polys(XYZ, ctx), polys(XYZ, ctx), st.integers(0, 3))
     def check(p, q, e):
         sp, sq = to_sympy(p), to_sympy(q)
-        assert (p + q).terms == from_sympy(sp + sq, XYZ, ctx)
-        assert (p - q).terms == from_sympy(sp - sq, XYZ, ctx)
-        assert (p * q).terms == from_sympy(sp * sq, XYZ, ctx)
-        assert (p**e).terms == from_sympy(sp**e, XYZ, ctx)
-        assert (-p).terms == from_sympy(-sp, XYZ, ctx)
+        assert raw_terms(p + q) == from_sympy(sp + sq, XYZ, ctx)
+        assert raw_terms(p - q) == from_sympy(sp - sq, XYZ, ctx)
+        assert raw_terms(p * q) == from_sympy(sp * sq, XYZ, ctx)
+        assert raw_terms(p**e) == from_sympy(sp**e, XYZ, ctx)
+        assert raw_terms(-p) == from_sympy(-sp, XYZ, ctx)
 
     check()
 
@@ -108,7 +117,7 @@ def test_ring_products_match_sympy_remainder(ctx):
         got = (mpoly_to_ring(p) * mpoly_to_ring(q)).to_mpoly(XYZ)
         product = sympy.expand((to_sympy(p) * to_sympy(q)).subs(w, 1 - x))
         want = sympy.rem(product, x**2 - x + y * z, x) if product != 0 else product
-        assert got.terms == from_sympy(want, XYZ, ctx)
+        assert raw_terms(got) == from_sympy(want, XYZ, ctx)
 
     check()
 
@@ -134,7 +143,7 @@ def test_polyt_arithmetic_matches_sympy_remainder(ctx):
         P, Q = mpoly_to_ringpolyt(p), mpoly_to_ringpolyt(q)
         sp, sq = to_sympy(p), to_sympy(q)
         for got, want in ((P, sp), (P + Q, sp + sq), (P - Q, sp - sq), (P * Q, sp * sq)):
-            assert got.to_mpoly(XYZT).terms == from_sympy(normal_form(want), XYZT, ctx)
+            assert raw_terms(got.to_mpoly(XYZT)) == from_sympy(normal_form(want), XYZT, ctx)
 
     check()
 
@@ -150,7 +159,7 @@ def test_mixed_r_and_polyt_operands_match_sympy_remainder(ctx):
                  (r - t, sp - sq), (t - r, sq - sp))
         for got, want in cases:
             assert type(got) is RingPolyT
-            assert got.to_mpoly(XYZT).terms == from_sympy(normal_form(want), XYZT, ctx)
+            assert raw_terms(got.to_mpoly(XYZT)) == from_sympy(normal_form(want), XYZT, ctx)
 
     check()
 
@@ -164,11 +173,11 @@ def test_polyt_substitutions_match_sympy(ctx):
     def check(q, t):
         Q, sq = mpoly_to_ringpolyt(q), normal_form(to_sympy(q))
         at_t = Q.eval_at_T(ctx.elem(t)).to_mpoly(XYZ)
-        assert at_t.terms == from_sympy(sq.subs(T, t), XYZ, ctx)
+        assert raw_terms(at_t) == from_sympy(sq.subs(T, t), XYZ, ctx)
         reversed_ = Q.reverse_T().to_mpoly(XYZT)
-        assert reversed_.terms == from_sympy(sq.subs(T, 1 - T), XYZT, ctx)
+        assert raw_terms(reversed_) == from_sympy(sq.subs(T, 1 - T), XYZT, ctx)
         swapped = sq.subs({y: z, z: y}, simultaneous=True)
-        assert Q.tau().to_mpoly(XYZT).terms == from_sympy(swapped, XYZT, ctx)
+        assert raw_terms(Q.tau().to_mpoly(XYZT)) == from_sympy(swapped, XYZT, ctx)
 
     check()
 
@@ -177,9 +186,8 @@ def test_polyt_substitutions_match_sympy(ctx):
 
 
 def plain_terms_mul(ctx, A, B, acc=None):
-    """The product loop on raw coefficients as it was before Q operands were
-    cleared to integer numerators: one Fraction multiply-add per pair of
-    terms, zero sums dropped at the end."""
+    """The product loop on raw coefficients: one Fraction multiply-add per
+    pair of terms over Q, zero sums dropped at the end."""
     out = {} if acc is None else dict(acc)
     for m1, c1 in A.items():
         for m2, c2 in B.items():
@@ -218,12 +226,29 @@ def term_dicts(nvars, ctx, max_size=5):
     )
 
 
+def stored_mul(ctx, A, B, acc=None):
+    """terms_mul on the stored forms of the raw dicts A and B (and acc).
+
+    acc must lie over the product's denominator dA * dB: A is scaled so that
+    dA * dB is a multiple of acc's denominator."""
+    (a, dA), (b, dB) = cleared(ctx, A), cleared(ctx, B)
+    if acc is None:
+        return terms_mul(ctx, a, dA, b, dB)
+    c, dC = cleared(ctx, acc)
+    D = lcm(dA * dB, dC)
+    k = D // (dA * dB)
+    a, dA = {m: v * k for m, v in a.items()}, dA * k
+    return terms_mul(ctx, a, dA, b, dB, terms_over(c, dC, D))
+
+
 def _check_product(ctx, got, want):
-    assert got == want
-    assert list(got) == list(want)  # the same key order as the plain loop
-    assert all(got.values())
-    raw = Fraction if ctx.p is None else int
-    assert all(type(c) is raw for c in got.values())
+    terms, den = got
+    assert all(type(c) is int and c for c in terms.values())
+    assert type(den) is int and den > 0 and gcd(den, *terms.values()) == 1
+    if ctx.p is not None:
+        assert den == 1
+    # the plain loop's coefficients, in its key order
+    assert [(m, raw_coeff(ctx, c, den)) for m, c in terms.items()] == list(want.items())
 
 
 KEY_WIDTHS = [pytest.param(2, id="ij"), pytest.param(3, id="ijt"), pytest.param(4, id="mpoly4")]
@@ -237,9 +262,9 @@ def test_terms_mul_matches_plain_coefficient_loop(ctx, nvars):
     def check(data):
         A = data.draw(term_dicts(nvars, ctx))
         B = data.draw(term_dicts(nvars, ctx))
-        _check_product(ctx, terms_mul(ctx, A, B), plain_terms_mul(ctx, A, B))
+        _check_product(ctx, stored_mul(ctx, A, B), plain_terms_mul(ctx, A, B))
         acc = data.draw(term_dicts(nvars, ctx, max_size=8))
-        _check_product(ctx, terms_mul(ctx, A, B, acc), plain_terms_mul(ctx, A, B, acc))
+        _check_product(ctx, stored_mul(ctx, A, B, acc), plain_terms_mul(ctx, A, B, acc))
 
     check()
 
@@ -258,13 +283,13 @@ def test_terms_mul_with_cancelling_acc(ctx, nvars):
         B = data.draw(term_dicts(nvars, ctx))
         product = plain_terms_mul(ctx, A, B)
         minus = {m: neg(c) for m, c in product.items()}
-        assert terms_mul(ctx, A, B, minus) == {}
+        assert stored_mul(ctx, A, B, minus) == ({}, 1)
         keep = data.draw(st.sets(st.sampled_from(sorted(product)))) if product else set()
         acc = {m: c for m, c in minus.items() if m not in keep}
         acc.update(data.draw(term_dicts(nvars, ctx)))
-        got = terms_mul(ctx, A, B, acc)
+        got = stored_mul(ctx, A, B, acc)
         _check_product(ctx, got, plain_terms_mul(ctx, A, B, acc))
-        assert all(m in keep or m in acc for m in got)
+        assert all(m in keep or m in acc for m in got[0])
 
     check()
 
@@ -277,9 +302,10 @@ def test_terms_mul_products_that_cancel(ctx):
     half = ctx.rfrom_fraction(1, 2)
     A = {(1, 0): half, (0, 1): half}
     B = {(1, 0): one, (0, 1): minus_one}
-    _check_product(ctx, terms_mul(ctx, A, B), {(2, 0): half, (0, 2): ctx.rneg(half)})
-    assert terms_mul(ctx, A, B, {(2, 0): ctx.rneg(half), (0, 2): half}) == {}
-    assert terms_mul(ctx, {}, B) == {} and terms_mul(ctx, A, {}, {(0, 0): one}) == {(0, 0): one}
+    _check_product(ctx, stored_mul(ctx, A, B), {(2, 0): half, (0, 2): ctx.rneg(half)})
+    assert stored_mul(ctx, A, B, {(2, 0): ctx.rneg(half), (0, 2): half}) == ({}, 1)
+    assert stored_mul(ctx, {}, B) == ({}, 1)
+    _check_product(ctx, stored_mul(ctx, A, {}, {(0, 0): one}), {(0, 0): one})
 
 
 # --- eval_terms: the pairwise sum equals the running sum -----------------------
@@ -309,7 +335,7 @@ def _random_terms(rng, ctx, nvars, count):
 def test_large_ringpolyt_conversion_equals_running_sum(ctx):
     p = MPoly(ctx, XYZWT, _random_terms(random.Random(5), ctx, 5, 2200))
     images = [getattr(RingPolyT, f"gen_{v}")(ctx) for v in XYZWT]
-    want = sequential_eval(p.terms, images, lambda raw: RingPolyT.from_raw(ctx, raw))
+    want = sequential_eval(raw_terms(p), images, lambda raw: RingPolyT.from_raw(ctx, raw))
     assert mpoly_to_ringpolyt(p) == want
 
 
@@ -326,6 +352,7 @@ def test_conversion_with_cancelling_images_equals_running_sum(ctx):
     const = lambda raw: RingElement.from_raw(ctx, raw)  # noqa: E731
     assert len(vanishing.terms) > 100
     assert mpoly_to_ring(vanishing).is_zero
-    assert sequential_eval(vanishing.terms, images, const).is_zero
+    assert sequential_eval(raw_terms(vanishing), images, const).is_zero
     total = vanishing + s
-    assert mpoly_to_ring(total) == sequential_eval(total.terms, images, const) == mpoly_to_ring(s)
+    want = sequential_eval(raw_terms(total), images, const)
+    assert mpoly_to_ring(total) == want == mpoly_to_ring(s)

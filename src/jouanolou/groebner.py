@@ -3,13 +3,27 @@
 Problems live in k[x,y,z] or k[x,y,z,T]; the quotient relation
 x^2 - x + yz can be adjoined as an extra generator so that membership
 modulo the device's coordinate ring is decided in the free polynomial
-ring.  Every basis element carries its expression in the input
-generators, so a successful membership test returns cofactors that are
-re-verified by independent expansion before being handed out.
+ring.  A successful membership test returns cofactors that are re-verified
+by independent expansion before being handed out.
 
-The monomial order is degrevlex with x > y > z > T throughout; pair
-selection is by smallest lcm, so identical inputs yield identical
-certificates.
+Cofactors are kept as history, not carried through the completion.  Each
+basis element records how it was made: an input generator its index, an
+S-pair remainder its two parents with their monomial multipliers and the
+quotients of its reduction, one raw term dict per basis element the
+reduction subtracted.  Only when a certificate is needed (a constant lands
+in the basis, or the target reduces to zero) are the expressions in the
+input generators expanded, for the elements the certificate depends on
+only, in increasing basis index: parents and divisors always precede the
+element they make, so a long derivation costs no recursion, and each
+quotient is applied as one product.  A refuted or undecided run expands
+nothing.
+
+The reduction finds each leading monomial by popping a heap of the
+remainder's monomials; an entry whose monomial has left the remainder is
+skipped.  The monomial order is degrevlex with x > y > z > T throughout;
+pair selection is by smallest lcm and the divisor is the first basis
+element whose leading monomial divides, so identical inputs yield
+identical certificates.  The step budget is spent once per reduction step.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
+from operator import le
 
 from .errors import BudgetExceeded
 from .field import FieldCtx
@@ -27,7 +42,15 @@ DEFAULT_BUDGET = 10**6
 
 def step_budget() -> int:
     raw = os.environ.get("JOU_STEP_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"JOU_STEP_BUDGET must be a nonnegative integer, got {raw!r}")
+    return n
 
 
 def relation_poly(ctx: FieldCtx, vars: tuple[str, ...]) -> MPoly:
@@ -71,11 +94,16 @@ class Certificate:
 
 
 class _Tracked:
-    __slots__ = ("poly", "vec", "lm", "lc")
+    """A basis element and its origin: the index of the input generator it
+    is, or (multiples, quotients) for the element
+    sum(c * x^m * basis[k] over (k, m, c) in multiples)
+    - sum(quotients[k] * basis[k]), quotients holding raw term dicts."""
 
-    def __init__(self, poly: MPoly, vec: list[MPoly]):
+    __slots__ = ("poly", "origin", "lm", "lc")
+
+    def __init__(self, poly: MPoly, origin):
         self.poly = poly
-        self.vec = vec
+        self.origin = origin
         self.lm, self.lc = poly.leading()
 
 
@@ -91,61 +119,100 @@ class _Budget:
             raise BudgetExceeded("groebner step budget exhausted (raise JOU_STEP_BUDGET)")
 
 
-def _divides(m1, m2) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+def _heap_key(m):
+    """Min-heap key of a monomial, smallest for the degrevlex-largest; the
+    monomial is key[:0:-1]."""
+    return (-sum(m),) + m[::-1]
 
 
-def _reduce_tracked(p: MPoly, vec: list[MPoly], basis: list[_Tracked], budget: _Budget):
-    """Full normal form of p modulo the basis, with tracking.
-
-    Invariant: (work + tail) - sum(vec[i]*gen[i]) is constant.  So when the
-    incoming vec represents p itself (p == sum(vec*gens)), the returned tail
-    satisfies tail == sum(vec_out*gens); when vec comes in as zeros,
-    tail == p + sum(vec_out*gens).
-    """
+def _reduce_tracked(p: MPoly, basis: list[_Tracked], budget: _Budget):
+    """Full normal form of p modulo the basis, and the quotients:
+    p == normal + sum(quotients[k] * basis[k].poly), quotients mapping the
+    index of every basis element a step subtracted to a dict of raw
+    coefficients, one term per such step."""
     ctx = p.ctx
-    vars = p.vars
     tail = {}  # raw coefficients of the irreducible leading terms
+    quotients: dict[int, dict] = {}
     # the remainder as values over den in a dict of this loop's own (a
     # nonempty terms_add returns a new dict), so an irreducible leading term
     # is dropped in place; den may stop being canonical, which raw_coeff and
     # terms_add do not need
     work, den = dict(p.terms), p.den
-    while work:
-        lm = max(work, key=drl_key)
+    heap = [_heap_key(m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        lm = heapq.heappop(heap)[:0:-1]
+        if lm not in work:
+            continue  # cancelled since it was pushed
         lc = raw_coeff(ctx, work[lm], den)
-        hit = None
-        for b in basis:
-            if _divides(b.lm, lm):
-                hit = b
+        for k, hit in enumerate(basis):
+            if all(map(le, hit.lm, lm)):  # hit.lm divides lm
                 break
-        if hit is None:
+        else:
             tail[lm] = lc
             del work[lm]
             continue
         budget.spend()
         qmon = tuple(a - b for a, b in zip(lm, hit.lm))
         qc = ctx.rdiv(lc, hit.lc)
+        quotients.setdefault(k, {})[qmon] = qc
         red = hit.poly.mul_term(qmon, qc)
+        before = work
         work, den = terms_add(ctx, work, den, red.terms, red.den, negate=True)
-        for i, v in enumerate(hit.vec):
-            if not v.is_zero:
-                vec[i] = vec[i] - v.mul_term(qmon, qc)
-    return MPoly(ctx, vars, tail), vec
+        for m in red.terms:
+            if m not in before:  # new to the remainder, so below lm and kept
+                heapq.heappush(heap, _heap_key(m))
+    return MPoly(ctx, p.vars, tail), quotients
 
 
-def _unit_vec(ctx, vars, n, i):
-    return [
-        MPoly.const(ctx, vars, ctx.rone) if j == i else MPoly.zero(ctx, vars) for j in range(n)
-    ]
+def _expand(basis: list[_Tracked], origin, n: int, ctx: FieldCtx, vars) -> list[MPoly]:
+    """The expression in the n input generators of the element ``origin``
+    makes, as n cofactors.  Only the basis elements it depends on are
+    expanded, in increasing index, so no element waits on a later one."""
+    zero = MPoly.zero(ctx, vars)
+
+    def deps(orig):
+        if isinstance(orig, int):
+            return ()
+        multiples, quotients = orig
+        return [k for k, _, _ in multiples] + list(quotients)
+
+    def combine(orig):
+        if isinstance(orig, int):
+            one = MPoly.const(ctx, vars, ctx.rone)
+            return [one if t == orig else zero for t in range(n)]
+        multiples, quotients = orig
+        out = [zero] * n
+        for k, mon, c in multiples:
+            for t, v in enumerate(vecs[k]):
+                if v.terms:
+                    out[t] = out[t] + v.mul_term(mon, c)
+        for k, q in quotients.items():
+            Q = MPoly(ctx, vars, q)
+            for t, v in enumerate(vecs[k]):
+                if v.terms:
+                    out[t] = out[t] - Q * v
+        return out
+
+    cone: set[int] = set()
+    pending = list(deps(origin))
+    while pending:
+        k = pending.pop()
+        if k not in cone:
+            cone.add(k)
+            pending.extend(deps(basis[k].origin))
+    vecs: dict[int, list[MPoly]] = {}
+    for k in sorted(cone):
+        vecs[k] = combine(basis[k].origin)
+    return combine(origin)
 
 
 def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certificate | None:
     """Decide membership of the target; return verified cofactors or None.
 
-    Exact decision: Buchberger completion then tracked reduction of the
-    target to normal form (zero iff member).  Constant targets
-    short-circuit as soon as a constant lands in the basis.
+    Exact decision: Buchberger completion then reduction of the target to
+    normal form (zero iff member).  Constant targets short-circuit as soon
+    as a constant lands in the basis.
     """
     gens = problem.all_generators()
     target = problem.target
@@ -155,14 +222,15 @@ def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certif
         raise ValueError("need at least one generator")
     bud = _Budget(budget if budget is not None else step_budget())
 
-    def certificate_from_constant(tr: _Tracked) -> Certificate | None:
-        if not target.is_constant:
-            return None
-        scale = ctx.rdiv(target.constant_value(), tr.poly.constant_value())
-        cert = Certificate(problem, [v.scale(scale) for v in tr.vec])
+    def certified(cofactors: list[MPoly]) -> Certificate:
+        cert = Certificate(problem, cofactors)
         if not cert.verify():
-            raise AssertionError("internal: constant certificate failed re-verification")
+            raise AssertionError("internal: certificate failed independent re-verification")
         return cert
+
+    def certificate_from_constant(tr: _Tracked) -> Certificate:
+        scale = ctx.rdiv(target.constant_value(), tr.poly.constant_value())
+        return certified([v.scale(scale) for v in _expand(basis, tr.origin, n, ctx, vars)])
 
     basis: list[_Tracked] = []
     pairs: list[tuple] = []
@@ -184,7 +252,7 @@ def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certif
     for i, g in enumerate(gens):
         if g.is_zero:
             continue
-        tr = _Tracked(g, _unit_vec(ctx, vars, n, i))
+        tr = _Tracked(g, i)
         if const_target and tr.poly.is_constant:
             return certificate_from_constant(tr)
         add_element(tr)
@@ -198,26 +266,15 @@ def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certif
         ci = ctx.rdiv(ctx.rone, fi.lc)
         cj = ctx.rdiv(ctx.rone, fj.lc)
         spoly = fi.poly.mul_term(mi, ci) - fj.poly.mul_term(mj, cj)
-        vec = [MPoly.zero(ctx, vars) for _ in range(n)]
-        for k, v in enumerate(fi.vec):
-            if not v.is_zero:
-                vec[k] = vec[k] + v.mul_term(mi, ci)
-        for k, v in enumerate(fj.vec):
-            if not v.is_zero:
-                vec[k] = vec[k] - v.mul_term(mj, cj)
-        rem, vec = _reduce_tracked(spoly, vec, basis, bud)
+        rem, quotients = _reduce_tracked(spoly, basis, bud)
         if rem.is_zero:
             continue
-        tr = _Tracked(rem, vec)
+        tr = _Tracked(rem, (((i, mi, ci), (j, mj, ctx.rneg(cj))), quotients))
         if const_target and tr.poly.is_constant:
             return certificate_from_constant(tr)
         add_element(tr)
 
-    quotients = [MPoly.zero(ctx, vars) for _ in range(n)]
-    rem, quotients = _reduce_tracked(target, quotients, basis, bud)
+    rem, quotients = _reduce_tracked(target, basis, bud)
     if not rem.is_zero:
         return None
-    cert = Certificate(problem, [-q for q in quotients])
-    if not cert.verify():
-        raise AssertionError("internal: certificate failed independent re-verification")
-    return cert
+    return certified([-v for v in _expand(basis, ((), quotients), n, ctx, vars)])

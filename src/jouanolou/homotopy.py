@@ -25,6 +25,7 @@ from .morphism import (
     JMap,
     cert_expands_to_one,
     generation_columns,
+    groebner_certificate,
     groebner_cofactors,
     normalized,
     pointed_alpha,
@@ -144,7 +145,7 @@ def _segment_generates(seg: Segment, budget=None) -> bool:
     cols = seg.columns()
     if seg.cert is not None and cert_expands_to_one(seg.cert, cols):
         return True
-    return groebner_cofactors(cols, budget) is not None
+    return groebner_certificate(cols, budget) is not None
 
 
 def verify(w: HomotopyWitness, f: JMap, g: JMap, budget=None) -> Verdict:

@@ -21,7 +21,8 @@ resultant code.
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import zip_longest
+from math import comb, lcm
 
 from .field import FieldCtx, FieldElem
 from .polys import (
@@ -29,9 +30,9 @@ from .polys import (
     canonical,
     cleared,
     common_ctx,
-    eval_terms,
     power,
     raw_coeff,
+    settled,
     terms_add,
     terms_mul,
     terms_neg,
@@ -291,11 +292,56 @@ def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
 
 
 def mpoly_to_ring(p: MPoly) -> RingElement:
-    ctx = p.ctx
+    """Normal form in R of a polynomial in x, y, z and w."""
     if "T" in p.vars and p.degree_in("T"):
         raise ValueError("T does not live in R; use mpoly_to_ringpolyt")
-    images = [None if v == "T" else getattr(RingElement, f"gen_{v}")(ctx) for v in p.vars]
-    return eval_terms(p.terms, p.den, images, lambda raw: RingElement.from_raw(ctx, raw))
+    return _normal_form(p, RingElement)
+
+
+def _normal_form(p: MPoly, cls):
+    """The normal form a + x*b of p in R or R[T] (``cls``), in one pass over
+    its terms.  In u = yz, x^e = p_e(u) + x*q_e(u) with p_0 = 1, q_0 = 0,
+    p_{e+1} = -u*q_e and q_{e+1} = p_e + q_e, and w^f = (1 - x)^f expands
+    binomially; so each term adds its value times the coefficients of one
+    pair of int polynomials in u, shifted by its y, z and T exponents."""
+    unknown = set(p.vars) - {"x", "y", "z", "w", "T"}
+    if unknown:
+        raise ValueError(f"no variable {sorted(unknown)[0]!r} in the device's ring")
+    slots = [p.vars.index(v) if v in p.vars else None for v in ("x", "w", "y", "z", "T")]
+    with_t = cls is RingPolyT
+    powers = [([1], [0])]  # (p_e, q_e), ascending coefficients in u
+    images: dict = {}  # (e_x, e_w) -> nonzero (s, coefficient of u^s) of a and of b
+    a: dict = {}
+    b: dict = {}
+    for m, c in p.terms.items():
+        ex, ew, i, j, t = (0 if k is None else m[k] for k in slots)
+        if (ex, ew) not in images:
+            images[ex, ew] = _x_w_image(ex, ew, powers)
+        for out, image in zip((a, b), images[ex, ew]):
+            for s, coef in image:
+                key = (i + s, j + s, t) if with_t else (i + s, j + s)
+                out[key] = out.get(key, 0) + c * coef
+    ctx = p.ctx
+    return cls(BivarPoly(ctx, *settled(ctx, a, p.den)), BivarPoly(ctx, *settled(ctx, b, p.den)))
+
+
+def _x_w_image(ex: int, ew: int, powers: list) -> tuple[list, list]:
+    """x^ex * w^ew as (p, q), x^ex * (1 - x)^ew = p(u) + x*q(u), each as the
+    (s, coefficient) pairs of its nonzero u^s; ``powers`` holds (p_e, q_e)
+    and is extended as needed."""
+    while len(powers) <= ex + ew:
+        pe, qe = powers[-1]
+        q_next = [c + d for c, d in zip_longest(pe, qe, fillvalue=0)]
+        powers.append(([0] + [-c for c in qe], q_next))
+    p: list = []
+    q: list = []
+    for k in range(ew + 1):
+        sign = comb(ew, k) * (-1) ** k
+        for acc, part in zip((p, q), powers[ex + k]):
+            acc.extend([0] * (len(part) - len(acc)))
+            for s, coef in enumerate(part):
+                acc[s] += sign * coef
+    return [(s, c) for s, c in enumerate(p) if c], [(s, c) for s, c in enumerate(q) if c]
 
 
 CHART_VARS = {"phi0": ("a", "b"), "phi1": ("s", "t")}
@@ -390,6 +436,4 @@ class RingPolyT(RingElement):
 
 def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:
     """Normal form in R[T] of a polynomial in x, y, z, w and T."""
-    ctx = p.ctx
-    images = [getattr(RingPolyT, f"gen_{v}")(ctx) for v in p.vars]
-    return eval_terms(p.terms, p.den, images, lambda raw: RingPolyT.from_raw(ctx, raw))
+    return _normal_form(p, RingPolyT)

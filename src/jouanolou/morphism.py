@@ -62,21 +62,26 @@ def cert_expands_to_one(cert, columns) -> bool:
     return acc == acc.one(acc.ctx)
 
 
-def groebner_cofactors(elements, budget=None):
-    """Cofactors expressing 1 in the ideal of the given elements of R, or of
-    R[T] (relation adjoined), decided by the groebner engine; None when 1 is
-    not in it."""
-    over_t = isinstance(elements[0], RingPolyT)
-    vars = GB_VARS_T if over_t else GB_VARS
+def groebner_certificate(elements, budget=None):
+    """The groebner engine's verified certificate that 1 lies in the ideal of
+    the given elements of R, or of R[T] (relation adjoined), with cofactors
+    in the free polynomial ring; None when 1 is not in it."""
+    vars = GB_VARS_T if isinstance(elements[0], RingPolyT) else GB_VARS
     ctx = elements[0].ctx
     gens = [e.to_mpoly(vars) for e in elements]
     target = MPoly.const(ctx, vars, ctx.rone)
-    cert = groebner.express_in_ideal(
+    return groebner.express_in_ideal(
         groebner.IdealProblem(gens, target, include_relation=True), budget
     )
+
+
+def groebner_cofactors(elements, budget=None):
+    """Cofactors in R or R[T] expressing 1 in the ideal of the given
+    elements, from :func:`groebner_certificate`; None when 1 is not in it."""
+    cert = groebner_certificate(elements, budget)
     if cert is None:
         return None
-    back = mpoly_to_ringpolyt if over_t else mpoly_to_ring
+    back = mpoly_to_ringpolyt if isinstance(elements[0], RingPolyT) else mpoly_to_ring
     return tuple(back(c) for c in cert.generator_cofactors)
 
 

@@ -78,13 +78,16 @@ def canonical(terms: dict, den: int) -> tuple[dict, int]:
     return terms, den
 
 
-def _reduced(ctx: FieldCtx, acc: dict) -> dict:
-    """The values with the zero ones dropped, reduced mod p over F_p; over Q
-    ``acc`` itself when it holds no zero."""
+def settled(ctx: FieldCtx, acc: dict, den: int) -> tuple[dict, int]:
+    """(terms, den) of int sums ``acc`` over den: the zero values dropped
+    (values reduced mod p over F_p; over Q ``acc`` itself is kept when it
+    holds no zero), then made canonical."""
     p = ctx.p
-    if p is None:
-        return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
-    return {m: r for m, c in acc.items() if (r := c % p)}
+    if p is not None:
+        acc = {m: r for m, c in acc.items() if (r := c % p)}
+    elif 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    return canonical(acc, den)
 
 
 def terms_over(A: dict, dA: int, D: int) -> dict:
@@ -111,7 +114,7 @@ def terms_add(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, negate: bool = 
             out[m] += c
         else:
             out[m] = c
-    return canonical(_reduced(ctx, out), D)
+    return settled(ctx, out, D)
 
 
 def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | None = None):
@@ -125,7 +128,7 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
     with no gcd pass.
     """
     if not (A and B):
-        return ({}, 1) if acc is None else canonical(_reduced(ctx, acc), dA * dB)
+        return ({}, 1) if acc is None else settled(ctx, acc, dA * dB)
     out = {} if acc is None else dict(acc)
     width = len(next(iter(A)))
     for m1, c1 in A.items():
@@ -140,7 +143,7 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
                 out[m] += c1 * c2
             else:
                 out[m] = c1 * c2
-    return canonical(_reduced(ctx, out), dA * dB)
+    return settled(ctx, out, dA * dB)
 
 
 def terms_scale(ctx: FieldCtx, A: dict, den: int, raw, mon: tuple | None = None):

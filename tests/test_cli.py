@@ -173,3 +173,11 @@ def test_budget_exhaustion_is_undecided(monkeypatch, capsys):
         capsys, "ideal", "--target", "1", "--gens", "2*x - 1, 2*y", "--with-relation"
     )
     assert code == 3 and out.strip() == "Undecided" and "BudgetExceeded" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_malformed_step_budget_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("JOU_STEP_BUDGET", value)
+    code, out, err = run(capsys, "ideal", "--gens", "x, y", "--target", "x*y+x")
+    assert code == 2 and out == ""
+    assert "JOU_STEP_BUDGET" in err and repr(value) in err and "Undecided" not in err

@@ -1,13 +1,15 @@
+import heapq
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jouanolou.errors import BudgetExceeded
 from jouanolou.field import Fp, QQ
 from jouanolou.groebner import IdealProblem, express_in_ideal, relation_poly
 from jouanolou.morphism import GB_VARS
-from jouanolou.polys import MPoly, drl_key
+from jouanolou.polys import MPoly, dot, drl_key
 
 
 def poly(s, ctx=QQ, vars=GB_VARS):
@@ -190,9 +192,212 @@ def test_reduction_drops_a_long_irreducible_tail_without_subtracting(monkeypatch
     tail.update({(0, i, j): Fraction(i + 2 * j + 1) for i in range(20) for j in range(1, 20)})
     p = MPoly(QQ, GB_VARS, {(2, 0, 0): Fraction(1), **tail})
     g = poly("x - 1/3")
-    zero = MPoly.zero(QQ, GB_VARS)
-    basis = [groebner._Tracked(g, [one()])]
-    normal, vec = groebner._reduce_tracked(p, [zero], basis, groebner._Budget(10))
+    basis = [groebner._Tracked(g, 0)]
+    normal, quotients = groebner._reduce_tracked(p, basis, groebner._Budget(10))
     assert len(calls) == 2  # x^2 -> x/3 -> 1/9
     assert normal == MPoly(QQ, GB_VARS, {**tail, (0, 0, 0): Fraction(1, 9)})
-    assert normal == p + vec[0] * g
+    assert normal == p - MPoly(QQ, GB_VARS, quotients[0]) * g
+
+
+def test_reduction_keeps_a_monomial_that_cancels_and_comes_back():
+    """y^2 leaves the remainder at the first step and re-enters at the
+    second: the normal form holds it once, and the two steps are all the
+    budget pays for."""
+    from jouanolou import groebner
+
+    p = poly("x^2 + y^2")
+    b0, b1 = poly("x^2 + x*y + y^2"), poly("x*y - y^2")
+    basis = [groebner._Tracked(b0, 0), groebner._Tracked(b1, 1)]
+    budget = groebner._Budget(10)
+    normal, quotients = groebner._reduce_tracked(p, basis, budget)
+    assert normal == poly("-y^2")
+    assert quotients == {0: {(0, 0, 0): 1}, 1: {(0, 0, 0): -1}}
+    assert budget.left == 8
+    assert p == normal + MPoly(QQ, GB_VARS, quotients[0]) * b0 + MPoly(
+        QQ, GB_VARS, quotients[1]
+    ) * b1
+
+
+# --- the extended algorithm that carries cofactor vectors, as an oracle ----------
+#
+# The engine expands cofactors from each basis element's history only when a
+# certificate is needed.  This is the algorithm it replaced, which updates
+# one cofactor vector per basis element at every reduction step: the same
+# pair order, divisor choice and step count, so the same certificates.
+
+
+class _OracleTracked:
+    def __init__(self, poly, vec):
+        self.poly = poly
+        self.vec = vec
+        self.lm, self.lc = poly.leading()
+
+
+class _OracleBudget:
+    def __init__(self, n):
+        self.left = n
+        self.spent = 0
+
+    def spend(self):
+        self.spent += 1
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded("oracle budget exhausted")
+
+
+def _oracle_reduce(p, vec, basis, budget):
+    ctx = p.ctx
+    tail = {}
+    work = p
+    while not work.is_zero:
+        lm, lc = work.leading()
+        hit = next((b for b in basis if all(a <= e for a, e in zip(b.lm, lm))), None)
+        if hit is None:
+            tail[lm] = lc
+            work = work - MPoly(ctx, p.vars, {lm: lc})
+            continue
+        budget.spend()
+        qmon = tuple(a - b for a, b in zip(lm, hit.lm))
+        qc = ctx.rdiv(lc, hit.lc)
+        work = work - hit.poly.mul_term(qmon, qc)
+        for i, v in enumerate(hit.vec):
+            if not v.is_zero:
+                vec[i] = vec[i] - v.mul_term(qmon, qc)
+    return MPoly(ctx, p.vars, tail), vec
+
+
+def oracle_express(problem, budget):
+    """(cofactors or None, steps spent); BudgetExceeded past ``budget``."""
+    gens = problem.all_generators()
+    target = problem.target
+    ctx, vars = target.ctx, target.vars
+    n = len(gens)
+    bud = _OracleBudget(budget)
+    zero = MPoly.zero(ctx, vars)
+
+    def from_constant(tr):
+        scale = ctx.rdiv(target.constant_value(), tr.poly.constant_value())
+        return [v.scale(scale) for v in tr.vec], bud.spent
+
+    if target.is_zero:
+        return [zero] * n, 0
+    basis, pairs = [], []
+
+    def add(tr):
+        j = len(basis)
+        basis.append(tr)
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(basis[i].lm, tr.lm))
+            if lcm != tuple(a + b for a, b in zip(basis[i].lm, tr.lm)):
+                heapq.heappush(pairs, (drl_key(lcm), i, j))
+
+    for i, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        tr = _OracleTracked(g, [one(ctx, vars) if k == i else zero for k in range(n)])
+        if target.is_constant and g.is_constant:
+            return from_constant(tr)
+        add(tr)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        fi, fj = basis[i], basis[j]
+        lcm = tuple(max(a, b) for a, b in zip(fi.lm, fj.lm))
+        mi = tuple(a - b for a, b in zip(lcm, fi.lm))
+        mj = tuple(a - b for a, b in zip(lcm, fj.lm))
+        ci, cj = ctx.rdiv(ctx.rone, fi.lc), ctx.rdiv(ctx.rone, fj.lc)
+        spoly = fi.poly.mul_term(mi, ci) - fj.poly.mul_term(mj, cj)
+        vec = [a.mul_term(mi, ci) - b.mul_term(mj, cj) for a, b in zip(fi.vec, fj.vec)]
+        rem, vec = _oracle_reduce(spoly, vec, basis, bud)
+        if rem.is_zero:
+            continue
+        tr = _OracleTracked(rem, vec)
+        if target.is_constant and rem.is_constant:
+            return from_constant(tr)
+        add(tr)
+    rem, quotients = _oracle_reduce(target, [zero] * n, basis, bud)
+    return (None if not rem.is_zero else [-q for q in quotients]), bud.spent
+
+
+F7 = Fp(7)
+ORACLE_CAP = 150
+
+
+def polys_in(ctx, vars, max_terms, max_deg, min_terms=1):
+    coeff = (
+        st.integers(1, 6)
+        if ctx.p is not None
+        else st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    )
+    mon = st.tuples(*(st.integers(0, max_deg) for _ in vars)).filter(lambda m: sum(m) <= max_deg)
+    terms = st.dictionaries(mon, coeff, min_size=min_terms, max_size=max_terms)
+    return terms.map(lambda t: MPoly(ctx, vars, t))
+
+
+@st.composite
+def problems(draw, ctx):
+    vars = draw(st.sampled_from([GB_VARS, GB_VARS + ("T",)]))
+    gens = draw(st.lists(polys_in(ctx, vars, 4, 3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), MPoly.zero(ctx, vars))
+    kind = draw(st.sampled_from(["unit", "one", "constant", "member", "random"]))
+    if kind == "unit":  # 1 = g + sum(h_i * gens[i]): a unit ideal, and a constant target
+        hs = draw(st.lists(polys_in(ctx, vars, 2, 1), min_size=len(gens), max_size=len(gens)))
+        gens.append(one(ctx, vars) - dot(zip(hs, gens)))
+        target = one(ctx, vars)
+    elif kind == "one":
+        target = one(ctx, vars)
+    elif kind == "constant":
+        target = MPoly.const(ctx, vars, ctx.rfrom_int(draw(st.integers(2, 5))))
+    elif kind == "member":  # a combination of the generators
+        hs = draw(st.lists(polys_in(ctx, vars, 3, 2, 0), min_size=len(gens), max_size=len(gens)))
+        target = dot(zip(hs, gens))
+    else:
+        target = draw(polys_in(ctx, vars, 4, 3, 0))
+    return IdealProblem(gens, target, include_relation=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")])
+def test_history_cofactors_match_the_vector_tracking_oracle(ctx):
+    """Equal cofactors as canonical (terms, den), the same step count (the
+    engine succeeds with exactly the oracle's steps and raises with one
+    fewer), and BudgetExceeded wherever the oracle runs out."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(problems(ctx))
+    def check(problem):
+        try:
+            want, steps = oracle_express(problem, ORACLE_CAP)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                express_in_ideal(problem, budget=ORACLE_CAP)
+            return
+        cert = express_in_ideal(problem, budget=steps)
+        if want is None:
+            assert cert is None
+        else:
+            assert cert is not None and cert.verify()
+            assert [(c.terms, c.den) for c in cert.cofactors] == [(c.terms, c.den) for c in want]
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                express_in_ideal(problem, budget=steps - 1)
+
+    check()
+
+
+def test_cofactor_expansion_of_a_long_derivation_chain():
+    """A 1500-element chain, each element made from the one before it less
+    x times generator 0: the expansion walks the chain by index, so its
+    depth is no recursion depth."""
+    from jouanolou import groebner
+
+    ctx, vars = QQ, GB_VARS
+    x = MPoly.var(ctx, vars, "x")
+    stub = x  # the expansion reads origins only
+    basis = [groebner._Tracked(stub, 0), groebner._Tracked(stub, 1)]
+    for k in range(2, 1500):
+        multiples = ((k - 1, (0, 0, 0), ctx.rone),)
+        basis.append(groebner._Tracked(stub, (multiples, {0: {(1, 0, 0): ctx.rone}})))
+    # element k expands to e_1 - (k - 1) x e_0; ask for the last one
+    origin = (((1499, (0, 0, 0), ctx.rone),), {})
+    got = groebner._expand(basis, origin, 2, ctx, vars)
+    assert got == [x.scale(ctx.rfrom_int(-1498)), one(ctx, vars)]

@@ -332,6 +332,30 @@ def test_corrupted_witness_detected():
         assert not verify(bad, g, dst)
 
 
+def test_certificate_free_segments_are_decided_without_converting_cofactors(monkeypatch):
+    """Without segment certificates the verifier asks the groebner engine
+    for membership only: its cofactors never go back to R[T]."""
+    from jouanolou import groebner, morphism
+
+    g = g_uv(QQ.elem(3), QQ.one)
+    w = scaling_witness(complete_pointed(g), QQ.elem(2))
+    bare = HomotopyWitness([Segment(seg.degree, seg.data, None) for seg in w.segments])
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return express(*args, **kw)
+
+    def refused(p):
+        raise AssertionError("cofactors converted")
+
+    express = groebner.express_in_ideal
+    monkeypatch.setattr(groebner, "express_in_ideal", counted)
+    monkeypatch.setattr(morphism, "mpoly_to_ringpolyt", refused)
+    assert verify(bare, g, g_uv(QQ.elem(12), QQ.elem(4)))
+    assert len(calls) == len(w.segments)
+
+
 def test_unpointed_segment_reported():
     pi = n_pi(1, QQ)
     w = constant_witness(pi)

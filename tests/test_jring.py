@@ -3,11 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jouanolou.errors import ContextMismatch
 from jouanolou.field import Fp, QQ
-from jouanolou.jring import RingElement, RingPolyT, chart_pullback, normal_form
-from jouanolou.polys import MPoly
+from jouanolou.jring import (
+    RingElement,
+    RingPolyT,
+    chart_pullback,
+    mpoly_to_ring,
+    mpoly_to_ringpolyt,
+    normal_form,
+)
+from jouanolou.polys import MPoly, eval_terms
 from jouanolou.textio import mpoly_str, parse_polyt, parse_ring, ring_str
 
 
@@ -74,8 +82,6 @@ def test_ring_axioms_random(ctx):
 def test_normal_form_is_homomorphism():
     rng = random.Random(13)
     V = ("x", "y", "z", "w")
-    from jouanolou.jring import mpoly_to_ring
-
     for _ in range(20):
         terms1 = {tuple(rng.randint(0, 2) for _ in V): QQ.rfrom_int(rng.randint(-3, 3))}
         terms2 = {tuple(rng.randint(0, 2) for _ in V): QQ.rfrom_int(rng.randint(-3, 3))}
@@ -200,3 +206,33 @@ def test_charts_agree_on_overlap_numerically():
 
         assert eval2(p0, yv / xv, zv) == pytest.approx(direct, abs=1e-9)
         assert eval2(p1, zv / wv, yv) == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(Fp(7), id="F7")])
+@pytest.mark.parametrize(
+    "vars",
+    [("x", "y", "z"), ("x", "y", "z", "w"), ("x", "y", "z", "T"), ("w", "T", "x", "y", "z")],
+)
+def test_conversion_matches_evaluation_by_ring_products(ctx, vars):
+    """The one-pass normal form (x^e and w^f by recurrence in yz) against
+    evaluating every term with ring products of x, y, z, w = 1 - x and T;
+    a T-free polynomial also converts into R[T]."""
+    coeff = (
+        st.integers(1, ctx.p - 1)
+        if ctx.p is not None
+        else st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+    )
+    mon = st.tuples(*(st.integers(0, 6) for _ in vars))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.dictionaries(mon, coeff, max_size=8))
+    def check(terms):
+        p = MPoly(ctx, vars, terms)
+        targets = [RingPolyT] if "T" in vars else [RingElement, RingPolyT]
+        for cls in targets:
+            images = [getattr(cls, f"gen_{v}")(ctx) for v in vars]
+            want = eval_terms(p.terms, p.den, images, lambda raw: cls.from_raw(ctx, raw))
+            got = mpoly_to_ringpolyt(p) if cls is RingPolyT else mpoly_to_ring(p)
+            assert type(got) is cls and got == want
+
+    check()

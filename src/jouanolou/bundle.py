@@ -608,6 +608,16 @@ def homog_eval(coeffs: list, d: int, first: RingElement, second: RingElement):
     return coeffs[0] if acc is None else acc
 
 
+def raised_lift(u: FieldElem, F1: list, F2: list, zero) -> tuple[list, list]:
+    """The homogeneous lift (alpha*F1 - (1/u) beta*F2, u beta*F1) of the raise
+    by X/u of a map with lift (F1, F2); coefficients over R or R[T]."""
+    neg_inv = -u.inverse()
+    S0 = [q.scale(neg_inv) for q in F2] + [zero]
+    for i, p in enumerate(F1):
+        S0[i + 1] = S0[i + 1] + p
+    return S0, [p.scale(u) for p in F1] + [zero]
+
+
 @dataclass
 class ResultantReport:
     """Exact evaluation of both sides of each resultant identity."""

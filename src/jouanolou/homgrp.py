@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import pure_powers, unit_split
+from .bundle import pure_powers, raised_lift, unit_split
 from .field import FieldCtx, FieldElem
 from .homotopy import (
     HomotopyWitness,
     Segment,
     apply_matrix,
     gu1_action_witness,
-    raised_lift,
     _const_t,
     _scalar_T,
 )
@@ -104,16 +103,12 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
     ux, vx, uw, vw = f.cert
     c, cp, d, dp = target_r * vx, target_r * vw, target_r * ux, target_r * uw
     xn, yn, zn, wn = pure_powers(ctx, n)
-    if f.kind == "P":
-        m_prime = (
-            (a0 + yn * c + wn * cp, a1 - xn * c - zn * cp),
-            (b0 - yn * d - wn * dp, b1 + xn * d + zn * dp),
-        )
-    else:
-        m_prime = (
-            (a0 + zn * c + wn * cp, a1 - xn * c - yn * cp),
-            (b0 - zn * d - wn * dp, b1 + xn * d + yn * dp),
-        )
+    if f.kind == "Q":
+        yn, zn = zn, yn
+    m_prime = (
+        (a0 + yn * c + wn * cp, a1 - xn * c - zn * cp),
+        (b0 - yn * d - wn * dp, b1 + xn * d + zn * dp),
+    )
     e = (a1 - c).eval_basepoint()
     pointed = (
         (m_prime[0][0] - m_prime[1][0].scale(e), m_prime[0][1] - m_prime[1][1].scale(e)),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import generation_cofactors, mu_vector, normalize_pair
+from .bundle import generation_cofactors, mu_vector, normalize_pair, raised_lift
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
 from .jring import BivarPoly, RingElement, RingPolyT
@@ -389,16 +389,6 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     return HomotopyWitness([Segment(n + 1, (A0, A1, B0, B1), cert=cert)])
 
 
-def raised_lift(u: FieldElem, F1: list, F2: list, zero) -> tuple[list, list]:
-    """The homogeneous lift (alpha*F1 - (1/u) beta*F2, u beta*F1) of the raise
-    by X/u of a map with lift (F1, F2); coefficients over R or R[T]."""
-    neg_inv = -u.inverse()
-    S0 = [q.scale(neg_inv) for q in F2] + [zero]
-    for i, p in enumerate(F1):
-        S0[i + 1] = S0[i + 1] + p
-    return S0, [p.scale(u) for p in F1] + [zero]
-
-
 def gu1_example_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     """The same family run backwards: from the matrix picture at T=0 to the
     raised composite at T=1 (the orientation of the worked example)."""
@@ -443,8 +433,7 @@ def mutate_witness(w: HomotopyWitness, rng) -> HomotopyWitness:
     seg = w.segments[si]
     di = rng.randrange(len(seg.data))
     poly = seg.data[di]
-    top = max((m[2] for part in (poly.a, poly.b) for m in part.terms), default=0)
-    tdeg = rng.randrange(top + 2)
+    tdeg = rng.randrange(poly.T_degree() + 2)
     part = "a" if rng.random() < 0.5 else "b"
     mon = (rng.randrange(3), rng.randrange(3))
     if ctx.is_rationals:

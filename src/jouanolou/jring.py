@@ -17,6 +17,9 @@ keys (i, j, t) for y^i z^j T^t, and runs the same ``RingElement`` code.  An
 operand of R meeting one of R[T] is lifted to (i, j, 0) keys.  The dense
 univariate kernel in :mod:`bundle` serves only the X-polynomials of the
 resultant code.
+
+Substitutions are term-wise maps, one pass over the term dicts on ints: the
+normal form (w -> 1 - x, x^2 -> x - yz), T at a constant, and T -> 1 - T.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from math import comb, lcm
 from .field import FieldCtx, FieldElem
 from .polys import (
     MPoly,
-    canonical,
     cleared,
     common_ctx,
     power,
@@ -283,11 +285,11 @@ def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
     reduced by x^2 = x - yz.
     """
     if isinstance(expr, str):
-        from .textio import parse_poly
+        from .textio import parse_ring
 
         if ctx is None:
             raise ValueError("parsing needs a field context")
-        expr = parse_poly(expr, ctx, allow_T=False)
+        return parse_ring(expr, ctx)
     return mpoly_to_ring(expr)
 
 
@@ -390,30 +392,36 @@ class RingPolyT(RingElement):
                 for p in (r.a, r.b))
         return cls(a, b)
 
-    def _substitute_T(self, image: "RingPolyT") -> "RingPolyT":
-        """T replaced by ``image``, an element of k[T]: each T^t slice of the
-        terms is multiplied by image^t."""
-        ctx = self.ctx
+    def _map_T(self, images: list, scale: int, cls):
+        """Each term c*y^i z^j T^t adds c*e over den*scale into y^i z^j T^s
+        (y^i z^j when ``cls`` is RingElement) for the (s, e) of images[t]."""
+        ctx, with_t = self.ctx, cls is RingPolyT
         parts = []
         for part in (self.a, self.b):
-            slices: dict = {}
+            acc: dict = {}
             for (i, j, t), c in part.terms.items():
-                slices.setdefault(t, {})[i, j, 0] = c
-            out = BivarPoly(ctx, {}, 1)
-            for t, terms in slices.items():
-                out = out + BivarPoly(ctx, *canonical(terms, part.den)) * (image**t).a
-            parts.append(out)
-        return RingPolyT(*parts)
+                for s, e in images[t]:
+                    key = (i, j, s) if with_t else (i, j)
+                    acc[key] = acc.get(key, 0) + c * e
+            parts.append(BivarPoly(ctx, *settled(ctx, acc, part.den * scale)))
+        return cls(*parts)
+
+    def T_degree(self) -> int:
+        return max((m[2] for part in (self.a, self.b) for m in part.terms), default=0)
 
     def eval_at_T(self, t: FieldElem) -> RingElement:
-        at = self._substitute_T(self.from_raw(self.ctx, t.val))
-        a, b = (BivarPoly(at.ctx, {m[:2]: c for m, c in p.terms.items()}, p.den)
-                for p in (at.a, at.b))
-        return RingElement(a, b)
+        """T replaced by t = n/d: c*T^k adds c*n^k*d^(top-k) over den*d^top."""
+        ctx = common_ctx(self.ctx, t.ctx)
+        n, d = (t.val, 1) if ctx.p is not None else (t.val.numerator, t.val.denominator)
+        top = self.T_degree()
+        images = [[(0, n**k * d ** (top - k))] for k in range(top + 1)]
+        return self._map_T(images, d**top, RingElement)
 
     def reverse_T(self) -> "RingPolyT":
-        """Substitute T -> 1 - T."""
-        return self._substitute_T(self.one(self.ctx) - self.gen_T(self.ctx))
+        """Substitute T -> 1 - T: c*T^k adds c*(-1)^s*C(k, s) into T^s."""
+        images = [[(s, (-1) ** s * comb(k, s)) for s in range(k + 1)]
+                  for k in range(self.T_degree() + 1)]
+        return self._map_T(images, 1, RingPolyT)
 
     def basepoint_curve(self) -> list[FieldElem]:
         """Basepoint evaluation (x = 1, y = z = 0): the image in k[T] as

@@ -32,6 +32,7 @@ from .bundle import (
     homog_eval,
     mu_product,
     pure_powers,
+    raised_lift,
     sigma,
 )
 from .errors import (
@@ -144,13 +145,6 @@ class JMap:
         if self._expanded is None:
             self._expanded = generation_columns(self.kind, abs(self.degree), *self.coeffs)
         return self._expanded
-
-    def sections(self) -> tuple[Section, Section]:
-        if self.degree == 0:
-            raise ValueError("degree-0 maps are rows, not section pairs")
-        n = abs(self.degree)
-        a0, a1, b0, b1 = self.coeffs
-        return Section(self.kind, n, (a0, a1)), Section(self.kind, n, (b0, b1))
 
     def tau_transport(self) -> "JMap":
         """The same map composed with the y-z swap: degree flips sign."""
@@ -294,10 +288,7 @@ def n_pi(n: int, ctx: FieldCtx) -> JMap:
     for _ in range(n - 1):
         F_next = mu_product(p1_x, F_cur) - mu_product(p2_y2, F_prev)
         F_prev, F_cur = F_cur, F_next
-        new0 = [-q for q in L1 + [zero]]
-        for i, p in enumerate(L0):
-            new0[i + 1] = new0[i + 1] + p
-        L0, L1 = new0, list(L0) + [zero]
+        L0, L1 = raised_lift(ctx.one, L0, L1, zero)
     s1 = mu_product(p1_y, F_prev) if n > 1 else p1_y
     cert = generation_cofactors(n, L0, L1)
     result = make_map(

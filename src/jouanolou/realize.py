@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ChartDegenerate, Unresolved
 from .morphism import JMap
 
-ON_SURFACE_TOL = 1e-12
-CHART_AGREE_TOL = 1e-9
 RESIDUAL_TOL = 1e-2
 BISECT_JUMP = math.pi / 4
 BISECT_DEPTH = 20

@@ -7,13 +7,17 @@ Grammar (whitespace-insensitive)::
     factor := ('x'|'y'|'z'|'w'|'T') ('^' uint)?
     coeff  := int | int '/' int
 
+The parser sums every term, an exponent vector and a raw coefficient, into
+one dict, which ``MPoly`` clears once.
+
 Serialization is canonical: w eliminated, monomials sorted degrevlex
 descending on (x, y, z, T), so golden files are stable and
 ``parse(serialize(v)) == v`` holds bit-exactly.
 
 Composite literals: ``map <n> [a0; a1 | b0; b1]``, ``row [A; B]``,
 ``sl2 [A; -V | B; U]``.  Witness files carry a one-line header
-``jouanolou/v1 field=<Q|Fp=p>`` followed by segment blocks.
+``jouanolou/v1 field=<Q|Fp=p>`` followed by segment blocks; their data lines
+carry checked labels, ``A``/``B`` in degree 0, else ``a0``/``a1``/``b0``/``b1``.
 """
 
 from __future__ import annotations
@@ -93,35 +97,31 @@ class _Parser:
         return t
 
     def parse_poly(self) -> MPoly:
-        negate = False
-        if self.peek().kind == "-":
-            self.take()
-            negate = True
-        out = self.parse_term()
-        if negate:
-            out = -out
-        while self.peek().kind in ("+", "-"):
+        """Every term summed into one dict of raw coefficients, cleared once."""
+        raw: dict = {}
+        op = self.take().kind if self.peek().kind == "-" else "+"
+        while True:
+            mon, c = self.parse_term()
+            raw[mon] = raw.get(mon, 0) + (c if op == "+" else -c)
+            if self.peek().kind not in ("+", "-"):
+                return MPoly(self.ctx, self.vars, raw)
             op = self.take().kind
-            term = self.parse_term()
-            out = out + term if op == "+" else out - term
-        return out
 
-    def parse_term(self) -> MPoly:
+    def parse_term(self) -> tuple[tuple[int, ...], object]:
+        """(exponent vector, raw coefficient) of one term."""
         t = self.peek()
+        mon = [0] * len(self.vars)
         if t.kind == "int":
             coeff = self.parse_coeff()
-            mon = MPoly.const(self.ctx, self.vars, self.ctx.rone)
-            while self.peek().kind == "*":
-                self.take()
-                mon = mon * self.parse_factor()
-            return mon.scale(coeff)
-        if t.kind == "name":
-            out = self.parse_factor()
-            while self.peek().kind == "*":
-                self.take()
-                out = out * self.parse_factor()
-            return out
-        raise ParseError(f"unexpected token {t.text!r}", position=t.pos, expected="term")
+        elif t.kind == "name":
+            coeff = self.ctx.rone
+            self.parse_factor(mon)
+        else:
+            raise ParseError(f"unexpected token {t.text!r}", position=t.pos, expected="term")
+        while self.peek().kind == "*":
+            self.take()
+            self.parse_factor(mon)
+        return tuple(mon), coeff
 
     def parse_coeff(self):
         num = int(self.take("int").text)
@@ -131,7 +131,8 @@ class _Parser:
             return self.ctx.rfrom_fraction(num, den)
         return self.ctx.rfrom_int(num)
 
-    def parse_factor(self) -> MPoly:
+    def parse_factor(self, mon: list):
+        """Add one factor's exponent into the exponent vector ``mon``."""
         t = self.take("name")
         if t.text not in self.vars:
             raise ParseError(
@@ -141,7 +142,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             e = int(self.take("int").text)
-        return MPoly.var(self.ctx, self.vars, t.text, e)
+        mon[self.vars.index(t.text)] += e
 
     def expect_end(self):
         t = self.peek()
@@ -222,7 +223,7 @@ def parse_field(text: str) -> FieldCtx:
     text = text.strip()
     if text == "Q":
         return FieldCtx()
-    if text.startswith("Fp="):
+    if text.startswith("Fp=") and text[3:].isdecimal():
         return FieldCtx(int(text[3:]))
     raise ParseError(f"unknown field {text!r}", expected="Q or Fp=<prime>")
 
@@ -300,14 +301,15 @@ def parse_sl2(text: str, ctx: FieldCtx):
 # witness files
 
 WITNESS_HEADER = "jouanolou/v1"
+# the data line labels of a degree-0 segment and of any other
+_LABELS = (("A", "B"), ("a0", "a1", "b0", "b1"))
 
 
 def witness_str(w, ctx: FieldCtx) -> str:
     lines = [f"{WITNESS_HEADER} field={field_str(ctx)}", f"segments {len(w.segments)}"]
     for seg in w.segments:
         lines.append(f"segment degree {seg.degree}")
-        labels = ("A", "B") if seg.degree == 0 else ("a0", "a1", "b0", "b1")
-        for label, poly in zip(labels, seg.data):
+        for label, poly in zip(_LABELS[seg.degree != 0], seg.data):
             lines.append(f"{label}: {polyt_str(poly)}")
     return "\n".join(lines) + "\n"
 
@@ -341,12 +343,13 @@ def parse_witness(text: str):
             raise ParseError("missing segment block", expected="segment degree <n>")
         degree = _header_int(lines[i], "segment degree <n>")
         i += 1
-        width = 2 if degree == 0 else 4
         data = []
-        for _ in range(width):
+        for label in _LABELS[degree != 0]:
             if i >= len(lines) or ":" not in lines[i]:
                 raise ParseError("missing segment polynomial line")
-            _, poly_text = lines[i].split(":", 1)
+            got, poly_text = lines[i].split(":", 1)
+            if (got := got.rstrip()) != label:
+                raise ParseError(f"bad segment line label {got!r}", expected=label)
             data.append(parse_polyt(poly_text, ctx))
             i += 1
         segments.append(Segment(degree, tuple(data)))

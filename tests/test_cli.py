@@ -24,6 +24,12 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("field", ["Fp=abc", "Fp="])
+def test_malformed_field_is_a_parse_error(capsys, field):
+    code, _, err = run(capsys, "--field", field, "normalize", "x")
+    assert code == 2 and "parse error" in err and "Q or Fp=<prime>" in err
+
+
 def test_denominator_divisible_by_p_exits_like_zero_denominator(capsys):
     code, _, err = run(capsys, "--field", "Fp=7", "normalize", "1/7*x")
     zero_code, _, zero_err = run(capsys, "--field", "Fp=7", "normalize", "1/0*x")

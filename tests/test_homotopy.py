@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from jouanolou import homotopy
 from jouanolou.bundle import (
     HomogPair,
     bezout_from_unit_resultant,
     generation_cofactors,
     homog_eval,
     pure_powers,
+    raised_lift,
     resultant_univ,
     sigma,
     unit_scalar,
     unit_split,
 )
 from jouanolou.errors import (
+    ContextMismatch,
     LiftMismatch,
     NoCertificate,
     ResultantNotUnit,
@@ -50,7 +51,7 @@ from jouanolou.morphism import (
     pullback_rational,
     rational_xu,
 )
-from jouanolou.sl2 import PointedSL2, act, complete_pointed, m_uv, row_sum
+from jouanolou.sl2 import PointedSL2, act, complete_pointed, identity_matrix, m_uv, row_sum
 from jouanolou.textio import parse_ring
 
 
@@ -230,7 +231,7 @@ def test_raise_cert_refuses_a_raised_pair_without_unit_resultant():
 def _raise_cert_oracle(ctx, n, F1, F2, u):
     """The former private certificate builder of the raising witness: bounds
     (n+1, n) for the raised pair, (n+1, n+1) for the reversed pair."""
-    H0, H1 = homotopy.raised_lift(u, F1, F2, RingPolyT.zero(ctx))
+    H0, H1 = raised_lift(u, F1, F2, RingPolyT.zero(ctx))
     try:
         U, V = bezout_from_unit_resultant(H0, H1, n + 1, n)
     except ResultantNotUnit:
@@ -410,3 +411,15 @@ def test_generation_over_rt_specializes_pointwise():
         cols = generation_columns("P", seg.degree, *quad)
         cert_t = tuple(c.eval_at_T(t) for c in seg.cert)
         assert cert_expands_to_one(cert_t, cols)
+
+
+def test_segments_and_paths_refuse_a_parameter_of_another_field():
+    F7 = Fp(7)
+    seg = constant_witness(n_pi(2, F7)).segments[0]
+    path = diagonal_path(F7.elem(3))
+    for t in (QQ.zero, QQ.elem(Fraction(1, 2))):
+        for read in (seg.at, seg.record, path.at):
+            with pytest.raises(ContextMismatch):
+                read(t)
+    assert seg.at(F7.elem(4)) == n_pi(2, F7).coeffs
+    assert path.at(F7.zero) == identity_matrix(F7)

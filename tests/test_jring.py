@@ -163,6 +163,16 @@ def test_scale_by_a_field_element_of_another_field_refuses():
     assert RingElement.gen_y(QQ).scale(half) == R("1/2*y")
 
 
+def test_evaluation_at_a_parameter_of_another_field_refuses():
+    half = QQ.elem(Fraction(1, 2))
+    with pytest.raises(ContextMismatch):
+        parse_polyt("x*T + y*T^2", Fp(7)).eval_at_T(half)
+    with pytest.raises(ContextMismatch):
+        parse_polyt("x*T + y*T^2", QQ).eval_at_T(Fp(7).elem(3))
+    assert parse_polyt("x*T + y*T^2", QQ).eval_at_T(half) == R("1/2*x + 1/4*y")
+    assert parse_polyt("x*T + y*T^2", Fp(7)).eval_at_T(Fp(7).elem(3)) == R("3*x + 2*y", Fp(7))
+
+
 def test_negative_powers_refuse():
     # square-and-multiply on e < 0 would shift -1 >> 1 == -1 forever
     for base in (RingElement.gen_y(QQ), RingPolyT.gen_T(Fp(7)), MPoly.var(QQ, ("y",), "y")):

@@ -120,6 +120,43 @@ def test_witness_counts_must_be_integers(body, expected):
     assert exc.value.expected == expected
 
 
+@pytest.mark.parametrize("text", ["Fp=abc", "Fp=", "Fp=-7", "Fp=7x", "F7"])
+def test_malformed_field_markers_are_parse_errors(text):
+    with pytest.raises(ParseError) as exc:
+        textio.parse_field(text)
+    assert exc.value.expected == "Q or Fp=<prime>"
+    with pytest.raises(ParseError) as exc:
+        textio.parse_witness(f"{textio.WITNESS_HEADER} field={text}\nsegments 0\n")
+    assert exc.value.expected == "Q or Fp=<prime>"
+
+
+def _relabelled(text: str, labels) -> str:
+    lines = text.splitlines()
+    data = [i for i, ln in enumerate(lines) if ":" in ln]
+    for i, label in zip(data, labels):
+        lines[i] = label + ":" + lines[i].split(":", 1)[1]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "degree, labels",
+    [
+        (3, ("A", "B", "C", "D")),
+        (3, ("a0", "a1", "b1", "b0")),
+        (3, ("a0", "a1", "b0", "B")),
+        (0, ("a0", "a1")),
+        (0, ("B", "A")),
+    ],
+)
+def test_witness_data_lines_must_carry_their_labels(degree, labels):
+    f = n_pi(degree, QQ) if degree else g_uv(QQ.elem(3), QQ.one)
+    text = textio.witness_str(constant_witness(f), QQ)
+    ctx, loaded = textio.parse_witness(text)
+    assert textio.witness_str(loaded, ctx) == text
+    with pytest.raises(ParseError):
+        textio.parse_witness(_relabelled(text, labels))
+
+
 def test_witness_denominator_divisible_by_p():
     text = textio.witness_str(constant_witness(n_pi(1, Fp(7))), Fp(7))
     lines = text.splitlines()

@@ -8,17 +8,16 @@ and Sylvester resultants with Bezout extraction all live here.
 
 from jouanolou import (
     Fp,
-    HomogPair,
     QQ,
     bezout_from_unit_resultant,
     mn_matrices,
     mu_product,
     normalize_section,
-    resultant,
     resultant_identities,
+    resultant_univ,
     sigma,
 )
-from jouanolou.bundle import Section
+from jouanolou.bundle import expand_sections
 from jouanolou.jring import RingElement
 from jouanolou.textio import ring_str
 
@@ -27,17 +26,17 @@ print(__doc__)
 ONE, ZERO = RingElement.one(QQ), RingElement.zero(QQ)
 
 print("Reducing the mixed column [xy; zw] to the two spanning columns:")
-s = normalize_section(2, [ZERO, ONE, ZERO], "P", QQ)
-print(f"  coefficients ({ring_str(s.coeffs[0])}, {ring_str(s.coeffs[1])})")
-print(f"  expanded pair ({ring_str(s.expanded[0])}, {ring_str(s.expanded[1])})")
+s = normalize_section(2, [ZERO, ONE, ZERO])
+sx, sw = expand_sections("P", 2, s)[0]
+print(f"  coefficients ({ring_str(s[0])}, {ring_str(s[1])})")
+print(f"  expanded pair ({ring_str(sx)}, {ring_str(sw)})")
 
 print()
 print("Componentwise products multiply degrees:")
-x_col = Section("P", 1, (ONE, ZERO))
-y_col = Section("P", 1, (ZERO, ONE))
-prod = mu_product(x_col, y_col)
-print(f"  [x;z] * [y;w] -> degree {prod.n}, coefficients "
-      f"({ring_str(prod.coeffs[0])}, {ring_str(prod.coeffs[1])})")
+x_col, y_col = (ONE, ZERO), (ZERO, ONE)
+prod = mu_product(x_col, 1, y_col, 1)
+print(f"  [x;z] * [y;w] -> degree 2, coefficients "
+      f"({ring_str(prod[0])}, {ring_str(prod[1])})")
 
 print()
 print("Idempotent presentations for n = 1, 2, 3 (x^n A + w^n B = 1):")
@@ -51,12 +50,12 @@ for n in (1, 2, 3):
 print()
 print("sigma can collapse different homogeneous pairs to one section pair")
 print("while their resultants stay different:")
-h1 = HomogPair(1, [ZERO, ONE], [ONE, ZERO])                      # (alpha, beta)
-h2 = HomogPair(1, [RingElement.gen_z(QQ), RingElement.gen_x(QQ)], [ONE, ZERO])
-s1, s2 = sigma(h1), sigma(h2)
-print(f"  same sections: {s1 == s2}")
-print(f"  res(alpha, beta) = {ring_str(resultant(h1))},  "
-      f"res(x alpha + z beta, beta) = {ring_str(resultant(h2))}")
+h1 = ([ZERO, ONE], [ONE, ZERO])                                  # (alpha, beta)
+h2 = ([RingElement.gen_z(QQ), RingElement.gen_x(QQ)], [ONE, ZERO])  # (x alpha + z beta, beta)
+e1, e2 = (expand_sections("P", 1, *sigma(1, *h)) for h in (h1, h2))
+print(f"  same sections: {e1 == e2}")
+print(f"  res(alpha, beta) = {ring_str(resultant_univ(*h1, 1, 1))},  "
+      f"res(x alpha + z beta, beta) = {ring_str(resultant_univ(*h2, 1, 1))}")
 
 print()
 print("Bezout extraction from a unit resultant: (X - 1) U + (X + 1) V = 1")

@@ -23,15 +23,12 @@ from .jring import (
 )
 from .groebner import Certificate, IdealProblem, express_in_ideal
 from .bundle import (
-    HomogPair,
     IdempotentPair,
     ResultantReport,
-    Section,
     bezout_from_unit_resultant,
     mn_matrices,
     mu_product,
     normalize_section,
-    resultant,
     resultant_identities,
     resultant_univ,
     sigma,

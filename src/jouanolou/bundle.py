@@ -3,10 +3,11 @@ the Sylvester-resultant toolkit.
 
 The degree-n bundle P_n is spanned inside R^2 by the columns [x^n; z^n] and
 [y^n; w^n]; its negative twin Q_n by [x^n; y^n] and [z^n; w^n].  A section
-is canonically a coefficient pair against those two spanning columns,
-while the "expanded" pair of ring elements is the actual element of R^2,
-which is the canonical identity of a section (coefficient pairs are not
-unique, e.g. y*[x; z] = x*[y; w]).
+is a coefficient pair (c0, c1) against those two spanning columns, a plain
+tuple over R or R[T], while the "expanded" pair of ring elements
+(``expand_sections``) is the actual element of R^2, which is the canonical
+identity of a section (coefficient pairs are not unique, e.g.
+y*[x; z] = x*[y; w]).
 
 Mixed spanning columns [x^(n-i) y^i; z^(n-i) w^i] reduce to the two
 canonical ones by multiplying with (x+w)^n = 1 and splitting the binomial
@@ -81,102 +82,18 @@ def rewrite_constants(ctx: FieldCtx, n: int, kind: str = "P") -> list[tuple[Ring
     return out
 
 
-def normalize_pair(n: int, vector, kind: str, ctx: FieldCtx):
-    """Reduce a mixed-column coefficient vector (length n+1) to the canonical
-    coefficient pair.  Generic over the coefficient ring: entries may be
-    RingElement or RingPolyT."""
+def normalize_section(n: int, vector, kind: str = "P") -> tuple:
+    """The canonical coefficient pair (c0, c1) of sum(vector[i] * mixed
+    column i) in P_n or Q_n.  Entries may lie in R or R[T]; the field is
+    read from them."""
     if len(vector) != n + 1:
         raise ValueError(f"coefficient vector must have length {n + 1}")
-    consts = rewrite_constants(ctx, n, kind)
     zero = vector[0] - vector[0]
     c0, c1 = zero, zero
-    for ci, (p, q) in zip(vector, consts):
+    for ci, (p, q) in zip(vector, rewrite_constants(vector[0].ctx, n, kind)):
         c0 = c0 + ci * p
         c1 = c1 + ci * q
     return c0, c1
-
-
-class Section:
-    """A global section of P_n, Q_n, or the free rank-one module O."""
-
-    __slots__ = ("kind", "n", "coeffs")
-
-    def __init__(self, kind: str, n: int, coeffs: tuple[RingElement, ...]):
-        if kind not in ("P", "Q", "O"):
-            raise ValueError(f"unknown bundle kind {kind!r}")
-        if kind == "O":
-            if n != 0 or len(coeffs) != 1:
-                raise ValueError("O sections carry a single ring element")
-        else:
-            if n < 1 or len(coeffs) != 2:
-                raise ValueError("P/Q sections need n >= 1 and a coefficient pair")
-        self.kind = kind
-        self.n = n
-        self.coeffs = coeffs
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.coeffs[0].ctx
-
-    @property
-    def expanded(self) -> tuple[RingElement, RingElement]:
-        """The element of R^2 the section denotes; this is its identity."""
-        if self.kind == "O":
-            return (self.coeffs[0], self.coeffs[0])
-        return expand_sections(self.kind, self.n, self.coeffs)[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Section)
-            and self.kind == other.kind
-            and self.n == other.n
-            and self.expanded == other.expanded
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.expanded))
-
-    def __add__(self, other: "Section") -> "Section":
-        self._compat(other)
-        return Section(self.kind, self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Section") -> "Section":
-        self._compat(other)
-        return Section(self.kind, self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return Section(self.kind, self.n, tuple(-c for c in self.coeffs))
-
-    def scale(self, c) -> "Section":
-        if isinstance(c, (FieldElem, int)):
-            cf = self.ctx.elem(c) if isinstance(c, int) else c
-            return Section(self.kind, self.n, tuple(r.scale(cf) for r in self.coeffs))
-        return Section(self.kind, self.n, tuple(r * c for r in self.coeffs))
-
-    def _compat(self, other):
-        if self.kind != other.kind or self.n != other.n:
-            raise ValueError("sections live in different bundles")
-
-    def tau_transport(self) -> "Section":
-        """Entrywise tau turns a P_n section into a Q_n section and back."""
-        if self.kind == "O":
-            return Section("O", 0, (self.coeffs[0].tau(),))
-        other = "Q" if self.kind == "P" else "P"
-        return Section(other, self.n, tuple(c.tau() for c in self.coeffs))
-
-    def __repr__(self):
-        from .textio import ring_str
-
-        inner = ", ".join(ring_str(c) for c in self.coeffs)
-        return f"Section({self.kind}{self.n}; {inner})"
-
-
-def normalize_section(n: int, vector, kind: str = "P", ctx: FieldCtx | None = None) -> Section:
-    """Canonical Section for sum(vector[i] * mixed column i) in P_n or Q_n."""
-    if ctx is None:
-        ctx = vector[0].ctx
-    c0, c1 = normalize_pair(n, vector, kind, ctx)
-    return Section(kind, n, (c0, c1))
 
 
 def expand_mixed(n: int, vector, kind: str, ctx: FieldCtx):
@@ -194,20 +111,10 @@ def expand_mixed(n: int, vector, kind: str, ctx: FieldCtx):
     return first, second
 
 
-def mu_product(s: Section, t: Section) -> Section:
-    """Componentwise product of sections; lands in degree m+n, renormalized."""
-    if s.kind == "O":
-        return t.scale(s.coeffs[0])
-    if t.kind == "O":
-        return s.scale(t.coeffs[0])
-    if s.kind != t.kind:
-        raise ValueError("componentwise products stay within one bundle family")
-    return normalize_section(
-        s.n + t.n,
-        mu_vector(s.coeffs, s.n, t.coeffs, t.n, RingElement.zero(s.ctx)),
-        s.kind,
-        s.ctx,
-    )
+def mu_product(c: tuple, m: int, d: tuple, n: int, kind: str = "P") -> tuple:
+    """Componentwise product of a degree-m and a degree-n coefficient pair:
+    the normalized pair in degree m+n."""
+    return normalize_section(m + n, mu_vector(c, m, d, n, c[0] - c[0]), kind)
 
 
 def mu_vector(c: tuple, m: int, d: tuple, n: int, zero):
@@ -252,34 +159,16 @@ def mn_matrices(ctx: FieldCtx, n: int) -> IdempotentPair:
 
 
 # ---------------------------------------------------------------------------
-# homogeneous pairs, sigma, resultants
+# sigma, resultants
 
 
-@dataclass
-class HomogPair:
-    """A pair of degree-n homogeneous polynomials over R in two variables,
-    stored as ascending coefficient lists against (alpha^i * beta^(n-i))."""
-
-    n: int
-    coeffs0: list[RingElement]
-    coeffs1: list[RingElement]
-
-    def __post_init__(self):
-        if len(self.coeffs0) != self.n + 1 or len(self.coeffs1) != self.n + 1:
-            raise ValueError("homogeneous coefficient lists must have length n+1")
-
-
-def sigma(h: HomogPair) -> tuple[Section, Section]:
-    """Substitute alpha^i beta^(n-i) -> [x^i y^(n-i); z^i w^(n-i)] and normalize."""
-    ctx = h.coeffs0[0].ctx
-    v0 = list(reversed(h.coeffs0))  # mixed index = y-exponent = n - i
-    v1 = list(reversed(h.coeffs1))
-    return normalize_section(h.n, v0, "P", ctx), normalize_section(h.n, v1, "P", ctx)
-
-
-def resultant(h: HomogPair) -> RingElement:
-    """det of the 2n x 2n Sylvester matrix of the dehomogenized pair."""
-    return resultant_univ(h.coeffs0, h.coeffs1, h.n, h.n)
+def sigma(n: int, L0: list, L1: list) -> tuple[tuple, tuple]:
+    """The sections of a degree-n homogeneous pair (L0, L1), each an
+    ascending coefficient list against alpha^i * beta^(n-i): substitute
+    alpha^i beta^(n-i) -> [x^i y^(n-i); z^i w^(n-i)] and normalize to two
+    coefficient pairs."""
+    # the mixed column index is the y-exponent n - i
+    return normalize_section(n, L0[::-1]), normalize_section(n, L1[::-1])
 
 
 def sylvester_matrix(A: list, B: list, m: int, n: int, zero):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ContextMismatch, DivisionByZero, NotPrimeField, ZeroInput
+from .errors import ContextMismatch, DivisionByZero, NotPrimeField, ParseError, ZeroInput
 
 
 # Miller-Rabin with the twelve prime bases 2..37 is exact below psi_12, the
@@ -131,11 +131,13 @@ class FieldCtx:
 
     def parse_scalar(self, text: str) -> FieldElem:
         """Parse ``<int>`` or ``<int>/<int>``."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return FieldElem(self, self.rfrom_fraction(int(num), int(den)))
-        return FieldElem(self, self.rfrom_int(int(text)))
+        try:
+            parts = [int(part) for part in text.split("/", 1)]
+        except ValueError:
+            raise ParseError(f"bad scalar {text!r}", expected="<int> or <int>/<int>") from None
+        if len(parts) == 2:
+            return FieldElem(self, self.rfrom_fraction(*parts))
+        return FieldElem(self, self.rfrom_int(parts[0]))
 
     @property
     def zero(self) -> FieldElem:

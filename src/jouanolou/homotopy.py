@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import generation_cofactors, mu_vector, normalize_pair, raised_lift
+from .bundle import generation_cofactors, mu_vector, normalize_section, raised_lift
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
 from .jring import BivarPoly, RingElement, RingPolyT
@@ -379,8 +379,8 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     h0_vec = [p - q.scale(inv_u) for p, q in zip(v_top, v_top2)]
     v_bot = mu_vector((zero_t, one_t), 1, (ia0, ia1), n, zero_t)
     h1_vec = [p.scale(u) for p in v_bot]
-    A0, A1 = normalize_pair(n + 1, h0_vec, "P", ctx)
-    B0, B1 = normalize_pair(n + 1, h1_vec, "P", ctx)
+    A0, A1 = normalize_section(n + 1, h0_vec)
+    B0, B1 = normalize_section(n + 1, h1_vec)
 
     try:
         cert = generation_cofactors(n + 1, *raised_lift(u, F1_t, F2_t, zero_t))
@@ -415,7 +415,7 @@ def square_sum_witness(u: FieldElem, c: FieldElem) -> HomotopyWitness:
 def apply_matrix(M: PointedSL2, w: HomotopyWitness) -> HomotopyWitness:
     """Act on every nonzero-degree segment of a witness by a constant matrix."""
     out = []
-    entries = tuple(tuple(_const_t(e) for e in row) for row in M.entries)
+    entries = Sl2Path.constant(M).entries
     for seg in w.segments:
         if seg.degree == 0:
             raise ValueError("matrix action applies to nonzero-degree segments")

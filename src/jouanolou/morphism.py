@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from . import groebner
 from .bundle import (
-    HomogPair,
-    Section,
     expand_sections,
     generation_cofactors,
     homog_eval,
@@ -278,23 +276,20 @@ def n_pi(n: int, ctx: FieldCtx) -> JMap:
         return _NPI_CACHE[key]
     one = RingElement.one(ctx)
     zero = RingElement.zero(ctx)
-    p1_x = Section("P", 1, (one, zero))  # [x; z]
-    p1_y = Section("P", 1, (zero, one))  # [y; w]
-    p2_y2 = Section("P", 2, (zero, one))  # [y^2; w^2]
-    F_prev: Section = Section("O", 0, (one,))
-    F_cur: Section = p1_x
+    # [x; z] and [y; w] as coefficient pairs; (0, 1) is [y^2; w^2] in degree 2
+    x_col, y_col = (one, zero), (zero, one)
+    F_prev, F_cur = None, x_col  # F_0 = 1, F_1 = [x; z]
     # homogeneous lift follows the same recursion: L0 -> X*L0 - L1, L1 -> beta*L0
     L0, L1 = [zero, one], [one, zero]
-    for _ in range(n - 1):
-        F_next = mu_product(p1_x, F_cur) - mu_product(p2_y2, F_prev)
-        F_prev, F_cur = F_cur, F_next
+    for k in range(1, n):
+        top = mu_product(x_col, 1, F_cur, k)
+        # [y^2; w^2]*F_(k-1): the pair (0, 1) itself at F_0 = 1
+        low = mu_product(y_col, 2, F_prev, k - 1) if k > 1 else y_col
+        F_prev, F_cur = F_cur, (top[0] - low[0], top[1] - low[1])
         L0, L1 = raised_lift(ctx.one, L0, L1, zero)
-    s1 = mu_product(p1_y, F_prev) if n > 1 else p1_y
+    s1 = mu_product(y_col, 1, F_prev, n - 1) if n > 1 else y_col
     cert = generation_cofactors(n, L0, L1)
-    result = make_map(
-        n, F_cur.coeffs[0], F_cur.coeffs[1], s1.coeffs[0], s1.coeffs[1],
-        cert=cert, homog=(L0, L1),
-    )
+    result = make_map(n, *F_cur, *s1, cert=cert, homog=(L0, L1))
     _NPI_CACHE[key] = result
     return result
 
@@ -333,11 +328,9 @@ def pullback_rational(f: RationalMapP1) -> JMap:
     zero = RingElement.zero(ctx)
     c0 = [RingElement.from_scalar(c) for c in f.a]
     c1 = [RingElement.from_scalar(c) for c in f.b] + [zero]
-    s0, s1 = sigma(HomogPair(f.n, c0, c1))
+    s0, s1 = sigma(f.n, c0, c1)
     cert = generation_cofactors(f.n, c0, c1)
-    return make_map(
-        f.n, s0.coeffs[0], s0.coeffs[1], s1.coeffs[0], s1.coeffs[1], cert=cert, homog=(c0, c1)
-    )
+    return make_map(f.n, *s0, *s1, cert=cert, homog=(c0, c1))
 
 
 def rational_xu(u: FieldElem) -> RationalMapP1:

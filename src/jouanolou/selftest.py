@@ -12,7 +12,13 @@ import random
 import time
 from fractions import Fraction
 
-from .bundle import expand_mixed, mn_matrices, normalize_section, resultant_identities
+from .bundle import (
+    expand_mixed,
+    expand_sections,
+    mn_matrices,
+    normalize_section,
+    resultant_identities,
+)
 from .errors import PreconditionViolated
 from .field import FieldCtx, FieldElem, Fp, QQ
 from .homgrp import ReferenceFamily, decompose, naive_sum_deg1, oplus
@@ -440,8 +446,8 @@ def crit11_normalize_soundness():
                         RingElement.one(ctx) if j == i else RingElement.zero(ctx)
                         for j in range(n + 1)
                     ]
-                    section = normalize_section(n, vec, kind, ctx)
-                    if section.expanded != expand_mixed(n, vec, kind, ctx):
+                    section = normalize_section(n, vec, kind)
+                    if expand_sections(kind, n, section)[0] != expand_mixed(n, vec, kind, ctx):
                         failures.append(f"{ctx}: {kind}{n} column {i}")
     ctx = Fp(5)
     rng = random.Random(SEED + 11)
@@ -449,8 +455,8 @@ def crit11_normalize_soundness():
         n = rng.randint(1, 5)
         kind = rng.choice(("P", "Q"))
         vec = [_rand_ring(ctx, rng, deg=2, terms=2) for _ in range(n + 1)]
-        section = normalize_section(n, vec, kind, ctx)
-        if section.expanded != expand_mixed(n, vec, kind, ctx):
+        section = normalize_section(n, vec, kind)
+        if expand_sections(kind, n, section)[0] != expand_mixed(n, vec, kind, ctx):
             failures.append(f"random vector trial {trial} ({kind}{n})")
     return failures
 

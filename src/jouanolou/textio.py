@@ -233,11 +233,16 @@ def parse_field(text: str) -> FieldCtx:
 
 
 def _split_bracket(text: str):
-    """Return (head, cells) for ``head [c0; c1 | c2; c3]`` style literals."""
+    """Return (head, cells) for ``head [c0; c1 | c2; c3]`` style literals;
+    only blanks may follow the closing bracket."""
     lb = text.find("[")
-    rb = text.rfind("]")
-    if lb < 0 or rb < lb:
+    rb = text.find("]", lb + 1)
+    if lb < 0 or rb < 0:
         raise ParseError("unbalanced brackets in literal", position=len(text))
+    tail = text[rb + 1 :]
+    if tail.strip():
+        position = len(text) - len(tail.lstrip())
+        raise ParseError("trailing text after literal", position=position, expected="end of input")
     head = text[:lb].split()
     body = text[lb + 1 : rb]
     rows = [[cell.strip() for cell in row.split(";")] for row in body.split("|")]
@@ -270,7 +275,10 @@ def parse_map(text: str, ctx: FieldCtx):
     if head[0] == "map":
         if len(head) != 2:
             raise ParseError("map literal needs a degree", expected="map <n> [...]")
-        n = int(head[1])
+        try:
+            n = int(head[1])
+        except ValueError:
+            raise ParseError(f"bad map degree {head[1]!r}", expected="an integer") from None
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ParseError("map literal needs [a0; a1 | b0; b1]")
         a0, a1 = (parse_ring(s, ctx) for s in rows[0])

@@ -6,20 +6,18 @@ from jouanolou import bundle
 from jouanolou.bundle import (
     _BERKOWITZ_MIN_SIZE,
     _BERKOWITZ_MIN_SIZE_SYMBOLIC,
-    HomogPair,
-    Section,
     _adjugate_last_row,
     _use_berkowitz,
     bezout_from_unit_resultant,
     det_subset,
     expand_mixed,
+    expand_sections,
     generation_cofactors,
     mn_matrices,
     mu_product,
     normalize_section,
     poly_add,
     poly_mul,
-    resultant,
     resultant_identities,
     resultant_univ,
     sigma,
@@ -43,35 +41,49 @@ ZERO = RingElement.zero(QQ)
 
 
 def test_normalize_pure_bottom_generator():
-    s = normalize_section(1, [ONE, ZERO], "P", QQ)
-    assert s.coeffs == (ONE, ZERO)
-    assert s.expanded == (R("x"), R("z"))
+    s = normalize_section(1, [ONE, ZERO])
+    assert s == (ONE, ZERO)
+    assert expand_sections("P", 1, s) == [(R("x"), R("z"))]
 
 
 def test_normalize_mixed_generator():
-    s = normalize_section(2, [ZERO, ONE, ZERO], "P", QQ)
-    assert s.coeffs[0] == R("x*y + 2*y*w")
-    assert s.coeffs[1] == R("z*w")
+    assert normalize_section(2, [ZERO, ONE, ZERO]) == (R("x*y + 2*y*w"), R("z*w"))
 
 
 def test_normalize_pure_top_generator():
-    s = normalize_section(2, [ZERO, ZERO, ONE], "P", QQ)
-    assert s.coeffs == (ZERO, ONE)
+    assert normalize_section(2, [ZERO, ZERO, ONE]) == (ZERO, ONE)
 
 
 def test_normalize_idempotent():
-    s = normalize_section(3, [R("y"), R("x + 1"), ZERO, R("z^2")], "P", QQ)
-    again = normalize_section(3, [s.coeffs[0], ZERO, ZERO, s.coeffs[1]], "P", QQ)
-    assert again.coeffs == s.coeffs
+    c0, c1 = normalize_section(3, [R("y"), R("x + 1"), ZERO, R("z^2")])
+    assert normalize_section(3, [c0, ZERO, ZERO, c1]) == (c0, c1)
+
+
+def test_normalize_checks_the_vector_length():
+    with pytest.raises(ValueError, match="length 3"):
+        normalize_section(2, [ONE, ZERO])
+    with pytest.raises(ValueError, match="length 2"):
+        sigma(1, [ZERO, ONE], [ONE, ZERO, ZERO])
 
 
 def test_mu_products():
-    x = Section("P", 1, (ONE, ZERO))
-    y = Section("P", 1, (ZERO, ONE))
-    assert mu_product(x, x).coeffs == (ONE, ZERO)
-    assert mu_product(y, y).coeffs == (ZERO, ONE)
-    mixed = mu_product(x, y)
-    assert mixed.coeffs == (R("x*y + 2*y*w"), R("z*w"))
+    x, y = (ONE, ZERO), (ZERO, ONE)
+    assert mu_product(x, 1, x, 1) == (ONE, ZERO)
+    assert mu_product(y, 1, y, 1) == (ZERO, ONE)
+    assert mu_product(x, 1, y, 1) == (R("x*y + 2*y*w"), R("z*w"))
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+def test_mu_product_expands_to_the_componentwise_product(kind):
+    rng = random.Random(f"mu:{kind}")
+    gens = ("x", "y", "z", "w", "1", "2*x - y", "z*w + 3")
+    for _ in range(12):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        c = (R(rng.choice(gens)), R(rng.choice(gens)))
+        d = (R(rng.choice(gens)), R(rng.choice(gens)))
+        ex, ew = expand_sections(kind, m, c)[0]
+        fx, fw = expand_sections(kind, n, d)[0]
+        assert expand_sections(kind, m + n, mu_product(c, m, d, n, kind)) == [(ex * fx, ew * fw)]
 
 
 def test_p1_q1_products_land_on_diagonal():
@@ -117,26 +129,24 @@ def test_unit_split():
 
 
 def test_sigma_identity_pair():
-    h = HomogPair(1, [ZERO, ONE], [ONE, ZERO])  # (alpha, beta)
-    s0, s1 = sigma(h)
-    assert s0.expanded == (R("x"), R("z"))
-    assert s1.expanded == (R("y"), R("w"))
-    assert resultant(h) == ONE
+    L0, L1 = [ZERO, ONE], [ONE, ZERO]  # (alpha, beta)
+    s0, s1 = sigma(1, L0, L1)
+    assert expand_sections("P", 1, s0, s1) == [(R("x"), R("z")), (R("y"), R("w"))]
+    assert resultant_univ(L0, L1, 1, 1) == ONE
 
 
 def test_sigma_collapses_but_resultant_differs():
-    h = HomogPair(1, [R("z"), R("x")], [ONE, ZERO])  # (x*alpha + z*beta, beta)
-    s0, s1 = sigma(h)
-    assert s0.expanded == (R("x"), R("z"))
-    assert s1.expanded == (R("y"), R("w"))
-    assert resultant(h) == R("x")
-    assert resultant(h) != ONE
+    L0, L1 = [R("z"), R("x")], [ONE, ZERO]  # (x*alpha + z*beta, beta)
+    s0, s1 = sigma(1, L0, L1)
+    assert expand_sections("P", 1, s0, s1) == [(R("x"), R("z")), (R("y"), R("w"))]
+    assert resultant_univ(L0, L1, 1, 1) == R("x")
+    assert resultant_univ(L0, L1, 1, 1) != ONE
 
 
 def test_two_by_two_resultant():
     a0, b0, b1 = R("y + 2"), R("z"), R("3")
-    h = HomogPair(1, [a0, ONE], [b0, b1])  # (alpha + a0 beta, b1 alpha + b0 beta)
-    assert resultant(h) == b0 - a0 * b1
+    # (alpha + a0 beta, b1 alpha + b0 beta)
+    assert resultant_univ([a0, ONE], [b0, b1], 1, 1) == b0 - a0 * b1
 
 
 def _trimmed(lst):
@@ -195,18 +205,19 @@ def test_resultant_identities_preconditions():
 
 def test_section_equality_is_expanded_equality():
     # y*[x; z] and x*[y; w] are the same section with different coefficients
-    s1 = Section("P", 1, (R("y"), ZERO))
-    s2 = Section("P", 1, (ZERO, R("x")))
-    assert s1 == s2
+    s1, s2 = (R("y"), ZERO), (ZERO, R("x"))
+    assert s1 != s2
+    e1, e2 = expand_sections("P", 1, s1, s2)
+    assert e1 == e2
 
 
 def test_tau_transport():
-    s = Section("P", 2, (R("x + 2*y"), R("z")))
-    t = s.tau_transport()
-    assert t.kind == "Q"
-    e = s.expanded
-    assert t.expanded == (e[0].tau(), e[1].tau())
-    assert t.tau_transport() == s
+    # entrywise tau turns a P_n pair into the Q_n pair of the tau-moved section
+    s = (R("x + 2*y"), R("z"))
+    t = tuple(c.tau() for c in s)
+    (ex, ew), (tx, tw) = expand_sections("P", 2, s)[0], expand_sections("Q", 2, t)[0]
+    assert (tx, tw) == (ex.tau(), ew.tau())
+    assert tuple(c.tau() for c in t) == s
 
 
 def test_patching_relation_numerically():
@@ -217,8 +228,7 @@ def test_patching_relation_numerically():
     for _ in range(10):
         n = rng.randint(1, 3)
         vec = [R(str(rng.randint(-2, 2))) for _ in range(n + 1)]
-        sec = normalize_section(n, vec, "P", QQ)
-        fx, fw = sec.expanded
+        fx, fw = expand_sections("P", n, normalize_section(n, vec))[0]
         theta = rng.uniform(0.2, math.pi - 0.2)
         xv = (1 + math.cos(theta)) / 2
         yv = zv = math.sin(theta) / 2
@@ -239,8 +249,30 @@ def test_normalize_matches_bruteforce_oracle():
             if rng.random() < 0.5:
                 e = e * RingElement.gen_y(ctx)
             vec.append(e)
-        sec = normalize_section(n, vec, kind, ctx)
-        assert sec.expanded == expand_mixed(n, vec, kind, ctx)
+        sec = normalize_section(n, vec, kind)
+        assert expand_sections(kind, n, sec)[0] == expand_mixed(n, vec, kind, ctx)
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+def test_normalize_over_rt_matches_bruteforce_oracle(kind):
+    # the same normalizer serves R[T]: T-dependent vectors expand like the
+    # brute-force sum, and T-free ones normalize as over R
+    rng = random.Random(f"rt:{kind}")
+    ctx = Fp(7)
+    T = RingPolyT.gen_T(ctx)
+    gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.one)
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        flat = [
+            RingElement.from_scalar(ctx.elem(rng.randrange(7))) * rng.choice(gens)(ctx)
+            for _ in range(n + 1)
+        ]
+        vec = [RingPolyT.from_ring(e) * T ** rng.randrange(3) for e in flat]
+        sec = normalize_section(n, vec, kind)
+        assert all(isinstance(c, RingPolyT) for c in sec)
+        assert expand_sections(kind, n, sec)[0] == expand_mixed(n, vec, kind, ctx)
+        lifted = normalize_section(n, [RingPolyT.from_ring(e) for e in flat], kind)
+        assert lifted == tuple(RingPolyT.from_ring(c) for c in normalize_section(n, flat, kind))
 
 
 def test_generation_cofactors_expand():
@@ -248,8 +280,8 @@ def test_generation_cofactors_expand():
     c0 = [ONE, ZERO, ONE]
     c1 = [ZERO, ONE, ZERO]
     cert = generation_cofactors(2, c0, c1)
-    s0, s1 = sigma(HomogPair(2, c0, c1))
-    cols = generation_columns("P", 2, s0.coeffs[0], s0.coeffs[1], s1.coeffs[0], s1.coeffs[1])
+    s0, s1 = sigma(2, c0, c1)
+    cols = generation_columns("P", 2, *s0, *s1)
     assert cert_expands_to_one(cert, cols)
 
 

@@ -30,6 +30,19 @@ def test_malformed_field_is_a_parse_error(capsys, field):
     assert code == 2 and "parse error" in err and "Q or Fp=<prime>" in err
 
 
+def test_text_after_a_map_literal_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "oplus", "map 1 [1; 0 | 0; 1] zzz", "map 1 [1; 0 | 0; 1]")
+    assert code == 2 and out == ""
+    assert "parse error" in err and "end of input" in err
+
+
+def test_malformed_numbers_are_parse_errors(capsys):
+    code, _, err = run(capsys, "oplus", "map x [1; 0 | 0; 1]", "map 1 [1; 0 | 0; 1]")
+    assert code == 2 and "parse error" in err and "expected an integer" in err
+    code, _, err = run(capsys, "--field", "Fp=5", "k1mw", "--word", "[abc]")
+    assert code == 2 and "parse error" in err and "<int> or <int>/<int>" in err
+
+
 def test_denominator_divisible_by_p_exits_like_zero_denominator(capsys):
     code, _, err = run(capsys, "--field", "Fp=7", "normalize", "1/7*x")
     zero_code, _, zero_err = run(capsys, "--field", "Fp=7", "normalize", "1/0*x")

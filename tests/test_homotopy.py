@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from jouanolou.bundle import (
-    HomogPair,
     bezout_from_unit_resultant,
     generation_cofactors,
     homog_eval,
@@ -213,9 +212,9 @@ def test_gu1_action_witness_endpoints_and_resultant():
 
 def _lift_map(L0, L1):
     """The degree-1 map sigma(L0), sigma(L1), carrying its lift (L0, L1)."""
-    s0, s1 = sigma(HomogPair(1, L0, L1))
+    s0, s1 = sigma(1, L0, L1)
     cert = generation_cofactors(1, L0, L1)
-    return make_map(1, *s0.coeffs, *s1.coeffs, cert=cert, homog=(L0, L1))
+    return make_map(1, *s0, *s1, cert=cert, homog=(L0, L1))
 
 
 def test_raise_cert_refuses_a_raised_pair_without_unit_resultant():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from jouanolou.morphism import (
     pullback_rational,
     rational_xu,
 )
-from jouanolou.textio import parse_ring
+from jouanolou.textio import map_str, parse_ring, ring_str
 
 
 def R(s, ctx=QQ):
@@ -168,3 +169,29 @@ def test_constructed_maps_are_normalized(ctx):
             continue
         assert f.coeffs[0].eval_basepoint() == ctx.one
         assert f.coeffs[2].eval_basepoint().is_zero
+
+
+def _serialized_builds():
+    """Every reference map n_pi(1..10) over Q, F_7 and F_1000003, and
+    pullbacks of degree 1 to 4 over Q and F_7: the printed map, its
+    certificate and its homogeneous lift, one line each."""
+    for ctx in (QQ, Fp(7), Fp(1000003)):
+        for n in range(1, 11):
+            yield n_pi(n, ctx)
+    for ctx in (QQ, Fp(7)):
+        for n in range(1, 5):
+            a = [ctx.elem(i + 2) for i in range(n)] + [ctx.one]
+            b = [ctx.elem(2 * i - 1) for i in range(n)]
+            yield pullback_rational(RationalMapP1(ctx, n, a, b))
+
+
+def test_reference_maps_and_pullbacks_serialize_as_recorded():
+    # a sha1 over map_str, certificate and lift of the builds above; any
+    # change to the section layer, the certificate builder or normalization
+    # that moves one byte of them changes it
+    digest = hashlib.sha1()
+    for f in _serialized_builds():
+        lines = [map_str(f), *(ring_str(c) for c in f.cert)]
+        lines += [" ".join(ring_str(c) for c in side) for side in f.homog]
+        digest.update(("\n".join(lines) + "\n\n").encode())
+    assert digest.hexdigest() == "2010172675fdba4f8189269049d3a16e555c9efa"

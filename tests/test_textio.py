@@ -54,6 +54,28 @@ def test_map_literals():
     assert map_equal(row, g_uv(QQ.one, QQ.elem(-1)))
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (textio.parse_map, "map 1 [1; 0 | 0; 1] trailing junk", 20),
+        (textio.parse_map, "map 1 [1; 0 | 0; 1]]", 19),
+        (textio.parse_map, "row [1; 0] 17", 11),
+        (textio.parse_sl2, "sl2 [1; 0 | 0; 1] extra", 18),
+    ],
+)
+def test_text_after_a_literal_is_a_parse_error(parse, text, position):
+    with pytest.raises(ParseError, match="end of input") as info:
+        parse(text, QQ)
+    assert info.value.position == position
+    assert parse(text[: text.index("]") + 1] + "  ", QQ) is not None
+
+
+@pytest.mark.parametrize("degree", ["x", "1.5", "2a"])
+def test_map_degree_must_be_an_integer(degree):
+    with pytest.raises(ParseError, match="expected an integer"):
+        textio.parse_map(f"map {degree} [1; 0 | 0; 1]", QQ)
+
+
 def test_map_round_trip():
     maps = [
         n_pi(1, QQ),

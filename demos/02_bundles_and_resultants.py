@@ -27,7 +27,7 @@ ONE, ZERO = RingElement.one(QQ), RingElement.zero(QQ)
 
 print("Reducing the mixed column [xy; zw] to the two spanning columns:")
 s = normalize_section(2, [ZERO, ONE, ZERO])
-sx, sw = expand_sections("P", 2, s)[0]
+sx, sw = expand_sections(2, s)[0]
 print(f"  coefficients ({ring_str(s[0])}, {ring_str(s[1])})")
 print(f"  expanded pair ({ring_str(sx)}, {ring_str(sw)})")
 
@@ -52,7 +52,7 @@ print("sigma can collapse different homogeneous pairs to one section pair")
 print("while their resultants stay different:")
 h1 = ([ZERO, ONE], [ONE, ZERO])                                  # (alpha, beta)
 h2 = ([RingElement.gen_z(QQ), RingElement.gen_x(QQ)], [ONE, ZERO])  # (x alpha + z beta, beta)
-e1, e2 = (expand_sections("P", 1, *sigma(1, *h)) for h in (h1, h2))
+e1, e2 = (expand_sections(1, *sigma(1, *h)) for h in (h1, h2))
 print(f"  same sections: {e1 == e2}")
 print(f"  res(alpha, beta) = {ring_str(resultant_univ(*h1, 1, 1))},  "
       f"res(x alpha + z beta, beta) = {ring_str(resultant_univ(*h2, 1, 1))}")

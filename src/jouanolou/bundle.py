@@ -9,9 +9,11 @@ tuple over R or R[T], while the "expanded" pair of ring elements
 identity of a section (coefficient pairs are not unique, e.g.
 y*[x; z] = x*[y; w]).
 
-Mixed spanning columns [x^(n-i) y^i; z^(n-i) w^i] reduce to the two
-canonical ones by multiplying with (x+w)^n = 1 and splitting the binomial
-expansion; ``normalize_section`` applies that rewrite.
+Degrees are signed: every function taking a degree n reads n < 0 as Q_|n|,
+so the sign of the degree is the bundle.  Mixed spanning columns
+[x^(n-i) y^i; z^(n-i) w^i] reduce to the two canonical ones by multiplying
+with (x+w)^n = 1 and splitting the binomial expansion;
+``normalize_section`` applies that rewrite.
 
 The resultant machinery works with univariate polynomials in X over R given
 as ascending coefficient lists and is generic enough to run over R[T] as
@@ -46,75 +48,83 @@ def pure_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
     return tuple(g(ctx) ** n for g in gens)
 
 
-def expand_sections(kind: str, n: int, *pairs) -> list[tuple]:
-    """Each coefficient pair (c0, c1) of a P_n or Q_n section as the element
-    c0*[x^n; z^n] + c1*[y^n; w^n] of R^2 (Q_n: c0*[x^n; y^n] + c1*[z^n; w^n]).
-    Coefficients may lie in R or R[T]."""
-    xn, yn, zn, wn = pure_powers(pairs[0][0].ctx, n)
-    if kind == "Q":
-        yn, zn = zn, yn
+def spanning_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
+    """(x^m, y^m, z^m, w^m) for m = |n|, with y^m and z^m swapped when n < 0:
+    in these names the columns spanning P_n, or Q_m for n < 0, are
+    [x^m; z^m] and [y^m; w^m]."""
+    xn, yn, zn, wn = pure_powers(ctx, abs(n))
+    return (xn, zn, yn, wn) if n < 0 else (xn, yn, zn, wn)
+
+
+def expand_sections(n: int, *pairs) -> list[tuple]:
+    """Each coefficient pair (c0, c1) of a degree-n section as the element
+    c0*[x^n; z^n] + c1*[y^n; w^n] of R^2 (n < 0, a section of Q_|n|:
+    c0*[x^|n|; y^|n|] + c1*[z^|n|; w^|n|]).  Coefficients may lie in R or
+    R[T]."""
+    xn, yn, zn, wn = spanning_powers(pairs[0][0].ctx, n)
     return [(c0 * xn + c1 * yn, c0 * zn + c1 * wn) for c0, c1 in pairs]
 
 
-def rewrite_constants(ctx: FieldCtx, n: int, kind: str = "P") -> list[tuple[RingElement, RingElement]]:
-    """For each mixed column index i, the pair (p_i, q_i) in R with
-    mixed_i = p_i*[x^n; z^n] + q_i*[y^n; w^n] (Q-case transported by tau).
+def rewrite_constants(ctx: FieldCtx, n: int) -> list[tuple[RingElement, RingElement]]:
+    """For each mixed column index i of degree n, the pair (p_i, q_i) in R
+    with mixed_i = p_i*[x^n; z^n] + q_i*[y^n; w^n] (n < 0: the Q_|n| case,
+    transported by tau).
 
-    The boundary i+d = n is split so that the pure top column normalizes
+    The boundary i+d = m is split so that the pure top column normalizes
     to the coefficient pair (0, 1).
     """
-    key = (ctx.p, n, kind)
+    key = (ctx.p, n)
     if key in _REWRITE_CACHE:
         return _REWRITE_CACHE[key]
+    m = abs(n)
     out = []
-    for i in range(n + 1):
-        if i == n:
+    for i in range(m + 1):
+        if i == m:
             p, q = RingElement.zero(ctx), RingElement.one(ctx)
         else:
-            p = _ring_sum(ctx, (((n - i - d, i, 0, d), comb(n, d)) for d in range(n - i + 1)))
+            p = _ring_sum(ctx, (((m - i - d, i, 0, d), comb(m, d)) for d in range(m - i + 1)))
             q = _ring_sum(
-                ctx, (((n - d, 0, n - i, d + i - n), comb(n, d)) for d in range(n - i + 1, n + 1))
+                ctx, (((m - d, 0, m - i, d + i - m), comb(m, d)) for d in range(m - i + 1, m + 1))
             )
-        if kind == "Q":
+        if n < 0:
             p, q = p.tau(), q.tau()
         out.append((p, q))
     _REWRITE_CACHE[key] = out
     return out
 
 
-def normalize_section(n: int, vector, kind: str = "P") -> tuple:
+def normalize_section(n: int, vector) -> tuple:
     """The canonical coefficient pair (c0, c1) of sum(vector[i] * mixed
-    column i) in P_n or Q_n.  Entries may lie in R or R[T]; the field is
-    read from them."""
-    if len(vector) != n + 1:
-        raise ValueError(f"coefficient vector must have length {n + 1}")
+    column i) in degree n (n < 0: Q_|n|).  Entries may lie in R or R[T];
+    the field is read from them."""
+    if len(vector) != abs(n) + 1:
+        raise ValueError(f"coefficient vector must have length {abs(n) + 1}")
     zero = vector[0] - vector[0]
     c0, c1 = zero, zero
-    for ci, (p, q) in zip(vector, rewrite_constants(vector[0].ctx, n, kind)):
+    for ci, (p, q) in zip(vector, rewrite_constants(vector[0].ctx, n)):
         c0 = c0 + ci * p
         c1 = c1 + ci * q
     return c0, c1
 
 
-def expand_mixed(n: int, vector, kind: str, ctx: FieldCtx):
-    """Brute-force expansion of a mixed-column combination in R^2 (oracle)."""
-    x, y, z, w = pure_powers(ctx, 1)
+def expand_mixed(n: int, vector, ctx: FieldCtx):
+    """Brute-force expansion of a mixed-column combination in R^2 (oracle):
+    mixed column i is [x^(m-i) y^i; z^(m-i) w^i] for m = n > 0 and
+    [x^(m-i) z^i; y^(m-i) w^i] for m = -n > 0."""
+    x, y, z, w = spanning_powers(ctx, -1 if n < 0 else 1)
+    m = abs(n)
     first = vector[0] - vector[0]
     second = first
     for i, c in enumerate(vector):
-        if kind == "P":
-            first = first + c * (x ** (n - i) * y**i)
-            second = second + c * (z ** (n - i) * w**i)
-        else:
-            first = first + c * (x ** (n - i) * z**i)
-            second = second + c * (y ** (n - i) * w**i)
+        first = first + c * (x ** (m - i) * y**i)
+        second = second + c * (z ** (m - i) * w**i)
     return first, second
 
 
-def mu_product(c: tuple, m: int, d: tuple, n: int, kind: str = "P") -> tuple:
-    """Componentwise product of a degree-m and a degree-n coefficient pair:
-    the normalized pair in degree m+n."""
-    return normalize_section(m + n, mu_vector(c, m, d, n, c[0] - c[0]), kind)
+def mu_product(c: tuple, m: int, d: tuple, n: int) -> tuple:
+    """Componentwise product of a degree-m and a degree-n coefficient pair,
+    m and n of one sign: the normalized pair in degree m+n."""
+    return normalize_section(m + n, mu_vector(c, abs(m), d, abs(n), c[0] - c[0]))
 
 
 def mu_vector(c: tuple, m: int, d: tuple, n: int, zero):

@@ -14,10 +14,10 @@ import sys
 
 from . import groebner, textio
 from .errors import BudgetExceeded, JouanolouError, ParseError
-from .field import FieldCtx
+from .field import FieldCtx, ascii_int
 from .homgrp import ReferenceFamily, decompose, oplus
 from .homotopy import verify
-from .morphism import GB_VARS, GB_VARS_T
+from .jring import RingElement, RingPolyT
 from .mwk import MWSymbolWord, k1_canonical, kappa_rep
 from .polys import MPoly
 from .realize import winding_profile
@@ -31,6 +31,14 @@ class MathFailure(Exception):
 
 def _field(args) -> FieldCtx:
     return textio.parse_field(args.field)
+
+
+def _int_arg(text: str) -> int:
+    """An integer option, read by the one integer rule of the text formats."""
+    value = ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    return value
 
 
 def _embed(p: MPoly, vars: tuple[str, ...]) -> MPoly:
@@ -58,7 +66,7 @@ def cmd_ideal(args):
     parsed = [textio.parse_poly(t, ctx, allow_T=True) for t in gen_texts]
     target_p = textio.parse_poly(args.target, ctx, allow_T=True)
     with_T = any(p.degree_in("T") > 0 for p in parsed + [target_p])
-    vars = GB_VARS_T if with_T else GB_VARS
+    vars = (RingPolyT if with_T else RingElement).VARS
     gens = [_embed(p, vars) for p in parsed]
     target = _embed(target_p, vars)
     problem = groebner.IdealProblem(gens, target, include_relation=args.with_relation)
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='"c0; ...; cn | d0; ...; dn", ascending (c0 is the pure-beta coefficient)',
     )
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_arg, required=True)
     p.set_defaults(func=cmd_resultant)
 
     p = sub.add_parser("sum", help="group operation on degree-0 rows")
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="winding number along the real circle")
     p.add_argument("map")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=_int_arg, default=4096)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("k1mw", help="Milnor-Witt K1 canonical form and row")

@@ -41,6 +41,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def ascii_int(text: str, signed: bool = True) -> int | None:
+    """The integer ``text`` spells under the one integer rule of all text
+    input (the text formats, CLI options, ``JOU_STEP_BUDGET``), or None:
+    ASCII digits, after a leading '-' only when ``signed``, with blanks
+    around.  ``int`` alone would also take '1_000', '+1' and non-ASCII
+    digits."""
+    body = text.strip()
+    digits = body[1:] if signed and body.startswith("-") else body
+    return int(body) if digits.isascii() and digits.isdigit() else None
+
+
 class FieldCtx:
     """The base field: either Q or F_p for a prime p.
 
@@ -130,14 +141,13 @@ class FieldCtx:
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def parse_scalar(self, text: str) -> FieldElem:
-        """Parse ``<int>`` or ``<int>/<int>``."""
-        try:
-            parts = [int(part) for part in text.split("/", 1)]
-        except ValueError:
-            raise ParseError(f"bad scalar {text!r}", expected="<int> or <int>/<int>") from None
-        if len(parts) == 2:
-            return FieldElem(self, self.rfrom_fraction(*parts))
-        return FieldElem(self, self.rfrom_int(parts[0]))
+        """Parse ``<int>`` or ``<int>/<int>``, each integer by :func:`ascii_int`."""
+        num, slash, den = text.partition("/")
+        num = ascii_int(num)
+        den = ascii_int(den) if slash else 1
+        if num is None or den is None:
+            raise ParseError(f"bad scalar {text!r}", expected="<int> or <int>/<int>")
+        return FieldElem(self, self.rfrom_fraction(num, den))
 
     @property
     def zero(self) -> FieldElem:

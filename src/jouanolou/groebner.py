@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import le
 
 from .errors import BudgetExceeded
-from .field import FieldCtx
+from .field import FieldCtx, ascii_int
 from .polys import MPoly, dot, drl_key, raw_coeff, terms_add
 
 DEFAULT_BUDGET = 10**6
@@ -44,11 +44,8 @@ def step_budget() -> int:
     raw = os.environ.get("JOU_STEP_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
+    n = ascii_int(raw, signed=False)
+    if n is None:
         raise ValueError(f"JOU_STEP_BUDGET must be a nonnegative integer, got {raw!r}")
     return n
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import pure_powers, raised_lift, unit_split
+from .bundle import raised_lift, spanning_powers, unit_split
 from .field import FieldCtx, FieldElem
 from .homotopy import (
     HomotopyWitness,
@@ -63,11 +63,10 @@ class ReferenceFamily:
         elif self.neg_mode == "qbasis":
             result = self.qref(n)
         else:
-            pos = n_pi(-n, self.ctx)
-            a0, a1, b0, b1 = pos.coeffs
-            ux, vx, uw, vw = pos.cert
-            cert = (ux.tau(), -vx.tau(), uw.tau(), -vw.tau())
-            result = make_map(n, a0.tau(), a1.tau(), -b0.tau(), -b1.tau(), cert=cert)
+            moved = n_pi(-n, self.ctx).tau_transport()
+            a0, a1, b0, b1 = moved.data
+            ux, vx, uw, vw = moved.cert
+            result = make_map(n, a0, a1, -b0, -b1, cert=(ux, -vx, uw, -vw))
         self._cache[n] = result
         return result
 
@@ -93,8 +92,7 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
     act(M, qref) = (a0 - e*b0, a1 - e*b1; b0, b1), plus the straight-line
     segment from f to that map."""
     ctx = f.ctx
-    n = abs(f.degree)
-    a0, a1, b0, b1 = f.coeffs
+    a0, a1, b0, b1 = f.data
     one = RingElement.one(ctx)
     target_r = one - (a0 * b1 - a1 * b0)
     # the map's own generation certificate supplies the completion cofactors:
@@ -102,9 +100,7 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
     # expresses it in the column ideal without any new ideal-membership run
     ux, vx, uw, vw = f.cert
     c, cp, d, dp = target_r * vx, target_r * vw, target_r * ux, target_r * uw
-    xn, yn, zn, wn = pure_powers(ctx, n)
-    if f.kind == "Q":
-        yn, zn = zn, yn
+    xn, yn, zn, wn = spanning_powers(ctx, f.degree)
     m_prime = (
         (a0 + yn * c + wn * cp, a1 - xn * c - zn * cp),
         (b0 - yn * d - wn * dp, b1 + xn * d + zn * dp),
@@ -181,7 +177,7 @@ def naive_sum_deg1(u: FieldElem, f: JMap) -> tuple[JMap, HomotopyWitness]:
     witness = gu1_action_witness(u, f)
     seg = witness.segments[0]
     zero = u.ctx.zero
-    quad = seg.at(zero)
+    quad = seg.at(zero).data
     cert = tuple(c.eval_at_T(zero) for c in seg.cert)
     raised = raised_lift(u, *f.canonical_lift(), RingElement.zero(f.ctx))
     result = make_map(f.degree + 1, *quad, cert=cert, homog=raised)

@@ -1,11 +1,14 @@
 """Pointed one-parameter families: a strict verifier plus every explicit
 witness constructor the theory provides.
 
-A witness is a chain of segments; each segment is T-parametrized section
-data (a coefficient quadruple over R[T] in nonzero degree, a row pair in
-degree 0).  The verifier checks, per segment, pointedness over R[T] and
-generation of the extended four-column ideal, that consecutive segments
-agree at T=1 / T=0, and that the chain's ends are the two given maps.
+A witness is a chain of segments; a segment is a map over R[T]
+(:class:`Segment`, a ``JMap`` whose section data lies in R[T]: the
+coefficient quadruple in nonzero degree n, for P_n or, when n < 0, for
+Q_|n|, and the row pair in degree 0).  The verifier checks, per segment,
+pointedness over R[T] and generation of the extended ideal of its
+generation columns, that consecutive segments agree at T=1 / T=0, and that
+the chain's ends are the two given maps; it compares degrees before it
+expands any columns.
 
 Constructors attach generation certificates (cofactors over R[T]) so that
 verification is a cheap exact expansion; the verifier never trusts them
@@ -24,73 +27,34 @@ from .jring import BivarPoly, RingElement, RingPolyT
 from .morphism import (
     JMap,
     cert_expands_to_one,
-    generation_columns,
     groebner_certificate,
     groebner_cofactors,
-    normalized,
-    pointed_alpha,
 )
 from .sl2 import Mat2, PointedSL2, transform_cert, transform_quadruple
 
 
-@dataclass
-class Segment:
-    """One elementary family: degree and T-parametrized section data
-    (RingPolyT quadruple for nonzero degree, pair for degree 0), with an
-    optional cofactor certificate for generation over R[T]."""
+class Segment(JMap):
+    """One elementary family: a map over R[T], with an optional cofactor
+    certificate for generation over R[T] and no homogeneous lift.  Built
+    as ``Segment(degree, data, cert)``; the data length is checked."""
 
-    degree: int
-    data: tuple[RingPolyT, ...]
-    cert: tuple[RingPolyT, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        want = 2 if self.degree == 0 else 4
-        if len(self.data) != want:
-            raise ValueError(f"degree {self.degree} segment needs {want} polynomials")
+    def __init__(self, degree, data, cert=None):
+        want = 2 if degree == 0 else 4
+        if len(data) != want:
+            raise ValueError(f"degree {degree} segment needs {want} polynomials")
+        super().__init__(degree, tuple(data), cert)
 
-    @property
-    def ctx(self):
-        return self.data[0].ctx
-
-    @property
-    def kind(self):
-        return None if self.degree == 0 else ("P" if self.degree > 0 else "Q")
-
-    def columns(self):
-        """Generation columns over R[T]."""
-        if self.degree == 0:
-            return self.data
-        return generation_columns(self.kind, abs(self.degree), *self.data)
-
-    def at(self, t: FieldElem) -> tuple[RingElement, ...]:
-        return tuple(p.eval_at_T(t) for p in self.data)
+    def at(self, t: FieldElem) -> JMap:
+        """The section data at a parameter value, as an unchecked map over R
+        without certificate."""
+        return JMap(self.degree, tuple(p.eval_at_T(t) for p in self.data))
 
     def reverse(self) -> "Segment":
         data = tuple(p.reverse_T() for p in self.data)
         cert = tuple(c.reverse_T() for c in self.cert) if self.cert else None
         return Segment(self.degree, data, cert)
-
-    def record(self, t: FieldElem):
-        """Normalized comparison record at a parameter value, or None when
-        the evaluated data is not a pointed map there."""
-        vals = self.at(t)
-        alpha = _unit_alpha(vals)
-        if alpha is None:
-            return None
-        if self.degree != 0:
-            vals = generation_columns(self.kind, abs(self.degree), *vals)
-        return (self.degree, normalized(alpha, vals)[0])
-
-
-def _unit_alpha(data):
-    """pointed_alpha of segment data (the first datum against the second: B
-    of a row (A, B), b0 of a quadruple), or None when it is 0."""
-    alpha = pointed_alpha(data[0], data[len(data) // 2])
-    return None if alpha is None or alpha.is_zero else alpha
-
-
-def map_record(f: JMap):
-    return (f.degree, f.expanded)
 
 
 class HomotopyWitness:
@@ -114,7 +78,7 @@ class HomotopyWitness:
         return HomotopyWitness(self.segments + other.segments)
 
     def start_record(self):
-        return self.segments[0].record(self.ctx.zero)
+        return self.segments[0].at(self.ctx.zero).record()
 
     def __repr__(self):
         return f"HomotopyWitness({len(self.segments)} segment(s))"
@@ -135,14 +99,8 @@ class Verdict:
         return f"{self.reason}({self.detail})" if self.detail else str(self.reason)
 
 
-def _segment_pointed(seg: Segment) -> bool:
-    """Pointedness over R[T]: the second datum's basepoint curve vanishes
-    identically and the first is a nonzero constant of k."""
-    return _unit_alpha(seg.data) is not None
-
-
 def _segment_generates(seg: Segment, budget=None) -> bool:
-    cols = seg.columns()
+    cols = seg.expanded
     if seg.cert is not None and cert_expands_to_one(seg.cert, cols):
         return True
     return groebner_certificate(cols, budget) is not None
@@ -150,22 +108,24 @@ def _segment_generates(seg: Segment, budget=None) -> bool:
 
 def verify(w: HomotopyWitness, f: JMap, g: JMap, budget=None) -> Verdict:
     """Valid iff every segment is pointed and generating over R[T], segments
-    chain, and the chain ends are exactly f and g (as normalized maps)."""
+    chain, and the chain ends are exactly f and g (as normalized maps).
+    Ends compare as maps, degree first: sections are expanded only where
+    degrees agree."""
     ctx = w.ctx
     zero_t, one_t = ctx.zero, ctx.one
     for i, seg in enumerate(w.segments):
-        if not _segment_pointed(seg):
+        if seg.record() is None:
             return Verdict(False, "NotPointedAtT", f"segment {i}")
-    records = [(seg.record(zero_t), seg.record(one_t)) for seg in w.segments]
+    records = [(seg.at(zero_t).record(), seg.at(one_t).record()) for seg in w.segments]
     for i, (r0, r1) in enumerate(records):
         if r0 is None or r1 is None:
             return Verdict(False, "NotPointedAtT", f"segment {i} endpoint")
     for i in range(len(w.segments) - 1):
         if records[i][1] != records[i + 1][0]:
             return Verdict(False, "ChainBreak", f"segments {i}/{i + 1}")
-    if records[0][0] != map_record(f):
+    if records[0][0] != f:
         return Verdict(False, "EndpointMismatch", "start is not the first map")
-    if records[-1][1] != map_record(g):
+    if records[-1][1] != g:
         return Verdict(False, "EndpointMismatch", "end is not the second map")
     for i, seg in enumerate(w.segments):
         if not _segment_generates(seg, budget):
@@ -182,10 +142,7 @@ _const_t = RingPolyT.from_ring
 
 def constant_witness(f: JMap) -> HomotopyWitness:
     """The constant family at a map (cert inherited from the map)."""
-    if f.degree == 0:
-        data = tuple(_const_t(r) for r in f.row)
-    else:
-        data = tuple(_const_t(c) for c in f.coeffs)
+    data = tuple(_const_t(c) for c in f.data)
     cert = tuple(_const_t(c) for c in f.cert)
     return HomotopyWitness([Segment(f.degree, data, cert)])
 
@@ -199,7 +156,7 @@ class Sl2Path(Mat2):
     not pointed, are built with ``_of``."""
 
     __slots__ = ()
-    _ring = RingPolyT
+    _ring, _map = RingPolyT, Segment
 
     def __init__(self, entries):
         self.entries = entries
@@ -220,13 +177,8 @@ class Sl2Path(Mat2):
     def constant(cls, M: PointedSL2) -> "Sl2Path":
         return cls._of(tuple(tuple(_const_t(e) for e in row) for row in M.entries))
 
-    def row_segment(self) -> Segment:
-        """The first column as a degree-0 segment, certified by the matrix."""
-        (e00, e01), (e10, e11) = self.entries
-        return Segment(0, (e00, e10), cert=(e11, -e01))
-
     def row_witness(self) -> HomotopyWitness:
-        return HomotopyWitness([self.row_segment()])
+        return HomotopyWitness([self.row_map()])
 
 
 def _elem_upper(c: RingPolyT) -> Sl2Path:
@@ -280,7 +232,7 @@ def interp_lift_path(lift1: PointedSL2, lift2: PointedSL2) -> Sl2Path:
 def interp_lift(row: JMap, lift1: PointedSL2, lift2: PointedSL2) -> HomotopyWitness:
     """Witness between the (equal) first columns of two pointed lifts of one
     row; the family moves only the second column."""
-    if row.degree != 0 or lift1.first_column() != tuple(row.row):
+    if row.degree != 0 or lift1.first_column() != tuple(row.data):
         raise LiftMismatch("lifts do not complete the given row")
     return interp_lift_path(lift1, lift2).row_witness()
 
@@ -312,10 +264,10 @@ def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
     """
     if seg.degree != 0:
         raise ValueError("only degree-0 families lift this way")
-    alpha = _unit_alpha(seg.data)
-    if alpha is None:
+    seg = seg.record()
+    if seg is None:
         raise LiftMismatch("family is not pointed")
-    (A, B), cert = normalized(alpha, seg.data, seg.cert)
+    (A, B), cert = seg.data, seg.cert
     if cert is not None and not cert_expands_to_one(cert, (A, B)):
         cert = None
     if cert is None:
@@ -354,11 +306,11 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     """
     if u.is_zero:
         raise ZeroParameter("u must be a unit")
-    if f.degree < 1 or f.kind != "P":
+    if f.degree < 1:
         raise ValueError("the raising family needs a positive-degree section map")
     ctx = u.ctx
     n = f.degree
-    a0, a1, b0, b1 = f.coeffs
+    a0, a1, b0, b1 = f.data
     zero_t = RingPolyT.zero(ctx)
     one_t = RingPolyT.one(ctx)
     y = RingElement.gen_y(ctx)
@@ -409,7 +361,7 @@ def square_sum_witness(u: FieldElem, c: FieldElem) -> HomotopyWitness:
     inner = Sl2Path.constant(m_uv(ctx.one, v.inverse()))
     seg1_path = left @ (D @ inner @ D.inverse()).reverse_T()
     seg2_path = D @ Sl2Path.constant(m_uv(u, v.inverse())) @ D.inverse()
-    return HomotopyWitness([seg1_path.row_segment(), seg2_path.row_segment()])
+    return HomotopyWitness([seg1_path.row_map(), seg2_path.row_map()])
 
 
 def apply_matrix(M: PointedSL2, w: HomotopyWitness) -> HomotopyWitness:

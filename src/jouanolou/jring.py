@@ -109,9 +109,10 @@ class RingElement:
 
     __slots__ = ("a", "b")
 
-    # keys of the monomials 1, y and z, and the variables: x, then one per
-    # key slot; RingPolyT appends T
-    _ONE, _Y, _Z, _VARS = (0, 0), (1, 0), (0, 1), ("x", "y", "z")
+    # keys of the monomials 1, y and z, and the public variable tuple: x,
+    # then one per key slot; RingPolyT appends T.  Printing, the groebner
+    # engine and ``to_mpoly`` read the ring from it
+    _ONE, _Y, _Z, VARS = (0, 0), (1, 0), (0, 1), ("x", "y", "z")
 
     def __init__(self, a: BivarPoly, b: BivarPoly):
         self.a = a
@@ -235,9 +236,9 @@ class RingElement:
         return hash((self.a, self.b))
 
     def __repr__(self):
-        from .textio import mpoly_str
+        from .textio import ring_str
 
-        return mpoly_str(self.to_mpoly(self._VARS))
+        return ring_str(self)
 
     # morphisms -------------------------------------------------------------------
     def eval_basepoint(self) -> FieldElem:
@@ -258,10 +259,12 @@ class RingElement:
     def eval_float(self, x: float, y: float, z: float) -> float:
         return self.a.eval_float(y, z) + x * self.b.eval_float(y, z)
 
-    def to_mpoly(self, vars: tuple[str, ...]) -> MPoly:
-        """Lift the normal form to the free polynomial ring on ``vars``."""
+    def to_mpoly(self, vars: tuple[str, ...] | None = None) -> MPoly:
+        """Lift the normal form to the free polynomial ring on ``vars``
+        (default: the ring's own ``VARS``)."""
+        vars = vars or self.VARS
         ix = vars.index("x")
-        slots = [vars.index(v) for v in self._VARS[1:]]
+        slots = [vars.index(v) for v in self.VARS[1:]]
         base = [0] * len(vars)
         # both parts over the lcm of their denominators stay canonical
         a, b, den = self._parts_over()
@@ -367,7 +370,7 @@ def chart_pullback(r: RingElement, chart: str) -> MPoly:
         images = {"x": one - u * v, "y": u * (one - u * v), "z": v, "w": u * v}
     else:
         images = {"x": u * v, "y": v, "z": u * (one - u * v), "w": one - u * v}
-    return r.to_mpoly(("x", "y", "z")).substitute(images)
+    return r.to_mpoly().substitute(images)
 
 
 class RingPolyT(RingElement):
@@ -375,7 +378,7 @@ class RingPolyT(RingElement):
 
     __slots__ = ()
 
-    _ONE, _Y, _Z, _VARS = (0, 0, 0), (1, 0, 0), (0, 1, 0), ("x", "y", "z", "T")
+    _ONE, _Y, _Z, VARS = (0, 0, 0), (1, 0, 0), (0, 1, 0), ("x", "y", "z", "T")
 
     # an entry of this class, not only inherited: the benchmark's layer
     # tracer counts products in R[T] apart from those in R by this name

@@ -1,9 +1,11 @@
 """Pointed morphisms from the device to the projective line, as exact data.
 
-A map of degree n > 0 is a pair of generating sections of P_n recorded by
+A map is one record of section data, and the sign of its degree n is the
+bundle: in degree n > 0 a pair of generating sections of P_n, given by
 the coefficient quadruple (a0, a1; b0, b1) against the two spanning
-columns; degree n < 0 uses Q_|n| the same way.  A map of degree 0 is a
-unimodular row (A, B).
+columns; in degree n < 0 the same for Q_|n|; in degree 0 a unimodular row
+(A, B).  A homotopy segment (``homotopy.Segment``) is the same record
+over R[T].
 
 :func:`make_map` and :func:`make_row` are the checking constructors, the
 way in for data from outside.  They check pointedness (the second entry
@@ -42,17 +44,18 @@ from .errors import (
     ZeroParameter,
 )
 from .field import FieldCtx, FieldElem
-from .jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
+from .jring import RingElement, _normal_form
 from .polys import MPoly, dot
 
-GB_VARS = ("x", "y", "z")
-GB_VARS_T = ("x", "y", "z", "T")
 
-
-def generation_columns(kind: str, n: int, a0, a1, b0, b1):
-    """The four ring elements whose ideal must be all of R for the section
-    pair to generate.  Generic over R and R[T] coefficients."""
-    (ax, aw), (bx, bw) = expand_sections(kind, n, (a0, a1), (b0, b1))
+def generation_columns(n: int, *data):
+    """The ring elements whose ideal must be all of R for degree-n section
+    data to be a map: the four expanded section entries in nonzero degree,
+    the row itself in degree 0.  Generic over R and R[T] coefficients."""
+    if n == 0:
+        return data
+    a0, a1, b0, b1 = data
+    (ax, aw), (bx, bw) = expand_sections(n, (a0, a1), (b0, b1))
     return (ax, bx, aw, bw)
 
 
@@ -64,10 +67,11 @@ def cert_expands_to_one(cert, columns) -> bool:
 def groebner_certificate(elements, budget=None):
     """The groebner engine's verified certificate that 1 lies in the ideal of
     the given elements of R, or of R[T] (relation adjoined), with cofactors
-    in the free polynomial ring; None when 1 is not in it."""
-    vars = GB_VARS_T if isinstance(elements[0], RingPolyT) else GB_VARS
+    in the free polynomial ring on the ring's ``VARS``; None when 1 is not
+    in it."""
+    vars = type(elements[0]).VARS
     ctx = elements[0].ctx
-    gens = [e.to_mpoly(vars) for e in elements]
+    gens = [e.to_mpoly() for e in elements]
     target = MPoly.const(ctx, vars, ctx.rone)
     return groebner.express_in_ideal(
         groebner.IdealProblem(gens, target, include_relation=True), budget
@@ -80,32 +84,35 @@ def groebner_cofactors(elements, budget=None):
     cert = groebner_certificate(elements, budget)
     if cert is None:
         return None
-    back = mpoly_to_ringpolyt if isinstance(elements[0], RingPolyT) else mpoly_to_ring
-    return tuple(back(c) for c in cert.generator_cofactors)
+    return tuple(_normal_form(c, type(elements[0])) for c in cert.generator_cofactors)
 
 
 class JMap:
-    """A pointed morphism to the projective line.
-
-    Nonzero degree: bundle kind P/Q, normalized coefficient quadruple, and a
-    four-cofactor generation certificate.  Degree zero: a normalized
-    unimodular row with a Bezout certificate.
+    """A pointed morphism to the projective line: signed degree, section
+    data (the normalized coefficient quadruple (a0, a1, b0, b1) in nonzero
+    degree, the normalized unimodular row (A, B) in degree 0) and the
+    certificate that its generation columns generate (four cofactors, or
+    the Bezout pair of the row); a positive-degree map may carry its
+    homogeneous lift.
     """
 
-    __slots__ = ("degree", "kind", "coeffs", "row", "cert", "homog", "_expanded")
+    __slots__ = ("degree", "data", "cert", "homog", "_expanded")
 
-    def __init__(self, degree, kind, coeffs, row, cert, homog=None):
+    def __init__(self, degree, data, cert=None, homog=None):
         self.degree = degree
-        self.kind = kind
-        self.coeffs = coeffs
-        self.row = row
+        self.data = data
         self.cert = cert
         self.homog = homog
         self._expanded = None
 
+    @property
+    def kind(self):
+        """The bundle, read off the degree's sign: "P", "Q", or None in degree 0."""
+        return "P" if self.degree > 0 else "Q" if self.degree < 0 else None
+
     def homog_matches(self) -> bool:
         """Does the carried homogeneous lift expand to the stored sections?"""
-        if self.homog is None or self.kind != "P":
+        if self.homog is None or self.degree < 1:
             return self.homog is None
         ctx = self.ctx
         n = self.degree
@@ -126,31 +133,40 @@ class JMap:
             return self.homog
         zero = RingElement.zero(self.ctx)
         n = abs(self.degree)
-        a0, a1, b0, b1 = self.coeffs
+        a0, a1, b0, b1 = self.data
         return ([a1] + [zero] * (n - 1) + [a0], [b1] + [zero] * (n - 1) + [b0])
 
     # data views -------------------------------------------------------------
     @property
     def ctx(self) -> FieldCtx:
-        return (self.row or self.coeffs)[0].ctx
+        return self.data[0].ctx
 
     @property
     def expanded(self):
-        """(s0_x, s1_x, s0_w, s1_w): the sections as elements of R^2, ordered
-        like the generation columns (first chart components first)."""
-        if self.degree == 0:
-            return self.row
+        """The generation columns, computed once: (s0_x, s1_x, s0_w, s1_w),
+        the sections as elements of R^2 with the first chart components
+        first, or the row (A, B) in degree 0."""
         if self._expanded is None:
-            self._expanded = generation_columns(self.kind, abs(self.degree), *self.coeffs)
+            self._expanded = generation_columns(self.degree, *self.data)
         return self._expanded
+
+    def record(self):
+        """The comparison record: this map normalized, or None unless it is
+        pointed with a nonzero basepoint value.  Pointed means b0 (a row's
+        B) vanishes at the basepoint, over R[T] for every T, and a0 (A) has
+        a constant value alpha there; normalizing divides the data by alpha
+        and multiplies the certificate by it, and drops the lift.  Records
+        compare as maps: degree first, then expanded sections."""
+        alpha = pointed_alpha(self.data[0], self.data[len(self.data) // 2])
+        if alpha is None or alpha.is_zero:
+            return None
+        data, cert = normalized(alpha, self.data, self.cert)
+        return self if data is self.data else type(self)(self.degree, data, cert)
 
     def tau_transport(self) -> "JMap":
         """The same map composed with the y-z swap: degree flips sign."""
-        cert = tuple(c.tau() for c in self.cert)
-        if self.degree == 0:
-            return JMap(0, None, None, tuple(r.tau() for r in self.row), cert)
-        coeffs = tuple(c.tau() for c in self.coeffs)
-        return JMap(-self.degree, "Q" if self.kind == "P" else "P", coeffs, None, cert)
+        cert = None if self.cert is None else tuple(c.tau() for c in self.cert)
+        return type(self)(-self.degree, tuple(c.tau() for c in self.data), cert)
 
     def __eq__(self, other):
         if not isinstance(other, JMap):
@@ -211,18 +227,17 @@ def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap
         raise NotPointed("second section does not vanish at the basepoint")
     if alpha.is_zero:
         raise NotNormalizable("first section vanishes at the basepoint")
-    coeffs, cert = normalized(alpha, (a0, a1, b0, b1), cert)
+    data, cert = normalized(alpha, (a0, a1, b0, b1), cert)
     if homog is not None:
         homog = tuple(normalized(alpha, lst)[0] for lst in homog)
-    kind = "P" if n > 0 else "Q"
-    cols = generation_columns(kind, abs(n), *coeffs)
+    cols = generation_columns(n, *data)
     if cert is None:
         cert = groebner_cofactors(cols)
         if cert is None:
             raise NotGenerating("sections do not generate the bundle")
     elif not cert_expands_to_one(cert, cols):
         raise NotGenerating("generation certificate does not expand to 1")
-    out = JMap(n, kind, coeffs, None, tuple(cert), homog)
+    out = JMap(n, data, tuple(cert), homog)
     if homog is not None and not out.homog_matches():
         raise ValueError("homogeneous lift does not expand to the sections")
     return out
@@ -246,7 +261,7 @@ def make_row(A: RingElement, B: RingElement, cert=None) -> JMap:
     row, (U, V) = normalized(alpha, (A, B), cert)
     if not cert_expands_to_one((U, V), row):
         raise NotUnimodular("Bezout certificate does not expand to 1")
-    return JMap(0, None, None, row, (U, V))
+    return JMap(0, row, (U, V))
 
 
 def g_uv(u: FieldElem, v: FieldElem) -> JMap:

@@ -66,7 +66,7 @@ class RealizedMap:
             raise ValueError("real realization needs a map over the rationals")
         self.degree = f.degree
         if f.degree == 0:
-            A, B = f.row
+            A, B = f.data
             self.chart_x = (_compile(A), _compile(B))
             self.chart_w = self.chart_x
         else:

@@ -20,14 +20,15 @@ Entries = tuple[tuple, tuple]
 
 
 class Mat2:
-    """2x2 core of :class:`PointedSL2` (over R) and ``homotopy.Sl2Path``
-    (over R[T], the subclass's ``_ring``).  A subclass ``__init__`` stores
-    outside data and runs :meth:`_check`; ``@``, ``inverse`` (the adjugate)
-    and ``transpose`` preserve determinant 1 and pointedness, so they build
-    through the unchecked :meth:`_of`."""
+    """2x2 core of :class:`PointedSL2` (entries in R, first columns are
+    ``JMap`` rows) and ``homotopy.Sl2Path`` (R[T] and ``Segment``), read
+    from the class's ``_ring`` and ``_map``.  A subclass ``__init__``
+    stores outside data and runs :meth:`_check`; ``@``, ``inverse`` (the
+    adjugate) and ``transpose`` preserve determinant 1 and pointedness, so
+    they build through the unchecked :meth:`_of`."""
 
     __slots__ = ("entries",)
-    _ring = RingElement
+    _ring, _map = RingElement, JMap
 
     @classmethod
     def _of(cls, entries) -> "Mat2":
@@ -70,6 +71,12 @@ class Mat2:
         (a, b), (c, d) = self.entries
         return self._of(((a, c), (b, d)))
 
+    def row_map(self):
+        """The degree-0 map of the first column, certified by the second
+        (pointedness makes the row normalized already)."""
+        (e00, e01), (e10, e11) = self.entries
+        return self._map(0, (e00, e10), (e11, -e01))
+
     def __eq__(self, other):
         return type(other) is type(self) and self.entries == other.entries
 
@@ -108,11 +115,6 @@ class PointedSL2(Mat2):
     def first_column(self) -> tuple[RingElement, RingElement]:
         return (self.entries[0][0], self.entries[1][0])
 
-    def row_map(self) -> JMap:
-        """The degree-0 map of the first column, certified by this matrix
-        (pointedness makes the row normalized already)."""
-        return JMap(0, None, None, self.first_column(), (self.U, self.V))
-
     def __repr__(self):
         from .textio import sl2_str
 
@@ -150,7 +152,7 @@ def complete_pointed(row: JMap) -> PointedSL2:
         raise ValueError("only degree-0 maps complete to matrices")
     if row.cert is None:
         raise NoCertificate("row carries no Bezout certificate")
-    A, B = row.row
+    A, B = row.data
     U1, V1 = row.cert
     d = V1.eval_basepoint()
     U2 = U1 + B.scale(d)
@@ -209,9 +211,9 @@ def act(M: PointedSL2, f: JMap) -> JMap:
     certificate and homogeneous lift transport exactly."""
     if f.degree == 0:
         raise ValueError("degree-0 maps combine by row_sum, not the action")
-    quad = transform_quadruple(M.entries, f.coeffs)
+    quad = transform_quadruple(M.entries, f.data)
     cert = transform_cert(M.entries, f.cert)
-    return JMap(f.degree, f.kind, quad, None, cert, _transform_homog(M.entries, f.homog))
+    return JMap(f.degree, quad, cert, _transform_homog(M.entries, f.homog))
 
 
 def boxplus_act(M: PointedSL2, f: JMap) -> JMap:

@@ -4,8 +4,13 @@ Grammar (whitespace-insensitive)::
 
     poly   := ['-'] term (('+'|'-') term)*
     term   := coeff ('*' factor)* | factor ('*' factor)*
-    factor := ('x'|'y'|'z'|'w'|'T') ('^' uint)?
+    factor := ('x'|'y'|'z'|'w'|'T') ('^' int)?
     coeff  := int | int '/' int
+    int    := ('0'..'9')+
+
+Every integer of the text formats (these, scalars, field markers, map and
+segment degrees, segment counts) is read by one rule, ``field.ascii_int``:
+ASCII digits, a leading '-' only where a sign is meaningful.
 
 The parser sums every term, an exponent vector and a raw coefficient, into
 one dict, which ``MPoly`` clears once.
@@ -25,14 +30,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .field import FieldCtx
+from .field import FieldCtx, ascii_int
 from .jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
 from .polys import MPoly
 
 POLY_VARS = ("x", "y", "z", "w")
 POLY_VARS_T = ("x", "y", "z", "w", "T")
-PRINT_VARS = ("x", "y", "z")
-PRINT_VARS_T = ("x", "y", "z", "T")
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,8 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if ascii_int(text[i:j], signed=False) is None:
+                raise ParseError(f"bad number {text[i:j]!r}", position=i, expected="digits 0-9")
             toks.append(_Tok("int", text[i:j], i))
             i = j
             continue
@@ -208,11 +213,8 @@ def mpoly_str(p: MPoly) -> str:
 
 
 def ring_str(r: RingElement) -> str:
-    return mpoly_str(r.to_mpoly(PRINT_VARS))
-
-
-def polyt_str(p: RingPolyT) -> str:
-    return mpoly_str(p.to_mpoly(PRINT_VARS_T))
+    """An element of R or R[T], printed in its ring's ``VARS``."""
+    return mpoly_str(r.to_mpoly())
 
 
 def field_str(ctx: FieldCtx) -> str:
@@ -223,8 +225,9 @@ def parse_field(text: str) -> FieldCtx:
     text = text.strip()
     if text == "Q":
         return FieldCtx()
-    if text.startswith("Fp=") and text[3:].isdecimal():
-        return FieldCtx(int(text[3:]))
+    p = ascii_int(text[3:], signed=False) if text.startswith("Fp=") else None
+    if p is not None:
+        return FieldCtx(p)
     raise ParseError(f"unknown field {text!r}", expected="Q or Fp=<prime>")
 
 
@@ -251,8 +254,8 @@ def _split_bracket(text: str):
 
 def map_str(f) -> str:
     if f.degree == 0:
-        return f"row [{ring_str(f.row[0])}; {ring_str(f.row[1])}]"
-    a0, a1, b0, b1 = f.coeffs
+        return f"row [{ring_str(f.data[0])}; {ring_str(f.data[1])}]"
+    a0, a1, b0, b1 = f.data
     return (
         f"map {f.degree} [{ring_str(a0)}; {ring_str(a1)} | {ring_str(b0)}; {ring_str(b1)}]"
     )
@@ -275,10 +278,9 @@ def parse_map(text: str, ctx: FieldCtx):
     if head[0] == "map":
         if len(head) != 2:
             raise ParseError("map literal needs a degree", expected="map <n> [...]")
-        try:
-            n = int(head[1])
-        except ValueError:
-            raise ParseError(f"bad map degree {head[1]!r}", expected="an integer") from None
+        n = ascii_int(head[1])
+        if n is None:
+            raise ParseError(f"bad map degree {head[1]!r}", expected="an integer")
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ParseError("map literal needs [a0; a1 | b0; b1]")
         a0, a1 = (parse_ring(s, ctx) for s in rows[0])
@@ -318,16 +320,18 @@ def witness_str(w, ctx: FieldCtx) -> str:
     for seg in w.segments:
         lines.append(f"segment degree {seg.degree}")
         for label, poly in zip(_LABELS[seg.degree != 0], seg.data):
-            lines.append(f"{label}: {polyt_str(poly)}")
+            lines.append(f"{label}: {ring_str(poly)}")
     return "\n".join(lines) + "\n"
 
 
-def _header_int(line: str, expected: str) -> int:
-    """The integer in the last slot of ``expected`` on a witness line."""
-    try:
-        return int(line.split()[len(expected.split()) - 1])
-    except (IndexError, ValueError):
-        raise ParseError(f"bad witness line {line!r}", expected=expected) from None
+def _header_int(line: str, expected: str, signed: bool) -> int:
+    """The integer in the last slot of ``expected`` on a witness line whose
+    other words are those of ``expected``."""
+    words, want = line.split(), expected.split()
+    value = ascii_int(words[-1], signed) if len(words) == len(want) else None
+    if value is None or words[:-1] != want[:-1]:
+        raise ParseError(f"bad witness line {line!r}", expected=expected)
+    return value
 
 
 def parse_witness(text: str):
@@ -343,13 +347,15 @@ def parse_witness(text: str):
     ctx = parse_field(fields[1][len("field=") :])
     if len(lines) < 2 or not lines[1].startswith("segments"):
         raise ParseError("missing segment count", expected="segments <k>")
-    count = _header_int(lines[1], "segments <k>")
+    count = _header_int(lines[1], "segments <k>", signed=False)
+    if count == 0:
+        raise ParseError("a witness needs at least one segment", expected="segments <k>, k >= 1")
     segments = []
     i = 2
     for _ in range(count):
         if i >= len(lines) or not lines[i].startswith("segment degree"):
             raise ParseError("missing segment block", expected="segment degree <n>")
-        degree = _header_int(lines[i], "segment degree <n>")
+        degree = _header_int(lines[i], "segment degree <n>", signed=True)
         i += 1
         data = []
         for label in _LABELS[degree != 0]:

@@ -43,7 +43,7 @@ ZERO = RingElement.zero(QQ)
 def test_normalize_pure_bottom_generator():
     s = normalize_section(1, [ONE, ZERO])
     assert s == (ONE, ZERO)
-    assert expand_sections("P", 1, s) == [(R("x"), R("z"))]
+    assert expand_sections(1, s) == [(R("x"), R("z"))]
 
 
 def test_normalize_mixed_generator():
@@ -76,14 +76,15 @@ def test_mu_products():
 @pytest.mark.parametrize("kind", ["P", "Q"])
 def test_mu_product_expands_to_the_componentwise_product(kind):
     rng = random.Random(f"mu:{kind}")
+    sign = 1 if kind == "P" else -1
     gens = ("x", "y", "z", "w", "1", "2*x - y", "z*w + 3")
     for _ in range(12):
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        m, n = rng.randint(1, 3) * sign, rng.randint(1, 3) * sign
         c = (R(rng.choice(gens)), R(rng.choice(gens)))
         d = (R(rng.choice(gens)), R(rng.choice(gens)))
-        ex, ew = expand_sections(kind, m, c)[0]
-        fx, fw = expand_sections(kind, n, d)[0]
-        assert expand_sections(kind, m + n, mu_product(c, m, d, n, kind)) == [(ex * fx, ew * fw)]
+        ex, ew = expand_sections(m, c)[0]
+        fx, fw = expand_sections(n, d)[0]
+        assert expand_sections(m + n, mu_product(c, m, d, n)) == [(ex * fx, ew * fw)]
 
 
 def test_p1_q1_products_land_on_diagonal():
@@ -131,14 +132,14 @@ def test_unit_split():
 def test_sigma_identity_pair():
     L0, L1 = [ZERO, ONE], [ONE, ZERO]  # (alpha, beta)
     s0, s1 = sigma(1, L0, L1)
-    assert expand_sections("P", 1, s0, s1) == [(R("x"), R("z")), (R("y"), R("w"))]
+    assert expand_sections(1, s0, s1) == [(R("x"), R("z")), (R("y"), R("w"))]
     assert resultant_univ(L0, L1, 1, 1) == ONE
 
 
 def test_sigma_collapses_but_resultant_differs():
     L0, L1 = [R("z"), R("x")], [ONE, ZERO]  # (x*alpha + z*beta, beta)
     s0, s1 = sigma(1, L0, L1)
-    assert expand_sections("P", 1, s0, s1) == [(R("x"), R("z")), (R("y"), R("w"))]
+    assert expand_sections(1, s0, s1) == [(R("x"), R("z")), (R("y"), R("w"))]
     assert resultant_univ(L0, L1, 1, 1) == R("x")
     assert resultant_univ(L0, L1, 1, 1) != ONE
 
@@ -207,7 +208,7 @@ def test_section_equality_is_expanded_equality():
     # y*[x; z] and x*[y; w] are the same section with different coefficients
     s1, s2 = (R("y"), ZERO), (ZERO, R("x"))
     assert s1 != s2
-    e1, e2 = expand_sections("P", 1, s1, s2)
+    e1, e2 = expand_sections(1, s1, s2)
     assert e1 == e2
 
 
@@ -215,7 +216,7 @@ def test_tau_transport():
     # entrywise tau turns a P_n pair into the Q_n pair of the tau-moved section
     s = (R("x + 2*y"), R("z"))
     t = tuple(c.tau() for c in s)
-    (ex, ew), (tx, tw) = expand_sections("P", 2, s)[0], expand_sections("Q", 2, t)[0]
+    (ex, ew), (tx, tw) = expand_sections(2, s)[0], expand_sections(-2, t)[0]
     assert (tx, tw) == (ex.tau(), ew.tau())
     assert tuple(c.tau() for c in t) == s
 
@@ -228,7 +229,7 @@ def test_patching_relation_numerically():
     for _ in range(10):
         n = rng.randint(1, 3)
         vec = [R(str(rng.randint(-2, 2))) for _ in range(n + 1)]
-        fx, fw = expand_sections("P", n, normalize_section(n, vec))[0]
+        fx, fw = expand_sections(n, normalize_section(n, vec))[0]
         theta = rng.uniform(0.2, math.pi - 0.2)
         xv = (1 + math.cos(theta)) / 2
         yv = zv = math.sin(theta) / 2
@@ -249,8 +250,9 @@ def test_normalize_matches_bruteforce_oracle():
             if rng.random() < 0.5:
                 e = e * RingElement.gen_y(ctx)
             vec.append(e)
-        sec = normalize_section(n, vec, kind)
-        assert expand_sections(kind, n, sec)[0] == expand_mixed(n, vec, kind, ctx)
+        d = n if kind == "P" else -n
+        sec = normalize_section(d, vec)
+        assert expand_sections(d, sec)[0] == expand_mixed(d, vec, ctx)
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])
@@ -268,11 +270,12 @@ def test_normalize_over_rt_matches_bruteforce_oracle(kind):
             for _ in range(n + 1)
         ]
         vec = [RingPolyT.from_ring(e) * T ** rng.randrange(3) for e in flat]
-        sec = normalize_section(n, vec, kind)
+        d = n if kind == "P" else -n
+        sec = normalize_section(d, vec)
         assert all(isinstance(c, RingPolyT) for c in sec)
-        assert expand_sections(kind, n, sec)[0] == expand_mixed(n, vec, kind, ctx)
-        lifted = normalize_section(n, [RingPolyT.from_ring(e) for e in flat], kind)
-        assert lifted == tuple(RingPolyT.from_ring(c) for c in normalize_section(n, flat, kind))
+        assert expand_sections(d, sec)[0] == expand_mixed(d, vec, ctx)
+        lifted = normalize_section(d, [RingPolyT.from_ring(e) for e in flat])
+        assert lifted == tuple(RingPolyT.from_ring(c) for c in normalize_section(d, flat))
 
 
 def test_generation_cofactors_expand():
@@ -281,7 +284,7 @@ def test_generation_cofactors_expand():
     c1 = [ZERO, ONE, ZERO]
     cert = generation_cofactors(2, c0, c1)
     s0, s1 = sigma(2, c0, c1)
-    cols = generation_columns("P", 2, *s0, *s1)
+    cols = generation_columns(2, *s0, *s1)
     assert cert_expands_to_one(cert, cols)
 
 
@@ -434,4 +437,4 @@ def test_reference_maps_of_degree_seven_and_eight(ctx):
     for n in (7, 8):
         f = n_pi(n, ctx)
         assert f.degree == n
-        assert cert_expands_to_one(f.cert, generation_columns("P", n, *f.coeffs))
+        assert cert_expands_to_one(f.cert, generation_columns(n, *f.data))

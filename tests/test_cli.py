@@ -39,8 +39,21 @@ def test_text_after_a_map_literal_is_a_parse_error(capsys):
 def test_malformed_numbers_are_parse_errors(capsys):
     code, _, err = run(capsys, "oplus", "map x [1; 0 | 0; 1]", "map 1 [1; 0 | 0; 1]")
     assert code == 2 and "parse error" in err and "expected an integer" in err
-    code, _, err = run(capsys, "--field", "Fp=5", "k1mw", "--word", "[abc]")
-    assert code == 2 and "parse error" in err and "<int> or <int>/<int>" in err
+    for word in ("[abc]", "[1_000]"):
+        code, _, err = run(capsys, "--field", "Fp=5", "k1mw", "--word", word)
+        assert code == 2 and "parse error" in err and "<int> or <int>/<int>" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resultant", "--pair", "1; 0 | 0; 1", "--degree", "\u0661"),
+        ("realize", "map 1 [1; 0 | 0; 1]", "--samples", "4_096"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
 
 
 def test_denominator_divisible_by_p_exits_like_zero_denominator(capsys):
@@ -194,7 +207,7 @@ def test_budget_exhaustion_is_undecided(monkeypatch, capsys):
     assert code == 3 and out.strip() == "Undecided" and "BudgetExceeded" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", "1_0", "\u0661"])
 def test_malformed_step_budget_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("JOU_STEP_BUDGET", value)
     code, out, err = run(capsys, "ideal", "--gens", "x, y", "--target", "x*y+x")

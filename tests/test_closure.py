@@ -84,12 +84,12 @@ def rand_map(ctx, rng):
 def rechecked_map(f):
     """f rebuilt from its own data by the checking constructors."""
     if f.degree == 0:
-        return make_row(*f.row, cert=f.cert)
-    return make_map(f.degree, *f.coeffs, cert=f.cert, homog=f.homog)
+        return make_row(*f.data, cert=f.cert)
+    return make_map(f.degree, *f.data, cert=f.cert, homog=f.homog)
 
 
 def map_data(f):
-    return (f.degree, f.kind, f.coeffs, f.row, f.cert, f.homog)
+    return (f.degree, f.kind, f.data, f.cert, f.homog)
 
 
 def rechecked_path(segment):
@@ -108,7 +108,7 @@ def test_matrix_operations_stay_pointed_sl2(ctx, seed):
     u, v = rand_unit(ctx, rng), rand_unit(ctx, rng)
     closed = [M @ N, M.inverse(), M.transpose(), identity_matrix(ctx), m_uv(u, v)]
     # a Bezout certificate that is not yet pointed: V(basepoint) = -u
-    (A, B), (U, V) = M.row_map().row, M.row_map().cert
+    (A, B), (U, V) = M.row_map().data, M.row_map().cert
     closed.append(complete_pointed(make_row(A, B, cert=(U + B.scale(u), V - A.scale(u)))))
     for X in closed:
         assert type(X) is PointedSL2

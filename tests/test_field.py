@@ -67,9 +67,13 @@ def test_strong_pseudoprimes_to_all_bases_rejected(n):
 def test_scalar_parsing():
     assert QQ.parse_scalar("-3/4") == QQ.elem(Fraction(-3, 4))
     assert Fp(7).parse_scalar("10") == Fp(7).elem(3)
+    assert QQ.parse_scalar(" -3 / 4 ") == QQ.elem(Fraction(-3, 4))
 
 
-@pytest.mark.parametrize("text", ["abc", "", "1/", "/2", "1/x", "3.5", "1/2/3"])
+@pytest.mark.parametrize(
+    "text",
+    ["abc", "", "1/", "/2", "1/x", "3.5", "1/2/3", "1_000", "+3", "\u0663", "\uff11", "1/\u0662"],
+)
 def test_malformed_scalars_are_parse_errors(text):
     for ctx in (QQ, Fp(7)):
         with pytest.raises(ParseError, match="<int> or <int>/<int>"):

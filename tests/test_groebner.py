@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from jouanolou.errors import BudgetExceeded
 from jouanolou.field import Fp, QQ
 from jouanolou.groebner import IdealProblem, express_in_ideal, relation_poly
-from jouanolou.morphism import GB_VARS
+from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.polys import MPoly, dot, drl_key
 
 
-def poly(s, ctx=QQ, vars=GB_VARS):
+def poly(s, ctx=QQ, vars=RingElement.VARS):
     from jouanolou.textio import parse_poly
 
     parsed = parse_poly(s, ctx, allow_T=False)
@@ -23,7 +23,7 @@ def poly(s, ctx=QQ, vars=GB_VARS):
     return MPoly(ctx, vars, terms)
 
 
-def one(ctx=QQ, vars=GB_VARS):
+def one(ctx=QQ, vars=RingElement.VARS):
     return MPoly.const(ctx, vars, ctx.rone)
 
 
@@ -120,7 +120,7 @@ def test_agreement_with_brute_force_over_f3():
 
 
 def test_relation_poly_shape():
-    r = relation_poly(QQ, GB_VARS)
+    r = relation_poly(QQ, RingElement.VARS)
     assert str(r) in ("x^2 + y*z - x", "y*z + x^2 - x")
     # degrevlex leading term of x^2 - x + yz is x^2 (degree ties: x^2 > yz)
     lead, _ = r.leading()
@@ -190,13 +190,13 @@ def test_reduction_drops_a_long_irreducible_tail_without_subtracting(monkeypatch
     monkeypatch.setattr(groebner, "terms_add", counted)
     tail = {(0, 30, 0): Fraction(1, 2)}
     tail.update({(0, i, j): Fraction(i + 2 * j + 1) for i in range(20) for j in range(1, 20)})
-    p = MPoly(QQ, GB_VARS, {(2, 0, 0): Fraction(1), **tail})
+    p = MPoly(QQ, RingElement.VARS, {(2, 0, 0): Fraction(1), **tail})
     g = poly("x - 1/3")
     basis = [groebner._Tracked(g, 0)]
     normal, quotients = groebner._reduce_tracked(p, basis, groebner._Budget(10))
     assert len(calls) == 2  # x^2 -> x/3 -> 1/9
-    assert normal == MPoly(QQ, GB_VARS, {**tail, (0, 0, 0): Fraction(1, 9)})
-    assert normal == p - MPoly(QQ, GB_VARS, quotients[0]) * g
+    assert normal == MPoly(QQ, RingElement.VARS, {**tail, (0, 0, 0): Fraction(1, 9)})
+    assert normal == p - MPoly(QQ, RingElement.VARS, quotients[0]) * g
 
 
 def test_reduction_keeps_a_monomial_that_cancels_and_comes_back():
@@ -213,8 +213,8 @@ def test_reduction_keeps_a_monomial_that_cancels_and_comes_back():
     assert normal == poly("-y^2")
     assert quotients == {0: {(0, 0, 0): 1}, 1: {(0, 0, 0): -1}}
     assert budget.left == 8
-    assert p == normal + MPoly(QQ, GB_VARS, quotients[0]) * b0 + MPoly(
-        QQ, GB_VARS, quotients[1]
+    assert p == normal + MPoly(QQ, RingElement.VARS, quotients[0]) * b0 + MPoly(
+        QQ, RingElement.VARS, quotients[1]
     ) * b1
 
 
@@ -335,7 +335,7 @@ def polys_in(ctx, vars, max_terms, max_deg, min_terms=1):
 
 @st.composite
 def problems(draw, ctx):
-    vars = draw(st.sampled_from([GB_VARS, GB_VARS + ("T",)]))
+    vars = draw(st.sampled_from([RingElement.VARS, RingPolyT.VARS]))
     gens = draw(st.lists(polys_in(ctx, vars, 4, 3), min_size=1, max_size=3))
     if draw(st.booleans()):
         gens.insert(draw(st.integers(0, len(gens))), MPoly.zero(ctx, vars))
@@ -390,7 +390,7 @@ def test_cofactor_expansion_of_a_long_derivation_chain():
     depth is no recursion depth."""
     from jouanolou import groebner
 
-    ctx, vars = QQ, GB_VARS
+    ctx, vars = QQ, RingElement.VARS
     x = MPoly.var(ctx, vars, "x")
     stub = x  # the expansion reads origins only
     basis = [groebner._Tracked(stub, 0), groebner._Tracked(stub, 1)]

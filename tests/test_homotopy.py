@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,6 @@ from jouanolou.homotopy import (
     gu1_example_witness,
     interp_lift,
     lift_row_homotopy,
-    map_record,
     mutate_witness,
     scaling_witness,
     square_sum_witness,
@@ -51,7 +51,7 @@ from jouanolou.morphism import (
     rational_xu,
 )
 from jouanolou.sl2 import PointedSL2, act, complete_pointed, identity_matrix, m_uv, row_sum
-from jouanolou.textio import parse_ring
+from jouanolou.textio import parse_map, parse_ring, parse_witness, witness_str
 
 
 def R(s, ctx=QQ):
@@ -113,8 +113,8 @@ def test_scaling_witness_over_f5():
     M = complete_pointed(g)
     w = scaling_witness(M, F5.elem(2))
     # 4 * 2y = 8y = 3y over F_5
-    target = make_row(g.row[0], g.row[1].scale(F5.elem(4)))
-    assert target.row[1] == parse_ring("3*y", F5)
+    target = make_row(g.data[0], g.data[1].scale(F5.elem(4)))
+    assert target.data[1] == parse_ring("3*y", F5)
     assert verify(w, g, target)
 
 
@@ -153,7 +153,7 @@ def test_lift_row_homotopy_constant():
     seg = constant_witness(g).segments[0]
     path = lift_row_homotopy(seg)
     assert path.is_pointed()
-    assert path.at(QQ.zero).first_column() == tuple(g.row)
+    assert path.at(QQ.zero).first_column() == tuple(g.data)
 
 
 def test_lift_row_homotopy_idempotent_on_lifted_data():
@@ -163,7 +163,7 @@ def test_lift_row_homotopy_idempotent_on_lifted_data():
     seg = interp_lift(row, l1, l2).segments[0]
     relift = lift_row_homotopy(seg)
     assert relift.is_pointed()
-    assert relift.at(QQ.zero).first_column() == tuple(row.row)
+    assert relift.at(QQ.zero).first_column() == tuple(row.data)
 
 
 def test_lift_row_homotopy_from_groebner():
@@ -194,7 +194,7 @@ def test_gu1_action_witness_endpoints_and_resultant():
     assert len(w.segments) == 1
     seg = w.segments[0]
     # T=1 endpoint is the matrix acting on the degree-2 reference
-    assert seg.record(QQ.one) == map_record(act(m_uv(u, QQ.one), n_pi(2, QQ)))
+    assert seg.at(QQ.one).record() == act(m_uv(u, QQ.one), n_pi(2, QQ))
     # the dehomogenized family has constant unit resultant -u * res(f) = -2
     L0, L1 = pi.canonical_lift()
     zero_t = RingPolyT.zero(QQ)
@@ -351,7 +351,7 @@ def test_certificate_free_segments_are_decided_without_converting_cofactors(monk
 
     express = groebner.express_in_ideal
     monkeypatch.setattr(groebner, "express_in_ideal", counted)
-    monkeypatch.setattr(morphism, "mpoly_to_ringpolyt", refused)
+    monkeypatch.setattr(morphism, "_normal_form", refused)
     assert verify(bare, g, g_uv(QQ.elem(12), QQ.elem(4)))
     assert len(calls) == len(w.segments)
 
@@ -406,8 +406,8 @@ def test_generation_over_rt_specializes_pointwise():
     witness = gu1_action_witness(u, n_pi(1, QQ))
     seg = witness.segments[0]
     for t in (QQ.zero, QQ.elem(Fraction(1, 2)), QQ.one):
-        quad = seg.at(t)
-        cols = generation_columns("P", seg.degree, *quad)
+        quad = seg.at(t).data
+        cols = generation_columns(seg.degree, *quad)
         cert_t = tuple(c.eval_at_T(t) for c in seg.cert)
         assert cert_expands_to_one(cert_t, cols)
 
@@ -417,8 +417,49 @@ def test_segments_and_paths_refuse_a_parameter_of_another_field():
     seg = constant_witness(n_pi(2, F7)).segments[0]
     path = diagonal_path(F7.elem(3))
     for t in (QQ.zero, QQ.elem(Fraction(1, 2))):
-        for read in (seg.at, seg.record, path.at):
+        for read in (seg.at, lambda t: seg.at(t).record(), path.at):
             with pytest.raises(ContextMismatch):
                 read(t)
-    assert seg.at(F7.elem(4)) == n_pi(2, F7).coeffs
+    assert seg.at(F7.elem(4)).data == n_pi(2, F7).data
     assert path.at(F7.zero) == identity_matrix(F7)
+
+
+def _within_one_second(run):
+    """run(), failing the test unless it returns within 1 s (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "literal, segment, reason",
+    [
+        ("map 1 [1; 0 | 0; 1]", 0, "EndpointMismatch"),
+        ("map 2 [1; 0 | 0; 1]", 0, "ChainBreak"),
+        ("map 2 [1; 0 | 0; 1]", 1, "ChainBreak"),
+    ],
+)
+def test_an_edited_segment_degree_is_refused_before_any_expansion(literal, segment, reason):
+    # the decomposition witness read back with one "segment degree" line
+    # set to 10^6: the degrees differ, so no degree-10^6 column is built
+    from jouanolou.homgrp import ReferenceFamily, decompose
+
+    refs = ReferenceFamily(QQ)
+    f = parse_map(literal, QQ)
+    d = decompose(f, refs)
+    start = act(d.matrix, refs.ref(d.n))
+    lines = witness_str(d.witness, QQ).splitlines()
+    headers = [i for i, line in enumerate(lines) if line.startswith("segment degree")]
+    assert verify(d.witness, start, f)
+    lines[headers[segment]] = "segment degree 1000000"
+    _, edited = parse_witness("\n".join(lines))
+    verdict = _within_one_second(lambda: verify(edited, start, f))
+    assert not verdict and verdict.reason == reason

@@ -12,6 +12,7 @@ from jouanolou.errors import (
     ZeroParameter,
 )
 from jouanolou.field import Fp, QQ
+from jouanolou.homgrp import ReferenceFamily, decompose, oplus
 from jouanolou.jring import RingElement
 from jouanolou.morphism import (
     RationalMapP1,
@@ -23,7 +24,8 @@ from jouanolou.morphism import (
     pullback_rational,
     rational_xu,
 )
-from jouanolou.textio import map_str, parse_ring, ring_str
+from jouanolou.sl2 import act, m_uv, row_sum
+from jouanolou.textio import map_str, parse_ring, ring_str, witness_str
 
 
 def R(s, ctx=QQ):
@@ -59,9 +61,9 @@ def test_unpointed_rejected():
 def test_make_row_examples():
     row = make_row(R("2*x - 1"), R("2*y"))
     assert row.degree == 0
-    assert row.row == (R("2*x - 1"), R("2*y"))
+    assert row.data == (R("2*x - 1"), R("2*y"))
     identity = make_row(ONE, ZERO)
-    assert identity.row == (ONE, ZERO)
+    assert identity.data == (ONE, ZERO)
     with pytest.raises(NotUnimodular):
         make_row(R("y"), R("z"))
 
@@ -69,20 +71,20 @@ def test_make_row_examples():
 def test_row_normalization():
     # (2, 2y) rescales to (1, y)
     row = make_row(R("2"), R("2*y"))
-    assert row.row == (ONE, R("y"))
+    assert row.data == (ONE, R("y"))
 
 
 def test_g_uv_examples():
     g = g_uv(QQ.one, QQ.elem(-1))
-    assert g.row == (R("2*x - 1"), R("2*y"))
-    assert g_uv(QQ.elem(3), QQ.elem(3)).row == (ONE, ZERO)
+    assert g.data == (R("2*x - 1"), R("2*y"))
+    assert g_uv(QQ.elem(3), QQ.elem(3)).data == (ONE, ZERO)
     with pytest.raises(ZeroParameter):
         g_uv(QQ.zero, QQ.one)
 
 
 def test_g_uv_carries_unit_determinant_certificate():
     g = g_uv(QQ.elem(3), QQ.elem(2))
-    A, B = g.row
+    A, B = g.data
     U, V = g.cert
     assert A * U + B * V == ONE
 
@@ -167,8 +169,8 @@ def test_constructed_maps_are_normalized(ctx):
             f = pullback_rational(RationalMapP1(ctx, n, a, b))
         except ResultantZero:
             continue
-        assert f.coeffs[0].eval_basepoint() == ctx.one
-        assert f.coeffs[2].eval_basepoint().is_zero
+        assert f.data[0].eval_basepoint() == ctx.one
+        assert f.data[2].eval_basepoint().is_zero
 
 
 def _serialized_builds():
@@ -195,3 +197,41 @@ def test_reference_maps_and_pullbacks_serialize_as_recorded():
         lines += [" ".join(ring_str(c) for c in side) for side in f.homog]
         digest.update(("\n".join(lines) + "\n\n").encode())
     assert digest.hexdigest() == "2010172675fdba4f8189269049d3a16e555c9efa"
+
+
+def _section_data_builds():
+    """Over Q and F_7, maps built by every other constructor of section
+    data: spanning-column and tau-built negative references, g_uv rows and
+    their sums, the action, tau transport, oplus down to degree 0; then the
+    witness text of one decomposition."""
+    for ctx in (QQ, Fp(7)):
+        e = ctx.elem
+        qbasis, naive = ReferenceFamily(ctx), ReferenceFamily(ctx, "naive")
+        for n in (1, 2, 3):
+            yield qbasis.qref(n)
+            yield qbasis.qref(-n)
+            yield naive.ref(-n)
+        g, h = g_uv(e(2), e(3)), g_uv(e(5), e(-1))
+        yield from (g, h, row_sum(g, h), row_sum(h, g))
+        f = pullback_rational(RationalMapP1(ctx, 2, [e(2), e(3), ctx.one], [e(1), e(-1)]))
+        yield from (act(m_uv(e(2), e(3)), f), act(m_uv(e(3), e(-2)), naive.ref(-2)))
+        yield from (f.tau_transport(), g.tau_transport(), naive.ref(-3).tau_transport())
+        p1 = pullback_rational(RationalMapP1(ctx, 1, [e(2), ctx.one], [e(3)]))
+        yield oplus(p1, naive.ref(-1))
+        yield oplus(p1, qbasis.qref(-1))
+        yield witness_str(decompose(f, qbasis).witness, ctx)
+
+
+def test_section_data_of_every_constructor_serializes_as_recorded():
+    # the same sha1 scheme as above: map_str, certificate and lift (when
+    # carried) of each map, or the witness text
+    digest = hashlib.sha1()
+    for item in _section_data_builds():
+        if isinstance(item, str):
+            lines = [item]
+        else:
+            lines = [map_str(item), *(ring_str(c) for c in item.cert)]
+            if item.homog is not None:
+                lines += [" ".join(ring_str(c) for c in side) for side in item.homog]
+        digest.update(("\n".join(lines) + "\n\n").encode())
+    assert digest.hexdigest() == "313990f3229034e102712e722e085c2080e09c03"

@@ -1,7 +1,7 @@
 """One pointed check and one normalizer over R and R[T].
 
 The oracles below are the inline normalization code that ``make_map``,
-``make_row``, ``Segment.record`` and ``lift_row_homotopy`` each carried
+``make_row``, the segment record and ``lift_row_homotopy`` each carried
 before they shared ``pointed_alpha`` and ``normalized``: every constructor
 must return what its own copy returned, on pointed data scaled by a unit
 c != 1.  ``PointedSL2`` and ``Sl2Path`` must refuse the same bad data with
@@ -69,12 +69,11 @@ def _old_make_map(n, a0, a1, b0, b1, cert=None, homog=None):
             cert = tuple(c.scale(alpha) for c in cert)
         if homog is not None:
             homog = tuple([e.scale(inv) for e in lst] for lst in homog)
-    kind = "P" if n > 0 else "Q"
-    cols = generation_columns(kind, abs(n), *coeffs)
+    cols = generation_columns(n, *coeffs)
     if cert is None:
         cert = groebner_cofactors(cols)
     assert cert_expands_to_one(cert, cols)
-    return JMap(n, kind, coeffs, None, tuple(cert), homog)
+    return JMap(n, coeffs, tuple(cert), homog)
 
 
 def _old_make_row(A, B, cert=None):
@@ -94,18 +93,25 @@ def _old_make_row(A, B, cert=None):
         U, V = U.scale(alpha), V.scale(alpha)
     if A * U + B * V != RingElement.one(A.ctx):
         raise NotUnimodular("Bezout certificate does not expand to 1")
-    return JMap(0, None, None, (A, B), (U, V))
+    return JMap(0, (A, B), (U, V))
 
 
 def _old_record(seg, t):
-    vals = seg.at(t)
+    vals = seg.at(t).data
     alpha = _old_pointed_alpha(vals[0], vals[len(vals) // 2])
     if alpha is None or alpha.is_zero:
         return None
     if seg.degree != 0:
-        vals = generation_columns(seg.kind, abs(seg.degree), *vals)
+        vals = generation_columns(seg.degree, *vals)
     inv = alpha.inverse()
     return (seg.degree, tuple(c.scale(inv) for c in vals))
+
+
+def _record(seg, t):
+    """The comparison record of a segment at t, read as the oracle's
+    (degree, normalized generation columns)."""
+    rec = seg.at(t).record()
+    return None if rec is None else (rec.degree, rec.expanded)
 
 
 def _old_lift_row_homotopy(seg, budget=None):
@@ -202,13 +208,13 @@ def test_make_map_normalizes_like_the_former_inline_code(ctx):
     @CHECKS
     @given(st.sampled_from(_maps(ctx)), units(ctx), st.booleans())
     def check(f, c, with_homog):
-        quad, cert = _scaled(c, f.coeffs, f.cert)
+        quad, cert = _scaled(c, f.data, f.cert)
         homog = None
         if with_homog and f.homog is not None:
             homog = tuple([e.scale(c) for e in lst] for lst in f.homog)
         got = make_map(f.degree, *quad, cert=cert, homog=homog)
         want = _old_make_map(f.degree, *quad, cert=cert, homog=homog)
-        assert (got.coeffs, got.cert) == (want.coeffs, want.cert)
+        assert (got.data, got.cert) == (want.data, want.cert)
         assert got.homog == want.homog
         assert got == f
 
@@ -220,10 +226,10 @@ def test_make_row_normalizes_like_the_former_inline_code(ctx):
     @CHECKS
     @given(st.sampled_from(_rows(ctx)), units(ctx), st.booleans())
     def check(r, c, keep_cert):
-        row, cert = _scaled(c, r.row, r.cert if keep_cert else None)
+        row, cert = _scaled(c, r.data, r.cert if keep_cert else None)
         got = make_row(*row, cert=cert)
         want = _old_make_row(*row, cert=cert)
-        assert (got.row, got.cert) == (want.row, want.cert)
+        assert (got.data, got.cert) == (want.data, want.cert)
         assert got == r
 
     check()
@@ -257,10 +263,10 @@ def test_segment_record_normalizes_like_the_former_inline_code(ctx):
     def check(seg, c, t):
         data, cert = _scaled(c, seg.data, seg.cert)
         scaled = Segment(seg.degree, data, cert)
-        assert scaled.record(t) == _old_record(scaled, t)
-        assert seg.record(t) == _old_record(seg, t)
-        if seg.record(t) is not None:
-            assert scaled.record(t) == seg.record(t)
+        assert _record(scaled, t) == _old_record(scaled, t)
+        assert _record(seg, t) == _old_record(seg, t)
+        if _record(seg, t) is not None:
+            assert _record(scaled, t) == _record(seg, t)
 
     check()
 

@@ -105,10 +105,10 @@ def test_angle_scale_invariance():
     f = pullback_rational(rational_xu(QQ.elem(2)))
     g = make_map(
         1,
-        f.coeffs[0].scale(QQ.elem(7)),
-        f.coeffs[1].scale(QQ.elem(7)),
-        f.coeffs[2].scale(QQ.elem(7)),
-        f.coeffs[3].scale(QQ.elem(7)),
+        f.data[0].scale(QQ.elem(7)),
+        f.data[1].scale(QQ.elem(7)),
+        f.data[2].scale(QQ.elem(7)),
+        f.data[3].scale(QQ.elem(7)),
     )
     for theta in (0.3, 1.7, 3.9):
         assert eval_rp1(f, theta) == pytest.approx(eval_rp1(g, theta), abs=1e-9)

@@ -71,7 +71,7 @@ def test_row_inverse():
     assert map_equal(row_inverse(make_row(ONE, ZERO)), make_row(ONE, ZERO))
     g = g_uv(QQ.one, QQ.elem(-1))
     inv = row_inverse(g)
-    assert inv.row == (R("2*x - 1"), R("-2*y"))
+    assert inv.data == (R("2*x - 1"), R("-2*y"))
     assert map_equal(row_sum(g, inv), make_row(ONE, ZERO))
     # class level: the inverse of g_{u,v} is in the class of g_{v,u}
     prod = complete_pointed(g_uv(QQ.elem(3), QQ.elem(2))) @ m_uv(QQ.elem(2), QQ.elem(3))
@@ -84,7 +84,7 @@ def test_act_examples():
     assert map_equal(act(m_uv(u, QQ.one), pi), make_map(1, ONE, ZERO, ZERO, R("2")))
     assert map_equal(act(identity_matrix(QQ), pi), pi)
     F = act(m_uv(QQ.one, QQ.elem(-1)), pi)
-    assert F.coeffs == (R("2*x - 1"), R("-2*z"), R("2*y"), R("2*x - 1"))
+    assert F.data == (R("2*x - 1"), R("-2*z"), R("2*y"), R("2*x - 1"))
 
 
 def test_act_is_left_action():
@@ -147,8 +147,8 @@ def test_act_preserves_validity():
     for _ in range(4):
         M = m_uv(QQ.elem(rng.choice([2, 3])), QQ.elem(rng.choice([1, 5])))
         g = act(M, pi3)
-        assert g.coeffs[0].eval_basepoint() == QQ.one
-        assert g.coeffs[2].eval_basepoint().is_zero
+        assert g.data[0].eval_basepoint() == QQ.one
+        assert g.data[2].eval_basepoint().is_zero
         from jouanolou.morphism import cert_expands_to_one
 
         assert cert_expands_to_one(g.cert, g.expanded)

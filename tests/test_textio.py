@@ -70,7 +70,7 @@ def test_text_after_a_literal_is_a_parse_error(parse, text, position):
     assert parse(text[: text.index("]") + 1] + "  ", QQ) is not None
 
 
-@pytest.mark.parametrize("degree", ["x", "1.5", "2a"])
+@pytest.mark.parametrize("degree", ["x", "1.5", "2a", "1_0", "+1", "\u0661"])
 def test_map_degree_must_be_an_integer(degree):
     with pytest.raises(ParseError, match="expected an integer"):
         textio.parse_map(f"map {degree} [1; 0 | 0; 1]", QQ)
@@ -134,6 +134,12 @@ def test_witness_header_required():
         ("segments abc\n", "segments <k>"),
         ("segments 1\nsegment degree\n", "segment degree <n>"),
         ("segments 1\nsegment degree one\n", "segment degree <n>"),
+        # int() alone takes a plus sign, underscores and non-ASCII digits
+        ("segments \u0661\n", "segments <k>"),
+        ("segments +1\n", "segments <k>"),
+        ("segments 0\n", "segments <k>, k >= 1"),
+        ("segments 1\nsegment degree \u0661\n", "segment degree <n>"),
+        ("segments 1\nsegment degree 1_0\n", "segment degree <n>"),
     ],
 )
 def test_witness_counts_must_be_integers(body, expected):
@@ -142,7 +148,9 @@ def test_witness_counts_must_be_integers(body, expected):
     assert exc.value.expected == expected
 
 
-@pytest.mark.parametrize("text", ["Fp=abc", "Fp=", "Fp=-7", "Fp=7x", "F7"])
+@pytest.mark.parametrize(
+    "text", ["Fp=abc", "Fp=", "Fp=-7", "Fp=7x", "F7", "Fp=\u0667", "Fp=\uff17"]
+)
 def test_malformed_field_markers_are_parse_errors(text):
     with pytest.raises(ParseError) as exc:
         textio.parse_field(text)
@@ -150,6 +158,12 @@ def test_malformed_field_markers_are_parse_errors(text):
     with pytest.raises(ParseError) as exc:
         textio.parse_witness(f"{textio.WITNESS_HEADER} field={text}\nsegments 0\n")
     assert exc.value.expected == "Q or Fp=<prime>"
+
+
+@pytest.mark.parametrize("text", ["\u0663*x", "x^\u0662", "x^\u00b2", "2/\u0663*y"])
+def test_ring_text_takes_ascii_digits_only(text):
+    with pytest.raises(ParseError, match="expected digits 0-9"):
+        textio.parse_ring(text, QQ)
 
 
 def _relabelled(text: str, labels) -> str:

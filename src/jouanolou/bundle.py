@@ -467,7 +467,7 @@ def poly_mul(A: list, B: list, zero) -> list:
 
 
 def poly_scale(A: list, c):
-    return [a.scale(c) if hasattr(a, "scale") else a * c for a in A]
+    return [a.scale(c) for a in A]
 
 
 def generation_cofactors(n: int, L0: list, L1: list):

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 from .bundle import raised_lift, spanning_powers, unit_split
 from .field import FieldCtx, FieldElem
-from .homotopy import (
-    HomotopyWitness,
-    Segment,
-    apply_matrix,
-    gu1_action_witness,
-    _const_t,
-    _scalar_T,
-)
-from .jring import RingElement
+from .homotopy import HomotopyWitness, Segment, Sl2Path, gu1_action_witness
+from .jring import RingElement, RingPolyT
 from .morphism import JMap, make_map, n_pi
 from .sl2 import PointedSL2, act, complete_pointed
 from .sl2 import row_sum as _row_sum
@@ -106,25 +99,13 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
         (b0 - yn * d - wn * dp, b1 + xn * d + zn * dp),
     )
     e = (a1 - c).eval_basepoint()
-    pointed = (
-        (m_prime[0][0] - m_prime[1][0].scale(e), m_prime[0][1] - m_prime[1][1].scale(e)),
-        m_prime[1],
-    )
     # det(m_prime) = a0*b1 - a1*b0 + target_r = 1 by the certificate identity
     # (x^n w^n = y^n z^n); the row operation makes it the identity at the basepoint
-    matrix = PointedSL2._of(pointed)
+    matrix = PointedSL2.upper(-e) @ PointedSL2._of(m_prime)
     # straight-line family (a0 - T e b0, a1 - T e b1; b0, b1): T=0 is f,
     # T=1 is act(matrix, qref); certificate transported from f's.
-    eT = _scalar_T(ctx, e)
-    quad = (
-        _const_t(a0) - eT * b0,
-        _const_t(a1) - eT * b1,
-        _const_t(b0),
-        _const_t(b1),
-    )
-    ux, vx, uw, vw = (_const_t(r) for r in f.cert)
-    cert_t = (ux, vx + eT * ux, uw, vw + eT * uw)
-    return matrix, Segment(f.degree, quad, cert_t)
+    minus_eT = RingPolyT.gen_T(ctx).scale(-e)
+    return matrix, act(Sl2Path.upper(minus_eT), Segment.constant(f))
 
 
 def decompose(f: JMap, refs: ReferenceFamily) -> Decomposition:
@@ -141,7 +122,7 @@ def decompose(f: JMap, refs: ReferenceFamily) -> Decomposition:
         return Decomposition(m_f, n, HomotopyWitness([seg_f]).reverse())
     m_r, seg_r = refs.ref_decomposition(n)
     matrix = m_f @ m_r.inverse()
-    moved = apply_matrix(matrix, HomotopyWitness([seg_r]))
+    moved = HomotopyWitness([act(Sl2Path.constant(matrix), seg_r)])
     # moved runs act(matrix, ref) -> act(m_f, spanning); seg_f reversed continues to f
     witness = moved.then(HomotopyWitness([seg_f]).reverse())
     return Decomposition(matrix, n, witness)

@@ -4,8 +4,10 @@ witness constructor the theory provides.
 A witness is a chain of segments; a segment is a map over R[T]
 (:class:`Segment`, a ``JMap`` whose section data lies in R[T]: the
 coefficient quadruple in nonzero degree n, for P_n or, when n < 0, for
-Q_|n|, and the row pair in degree 0).  The verifier checks, per segment,
-pointedness over R[T] and generation of the extended ideal of its
+Q_|n|, and the row pair in degree 0).  A path of matrices over R[T]
+(:class:`Sl2Path`) moves a segment through ``sl2.act``, the same action
+by which a pointed matrix over R moves a map.  The verifier checks, per
+segment, pointedness over R[T] and generation of the extended ideal of its
 generation columns, that consecutive segments agree at T=1 / T=0, and that
 the chain's ends are the two given maps; it compares degrees before it
 expands any columns.
@@ -30,21 +32,31 @@ from .morphism import (
     groebner_certificate,
     groebner_cofactors,
 )
-from .sl2 import Mat2, PointedSL2, transform_cert, transform_quadruple
+from .sl2 import Mat2, PointedSL2, act
+
+_const_t = RingPolyT.from_ring
 
 
 class Segment(JMap):
     """One elementary family: a map over R[T], with an optional cofactor
-    certificate for generation over R[T] and no homogeneous lift.  Built
-    as ``Segment(degree, data, cert)``; the data length is checked."""
+    certificate for generation over R[T] (and a homogeneous lift only
+    while the degree-raising family twists one).  Built as
+    ``Segment(degree, data, cert)``; the data length is checked."""
 
     __slots__ = ()
 
-    def __init__(self, degree, data, cert=None):
+    def __init__(self, degree, data, cert=None, homog=None):
         want = 2 if degree == 0 else 4
         if len(data) != want:
             raise ValueError(f"degree {degree} segment needs {want} polynomials")
-        super().__init__(degree, tuple(data), cert)
+        super().__init__(degree, tuple(data), cert, homog)
+
+    @classmethod
+    def constant(cls, f: JMap) -> "Segment":
+        """The constant family at a map over R: its data and certificate
+        (when it has one) as constants of R[T]."""
+        cert = None if f.cert is None else tuple(_const_t(c) for c in f.cert)
+        return cls(f.degree, tuple(_const_t(c) for c in f.data), cert)
 
     def at(self, t: FieldElem) -> JMap:
         """The section data at a parameter value, as an unchecked map over R
@@ -137,14 +149,9 @@ def verify(w: HomotopyWitness, f: JMap, g: JMap, budget=None) -> Verdict:
 # basic constructors
 
 
-_const_t = RingPolyT.from_ring
-
-
 def constant_witness(f: JMap) -> HomotopyWitness:
     """The constant family at a map (cert inherited from the map)."""
-    data = tuple(_const_t(c) for c in f.data)
-    cert = tuple(_const_t(c) for c in f.cert)
-    return HomotopyWitness([Segment(f.degree, data, cert)])
+    return HomotopyWitness([Segment.constant(f)])
 
 
 class Sl2Path(Mat2):
@@ -153,7 +160,7 @@ class Sl2Path(Mat2):
     The constructor checks determinant 1 and pointedness (the identity at
     the basepoint for every T).  :meth:`reverse_T` and :meth:`constant` are
     closed and skip it; the elementary and conjugating factors, which are
-    not pointed, are built with ``_of``."""
+    not pointed, are built with ``_of`` (:meth:`upper`, :meth:`lower`)."""
 
     __slots__ = ()
     _ring, _map = RingPolyT, Segment
@@ -181,18 +188,6 @@ class Sl2Path(Mat2):
         return HomotopyWitness([self.row_map()])
 
 
-def _elem_upper(c: RingPolyT) -> Sl2Path:
-    ctx = c.ctx
-    one, zero = RingPolyT.one(ctx), RingPolyT.zero(ctx)
-    return Sl2Path._of(((one, c), (zero, one)))
-
-
-def _elem_lower(c: RingPolyT) -> Sl2Path:
-    ctx = c.ctx
-    one, zero = RingPolyT.one(ctx), RingPolyT.zero(ctx)
-    return Sl2Path._of(((one, zero), (c, one)))
-
-
 def _scalar_T(ctx, c: FieldElem) -> RingPolyT:
     """The element c*T of k[T] inside R[T]."""
     return RingPolyT.gen_T(ctx).scale(c)
@@ -206,12 +201,12 @@ def diagonal_path(u: FieldElem) -> Sl2Path:
     ctx = u.ctx
     one = ctx.one
     inv = u.inverse()
-    path = _elem_upper(_scalar_T(ctx, inv))
-    path = path @ _elem_lower(_scalar_T(ctx, -u))
-    path = path @ _elem_upper(_scalar_T(ctx, inv))
-    path = path @ _elem_upper(_scalar_T(ctx, -one))
-    path = path @ _elem_lower(_scalar_T(ctx, one))
-    path = path @ _elem_upper(_scalar_T(ctx, -one))
+    path = Sl2Path.upper(_scalar_T(ctx, inv))
+    path = path @ Sl2Path.lower(_scalar_T(ctx, -u))
+    path = path @ Sl2Path.upper(_scalar_T(ctx, inv))
+    path = path @ Sl2Path.upper(_scalar_T(ctx, -one))
+    path = path @ Sl2Path.lower(_scalar_T(ctx, one))
+    path = path @ Sl2Path.upper(_scalar_T(ctx, -one))
     return path
 
 
@@ -310,20 +305,16 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
         raise ValueError("the raising family needs a positive-degree section map")
     ctx = u.ctx
     n = f.degree
-    a0, a1, b0, b1 = f.data
     zero_t = RingPolyT.zero(ctx)
     one_t = RingPolyT.one(ctx)
-    y = RingElement.gen_y(ctx)
-    cT = _scalar_T(ctx, -(u - ctx.one) / u)  # -(u-1)/u * T
-    yT = cT * y
-    # inner pair: E(T) applied to f's coefficient quadruple
-    ia0 = _const_t(a0) + yT * b0
-    ia1 = _const_t(a1) + yT * b1
-    ib0, ib1 = _const_t(b0), _const_t(b1)
-    # the same twist on f's homogeneous lift feeds the certificate
+    # inner pair: E(T) applied to f's coefficient quadruple and, to feed the
+    # certificate, to f's homogeneous lift, both as constants of R[T]
+    yT = _scalar_T(ctx, -(u - ctx.one) / u) * RingElement.gen_y(ctx)
     L0, L1 = f.canonical_lift()
-    F1_t = [_const_t(p) + yT * q for p, q in zip(L0, L1)]
-    F2_t = [_const_t(q) for q in L1]
+    lift = ([_const_t(p) for p in L0], [_const_t(q) for q in L1])
+    inner = act(Sl2Path.upper(yT), Segment(n, tuple(_const_t(c) for c in f.data), None, lift))
+    ia0, ia1, ib0, ib1 = inner.data
+    F1_t, F2_t = inner.homog
     # left factor N_u: rows ([x;z], -(1/u)[y;w]) and (u[y;w], 0)
     v_top = mu_vector((one_t, zero_t), 1, (ia0, ia1), n, zero_t)
     v_top2 = mu_vector((zero_t, one_t), 1, (ib0, ib1), n, zero_t)
@@ -362,19 +353,6 @@ def square_sum_witness(u: FieldElem, c: FieldElem) -> HomotopyWitness:
     seg1_path = left @ (D @ inner @ D.inverse()).reverse_T()
     seg2_path = D @ Sl2Path.constant(m_uv(u, v.inverse())) @ D.inverse()
     return HomotopyWitness([seg1_path.row_map(), seg2_path.row_map()])
-
-
-def apply_matrix(M: PointedSL2, w: HomotopyWitness) -> HomotopyWitness:
-    """Act on every nonzero-degree segment of a witness by a constant matrix."""
-    out = []
-    entries = Sl2Path.constant(M).entries
-    for seg in w.segments:
-        if seg.degree == 0:
-            raise ValueError("matrix action applies to nonzero-degree segments")
-        data = transform_quadruple(entries, seg.data)
-        cert = transform_cert(entries, seg.cert) if seg.cert else None
-        out.append(Segment(seg.degree, tuple(data), tuple(cert) if cert else None))
-    return HomotopyWitness(out)
 
 
 def mutate_witness(w: HomotopyWitness, rng) -> HomotopyWitness:

@@ -96,22 +96,13 @@ def _rand_vanishing(ctx: FieldCtx, rng) -> RingElement:
     )
 
 
-def _elem_upper_mat(ctx, r) -> PointedSL2:
-    one, zero = RingElement.one(ctx), RingElement.zero(ctx)
-    return PointedSL2(((one, r), (zero, one)))
-
-
-def _elem_lower_mat(ctx, r) -> PointedSL2:
-    one, zero = RingElement.one(ctx), RingElement.zero(ctx)
-    return PointedSL2(((one, zero), (r, one)))
-
-
 def _rand_pointed_matrix(ctx: FieldCtx, rng) -> PointedSL2:
     """m_(u,v) times one random elementary factor: entries of degree <= 2."""
     M = m_uv(_rand_unit(ctx, rng), _rand_unit(ctx, rng))
     r = _rand_vanishing(ctx, rng)
-    factor = _elem_upper_mat(ctx, r) if rng.random() < 0.5 else _elem_lower_mat(ctx, r)
-    return M @ factor
+    factor = PointedSL2.upper(r) if rng.random() < 0.5 else PointedSL2.lower(r)
+    # through the checking constructor: r vanishes at the basepoint
+    return M @ PointedSL2(factor.entries)
 
 
 def _rand_rational(ctx: FieldCtx, rng, max_deg=3) -> RationalMapP1:

@@ -4,7 +4,9 @@ A unimodular row completes to a 2x2 matrix over R of determinant 1 that is
 the identity at the basepoint; the group operation on degree-0 maps is
 matrix multiplication of completions followed by extracting the first
 column.  Such a matrix also acts on higher-degree maps through its action
-on section pairs, and that action transports generation certificates
+on section pairs.  :func:`act` is that action, written once: a pointed
+matrix over R moves a map, a path over R[T] (``homotopy.Sl2Path``) moves
+a witness segment, and the certificate and homogeneous lift transport
 exactly (no new ideal membership runs are needed).
 """
 
@@ -57,6 +59,25 @@ class Mat2:
         (e00, e01), (e10, e11) = self.entries
         one = self.ctx.one
         return pointed_alpha(e00, e10) == one and pointed_alpha(e11, e01) == one
+
+    @classmethod
+    def upper(cls, c) -> "Mat2":
+        """The elementary factor ((1, c), (0, 1)), for c in the class's ring
+        or in k; unchecked (pointed only when c vanishes at the basepoint)."""
+        one, zero, c = cls._one_zero(c)
+        return cls._of(((one, c), (zero, one)))
+
+    @classmethod
+    def lower(cls, c) -> "Mat2":
+        """The elementary factor ((1, 0), (c, 1)), as :meth:`upper`."""
+        one, zero, c = cls._one_zero(c)
+        return cls._of(((one, zero), (c, one)))
+
+    @classmethod
+    def _one_zero(cls, c):
+        """1 and 0 of the class's ring, and c in it (a scalar becomes a constant)."""
+        one = cls._ring.one(c.ctx)
+        return one, cls._ring.zero(c.ctx), one.scale(c) if isinstance(c, FieldElem) else c
 
     def __matmul__(self, other):
         (a, b), (c, d) = self.entries
@@ -171,19 +192,6 @@ def row_inverse(r: JMap) -> JMap:
     return complete_pointed(r).inverse().row_map()
 
 
-def transform_quadruple(entries: Entries, quad):
-    """Left matrix action on a coefficient quadruple (generic over R, R[T])."""
-    (a0, a1), (b0, b1) = _transform_rows(entries, quad[:2], quad[2:])
-    return (a0, a1, b0, b1)
-
-
-def _transform_rows(entries: Entries, first, second):
-    """(e00*first + e01*second, e10*first + e11*second), entrywise."""
-    (e00, e01), (e10, e11) = entries
-    pairs = list(zip(first, second))
-    return [e00 * a + e01 * b for a, b in pairs], [e10 * a + e11 * b for a, b in pairs]
-
-
 def transform_cert(entries: Entries, cert):
     """Transport a four-cofactor generation certificate through the action.
 
@@ -200,20 +208,30 @@ def transform_cert(entries: Entries, cert):
     )
 
 
-def _transform_homog(entries: Entries, homog):
-    return None if homog is None else _transform_rows(entries, *homog)
+def _rows(entries: Entries, first, second):
+    """(e00*first + e01*second, e10*first + e11*second), entrywise."""
+    (e00, e01), (e10, e11) = entries
+    pairs = list(zip(first, second))
+    return [e00 * a + e01 * b for a, b in pairs], [e10 * a + e11 * b for a, b in pairs]
 
 
-def act(M: PointedSL2, f: JMap) -> JMap:
-    """The left action on a nonzero-degree map: sections become
-    (A s0 - V s1, B s0 + U s1).  Degree, generation, pointedness and
-    normalization are preserved (M is the identity at the basepoint); the
-    certificate and homogeneous lift transport exactly."""
+def act(M: Mat2, f: JMap) -> JMap:
+    """The left action on nonzero-degree section data: sections become
+    (e00 s0 + e01 s1, e10 s0 + e11 s1), i.e. (A s0 - V s1, B s0 + U s1).
+
+    ``M`` is a :class:`PointedSL2` moving a map over R, a
+    ``homotopy.Sl2Path`` moving a ``Segment`` over R[T], or an unchecked
+    elementary factor (:meth:`Mat2.upper`, :meth:`Mat2.lower`) of either;
+    the result is of ``type(f)``.  Degree and generation are preserved, and
+    pointedness and normalization too when M is the identity at the
+    basepoint; the certificate and the homogeneous lift, when present,
+    transport exactly."""
     if f.degree == 0:
         raise ValueError("degree-0 maps combine by row_sum, not the action")
-    quad = transform_quadruple(M.entries, f.data)
-    cert = transform_cert(M.entries, f.cert)
-    return JMap(f.degree, quad, cert, _transform_homog(M.entries, f.homog))
+    (a0, a1), (b0, b1) = _rows(M.entries, f.data[:2], f.data[2:])
+    cert = None if f.cert is None else transform_cert(M.entries, f.cert)
+    homog = None if f.homog is None else _rows(M.entries, *f.homog)
+    return type(f)(f.degree, (a0, a1, b0, b1), cert, homog)
 
 
 def boxplus_act(M: PointedSL2, f: JMap) -> JMap:

@@ -281,6 +281,8 @@ def parse_map(text: str, ctx: FieldCtx):
         n = ascii_int(head[1])
         if n is None:
             raise ParseError(f"bad map degree {head[1]!r}", expected="an integer")
+        if n == 0:
+            raise ParseError("a degree-0 map is a row literal", expected="row [A; B]")
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ParseError("map literal needs [a0; a1 | b0; b1]")
         a0, a1 = (parse_ring(s, ctx) for s in rows[0])

@@ -44,6 +44,12 @@ def test_malformed_numbers_are_parse_errors(capsys):
         assert code == 2 and "parse error" in err and "<int> or <int>/<int>" in err
 
 
+def test_a_degree_zero_map_literal_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "oplus", "map 0 [1; 0 | 0; 1]", "map 1 [1; 0 | 0; 1]")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "row [A; B]" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

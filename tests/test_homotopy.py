@@ -463,3 +463,172 @@ def test_an_edited_segment_degree_is_refused_before_any_expansion(literal, segme
     _, edited = parse_witness("\n".join(lines))
     verdict = _within_one_second(lambda: verify(edited, start, f))
     assert not verdict and verdict.reason == reason
+
+
+# ---------------------------------------------------------------------------
+# one action over R and R[T], against the segment actions written out by hand
+
+
+def _apply_matrix_oracle(M, w):
+    """A constant pointed matrix on every segment of a witness, entry by
+    entry: the quadruple by M, the certificate by its adjugate."""
+    (e00, e01), (e10, e11) = (tuple(RingPolyT.from_ring(e) for e in row) for row in M.entries)
+    out = []
+    for seg in w.segments:
+        if seg.degree == 0:
+            raise ValueError("matrix action applies to nonzero-degree segments")
+        a0, a1, b0, b1 = seg.data
+        data = (e00 * a0 + e01 * b0, e00 * a1 + e01 * b1, e10 * a0 + e11 * b0, e10 * a1 + e11 * b1)
+        cert = None
+        if seg.cert:
+            ux, vx, uw, vw = seg.cert
+            cert = (ux * e11 - vx * e10, vx * e00 - ux * e01, uw * e11 - vw * e10, vw * e00 - uw * e01)
+        out.append(Segment(seg.degree, data, cert))
+    return HomotopyWitness(out)
+
+
+def _decompose_spanning_oracle(f):
+    """The factorization through (1,0;0,1)_n with its matrix row operation
+    and straight-line segment (a0 - T e b0, a1 - T e b1; b0, b1) built by hand."""
+    from jouanolou.bundle import spanning_powers
+
+    ctx = f.ctx
+    const = RingPolyT.from_ring
+    a0, a1, b0, b1 = f.data
+    target_r = RingElement.one(ctx) - (a0 * b1 - a1 * b0)
+    ux, vx, uw, vw = f.cert
+    c, cp, d, dp = target_r * vx, target_r * vw, target_r * ux, target_r * uw
+    xn, yn, zn, wn = spanning_powers(ctx, f.degree)
+    m_prime = (
+        (a0 + yn * c + wn * cp, a1 - xn * c - zn * cp),
+        (b0 - yn * d - wn * dp, b1 + xn * d + zn * dp),
+    )
+    e = (a1 - c).eval_basepoint()
+    matrix = PointedSL2._of(
+        (
+            (m_prime[0][0] - m_prime[1][0].scale(e), m_prime[0][1] - m_prime[1][1].scale(e)),
+            m_prime[1],
+        )
+    )
+    eT = RingPolyT.gen_T(ctx).scale(e)
+    quad = (const(a0) - eT * b0, const(a1) - eT * b1, const(b0), const(b1))
+    ux, vx, uw, vw = (const(r) for r in f.cert)
+    return matrix, Segment(f.degree, quad, (ux, vx + eT * ux, uw, vw + eT * uw))
+
+
+def _same_segment(got, want):
+    return (
+        type(got) is Segment
+        and got.degree == want.degree
+        and got.data == want.data
+        and got.cert == want.cert
+    )
+
+
+def _action_cases(ctx):
+    """Maps of degrees -2..2 (pullbacks, moved pullbacks, references) and
+    pointed matrices with nonconstant entries, over one field."""
+    from jouanolou.homgrp import ReferenceFamily
+
+    refs = ReferenceFamily(ctx)
+    two, three = ctx.elem(2), ctx.elem(3)
+    r = RingElement.gen_y(ctx) + RingElement.gen_z(ctx).scale(two)
+    mats = [
+        m_uv(two, three),
+        m_uv(three, ctx.one) @ PointedSL2(PointedSL2.lower(r).entries),
+        complete_pointed(g_uv(ctx.one, two)) @ PointedSL2(PointedSL2.upper(r).entries),
+    ]
+    f2 = pullback_rational(RationalMapP1(ctx, 2, [ctx.one, two, ctx.one], [three, ctx.one]))
+    maps = [
+        n_pi(1, ctx),
+        f2,
+        act(mats[1], pullback_rational(rational_xu(two))),
+        refs.ref(-1),
+        refs.ref(-2),
+        n_pi(2, ctx).tau_transport(),
+    ]
+    return maps, mats
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_decompose_spanning_matches_the_hand_built_segment(ctx):
+    from jouanolou.homgrp import _decompose_spanning
+
+    maps, _ = _action_cases(ctx)
+    for f in maps:
+        matrix, seg = _decompose_spanning(f)
+        want_matrix, want_seg = _decompose_spanning_oracle(f)
+        assert type(matrix) is PointedSL2 and matrix.entries == want_matrix.entries
+        assert _same_segment(seg, want_seg)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_path_action_on_segments_matches_the_entrywise_action(ctx):
+    from jouanolou.homgrp import _decompose_spanning
+
+    maps, mats = _action_cases(ctx)
+    for f in maps:
+        seg = _decompose_spanning(f)[1]
+        w = HomotopyWitness([seg])
+        # a v1 witness file drops segment certificates
+        _, bare = parse_witness(witness_str(w, ctx))
+        assert bare.segments[0].cert is None
+        for M in mats:
+            path = Sl2Path.constant(M)
+            for source in (w, bare):
+                got = act(path, source.segments[0])
+                assert _same_segment(got, _apply_matrix_oracle(M, source).segments[0])
+            moved = HomotopyWitness([act(path, seg)])
+            assert verify(moved, act(M, seg.at(ctx.zero)), act(M, seg.at(ctx.one)))
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_path_action_transports_certificates_and_lifts(ctx):
+    # act on a constant segment is the constant segment of act on the map
+    maps, mats = _action_cases(ctx)
+    for f in maps:
+        for M in mats:
+            got = act(Sl2Path.constant(M), Segment.constant(f))
+            assert _same_segment(got, Segment.constant(act(M, f)))
+    f = n_pi(2, ctx)
+    moved = act(mats[1], f)
+    assert moved.homog is not None and moved.homog_matches()
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_action_refuses_degree_zero_segments(ctx):
+    row = g_uv(ctx.one, ctx.elem(2))
+    seg = Segment.constant(row)
+    path = Sl2Path.constant(m_uv(ctx.elem(2), ctx.elem(3)))
+    with pytest.raises(ValueError, match="degree-0"):
+        act(path, seg)
+    with pytest.raises(ValueError, match="nonzero-degree"):
+        _apply_matrix_oracle(m_uv(ctx.elem(2), ctx.elem(3)), HomotopyWitness([seg]))
+    with pytest.raises(ValueError, match="degree-0"):
+        act(m_uv(ctx.elem(2), ctx.elem(3)), row)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_elementary_factors_over_r_and_r_t(ctx):
+    from jouanolou.sl2 import Mat2
+
+    for cls, ring in ((PointedSL2, RingElement), (Sl2Path, RingPolyT)):
+        one, zero = ring.one(ctx), ring.zero(ctx)
+        c = ring.gen_y(ctx) + ring.gen_x(ctx).scale(ctx.elem(3))
+        upper, lower = cls.upper(c), cls.lower(c)
+        assert type(upper) is cls and type(lower) is cls
+        assert upper.entries == ((one, c), (zero, one))
+        assert lower.entries == ((one, zero), (c, one))
+        # a scalar of k becomes a constant of the ring
+        assert cls.upper(ctx.elem(5)).entries == ((one, one.scale(ctx.elem(5))), (zero, one))
+        # determinant 1, and the inverse is the factor at -c
+        assert (upper @ cls.upper(-c)).entries == ((one, zero), (zero, one))
+        assert (lower @ cls.lower(-c)).entries == ((one, zero), (zero, one))
+        assert issubclass(cls, Mat2)
+    # pointed exactly when c vanishes at the basepoint
+    y = RingElement.gen_y(ctx)
+    assert PointedSL2(PointedSL2.upper(y).entries) == PointedSL2.upper(y)
+    with pytest.raises(ValueError, match="basepoint"):
+        PointedSL2(PointedSL2.lower(RingElement.one(ctx)).entries)
+    T = RingPolyT.gen_T(ctx)
+    assert Sl2Path.upper(T).at(ctx.zero) == PointedSL2.upper(RingElement.zero(ctx))

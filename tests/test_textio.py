@@ -76,6 +76,14 @@ def test_map_degree_must_be_an_integer(degree):
         textio.parse_map(f"map {degree} [1; 0 | 0; 1]", QQ)
 
 
+@pytest.mark.parametrize("degree", ["0", "-0", "00"])
+def test_a_degree_zero_map_literal_points_to_the_row_form(degree):
+    with pytest.raises(ParseError, match="expected row") as info:
+        textio.parse_map(f"map {degree} [1; 0 | 0; 1]", QQ)
+    assert info.value.expected == "row [A; B]"
+    assert textio.parse_map("row [1; 0]", QQ).degree == 0
+
+
 def test_map_round_trip():
     maps = [
         n_pi(1, QQ),

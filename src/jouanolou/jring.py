@@ -9,7 +9,8 @@ values over one denominator each, canonical, so equality is also literal
 equality of (terms, den).  ``RingElement`` arithmetic runs the sparse kernel
 of :mod:`polys` (``terms_add``, ``terms_mul``) directly on those ints; a
 product puts each operand over one denominator once, the product by yz is a
-shift of exponents, and no ``Fraction`` is built.
+shift of exponents, and no ``Fraction`` is built; a zero or constant operand
+(the 0 and 1 entries of an elementary matrix, say) scales the other instead.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
 T exponent: ``RingPolyT`` keeps the same normal form a + x*b, with term-dict
@@ -190,6 +191,11 @@ class RingElement:
                 return NotImplemented
             self, other = pair
         ctx = common_ctx(self.a.ctx, other.a.ctx)
+        # a zero or constant operand scales the other in one pass
+        if (c := other._raw_constant()) is not None:
+            return self.scale(c)
+        if (c := self._raw_constant()) is not None:
+            return other.scale(c)
         # each operand over one denominator, so every product is an int loop
         # whose sums lie over d1 * d2 (den 1 skips the gcd pass until the end)
         (a1, b1, d1), (a2, b2, d2) = self._parts_over(), other._parts_over()
@@ -198,6 +204,17 @@ class RingElement:
         a = terms_mul(ctx, a1, d1, a2, d2, minus_yz_bb)
         b = terms_mul(ctx, a1, d1, b2, d2, terms_mul(ctx, a2, 1, b1, 1, bb)[0])
         return type(self)(BivarPoly(ctx, *a), BivarPoly(ctx, *b))
+
+    def _raw_constant(self):
+        """The raw value of a constant element (0 for zero), None for any
+        other."""
+        a = self.a
+        if self.b.terms or len(a.terms) > 1:
+            return None
+        if not a.terms:
+            return 0
+        c = a.terms.get(self._ONE)
+        return None if c is None else raw_coeff(self.ctx, c, a.den)
 
     def _parts_over(self):
         """(a, b, d): the values of both parts over d, the lcm of their

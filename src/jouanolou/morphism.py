@@ -60,6 +60,10 @@ def generation_columns(n: int, *data):
 
 
 def cert_expands_to_one(cert, columns) -> bool:
+    """Does sum(cert[i] * columns[i]) expand to 1, with exactly one
+    cofactor per column?"""
+    if len(cert) != len(columns):
+        return False
     acc = dot(zip(cert, columns))
     return acc == acc.one(acc.ctx)
 
@@ -258,10 +262,10 @@ def make_row(A: RingElement, B: RingElement, cert=None) -> JMap:
             raise NotUnimodular("row does not generate the unit ideal")
     if alpha.is_zero:
         raise NotPointed("row evaluates to (0, 0) at the basepoint")
-    row, (U, V) = normalized(alpha, (A, B), cert)
-    if not cert_expands_to_one((U, V), row):
+    row, cert = normalized(alpha, (A, B), cert)
+    if not cert_expands_to_one(cert, row):
         raise NotUnimodular("Bezout certificate does not expand to 1")
-    return JMap(0, row, (U, V))
+    return JMap(0, row, tuple(cert))
 
 
 def g_uv(u: FieldElem, v: FieldElem) -> JMap:

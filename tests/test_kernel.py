@@ -9,11 +9,16 @@ divisor x^2 - x + yz is monic, so division commutes with it).
 ``terms_mul`` is also checked against the plain loop on raw coefficients
 (large denominators, cancellation, every key width): its operands are the
 stored int forms of the raw dicts, and its canonical (terms, den) result must
-read back as the plain loop's coefficients in the same key order.  The
-pairwise sum of ``eval_terms`` is checked against a running sum.
+read back as the plain loop's coefficients in the same key order.  Those
+operands stay below ``PACK_MIN_PAIRS``, on the dict loop; the packed product
+``packed_sum`` is called directly on small operands and must equal the dict
+loop as dicts (its key order is its own), and the fused ``dot`` must equal
+the running sum of products.  The pairwise sum of ``eval_terms`` is checked
+against a running sum.
 """
 
 import random
+import signal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -23,7 +28,18 @@ from hypothesis import given, settings, strategies as st
 
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
-from jouanolou.polys import MPoly, cleared, raw_coeff, terms_mul, terms_over
+from jouanolou import jring
+from jouanolou.polys import (
+    PACK_MIN_PAIRS,
+    MPoly,
+    cleared,
+    dot,
+    packed_sum,
+    raw_coeff,
+    settled,
+    terms_mul,
+    terms_over,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -306,6 +322,162 @@ def test_terms_mul_products_that_cancel(ctx):
     assert stored_mul(ctx, A, B, {(2, 0): ctx.rneg(half), (0, 2): half}) == ({}, 1)
     assert stored_mul(ctx, {}, B) == ({}, 1)
     _check_product(ctx, stored_mul(ctx, A, {}, {(0, 0): one}), {(0, 0): one})
+
+
+# --- the packed product against the dict loop ---------------------------------
+
+# a slot bound no small product reaches: the packed path is always taken
+ANY_SLOTS = 10**9
+
+
+def shifted_dicts(nvars, ctx, max_size=5):
+    """term_dicts with every key moved by one per-variable shift, so the
+    exponent minima are not zero."""
+    shift = st.tuples(*(st.integers(0, 6) for _ in range(nvars)))
+    return st.tuples(term_dicts(nvars, ctx, max_size), shift).map(
+        lambda ts: {tuple(map(add, m, ts[1])): c for m, c in ts[0].items()}
+    )
+
+
+def _unreduced(ctx):
+    """acc values as ``RingElement.__mul__`` hands them on: over F_p any
+    int, negative or above p; over Q the stored ints."""
+    if ctx.p is None:
+        return st.integers(-(2**70), 2**70)
+    return st.integers(-10 * ctx.p, 10 * ctx.p)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("nvars", KEY_WIDTHS)
+def test_packed_product_equals_the_dict_loop(ctx, nvars):
+    """Negative values, numerators above 2^64 (slots of several words),
+    nonzero exponent minima, and an acc that may cancel the product or hold
+    unreduced F_p sums: the packed sum settles to the dict loop's pair."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        (a, dA), (b, dB) = (cleared(ctx, data.draw(shifted_dicts(nvars, ctx))) for _ in "AB")
+        assert len(a) * len(b) < PACK_MIN_PAIRS  # terms_mul runs the dict loop
+        want = terms_mul(ctx, a, dA, b, dB)
+        assert settled(ctx, packed_sum([(1, a, b)], ANY_SLOTS), dA * dB) == want
+        keys = st.sampled_from(sorted(set(want[0]) | {(0,) * nvars}))
+        acc = data.draw(st.dictionaries(keys, _unreduced(ctx), max_size=6))
+        if data.draw(st.booleans()):  # cancel the whole product; acc keys off it remain
+            acc.update({m: -c for m, c in terms_mul(ctx, a, 1, b, 1)[0].items()})
+        got = settled(ctx, packed_sum([(1, a, b)], ANY_SLOTS, acc), dA * dB)
+        assert got == terms_mul(ctx, a, dA, b, dB, acc)
+
+    check()
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("nvars", KEY_WIDTHS)
+def test_packed_sum_of_scaled_products_equals_the_dict_loop(ctx, nvars):
+    """Several products with their own boxes and scales in one packed sum."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        count = data.draw(st.integers(1, 4))
+        products = [
+            (data.draw(st.integers(1, 2**66)),
+             cleared(ctx, data.draw(shifted_dicts(nvars, ctx)))[0],
+             cleared(ctx, data.draw(shifted_dicts(nvars, ctx)))[0])
+            for _ in range(count)
+        ]
+        want: dict = {}
+        for s, a, b in products:
+            for m, c in terms_mul(ctx, a, 1, b, 1)[0].items():
+                want[m] = want.get(m, 0) + s * c
+        assert settled(ctx, packed_sum(products, ANY_SLOTS), 1) == settled(ctx, want, 1)
+
+    check()
+
+
+def _dense_mpoly(rng, ctx, vars, count, top):
+    terms = {}
+    while len(terms) < count:
+        mon = tuple(rng.randint(0, top) for _ in vars)
+        raw = ctx.rfrom_fraction(rng.randint(-(2**40), 2**40), rng.choice([1, 2, 3, 5, 2**31 - 1]))
+        if raw:
+            terms[mon] = raw
+    return MPoly(ctx, vars, terms)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("vars", [XYZ, XYZW], ids=["xyz", "xyzw"])
+def test_large_products_and_fused_dot_equal_the_running_sum(ctx, vars):
+    """Above the cutoff: terms_mul packs, and dot sums the products in one
+    packed sum over the lcm of the pair denominators."""
+    rng = random.Random(3)
+    top = 6 - len(vars)
+    pairs = [(_dense_mpoly(rng, ctx, vars, 40, top), _dense_mpoly(rng, ctx, vars, 30, top))
+             for _ in range(3)]
+    # pair denominators that differ, so each product is scaled to their lcm
+    pairs[1] = (pairs[1][0].scale(ctx.rfrom_fraction(1, 11)), pairs[1][1])
+    pairs[2] = (pairs[2][0], pairs[2][1].scale(ctx.rfrom_fraction(5, 13)))
+    if ctx.p is None:
+        assert len({a.den * b.den for a, b in pairs}) == 3
+    for a, b in pairs:
+        count = len(a.terms) * len(b.terms)
+        assert count >= PACK_MIN_PAIRS and packed_sum([(1, a.terms, b.terms)], count) is not None
+        assert a * b == MPoly(ctx, vars, plain_terms_mul(ctx, raw_terms(a), raw_terms(b)))
+    running = pairs[0][0] * pairs[0][1] + pairs[1][0] * pairs[1][1] + pairs[2][0] * pairs[2][1]
+    assert dot(pairs) == running
+    # a cofactor identity sum(c_i g_i) - target cancels to nothing
+    (a, b), (c, d) = pairs[:2]
+    assert dot([(a, b), (c, d), (-(a * b + c * d), MPoly.const(ctx, vars, ctx.rone))]).is_zero
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_a_sparse_large_product_keeps_to_the_dict_loop(ctx):
+    """x^(10^6) times a dense operand of 1000+ terms: its slot range is far
+    above its pair count, so it is not packed, and it returns at once."""
+    a, _ = cleared(ctx, {(0, 0): ctx.rone, (10**6, 0): ctx.rfrom_fraction(3, 2)})
+    b, _ = cleared(ctx, {(i, j): ctx.rfrom_fraction(i - j or 1, 1)
+                         for i in range(1, 33) for j in range(1, 33)})
+    assert len(a) * len(b) >= PACK_MIN_PAIRS
+    assert packed_sum([(1, a, b)], len(a) * len(b)) is None
+
+    def expire(signum, frame):
+        raise TimeoutError("took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        got = terms_mul(ctx, a, 1, b, 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == settled(ctx, plain_terms_mul(ctx, a, b), 1)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("cls", [RingElement, RingPolyT])
+def test_zero_and_constant_operands_scale_without_a_product(ctx, cls, monkeypatch):
+    """c * p and p * c for a constant c (zero included) scale p's parts in
+    one pass: no terms_mul runs, and the result is the sympy product."""
+    vars = XYZW if cls is RingElement else XYZWT
+    convert = mpoly_to_ring if cls is RingElement else mpoly_to_ringpolyt
+    ring_vars = vars[:3] + vars[4:]  # w eliminated
+    constants = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-5, 3)]
+
+    @CHECKS
+    @given(polys(vars, ctx), st.sampled_from(constants))
+    def check(p, value):
+        c = cls.from_raw(ctx, ctx.rfrom_fraction(value.numerator, value.denominator))
+        monkeypatch.setattr(jring, "terms_mul", None)  # any full product fails
+        try:
+            products = (convert(p) * c, c * convert(p))
+        finally:
+            monkeypatch.undo()
+        want = normal_form(to_sympy(p) * sympy.Rational(value.numerator, value.denominator))
+        for got in products:
+            assert type(got) is cls
+            assert raw_terms(got.to_mpoly(ring_vars)) == from_sympy(want, ring_vars, ctx)
+
+    check()
 
 
 # --- eval_terms: the pairwise sum equals the running sum -----------------------

@@ -16,7 +16,9 @@ from jouanolou.homgrp import ReferenceFamily, decompose, oplus
 from jouanolou.jring import RingElement
 from jouanolou.morphism import (
     RationalMapP1,
+    cert_expands_to_one,
     g_uv,
+    generation_columns,
     make_map,
     make_row,
     map_equal,
@@ -66,6 +68,24 @@ def test_make_row_examples():
     assert identity.data == (ONE, ZERO)
     with pytest.raises(NotUnimodular):
         make_row(R("y"), R("z"))
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_certificates_need_one_cofactor_per_column(ctx):
+    """A certificate with too few or too many entries is refused as not
+    expanding to 1, not dropped by zip or unpacked into a ValueError."""
+    f = n_pi(2, ctx)
+    cols = generation_columns(f.degree, *f.data)
+    assert cert_expands_to_one(f.cert, cols)
+    for cert in ((), f.cert[:1], f.cert[:3], f.cert + f.cert[:1]):
+        assert not cert_expands_to_one(cert, cols)
+        with pytest.raises(NotGenerating):
+            make_map(f.degree, *f.data, cert=cert)
+    g = g_uv(ctx.elem(3), ctx.elem(2))
+    for cert in ((), g.cert[:1], g.cert + g.cert[:1]):
+        with pytest.raises(NotUnimodular):
+            make_row(*g.data, cert=cert)
+    assert make_row(*g.data, cert=list(g.cert)).cert == g.cert
 
 
 def test_row_normalization():

@@ -18,9 +18,10 @@ with (x+w)^n = 1 and splitting the binomial expansion;
 The resultant machinery works with univariate polynomials in X over R given
 as ascending coefficient lists and is generic enough to run over R[T] as
 well; ``poly_add`` and ``poly_mul`` are its dense kernel, for these
-X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  Determinants
-and adjugates avoid any division (subset expansion for small matrices,
-Berkowitz's characteristic polynomial for large ones).
+X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  A matrix of
+constants of k is solved over k by Gaussian elimination; determinants and
+adjugates of any other matrix avoid division (subset expansion for small
+matrices, Berkowitz's characteristic polynomial for large ones).
 """
 
 from __future__ import annotations
@@ -197,45 +198,98 @@ def sylvester_matrix(A: list, B: list, m: int, n: int, zero):
     return rows
 
 
-# Determinants and adjugates switch from the subset expansion (O(m 2^m) ring
-# operations, zero entries skipped) to Berkowitz (O(m^4)) at a size that
-# depends on the entries.  When every entry is a constant of k, as in the
-# Sylvester matrices of the reference maps and of pullbacks, Berkowitz is
-# level with it at 8 rows and 2-7x faster at 10 to 12.  When some entry
-# involves x, y, z, w or T, Berkowitz's products A^k S outgrow the minors and
-# the subset expansion stays faster up to 11 rows.  End to end, this split
-# against Berkowitz from 8 rows on any entries, and at every size:
+# A matrix whose entries are all constants of k, as in the Sylvester matrices
+# of the reference maps and of pullbacks, is solved over k by Gaussian
+# elimination (``_solve_over_k``).  With a symbolic entry (one involving x,
+# y, z, w or T), determinants and adjugates switch from the subset expansion
+# (O(m 2^m) ring operations, zero entries skipped) to Berkowitz (O(m^4)) at
+# 12 rows: Berkowitz's products A^k S outgrow the minors, and the subset
+# expansion stays faster up to 11 rows.  End to end on such entries, this
+# split against Berkowitz from 8 rows, and at every size:
 #   naive_sum_deg1, degree-3 pullback, Q (R[T], 7 and 8 rows)  0.15 0.21 0.29 s
 #   resultant of a twisted degree-4 pair, Q (R, 8 rows)       1.2  1.9  2.1 s
-# and against the subset expansion at every size on such entries:
+# and against the subset expansion at every size:
 #   naive_sum_deg1, degree-5 pullback, F_7 (R[T], 11 and 12)  0.90 1.75 s
 #   resultant of a twisted degree-6 pair, F_7 (R, 12 rows)    2.2  5.4 s
 # (fastest of three alternating rounds, 2-core Intel Xeon VM, Python 3.11).
-_BERKOWITZ_MIN_SIZE = 8
 _BERKOWITZ_MIN_SIZE_SYMBOLIC = 12
 
 
 def _use_berkowitz(rows) -> bool:
-    size = len(rows)
-    if size >= _BERKOWITZ_MIN_SIZE_SYMBOLIC:
-        return True
-    return size >= _BERKOWITZ_MIN_SIZE and all(
-        e.is_zero or unit_scalar(e) is not None for row in rows for e in row
-    )
+    return len(rows) >= _BERKOWITZ_MIN_SIZE_SYMBOLIC
+
+
+def _constant_values(rows):
+    """The raw values of a matrix whose entries are all constants of k
+    (over R, R[T] or k itself), or None when some entry is symbolic."""
+    out = []
+    for row in rows:
+        values = []
+        for e in row:
+            c = e.val if isinstance(e, FieldElem) else e._raw_constant()
+            if c is None:
+                return None
+            values.append(c)
+        out.append(values)
+    return out
+
+
+def _solve_over_k(ctx: FieldCtx, values) -> tuple:
+    """(det M, x) for a square matrix M of raw values of k, by Gaussian
+    elimination with row swaps: x solves M^t x = e_last when det M != 0,
+    and is None when det M = 0."""
+    size = len(values)
+    zero, one = ctx.rzero, ctx.rone
+    sub, mul = ctx.rsub, ctx.rmul
+    # the rows of M^t, each followed by its entry of e_last
+    work = [[row[c] for row in values] + [one if c == size - 1 else zero] for c in range(size)]
+    det = one
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if work[r][c]), None)
+        if pivot is None:
+            return zero, None
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = ctx.rneg(det)
+        det = mul(det, work[c][c])
+        inv = ctx.rinv(work[c][c])
+        # the pivot row over its pivot, as (column, value) pairs right of it
+        top = [(k, mul(v, inv)) for k in range(c + 1, size + 1) if (v := work[c][k])]
+        for k, v in top:
+            work[c][k] = v
+        for r in range(c + 1, size):
+            f = work[r][c]
+            if f:
+                row = work[r]
+                for k, v in top:
+                    row[k] = sub(row[k], mul(f, v))
+    # back substitution on the unit upper triangle
+    x = [zero] * size
+    for r in reversed(range(size)):
+        acc = work[r][size]
+        for k in range(r + 1, size):
+            if work[r][k]:
+                acc = sub(acc, mul(work[r][k], x[k]))
+        x[r] = acc
+    return det, x
 
 
 def det_subset(rows, zero):
-    """Exact determinant, without division, of a square matrix given as rows.
+    """Exact determinant of a square matrix given as rows.
 
+    A matrix of constants is solved over k (``_solve_over_k``).  Otherwise
     Berkowitz's characteristic polynomial where ``_use_berkowitz`` says so
-    (from 8 rows of constants, from 12 rows of anything), an expansion along
-    rows with subset memoization below that.  Both need only +, -, * of the
-    entries, so they run over R, R[T], or k.  The name is older than the
-    split; it stays because profiling tools wrap this function by name.
+    (from 12 rows), an expansion along rows with subset memoization below
+    that; both need only +, -, * of the entries, so they run over R, R[T],
+    or k.  The name is older than these routes; it stays because profiling
+    tools wrap this function by name.
     """
     size = len(rows)
     if size == 0:
         raise ValueError("empty matrix has no well-defined determinant here")
+    values = _constant_values(rows)
+    if values is not None:
+        return _like(zero, _solve_over_k(zero.ctx, values)[0])
     if _use_berkowitz(rows):
         top = _charpoly(rows, zero)[-1]
         return top if size % 2 == 0 else -top
@@ -318,19 +372,29 @@ def _charpoly(rows, zero) -> list:
 
 
 def _adjugate_last_row(rows, zero):
-    """(det M, last row of adj M) without division.
+    """(det M, last row of adj M).
 
     Entry i of that row is the cofactor C(i, m-1), i.e. the determinant of
     M with row i replaced by the last unit row: the Cramer vector of the
-    system M^t * lam = e_last, in one pass instead of m determinants.
-    Where ``_use_berkowitz`` says so it is Horner on the characteristic
-    polynomial, adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I);
-    otherwise one subset pass over the transpose with its rows reversed,
-    whose top-row minors are the cofactors up to a fixed sign.
+    system M^t * lam = e_last, in one pass instead of m determinants.  For
+    an invertible matrix of constants it is det M times the solution of
+    that system over k (``_solve_over_k``).  Otherwise it is found without
+    division: where ``_use_berkowitz`` says so by Horner on the
+    characteristic polynomial, adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) +
+    ... + p(m-1) I); else by one subset pass over the transpose with its
+    rows reversed, whose top-row minors are the cofactors up to a fixed
+    sign.
     """
     size = len(rows)
     if size == 0:
         raise ValueError("empty matrix has no well-defined determinant here")
+    values = _constant_values(rows)
+    if values is not None:
+        ctx = zero.ctx
+        det, x = _solve_over_k(ctx, values)
+        # a singular matrix's adjugate is no multiple of an inverse
+        if x is not None:
+            return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
     if _use_berkowitz(rows):
         poly = _charpoly(rows, zero)
         columns = _nonzero_by_row(list(zip(*rows)))
@@ -382,12 +446,15 @@ def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None)
     return det_subset(rows, zero)
 
 
-def _one_like(e):
-    if isinstance(e, RingElement):  # R or R[T]
-        return e.one(e.ctx)
+def _like(e, raw):
+    """The raw value of k as an element of ``e``'s ring: R, R[T] or k."""
     if isinstance(e, FieldElem):
-        return e.ctx.one
-    raise TypeError(f"no unit for {type(e)}")
+        return FieldElem(e.ctx, raw)
+    return type(e).from_raw(e.ctx, raw)
+
+
+def _one_like(e):
+    return _like(e, e.ctx.rone)
 
 
 def unit_scalar(e) -> FieldElem | None:
@@ -408,9 +475,11 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
 
     Works over R or R[T].  The solution of the Sylvester system is the last
     row of the adjugate of the Sylvester matrix divided by the resultant.
-    ``_adjugate_last_row`` finds both in one division-free pass (a subset
-    expansion, or Berkowitz plus Horner on large matrices; see
-    ``_use_berkowitz``).  The unit resultant is the only division.
+    ``_adjugate_last_row`` finds both in one pass.  When every coefficient
+    is a constant of k, that pass is Gaussian elimination over k.  Otherwise
+    it is division-free (a subset expansion, or Berkowitz plus Horner on
+    large matrices; see ``_use_berkowitz``), and the unit resultant is the
+    only division.
     Returns (U, V) as ascending coefficient lists with deg U < n and
     deg V < m (bounds default to the actual degrees).
     """

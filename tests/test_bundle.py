@@ -1,10 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from jouanolou import bundle
+from jouanolou import bundle, morphism
 from jouanolou.bundle import (
-    _BERKOWITZ_MIN_SIZE,
     _BERKOWITZ_MIN_SIZE_SYMBOLIC,
     _adjugate_last_row,
     _use_berkowitz,
@@ -29,7 +29,7 @@ from jouanolou.errors import PreconditionViolated, ResultantNotUnit
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.morphism import cert_expands_to_one, generation_columns, n_pi
-from jouanolou.textio import parse_ring, ring_str
+from jouanolou.textio import map_str, parse_ring, ring_str
 
 
 def R(s, ctx=QQ):
@@ -380,12 +380,13 @@ def _random_matrix(rng, ring, ctx, size, constant):
 def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
     rng = random.Random(f"det:{ring.__name__}:{ctx.p}:{constant}")
     zero, one = ring.zero(ctx), ring.one(ctx)
-    # constant entries cross the split between subset expansion and Berkowitz
-    # here, entries in x, y, z, w or T stay on the subset side
-    assert 1 < _BERKOWITZ_MIN_SIZE < 10 < _BERKOWITZ_MIN_SIZE_SYMBOLIC
+    # constant entries take the route over k, entries in x, y, z, w or T stay
+    # on the subset side of the symbolic split
+    assert 10 < _BERKOWITZ_MIN_SIZE_SYMBOLIC
     for size in range(1, 11):
         rows = _random_matrix(rng, ring, ctx, size, constant)
-        assert _use_berkowitz(rows) == (constant and size >= _BERKOWITZ_MIN_SIZE)
+        assert (bundle._constant_values(rows) is not None) == constant
+        assert not _use_berkowitz(rows)
         want = _det_oracle(rows, zero)
         assert det_subset(rows, zero) == want
         det, last = _adjugate_last_row(rows, zero)
@@ -438,3 +439,157 @@ def test_reference_maps_of_degree_seven_and_eight(ctx):
         f = n_pi(n, ctx)
         assert f.degree == n
         assert cert_expands_to_one(f.cert, generation_columns(n, *f.data))
+
+
+# ---------------------------------------------------------------------------
+# the route over k for matrices of constants, against the division-free ones
+
+K_FIELDS = [QQ, Fp(7), Fp(1000003)]
+ENTRY_KINDS = ["R", "R[T]", "k"]
+
+
+def _constant_entry(kind, ctx, value):
+    c = ctx.elem(value)
+    if kind == "k":
+        return c
+    return (RingElement if kind == "R" else RingPolyT).from_scalar(c)
+
+
+def _random_constant(rng, kind, ctx):
+    """Zero three times in ten, else a small integer (a fraction over Q)."""
+    if rng.random() < 0.3:
+        return _constant_entry(kind, ctx, 0)
+    value = rng.randint(-9, 9) or 1
+    if ctx.p is None:
+        value = Fraction(value, rng.randint(1, 4))
+    return _constant_entry(kind, ctx, value)
+
+
+def _random_constant_matrix(rng, kind, ctx, size):
+    return [[_random_constant(rng, kind, ctx) for _ in range(size)] for _ in range(size)]
+
+
+def _oracle_adjugate_row(rows, zero, one):
+    return [
+        _det_oracle(_replaced_by_last_unit_row(rows, i, zero, one), zero) for i in range(len(rows))
+    ]
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+@pytest.mark.parametrize("ctx", K_FIELDS, ids=str)
+def test_k_route_matches_the_subset_oracle(ctx, kind):
+    rng = random.Random(f"k-route:{kind}:{ctx.p}")
+    zero, one = _constant_entry(kind, ctx, 0), _constant_entry(kind, ctx, 1)
+    for size in range(1, 11):
+        # draws until an invertible one; the singular ones on the way count too
+        want = zero
+        while want.is_zero:
+            rows = _random_constant_matrix(rng, kind, ctx, size)
+            assert bundle._constant_values(rows) is not None
+            want = _det_oracle(rows, zero)
+            assert det_subset(rows, zero) == want
+            det, last = _adjugate_last_row(rows, zero)
+            assert det == want
+            assert last == _oracle_adjugate_row(rows, zero, one)
+            assert all(type(e) is type(zero) for e in [det, *last])
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+@pytest.mark.parametrize("ctx", K_FIELDS, ids=str)
+def test_k_route_matches_berkowitz_on_large_matrices(ctx, kind, monkeypatch):
+    rng = random.Random(f"k-route-large:{kind}:{ctx.p}")
+    zero = _constant_entry(kind, ctx, 0)
+    # the entries of R and R[T] cost more in Berkowitz: fewer sizes there
+    sizes = range(11, 17) if kind == "k" else (11, 13, 16)
+    for size in sizes:
+        rows = _random_constant_matrix(rng, kind, ctx, size)
+        while det_subset(rows, zero).is_zero:
+            rows = _random_constant_matrix(rng, kind, ctx, size)
+        ours = det_subset(rows, zero), _adjugate_last_row(rows, zero)
+        with monkeypatch.context() as division_free:
+            division_free.setattr(bundle, "_constant_values", lambda rows: None)
+            division_free.setattr(bundle, "_use_berkowitz", lambda rows: True)
+            assert ours == (det_subset(rows, zero), _adjugate_last_row(rows, zero))
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_k_route_on_sylvester_matrices_with_vanishing_tops(ctx):
+    rng = random.Random(f"k-route-sylvester:{ctx.p}")
+    zero, one = RingElement.zero(ctx), RingElement.one(ctx)
+    units = 0
+    for n in range(1, 5):
+        for vanishing in ((0,), (1,), (0, 1)):
+            for _ in range(3):
+                pair = [[_random_constant(rng, "R", ctx) for _ in range(n + 1)] for _ in range(2)]
+                for side in vanishing:
+                    pair[side][n] = zero
+                pair[vanishing[0]][n - 1] = one  # a nonzero second coefficient
+                A, B = pair
+                rows = sylvester_matrix(A, B, n, n, zero)
+                assert rows[0][0].is_zero or rows[n][0].is_zero  # a pivot needs a swap
+                want = _det_oracle(rows, zero)
+                assert resultant_univ(A, B, n, n) == want
+                det, last = _adjugate_last_row(rows, zero)
+                assert det == want and last == _oracle_adjugate_row(rows, zero, one)
+                if unit_scalar(want) is None:
+                    with pytest.raises(ResultantNotUnit):
+                        bezout_from_unit_resultant(A, B, n, n)
+                else:
+                    units += 1
+                    assert bezout_from_unit_resultant(A, B, n, n) == _cramer_bezout(A, B, n, n)
+    assert units >= 12
+
+
+def test_k_route_on_the_pair_of_the_cli_sign_check():
+    A, B = ([R(c) for c in text.split(";")] for text in ("1; 2; 0; 3; 1", "2; 0; 1; 1; 0"))
+    assert resultant_univ(A, B, 4, 4) == R("-29")
+    A7, B7 = ([R(c, Fp(7)) for c in text.split(";")] for text in ("1; 2; 0; 3; 1", "2; 0; 1; 1; 0"))
+    assert resultant_univ(A7, B7, 4, 4) == R("6", Fp(7))
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+@pytest.mark.parametrize("ctx", K_FIELDS, ids=str)
+def test_k_route_declines_singular_matrices(ctx, kind):
+    rng = random.Random(f"k-route-singular:{kind}:{ctx.p}")
+    zero, one = _constant_entry(kind, ctx, 0), _constant_entry(kind, ctx, 1)
+    nonzero_adjugates = 0
+    for size in range(3, 9):
+        for deficiency in (1, 2):
+            rows = _random_constant_matrix(rng, kind, ctx, size)
+            # the last rows become combinations of the others: rank <= m - deficiency
+            for r in range(size - deficiency, size):
+                weights = [_random_constant(rng, kind, ctx) for _ in range(size - deficiency)]
+                rows[r] = [
+                    sum((w * rows[i][j] for i, w in enumerate(weights)), zero) for j in range(size)
+                ]
+            values = bundle._constant_values(rows)
+            assert bundle._solve_over_k(ctx, values) == (ctx.rzero, None)
+            assert det_subset(rows, zero) == zero
+            det, last = _adjugate_last_row(rows, zero)
+            assert det == zero
+            assert last == _oracle_adjugate_row(rows, zero, one)
+            if deficiency == 2:
+                assert all(e.is_zero for e in last)
+            else:
+                nonzero_adjugates += any(not e.is_zero for e in last)
+    assert nonzero_adjugates >= 2
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_reference_maps_equal_without_the_k_route(ctx, monkeypatch):
+    monkeypatch.setattr(morphism, "_NPI_CACHE", {})
+    ours = {n: n_pi(n, ctx) for n in range(7, 13)}
+    monkeypatch.setattr(morphism, "_NPI_CACHE", {})
+    monkeypatch.setattr(bundle, "_constant_values", lambda rows: None)
+    sizes = []
+    charpoly = bundle._charpoly
+    def counted(rows, zero):
+        sizes.append(len(rows))
+        return charpoly(rows, zero)
+
+    monkeypatch.setattr(bundle, "_charpoly", counted)
+    for n, f in ours.items():
+        g = n_pi(n, ctx)
+        assert map_str(f) == map_str(g)
+        assert f.cert == g.cert and repr(f.cert) == repr(g.cert)
+    assert sorted(set(sizes)) == list(range(14, 25, 2))

@@ -92,6 +92,14 @@ def test_resultant(capsys):
     assert code == 0 and out.strip() == "x"
 
 
+@pytest.mark.parametrize("field, want", [("Q", "-29"), ("Fp=7", "6")])
+def test_resultant_of_a_pair_with_a_vanishing_top(capsys, field, want):
+    # an 8x8 Sylvester matrix of constants whose elimination needs a row swap
+    pair = "1; 2; 0; 3; 1 | 2; 0; 1; 1; 0"
+    code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", "4")
+    assert code == 0 and out.strip() == want
+
+
 def test_sum(capsys):
     code, out, _ = run(capsys, "sum", "row [2*x - 1; 2*y]", "row [2*x - 1; -2*y]")
     assert code == 0 and out.strip() == "row [1; 0]"

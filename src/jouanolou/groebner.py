@@ -13,17 +13,23 @@ quotients of its reduction, one raw term dict per basis element the
 reduction subtracted.  Only when a certificate is needed (a constant lands
 in the basis, or the target reduces to zero) are the expressions in the
 input generators expanded, for the elements the certificate depends on
-only, in increasing basis index: parents and divisors always precede the
-element they make, so a long derivation costs no recursion, and each
-quotient is applied as one product.  A refuted or undecided run expands
-nothing.
+only, by reverse accumulation (Griewank & Walther, *Evaluating
+Derivatives*, ch. 3): one weight polynomial per element, walked in
+decreasing basis index, since parents and divisors always precede the
+element they make.  A long derivation costs no recursion, each weight is
+one fused sum of products, and the weights of the input generators are the
+cofactors, each the same sum over derivation paths as a forward expansion.
+A refuted or undecided run expands nothing.
 
-The reduction finds each leading monomial by popping a heap of the
-remainder's monomials; an entry whose monomial has left the remainder is
-skipped.  The monomial order is degrevlex with x > y > z > T throughout;
-pair selection is by smallest lcm and the divisor is the first basis
-element whose leading monomial divides, so identical inputs yield
-identical certificates.  The step budget is spent once per reduction step.
+The reduction keeps one remainder dict and subtracts each reducer from it
+in place, touching only the reducer's terms; it finds each leading monomial
+by popping a heap of the remainder's monomials, and an entry whose monomial
+has left the remainder is skipped.  The monomial order is degrevlex with
+x > y > z > T throughout; pair selection is by smallest lcm and the divisor
+is the first basis element whose leading monomial divides, so identical
+inputs yield identical certificates.  The step budget is spent once per
+reduction step.  Every generator must share the target's field and
+variables, checked before any step.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from operator import le
 
 from .errors import BudgetExceeded
 from .field import FieldCtx, ascii_int
-from .polys import MPoly, dot, drl_key, raw_coeff, terms_add
+from .polys import MPoly, dot, drl_key, raw_coeff, terms_sub_into
 
 DEFAULT_BUDGET = 10**6
 
@@ -126,14 +132,15 @@ def _reduce_tracked(p: MPoly, basis: list[_Tracked], budget: _Budget):
     """Full normal form of p modulo the basis, and the quotients:
     p == normal + sum(quotients[k] * basis[k].poly), quotients mapping the
     index of every basis element a step subtracted to a dict of raw
-    coefficients, one term per such step."""
+    coefficients, one term per such step.
+
+    The remainder is one dict of values over a running denominator, this
+    loop's own: an irreducible leading term is dropped from it, and a step
+    subtracts the reducer in place (``terms_sub_into``), touching only the
+    reducer's terms and pushing the keys new to the remainder."""
     ctx = p.ctx
     tail = {}  # raw coefficients of the irreducible leading terms
     quotients: dict[int, dict] = {}
-    # the remainder as values over den in a dict of this loop's own (a
-    # nonempty terms_add returns a new dict), so an irreducible leading term
-    # is dropped in place; den may stop being canonical, which raw_coeff and
-    # terms_add do not need
     work, den = dict(p.terms), p.den
     heap = [_heap_key(m) for m in work]
     heapq.heapify(heap)
@@ -153,55 +160,49 @@ def _reduce_tracked(p: MPoly, basis: list[_Tracked], budget: _Budget):
         qmon = tuple(a - b for a, b in zip(lm, hit.lm))
         qc = ctx.rdiv(lc, hit.lc)
         quotients.setdefault(k, {})[qmon] = qc
-        red = hit.poly.mul_term(qmon, qc)
-        before = work
-        work, den = terms_add(ctx, work, den, red.terms, red.den, negate=True)
-        for m in red.terms:
-            if m not in before:  # new to the remainder, so below lm and kept
-                heapq.heappush(heap, _heap_key(m))
+        den, new = terms_sub_into(ctx, work, den, hit.poly.terms, hit.poly.den, qc, qmon)
+        for m in new:  # below lm, and kept
+            heapq.heappush(heap, _heap_key(m))
     return MPoly(ctx, p.vars, tail), quotients
 
 
 def _expand(basis: list[_Tracked], origin, n: int, ctx: FieldCtx, vars) -> list[MPoly]:
     """The expression in the n input generators of the element ``origin``
-    makes, as n cofactors.  Only the basis elements it depends on are
-    expanded, in increasing index, so no element waits on a later one."""
-    zero = MPoly.zero(ctx, vars)
+    makes, as n cofactors, by reverse accumulation.
 
-    def deps(orig):
-        if isinstance(orig, int):
-            return ()
-        multiples, quotients = orig
-        return [k for k, _, _ in multiples] + list(quotients)
+    Each basis element the origin depends on gets one weight, its
+    coefficient in the expression.  The walk runs from the highest index
+    down, so an element's weight is complete before it passes to its
+    parents and divisors, whose indices are lower; each weight is one
+    ``dot`` of its pending (multiplier or -quotient, child weight) pairs,
+    and the weights of the generators are the cofactors."""
+    cofactors = [MPoly.zero(ctx, vars)] * n
+    if isinstance(origin, int):
+        cofactors[origin] = MPoly.const(ctx, vars, ctx.rone)
+        return cofactors
+    pending: dict[int, list] = {}
 
-    def combine(orig):
-        if isinstance(orig, int):
-            one = MPoly.const(ctx, vars, ctx.rone)
-            return [one if t == orig else zero for t in range(n)]
+    def pass_on(orig, weight):
         multiples, quotients = orig
-        out = [zero] * n
         for k, mon, c in multiples:
-            for t, v in enumerate(vecs[k]):
-                if v.terms:
-                    out[t] = out[t] + v.mul_term(mon, c)
+            pending.setdefault(k, []).append((MPoly(ctx, vars, {mon: c}), weight))
         for k, q in quotients.items():
-            Q = MPoly(ctx, vars, q)
-            for t, v in enumerate(vecs[k]):
-                if v.terms:
-                    out[t] = out[t] - Q * v
-        return out
+            minus_q = MPoly(ctx, vars, {m: -c for m, c in q.items()})
+            pending.setdefault(k, []).append((minus_q, weight))
 
-    cone: set[int] = set()
-    pending = list(deps(origin))
-    while pending:
-        k = pending.pop()
-        if k not in cone:
-            cone.add(k)
-            pending.extend(deps(basis[k].origin))
-    vecs: dict[int, list[MPoly]] = {}
-    for k in sorted(cone):
-        vecs[k] = combine(basis[k].origin)
-    return combine(origin)
+    pass_on(origin, MPoly.const(ctx, vars, ctx.rone))
+    for k in range(len(basis) - 1, -1, -1):
+        if k not in pending:
+            continue
+        weight = dot(pending.pop(k))
+        if weight.is_zero:
+            continue
+        orig = basis[k].origin
+        if isinstance(orig, int):
+            cofactors[orig] = weight
+        else:
+            pass_on(orig, weight)
+    return cofactors
 
 
 def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certificate | None:
@@ -217,6 +218,8 @@ def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certif
     n = len(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    for g in gens:  # the in-place reduction below checks no ring
+        target._ctx(g)
     bud = _Budget(budget if budget is not None else step_budget())
 
     def certified(cofactors: list[MPoly]) -> Certificate:

@@ -11,8 +11,10 @@ keeps rational polynomials the same way.)
 The kernel runs int loops only and returns (terms, den) pairs:
 ``terms_add`` (sum or difference over the lcm of the denominators),
 ``terms_mul`` (the product over the product of the denominators),
-``terms_scale`` (by a raw scalar, optionally times a monomial) and
-``terms_neg`` are the only sparse add/sub/mul loops; ``MPoly`` here and
+``terms_scale`` (by a raw scalar, optionally times a monomial),
+``terms_neg`` and ``terms_sub_into`` (a scaled, shifted subtraction in
+place from a dict the caller owns, the step of the Groebner reduction) are
+the only sparse add/sub/mul loops; ``MPoly`` here and
 ``BivarPoly``/``RingElement`` in :mod:`jring` call them directly.  Over Q,
 ``canonical`` divides a result by gcd(den, all values) in one pass, so the
 kernel returns canonical pairs when given canonical ones.  Stored term dicts
@@ -39,11 +41,12 @@ The cutoff is measured on a sample of 579 products of 100 pairs or more from
 corpora 0-1 of those workloads (CPython 3.11, 2-core x86-64 VM): the dict
 loop won 251 of the 312 below 300 pairs, packing won 159 of the 179 at
 300-999 pairs by about 1.3x, and all 88 from 1000 pairs on, by about 2.6x.
-``dot`` on ``MPoly`` pairs sums all its products in one packed sum (the
-certificate checks of :mod:`groebner`).  The dict loop stays as the
-small-product path and as the tests' oracle.  The packed path returns its
-keys in slot order, not the loop's: no result may depend on key order
-(printing sorts).
+``dot`` on ``MPoly`` pairs is one accumulation at every size (the
+certificate checks and cofactor weights of :mod:`groebner`): the products go
+into one dict, or from the cutoff on into one packed sum, settled once.
+The dict loop stays as the small-product path and as the tests' oracle.
+The packed path returns its keys in slot order, not the loop's: no result
+may depend on key order (printing sorts).
 
 Raw coefficients (``Fraction`` over Q, int over F_p) cross only at the
 boundary: ``cleared`` puts a dict of them into the stored form (the
@@ -234,8 +237,17 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
     ) is not None:
         return settled(ctx, out, dA * dB)
     out = {} if acc is None else dict(acc)
+    _mul_into(out, A, B)
+    return settled(ctx, out, dA * dB)
+
+
+def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
+    """Add the int products s * A * B into ``out`` in place, unsettled.
+    Exponent pairs and triples are added inline."""
     width = len(next(iter(A)))
     for m1, c1 in A.items():
+        if s != 1:
+            c1 *= s
         for m2, c2 in B.items():
             if width == 2:
                 m = (m1[0] + m2[0], m1[1] + m2[1])
@@ -247,7 +259,51 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
                 out[m] += c1 * c2
             else:
                 out[m] = c1 * c2
-    return settled(ctx, out, dA * dB)
+
+
+def terms_sub_into(ctx: FieldCtx, acc: dict, den: int, B: dict, dB: int, raw, mon: tuple):
+    """Subtract raw * x^mon * B/dB from the int values ``acc`` over den in
+    place, raw a nonzero raw coefficient; returns (den, the keys new to
+    acc).
+    ``acc`` is the caller's own dict, never a stored one.
+
+    Only the shifted keys of B are touched: each value is updated, a zero
+    one deleted.  Over F_p each touched value is reduced mod p.  Over Q acc
+    is rescaled only when the lcm of den and the denominator of raw * B/dB
+    exceeds den, and gcd(den, all values) is divided out after, so the
+    returned den is canonical for acc."""
+    p = ctx.p
+    if p is None:
+        n, d = raw.numerator, raw.denominator
+        step = d * dB
+        D = den if den % step == 0 else lcm(den, step)
+        if D != den:
+            f = D // den
+            for m, c in acc.items():
+                acc[m] = c * f
+        s = n * (D // step)
+    else:
+        D, s = 1, raw
+    new = []
+    width = len(mon)
+    for m, c in B.items():
+        if width == 3:
+            m = (m[0] + mon[0], m[1] + mon[1], m[2] + mon[2])
+        else:
+            m = tuple(map(add, m, mon))
+        v = acc.get(m)
+        if v is None:
+            acc[m] = -s * c if p is None else -s * c % p
+            new.append(m)
+        elif v := (v - s * c if p is None else (v - s * c) % p):
+            acc[m] = v
+        else:
+            del acc[m]
+    if D != 1 and (g := gcd(D, *acc.values())) != 1:
+        for m, c in acc.items():
+            acc[m] = c // g
+        D //= g
+    return D, new
 
 
 def terms_scale(ctx: FieldCtx, A: dict, den: int, raw, mon: tuple | None = None):
@@ -298,12 +354,14 @@ def power(base, e: int, one):
 def dot(pairs):
     """sum(a * b for a, b in pairs) in any ring type, None for no pairs.
 
-    ``MPoly`` pairs of PACK_MIN_PAIRS term pairs or more in all are one
-    :func:`packed_sum` over the lcm of the pair denominators, unpacked and
-    made canonical once, under the density guard of ``terms_mul``."""
+    ``MPoly`` pairs are one accumulation over the lcm of the pair
+    denominators, settled once: the dict loop of ``terms_mul`` below
+    PACK_MIN_PAIRS term pairs in all, one :func:`packed_sum` from there on
+    under the density guard of ``terms_mul``.  Other ring types keep a
+    running sum."""
     pairs = list(pairs)
-    if pairs and isinstance(pairs[0][0], MPoly) and (fused := _mpoly_dot(pairs)) is not None:
-        return fused
+    if pairs and isinstance(pairs[0][0], MPoly):
+        return _mpoly_dot(pairs)
     acc = None
     for a, b in pairs:
         term = a * b
@@ -312,11 +370,7 @@ def dot(pairs):
 
 
 def _mpoly_dot(pairs):
-    """The fused sum of products of ``dot`` on MPoly pairs, or None when it
-    is below the cutoff or too sparse to pack."""
-    count = sum(len(a.terms) * len(b.terms) for a, b in pairs)
-    if count < PACK_MIN_PAIRS:
-        return None
+    """The fused sum of products of ``dot`` on MPoly pairs."""
     first = pairs[0][0]
     for a, b in pairs:
         first._ctx(a)
@@ -324,8 +378,15 @@ def _mpoly_dot(pairs):
     live = [(a, b) for a, b in pairs if a.terms and b.terms]
     D = lcm(*(a.den * b.den for a, b in live))
     scaled = [(D // (a.den * b.den), a.terms, b.terms) for a, b in live]
-    out = packed_sum(scaled, count * PACK_SLOTS_PER_PAIR)
-    return None if out is None else MPoly(ctx, first.vars, *settled(ctx, out, D))
+    count = sum(len(A) * len(B) for _, A, B in scaled)
+    out = None
+    if count >= PACK_MIN_PAIRS:
+        out = packed_sum(scaled, count * PACK_SLOTS_PER_PAIR)
+    if out is None:
+        out = {}
+        for s, A, B in scaled:
+            _mul_into(out, A, B, s)
+    return MPoly(ctx, first.vars, *settled(ctx, out, D))
 
 
 def eval_terms(terms: dict, den: int, images: list, const):

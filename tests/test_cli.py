@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from jouanolou.cli import main
@@ -80,6 +82,24 @@ def test_ideal_certificate(capsys):
     )
     assert code == 0
     assert "[2*x - 1]" in out and "x^2 - x + y*z" in out
+
+
+@pytest.mark.parametrize(
+    "field, sha1",
+    [
+        ("Q", "6b7a18890746fa62273278bf8f642174247c9dda"),
+        ("Fp=7", "dfc298edeb4a39f2de97b2547fcf3fbb7c7a10ef"),
+    ],
+)
+def test_ideal_certificate_text_is_pinned(capsys, field, sha1):
+    """The printed cofactors of a three-generator problem whose completion
+    runs S-pair reductions and a multi-level expansion, byte for byte."""
+    code, out, _ = run(
+        capsys, "--field", field, "ideal", "--target", "1",
+        "--gens", "x*y + 2*z - 1, y^2 - z, x - 3*z^2", "--with-relation",
+    )
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 def test_ideal_negative(capsys):

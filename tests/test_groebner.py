@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jouanolou.errors import BudgetExceeded
+from jouanolou.errors import BudgetExceeded, ContextMismatch
 from jouanolou.field import Fp, QQ
 from jouanolou.groebner import IdealProblem, express_in_ideal, relation_poly
 from jouanolou.jring import RingElement, RingPolyT
@@ -175,19 +175,19 @@ def test_membership_agrees_with_sympy_on_random_draws():
 def test_reduction_drops_a_long_irreducible_tail_without_subtracting(monkeypatch):
     """A remainder with one reducible leading term over a long irreducible
     tail: each tail term moves to the normal form with no subtraction, so
-    the kernel adds once per reduction step, not once per tail term.  The
-    half on y^30 leaves the remaining values over an even denominator, all
-    even, once it is dropped."""
+    the kernel subtracts once per reduction step, not once per tail term.
+    The half on y^30 leaves the remaining values over an even denominator,
+    all even, once it is dropped."""
     from jouanolou import groebner
-    from jouanolou.polys import terms_add
+    from jouanolou.polys import terms_sub_into
 
     calls = []
 
     def counted(*args, **kw):
         calls.append(1)
-        return terms_add(*args, **kw)
+        return terms_sub_into(*args, **kw)
 
-    monkeypatch.setattr(groebner, "terms_add", counted)
+    monkeypatch.setattr(groebner, "terms_sub_into", counted)
     tail = {(0, 30, 0): Fraction(1, 2)}
     tail.update({(0, i, j): Fraction(i + 2 * j + 1) for i in range(20) for j in range(1, 20)})
     p = MPoly(QQ, RingElement.VARS, {(2, 0, 0): Fraction(1), **tail})
@@ -401,3 +401,138 @@ def test_cofactor_expansion_of_a_long_derivation_chain():
     origin = (((1499, (0, 0, 0), ctx.rone),), {})
     got = groebner._expand(basis, origin, 2, ctx, vars)
     assert got == [x.scale(ctx.rfrom_int(-1498)), one(ctx, vars)]
+
+
+# --- the copy-per-step reduction, as an oracle ----------------------------------
+#
+# The engine subtracts each reducer from one remainder in place.  This is the
+# reduction it replaced, which builds every reducer as an MPoly and makes a new
+# remainder of the whole sum at every step: the same pops, divisors and steps.
+
+
+def reference_reduce(p, basis, budget):
+    """(normal form, quotients) of p modulo the basis, one copy per step."""
+    from jouanolou.groebner import _heap_key
+    from jouanolou.polys import raw_coeff, terms_add
+
+    ctx = p.ctx
+    tail, quotients = {}, {}
+    work, den = dict(p.terms), p.den
+    heap = [_heap_key(m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        lm = heapq.heappop(heap)[:0:-1]
+        if lm not in work:
+            continue
+        lc = raw_coeff(ctx, work[lm], den)
+        hit = next((k for k, b in enumerate(basis) if all(a <= e for a, e in zip(b.lm, lm))), None)
+        if hit is None:
+            tail[lm] = lc
+            del work[lm]
+            continue
+        budget.spend()
+        qmon = tuple(a - b for a, b in zip(lm, basis[hit].lm))
+        qc = ctx.rdiv(lc, basis[hit].lc)
+        quotients.setdefault(hit, {})[qmon] = qc
+        red = basis[hit].poly.mul_term(qmon, qc)
+        before = work
+        work, den = terms_add(ctx, work, den, red.terms, red.den, negate=True)
+        for m in red.terms:
+            if m not in before:
+                heapq.heappush(heap, _heap_key(m))
+    return MPoly(ctx, p.vars, tail), quotients
+
+
+@st.composite
+def reductions(draw, ctx):
+    """(p, basis polynomials, budget) in k[x,y,z] or k[x,y,z,T]."""
+    vars = draw(st.sampled_from([RingElement.VARS, RingPolyT.VARS]))
+    basis = draw(st.lists(polys_in(ctx, vars, 3, 2), min_size=1, max_size=3))
+    p = draw(polys_in(ctx, vars, 6, 4, 0))
+    return p, basis, draw(st.integers(0, 30))
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")])
+def test_in_place_reduction_matches_the_copy_per_step_oracle(ctx):
+    """Equal normal forms, quotients and budget.left at a drawn budget, or
+    BudgetExceeded in both; and at the oracle's own step count the engine
+    succeeds with nothing left, and raises with one step fewer."""
+    from jouanolou import groebner
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(reductions(ctx))
+    def check(case):
+        p, polys, n = case
+        basis = [groebner._Tracked(g, i) for i, g in enumerate(polys)]
+        want_budget, got_budget = groebner._Budget(n), groebner._Budget(n)
+        try:
+            want = reference_reduce(p, basis, want_budget)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                groebner._reduce_tracked(p, basis, got_budget)
+        else:
+            assert groebner._reduce_tracked(p, basis, got_budget) == want
+            assert got_budget.left == want_budget.left
+        full = groebner._Budget(10**6)
+        want = reference_reduce(p, basis, full)
+        steps = 10**6 - full.left
+        exact = groebner._Budget(steps)
+        assert groebner._reduce_tracked(p, basis, exact) == want
+        assert exact.left == 0
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                groebner._reduce_tracked(p, basis, groebner._Budget(steps - 1))
+
+    check()
+
+
+def test_in_place_reduction_denominator_grows_then_cancels(monkeypatch):
+    """x^2 + y modulo 2x - z and z^2 + 4 over Q: the running denominator
+    goes 2, 4 and back to 1 as the constant -1/4 * 4 joins y/4 * 4."""
+    from jouanolou import groebner
+    from jouanolou.polys import terms_sub_into
+
+    dens = []
+
+    def recorded(*args):
+        out = terms_sub_into(*args)
+        dens.append(out[0])
+        return out
+
+    monkeypatch.setattr(groebner, "terms_sub_into", recorded)
+    p = poly("x^2 + y")
+    basis = [groebner._Tracked(poly("2*x - z"), 0), groebner._Tracked(poly("z^2 + 4"), 1)]
+    budget = groebner._Budget(3)
+    normal, quotients = groebner._reduce_tracked(p, basis, budget)
+    assert dens == [2, 4, 1]
+    assert normal == poly("y - 1") and budget.left == 0
+    assert quotients == {0: {(1, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(1, 4)},
+                         1: {(0, 0, 0): Fraction(1, 4)}}
+    assert (normal, quotients) == reference_reduce(p, basis, groebner._Budget(3))
+
+
+X_Y, X_Y_Z_T = ("x", "y"), RingPolyT.VARS
+
+
+@pytest.mark.parametrize(
+    "gens, target, error",
+    [
+        # not in the ideal: an unchecked reduction returns None for these
+        ([poly("3*x", F7)], poly("x*y + 1"), ContextMismatch),
+        ([MPoly(QQ, X_Y, {(1, 0): 1})], poly("z"), ValueError),
+        ([MPoly(QQ, X_Y_Z_T, {(1, 0, 0, 0): 1})], poly("z"), ValueError),
+        # in the ideal, and a constant generator
+        ([poly("3*x", F7)], poly("x"), ContextMismatch),
+        ([poly("3", F7)], one(), ContextMismatch),
+        ([MPoly(QQ, X_Y, {(1, 0): 1})], poly("x"), ValueError),
+        ([MPoly(QQ, X_Y_Z_T, {(1, 0, 0, 0): 1})], poly("x"), ValueError),
+    ],
+    ids=["field", "xy", "xyzT", "field-member", "field-constant", "xy-member", "xyzT-member"],
+)
+def test_mixed_ring_problems_are_refused(gens, target, error):
+    """A generator over another field or variable tuple than the target is
+    refused before any step, as MPoly arithmetic refuses it."""
+    with pytest.raises(error) as info:
+        express_in_ideal(IdealProblem(gens, target))
+    if error is ValueError:
+        assert str(info.value) == "polynomials from different rings"

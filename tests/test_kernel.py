@@ -12,8 +12,8 @@ stored int forms of the raw dicts, and its canonical (terms, den) result must
 read back as the plain loop's coefficients in the same key order.  Those
 operands stay below ``PACK_MIN_PAIRS``, on the dict loop; the packed product
 ``packed_sum`` is called directly on small operands and must equal the dict
-loop as dicts (its key order is its own), and the fused ``dot`` must equal
-the running sum of products.  The pairwise sum of ``eval_terms`` is checked
+loop as dicts (its key order is its own), and the fused ``dot``, packed or
+on the dict loop, must equal the running sum of products.  The pairwise sum of ``eval_terms`` is checked
 against a running sum.
 """
 
@@ -428,6 +428,30 @@ def test_large_products_and_fused_dot_equal_the_running_sum(ctx, vars):
     # a cofactor identity sum(c_i g_i) - target cancels to nothing
     (a, b), (c, d) = pairs[:2]
     assert dot([(a, b), (c, d), (-(a * b + c * d), MPoly.const(ctx, vars, ctx.rone))]).is_zero
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("vars", [XYZ, XYZT], ids=["xyz", "xyzT"])
+def test_small_fused_dot_equals_the_running_sum(ctx, vars):
+    """Below the cutoff dot is one dict loop over the lcm of the pair
+    denominators, settled once: the running sum of products, zero pairs and
+    a sum that cancels to nothing included."""
+
+    @CHECKS
+    @given(st.lists(st.tuples(polys(vars, ctx), polys(vars, ctx)), min_size=1, max_size=4),
+           st.booleans())
+    def check(pairs, cancel):
+        if cancel:
+            a, b = pairs[0]
+            pairs.append((-(a * b), MPoly.const(ctx, vars, ctx.rone)))
+        assert sum(len(a.terms) * len(b.terms) for a, b in pairs) < PACK_MIN_PAIRS
+        running = pairs[0][0] * pairs[0][1]
+        for a, b in pairs[1:]:
+            running = running + a * b
+        got = dot(pairs)
+        assert (got.terms, got.den) == (running.terms, running.den)
+
+    check()
 
 
 @pytest.mark.parametrize("ctx", FIELDS)

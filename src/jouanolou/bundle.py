@@ -35,6 +35,7 @@ from .jring import RingElement, mpoly_to_ring
 from .polys import MPoly, dot
 
 _REWRITE_CACHE: dict = {}
+_POWERS_CACHE: dict = {}
 
 
 def _ring_sum(ctx: FieldCtx, terms) -> RingElement:
@@ -44,9 +45,13 @@ def _ring_sum(ctx: FieldCtx, terms) -> RingElement:
 
 
 def pure_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
-    """(x^n, y^n, z^n, w^n) in R."""
-    gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
-    return tuple(g(ctx) ** n for g in gens)
+    """(x^n, y^n, z^n, w^n) in R, computed once per field and n (ring
+    elements are never written after construction, so callers share them)."""
+    key = (ctx.p, n)
+    if key not in _POWERS_CACHE:
+        gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
+        _POWERS_CACHE[key] = tuple(g(ctx) ** n for g in gens)
+    return _POWERS_CACHE[key]
 
 
 def spanning_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:

@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceeded as exc:
         print("Undecided")
-        print(f"BudgetExceeded: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except JouanolouError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -38,6 +38,11 @@ class BudgetExceeded(JouanolouError):
     """The reduction-step budget ran out before the computation finished."""
 
 
+class DegreeOverflow(BudgetExceeded):
+    """A monomial degree past the engine's packed key field: the problem is
+    left undecided, as when the budget runs out."""
+
+
 # bundle / resultants
 class ResultantNotUnit(JouanolouError):
     pass

@@ -13,7 +13,8 @@ The kernel runs int loops only and returns (terms, den) pairs:
 ``terms_mul`` (the product over the product of the denominators),
 ``terms_scale`` (by a raw scalar, optionally times a monomial),
 ``terms_neg`` and ``terms_sub_into`` (a scaled, shifted subtraction in
-place from a dict the caller owns, the step of the Groebner reduction) are
+place from a dict the caller owns, on packed int keys, the step of the
+Groebner reduction) are
 the only sparse add/sub/mul loops; ``MPoly`` here and
 ``BivarPoly``/``RingElement`` in :mod:`jring` call them directly.  Over Q,
 ``canonical`` divides a result by gcd(den, all values) in one pass, so the
@@ -28,11 +29,20 @@ power-cached evaluation of a term dict (summed pairwise), ``dot`` the one
 sum of products.
 
 Large products are one big-integer multiply (Kronecker substitution;
-Fateman 2005, Harvey 2009): ``packed_sum`` maps every key to one slot of
-whole 64-bit words in the box of the exponents, multiplies the packed
-operands and unpacks once.  ``terms_mul`` takes it from PACK_MIN_PAIRS =
-1000 term pairs on, and only when the slot range is at most
-PACK_SLOTS_PER_PAIR = 1 times the pair count.  That density guard keeps a
+Fateman 2005, Harvey 2009): ``packed_sum`` maps every key to one slot in
+the box of the exponents, multiplies the packed operands and unpacks once.
+A slot is only as wide as the sum it must hold (``slot_bytes``): 1, 2, 4
+or 8 bytes, whole 64-bit words past that.  CPython multiplies in about
+length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply.  Of
+the 306 packed sums in corpora 0-2 of the ``witness_boundary`` benchmark
+workload, mostly F_7 certificate checks, 158 take 2-byte slots, 109
+4-byte, 38 8-byte and one 16-byte, where every slot took 8 bytes or more
+before; the 195 Q sums of ``group_roundtrip`` take 4 (93) or 8 bytes
+(102), and a Q sum needing 5 bytes or more keeps 8.
+
+``terms_mul`` takes the packed product from PACK_MIN_PAIRS = 1000 term
+pairs on, and only when the slot range is at most PACK_SLOTS_PER_PAIR = 1
+times the pair count.  That density guard keeps a
 sparse product such as x^(10^6) * (...) on the dict loop and bounds the
 packed buffer by the loop's own work; the 454 products of 1000 pairs or
 more in corpora 0-2 of the ``group_roundtrip`` and ``witness_boundary``
@@ -41,6 +51,15 @@ The cutoff is measured on a sample of 579 products of 100 pairs or more from
 corpora 0-1 of those workloads (CPython 3.11, 2-core x86-64 VM): the dict
 loop won 251 of the 312 below 300 pairs, packing won 159 of the 179 at
 300-999 pairs by about 1.3x, and all 88 from 1000 pairs on, by about 2.6x.
+Re-measured with the narrower slots on the single products of 100-999
+pairs that the dict loop ran in corpora 0-2 of both workloads (best of 5
+each): packing won 120 of 294 below 300 pairs (0.025 s on the loop against
+0.035 s packed), 132 of 162 at 300-499 (0.025 against 0.019 s) and all 36
+at 500-999 (0.0085 against 0.0044 s), while 208 more stayed on the loop by
+the density guard.  Lowering the cutoff to 500 would save about 4 ms in
+three corpora, far below what parent/change pairs of the benchmark
+resolve, and packed results come back in slot order where ``realize`` sums
+floats in dict order, so the cutoff stays 1000.
 ``dot`` on ``MPoly`` pairs is one accumulation at every size (the
 certificate checks and cofactor weights of :mod:`groebner`): the products go
 into one dict, or from the cutoff on into one packed sum, settled once.
@@ -174,6 +193,20 @@ def _pack(A: dict, low: list, high: list, strides: list, nbytes: int) -> int:
     return packed if neg is None else packed - int.from_bytes(neg, "little")
 
 
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def slot_bytes(bound: int) -> int:
+    """The bytes of a Kronecker slot for sums of absolute value at most
+    ``bound``, a sign bit included: 1, 2, 4 or 8, the least that holds it,
+    and past 8 whole 64-bit words."""
+    bits = bound.bit_length() + 1
+    for nbytes in _SLOT_FORMATS:
+        if bits <= 8 * nbytes:
+            return nbytes
+    return 8 * ((bits + 63) // 64)
+
+
 def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None:
     """sum(s * A * B over (s, A, B) in products) + acc as a dict of int
     sums, by Kronecker substitution (zero slots of the products dropped;
@@ -181,12 +214,14 @@ def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None
     ``max_slots``.
 
     The slots cover the box of the products' exponents, the last variable
-    with stride 1.  A slot is whole 64-bit words, enough for the sum of
-    |s| * max|a| * max|b| * min(|A|, |B|) plus a sign bit.  Each operand is
-    packed once, each product is one big-int multiply shifted to its
-    place, and the sum is unpacked once: every slot is offset by half its
-    range so the whole is nonnegative, written out by ``to_bytes`` and read
-    back as little-endian words, whatever the host's byte order."""
+    with stride 1.  A slot is :func:`slot_bytes` of the bound
+    sum(|s| * max|a| * max|b| * min(|A|, |B|)) on its values: 1, 2, 4 or 8
+    bytes, or whole 64-bit words past that.  Each operand is packed once,
+    each product is one big-int multiply shifted to its place, and the sum
+    is unpacked once: every slot is offset by half its range so the whole is
+    nonnegative, written out by ``to_bytes`` and read back by one
+    little-endian ``struct`` format (B, H, I or Q, words recombined past
+    8 bytes), whatever the host's byte order."""
     boxes = [(s, A, B, *_box(A), *_box(B)) for s, A, B in products]
     low = [min(v) for v in zip(*(map(add, la, lb) for _, _, _, la, _, lb, _ in boxes))]
     high = [max(v) for v in zip(*(map(add, ha, hb) for _, _, _, _, ha, _, hb in boxes))]
@@ -197,18 +232,23 @@ def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None
     strides = [prod(spans[v + 1:]) for v in range(len(spans))]
     bound = sum(abs(s) * max(map(abs, A.values())) * max(map(abs, B.values()))
                 * min(len(A), len(B)) for s, A, B, *_ in boxes)
-    words = (bound.bit_length() + 64) // 64  # the sign bit included
-    nbytes, bits = 8 * words, 64 * words
+    nbytes = slot_bytes(bound)
+    bits = 8 * nbytes
     total = 0
     for s, A, B, la, ha, lb, hb in boxes:
         shift = sum(map(mul, map(sub, map(add, la, lb), low), strides)) * bits
         total += (s * _pack(A, la, ha, strides, nbytes) * _pack(B, lb, hb, strides, nbytes)) << shift
     half = 1 << (bits - 1)
     total += int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
-    vals = struct.unpack(f"<{slots * words}Q", total.to_bytes(slots * nbytes, "little"))
-    slot_vals = vals[words - 1::words]
-    for j in range(words - 2, -1, -1):
-        slot_vals = [(v << 64) | w for v, w in zip(slot_vals, vals[j::words])]
+    raw = total.to_bytes(slots * nbytes, "little")
+    if nbytes <= 8:
+        slot_vals = struct.unpack(f"<{slots}{_SLOT_FORMATS[nbytes]}", raw)
+    else:
+        words = nbytes // 8
+        vals = struct.unpack(f"<{slots * words}Q", raw)
+        slot_vals = vals[words - 1::words]
+        for j in range(words - 2, -1, -1):
+            slot_vals = [(v << 64) | w for v, w in zip(slot_vals, vals[j::words])]
     keys = product(*(range(l, h + 1) for l, h in zip(low, high)))
     out = {m: v - half for m, v in zip(keys, slot_vals) if v != half}
     if acc:
@@ -261,10 +301,11 @@ def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
                 out[m] = c1 * c2
 
 
-def terms_sub_into(ctx: FieldCtx, acc: dict, den: int, B: dict, dB: int, raw, mon: tuple):
+def terms_sub_into(ctx: FieldCtx, acc: dict, den: int, B: dict, dB: int, raw, mon: int):
     """Subtract raw * x^mon * B/dB from the int values ``acc`` over den in
     place, raw a nonzero raw coefficient; returns (den, the keys new to
-    acc).
+    acc).  Keys are ints on which a monomial product is a sum, the packed
+    monomials of :mod:`groebner`, its only caller.
     ``acc`` is the caller's own dict, never a stored one.
 
     Only the shifted keys of B are touched: each value is updated, a zero
@@ -285,12 +326,8 @@ def terms_sub_into(ctx: FieldCtx, acc: dict, den: int, B: dict, dB: int, raw, mo
     else:
         D, s = 1, raw
     new = []
-    width = len(mon)
     for m, c in B.items():
-        if width == 3:
-            m = (m[0] + mon[0], m[1] + mon[1], m[2] + mon[2])
-        else:
-            m = tuple(map(add, m, mon))
+        m += mon
         v = acc.get(m)
         if v is None:
             acc[m] = -s * c if p is None else -s * c % p

@@ -593,3 +593,16 @@ def test_reference_maps_equal_without_the_k_route(ctx, monkeypatch):
         assert map_str(f) == map_str(g)
         assert f.cert == g.cert and repr(f.cert) == repr(g.cert)
     assert sorted(set(sizes)) == list(range(14, 25, 2))
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_pure_powers_repeat_equal_to_fresh_powers(ctx):
+    """Cached powers equal powers computed afresh, on repeated calls and
+    for an equal field given as another context object."""
+    gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
+    for n in (0, 1, 3, 1):
+        fresh = tuple(g(ctx) ** n for g in gens)
+        assert bundle.pure_powers(ctx, n) == fresh
+        assert bundle.pure_powers(ctx, n) == fresh
+    other = Fp(7) if ctx.p else QQ
+    assert bundle.pure_powers(other, 2) == tuple(g(ctx) ** 2 for g in gens)

@@ -241,6 +241,11 @@ def test_budget_exhaustion_is_undecided(monkeypatch, capsys):
     assert code == 3 and out.strip() == "Undecided" and "BudgetExceeded" in err
 
 
+def test_a_degree_past_the_engine_field_is_undecided(capsys):
+    code, out, err = run(capsys, "ideal", "--target", "1", "--gens", "x^4294967296")
+    assert code == 3 and out.strip() == "Undecided" and "DegreeOverflow" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5", "1_0", "\u0661"])
 def test_malformed_step_budget_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("JOU_STEP_BUDGET", value)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jouanolou.errors import BudgetExceeded, ContextMismatch
+from jouanolou import groebner
+from jouanolou.errors import BudgetExceeded, ContextMismatch, DegreeOverflow
 from jouanolou.field import Fp, QQ
-from jouanolou.groebner import IdealProblem, express_in_ideal, relation_poly
+from jouanolou.groebner import MAX_DEGREE, IdealProblem, express_in_ideal, pack, relation_poly, unpack
 from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.polys import MPoly, dot, drl_key
 
@@ -25,6 +26,23 @@ def poly(s, ctx=QQ, vars=RingElement.VARS):
 
 def one(ctx=QQ, vars=RingElement.VARS):
     return MPoly.const(ctx, vars, ctx.rone)
+
+
+def tracked(g, origin):
+    """The engine's basis element for g, its terms packed."""
+    return groebner._Tracked(g.ctx, len(g.vars), {pack(m): c for m, c in g.terms.items()}, g.den,
+                             origin)
+
+
+def reduce_packed(p, basis, budget):
+    """The engine's reduction of p, packed at the boundary: (normal form,
+    quotients) on exponent tuples."""
+    n = len(p.vars)
+    (terms, den), quotients = groebner._reduce_tracked(
+        p.ctx, n, {pack(m): c for m, c in p.terms.items()}, p.den, basis, budget
+    )
+    normal = MPoly(p.ctx, p.vars, {unpack(m, n): c for m, c in terms.items()}, den)
+    return normal, {k: {unpack(m, n): c for m, c in q.items()} for k, q in quotients.items()}
 
 
 def test_unimodular_row_certificate():
@@ -178,7 +196,6 @@ def test_reduction_drops_a_long_irreducible_tail_without_subtracting(monkeypatch
     the kernel subtracts once per reduction step, not once per tail term.
     The half on y^30 leaves the remaining values over an even denominator,
     all even, once it is dropped."""
-    from jouanolou import groebner
     from jouanolou.polys import terms_sub_into
 
     calls = []
@@ -192,8 +209,8 @@ def test_reduction_drops_a_long_irreducible_tail_without_subtracting(monkeypatch
     tail.update({(0, i, j): Fraction(i + 2 * j + 1) for i in range(20) for j in range(1, 20)})
     p = MPoly(QQ, RingElement.VARS, {(2, 0, 0): Fraction(1), **tail})
     g = poly("x - 1/3")
-    basis = [groebner._Tracked(g, 0)]
-    normal, quotients = groebner._reduce_tracked(p, basis, groebner._Budget(10))
+    basis = [tracked(g, 0)]
+    normal, quotients = reduce_packed(p, basis, groebner._Budget(10))
     assert len(calls) == 2  # x^2 -> x/3 -> 1/9
     assert normal == MPoly(QQ, RingElement.VARS, {**tail, (0, 0, 0): Fraction(1, 9)})
     assert normal == p - MPoly(QQ, RingElement.VARS, quotients[0]) * g
@@ -203,13 +220,11 @@ def test_reduction_keeps_a_monomial_that_cancels_and_comes_back():
     """y^2 leaves the remainder at the first step and re-enters at the
     second: the normal form holds it once, and the two steps are all the
     budget pays for."""
-    from jouanolou import groebner
-
     p = poly("x^2 + y^2")
     b0, b1 = poly("x^2 + x*y + y^2"), poly("x*y - y^2")
-    basis = [groebner._Tracked(b0, 0), groebner._Tracked(b1, 1)]
+    basis = [tracked(b0, 0), tracked(b1, 1)]
     budget = groebner._Budget(10)
-    normal, quotients = groebner._reduce_tracked(p, basis, budget)
+    normal, quotients = reduce_packed(p, basis, budget)
     assert normal == poly("-y^2")
     assert quotients == {0: {(0, 0, 0): 1}, 1: {(0, 0, 0): -1}}
     assert budget.left == 8
@@ -328,7 +343,9 @@ def polys_in(ctx, vars, max_terms, max_deg, min_terms=1):
         if ctx.p is not None
         else st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
     )
-    mon = st.tuples(*(st.integers(0, max_deg) for _ in vars)).filter(lambda m: sum(m) <= max_deg)
+    mon = st.sampled_from(
+        [m for m in itertools.product(range(max_deg + 1), repeat=len(vars)) if sum(m) <= max_deg]
+    )
     terms = st.dictionaries(mon, coeff, min_size=min_terms, max_size=max_terms)
     return terms.map(lambda t: MPoly(ctx, vars, t))
 
@@ -388,17 +405,15 @@ def test_cofactor_expansion_of_a_long_derivation_chain():
     """A 1500-element chain, each element made from the one before it less
     x times generator 0: the expansion walks the chain by index, so its
     depth is no recursion depth."""
-    from jouanolou import groebner
-
     ctx, vars = QQ, RingElement.VARS
     x = MPoly.var(ctx, vars, "x")
     stub = x  # the expansion reads origins only
-    basis = [groebner._Tracked(stub, 0), groebner._Tracked(stub, 1)]
+    basis = [tracked(stub, 0), tracked(stub, 1)]
     for k in range(2, 1500):
-        multiples = ((k - 1, (0, 0, 0), ctx.rone),)
-        basis.append(groebner._Tracked(stub, (multiples, {0: {(1, 0, 0): ctx.rone}})))
+        multiples = ((k - 1, pack((0, 0, 0)), ctx.rone),)
+        basis.append(tracked(stub, (multiples, {0: {pack((1, 0, 0)): ctx.rone}})))
     # element k expands to e_1 - (k - 1) x e_0; ask for the last one
-    origin = (((1499, (0, 0, 0), ctx.rone),), {})
+    origin = (((1499, pack((0, 0, 0)), ctx.rone),), {})
     got = groebner._expand(basis, origin, 2, ctx, vars)
     assert got == [x.scale(ctx.rfrom_int(-1498)), one(ctx, vars)]
 
@@ -410,9 +425,15 @@ def test_cofactor_expansion_of_a_long_derivation_chain():
 # remainder of the whole sum at every step: the same pops, divisors and steps.
 
 
+def _heap_key(m):
+    """Min-heap key of a monomial, smallest for the degrevlex-largest; the
+    monomial is key[:0:-1]."""
+    return (-sum(m),) + m[::-1]
+
+
 def reference_reduce(p, basis, budget):
-    """(normal form, quotients) of p modulo the basis, one copy per step."""
-    from jouanolou.groebner import _heap_key
+    """(normal form, quotients) of p modulo the basis of ``_OracleTracked``
+    elements, one copy per step."""
     from jouanolou.polys import raw_coeff, terms_add
 
     ctx = p.ctx
@@ -457,31 +478,31 @@ def test_in_place_reduction_matches_the_copy_per_step_oracle(ctx):
     """Equal normal forms, quotients and budget.left at a drawn budget, or
     BudgetExceeded in both; and at the oracle's own step count the engine
     succeeds with nothing left, and raises with one step fewer."""
-    from jouanolou import groebner
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(reductions(ctx))
     def check(case):
         p, polys, n = case
-        basis = [groebner._Tracked(g, i) for i, g in enumerate(polys)]
+        basis = [tracked(g, i) for i, g in enumerate(polys)]
+        ref_basis = [_OracleTracked(g, None) for g in polys]
         want_budget, got_budget = groebner._Budget(n), groebner._Budget(n)
         try:
-            want = reference_reduce(p, basis, want_budget)
+            want = reference_reduce(p, ref_basis, want_budget)
         except BudgetExceeded:
             with pytest.raises(BudgetExceeded):
-                groebner._reduce_tracked(p, basis, got_budget)
+                reduce_packed(p, basis, got_budget)
         else:
-            assert groebner._reduce_tracked(p, basis, got_budget) == want
+            assert reduce_packed(p, basis, got_budget) == want
             assert got_budget.left == want_budget.left
         full = groebner._Budget(10**6)
-        want = reference_reduce(p, basis, full)
+        want = reference_reduce(p, ref_basis, full)
         steps = 10**6 - full.left
         exact = groebner._Budget(steps)
-        assert groebner._reduce_tracked(p, basis, exact) == want
+        assert reduce_packed(p, basis, exact) == want
         assert exact.left == 0
         if steps:
             with pytest.raises(BudgetExceeded):
-                groebner._reduce_tracked(p, basis, groebner._Budget(steps - 1))
+                reduce_packed(p, basis, groebner._Budget(steps - 1))
 
     check()
 
@@ -489,7 +510,6 @@ def test_in_place_reduction_matches_the_copy_per_step_oracle(ctx):
 def test_in_place_reduction_denominator_grows_then_cancels(monkeypatch):
     """x^2 + y modulo 2x - z and z^2 + 4 over Q: the running denominator
     goes 2, 4 and back to 1 as the constant -1/4 * 4 joins y/4 * 4."""
-    from jouanolou import groebner
     from jouanolou.polys import terms_sub_into
 
     dens = []
@@ -501,14 +521,16 @@ def test_in_place_reduction_denominator_grows_then_cancels(monkeypatch):
 
     monkeypatch.setattr(groebner, "terms_sub_into", recorded)
     p = poly("x^2 + y")
-    basis = [groebner._Tracked(poly("2*x - z"), 0), groebner._Tracked(poly("z^2 + 4"), 1)]
+    b0, b1 = poly("2*x - z"), poly("z^2 + 4")
+    basis = [tracked(b0, 0), tracked(b1, 1)]
     budget = groebner._Budget(3)
-    normal, quotients = groebner._reduce_tracked(p, basis, budget)
+    normal, quotients = reduce_packed(p, basis, budget)
     assert dens == [2, 4, 1]
     assert normal == poly("y - 1") and budget.left == 0
     assert quotients == {0: {(1, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(1, 4)},
                          1: {(0, 0, 0): Fraction(1, 4)}}
-    assert (normal, quotients) == reference_reduce(p, basis, groebner._Budget(3))
+    ref_basis = [_OracleTracked(b0, None), _OracleTracked(b1, None)]
+    assert (normal, quotients) == reference_reduce(p, ref_basis, groebner._Budget(3))
 
 
 X_Y, X_Y_Z_T = ("x", "y"), RingPolyT.VARS
@@ -536,3 +558,65 @@ def test_mixed_ring_problems_are_refused(gens, target, error):
         express_in_ideal(IdealProblem(gens, target))
     if error is ValueError:
         assert str(info.value) == "polynomials from different rings"
+
+
+# --- engine keys -----------------------------------------------------------------
+
+
+def exponent_vectors(n, top=2**20):
+    return st.tuples(*(st.integers(0, top) for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_engine_keys_order_unpack_and_multiply_as_exponent_vectors(n):
+    """Key order is ``drl_key`` order, unpack inverts pack, and the key of
+    a product is the sum of the keys."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(exponent_vectors(n), exponent_vectors(n))
+    def check(a, b):
+        ka, kb = pack(a), pack(b)
+        assert (ka < kb) == (drl_key(a) < drl_key(b)) and (ka == kb) == (a == b)
+        assert unpack(ka, n) == a
+        assert pack(tuple(x + y for x, y in zip(a, b))) == ka + kb
+
+    check()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_engine_keys_stop_at_the_field_limit(n):
+    """A vector of degree MAX_DEGREE packs and unpacks exactly, one of
+    degree MAX_DEGREE + 1 is refused."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, MAX_DEGREE), min_size=n - 1, max_size=n - 1), st.booleans())
+    def check(cuts, over):
+        cuts = sorted(cuts)
+        top = MAX_DEGREE + over
+        exp = tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+        if over:
+            with pytest.raises(DegreeOverflow):
+                pack(exp)
+        else:
+            assert unpack(pack(exp), n) == exp
+
+    check()
+
+
+def test_the_engine_refuses_a_degree_past_the_field_limit():
+    """A generator or target past MAX_DEGREE, or a pair whose lcm is, is
+    refused before any step is spent: budget 0 raises DegreeOverflow, not a
+    spent budget.  A pair whose lcm has degree MAX_DEGREE is queued and
+    decided."""
+    ctx, vars = QQ, RingElement.VARS
+    x_big = MPoly.var(ctx, vars, "x", MAX_DEGREE + 1)
+    with pytest.raises(DegreeOverflow):
+        express_in_ideal(IdealProblem([x_big], one()), budget=0)
+    with pytest.raises(DegreeOverflow):
+        express_in_ideal(IdealProblem([poly("x")], x_big), budget=0)
+    h = 2**31  # x^h y and x y^h have degree 2^31 + 1, their lcm 2^32
+    gens = [MPoly(ctx, vars, {(h, 1, 0): 1}), MPoly(ctx, vars, {(1, h, 0): 1})]
+    with pytest.raises(DegreeOverflow):
+        express_in_ideal(IdealProblem(gens, one()), budget=0)
+    gens[1] = MPoly(ctx, vars, {(1, h - 1, 0): 1})
+    assert express_in_ideal(IdealProblem(gens, one()), budget=0) is None

@@ -17,10 +17,11 @@ on the dict loop, must equal the running sum of products.  The pairwise sum of `
 against a running sum.
 """
 
+import itertools
 import random
 import signal
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add
 
 import pytest
@@ -31,11 +32,13 @@ from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ring
 from jouanolou import jring
 from jouanolou.polys import (
     PACK_MIN_PAIRS,
+    _mul_into,
     MPoly,
     cleared,
     dot,
     packed_sum,
     raw_coeff,
+    slot_bytes,
     settled,
     terms_mul,
     terms_over,
@@ -393,6 +396,39 @@ def test_packed_sum_of_scaled_products_equals_the_dict_loop(ctx, nvars):
         assert settled(ctx, packed_sum(products, ANY_SLOTS), 1) == settled(ctx, want, 1)
 
     check()
+
+
+# the bits a bound needs with its sign bit, and the slot bytes they get
+SLOT_EDGES = {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 16}
+
+
+@pytest.mark.parametrize(
+    "ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7"), pytest.param(Fp(1000003), id="F1000003")]
+)
+@pytest.mark.parametrize("bits", list(SLOT_EDGES))
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)], ids=["positive", "negative", "mixed"])
+def test_packed_sum_at_the_slot_width_edges(ctx, bits, signs):
+    """For the largest and the smallest bound that needs ``bits`` bits with
+    its sign bit, a packed sum whose slot at x reaches the bound (same
+    signs) or cancels (mixed) equals the dict loop, with an acc that cancels
+    that slot or not; the slot gets the bytes of ``SLOT_EDGES``."""
+    field_top = 2**40 if ctx.p is None else ctx.p - 1  # the largest stored value
+    for bound, with_acc in itertools.product((2 ** (bits - 1) - 1, 2 ** (bits - 2)), (False, True)):
+        top = min(field_top, isqrt(bound // 2))
+        a = {(0, 0): signs[0] * top, (1, 0): signs[1] * top}
+        b = {(0, 0): top, (1, 0): top}
+        s, r = divmod(bound, 2 * top * top)  # the bound is s * top * top * 2 + r
+        products = [(s, a, b)] + ([(r, {(1, 0): signs[0]}, {(0, 0): 1})] if r else [])
+        acc = {(1, 0): -signs[0] * bound, (2, 2): 1} if with_acc else None
+        want = dict(acc or {})
+        for scale, A, B in products:
+            _mul_into(want, A, B, scale)
+        if signs[0] == signs[1]:
+            assert want[(1, 0)] == (0 if with_acc else signs[0] * bound)
+        got = packed_sum(products, ANY_SLOTS, acc)
+        assert {m: c for m, c in got.items() if c} == {m: c for m, c in want.items() if c}
+        assert settled(ctx, got, 1) == settled(ctx, want, 1)
+        assert slot_bytes(bound) == SLOT_EDGES[bits]
 
 
 def _dense_mpoly(rng, ctx, vars, count, top):

@@ -69,7 +69,14 @@ from .homotopy import (
     transpose_inverse_witness,
     verify,
 )
-from .homgrp import Decomposition, ReferenceFamily, decompose, naive_sum_deg1, oplus
+from .homgrp import (
+    Decomposition,
+    ReferenceFamily,
+    decompose,
+    decompose_matrix,
+    naive_sum_deg1,
+    oplus,
+)
 from .realize import eval_rp1, winding_degree, winding_profile
 from .mwk import (
     K1Canonical,

@@ -36,15 +36,19 @@ class ReferenceFamily:
         self.ctx = ctx
         self.neg_mode = neg_mode
         self._cache: dict[int, JMap] = {}
+        self._qref: dict[int, JMap] = {}
+        self._ref_matrix: dict[int, tuple[PointedSL2, FieldElem]] = {}
         self._ref_decomp: dict[int, tuple[PointedSL2, Segment]] = {}
 
     def qref(self, n: int) -> JMap:
         """The spanning-column map (1,0;0,1)_n, certified by the unit split
-        x^n E + w^n F = 1 (columns are the pure powers)."""
-        ctx = self.ctx
-        one, zero = RingElement.one(ctx), RingElement.zero(ctx)
-        E, F = unit_split(ctx, abs(n))
-        return make_map(n, one, zero, zero, one, cert=(E, zero, zero, F))
+        x^n E + w^n F = 1 (columns are the pure powers); built once per n."""
+        if n not in self._qref:
+            ctx = self.ctx
+            one, zero = RingElement.one(ctx), RingElement.zero(ctx)
+            E, F = unit_split(ctx, abs(n))
+            self._qref[n] = make_map(n, one, zero, zero, one, cert=(E, zero, zero, F))
+        return self._qref[n]
 
     def ref(self, n: int) -> JMap:
         if n == 0:
@@ -63,10 +67,19 @@ class ReferenceFamily:
         self._cache[n] = result
         return result
 
+    def ref_matrix(self, n: int) -> tuple[PointedSL2, FieldElem]:
+        """Cached :func:`_spanning_matrix` of ref(n)."""
+        if n not in self._ref_matrix:
+            self._ref_matrix[n] = _spanning_matrix(self.ref(n))
+        return self._ref_matrix[n]
+
     def ref_decomposition(self, n: int) -> tuple[PointedSL2, Segment]:
-        """Cached factorization of ref(n) through the spanning-column map."""
+        """Cached factorization of ref(n) through the spanning-column map:
+        its pointed matrix and the segment from ref(n) to that matrix's
+        action."""
         if n not in self._ref_decomp:
-            self._ref_decomp[n] = _decompose_spanning(self.ref(n))
+            m_r, e = self.ref_matrix(n)
+            self._ref_decomp[n] = m_r, _spanning_segment(self.ref(n), e)
         return self._ref_decomp[n]
 
 
@@ -80,10 +93,13 @@ class Decomposition:
     witness: HomotopyWitness
 
 
-def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
+def _spanning_matrix(f: JMap) -> tuple[PointedSL2, FieldElem]:
     """Factor f through (1,0;0,1)_n: a pointed matrix M with
-    act(M, qref) = (a0 - e*b0, a1 - e*b1; b0, b1), plus the straight-line
-    segment from f to that map."""
+    act(M, qref) = (a0 - e*b0, a1 - e*b1; b0, b1), and the basepoint value
+    e of the row operation, from which :func:`_spanning_segment` builds the
+    straight line from f to that map."""
+    if f.degree == 0:
+        raise ValueError("decompose applies to nonzero degrees")
     ctx = f.ctx
     a0, a1, b0, b1 = f.data
     one = RingElement.one(ctx)
@@ -101,43 +117,58 @@ def _decompose_spanning(f: JMap) -> tuple[PointedSL2, Segment]:
     e = (a1 - c).eval_basepoint()
     # det(m_prime) = a0*b1 - a1*b0 + target_r = 1 by the certificate identity
     # (x^n w^n = y^n z^n); the row operation makes it the identity at the basepoint
-    matrix = PointedSL2.upper(-e) @ PointedSL2._of(m_prime)
-    # straight-line family (a0 - T e b0, a1 - T e b1; b0, b1): T=0 is f,
-    # T=1 is act(matrix, qref); certificate transported from f's.
-    minus_eT = RingPolyT.gen_T(ctx).scale(-e)
-    return matrix, act(Sl2Path.upper(minus_eT), Segment.constant(f))
+    return PointedSL2.upper(-e) @ PointedSL2._of(m_prime), e
+
+
+def _spanning_segment(f: JMap, e: FieldElem) -> Segment:
+    """The straight-line family (a0 - T e b0, a1 - T e b1; b0, b1): T=0 is
+    f, T=1 is the action of its spanning matrix on qref; the certificate is
+    transported from f's."""
+    minus_eT = RingPolyT.gen_T(f.ctx).scale(-e)
+    return act(Sl2Path.upper(minus_eT), Segment.constant(f))
+
+
+def _against_ref(m_f: PointedSL2, n: int, refs: ReferenceFamily) -> PointedSL2:
+    """A matrix against the spanning map of degree n as one against ref(n):
+    m_f itself when ref(n) is the spanning map, else m_f times the inverse
+    of ref(n)'s own spanning matrix."""
+    if refs.ref(n) == refs.qref(n):
+        return m_f
+    return m_f @ refs.ref_matrix(n)[0].inverse()
+
+
+def decompose_matrix(f: JMap, refs: ReferenceFamily) -> PointedSL2:
+    """The pointed matrix of :func:`decompose` alone, with f homotopic to
+    act(matrix, ref(n)); no witness is built."""
+    return _against_ref(_spanning_matrix(f)[0], f.degree, refs)
 
 
 def decompose(f: JMap, refs: ReferenceFamily) -> Decomposition:
     """Write f, up to an explicit witness chain, as a pointed matrix acting
     on the reference map of its degree."""
     n = f.degree
-    if n == 0:
-        raise ValueError("decompose applies to nonzero degrees")
-    m_f, seg_f = _decompose_spanning(f)
-    ref = refs.ref(n)
-    spanning = refs.qref(n)
-    if ref == spanning:
-        # single segment, reversed so the chain runs act(m_f, ref) -> f
-        return Decomposition(m_f, n, HomotopyWitness([seg_f]).reverse())
-    m_r, seg_r = refs.ref_decomposition(n)
-    matrix = m_f @ m_r.inverse()
+    m_f, e = _spanning_matrix(f)
+    # the segment reversed runs act(m_f, spanning) -> f
+    back = HomotopyWitness([_spanning_segment(f, e)]).reverse()
+    matrix = _against_ref(m_f, n, refs)
+    if matrix is m_f:
+        return Decomposition(m_f, n, back)
+    _, seg_r = refs.ref_decomposition(n)
+    # moved runs act(matrix, ref) -> act(m_f, spanning)
     moved = HomotopyWitness([act(Sl2Path.constant(matrix), seg_r)])
-    # moved runs act(matrix, ref) -> act(m_f, spanning); seg_f reversed continues to f
-    witness = moved.then(HomotopyWitness([seg_f]).reverse())
-    return Decomposition(matrix, n, witness)
+    return Decomposition(matrix, n, moved.then(back))
 
 
 def oplus(f: JMap, g: JMap, refs: ReferenceFamily | None = None) -> JMap:
-    """The group operation: decompose both maps, multiply the degree-0
-    parts, act on the reference map of the summed degree."""
+    """The group operation: the pointed matrices of both maps (no witness),
+    multiplied, acting on the reference map of the summed degree."""
     if refs is None:
         refs = ReferenceFamily(f.ctx)
     n, m = f.degree, g.degree
     if n == 0 and m == 0:
         return _row_sum(f, g)
-    mf = complete_pointed(f) if n == 0 else decompose(f, refs).matrix
-    mg = complete_pointed(g) if m == 0 else decompose(g, refs).matrix
+    mf = complete_pointed(f) if n == 0 else decompose_matrix(f, refs)
+    mg = complete_pointed(g) if m == 0 else decompose_matrix(g, refs)
     total = mf @ mg
     if n + m == 0:
         return total.row_map()

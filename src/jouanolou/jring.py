@@ -426,6 +426,11 @@ class RingPolyT(RingElement):
             parts.append(BivarPoly(ctx, *settled(ctx, acc, part.den * scale)))
         return cls(*parts)
 
+    def eval_float(self, x: float, y: float, z: float) -> float:
+        """Refused: an element of R[T] has no value at a point of the device
+        alone; evaluate T first (``eval_at_T(t).eval_float(x, y, z)``)."""
+        raise TypeError("an element of R[T] needs a value of T: use eval_at_T(t).eval_float")
+
     def T_degree(self) -> int:
         return max((m[2] for part in (self.a, self.b) for m in part.terms), default=0)
 

@@ -262,12 +262,13 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
     B/dB, plus the values ``acc`` over the same denominator when given.
 
     One int loop sums the products and reduces once at the end (over F_p
-    the values of ``acc`` may be unreduced).  Exponent pairs and triples,
-    the keys of ``BivarPoly`` in R and R[T] and of ``MPoly`` in x, y, z,
-    are added inline.  With dA = dB = 1 the values come back as summed,
-    with no gcd pass.  From PACK_MIN_PAIRS term pairs on, a product whose
-    slot range is at most PACK_SLOTS_PER_PAIR times its pair count is one
-    packed multiply (:func:`packed_sum`) instead.
+    the values of ``acc`` may be unreduced).  Exponent vectors of two to
+    four entries, the keys of ``BivarPoly`` in R and R[T] and of ``MPoly``
+    in x, y, z and x, y, z, T, are added inline.  With dA = dB = 1 the
+    values come back as summed, with no gcd pass.  From PACK_MIN_PAIRS
+    term pairs on, a product whose slot range is at most
+    PACK_SLOTS_PER_PAIR times its pair count is one packed multiply
+    (:func:`packed_sum`) instead.
     """
     if not (A and B):
         return ({}, 1) if acc is None else settled(ctx, acc, dA * dB)
@@ -283,7 +284,9 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
 
 def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
     """Add the int products s * A * B into ``out`` in place, unsettled.
-    Exponent pairs and triples are added inline."""
+    Exponent vectors of two to four entries are added inline: the keys of
+    ``BivarPoly`` in R and R[T], and of ``MPoly`` in x, y, z and in
+    x, y, z, T (certificate checks and cofactor expansions)."""
     width = len(next(iter(A)))
     for m1, c1 in A.items():
         if s != 1:
@@ -293,6 +296,8 @@ def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
                 m = (m1[0] + m2[0], m1[1] + m2[1])
             elif width == 3:
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            elif width == 4:
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
             else:
                 m = tuple(map(add, m1, m2))
             if m in out:

@@ -27,7 +27,7 @@ carry checked labels, ``A``/``B`` in degree 0, else ``a0``/``a1``/``b0``/``b1``.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 from .field import FieldCtx, ascii_int
@@ -174,12 +174,6 @@ def parse_polyt(text: str, ctx: FieldCtx) -> RingPolyT:
 # serialization
 
 
-def _coeff_str(raw) -> str:
-    if isinstance(raw, Fraction) and raw.denominator != 1:
-        return f"{raw.numerator}/{raw.denominator}"
-    return str(raw)
-
-
 def _mon_str(vars, mon) -> str:
     parts = []
     for name, e in zip(vars, mon):
@@ -190,31 +184,57 @@ def _mon_str(vars, mon) -> str:
     return "*".join(parts)
 
 
-def mpoly_str(p: MPoly) -> str:
-    if p.is_zero:
-        return "0"
-    rationals = p.ctx.is_rationals
+def _print_key(mon: tuple) -> tuple:
+    """Sort key of the printed order: ascending keys are degrevlex
+    descending, the order of ``drl_key`` with larger first."""
+    return (-sum(mon),) + mon[::-1]
+
+
+def _terms_str(vars, rationals: bool, terms) -> str:
+    """The text of a polynomial given as (key, exponent vector, int value,
+    den) tuples in printed order.  Over Q each value is reduced against its
+    den by one gcd; over F_p den is 1 and values lie in [1, p)."""
     pieces = []
-    for mon, c in p.sorted_terms():
+    for _, mon, c, den in terms:
         neg = rationals and c < 0
-        mag = -c if neg else c
-        ms = _mon_str(p.vars, mon)
+        if neg:
+            c = -c
+        if den != 1 and (g := gcd(c, den)) != 1:
+            c //= g
+            den //= g
+        coeff = str(c) if den == 1 else f"{c}/{den}"
+        ms = _mon_str(vars, mon)
         if not ms:
-            body = _coeff_str(mag)
-        elif mag == 1:
+            body = coeff
+        elif c == 1 and den == 1:
             body = ms
         else:
-            body = f"{_coeff_str(mag)}*{ms}"
+            body = f"{coeff}*{ms}"
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:
             pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"
+
+
+def mpoly_str(p: MPoly) -> str:
+    den = p.den
+    terms = sorted((_print_key(m), m, c, den) for m, c in p.terms.items())
+    return _terms_str(p.vars, p.ctx.is_rationals, terms)
 
 
 def ring_str(r: RingElement) -> str:
-    """An element of R or R[T], printed in its ring's ``VARS``."""
-    return mpoly_str(r.to_mpoly())
+    """An element of R or R[T], printed in its ring's ``VARS`` straight from
+    its normal form a + x*b: the terms of a and of b (x exponents 0 and 1),
+    each over its own den, as those of ``to_mpoly`` would print."""
+    terms = []
+    for ex, part in ((0, r.a), (1, r.b)):
+        den = part.den
+        for key, c in part.terms.items():
+            mon = (ex,) + key
+            terms.append((_print_key(mon), mon, c, den))
+    terms.sort()
+    return _terms_str(r.VARS, r.ctx.is_rationals, terms)
 
 
 def field_str(ctx: FieldCtx) -> str:

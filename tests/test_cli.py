@@ -102,6 +102,22 @@ def test_ideal_certificate_text_is_pinned(capsys, field, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+@pytest.mark.parametrize(
+    "field, sha1",
+    [
+        ("Q", "d8839028285cc1a169108308d277272057c3f3e4"),
+        ("Fp=7", "fc05d5f63bdc73877d1527947296b54ef16f1821"),
+    ],
+)
+def test_oplus_text_is_pinned(capsys, field, sha1):
+    """The printed sum of a degree-2 and a degree-(-1) map, byte for byte."""
+    code, out, _ = run(
+        capsys, "--field", field, "oplus", "map 2 [1; 0 | 0; 1]", "map -1 [1; 0 | 0; 1]"
+    )
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 def test_ideal_negative(capsys):
     code, out, _ = run(capsys, "ideal", "--target", "1", "--gens", "y, z", "--with-relation")
     assert code == 1 and "NOT-IN-IDEAL" in out

@@ -5,7 +5,13 @@ import pytest
 
 from jouanolou.errors import ResultantNotUnit
 from jouanolou.field import Fp, QQ
-from jouanolou.homgrp import ReferenceFamily, decompose, naive_sum_deg1, oplus
+from jouanolou.homgrp import (
+    ReferenceFamily,
+    decompose,
+    decompose_matrix,
+    naive_sum_deg1,
+    oplus,
+)
 from jouanolou.homotopy import verify
 from jouanolou.jring import RingElement
 from jouanolou.morphism import (
@@ -18,8 +24,8 @@ from jouanolou.morphism import (
     pullback_rational,
     rational_xu,
 )
-from jouanolou.sl2 import act, identity_matrix, m_uv, row_inverse
-from jouanolou.textio import parse_ring
+from jouanolou.sl2 import act, complete_pointed, identity_matrix, m_uv, row_inverse
+from jouanolou.textio import map_str, parse_ring
 
 
 def R(s, ctx=QQ):
@@ -218,3 +224,72 @@ def test_small_characteristic(p):
         u = ctx.elem(v)
         raised, witness = naive_sum_deg1(u, pi)
         assert verify(witness, raised, act(m_uv(u, ctx.one), n_pi(2, ctx)))
+
+
+def test_qref_is_built_once_per_degree():
+    refs = ReferenceFamily(QQ)
+    for n in (2, -3):
+        assert refs.qref(n) is refs.qref(n)
+    assert refs.ref(-3) is refs.qref(-3)
+
+
+def test_decompose_matrix_is_the_matrix_of_decompose():
+    # degree 2 and -2: ref(n) is not the spanning map in either mode
+    f = act(m_uv(QQ.elem(3), QQ.elem(2)), pullback_rational(
+        RationalMapP1(QQ, 2, [QQ.one, QQ.elem(2), QQ.one], [QQ.elem(3), QQ.one])))
+    for mode in ("qbasis", "naive"):
+        for g in (f, f.tau_transport()):
+            refs = ReferenceFamily(QQ, mode)
+            matrix = decompose_matrix(g, refs)
+            d = decompose(g, ReferenceFamily(QQ, mode))
+            assert matrix == d.matrix
+            assert verify(d.witness, act(matrix, refs.ref(g.degree)), g)
+    with pytest.raises(ValueError, match="nonzero degrees"):
+        decompose_matrix(g_uv(QQ.elem(2), QQ.one), ReferenceFamily(QQ))
+
+
+def oplus_oracle(f, g, refs):
+    """The group operation through the full decomposition: the matrices of
+    ``decompose`` (completions in degree 0), multiplied, acting on the
+    reference map of the summed degree (the first column at degree 0)."""
+    mf, mg = (complete_pointed(h) if h.degree == 0 else decompose(h, refs).matrix for h in (f, g))
+    n = f.degree + g.degree
+    return (mf @ mg).row_map() if n == 0 else act(mf @ mg, refs.ref(n))
+
+
+def _oplus_operands(ctx):
+    two, three = ctx.elem(2), ctx.elem(3)
+    p1 = pullback_rational(rational_xu(three))
+    q1 = pullback_rational(RationalMapP1(ctx, 1, [ctx.one, ctx.one], [two]))
+    p2 = pullback_rational(RationalMapP1(ctx, 2, [ctx.one, two, ctx.one], [three, ctx.one]))
+    return {
+        "p1": p1,
+        "q1": q1,
+        "p2": p2,
+        "m1": act(m_uv(two, three), q1),
+        "t1": p1.tau_transport(),
+        "t2": p2.tau_transport(),
+        "g0": g_uv(three, two),
+    }
+
+
+# pullbacks, twisted maps (a matrix action, tau transports to negative
+# degrees), a degree-0 operand on either side, and summed degree 0
+OPLUS_PAIRS = [("p1", "q1"), ("m1", "p2"), ("p2", "t1"), ("g0", "p2"), ("t2", "g0"),
+               ("p1", "t1"), ("t2", "p2"), ("m1", "t2")]
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("mode", ["qbasis", "naive"])
+def test_oplus_equals_the_product_of_decompose_matrices(ctx, mode):
+    maps = _oplus_operands(ctx)
+    warm = ReferenceFamily(ctx, mode)
+    for a, b in OPLUS_PAIRS:
+        f, g = maps[a], maps[b]
+        want = oplus_oracle(f, g, warm)
+        # cold: a family that has built nothing; warm: the oracle's own
+        for refs in (ReferenceFamily(ctx, mode), warm):
+            got = oplus(f, g, refs)
+            assert got.degree == f.degree + g.degree
+            assert map_str(got) == map_str(want)
+            assert got.cert == want.cert

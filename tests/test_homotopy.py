@@ -487,6 +487,15 @@ def _apply_matrix_oracle(M, w):
     return HomotopyWitness(out)
 
 
+def _decompose_spanning(f):
+    """The two steps of the factorization through the spanning-column map:
+    the pointed matrix with its basepoint value, then the segment."""
+    from jouanolou.homgrp import _spanning_matrix, _spanning_segment
+
+    matrix, e = _spanning_matrix(f)
+    return matrix, _spanning_segment(f, e)
+
+
 def _decompose_spanning_oracle(f):
     """The factorization through (1,0;0,1)_n with its matrix row operation
     and straight-line segment (a0 - T e b0, a1 - T e b1; b0, b1) built by hand."""
@@ -552,8 +561,6 @@ def _action_cases(ctx):
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
 def test_decompose_spanning_matches_the_hand_built_segment(ctx):
-    from jouanolou.homgrp import _decompose_spanning
-
     maps, _ = _action_cases(ctx)
     for f in maps:
         matrix, seg = _decompose_spanning(f)
@@ -564,8 +571,6 @@ def test_decompose_spanning_matches_the_hand_built_segment(ctx):
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
 def test_path_action_on_segments_matches_the_entrywise_action(ctx):
-    from jouanolou.homgrp import _decompose_spanning
-
     maps, mats = _action_cases(ctx)
     for f in maps:
         seg = _decompose_spanning(f)[1]

@@ -246,3 +246,12 @@ def test_conversion_matches_evaluation_by_ring_products(ctx, vars):
             assert type(got) is cls and got == want
 
     check()
+
+
+def test_an_element_of_R_T_refuses_a_float_value_without_T():
+    p = parse_polyt("x*T + y", QQ)
+    with pytest.raises(TypeError, match="eval_at_T"):
+        p.eval_float(0.5, 0.1, 0.2)
+    # at T = 1/2 it is x/2 + y, an element of R, which evaluates
+    at = p.eval_at_T(QQ.elem(Fraction(1, 2)))
+    assert at.eval_float(0.5, 0.1, 0.2) == pytest.approx(0.5 / 2 + 0.1)

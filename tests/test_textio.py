@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jouanolou.errors import DivisionByZero, ParseError
 from jouanolou.field import Fp, QQ
 from jouanolou.homotopy import constant_witness, scaling_witness, verify
-from jouanolou.jring import RingElement
+from jouanolou.jring import BivarPoly, RingElement, RingPolyT
 from jouanolou.morphism import g_uv, make_map, map_equal, n_pi
 from jouanolou.sl2 import complete_pointed, m_uv
 from jouanolou import textio
@@ -240,3 +242,66 @@ def test_canonical_form_of_mixed_expression():
     assert textio.ring_str(e) == "3*y*z + 2*x - 1"
     assert e.a.terms == {(1, 1): QQ.rfrom_int(3), (0, 0): QQ.rfrom_int(-1)}
     assert e.b.terms == {(0, 0): QQ.rfrom_int(2)}
+
+
+# --- ring text straight from the term dicts, against the MPoly route ---------
+
+PRINT_FIELDS = [pytest.param(QQ, id="Q"), pytest.param(Fp(7), id="F7"),
+                pytest.param(Fp(1000003), id="F1000003")]
+PRINT_CHECKS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def print_scalars(ctx):
+    """Raw nonzero scalars: +-1 and small ones, p - 1 (that is -1) over
+    F_p, and over Q numerators and denominators up to 2^64."""
+    if ctx.p is not None:
+        return st.one_of(st.sampled_from([1, ctx.p - 1]), st.integers(1, ctx.p - 1))
+    big = st.integers(-(2**64), 2**64).filter(bool)
+    return st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1)]),
+        st.builds(Fraction, big, st.integers(1, 2**64)),
+        st.integers(-3, 3).filter(bool).map(Fraction),
+    )
+
+
+def printed_elements(ctx, cls):
+    """Elements of R or R[T]: zero and constants among them (empty or
+    one-key parts)."""
+    width = len(cls.VARS) - 1
+    mon = st.tuples(*(st.integers(0, 3) for _ in range(width)))
+    part = st.dictionaries(mon, print_scalars(ctx), max_size=5).map(lambda raw: BivarPoly(ctx, raw))
+    return st.tuples(part, part).map(lambda ab: cls(*ab))
+
+
+@pytest.mark.parametrize("ctx", PRINT_FIELDS)
+@pytest.mark.parametrize("cls", [RingElement, RingPolyT], ids=["R", "RT"])
+def test_ring_str_equals_the_mpoly_route(ctx, cls):
+    @PRINT_CHECKS
+    @given(printed_elements(ctx, cls), printed_elements(ctx, cls))
+    def check(r, s):
+        for out in (r, r * s, r - s):
+            assert textio.ring_str(out) == textio.mpoly_str(out.to_mpoly())
+
+    check()
+
+
+@pytest.mark.parametrize("cls", [RingElement, RingPolyT], ids=["R", "RT"])
+@pytest.mark.parametrize("text, want", [
+    ("0", "0"),
+    ("5", "5"),
+    ("-1", "-1"),
+    ("-x*y + 1/2", "-x*y + 1/2"),
+    ("-1/18446744073709551616*y^2 - z + x", "-1/18446744073709551616*y^2 + x - z"),
+    ("2/4*x*z - 6/4*y", "1/2*x*z - 3/2*y"),
+])
+def test_ring_str_edge_cases(cls, text, want):
+    r = textio.parse_ring(text, QQ)
+    if cls is RingPolyT:
+        r = RingPolyT.from_ring(r)
+    assert textio.ring_str(r) == textio.mpoly_str(r.to_mpoly()) == want
+
+
+def test_ring_str_over_a_prime_field_has_no_signs():
+    r = textio.parse_polyt("-x*T + 1/2*y - 1", Fp(7))
+    assert textio.ring_str(r) == "6*x*T + 4*y + 6"
+    assert textio.ring_str(r) == textio.mpoly_str(r.to_mpoly())

@@ -238,7 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="winding number along the real circle")
     p.add_argument("map")
-    p.add_argument("--samples", type=_int_arg, default=4096)
+    p.add_argument(
+        "--samples",
+        type=_int_arg,
+        default=4096,
+        help="circle samples (default 4096); the degree is read from samples, "
+        "not certified, and too few samples miss turns",
+    )
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("k1mw", help="Milnor-Witt K1 canonical form and row")

@@ -7,6 +7,19 @@ along gamma into the real projective line through whichever chart (x or w)
 dominates; the winding number of the resulting angle function, in units of
 pi, is the topological degree.  This module is the only place floating
 point appears.
+
+The degree is read from samples (4096 by default, plus bisection of large
+jumps), so it is not certified: too few samples miss turns, and
+`jou realize "map 1 [1; 0 | 0; 1]" --samples 1` reads degree 0.  An exact
+Cauchy index is the planned replacement.
+
+Bitwise contract of the evaluation: each sample is evaluated once, in its
+active chart, yet every float (section values, angles, winding profile) is
+the same bit for bit as evaluating both charts at every sample and picking
+one.  IEEE multiplies and adds are correctly rounded per element, so taking
+a subset of samples or working in place changes no bit; the term order and
+the factor order within a term are kept (no Horner, no pairwise sums), and
+the powers of y are taken on the full sample array before any subset.
 """
 
 from __future__ import annotations
@@ -39,22 +52,34 @@ def _compile(r) -> list[tuple[float, int, int, int]]:
     return out
 
 
-def _eval_compiled(terms, x, y, z):
+def _power_table(base: np.ndarray, exps) -> dict[int, np.ndarray]:
+    """base**e for each exponent e, each power taken once on the whole array.
+
+    The last bit of a power is up to numpy's kernel (libm or a SIMD routine,
+    chosen by the array), so powers are taken on the full sample array and
+    only sliced afterwards: a chart's subset then multiplies the very floats
+    that evaluating every sample in both charts would."""
+    return {e: base**e for e in exps}
+
+
+def _eval_compiled(terms, x, ypow, zpow):
+    """The sum of c * x^xe * y^ye * z^ze over the compiled terms, at the
+    samples x, with y^ye = ypow[ye] and z^ze = zpow[ze] given there.
+
+    Each term is c times x, y^ye, z^ze in that order, added in term order,
+    in place into one scratch array and one accumulator (the bitwise
+    contract above: no regrouping)."""
     acc = np.zeros_like(x)
-    powers: dict = {}
+    t = np.empty_like(x)
     for c, xe, ye, ze in terms:
-        t = c
-        if xe:
-            t = t * x
-        if ye:
-            if (1, ye) not in powers:
-                powers[1, ye] = y**ye
-            t = t * powers[1, ye]
-        if ze:
-            if (2, ze) not in powers:
-                powers[2, ze] = z**ze
-            t = t * powers[2, ze]
-        acc = acc + t
+        factors = ([x] if xe else []) + ([ypow[ye]] if ye else []) + ([zpow[ze]] if ze else [])
+        if not factors:
+            acc += c
+            continue
+        np.multiply(factors[0], c, out=t)
+        for factor in factors[1:]:
+            t *= factor
+        acc += t
     return acc
 
 
@@ -73,20 +98,33 @@ class RealizedMap:
             s0x, s1x, s0w, s1w = f.expanded
             self.chart_x = (_compile(s0x), _compile(s1x))
             self.chart_w = (_compile(s0w), _compile(s1w))
+        # on the circle z = y, so one table of y powers serves both slots
+        terms = [t for sec in self.chart_x + self.chart_w for t in sec]
+        self._exps = sorted({e for _, _, ye, ze in terms for e in (ye, ze) if e})
+
+    def _circle(self, thetas: np.ndarray):
+        """x and the y-power table at each sample of gamma."""
+        x = (1.0 + np.cos(thetas)) / 2.0
+        y = np.sin(thetas) / 2.0
+        return x, _power_table(y, self._exps)
+
+    def sections(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two section values (p, q) at each sample, each sample
+        evaluated once, in the chart (x or w) that dominates there."""
+        x, ypow = self._circle(thetas)
+        use_x = np.abs(x) >= np.abs(1.0 - x)
+        p = np.empty_like(x)
+        q = np.empty_like(x)
+        for (sec_p, sec_q), mask in ((self.chart_x, use_x), (self.chart_w, ~use_x)):
+            xs = x[mask]
+            pows = {e: a[mask] for e, a in ypow.items()}
+            p[mask] = _eval_compiled(sec_p, xs, pows, pows)
+            q[mask] = _eval_compiled(sec_q, xs, pows, pows)
+        return p, q
 
     def angles(self, thetas: np.ndarray) -> np.ndarray:
         """The projective-line angle in [0, pi) at each sample."""
-        x = (1.0 + np.cos(thetas)) / 2.0
-        y = np.sin(thetas) / 2.0
-        z = y
-        w = 1.0 - x
-        p_x = _eval_compiled(self.chart_x[0], x, y, z)
-        q_x = _eval_compiled(self.chart_x[1], x, y, z)
-        p_w = _eval_compiled(self.chart_w[0], x, y, z)
-        q_w = _eval_compiled(self.chart_w[1], x, y, z)
-        use_x = np.abs(x) >= np.abs(w)
-        p = np.where(use_x, p_x, p_w)
-        q = np.where(use_x, q_x, q_w)
+        p, q = self.sections(thetas)
         if np.any((np.abs(p) < 1e-13) & (np.abs(q) < 1e-13)):
             raise ChartDegenerate("sections vanish numerically on the active chart")
         return np.mod(np.arctan2(q, p), math.pi)
@@ -95,23 +133,14 @@ class RealizedMap:
         return float(self.angles(np.array([theta]))[0])
 
     def chart_angles(self, thetas: np.ndarray):
-        """Both charts' angles (for the overlap-agreement check)."""
-        x = (1.0 + np.cos(thetas)) / 2.0
-        y = np.sin(thetas) / 2.0
-        z = y
-        phi_x = np.mod(
-            np.arctan2(
-                _eval_compiled(self.chart_x[1], x, y, z),
-                _eval_compiled(self.chart_x[0], x, y, z),
-            ),
-            math.pi,
-        )
-        phi_w = np.mod(
-            np.arctan2(
-                _eval_compiled(self.chart_w[1], x, y, z),
-                _eval_compiled(self.chart_w[0], x, y, z),
-            ),
-            math.pi,
+        """Both charts' angles at every sample (for the overlap-agreement check)."""
+        x, ypow = self._circle(thetas)
+        phi_x, phi_w = (
+            np.mod(
+                np.arctan2(_eval_compiled(q, x, ypow, ypow), _eval_compiled(p, x, ypow, ypow)),
+                math.pi,
+            )
+            for p, q in (self.chart_x, self.chart_w)
         )
         return phi_x, phi_w
 
@@ -138,7 +167,13 @@ def _refine(rm: RealizedMap, t0, t1, phi0, phi1, depth) -> float:
 
 
 def winding_profile(f: JMap, samples: int = 4096):
-    """(degree, raw, residual): total angle change along the circle over pi."""
+    """(degree, raw, residual): total angle change along the circle over pi.
+
+    The angle is sampled at `samples` + 1 points and jumps above
+    BISECT_JUMP are bisected, so the result is a numerical reading, not a
+    certified degree: a turn between two samples that looks like a small
+    jump is missed (`n_pi(1)` reads degree 0 at one sample).  Unresolved is
+    raised only when raw is far from an integer."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rm = RealizedMap(f)
@@ -159,7 +194,8 @@ def winding_profile(f: JMap, samples: int = 4096):
 
 
 def winding_degree(f: JMap, samples: int = 4096) -> int:
-    """The topological degree of the realized map along the circle."""
+    """The topological degree of the realized map along the circle, read
+    from samples and not certified (see winding_profile)."""
     return winding_profile(f, samples)[0]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -10,6 +11,7 @@ from jouanolou.morphism import g_uv, make_map, make_row, n_pi, pullback_rational
 from jouanolou.realize import (
     RealizedMap,
     _eval_compiled,
+    _power_table,
     eval_rp1,
     gamma_point,
     on_surface_defect,
@@ -163,6 +165,11 @@ def _eval_compiled_oracle(terms, x, y, z):
     return acc
 
 
+def _bits(a):
+    """The float64 bit patterns: unlike ==, this tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
 def test_cached_powers_evaluate_bitwise_like_the_plain_loop():
     from jouanolou.homgrp import ReferenceFamily, oplus
     from jouanolou.morphism import RationalMapP1
@@ -180,8 +187,105 @@ def test_cached_powers_evaluate_bitwise_like_the_plain_loop():
     top = 0
     for f in maps:
         rm = RealizedMap(f)
+        ypow, zpow = _power_table(y, rm._exps), _power_table(z, rm._exps)
         for terms in rm.chart_x + rm.chart_w:
             top = max([top] + [max(ye, ze) for _, _, ye, ze in terms])
-            assert np.array_equal(_eval_compiled(terms, x, y, z), _eval_compiled_oracle(terms, x, y, z))
-            assert np.array_equal(_eval_compiled(terms, x, y, y), _eval_compiled_oracle(terms, x, y, y))
+            want = _bits(_eval_compiled_oracle(terms, x, y, z))
+            assert np.array_equal(_bits(_eval_compiled(terms, x, ypow, zpow)), want)
+            want = _bits(_eval_compiled_oracle(terms, x, y, y))
+            assert np.array_equal(_bits(_eval_compiled(terms, x, ypow, ypow)), want)
     assert top >= 4
+
+
+def _sections_oracle(rm, thetas):
+    """Both charts evaluated at every sample, the active one picked per
+    sample by np.where: the evaluation the chart-subset one must match."""
+    x = (1.0 + np.cos(thetas)) / 2.0
+    y = np.sin(thetas) / 2.0
+    w = 1.0 - x
+    p_x = _eval_compiled_oracle(rm.chart_x[0], x, y, y)
+    q_x = _eval_compiled_oracle(rm.chart_x[1], x, y, y)
+    p_w = _eval_compiled_oracle(rm.chart_w[0], x, y, y)
+    q_w = _eval_compiled_oracle(rm.chart_w[1], x, y, y)
+    use_x = np.abs(x) >= np.abs(w)
+    return np.where(use_x, p_x, p_w), np.where(use_x, q_x, q_w)
+
+
+def _angles_oracle(rm, thetas):
+    p, q = _sections_oracle(rm, thetas)
+    if np.any((np.abs(p) < 1e-13) & (np.abs(q) < 1e-13)):
+        raise AssertionError("oracle sections vanish on the active chart")
+    return np.mod(np.arctan2(q, p), math.pi)
+
+
+@functools.cache
+def _bitwise_pool():
+    from jouanolou.homgrp import ReferenceFamily, oplus
+
+    refs = ReferenceFamily(QQ, "naive")
+    pool = {f"n_pi({d})": n_pi(d, QQ) for d in (1, 2, 3, 4)}
+    pool["g_uv(2, 1)"] = g_uv(QQ.elem(2), QQ.one)
+    pool["tau ref(-2)"] = refs.ref(-2)
+    pool["n_pi(2) + n_pi(1)"] = oplus(n_pi(2, QQ), n_pi(1, QQ), refs)
+    pool["n_pi(2) + n_pi(2)"] = oplus(n_pi(2, QQ), n_pi(2, QQ), refs)
+    return pool
+
+
+POOL_LABELS = ["n_pi(1)", "n_pi(2)", "n_pi(3)", "n_pi(4)", "g_uv(2, 1)", "tau ref(-2)",
+               "n_pi(2) + n_pi(1)", "n_pi(2) + n_pi(2)"]
+
+SAMPLE_SETS = {
+    "grid": np.linspace(0.0, 2.0 * math.pi, 4097),
+    # cos >= 0 throughout, so x >= w and the chart-w subset is empty
+    "chart x only": np.linspace(-1.2, 1.2, 301),
+    "one theta": np.array([2.3]),  # the shape _refine evaluates
+}
+
+
+@pytest.mark.parametrize("label", POOL_LABELS)
+@pytest.mark.parametrize("samples", list(SAMPLE_SETS))
+def test_chart_subset_sections_are_bitwise_the_both_charts_ones(label, samples):
+    rm = RealizedMap(_bitwise_pool()[label])
+    thetas = SAMPLE_SETS[samples]
+    if samples == "chart x only":
+        x = (1.0 + np.cos(thetas)) / 2.0
+        assert np.all(np.abs(x) >= np.abs(1.0 - x))
+    p, q = rm.sections(thetas)
+    p_want, q_want = _sections_oracle(rm, thetas)
+    assert np.array_equal(_bits(p), _bits(p_want))
+    assert np.array_equal(_bits(q), _bits(q_want))
+    assert np.array_equal(_bits(rm.angles(thetas)), _bits(_angles_oracle(rm, thetas)))
+
+
+def test_winding_profile_is_unchanged_under_the_both_charts_oracle(monkeypatch):
+    pool = _bitwise_pool()
+    assert list(pool) == POOL_LABELS
+    got = {label: winding_profile(f) for label, f in pool.items()}
+    monkeypatch.setattr(RealizedMap, "angles", _angles_oracle)
+    want = {label: winding_profile(f) for label, f in pool.items()}
+    assert got == want
+    assert [deg for deg, _, _ in got.values()] == [1, 2, 3, 4, 0, -2, 3, 4]
+
+
+# repr(winding_profile(f)) as the both-charts evaluation gave it: a change to
+# the evaluator that moves a bit of raw or residual fails here, even if the
+# oracle above moved along with it
+GOLDEN_PROFILES = {
+    "g": "(2, 2.0, 0.0)",
+    "pi": "(1, 1.0000000000000275, 2.7533531010703882e-14)",
+    "F": "(3, 3.0000000000000013, 1.3322676295501878e-15)",
+    "tilde": "(-1, -1.0, 0.0)",
+    "L": "(1, 1.0000000000000275, 2.7533531010703882e-14)",
+    "H": "(-1, -1.0, 0.0)",
+    "n_pi(2) + n_pi(1)": "(3, 2.9999999999999987, 1.3322676295501878e-15)",
+    "n_pi(2) + n_pi(2)": "(4, 4.000000000000001, 8.881784197001252e-16)",
+}
+
+
+def test_winding_profiles_match_the_recorded_floats():
+    from jouanolou.selftest import _appendix_maps
+
+    pi, g, F, tilde, L, H, _ = _appendix_maps(QQ)
+    maps = {"g": g, "pi": pi, "F": F, "tilde": tilde, "L": L, "H": H}
+    maps.update((k, _bitwise_pool()[k]) for k in ("n_pi(2) + n_pi(1)", "n_pi(2) + n_pi(2)"))
+    assert {k: repr(winding_profile(f)) for k, f in maps.items()} == GOLDEN_PROFILES

@@ -18,10 +18,13 @@ with (x+w)^n = 1 and splitting the binomial expansion;
 The resultant machinery works with univariate polynomials in X over R given
 as ascending coefficient lists and is generic enough to run over R[T] as
 well; ``poly_add`` and ``poly_mul`` are its dense kernel, for these
-X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  A matrix of
-constants of k is solved over k by Gaussian elimination; determinants and
-adjugates of any other matrix avoid division (subset expansion for small
-matrices, Berkowitz's characteristic polynomial for large ones).
+X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  Every
+Sylvester matrix goes through one elimination, ``det_subset``, which
+returns the determinant and the last row of the adjugate together: the
+resultant reads the first, a Bezout solve both.  An invertible matrix of
+constants of k is solved over k by Gaussian elimination; any other matrix
+avoids division (subset expansion for small matrices, Berkowitz's
+characteristic polynomial for large ones).
 """
 
 from __future__ import annotations
@@ -280,31 +283,60 @@ def _solve_over_k(ctx: FieldCtx, values) -> tuple:
 
 
 def det_subset(rows, zero):
-    """Exact determinant of a square matrix given as rows.
+    """(det M, last row of adj M) for a square matrix M given as rows.
 
-    A matrix of constants is solved over k (``_solve_over_k``).  Otherwise
-    Berkowitz's characteristic polynomial where ``_use_berkowitz`` says so
-    (from 12 rows), an expansion along rows with subset memoization below
-    that; both need only +, -, * of the entries, so they run over R, R[T],
-    or k.  The name is older than these routes; it stays because profiling
-    tools wrap this function by name.
+    Entry i of that row is the cofactor C(i, m-1), i.e. the determinant of
+    M with row i replaced by the last unit row: the Cramer vector of the
+    system M^t * lam = e_last, in one pass instead of m determinants.  For
+    an invertible matrix of constants it is det M times the solution of
+    that system over k (``_solve_over_k``).  Otherwise it is found without
+    division, so over R, R[T] or k: where ``_use_berkowitz`` says so (from
+    12 rows) by Horner on the characteristic polynomial, adj M = (-1)^(m+1)
+    (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I); else by one subset pass over
+    the transpose with its rows reversed, whose top-row minors are the
+    cofactors up to a fixed sign.  The name is older than these routes; it
+    stays because profiling tools wrap this function by name.
     """
     size = len(rows)
     if size == 0:
         raise ValueError("empty matrix has no well-defined determinant here")
     values = _constant_values(rows)
     if values is not None:
-        return _like(zero, _solve_over_k(zero.ctx, values)[0])
+        ctx = zero.ctx
+        det, x = _solve_over_k(ctx, values)
+        # a singular matrix's adjugate is no multiple of an inverse
+        if x is not None:
+            return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
     if _use_berkowitz(rows):
-        top = _charpoly(rows, zero)[-1]
-        return top if size % 2 == 0 else -top
-    return _subset_minors(rows, zero)[(1 << size) - 1]
+        poly = _charpoly(rows, zero)
+        columns = _nonzero_by_row(list(zip(*rows)))
+        # row vector v <- v*M + p_k * e_last, starting from e_last
+        vec = [zero] * (size - 1) + [poly[0]]
+        for k in range(1, size):
+            vec = [_dot(col, vec, size, zero) for col in columns]
+            vec[-1] = vec[-1] + poly[k]
+        det = poly[-1]
+        if size % 2 == 0:
+            return det, [-v for v in vec]
+        return -det, vec
+    # rows of the transpose reversed: row r is column size-1-r of M, so the
+    # minor on the bottom size-1 rows without column i is M's minor (i, m-1)
+    # with its rows reversed, a sign of (-1)^((m-1)(m-2)/2)
+    flipped = [[rows[i][c] for i in range(size)] for c in reversed(range(size))]
+    minors = _subset_minors(flipped, zero)
+    full = (1 << size) - 1
+    det = minors[full]
+    if (size * (size - 1) // 2) % 2:
+        det = -det
+    flip = ((size - 1) * (size - 2) // 2 + size - 1) % 2
+    row = [minors[full ^ (1 << i)] for i in range(size)]
+    return det, [-c if (flip + i) % 2 else c for i, c in enumerate(row)]
 
 
 def _subset_minors(rows, zero) -> dict:
     """All minors on the bottom rows: ``minors[mask]`` is the determinant of
     the last popcount(mask) rows restricted to the columns in ``mask`` (1 for
-    the empty mask)."""
+    the empty mask).  Zero entries and zero minors are skipped."""
     size = len(rows)
     full = (1 << size) - 1
     minors: dict[int, object] = {0: _one_like(zero)}
@@ -318,8 +350,9 @@ def _subset_minors(rows, zero) -> dict:
             low = rest & -rest
             rest ^= low
             entry = row[low.bit_length() - 1]
-            if not entry.is_zero:
-                term = entry if k == 1 else entry * minors[mask ^ low]
+            minor = minors[mask ^ low]
+            if not entry.is_zero and not minor.is_zero:
+                term = entry if k == 1 else entry * minor
                 if sign < 0:
                     term = -term
                 acc = term if acc is None else acc + term
@@ -376,56 +409,6 @@ def _charpoly(rows, zero) -> list:
     return poly
 
 
-def _adjugate_last_row(rows, zero):
-    """(det M, last row of adj M).
-
-    Entry i of that row is the cofactor C(i, m-1), i.e. the determinant of
-    M with row i replaced by the last unit row: the Cramer vector of the
-    system M^t * lam = e_last, in one pass instead of m determinants.  For
-    an invertible matrix of constants it is det M times the solution of
-    that system over k (``_solve_over_k``).  Otherwise it is found without
-    division: where ``_use_berkowitz`` says so by Horner on the
-    characteristic polynomial, adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) +
-    ... + p(m-1) I); else by one subset pass over the transpose with its
-    rows reversed, whose top-row minors are the cofactors up to a fixed
-    sign.
-    """
-    size = len(rows)
-    if size == 0:
-        raise ValueError("empty matrix has no well-defined determinant here")
-    values = _constant_values(rows)
-    if values is not None:
-        ctx = zero.ctx
-        det, x = _solve_over_k(ctx, values)
-        # a singular matrix's adjugate is no multiple of an inverse
-        if x is not None:
-            return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
-    if _use_berkowitz(rows):
-        poly = _charpoly(rows, zero)
-        columns = _nonzero_by_row(list(zip(*rows)))
-        # row vector v <- v*M + p_k * e_last, starting from e_last
-        vec = [zero] * (size - 1) + [poly[0]]
-        for k in range(1, size):
-            vec = [_dot(col, vec, size, zero) for col in columns]
-            vec[-1] = vec[-1] + poly[k]
-        det = poly[-1]
-        if size % 2 == 0:
-            return det, [-v for v in vec]
-        return -det, vec
-    # rows of the transpose reversed: row r is column size-1-r of M, so the
-    # minor on the bottom size-1 rows without column i is M's minor (i, m-1)
-    # with its rows reversed, a sign of (-1)^((m-1)(m-2)/2)
-    flipped = [[rows[i][c] for i in range(size)] for c in reversed(range(size))]
-    minors = _subset_minors(flipped, zero)
-    full = (1 << size) - 1
-    det = minors[full]
-    if (size * (size - 1) // 2) % 2:
-        det = -det
-    flip = ((size - 1) * (size - 2) // 2 + size - 1) % 2
-    row = [minors[full ^ (1 << i)] for i in range(size)]
-    return det, [-c if (flip + i) % 2 else c for i, c in enumerate(row)]
-
-
 def _trim(coeffs: list) -> list:
     out = list(coeffs)
     while out and out[-1].is_zero:
@@ -433,11 +416,11 @@ def _trim(coeffs: list) -> list:
     return out
 
 
-def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None):
-    """Resultant of univariate polynomials with explicit degree bounds.
-
-    Default bounds are the actual degrees.  The empty 0x0 case returns 1.
-    """
+def _sylvester_system(A: list, B: list, m: int | None, n: int | None):
+    """The prologue of ``resultant_univ`` and ``bezout_from_unit_resultant``:
+    (At, Bt, m, n, zero, rows) with At, Bt the trimmed lists, the bounds
+    defaulting to their actual degrees, the zero of their ring and the
+    Sylvester matrix at those bounds."""
     At, Bt = _trim(A), _trim(B)
     m = max(len(At) - 1, 0) if m is None else m
     n = max(len(Bt) - 1, 0) if n is None else n
@@ -445,10 +428,18 @@ def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None)
     if probe is None:
         raise ValueError("resultant of two empty coefficient lists")
     zero = probe - probe
+    return At, Bt, m, n, zero, sylvester_matrix(A, B, m, n, zero)
+
+
+def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None):
+    """Resultant of univariate polynomials with explicit degree bounds.
+
+    Default bounds are the actual degrees.  The empty 0x0 case returns 1.
+    """
+    _, _, m, n, zero, rows = _sylvester_system(A, B, m, n)
     if m + n == 0:
-        return _one_like(probe)
-    rows = sylvester_matrix(A, B, m, n, zero)
-    return det_subset(rows, zero)
+        return _one_like(zero)
+    return det_subset(rows, zero)[0]
 
 
 def _like(e, raw):
@@ -480,19 +471,17 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
 
     Works over R or R[T].  The solution of the Sylvester system is the last
     row of the adjugate of the Sylvester matrix divided by the resultant.
-    ``_adjugate_last_row`` finds both in one pass.  When every coefficient
-    is a constant of k, that pass is Gaussian elimination over k.  Otherwise
-    it is division-free (a subset expansion, or Berkowitz plus Horner on
-    large matrices; see ``_use_berkowitz``), and the unit resultant is the
-    only division.
+    ``det_subset`` finds both in one pass.  When every coefficient is a
+    constant of k, that pass is Gaussian elimination over k.  Otherwise it
+    is division-free (a subset expansion, or Berkowitz plus Horner on large
+    matrices; see ``_use_berkowitz``), and the unit resultant is the only
+    division.
     Returns (U, V) as ascending coefficient lists with deg U < n and
     deg V < m (bounds default to the actual degrees).
     """
-    At, Bt = _trim(A), _trim(B)
+    At, Bt, m, n, zero, rows = _sylvester_system(A, B, m, n)
     if not At and not Bt:
         raise ResultantNotUnit("both polynomials are zero")
-    m = max(len(At) - 1, 0) if m is None else m
-    n = max(len(Bt) - 1, 0) if n is None else n
     if m == 0 or n == 0:
         # a side of bound 0 is the constant the resultant is a power of;
         # when it is a unit, its inverse alone solves the system
@@ -502,8 +491,7 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
                 solution = [_one_like(side[0]).scale(u.inverse())]
                 return (solution, []) if i == 0 else ([], solution)
         raise ResultantNotUnit("resultant is not a unit")
-    zero = (At or Bt)[0] - (At or Bt)[0]
-    res, lam = _adjugate_last_row(sylvester_matrix(A, B, m, n, zero), zero)
+    res, lam = det_subset(rows, zero)
     u = unit_scalar(res)
     if u is None:
         raise ResultantNotUnit("resultant is not a unit of R")
@@ -548,19 +536,20 @@ def generation_cofactors(n: int, L0: list, L1: list):
     """Four global cofactors certifying that the sections sigma(S0), sigma(S1)
     of a degree-n homogeneous pair with unit resultant generate.
 
-    Raises ResultantNotUnit unless res(S0, S1) at bounds (n, n) is a unit.
-    Bezout for the dehomogenized pair gives S0*U + S1*V = beta^(2n-1) after
-    homogenizing; the reversed pair (resultant +-res(S0, S1) by the reversal
-    identity, so not checked again) gives the alpha power; the x^m/w^m unit
-    split recombines them.  Returns (Ux, Vx, Uw, Vw) against the columns
-    (S0(x,y), S1(x,y), S0(z,w), S1(z,w)).  Generic over R and R[T]
-    coefficient lists.
+    Raises ResultantNotUnit unless res(S0, S1) at bounds (n, n) is a unit:
+    the Bezout solve of the dehomogenized pair refuses any other.  That
+    solve gives S0*U + S1*V = beta^(2n-1) after homogenizing; the reversed
+    pair (resultant +-res(S0, S1) by the reversal identity, so a unit too)
+    gives the alpha power; the x^m/w^m unit split recombines them.  Returns
+    (Ux, Vx, Uw, Vw) against the columns (S0(x,y), S1(x,y), S0(z,w),
+    S1(z,w)).  Generic over R and R[T] coefficient lists.
     """
     if len(L0) != n + 1 or len(L1) != n + 1:
         raise ValueError("homogeneous coefficient lists must have length n+1")
-    if unit_scalar(resultant_univ(L0, L1, n, n)) is None:
-        raise ResultantNotUnit("pair does not have unit resultant")
-    U, V = bezout_from_unit_resultant(L0, L1, n, n)
+    try:
+        U, V = bezout_from_unit_resultant(L0, L1, n, n)
+    except ResultantNotUnit:
+        raise ResultantNotUnit("pair does not have unit resultant") from None
     Ur, Vr = bezout_from_unit_resultant(L0[::-1], L1[::-1], n, n)
 
     ctx = L0[0].ctx

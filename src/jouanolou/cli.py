@@ -13,6 +13,7 @@ import re
 import sys
 
 from . import groebner, textio
+from .bundle import resultant_univ
 from .errors import BudgetExceeded, JouanolouError, ParseError
 from .field import FieldCtx, ascii_int
 from .homgrp import ReferenceFamily, decompose, oplus
@@ -85,8 +86,6 @@ def cmd_resultant(args):
     if len(parts) != 2:
         raise ParseError('pair must be "<S0>|<S1>"')
     n = args.degree
-    from .bundle import resultant_univ
-
     S0 = [textio.parse_ring(t, ctx) for t in parts[0].split(";")]
     S1 = [textio.parse_ring(t, ctx) for t in parts[1].split(";")]
     if len(S0) != n + 1 or len(S1) != n + 1:

@@ -9,6 +9,7 @@ polynomial modules can run their inner loops without wrapper overhead.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ContextMismatch, DivisionByZero, NotPrimeField, ParseError, ZeroInput
 
@@ -293,8 +294,6 @@ def sqrt_witness(a: FieldElem) -> FieldElem | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -356,8 +355,6 @@ def discrete_log(g: FieldElem, v: FieldElem) -> int:
     p = g.ctx.p
     if p == 2:
         return 0
-    from math import isqrt
-
     n = p - 1
     m = isqrt(n) + 1
     table = {}

@@ -32,7 +32,7 @@ from .morphism import (
     groebner_certificate,
     groebner_cofactors,
 )
-from .sl2 import Mat2, PointedSL2, act
+from .sl2 import Mat2, PointedSL2, act, m_uv
 
 _const_t = RingPolyT.from_ring
 
@@ -341,8 +341,6 @@ def gu1_example_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
 def square_sum_witness(u: FieldElem, c: FieldElem) -> HomotopyWitness:
     """Witness chain from row_sum(g_(u,1), g_(v,1)) to g_(uv,1) for v = c^2:
     scale inside the product, then scale the exact product m_(u,1/v)."""
-    from .sl2 import m_uv
-
     if u.is_zero or c.is_zero:
         raise ZeroParameter("parameters must be units")
     ctx = u.ctx

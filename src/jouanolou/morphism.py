@@ -33,6 +33,7 @@ from .bundle import (
     mu_product,
     pure_powers,
     raised_lift,
+    resultant_univ,
     sigma,
 )
 from .errors import (
@@ -332,8 +333,6 @@ class RationalMapP1:
             raise ResultantZero("res(A, B) vanishes; the pair is not a morphism")
 
     def resultant(self) -> FieldElem:
-        from .bundle import resultant_univ
-
         A = [RingElement.from_scalar(c) for c in self.a]
         B = [RingElement.from_scalar(c) for c in self.b]
         r = resultant_univ(A, B, self.n, self.n)

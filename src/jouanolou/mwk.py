@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .errors import NotPrimeField, UnsupportedField, ZeroInput
 from .field import FieldCtx, FieldElem, discrete_log, multiplicative_generator
-from .morphism import JMap, g_uv
+from .jring import RingElement
+from .morphism import JMap, g_uv, make_row
 from .sl2 import row_sum
 
 REALS = "R"
@@ -129,9 +130,6 @@ def kappa_rep(word: MWSymbolWord) -> JMap:
         factor = g_uv(s, one)
         rep = factor if rep is None else row_sum(rep, factor)
     if rep is None:
-        from .jring import RingElement
-        from .morphism import make_row
-
         rep = make_row(RingElement.one(ctx), RingElement.zero(ctx))
     return rep
 

@@ -19,10 +19,11 @@ from .bundle import (
     normalize_section,
     resultant_identities,
 )
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, ResultantZero
 from .field import FieldCtx, FieldElem, Fp, QQ
 from .homgrp import ReferenceFamily, decompose, naive_sum_deg1, oplus
 from .homotopy import (
+    Segment,
     gu1_example_witness,
     interp_lift,
     lift_row_homotopy,
@@ -114,7 +115,7 @@ def _rand_rational(ctx: FieldCtx, rng, max_deg=3) -> RationalMapP1:
             b[rng.randrange(n)] = ctx.one
         try:
             return RationalMapP1(ctx, n, a, b)
-        except Exception:
+        except ResultantZero:
             continue
 
 
@@ -381,8 +382,6 @@ def _witness_corpus(ctx, rng, per_kind):
         M = _rand_pointed_matrix(ctx, rng)
         seg = scaling_witness(M, _rand_unit(ctx, rng)).segments[0]
         if rng.random() < 0.5:
-            from .homotopy import Segment
-
             seg = Segment(0, seg.data, None)
         path = lift_row_homotopy(seg)
         relift = path.row_witness()

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from jouanolou import bundle, morphism
+from jouanolou import bundle, homotopy, morphism
 from jouanolou.bundle import (
     _BERKOWITZ_MIN_SIZE_SYMBOLIC,
-    _adjugate_last_row,
     _use_berkowitz,
     bezout_from_unit_resultant,
     det_subset,
@@ -388,8 +387,7 @@ def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
         assert (bundle._constant_values(rows) is not None) == constant
         assert not _use_berkowitz(rows)
         want = _det_oracle(rows, zero)
-        assert det_subset(rows, zero) == want
-        det, last = _adjugate_last_row(rows, zero)
+        det, last = det_subset(rows, zero)
         assert det == want
         assert len(last) == size
         for i, entry in enumerate(last):
@@ -404,8 +402,7 @@ def test_determinant_engine_at_the_symbolic_split(ctx):
         rows = _random_matrix(rng, RingElement, ctx, size, False)
         assert _use_berkowitz(rows) == (size >= _BERKOWITZ_MIN_SIZE_SYMBOLIC)
         want = _det_oracle(rows, zero)
-        assert det_subset(rows, zero) == want
-        det, last = _adjugate_last_row(rows, zero)
+        det, last = det_subset(rows, zero)
         assert det == want and not det.is_zero
         # last row of adj M times M is det M * e_last, which pins it when det M != 0
         for j in range(size):
@@ -417,8 +414,7 @@ def test_determinant_engine_at_the_symbolic_split(ctx):
 
 def test_determinant_engine_on_a_singular_matrix():
     rows = [[RingElement.from_scalar(QQ.elem(i + j)) for j in range(9)] for i in range(9)]
-    assert det_subset(rows, ZERO).is_zero
-    det, last = _adjugate_last_row(rows, ZERO)
+    det, last = det_subset(rows, ZERO)
     assert det.is_zero and all(e.is_zero for e in last)  # rank 2 < 8
 
 
@@ -431,6 +427,56 @@ def test_reference_cofactors_match_cramer(ctx, top, monkeypatch):
         want = generation_cofactors(n, *f.homog)
         assert cert == want == f.cert
         assert [ring_str(c) for c in cert] == [ring_str(c) for c in want]
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_generation_cofactors_eliminate_twice(ctx, monkeypatch):
+    # one Bezout solve for the pair and one for the reversed pair, and no
+    # separate resultant before them
+    f = n_pi(3, ctx)
+    sizes = []
+
+    def counted(rows, zero):
+        sizes.append(len(rows))
+        return det_subset(rows, zero)
+
+    monkeypatch.setattr(bundle, "det_subset", counted)
+    assert generation_cofactors(3, *f.homog) == f.cert
+    assert sizes == [6, 6]
+
+    # the raised pair over R[T] of the degree-raising witness
+    pairs = []
+
+    def captured(n, L0, L1):
+        pairs.append((n, L0, L1))
+        return generation_cofactors(n, L0, L1)
+
+    monkeypatch.setattr(homotopy, "generation_cofactors", captured)
+    witness = homotopy.gu1_action_witness(ctx.elem(2), n_pi(2, ctx))
+    ((n, L0, L1),) = pairs
+    assert n == 3 and all(isinstance(c, RingPolyT) for c in L0 + L1)
+    assert bundle._constant_values(sylvester_matrix(L0, L1, n, n, L0[0] - L0[0])) is None
+    sizes.clear()
+    assert generation_cofactors(n, L0, L1) == witness.segments[0].cert
+    assert sizes == [6, 6]
+
+
+@pytest.mark.parametrize(
+    "L0, L1, res",
+    [
+        # (X + 1)^2 and X + 1: constants with a common root
+        (["1", "2", "1"], ["1", "1", "0"], "0"),
+        (["x", "1"], ["y", "1"], "-x + y"),
+    ],
+)
+def test_generation_cofactors_refuse_without_unit_resultant(L0, L1, res):
+    L0, L1 = [R(c) for c in L0], [R(c) for c in L1]
+    n = len(L0) - 1
+    assert ring_str(resultant_univ(L0, L1, n, n)) == res
+    with pytest.raises(ResultantNotUnit) as refused:
+        generation_cofactors(n, L0, L1)
+    assert str(refused.value) == "pair does not have unit resultant"
+    assert refused.value.__suppress_context__
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)])
@@ -487,8 +533,7 @@ def test_k_route_matches_the_subset_oracle(ctx, kind):
             rows = _random_constant_matrix(rng, kind, ctx, size)
             assert bundle._constant_values(rows) is not None
             want = _det_oracle(rows, zero)
-            assert det_subset(rows, zero) == want
-            det, last = _adjugate_last_row(rows, zero)
+            det, last = det_subset(rows, zero)
             assert det == want
             assert last == _oracle_adjugate_row(rows, zero, one)
             assert all(type(e) is type(zero) for e in [det, *last])
@@ -503,13 +548,13 @@ def test_k_route_matches_berkowitz_on_large_matrices(ctx, kind, monkeypatch):
     sizes = range(11, 17) if kind == "k" else (11, 13, 16)
     for size in sizes:
         rows = _random_constant_matrix(rng, kind, ctx, size)
-        while det_subset(rows, zero).is_zero:
+        while det_subset(rows, zero)[0].is_zero:
             rows = _random_constant_matrix(rng, kind, ctx, size)
-        ours = det_subset(rows, zero), _adjugate_last_row(rows, zero)
+        ours = det_subset(rows, zero)
         with monkeypatch.context() as division_free:
             division_free.setattr(bundle, "_constant_values", lambda rows: None)
             division_free.setattr(bundle, "_use_berkowitz", lambda rows: True)
-            assert ours == (det_subset(rows, zero), _adjugate_last_row(rows, zero))
+            assert ours == det_subset(rows, zero)
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
@@ -529,7 +574,7 @@ def test_k_route_on_sylvester_matrices_with_vanishing_tops(ctx):
                 assert rows[0][0].is_zero or rows[n][0].is_zero  # a pivot needs a swap
                 want = _det_oracle(rows, zero)
                 assert resultant_univ(A, B, n, n) == want
-                det, last = _adjugate_last_row(rows, zero)
+                det, last = det_subset(rows, zero)
                 assert det == want and last == _oracle_adjugate_row(rows, zero, one)
                 if unit_scalar(want) is None:
                     with pytest.raises(ResultantNotUnit):
@@ -564,8 +609,7 @@ def test_k_route_declines_singular_matrices(ctx, kind):
                 ]
             values = bundle._constant_values(rows)
             assert bundle._solve_over_k(ctx, values) == (ctx.rzero, None)
-            assert det_subset(rows, zero) == zero
-            det, last = _adjugate_last_row(rows, zero)
+            det, last = det_subset(rows, zero)
             assert det == zero
             assert last == _oracle_adjugate_row(rows, zero, one)
             if deficiency == 2:

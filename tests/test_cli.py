@@ -136,6 +136,17 @@ def test_resultant_of_a_pair_with_a_vanishing_top(capsys, field, want):
     assert code == 0 and out.strip() == want
 
 
+@pytest.mark.parametrize(
+    "field, want",
+    [("Q", "y^2*z - 2*x*z - y*z + z^2 + x"), ("Fp=7", "y^2*z + 5*x*z + 6*y*z + z^2 + x")],
+)
+def test_resultant_of_a_symbolic_pair(capsys, field, want):
+    # a 4x4 Sylvester matrix with entries in x, y, z: the subset route
+    pair = "x; y; 1 | z; 0; 1"
+    code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", "2")
+    assert code == 0 and out.strip() == want
+
+
 def test_sum(capsys):
     code, out, _ = run(capsys, "sum", "row [2*x - 1; 2*y]", "row [2*x - 1; -2*y]")
     assert code == 0 and out.strip() == "row [1; 0]"

@@ -20,11 +20,12 @@ as ascending coefficient lists and is generic enough to run over R[T] as
 well; ``poly_add`` and ``poly_mul`` are its dense kernel, for these
 X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  Every
 Sylvester matrix goes through one elimination, ``det_subset``, which
-returns the determinant and the last row of the adjugate together: the
-resultant reads the first, a Bezout solve both.  An invertible matrix of
-constants of k is solved over k by Gaussian elimination; any other matrix
-avoids division (subset expansion for small matrices, Berkowitz's
-characteristic polynomial for large ones).
+returns the determinant and, when asked, the last row of the adjugate from
+the same pass: the resultant asks for the first only, a Bezout solve for
+both.  A matrix of constants of k is eliminated over k by Gauss (for the
+adjugate, only an invertible one); any other matrix avoids division
+(subset expansion for small matrices, Berkowitz's characteristic
+polynomial for large ones).
 """
 
 from __future__ import annotations
@@ -282,8 +283,9 @@ def _solve_over_k(ctx: FieldCtx, values) -> tuple:
     return det, x
 
 
-def det_subset(rows, zero):
-    """(det M, last row of adj M) for a square matrix M given as rows.
+def det_subset(rows, zero, *, adjugate=True):
+    """(det M, last row of adj M) for a square matrix M given as rows;
+    with ``adjugate=False``, (det M, None) at the cost of the determinant.
 
     Entry i of that row is the cofactor C(i, m-1), i.e. the determinant of
     M with row i replaced by the last unit row: the Cramer vector of the
@@ -294,8 +296,10 @@ def det_subset(rows, zero):
     12 rows) by Horner on the characteristic polynomial, adj M = (-1)^(m+1)
     (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I); else by one subset pass over
     the transpose with its rows reversed, whose top-row minors are the
-    cofactors up to a fixed sign.  The name is older than these routes; it
-    stays because profiling tools wrap this function by name.
+    cofactors up to a fixed sign.  Without the adjugate, elimination over k
+    reads every determinant of constants, a singular one too, and
+    Berkowitz skips the Horner pass.  The name is older than these routes;
+    it stays because profiling tools wrap this function by name.
     """
     size = len(rows)
     if size == 0:
@@ -304,21 +308,16 @@ def det_subset(rows, zero):
     if values is not None:
         ctx = zero.ctx
         det, x = _solve_over_k(ctx, values)
+        if not adjugate:
+            return _like(zero, det), None
         # a singular matrix's adjugate is no multiple of an inverse
         if x is not None:
             return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
     if _use_berkowitz(rows):
         poly = _charpoly(rows, zero)
-        columns = _nonzero_by_row(list(zip(*rows)))
-        # row vector v <- v*M + p_k * e_last, starting from e_last
-        vec = [zero] * (size - 1) + [poly[0]]
-        for k in range(1, size):
-            vec = [_dot(col, vec, size, zero) for col in columns]
-            vec[-1] = vec[-1] + poly[k]
-        det = poly[-1]
-        if size % 2 == 0:
-            return det, [-v for v in vec]
-        return -det, vec
+        # poly[-1] = det(-M) = (-1)^m det M
+        det = poly[-1] if size % 2 == 0 else -poly[-1]
+        return det, _horner_adjugate_row(rows, poly, zero) if adjugate else None
     # rows of the transpose reversed: row r is column size-1-r of M, so the
     # minor on the bottom size-1 rows without column i is M's minor (i, m-1)
     # with its rows reversed, a sign of (-1)^((m-1)(m-2)/2)
@@ -328,9 +327,24 @@ def det_subset(rows, zero):
     det = minors[full]
     if (size * (size - 1) // 2) % 2:
         det = -det
+    if not adjugate:
+        return det, None
     flip = ((size - 1) * (size - 2) // 2 + size - 1) % 2
     row = [minors[full ^ (1 << i)] for i in range(size)]
     return det, [-c if (flip + i) % 2 else c for i, c in enumerate(row)]
+
+
+def _horner_adjugate_row(rows, poly, zero) -> list:
+    """The last row of adj M from the characteristic polynomial ``poly`` of
+    M, by Horner on adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I)."""
+    size = len(rows)
+    columns = _nonzero_by_row(list(zip(*rows)))
+    # row vector v <- v*M + p_k * e_last, starting from e_last
+    vec = [zero] * (size - 1) + [poly[0]]
+    for k in range(1, size):
+        vec = [_dot(col, vec, size, zero) for col in columns]
+        vec[-1] = vec[-1] + poly[k]
+    return [-v for v in vec] if size % 2 == 0 else vec
 
 
 def _subset_minors(rows, zero) -> dict:
@@ -439,7 +453,7 @@ def resultant_univ(A: list, B: list, m: int | None = None, n: int | None = None)
     _, _, m, n, zero, rows = _sylvester_system(A, B, m, n)
     if m + n == 0:
         return _one_like(zero)
-    return det_subset(rows, zero)[0]
+    return det_subset(rows, zero, adjugate=False)[0]
 
 
 def _like(e, raw):

@@ -20,16 +20,34 @@ one.  IEEE multiplies and adds are correctly rounded per element, so taking
 a subset of samples or working in place changes no bit; the term order and
 the factor order within a term are kept (no Horner, no pairwise sums), and
 the powers of y are taken on the full sample array before any subset.
+
+numpy is imported on the first realization (`winding_degree`,
+`winding_profile`, `eval_rp1`, `jou realize`, `jou selftest`), not when the
+package is imported: the exact engine never touches a float, so `n_pi`,
+`decompose`, `oplus`, `verify` and the other `jou` commands run without it.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ChartDegenerate, Unresolved
 from .morphism import JMap
+
+
+class _LazyNumpy:
+    """Stands in for numpy until its first attribute is read, which imports
+    numpy and rebinds this module's `np` to it: later calls pay nothing."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 RESIDUAL_TOL = 1e-2
 BISECT_JUMP = math.pi / 4

@@ -619,6 +619,49 @@ def test_k_route_declines_singular_matrices(ctx, kind):
     assert nonzero_adjugates >= 2
 
 
+def _raises(*args):
+    raise AssertionError("the resultant ran a route it does not need")
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_resultant_of_a_singular_constant_pair_stays_over_k(ctx, monkeypatch):
+    # pairs sharing the root -1 (as in a RationalMapP1 that is not a map):
+    # elimination over k reads the determinant 0, and no division-free
+    # route runs for an adjugate row the resultant discards
+    rng = random.Random(f"singular-constant-pair:{ctx.p}")
+    zero, one = RingElement.zero(ctx), RingElement.one(ctx)
+    monkeypatch.setattr(bundle, "_subset_minors", _raises)
+    monkeypatch.setattr(bundle, "_charpoly", _raises)
+    for n in (3, 6, 8):
+        A, B = (
+            poly_mul([one, one], [_random_constant(rng, "R", ctx) for _ in range(n - 1)] + [one], zero)
+            for _ in range(2)
+        )
+        rows = sylvester_matrix(A, B, n, n, zero)
+        assert len(rows) == 2 * n and bundle._constant_values(rows) is not None
+        # the oracle runs over k: 16 rows of R constants would take seconds
+        values = [[e.constant_value() for e in row] for row in rows]
+        want = RingElement.from_scalar(_det_oracle(values, ctx.elem(0)))
+        assert want.is_zero
+        assert resultant_univ(A, B, n, n) == want
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_resultant_skips_the_horner_pass(ctx, monkeypatch):
+    # the 12-row pair (L0 + y*L1, L1 + z*L0) of the lift of n_pi(6)
+    L0, L1 = n_pi(6, ctx).homog
+    y, z = RingElement.gen_y(ctx), RingElement.gen_z(ctx)
+    A = [a + y * b for a, b in zip(L0, L1)]
+    B = [b + z * a for a, b in zip(L0, L1)]
+    zero = RingElement.zero(ctx)
+    rows = sylvester_matrix(A, B, 6, 6, zero)
+    assert _use_berkowitz(rows) and bundle._constant_values(rows) is None
+    want = _det_oracle(rows, zero)
+    monkeypatch.setattr(bundle, "_horner_adjugate_row", _raises)
+    assert resultant_univ(A, B, 6, 6) == want
+    assert det_subset(rows, zero, adjugate=False) == (want, None)
+
+
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
 def test_reference_maps_equal_without_the_k_route(ctx, monkeypatch):
     monkeypatch.setattr(morphism, "_NPI_CACHE", {})

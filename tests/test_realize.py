@@ -1,6 +1,10 @@
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,59 @@ def test_winding_profiles_match_the_recorded_floats():
     maps = {"g": g, "pi": pi, "F": F, "tilde": tilde, "L": L, "H": H}
     maps.update((k, _bitwise_pool()[k]) for k in ("n_pi(2) + n_pi(1)", "n_pi(2) + n_pi(2)"))
     assert {k: repr(winding_profile(f)) for k, f in maps.items()} == GOLDEN_PROFILES
+
+
+# ---------------------------------------------------------------------------
+# numpy loads on the first realization, not on `import jouanolou`
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COLD_IMPORT = """
+import sys
+import jouanolou as J, jouanolou.cli, jouanolou.textio
+assert "numpy" not in sys.modules
+assert "jouanolou.realize" in sys.modules
+try:
+    J.winding_degree(J.n_pi(2, J.Fp(7)))
+except ValueError as exc:
+    assert "rationals" in str(exc)
+else:
+    raise AssertionError("a map over F_7 was realized")
+assert "numpy" not in sys.modules
+assert J.winding_degree(J.n_pi(2, J.QQ)) == 2
+assert "numpy" in sys.modules
+"""
+
+# the exact engine with numpy unimportable; the printed sum is the one whose
+# sha1 the CI pins for `jou oplus`
+WITHOUT_NUMPY = """
+import contextlib, hashlib, io, sys
+sys.modules["numpy"] = None
+import jouanolou as J
+from jouanolou import cli
+refs = J.ReferenceFamily(J.QQ)
+f, g = J.n_pi(2, J.QQ), refs.ref(-1)
+d = J.decompose(f, refs)
+assert J.verify(d.witness, f, J.act(d.matrix, refs.ref(d.n)))
+assert J.oplus(f, g, refs).degree == 1
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["oplus", "map 2 [1; 0 | 0; 1]", "map -1 [1; 0 | 0; 1]"]) == 0
+assert hashlib.sha1(out.getvalue().encode()).hexdigest() == (
+    "d8839028285cc1a169108308d277272057c3f3e4"
+)
+assert sys.modules["numpy"] is None
+"""
+
+
+@pytest.mark.parametrize("script", [COLD_IMPORT, WITHOUT_NUMPY], ids=["cold", "without-numpy"])
+def test_numpy_loads_on_the_first_realization_only(script):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

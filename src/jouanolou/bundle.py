@@ -22,8 +22,8 @@ X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  Every
 Sylvester matrix goes through one elimination, ``det_subset``, which
 returns the determinant and, when asked, the last row of the adjugate from
 the same pass: the resultant asks for the first only, a Bezout solve for
-both.  A matrix of constants of k is eliminated over k by Gauss (for the
-adjugate, only an invertible one); any other matrix avoids division
+both.  A matrix of constants of k is eliminated over k by Gauss (a
+singular one has no adjugate row there); any other matrix avoids division
 (subset expansion for small matrices, Berkowitz's characteristic
 polynomial for large ones).
 """
@@ -291,14 +291,14 @@ def det_subset(rows, zero, *, adjugate=True):
     M with row i replaced by the last unit row: the Cramer vector of the
     system M^t * lam = e_last, in one pass instead of m determinants.  For
     an invertible matrix of constants it is det M times the solution of
-    that system over k (``_solve_over_k``).  Otherwise it is found without
-    division, so over R, R[T] or k: where ``_use_berkowitz`` says so (from
-    12 rows) by Horner on the characteristic polynomial, adj M = (-1)^(m+1)
-    (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I); else by one subset pass over
-    the transpose with its rows reversed, whose top-row minors are the
-    cofactors up to a fixed sign.  Without the adjugate, elimination over k
-    reads every determinant of constants, a singular one too, and
-    Berkowitz skips the Horner pass.  The name is older than these routes;
+    that system over k (``_solve_over_k``); for a singular one the result
+    is (0, None), read off the same elimination.  Otherwise it is found
+    without division, so over R, R[T] or k: where ``_use_berkowitz`` says
+    so (from 12 rows) by Horner on the characteristic polynomial, adj M =
+    (-1)^(m+1) (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I); else by one subset
+    pass over the transpose with its rows reversed, whose top-row minors
+    are the cofactors up to a fixed sign.  Without the adjugate, Berkowitz
+    skips the Horner pass.  The name is older than these routes;
     it stays because profiling tools wrap this function by name.
     """
     size = len(rows)
@@ -308,11 +308,10 @@ def det_subset(rows, zero, *, adjugate=True):
     if values is not None:
         ctx = zero.ctx
         det, x = _solve_over_k(ctx, values)
-        if not adjugate:
+        # a singular matrix of constants: det 0, and no adjugate row
+        if not adjugate or x is None:
             return _like(zero, det), None
-        # a singular matrix's adjugate is no multiple of an inverse
-        if x is not None:
-            return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
+        return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
     if _use_berkowitz(rows):
         poly = _charpoly(rows, zero)
         # poly[-1] = det(-M) = (-1)^m det M
@@ -486,7 +485,8 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
     Works over R or R[T].  The solution of the Sylvester system is the last
     row of the adjugate of the Sylvester matrix divided by the resultant.
     ``det_subset`` finds both in one pass.  When every coefficient is a
-    constant of k, that pass is Gaussian elimination over k.  Otherwise it
+    constant of k, that pass is Gaussian elimination over k, which refuses a
+    singular matrix (no adjugate row) without a further pass.  Otherwise it
     is division-free (a subset expansion, or Berkowitz plus Horner on large
     matrices; see ``_use_berkowitz``), and the unit resultant is the only
     division.

@@ -163,10 +163,10 @@ def cmd_k1mw(args):
     ctx = _field(args)
     if ctx.is_rationals:
         raise ParseError("k1mw needs --field Fp=<p>")
-    entries = WORD_RE.findall(args.word)
-    if not entries and args.word.strip():
+    # nothing but blanks may lie outside the [...] groups
+    if WORD_RE.sub("", args.word).strip():
         raise ParseError('word must look like "[u1][u2]..."')
-    w = MWSymbolWord(ctx, [ctx.parse_scalar(e) for e in entries])
+    w = MWSymbolWord(ctx, [ctx.parse_scalar(e) for e in WORD_RE.findall(args.word)])
     canon = k1_canonical(ctx, w)
     print(f"canonical residue {canon.residue} (mod {canon.modulus})")
     print(textio.map_str(kappa_rep(w)))

@@ -17,7 +17,7 @@ from .bundle import raised_lift, spanning_powers, unit_split
 from .field import FieldCtx, FieldElem
 from .homotopy import HomotopyWitness, Segment, Sl2Path, gu1_action_witness
 from .jring import RingElement, RingPolyT
-from .morphism import JMap, make_map, n_pi
+from .morphism import JMap, n_pi
 from .sl2 import PointedSL2, act, complete_pointed
 from .sl2 import row_sum as _row_sum
 
@@ -47,7 +47,7 @@ class ReferenceFamily:
             ctx = self.ctx
             one, zero = RingElement.one(ctx), RingElement.zero(ctx)
             E, F = unit_split(ctx, abs(n))
-            self._qref[n] = make_map(n, one, zero, zero, one, cert=(E, zero, zero, F))
+            self._qref[n] = JMap(n, (one, zero, zero, one), (E, zero, zero, F))
         return self._qref[n]
 
     def ref(self, n: int) -> JMap:
@@ -60,10 +60,12 @@ class ReferenceFamily:
         elif self.neg_mode == "qbasis":
             result = self.qref(n)
         else:
+            # negating the second section and its cofactors keeps the
+            # certificate identity and pointedness
             moved = n_pi(-n, self.ctx).tau_transport()
             a0, a1, b0, b1 = moved.data
             ux, vx, uw, vw = moved.cert
-            result = make_map(n, a0, a1, -b0, -b1, cert=(ux, -vx, uw, -vw))
+            result = JMap(n, (a0, a1, -b0, -b1), (ux, -vx, uw, -vw))
         self._cache[n] = result
         return result
 
@@ -192,5 +194,6 @@ def naive_sum_deg1(u: FieldElem, f: JMap) -> tuple[JMap, HomotopyWitness]:
     quad = seg.at(zero).data
     cert = tuple(c.eval_at_T(zero) for c in seg.cert)
     raised = raised_lift(u, *f.canonical_lift(), RingElement.zero(f.ctx))
-    result = make_map(f.degree + 1, *quad, cert=cert, homog=raised)
+    # the T = 0 end of the certified segment, with its certificate there
+    result = JMap(f.degree + 1, quad, cert, raised)
     return result, witness

@@ -158,9 +158,10 @@ class Sl2Path(Mat2):
     """A 2x2 matrix over R[T] with determinant 1: a path of completions.
 
     The constructor checks determinant 1 and pointedness (the identity at
-    the basepoint for every T).  :meth:`reverse_T` and :meth:`constant` are
-    closed and skip it; the elementary and conjugating factors, which are
-    not pointed, are built with ``_of`` (:meth:`upper`, :meth:`lower`)."""
+    the basepoint for every T).  :meth:`reverse_T`, :meth:`constant` and
+    :func:`lift_row_homotopy` are closed and skip it; the elementary and
+    conjugating factors, which are not pointed, are built with ``_of``
+    (:meth:`upper`, :meth:`lower`)."""
 
     __slots__ = ()
     _ring, _map = RingPolyT, Segment
@@ -271,9 +272,10 @@ def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
             raise NoCertificate("family is not unimodular over R[T]")
     U1, V1 = cert
     # re-point the lift: d(T) = V1 makes both corrections vanish at the basepoint
+    # (A = 1, B = 0 there), and the determinant stays A*U1 + B*V1 = 1
     U2 = U1 + B * V1
     V2 = V1 - A * V1
-    return Sl2Path(((A, -V2), (B, U2)))
+    return Sl2Path._of(((A, -V2), (B, U2)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ way in for data from outside.  They check pointedness (the second entry
 vanishes at the basepoint), normalize (rescale so the first entry is 1
 there), and check generation: a given certificate must expand to 1, else
 the groebner engine decides membership of 1 and its cofactors become the
-certificate.  A carried homogeneous lift must expand to the sections.
-``JMap(...)`` itself trusts its data; the group action, tau transport and
-first columns of pointed completions map checked data to checked data, so
-they build through it directly.
+certificate.  ``JMap(...)`` itself trusts its data, and every map the
+library derives is closed, so it builds through it directly: the group
+action, tau transport, first columns of pointed completions, and the
+constructions :func:`n_pi`, :func:`pullback_rational` and :func:`g_uv`
+here, ``ReferenceFamily.qref``/``ref`` and ``naive_sum_deg1`` in
+``homgrp`` and ``mwk.kappa_rep``.  The test suite rebuilds each through the
+checking constructors, and checks a carried homogeneous lift there.
 
 Equality of maps is equality of degree and of normalized expanded
 sections (coefficient pairs are non-unique, expanded pairs are not).
@@ -29,7 +32,6 @@ from . import groebner
 from .bundle import (
     expand_sections,
     generation_cofactors,
-    homog_eval,
     mu_product,
     pure_powers,
     raised_lift,
@@ -114,22 +116,6 @@ class JMap:
     def kind(self):
         """The bundle, read off the degree's sign: "P", "Q", or None in degree 0."""
         return "P" if self.degree > 0 else "Q" if self.degree < 0 else None
-
-    def homog_matches(self) -> bool:
-        """Does the carried homogeneous lift expand to the stored sections?"""
-        if self.homog is None or self.degree < 1:
-            return self.homog is None
-        ctx = self.ctx
-        n = self.degree
-        x, y, z, w = pure_powers(ctx, 1)
-        F0, F1 = self.homog
-        got = (
-            homog_eval(F0, n, x, y),
-            homog_eval(F1, n, x, y),
-            homog_eval(F0, n, z, w),
-            homog_eval(F1, n, z, w),
-        )
-        return got == self.expanded
 
     def canonical_lift(self):
         """A homogeneous lift of the sections: the carried one if present,
@@ -218,8 +204,10 @@ def normalized(alpha: FieldElem, data, cert=None):
     return data, cert
 
 
-def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap:
-    """Check and normalize a section-pair map of nonzero degree n.
+def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None) -> JMap:
+    """Check and normalize a section-pair map of nonzero degree n given from
+    outside (parsed text, user cofactors); library constructions are closed
+    and build through ``JMap`` (see the module docstring).
 
     Raises NotPointed / NotNormalizable / NotGenerating.  A given
     certificate is checked by exact expansion; without one the groebner
@@ -233,8 +221,6 @@ def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap
     if alpha.is_zero:
         raise NotNormalizable("first section vanishes at the basepoint")
     data, cert = normalized(alpha, (a0, a1, b0, b1), cert)
-    if homog is not None:
-        homog = tuple(normalized(alpha, lst)[0] for lst in homog)
     cols = generation_columns(n, *data)
     if cert is None:
         cert = groebner_cofactors(cols)
@@ -242,10 +228,7 @@ def make_map(n: int, a0: RingElement, a1, b0, b1, cert=None, homog=None) -> JMap
             raise NotGenerating("sections do not generate the bundle")
     elif not cert_expands_to_one(cert, cols):
         raise NotGenerating("generation certificate does not expand to 1")
-    out = JMap(n, data, tuple(cert), homog)
-    if homog is not None and not out.homog_matches():
-        raise ValueError("homogeneous lift does not expand to the sections")
-    return out
+    return JMap(n, data, tuple(cert))
 
 
 def make_row(A: RingElement, B: RingElement, cert=None) -> JMap:
@@ -280,7 +263,8 @@ def g_uv(u: FieldElem, v: FieldElem) -> JMap:
     B = y.scale(u - v)
     U = x + w.scale(u / v)
     V = z.scale((v - u) / (u * v))
-    return make_row(A, B, cert=(U, V))
+    # AU + BV = (x + w)^2 = 1, and A = 1, B = 0 at the basepoint
+    return JMap(0, (A, B), (U, V))
 
 
 _NPI_CACHE: dict = {}
@@ -309,7 +293,7 @@ def n_pi(n: int, ctx: FieldCtx) -> JMap:
         L0, L1 = raised_lift(ctx.one, L0, L1, zero)
     s1 = mu_product(y_col, 1, F_prev, n - 1) if n > 1 else y_col
     cert = generation_cofactors(n, L0, L1)
-    result = make_map(n, *F_cur, *s1, cert=cert, homog=(L0, L1))
+    result = JMap(n, (*F_cur, *s1), cert, (L0, L1))
     _NPI_CACHE[key] = result
     return result
 
@@ -348,7 +332,8 @@ def pullback_rational(f: RationalMapP1) -> JMap:
     c1 = [RingElement.from_scalar(c) for c in f.b] + [zero]
     s0, s1 = sigma(f.n, c0, c1)
     cert = generation_cofactors(f.n, c0, c1)
-    return make_map(f.n, *s0, *s1, cert=cert, homog=(c0, c1))
+    # A monic makes sigma(A) 1 at the basepoint; the resultant is nonzero
+    return JMap(f.n, (*s0, *s1), cert, (c0, c1))
 
 
 def rational_xu(u: FieldElem) -> RationalMapP1:

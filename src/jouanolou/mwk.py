@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .errors import NotPrimeField, UnsupportedField, ZeroInput
 from .field import FieldCtx, FieldElem, discrete_log, multiplicative_generator
-from .jring import RingElement
-from .morphism import JMap, g_uv, make_row
-from .sl2 import row_sum
+from .morphism import JMap, g_uv
+from .sl2 import identity_matrix, row_sum
 
 REALS = "R"
 
@@ -130,7 +129,7 @@ def kappa_rep(word: MWSymbolWord) -> JMap:
         factor = g_uv(s, one)
         rep = factor if rep is None else row_sum(rep, factor)
     if rep is None:
-        rep = make_row(RingElement.one(ctx), RingElement.zero(ctx))
+        rep = identity_matrix(ctx).row_map()
     return rep
 
 

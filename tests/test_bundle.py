@@ -374,6 +374,14 @@ def _random_matrix(rng, ring, ctx, size, constant):
     return rows
 
 
+def _division_free(rows, zero):
+    """``det_subset`` with the route over k turned off, as for a symbolic
+    matrix: the adjugate row of a singular matrix of constants too."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(bundle, "_constant_values", lambda rows: None)
+        return det_subset(rows, zero)
+
+
 @pytest.mark.parametrize("ring, ctx", RINGS)
 @pytest.mark.parametrize("constant", [True, False], ids=["constant", "symbolic"])
 def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
@@ -389,6 +397,10 @@ def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
         want = _det_oracle(rows, zero)
         det, last = det_subset(rows, zero)
         assert det == want
+        if constant and want.is_zero:
+            # no adjugate row over k; the division-free one is checked
+            assert last is None
+            det, last = _division_free(rows, zero)
         assert len(last) == size
         for i, entry in enumerate(last):
             assert entry == _det_oracle(_replaced_by_last_unit_row(rows, i, zero, one), zero)
@@ -414,7 +426,9 @@ def test_determinant_engine_at_the_symbolic_split(ctx):
 
 def test_determinant_engine_on_a_singular_matrix():
     rows = [[RingElement.from_scalar(QQ.elem(i + j)) for j in range(9)] for i in range(9)]
-    det, last = det_subset(rows, ZERO)
+    # elimination over k reads det 0 and gives no adjugate row
+    assert det_subset(rows, ZERO) == (ZERO, None)
+    det, last = _division_free(rows, ZERO)
     assert det.is_zero and all(e.is_zero for e in last)  # rank 2 < 8
 
 
@@ -535,6 +549,10 @@ def test_k_route_matches_the_subset_oracle(ctx, kind):
             want = _det_oracle(rows, zero)
             det, last = det_subset(rows, zero)
             assert det == want
+            if want.is_zero:
+                # no adjugate row over k; the division-free one is checked
+                assert last is None
+                det, last = _division_free(rows, zero)
             assert last == _oracle_adjugate_row(rows, zero, one)
             assert all(type(e) is type(zero) for e in [det, *last])
 
@@ -575,6 +593,9 @@ def test_k_route_on_sylvester_matrices_with_vanishing_tops(ctx):
                 want = _det_oracle(rows, zero)
                 assert resultant_univ(A, B, n, n) == want
                 det, last = det_subset(rows, zero)
+                if want.is_zero:
+                    assert last is None
+                    det, last = _division_free(rows, zero)
                 assert det == want and last == _oracle_adjugate_row(rows, zero, one)
                 if unit_scalar(want) is None:
                     with pytest.raises(ResultantNotUnit):
@@ -609,7 +630,8 @@ def test_k_route_declines_singular_matrices(ctx, kind):
                 ]
             values = bundle._constant_values(rows)
             assert bundle._solve_over_k(ctx, values) == (ctx.rzero, None)
-            det, last = det_subset(rows, zero)
+            assert det_subset(rows, zero) == (zero, None)
+            det, last = _division_free(rows, zero)
             assert det == zero
             assert last == _oracle_adjugate_row(rows, zero, one)
             if deficiency == 2:
@@ -623,20 +645,27 @@ def _raises(*args):
     raise AssertionError("the resultant ran a route it does not need")
 
 
-@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
-def test_resultant_of_a_singular_constant_pair_stays_over_k(ctx, monkeypatch):
-    # pairs sharing the root -1 (as in a RationalMapP1 that is not a map):
-    # elimination over k reads the determinant 0, and no division-free
-    # route runs for an adjugate row the resultant discards
+def _singular_constant_pairs(ctx):
+    """Constant pairs of degree 3, 6 and 8 sharing the root -1, as in a
+    RationalMapP1 that is not a map."""
     rng = random.Random(f"singular-constant-pair:{ctx.p}")
     zero, one = RingElement.zero(ctx), RingElement.one(ctx)
-    monkeypatch.setattr(bundle, "_subset_minors", _raises)
-    monkeypatch.setattr(bundle, "_charpoly", _raises)
     for n in (3, 6, 8):
         A, B = (
             poly_mul([one, one], [_random_constant(rng, "R", ctx) for _ in range(n - 1)] + [one], zero)
             for _ in range(2)
         )
+        yield n, A, B
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_resultant_of_a_singular_constant_pair_stays_over_k(ctx, monkeypatch):
+    # elimination over k reads the determinant 0, and no division-free
+    # route runs for an adjugate row the resultant discards
+    zero = RingElement.zero(ctx)
+    monkeypatch.setattr(bundle, "_subset_minors", _raises)
+    monkeypatch.setattr(bundle, "_charpoly", _raises)
+    for n, A, B in _singular_constant_pairs(ctx):
         rows = sylvester_matrix(A, B, n, n, zero)
         assert len(rows) == 2 * n and bundle._constant_values(rows) is not None
         # the oracle runs over k: 16 rows of R constants would take seconds
@@ -644,6 +673,17 @@ def test_resultant_of_a_singular_constant_pair_stays_over_k(ctx, monkeypatch):
         want = RingElement.from_scalar(_det_oracle(values, ctx.elem(0)))
         assert want.is_zero
         assert resultant_univ(A, B, n, n) == want
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_bezout_refuses_a_singular_constant_pair_over_k(ctx, monkeypatch):
+    # the Bezout solve reads det 0 off the elimination over k and refuses,
+    # with no division-free pass for an adjugate row it would discard
+    monkeypatch.setattr(bundle, "_subset_minors", _raises)
+    monkeypatch.setattr(bundle, "_charpoly", _raises)
+    for n, A, B in _singular_constant_pairs(ctx):
+        with pytest.raises(ResultantNotUnit, match="pair does not have unit resultant"):
+            generation_cofactors(n, A, B)
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)

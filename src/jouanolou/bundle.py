@@ -22,10 +22,10 @@ X-polynomials only (R[T] itself is sparse, see :mod:`jring`).  Every
 Sylvester matrix goes through one elimination, ``det_subset``, which
 returns the determinant and, when asked, the last row of the adjugate from
 the same pass: the resultant asks for the first only, a Bezout solve for
-both.  A matrix of constants of k is eliminated over k by Gauss (a
-singular one has no adjugate row there); any other matrix avoids division
-(subset expansion for small matrices, Berkowitz's characteristic
-polynomial for large ones).
+both.  It has two routes and no size switch: a matrix of constants of k
+is eliminated over k by Gauss (a singular one has no adjugate row there),
+and any other matrix goes through Berkowitz's characteristic polynomial,
+without division.
 """
 
 from __future__ import annotations
@@ -207,27 +207,6 @@ def sylvester_matrix(A: list, B: list, m: int, n: int, zero):
     return rows
 
 
-# A matrix whose entries are all constants of k, as in the Sylvester matrices
-# of the reference maps and of pullbacks, is solved over k by Gaussian
-# elimination (``_solve_over_k``).  With a symbolic entry (one involving x,
-# y, z, w or T), determinants and adjugates switch from the subset expansion
-# (O(m 2^m) ring operations, zero entries skipped) to Berkowitz (O(m^4)) at
-# 12 rows: Berkowitz's products A^k S outgrow the minors, and the subset
-# expansion stays faster up to 11 rows.  End to end on such entries, this
-# split against Berkowitz from 8 rows, and at every size:
-#   naive_sum_deg1, degree-3 pullback, Q (R[T], 7 and 8 rows)  0.15 0.21 0.29 s
-#   resultant of a twisted degree-4 pair, Q (R, 8 rows)       1.2  1.9  2.1 s
-# and against the subset expansion at every size:
-#   naive_sum_deg1, degree-5 pullback, F_7 (R[T], 11 and 12)  0.90 1.75 s
-#   resultant of a twisted degree-6 pair, F_7 (R, 12 rows)    2.2  5.4 s
-# (fastest of three alternating rounds, 2-core Intel Xeon VM, Python 3.11).
-_BERKOWITZ_MIN_SIZE_SYMBOLIC = 12
-
-
-def _use_berkowitz(rows) -> bool:
-    return len(rows) >= _BERKOWITZ_MIN_SIZE_SYMBOLIC
-
-
 def _constant_values(rows):
     """The raw values of a matrix whose entries are all constants of k
     (over R, R[T] or k itself), or None when some entry is symbolic."""
@@ -292,14 +271,13 @@ def det_subset(rows, zero, *, adjugate=True):
     system M^t * lam = e_last, in one pass instead of m determinants.  For
     an invertible matrix of constants it is det M times the solution of
     that system over k (``_solve_over_k``); for a singular one the result
-    is (0, None), read off the same elimination.  Otherwise it is found
-    without division, so over R, R[T] or k: where ``_use_berkowitz`` says
-    so (from 12 rows) by Horner on the characteristic polynomial, adj M =
-    (-1)^(m+1) (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I); else by one subset
-    pass over the transpose with its rows reversed, whose top-row minors
-    are the cofactors up to a fixed sign.  Without the adjugate, Berkowitz
-    skips the Horner pass.  The name is older than these routes;
-    it stays because profiling tools wrap this function by name.
+    is (0, None), read off the same elimination.  Any other matrix, at any
+    size, goes without division, so over R, R[T] or k: the determinant is
+    the last coefficient of Berkowitz's characteristic polynomial, and the
+    row comes from Horner on adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) +
+    ... + p(m-1) I), a pass skipped without the adjugate.  The name is
+    older than these routes; it stays because profiling tools wrap this
+    function by name.
     """
     size = len(rows)
     if size == 0:
@@ -312,25 +290,10 @@ def det_subset(rows, zero, *, adjugate=True):
         if not adjugate or x is None:
             return _like(zero, det), None
         return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
-    if _use_berkowitz(rows):
-        poly = _charpoly(rows, zero)
-        # poly[-1] = det(-M) = (-1)^m det M
-        det = poly[-1] if size % 2 == 0 else -poly[-1]
-        return det, _horner_adjugate_row(rows, poly, zero) if adjugate else None
-    # rows of the transpose reversed: row r is column size-1-r of M, so the
-    # minor on the bottom size-1 rows without column i is M's minor (i, m-1)
-    # with its rows reversed, a sign of (-1)^((m-1)(m-2)/2)
-    flipped = [[rows[i][c] for i in range(size)] for c in reversed(range(size))]
-    minors = _subset_minors(flipped, zero)
-    full = (1 << size) - 1
-    det = minors[full]
-    if (size * (size - 1) // 2) % 2:
-        det = -det
-    if not adjugate:
-        return det, None
-    flip = ((size - 1) * (size - 2) // 2 + size - 1) % 2
-    row = [minors[full ^ (1 << i)] for i in range(size)]
-    return det, [-c if (flip + i) % 2 else c for i, c in enumerate(row)]
+    poly = _charpoly(rows, zero)
+    # poly[-1] = det(-M) = (-1)^m det M
+    det = poly[-1] if size % 2 == 0 else -poly[-1]
+    return det, _horner_adjugate_row(rows, poly, zero) if adjugate else None
 
 
 def _horner_adjugate_row(rows, poly, zero) -> list:
@@ -344,34 +307,6 @@ def _horner_adjugate_row(rows, poly, zero) -> list:
         vec = [_dot(col, vec, size, zero) for col in columns]
         vec[-1] = vec[-1] + poly[k]
     return [-v for v in vec] if size % 2 == 0 else vec
-
-
-def _subset_minors(rows, zero) -> dict:
-    """All minors on the bottom rows: ``minors[mask]`` is the determinant of
-    the last popcount(mask) rows restricted to the columns in ``mask`` (1 for
-    the empty mask).  Zero entries and zero minors are skipped."""
-    size = len(rows)
-    full = (1 << size) - 1
-    minors: dict[int, object] = {0: _one_like(zero)}
-    for mask in sorted(range(1, full + 1), key=lambda m: m.bit_count()):
-        k = mask.bit_count()
-        row = rows[size - k]
-        acc = None
-        sign = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            entry = row[low.bit_length() - 1]
-            minor = minors[mask ^ low]
-            if not entry.is_zero and not minor.is_zero:
-                term = entry if k == 1 else entry * minor
-                if sign < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-            sign = -sign
-        minors[mask] = zero if acc is None else acc
-    return minors
 
 
 def _nonzero_by_row(rows):
@@ -487,9 +422,8 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
     ``det_subset`` finds both in one pass.  When every coefficient is a
     constant of k, that pass is Gaussian elimination over k, which refuses a
     singular matrix (no adjugate row) without a further pass.  Otherwise it
-    is division-free (a subset expansion, or Berkowitz plus Horner on large
-    matrices; see ``_use_berkowitz``), and the unit resultant is the only
-    division.
+    is Berkowitz plus Horner, division-free at every size, and the unit
+    resultant is the only division.
     Returns (U, V) as ascending coefficient lists with deg U < n and
     deg V < m (bounds default to the actual degrees).
     """
@@ -554,9 +488,9 @@ def generation_cofactors(n: int, L0: list, L1: list):
     the Bezout solve of the dehomogenized pair refuses any other.  That
     solve gives S0*U + S1*V = beta^(2n-1) after homogenizing; the reversed
     pair (resultant +-res(S0, S1) by the reversal identity, so a unit too)
-    gives the alpha power; the x^m/w^m unit split recombines them.  Returns
-    (Ux, Vx, Uw, Vw) against the columns (S0(x,y), S1(x,y), S0(z,w),
-    S1(z,w)).  Generic over R and R[T] coefficient lists.
+    gives the alpha power; ``recombine_cofactors`` joins them.  Each solve
+    is one ``det_subset`` pass: over k when every coefficient is a constant
+    of k, else Berkowitz.  Generic over R and R[T] coefficient lists.
     """
     if len(L0) != n + 1 or len(L1) != n + 1:
         raise ValueError("homogeneous coefficient lists must have length n+1")
@@ -565,8 +499,16 @@ def generation_cofactors(n: int, L0: list, L1: list):
     except ResultantNotUnit:
         raise ResultantNotUnit("pair does not have unit resultant") from None
     Ur, Vr = bezout_from_unit_resultant(L0[::-1], L1[::-1], n, n)
+    return recombine_cofactors(L0[0].ctx, n, U, V, Ur, Vr)
 
-    ctx = L0[0].ctx
+
+def recombine_cofactors(ctx: FieldCtx, n: int, U: list, V: list, Ur: list, Vr: list):
+    """The four generation cofactors of a degree-n pair (S0, S1) from its
+    Bezout pairs at bounds (n, n), ascending lists over R or R[T]: S0*U +
+    S1*V = 1, and (Ur, Vr) the same for the reversed pair.  Homogenized
+    they give beta^(2n-1) and alpha^(2n-1), and the x^m/w^m unit split
+    joins them.  Returns (Ux, Vx, Uw, Vw) against the columns (S0(x,y),
+    S1(x,y), S0(z,w), S1(z,w))."""
     xg, yg, zg, wg = pure_powers(ctx, 1)
     E, F = unit_split(ctx, 2 * n - 1)
     return (

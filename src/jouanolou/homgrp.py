@@ -183,10 +183,11 @@ def naive_sum_deg1(u: FieldElem, f: JMap) -> tuple[JMap, HomotopyWitness]:
 
     Returns the raised map together with the witness family whose T=0 end
     is the raised map and whose T=1 end is m_(u,1) acting on the raise by 1.
-    Precondition, that of :func:`gu1_action_witness`: the homogeneous lift
-    (L0, L1) of f has a nonzero constant L0[n] and, unless u = 1, L1[n] = 0
-    (true of the reference maps and of pullbacks; usually false after
-    ``act`` with a nonconstant matrix), else ResultantNotUnit.
+    The certificates come from the Bezout pairs of f's homogeneous lift
+    (L0, L1), solved in its own ring (:func:`gu1_action_witness`).
+    ResultantNotUnit is raised exactly when g = L0[n] - ((u-1)/u)*y*T*L1[n]
+    is not a nonzero constant of k or (L0, L1) has no unit resultant (the
+    reference maps and pullbacks pass; ``act`` by m_(u,v) usually fails).
     """
     witness = gu1_action_witness(u, f)
     seg = witness.segments[0]

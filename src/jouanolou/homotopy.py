@@ -22,7 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import generation_cofactors, mu_vector, normalize_section, raised_lift
+from .bundle import (
+    bezout_from_unit_resultant,
+    mu_vector,
+    normalize_section,
+    poly_add,
+    poly_mul,
+    recombine_cofactors,
+    unit_scalar,
+)
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
 from .jring import BivarPoly, RingElement, RingPolyT
@@ -39,8 +47,7 @@ _const_t = RingPolyT.from_ring
 
 class Segment(JMap):
     """One elementary family: a map over R[T], with an optional cofactor
-    certificate for generation over R[T] (and a homogeneous lift only
-    while the degree-raising family twists one).  Built as
+    certificate for generation over R[T].  Built as
     ``Segment(degree, data, cert)``; the data length is checked."""
 
     __slots__ = ()
@@ -282,24 +289,67 @@ def lift_row_homotopy(seg: Segment, budget=None) -> Sl2Path:
 # the degree-raising witness
 
 
+def raised_bezout_pairs(u: FieldElem, c: RingPolyT, L0: list, L1: list):
+    """(A, B, Ar, Br) over R[T]: S0*A + S1*B = 1 at bounds (n+1, n+1) for
+    the raise (S0, S1) = raised_lift(u, F1, F2) of the twist F1 = L0 + c*L1,
+    F2 = L1 of a degree-n lift over R, and (Ar, Br) the same for the
+    reversed raise.  Only the pairs of (L0, L1) and of its reversal are
+    solved, in R (over k for constants); with a unit raised resultant the
+    solution is unique, so the closed forms below give the Sylvester one.
+
+    A pair (U0, V0) of (L0, L1) is (U, V) = (U0, V0 - c*U0) for (F1, F2).
+    Forward, the raise is [[X, -1/u], [u, 0]] (F1, F2), of determinant 1:
+    (A, B) = (-u*V, U/u + X*V).  Reversed, it is [[1, -X/u], [u*X, 0]]
+    (G1, G2) with G = rev F, of determinant X^2: the pair (P, Q) of (G1,
+    G2) shifted to beta = Q - t*G1, alpha = P + t*G2 by t = t0 + t1*X so
+    that beta and alpha + u*beta/X vanish at X = 0 gives Ar = -u*beta/X,
+    Br = (alpha - Ar)/(u*X).  The shift divides by g = G1[0], and the
+    raised resultant is +-u*g^2*res(L0, L1): ResultantNotUnit ("raised pair
+    does not have unit resultant") unless g is a nonzero constant and
+    (L0, L1) has unit resultant.
+    """
+    n = len(L0) - 1
+    refusal = "raised pair does not have unit resultant"
+    g = unit_scalar(_const_t(L0[n]) + c * L1[n])
+    if g is None:
+        raise ResultantNotUnit(refusal)
+    try:
+        U0, V0 = bezout_from_unit_resultant(L0, L1, n, n)
+    except ResultantNotUnit:
+        raise ResultantNotUnit(refusal) from None
+    P0, Q0 = bezout_from_unit_resultant(L0[::-1], L1[::-1], n, n)
+    zero, inv_u = RingPolyT.zero(u.ctx), u.inverse()
+    U = [_const_t(p) for p in U0]
+    V = [_const_t(q) - c * p for q, p in zip(V0, U)]
+    A = [q.scale(-u) for q in V] + [zero]
+    B = poly_add([zero] + V, [p.scale(inv_u) for p in U])
+    P = [_const_t(p) for p in P0]
+    Q = [_const_t(q) - c * p for q, p in zip(Q0, P)] + [zero]
+    G1 = [_const_t(p) + c * q for p, q in zip(L0[::-1], L1[::-1])]
+    G2 = [_const_t(q) for q in L1[::-1]]
+    t0 = Q[0].scale(g.inverse())
+    t1 = (P[0] + t0 * G2[0] + (Q[1] - t0 * G1[1]).scale(u)).scale((u * g).inverse())
+    beta = poly_add(Q, poly_mul([-t0, -t1], G1, zero))
+    alpha = poly_add(P, poly_mul([t0, t1], G2, zero))
+    Ar = [q.scale(-u) for q in beta[1:]]
+    Br = [(p - q).scale(inv_u) for p, q in zip(alpha[1:], Ar[1:] + [zero])]
+    return A, B, Ar, Br
+
+
 def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     """The explicit family between the composite raising a degree-n map f by
     X/u and the matrix m_(u,1) acting on the raise by X/1:
 
         h(T) = ((x;z), -(1/u)(y;w); u(y;w), 0) * (1, -((u-1)/u) y T; 0, 1) * (f0; f1)
 
-    Generation over R[T] is certified by ``generation_cofactors`` on the
-    raise (S0, S1) = raised_lift(u, F1, F2) of f's twisted lift (F1, F2),
-    which has unit resultant by shift invariance in T plus the
-    degree-raising conservation identity.
-
-    Precondition: f's homogeneous lift (L0, L1) = f.canonical_lift() has a
-    nonzero constant L0[n] and, unless u = 1, L1[n] = 0, as the reference
-    maps and pullbacks of rational maps do.  The raised resultant has the
-    twisted top coefficient L0[n] - ((u-1)/u)*y*T*L1[n] as a factor, so
-    otherwise (e.g. f moved by a nonconstant pointed matrix through ``act``)
-    it is no unit and ResultantNotUnit ("raised pair does not have unit
-    resultant") is raised; there is no Groebner fallback.
+    Its certificate over R[T] comes from the Bezout pairs of f's lift
+    (L0, L1) = f.canonical_lift(), solved in the lift's own ring (over k
+    for the reference maps and pullbacks), through ``raised_bezout_pairs``
+    and ``recombine_cofactors``.  g = L0[n] - ((u-1)/u)*y*T*L1[n] divides
+    the raised resultant: unless g is a nonzero constant of k (as when L0[n]
+    is one and u = 1 or L1[n] = 0, but not after ``act`` by m_(u,v)) and
+    (L0, L1) has unit resultant, ResultantNotUnit ("raised pair does not
+    have unit resultant") is raised; there is no Groebner fallback.
     """
     if u.is_zero:
         raise ZeroParameter("u must be a unit")
@@ -309,14 +359,10 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     n = f.degree
     zero_t = RingPolyT.zero(ctx)
     one_t = RingPolyT.one(ctx)
-    # inner pair: E(T) applied to f's coefficient quadruple and, to feed the
-    # certificate, to f's homogeneous lift, both as constants of R[T]
+    # inner pair: E(T) applied to f's coefficient quadruple, as constants of R[T]
     yT = _scalar_T(ctx, -(u - ctx.one) / u) * RingElement.gen_y(ctx)
-    L0, L1 = f.canonical_lift()
-    lift = ([_const_t(p) for p in L0], [_const_t(q) for q in L1])
-    inner = act(Sl2Path.upper(yT), Segment(n, tuple(_const_t(c) for c in f.data), None, lift))
+    inner = act(Sl2Path.upper(yT), Segment(n, tuple(_const_t(c) for c in f.data)))
     ia0, ia1, ib0, ib1 = inner.data
-    F1_t, F2_t = inner.homog
     # left factor N_u: rows ([x;z], -(1/u)[y;w]) and (u[y;w], 0)
     v_top = mu_vector((one_t, zero_t), 1, (ia0, ia1), n, zero_t)
     v_top2 = mu_vector((zero_t, one_t), 1, (ib0, ib1), n, zero_t)
@@ -327,10 +373,7 @@ def gu1_action_witness(u: FieldElem, f: JMap) -> HomotopyWitness:
     A0, A1 = normalize_section(n + 1, h0_vec)
     B0, B1 = normalize_section(n + 1, h1_vec)
 
-    try:
-        cert = generation_cofactors(n + 1, *raised_lift(u, F1_t, F2_t, zero_t))
-    except ResultantNotUnit:
-        raise ResultantNotUnit("raised pair does not have unit resultant") from None
+    cert = recombine_cofactors(ctx, n + 1, *raised_bezout_pairs(u, yT, *f.canonical_lift()))
     return HomotopyWitness([Segment(n + 1, (A0, A1, B0, B1), cert=cert)])
 
 

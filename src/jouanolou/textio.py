@@ -291,6 +291,8 @@ def parse_map(text: str, ctx: FieldCtx):
     if not head:
         raise ParseError("missing literal keyword", expected="map or row")
     if head[0] == "row":
+        if len(head) != 1:
+            raise ParseError("row literal takes no words before [", expected="row [A; B]")
         if len(rows) != 1 or len(rows[0]) != 2:
             raise ParseError("row literal needs [A; B]")
         A, B = (parse_ring(s, ctx) for s in rows[0])
@@ -361,9 +363,9 @@ def parse_witness(text: str):
     from .homotopy import HomotopyWitness, Segment
 
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(WITNESS_HEADER):
+    fields = lines[0].split(None, 1) if lines else []
+    if not fields or fields[0] != WITNESS_HEADER:
         raise ParseError("missing witness header", expected=WITNESS_HEADER)
-    fields = lines[0].split(None, 1)
     if len(fields) != 2 or not fields[1].startswith("field="):
         raise ParseError("witness header needs field=<...>")
     ctx = parse_field(fields[1][len("field=") :])

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from jouanolou import bundle, homotopy, morphism
+from jouanolou import bundle, morphism
 from jouanolou.bundle import (
-    _BERKOWITZ_MIN_SIZE_SYMBOLIC,
-    _use_berkowitz,
     bezout_from_unit_resultant,
     det_subset,
     expand_mixed,
@@ -387,13 +385,11 @@ def _division_free(rows, zero):
 def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
     rng = random.Random(f"det:{ring.__name__}:{ctx.p}:{constant}")
     zero, one = ring.zero(ctx), ring.one(ctx)
-    # constant entries take the route over k, entries in x, y, z, w or T stay
-    # on the subset side of the symbolic split
-    assert 10 < _BERKOWITZ_MIN_SIZE_SYMBOLIC
+    # constant entries take the route over k, entries in x, y, z, w or T
+    # Berkowitz, at every size
     for size in range(1, 11):
         rows = _random_matrix(rng, ring, ctx, size, constant)
         assert (bundle._constant_values(rows) is not None) == constant
-        assert not _use_berkowitz(rows)
         want = _det_oracle(rows, zero)
         det, last = det_subset(rows, zero)
         assert det == want
@@ -408,11 +404,11 @@ def test_determinant_engine_matches_subset_oracle(ring, ctx, constant):
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)])
 def test_determinant_engine_at_the_symbolic_split(ctx):
+    # symbolic matrices of 11 and 12 rows, whose adjugate rows Horner finds
     rng = random.Random(f"det:symbolic-split:{ctx.p}")
     zero = RingElement.zero(ctx)
-    for size in (_BERKOWITZ_MIN_SIZE_SYMBOLIC - 1, _BERKOWITZ_MIN_SIZE_SYMBOLIC):
+    for size in (11, 12):
         rows = _random_matrix(rng, RingElement, ctx, size, False)
-        assert _use_berkowitz(rows) == (size >= _BERKOWITZ_MIN_SIZE_SYMBOLIC)
         want = _det_oracle(rows, zero)
         det, last = det_subset(rows, zero)
         assert det == want and not det.is_zero
@@ -456,22 +452,6 @@ def test_generation_cofactors_eliminate_twice(ctx, monkeypatch):
 
     monkeypatch.setattr(bundle, "det_subset", counted)
     assert generation_cofactors(3, *f.homog) == f.cert
-    assert sizes == [6, 6]
-
-    # the raised pair over R[T] of the degree-raising witness
-    pairs = []
-
-    def captured(n, L0, L1):
-        pairs.append((n, L0, L1))
-        return generation_cofactors(n, L0, L1)
-
-    monkeypatch.setattr(homotopy, "generation_cofactors", captured)
-    witness = homotopy.gu1_action_witness(ctx.elem(2), n_pi(2, ctx))
-    ((n, L0, L1),) = pairs
-    assert n == 3 and all(isinstance(c, RingPolyT) for c in L0 + L1)
-    assert bundle._constant_values(sylvester_matrix(L0, L1, n, n, L0[0] - L0[0])) is None
-    sizes.clear()
-    assert generation_cofactors(n, L0, L1) == witness.segments[0].cert
     assert sizes == [6, 6]
 
 
@@ -571,7 +551,6 @@ def test_k_route_matches_berkowitz_on_large_matrices(ctx, kind, monkeypatch):
         ours = det_subset(rows, zero)
         with monkeypatch.context() as division_free:
             division_free.setattr(bundle, "_constant_values", lambda rows: None)
-            division_free.setattr(bundle, "_use_berkowitz", lambda rows: True)
             assert ours == det_subset(rows, zero)
 
 
@@ -663,7 +642,6 @@ def test_resultant_of_a_singular_constant_pair_stays_over_k(ctx, monkeypatch):
     # elimination over k reads the determinant 0, and no division-free
     # route runs for an adjugate row the resultant discards
     zero = RingElement.zero(ctx)
-    monkeypatch.setattr(bundle, "_subset_minors", _raises)
     monkeypatch.setattr(bundle, "_charpoly", _raises)
     for n, A, B in _singular_constant_pairs(ctx):
         rows = sylvester_matrix(A, B, n, n, zero)
@@ -679,7 +657,6 @@ def test_resultant_of_a_singular_constant_pair_stays_over_k(ctx, monkeypatch):
 def test_bezout_refuses_a_singular_constant_pair_over_k(ctx, monkeypatch):
     # the Bezout solve reads det 0 off the elimination over k and refuses,
     # with no division-free pass for an adjugate row it would discard
-    monkeypatch.setattr(bundle, "_subset_minors", _raises)
     monkeypatch.setattr(bundle, "_charpoly", _raises)
     for n, A, B in _singular_constant_pairs(ctx):
         with pytest.raises(ResultantNotUnit, match="pair does not have unit resultant"):
@@ -695,7 +672,7 @@ def test_resultant_skips_the_horner_pass(ctx, monkeypatch):
     B = [b + z * a for a, b in zip(L0, L1)]
     zero = RingElement.zero(ctx)
     rows = sylvester_matrix(A, B, 6, 6, zero)
-    assert _use_berkowitz(rows) and bundle._constant_values(rows) is None
+    assert bundle._constant_values(rows) is None
     want = _det_oracle(rows, zero)
     monkeypatch.setattr(bundle, "_horner_adjugate_row", _raises)
     assert resultant_univ(A, B, 6, 6) == want

@@ -141,15 +141,32 @@ def test_resultant_of_a_pair_with_a_vanishing_top(capsys, field, want):
     [("Q", "y^2*z - 2*x*z - y*z + z^2 + x"), ("Fp=7", "y^2*z + 5*x*z + 6*y*z + z^2 + x")],
 )
 def test_resultant_of_a_symbolic_pair(capsys, field, want):
-    # a 4x4 Sylvester matrix with entries in x, y, z: the subset route
+    # a 4x4 Sylvester matrix with entries in x, y, z: Berkowitz
     pair = "x; y; 1 | z; 0; 1"
     code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", "2")
+    assert code == 0 and out.strip() == want
+
+
+@pytest.mark.parametrize(
+    "field, want",
+    [
+        ("Q", "x*y^4*z + y^5*z - 3*y^3*z^2 + 4*x*y^2*z - 3*x*y*z^2 + y^2*z - 2*y*z^2 + z^3 - y*z + x"),
+        ("Fp=7", "x*y^4*z + y^5*z + 4*y^3*z^2 + 4*x*y^2*z + 4*x*y*z^2 + y^2*z + 5*y*z^2 + z^3 + 6*y*z + x"),
+    ],
+)
+def test_resultant_of_a_six_row_symbolic_pair(capsys, field, want):
+    # the same outputs the subset pass gave before Berkowitz took every size
+    pair = "x; y; 0; 1 | z; 0; 1; y"
+    code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", "3")
     assert code == 0 and out.strip() == want
 
 
 def test_sum(capsys):
     code, out, _ = run(capsys, "sum", "row [2*x - 1; 2*y]", "row [2*x - 1; -2*y]")
     assert code == 0 and out.strip() == "row [1; 0]"
+    # words between the keyword and the bracket are a parse error
+    code, out, err = run(capsys, "sum", "row junk words [1; 0]", "row [1; 0]")
+    assert code == 2 and out == "" and "row [A; B]" in err
 
 
 def test_act(capsys):

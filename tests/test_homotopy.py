@@ -15,6 +15,7 @@ from jouanolou.bundle import (
     unit_scalar,
     unit_split,
 )
+from jouanolou import bundle, homotopy, morphism
 from jouanolou.errors import (
     ContextMismatch,
     LiftMismatch,
@@ -35,6 +36,7 @@ from jouanolou.homotopy import (
     interp_lift,
     lift_row_homotopy,
     mutate_witness,
+    raised_bezout_pairs,
     scaling_witness,
     square_sum_witness,
     transpose_inverse_witness,
@@ -52,7 +54,7 @@ from jouanolou.morphism import (
     rational_xu,
 )
 from jouanolou.sl2 import PointedSL2, act, complete_pointed, identity_matrix, m_uv, row_sum
-from jouanolou.textio import parse_map, parse_ring, parse_witness, witness_str
+from jouanolou.textio import parse_map, parse_ring, parse_witness, ring_str, witness_str
 from test_closure import lift_expands
 
 
@@ -302,6 +304,142 @@ def test_reversed_raised_resultant_is_top_coefficient_times_raised(ctx):
         res = resultant_univ(H0, H1, n + 1, n)
         res_rev = resultant_univ(H0[::-1], [zero_t] + H1[::-1], n + 1, n + 1)
         assert res_rev in (F1[n] * res, -(F1[n] * res))
+
+
+# ---------------------------------------------------------------------------
+# the raise's Bezout pairs in closed form, against the Sylvester solves
+
+
+def _twist(u):
+    """-((u-1)/u)*y*T, the upper entry of the raising family's inner factor."""
+    ctx = u.ctx
+    return RingPolyT.gen_T(ctx).scale(-(u - ctx.one) / u) * RingElement.gen_y(ctx)
+
+
+def _raised_pair_oracle(u, L0, L1):
+    """The Sylvester solves at bounds (n+1, n+1) of the raise of the twisted
+    lift and of its reversal, over R[T]."""
+    n = len(L0) - 1
+    c = _twist(u)
+    F1 = [RingPolyT.from_ring(p) + c * q for p, q in zip(L0, L1)]
+    F2 = [RingPolyT.from_ring(q) for q in L1]
+    S0, S1 = raised_lift(u, F1, F2, RingPolyT.zero(u.ctx))
+    return (
+        *bezout_from_unit_resultant(S0, S1, n + 1, n + 1),
+        *bezout_from_unit_resultant(S0[::-1], S1[::-1], n + 1, n + 1),
+    )
+
+
+def _raise_cases(ctx):
+    """(label, map, u) at degrees 1-5: pullbacks at u = 1, 2, 3, the
+    reference map, a pullback moved by a pointed upper factor, and one moved
+    by a pointed lower factor at u = 1 (its L1[n] is z, not 0)."""
+    rng = random.Random(f"raise-pairs:{ctx.p}")
+    y, z = RingElement.gen_y(ctx), RingElement.gen_z(ctx)
+    for n in range(1, 6):
+        f = _random_pullback(rng, ctx, n)
+        for u in (ctx.one, ctx.elem(2), ctx.elem(3)):
+            yield f"pullback {n} u={u}", f, u
+        yield f"n_pi {n}", n_pi(n, ctx), ctx.elem(2)
+        yield f"upper {n}", act(PointedSL2.upper(y + z), f), ctx.elem(3)
+        lower = act(PointedSL2.lower(z), f)
+        assert lower.canonical_lift()[1][n] == z
+        yield f"lower {n}", lower, ctx.one
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_raised_bezout_pairs_equal_the_sylvester_solves(ctx):
+    for label, f, u in _raise_cases(ctx):
+        L0, L1 = f.canonical_lift()
+        got = raised_bezout_pairs(u, _twist(u), L0, L1)
+        want = _raised_pair_oracle(u, L0, L1)
+        assert got == want, label
+        assert [[ring_str(c) for c in side] for side in got] == [
+            [ring_str(c) for c in side] for side in want
+        ], label
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_raised_bezout_pairs_refuse_maps_twisted_by_m_uv(ctx):
+    # the twisted top coefficient L0[n] - ((u-1)/u)*y*T*L1[n] is no
+    # constant: the Sylvester solve refuses, and the closed form with the
+    # witness's text
+    rng = random.Random(f"raise-refusals:{ctx.p}")
+    for n in range(1, 5):
+        f = act(m_uv(ctx.elem(2), ctx.elem(3)), _random_pullback(rng, ctx, n))
+        for u in (ctx.one, ctx.elem(2)):
+            L0, L1 = f.canonical_lift()
+            with pytest.raises(ResultantNotUnit):
+                _raised_pair_oracle(u, L0, L1)
+            with pytest.raises(ResultantNotUnit) as refused:
+                raised_bezout_pairs(u, _twist(u), L0, L1)
+            assert str(refused.value) == "raised pair does not have unit resultant"
+            with pytest.raises(ResultantNotUnit, match="raised pair does not have unit resultant"):
+                gu1_action_witness(u, f)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_raised_resultant_is_u_g_squared_times_the_lift_resultant(ctx):
+    # why the closed forms refuse exactly when the Sylvester solve does:
+    # g = L0[n] + c*L1[n] and res(L0, L1) are the raised resultant's factors
+    rng = random.Random(f"raised-resultant:{ctx.p}")
+    u = ctx.elem(3)
+    c = _twist(u)
+    entries = ["1", "3", "0", "y", "z", "x + 2", "2*z + 1"]
+    for n in (1, 1, 2, 2, 3):
+        L0, L1 = ([R(rng.choice(entries), ctx) for _ in range(n + 1)] for _ in range(2))
+        F1 = [RingPolyT.from_ring(p) + c * q for p, q in zip(L0, L1)]
+        F2 = [RingPolyT.from_ring(q) for q in L1]
+        S0, S1 = raised_lift(u, F1, F2, RingPolyT.zero(ctx))
+        raised = resultant_univ(S0, S1, n + 1, n + 1)
+        product = (F1[n] * F1[n] * RingPolyT.from_ring(resultant_univ(L0, L1, n, n))).scale(u)
+        assert raised in (product, -product)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_raising_eliminates_only_constant_sylvester_matrices(ctx, monkeypatch):
+    # the pairs of a constant lift are solved over k, 2n rows each, and no
+    # symbolic Sylvester matrix of the raise is built
+    from jouanolou.homgrp import naive_sum_deg1
+
+    det_subset = bundle.det_subset
+    sizes = []
+
+    def constant_only(rows, zero, **kwargs):
+        assert bundle._constant_values(rows) is not None
+        sizes.append(len(rows))
+        return det_subset(rows, zero, **kwargs)
+
+    monkeypatch.setattr(bundle, "det_subset", constant_only)
+    rng = random.Random(f"raise-constant:{ctx.p}")
+    for n in range(1, 6):
+        for f in (_random_pullback(rng, ctx, n), n_pi(n, ctx)):
+            for u in (ctx.one, ctx.elem(3)):
+                sizes.clear()
+                gu1_action_witness(u, f)
+                assert sizes == [2 * n, 2 * n]
+                sizes.clear()
+                naive_sum_deg1(u, f)
+                assert sizes == [2 * n, 2 * n]
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_degree_five_raises_verify_from_their_certificates(ctx, monkeypatch):
+    from jouanolou.homgrp import naive_sum_deg1
+
+    rng = random.Random(f"raise-degree-five:{ctx.p}")
+    maps = (_random_pullback(rng, ctx, 5), n_pi(5, ctx))
+    for module in (morphism, homotopy):
+        monkeypatch.setattr(module, "groebner_certificate", _no_groebner)
+    for f in maps:
+        for u in (ctx.one, ctx.elem(2)):
+            raised, witness = naive_sum_deg1(u, f)
+            end = act(m_uv(u, ctx.one), naive_sum_deg1(ctx.one, f)[0])
+            assert verify(witness, raised, end)
+
+
+def _no_groebner(*args):
+    raise AssertionError("a certified raise needs no Groebner decision")
 
 
 def test_gu1_example_witness_orientation():

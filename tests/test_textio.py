@@ -86,6 +86,14 @@ def test_a_degree_zero_map_literal_points_to_the_row_form(degree):
     assert textio.parse_map("row [1; 0]", QQ).degree == 0
 
 
+@pytest.mark.parametrize("text", ["row junk words [1; 0]", "row 0 [1; 0]", "row row [1; 0]"])
+def test_row_literals_take_no_words_before_the_bracket(text):
+    with pytest.raises(ParseError) as info:
+        textio.parse_map(text, QQ)
+    assert info.value.expected == "row [A; B]"
+    assert textio.map_str(textio.parse_map("  row  [1; 0]", QQ)) == "row [1; 0]"
+
+
 def test_map_round_trip():
     maps = [
         n_pi(1, QQ),
@@ -135,6 +143,17 @@ def test_witness_file_over_prime_field():
 def test_witness_header_required():
     with pytest.raises(ParseError):
         textio.parse_witness("segments 1\n")
+
+
+@pytest.mark.parametrize("header", ["jouanolou/v1junk field=Q", "jouanolou/v10 field=Q"])
+def test_witness_header_word_must_equal_the_version(header):
+    # the first word is the format version itself, not a prefix of it
+    good = textio.witness_str(constant_witness(n_pi(1, QQ)), QQ)
+    assert good.startswith(f"{textio.WITNESS_HEADER} field=Q\n")
+    with pytest.raises(ParseError) as exc:
+        textio.parse_witness(good.replace(f"{textio.WITNESS_HEADER} field=Q", header, 1))
+    assert exc.value.expected == textio.WITNESS_HEADER
+    assert textio.parse_witness(good)[0] == QQ
 
 
 @pytest.mark.parametrize(

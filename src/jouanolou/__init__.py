@@ -15,7 +15,6 @@ from .field import (
     sqrt_witness,
 )
 from .jring import (
-    BivarPoly,
     RingElement,
     RingPolyT,
     chart_pullback,

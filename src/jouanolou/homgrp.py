@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundle import raised_lift, spanning_powers, unit_split
+from .errors import NoCertificate
 from .field import FieldCtx, FieldElem
 from .homotopy import HomotopyWitness, Segment, Sl2Path, gu1_action_witness
 from .jring import RingElement, RingPolyT
@@ -102,6 +103,8 @@ def _spanning_matrix(f: JMap) -> tuple[PointedSL2, FieldElem]:
     straight line from f to that map."""
     if f.degree == 0:
         raise ValueError("decompose applies to nonzero degrees")
+    if f.cert is None:
+        raise NoCertificate("map carries no generation certificate")
     ctx = f.ctx
     a0, a1, b0, b1 = f.data
     one = RingElement.one(ctx)

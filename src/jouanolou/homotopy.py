@@ -33,13 +33,14 @@ from .bundle import (
 )
 from .errors import LiftMismatch, NoCertificate, ResultantNotUnit, ZeroParameter
 from .field import FieldElem
-from .jring import BivarPoly, RingElement, RingPolyT
+from .jring import RingElement, RingPolyT
 from .morphism import (
     JMap,
     cert_expands_to_one,
     groebner_certificate,
     groebner_cofactors,
 )
+from .polys import MPoly
 from .sl2 import Mat2, PointedSL2, act, m_uv
 
 _const_t = RingPolyT.from_ring
@@ -413,7 +414,7 @@ def mutate_witness(w: HomotopyWitness, rng) -> HomotopyWitness:
         delta = ctx.rfrom_int(rng.choice([1, -1, 2, 3]))
     else:
         delta = ctx.rfrom_int(rng.randrange(1, ctx.p))
-    bump = BivarPoly(ctx, {(*mon, tdeg): delta})
+    bump = MPoly(ctx, RingPolyT.PARTS, {(*mon, tdeg): delta})
     a, b = (poly.a + bump, poly.b) if part == "a" else (poly.a, poly.b + bump)
     data = list(seg.data)
     data[di] = RingPolyT(a, b)

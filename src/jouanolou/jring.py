@@ -4,18 +4,20 @@ The ring is R = k[x,y,z,w]/(x+w-1, xw-yz), identified with
 k[x,y,z]/(x^2 - x + yz) by eliminating w = 1 - x.  Every element has the
 unique normal form a(y,z) + x*b(y,z), kept reduced by the rewrite
 x^2 -> x - yz, so equality is literal equality of coefficient dictionaries.
-a and b are ``BivarPoly`` values in the stored form of :mod:`polys`: int
-values over one denominator each, canonical, so equality is also literal
-equality of (terms, den).  ``RingElement`` arithmetic runs the sparse kernel
-of :mod:`polys` (``terms_add``, ``terms_mul``) directly on those ints; a
-product puts each operand over one denominator once, the product by yz is a
-shift of exponents, and no ``Fraction`` is built; a zero or constant operand
-(the 0 and 1 entries of an elementary matrix, say) scales the other instead.
+a and b are ``MPoly`` values in the part variables ``PARTS`` = (y, z), in
+the stored form of :mod:`polys`: int values over one denominator each,
+canonical, so equality is also literal equality of (terms, den).
+``RingElement`` arithmetic runs the sparse kernel of :mod:`polys`
+(``terms_add``, ``terms_mul``) directly on those ints; a product puts each
+operand over one denominator once, the product by yz is a shift of
+exponents, and no ``Fraction`` is built; a zero or constant operand (the 0
+and 1 entries of an elementary matrix, say) scales the other instead.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
-T exponent: ``RingPolyT`` keeps the same normal form a + x*b, with term-dict
-keys (i, j, t) for y^i z^j T^t, and runs the same ``RingElement`` code.  An
-operand of R meeting one of R[T] is lifted to (i, j, 0) keys.  The dense
+T exponent: ``RingPolyT`` keeps the same normal form a + x*b, its parts in
+``PARTS`` = (y, z, T) (keys (i, j, t) for y^i z^j T^t), and runs the same
+``RingElement`` code.  An operand of R meeting one of R[T] is lifted to
+(i, j, 0) keys; parts of the two rings never mix in one sum.  The dense
 univariate kernel in :mod:`bundle` serves only the X-polynomials of the
 resultant code.
 
@@ -31,78 +33,19 @@ from math import comb, lcm
 from .field import FieldCtx, FieldElem
 from .polys import (
     MPoly,
-    cleared,
     common_ctx,
     power,
     raw_coeff,
     settled,
     terms_add,
     terms_mul,
-    terms_neg,
     terms_over,
-    terms_scale,
 )
 
 
-class BivarPoly:
-    """Sparse polynomial in y, z: keys (i, j) for y^i z^j, or (i, j, t) for
-    y^i z^j T^t in R[T]; nonzero int values over ``den``.  A dict given
-    without ``den`` holds raw coefficients and is cleared into that form."""
-
-    __slots__ = ("ctx", "terms", "den")
-
-    def __init__(self, ctx: FieldCtx, terms: dict | None = None, den: int | None = None):
-        self.ctx = ctx
-        if den is None:
-            terms, den = cleared(ctx, terms or {})
-        self.terms = terms
-        self.den = den
-
-    def __add__(self, other):
-        ctx = common_ctx(self.ctx, other.ctx)
-        return BivarPoly(ctx, *terms_add(ctx, self.terms, self.den, other.terms, other.den))
-
-    def __sub__(self, other):
-        ctx = common_ctx(self.ctx, other.ctx)
-        diff = terms_add(ctx, self.terms, self.den, other.terms, other.den, negate=True)
-        return BivarPoly(ctx, *diff)
-
-    def __neg__(self):
-        return BivarPoly(self.ctx, terms_neg(self.ctx, self.terms), self.den)
-
-    def __mul__(self, other):
-        ctx = common_ctx(self.ctx, other.ctx)
-        return BivarPoly(ctx, *terms_mul(ctx, self.terms, self.den, other.terms, other.den))
-
-    def scale(self, raw):
-        return BivarPoly(self.ctx, *terms_scale(self.ctx, self.terms, self.den, raw))
-
-    def coeff(self, key):
-        """The raw coefficient of the monomial ``key``."""
-        return raw_coeff(self.ctx, self.terms.get(key, 0), self.den)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def swap_vars(self):
-        swapped = {(m[1], m[0]) + m[2:]: c for m, c in self.terms.items()}
-        return BivarPoly(self.ctx, swapped, self.den)
-
-    def eval_float(self, y: float, z: float) -> float:
-        den = self.den
-        return sum(c / den * y**i * z**j for (i, j), c in self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BivarPoly)
-            and self.ctx == other.ctx
-            and self.den == other.den
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.den, tuple(sorted(self.terms.items()))))
+# no class of its own: the benchmark's layer tracer counts products by the
+# name ``jring.BivarPoly.__mul__``, so the name stays as an alias of MPoly
+BivarPoly = MPoly
 
 
 class RingElement:
@@ -110,12 +53,13 @@ class RingElement:
 
     __slots__ = ("a", "b")
 
-    # keys of the monomials 1, y and z, and the public variable tuple: x,
-    # then one per key slot; RingPolyT appends T.  Printing, the groebner
-    # engine and ``to_mpoly`` read the ring from it
-    _ONE, _Y, _Z, VARS = (0, 0), (1, 0), (0, 1), ("x", "y", "z")
+    # the variables of the parts a and b, and the public variable tuple: x,
+    # then the parts'; RingPolyT appends T to both.  Printing, the groebner
+    # engine and ``to_mpoly`` read the ring from VARS
+    PARTS = ("y", "z")
+    VARS = ("x", *PARTS)
 
-    def __init__(self, a: BivarPoly, b: BivarPoly):
+    def __init__(self, a: MPoly, b: MPoly):
         self.a = a
         self.b = b
 
@@ -126,7 +70,7 @@ class RingElement:
     # constructors -----------------------------------------------------------
     @classmethod
     def from_raw(cls, ctx, raw):
-        return cls(BivarPoly(ctx, {cls._ONE: raw}), BivarPoly(ctx, {}, 1))
+        return cls(MPoly.const(ctx, cls.PARTS, raw), MPoly.zero(ctx, cls.PARTS))
 
     @classmethod
     def from_scalar(cls, c: FieldElem):
@@ -134,7 +78,7 @@ class RingElement:
 
     @classmethod
     def zero(cls, ctx):
-        return cls(BivarPoly(ctx, {}, 1), BivarPoly(ctx, {}, 1))
+        return cls(MPoly.zero(ctx, cls.PARTS), MPoly.zero(ctx, cls.PARTS))
 
     @classmethod
     def one(cls, ctx):
@@ -142,20 +86,21 @@ class RingElement:
 
     @classmethod
     def gen_x(cls, ctx):
-        return cls(BivarPoly(ctx, {}, 1), BivarPoly(ctx, {cls._ONE: 1}, 1))
+        return cls(MPoly.zero(ctx, cls.PARTS), MPoly.const(ctx, cls.PARTS, ctx.rone))
 
     @classmethod
     def gen_y(cls, ctx):
-        return cls(BivarPoly(ctx, {cls._Y: 1}, 1), BivarPoly(ctx, {}, 1))
+        return cls(MPoly.var(ctx, cls.PARTS, "y"), MPoly.zero(ctx, cls.PARTS))
 
     @classmethod
     def gen_z(cls, ctx):
-        return cls(BivarPoly(ctx, {cls._Z: 1}, 1), BivarPoly(ctx, {}, 1))
+        return cls(MPoly.var(ctx, cls.PARTS, "z"), MPoly.zero(ctx, cls.PARTS))
 
     @classmethod
     def gen_w(cls, ctx):
         # w = 1 - x
-        return cls(BivarPoly(ctx, {cls._ONE: 1}, 1), BivarPoly(ctx, {cls._ONE: ctx.rneg(ctx.rone)}))
+        one = MPoly.const(ctx, cls.PARTS, ctx.rone)
+        return cls(one, -one)
 
     # arithmetic ---------------------------------------------------------------
     def _coerced(self, other):
@@ -203,7 +148,7 @@ class RingElement:
         minus_yz_bb = {(m[0] + 1, m[1] + 1) + m[2:]: -c for m, c in bb.items()}
         a = terms_mul(ctx, a1, d1, a2, d2, minus_yz_bb)
         b = terms_mul(ctx, a1, d1, b2, d2, terms_mul(ctx, a2, 1, b1, 1, bb)[0])
-        return type(self)(BivarPoly(ctx, *a), BivarPoly(ctx, *b))
+        return type(self)(MPoly(ctx, self.PARTS, *a), MPoly(ctx, self.PARTS, *b))
 
     def _raw_constant(self):
         """The raw value of a constant element (0 for zero), None for any
@@ -213,8 +158,8 @@ class RingElement:
             return None
         if not a.terms:
             return 0
-        c = a.terms.get(self._ONE)
-        return None if c is None else raw_coeff(self.ctx, c, a.den)
+        ((m, c),) = a.terms.items()
+        return None if any(m) else raw_coeff(self.ctx, c, a.den)
 
     def _parts_over(self):
         """(a, b, d): the values of both parts over d, the lcm of their
@@ -241,10 +186,10 @@ class RingElement:
         return self.a.is_zero and self.b.is_zero
 
     def is_constant(self) -> bool:
-        return self.b.is_zero and all(m == self._ONE for m in self.a.terms)
+        return self.b.is_zero and self.a.is_constant
 
     def constant_value(self) -> FieldElem:
-        return FieldElem(self.ctx, self.a.coeff(self._ONE))
+        return FieldElem(self.ctx, self.a.constant_value())
 
     def __eq__(self, other):
         return type(other) is type(self) and self.a == other.a and self.b == other.b
@@ -260,8 +205,8 @@ class RingElement:
     # morphisms -------------------------------------------------------------------
     def eval_basepoint(self) -> FieldElem:
         """Image in R/(x-1, y, z, w) = k: substitute x = 1, y = z = 0."""
-        ctx, one = self.ctx, self._ONE
-        return FieldElem(ctx, ctx.radd(self.a.coeff(one), self.b.coeff(one)))
+        ctx = self.ctx
+        return FieldElem(ctx, ctx.radd(self.a.constant_value(), self.b.constant_value()))
 
     def basepoint_is_zero(self) -> bool:
         return self.basepoint_constant() == 0  # None (varies with T) is not 0
@@ -271,17 +216,22 @@ class RingElement:
 
     def tau(self) -> "RingElement":
         """The involution fixing x and w and swapping y with z."""
-        return type(self)(self.a.swap_vars(), self.b.swap_vars())
+        return type(self)(*(
+            MPoly(p.ctx, p.vars, {(m[1], m[0]) + m[2:]: c for m, c in p.terms.items()}, p.den)
+            for p in (self.a, self.b)
+        ))
 
     def eval_float(self, x: float, y: float, z: float) -> float:
-        return self.a.eval_float(y, z) + x * self.b.eval_float(y, z)
+        a, b = (sum(c / p.den * y**i * z**j for (i, j), c in p.terms.items())
+                for p in (self.a, self.b))
+        return a + x * b
 
     def to_mpoly(self, vars: tuple[str, ...] | None = None) -> MPoly:
         """Lift the normal form to the free polynomial ring on ``vars``
         (default: the ring's own ``VARS``)."""
         vars = vars or self.VARS
         ix = vars.index("x")
-        slots = [vars.index(v) for v in self.VARS[1:]]
+        slots = [vars.index(v) for v in self.PARTS]
         base = [0] * len(vars)
         # both parts over the lcm of their denominators stay canonical
         a, b, den = self._parts_over()
@@ -344,7 +294,8 @@ def _normal_form(p: MPoly, cls):
                 key = (i + s, j + s, t) if with_t else (i + s, j + s)
                 out[key] = out.get(key, 0) + c * coef
     ctx = p.ctx
-    return cls(BivarPoly(ctx, *settled(ctx, a, p.den)), BivarPoly(ctx, *settled(ctx, b, p.den)))
+    return cls(MPoly(ctx, cls.PARTS, *settled(ctx, a, p.den)),
+               MPoly(ctx, cls.PARTS, *settled(ctx, b, p.den)))
 
 
 def _x_w_image(ex: int, ew: int, powers: list) -> tuple[list, list]:
@@ -395,7 +346,8 @@ class RingPolyT(RingElement):
 
     __slots__ = ()
 
-    _ONE, _Y, _Z, VARS = (0, 0, 0), (1, 0, 0), (0, 1, 0), ("x", "y", "z", "T")
+    PARTS = ("y", "z", "T")
+    VARS = ("x", *PARTS)
 
     # an entry of this class, not only inherited: the benchmark's layer
     # tracer counts products in R[T] apart from those in R by this name
@@ -403,14 +355,13 @@ class RingPolyT(RingElement):
 
     @classmethod
     def gen_T(cls, ctx):
-        return cls(BivarPoly(ctx, {(0, 0, 1): 1}, 1), BivarPoly(ctx, {}, 1))
+        return cls(MPoly.var(ctx, cls.PARTS, "T"), MPoly.zero(ctx, cls.PARTS))
 
     @classmethod
     def from_ring(cls, r: RingElement) -> "RingPolyT":
         """An element of R as a constant of R[T]."""
-        a, b = (BivarPoly(r.ctx, {(i, j, 0): c for (i, j), c in p.terms.items()}, p.den)
-                for p in (r.a, r.b))
-        return cls(a, b)
+        return cls(*(MPoly(r.ctx, cls.PARTS, {(i, j, 0): c for (i, j), c in p.terms.items()}, p.den)
+                     for p in (r.a, r.b)))
 
     def _map_T(self, images: list, scale: int, cls):
         """Each term c*y^i z^j T^t adds c*e over den*scale into y^i z^j T^s
@@ -423,7 +374,7 @@ class RingPolyT(RingElement):
                 for s, e in images[t]:
                     key = (i, j, s) if with_t else (i, j)
                     acc[key] = acc.get(key, 0) + c * e
-            parts.append(BivarPoly(ctx, *settled(ctx, acc, part.den * scale)))
+            parts.append(MPoly(ctx, cls.PARTS, *settled(ctx, acc, part.den * scale)))
         return cls(*parts)
 
     def eval_float(self, x: float, y: float, z: float) -> float:

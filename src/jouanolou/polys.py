@@ -14,16 +14,17 @@ The kernel runs int loops only and returns (terms, den) pairs:
 ``terms_scale`` (by a raw scalar, optionally times a monomial),
 ``terms_neg`` and ``terms_sub_into`` (a scaled, shifted subtraction in
 place from a dict the caller owns, on packed int keys, the step of the
-Groebner reduction) are
-the only sparse add/sub/mul loops; ``MPoly`` here and
-``BivarPoly``/``RingElement`` in :mod:`jring` call them directly.  Over Q,
-``canonical`` divides a result by gcd(den, all values) in one pass, so the
-kernel returns canonical pairs when given canonical ones.  Stored term dicts
-are never written after construction: a result may share its dict with an
-operand (``terms_add`` returns A itself when B is empty).  ``common_ctx`` is
-the single check that operands share a field.  R[T] runs the same
-``RingElement`` code on keys (i, j, t) for y^i z^j T^t; the dense univariate
-kernel of :mod:`bundle` serves only the X-polynomials of its resultant code.
+Groebner reduction) are the only sparse add/sub/mul loops; ``MPoly``, the
+one sparse polynomial class, and ``RingElement`` in :mod:`jring` call them
+directly.  Over Q, ``canonical`` divides a result by gcd(den, all values)
+in one pass, so the kernel returns canonical pairs when given canonical
+ones.  Stored term dicts are never written after construction: a result may
+share its dict with an operand (``terms_add`` returns A itself when B is
+empty).  ``common_ctx`` is the single check that operands share a field.
+The parts a, b of an element a + x*b of R are ``MPoly`` in
+``RingElement.PARTS`` = (y, z), and those of R[T] in (y, z, T); the dense
+univariate kernel of :mod:`bundle` serves only the X-polynomials of its
+resultant code.
 ``power`` is the one square-and-multiply, ``eval_terms`` the one
 power-cached evaluation of a term dict (summed pairwise), ``dot`` the one
 sum of products.
@@ -40,13 +41,14 @@ workload, mostly F_7 certificate checks, 158 take 2-byte slots, 109
 before; the 195 Q sums of ``group_roundtrip`` take 4 (93) or 8 bytes
 (102), and a Q sum needing 5 bytes or more keeps 8.
 
-``terms_mul`` takes the packed product from PACK_MIN_PAIRS = 1000 term
-pairs on, and only when the slot range is at most PACK_SLOTS_PER_PAIR = 1
-times the pair count.  That density guard keeps a
-sparse product such as x^(10^6) * (...) on the dict loop and bounds the
-packed buffer by the loop's own work; the 454 products of 1000 pairs or
-more in corpora 0-2 of the ``group_roundtrip`` and ``witness_boundary``
-benchmark workloads have at most 0.39 slots per pair, so it keeps every win.
+``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``:
+the packed product from PACK_MIN_PAIRS = 1000 term pairs on, and only when
+the slot range is at most PACK_SLOTS_PER_PAIR = 1 times the pair count.
+That density guard keeps a sparse product such as x^(10^6) * (...) on the
+dict loop and bounds the packed buffer by the loop's own work; the 454
+products of 1000 pairs or more in corpora 0-2 of the ``group_roundtrip``
+and ``witness_boundary`` benchmark workloads have at most 0.39 slots per
+pair, so it keeps every win.
 The cutoff is measured on a sample of 579 products of 100 pairs or more from
 corpora 0-1 of those workloads (CPython 3.11, 2-core x86-64 VM): the dict
 loop won 251 of the 312 below 300 pairs, packing won 159 of the 179 at
@@ -73,10 +75,11 @@ constructors call it when given no ``den``), and ``raw_coeff`` turns a
 stored value back into one (leading coefficients, printing, field
 elements).
 
-``MPoly`` is the substrate for the Buchberger engine and for parsing:
-polynomials in a free commutative polynomial ring with a fixed ordered
-variable tuple.  The monomial order everywhere is degrevlex with the
-variable tuple ordered from greatest to least.
+``MPoly`` is the substrate for the Buchberger engine, for parsing and for
+the parts of the device's ring elements: polynomials in a free commutative
+polynomial ring with a fixed ordered variable tuple.  The monomial order
+everywhere is degrevlex with the variable tuple ordered from greatest to
+least.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from .field import FieldCtx
 
 # a product of PACK_MIN_PAIRS term pairs or more is one packed big-int
 # multiply when its slot range is at most PACK_SLOTS_PER_PAIR times its pair
-# count (``terms_mul``, ``dot``); see the module docstring for the measurements
+# count (``_products``); see the module docstring for the measurements
 PACK_MIN_PAIRS = 1000
 PACK_SLOTS_PER_PAIR = 1
 
@@ -262,31 +265,37 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
     B/dB, plus the values ``acc`` over the same denominator when given.
 
     One int loop sums the products and reduces once at the end (over F_p
-    the values of ``acc`` may be unreduced).  Exponent vectors of two to
-    four entries, the keys of ``BivarPoly`` in R and R[T] and of ``MPoly``
-    in x, y, z and x, y, z, T, are added inline.  With dA = dB = 1 the
-    values come back as summed, with no gcd pass.  From PACK_MIN_PAIRS
-    term pairs on, a product whose slot range is at most
-    PACK_SLOTS_PER_PAIR times its pair count is one packed multiply
-    (:func:`packed_sum`) instead.
+    the values of ``acc`` may be unreduced).  With dA = dB = 1 the values
+    come back as summed, with no gcd pass.  :func:`_products` picks the
+    dict loop or one packed multiply.
     """
     if not (A and B):
         return ({}, 1) if acc is None else settled(ctx, acc, dA * dB)
-    pairs = len(A) * len(B)
-    if pairs >= PACK_MIN_PAIRS and (
-        out := packed_sum([(1, A, B)], pairs * PACK_SLOTS_PER_PAIR, acc)
-    ) is not None:
-        return settled(ctx, out, dA * dB)
-    out = {} if acc is None else dict(acc)
-    _mul_into(out, A, B)
-    return settled(ctx, out, dA * dB)
+    return _products(ctx, [(1, A, B)], len(A) * len(B), dA * dB, acc)
+
+
+def _products(ctx: FieldCtx, scaled: list, pairs: int, den: int, acc: dict | None = None):
+    """(terms, den) of (sum(s * A * B over (s, A, B) in scaled) + acc) / den,
+    A and B nonempty, ``pairs`` the term pairs in all: one
+    :func:`packed_sum` from PACK_MIN_PAIRS pairs on, when the slot range is
+    at most PACK_SLOTS_PER_PAIR times ``pairs``, else the dict loop of
+    :func:`_mul_into` (``acc`` first, then the products in order)."""
+    out = None
+    if pairs >= PACK_MIN_PAIRS:
+        out = packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, acc)
+    if out is None:
+        out = {} if acc is None else dict(acc)
+        for s, A, B in scaled:
+            _mul_into(out, A, B, s)
+    return settled(ctx, out, den)
 
 
 def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
     """Add the int products s * A * B into ``out`` in place, unsettled.
-    Exponent vectors of two to four entries are added inline: the keys of
-    ``BivarPoly`` in R and R[T], and of ``MPoly`` in x, y, z and in
-    x, y, z, T (certificate checks and cofactor expansions)."""
+    Exponent vectors of two to four entries are added inline: the parts of
+    R and R[T] (``MPoly`` in ``PARTS``, (y, z) and (y, z, T)), and ``MPoly``
+    in x, y, z and in x, y, z, T (certificate checks and cofactor
+    expansions)."""
     width = len(next(iter(A)))
     for m1, c1 in A.items():
         if s != 1:
@@ -397,10 +406,8 @@ def dot(pairs):
     """sum(a * b for a, b in pairs) in any ring type, None for no pairs.
 
     ``MPoly`` pairs are one accumulation over the lcm of the pair
-    denominators, settled once: the dict loop of ``terms_mul`` below
-    PACK_MIN_PAIRS term pairs in all, one :func:`packed_sum` from there on
-    under the density guard of ``terms_mul``.  Other ring types keep a
-    running sum."""
+    denominators, settled once by :func:`_products`, as ``terms_mul`` is.
+    Other ring types keep a running sum."""
     pairs = list(pairs)
     if pairs and isinstance(pairs[0][0], MPoly):
         return _mpoly_dot(pairs)
@@ -420,15 +427,8 @@ def _mpoly_dot(pairs):
     live = [(a, b) for a, b in pairs if a.terms and b.terms]
     D = lcm(*(a.den * b.den for a, b in live))
     scaled = [(D // (a.den * b.den), a.terms, b.terms) for a, b in live]
-    count = sum(len(A) * len(B) for _, A, B in scaled)
-    out = None
-    if count >= PACK_MIN_PAIRS:
-        out = packed_sum(scaled, count * PACK_SLOTS_PER_PAIR)
-    if out is None:
-        out = {}
-        for s, A, B in scaled:
-            _mul_into(out, A, B, s)
-    return MPoly(ctx, first.vars, *settled(ctx, out, D))
+    pairs = sum(len(A) * len(B) for _, A, B in scaled)
+    return MPoly(ctx, first.vars, *_products(ctx, scaled, pairs, D))
 
 
 def eval_terms(terms: dict, den: int, images: list, const):
@@ -493,7 +493,8 @@ class MPoly:
         return cls(ctx, vars, {exp: 1}, 1)
 
     def _ctx(self, other: "MPoly") -> FieldCtx:
-        if self.vars != other.vars:
+        # parts of one ring share its PARTS tuple: the identity test settles them
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("polynomials from different rings")
         return common_ctx(self.ctx, other.ctx)
 

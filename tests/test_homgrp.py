@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jouanolou.errors import ResultantNotUnit
+from jouanolou.errors import NoCertificate, ResultantNotUnit
 from jouanolou.field import Fp, QQ
 from jouanolou.homgrp import (
     ReferenceFamily,
@@ -293,3 +293,17 @@ def test_oplus_equals_the_product_of_decompose_matrices(ctx, mode):
             assert got.degree == f.degree + g.degree
             assert map_str(got) == map_str(want)
             assert got.cert == want.cert
+
+
+def test_a_map_without_certificate_is_refused(refs):
+    """A nonzero-degree map carrying no certificate (a segment's value at a
+    parameter) is refused with NoCertificate, as a row in that state is."""
+    bare = decompose(n_pi(2, QQ), refs).witness.segments[-1].at(QQ.one)
+    assert bare.degree == 2 and bare.cert is None
+    with pytest.raises(NoCertificate, match="no generation certificate"):
+        decompose(bare, refs)
+    with pytest.raises(NoCertificate, match="no generation certificate"):
+        decompose_matrix(bare, refs)
+    for f, g in ((bare, n_pi(1, QQ)), (n_pi(1, QQ), bare)):
+        with pytest.raises(NoCertificate, match="no generation certificate"):
+            oplus(f, g, refs)

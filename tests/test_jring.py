@@ -255,3 +255,24 @@ def test_an_element_of_R_T_refuses_a_float_value_without_T():
     # at T = 1/2 it is x/2 + y, an element of R, which evaluates
     at = p.eval_at_T(QQ.elem(Fraction(1, 2)))
     assert at.eval_float(0.5, 0.1, 0.2) == pytest.approx(0.5 / 2 + 0.1)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_every_part_is_an_mpoly_in_its_rings_parts(ctx):
+    """Both parts of every element, however built, are ``MPoly`` in the
+    ring's ``PARTS``; a part of R and one of R[T] do not add."""
+    half = ctx.elem(Fraction(1, 2))
+    r = R("3/2*x*y^2 - z + 1", ctx) * R("x*z - 2*y", ctx)
+    p = parse_polyt("x*T^2 + y*T - 1/3*z", ctx) * RingPolyT.gen_T(ctx)
+    built = [
+        *(getattr(cls, f"gen_{v}")(ctx) for cls in (RingElement, RingPolyT) for v in "xyzw"),
+        RingPolyT.gen_T(ctx), RingElement.from_raw(ctx, ctx.rone), RingElement.zero(ctx),
+        r, r * r, r + r, -r, r.scale(half), r.tau(),
+        mpoly_to_ring(r.to_mpoly()), mpoly_to_ringpolyt(p.to_mpoly()),
+        RingPolyT.from_ring(r), p + r, p * r, p.eval_at_T(half), p.reverse_T(), p.tau(),
+    ]
+    for e in built:
+        for part in (e.a, e.b):
+            assert type(part) is MPoly and part.vars == type(e).PARTS
+    with pytest.raises(ValueError, match="different rings"):
+        RingElement.gen_y(ctx).a + RingPolyT.gen_T(ctx).a

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jouanolou.field import Fp, QQ
-from jouanolou.jring import BivarPoly, RingElement, RingPolyT
+from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.polys import MPoly, drl_key, terms_add, terms_mul, terms_neg, terms_scale
 from jouanolou.realize import _compile
 from jouanolou.textio import mpoly_str, ring_str
@@ -47,13 +47,13 @@ def raw_dicts(ctx, width, max_size=4):
     return st.dictionaries(mon, scalars(ctx), max_size=max_size)
 
 
-def bivars(ctx, width=2):
-    return raw_dicts(ctx, width).map(lambda raw: BivarPoly(ctx, raw))
+def parts(ctx, cls=RingElement):
+    """Parts a, b of ``cls``: polynomials in its ``PARTS``."""
+    return raw_dicts(ctx, len(cls.PARTS)).map(lambda raw: MPoly(ctx, cls.PARTS, raw))
 
 
 def ring_elements(ctx, cls=RingElement):
-    width = 2 if cls is RingElement else 3
-    return st.tuples(bivars(ctx, width), bivars(ctx, width)).map(lambda ab: cls(*ab))
+    return st.tuples(parts(ctx, cls), parts(ctx, cls)).map(lambda ab: cls(*ab))
 
 
 def assert_canonical(ctx, terms, den):
@@ -81,7 +81,7 @@ def raw_items(ctx, terms, den) -> list:
 @pytest.mark.parametrize("ctx", FIELDS)
 def test_kernel_results_are_canonical(ctx):
     @CHECKS
-    @given(bivars(ctx), bivars(ctx), scalars(ctx), st.data())
+    @given(parts(ctx), parts(ctx), scalars(ctx), st.data())
     def check(P, Q, c, data):
         for part in (P, Q):
             assert_canonical(ctx, part.terms, part.den)
@@ -91,10 +91,11 @@ def test_kernel_results_are_canonical(ctx):
         assert_canonical(ctx, *terms_mul(ctx, P.terms, P.den, Q.terms, Q.den))
         assert_canonical(ctx, *terms_scale(ctx, P.terms, P.den, c))
         assert_canonical(ctx, *terms_scale(ctx, P.terms, P.den, c, (1, 2)))
-        for r in (P + Q, P - Q, -P, P * Q, P.scale(c), P.swap_vars()):
+        swapped = RingElement(P, Q).tau()
+        for r in (P + Q, P - Q, -P, P * Q, P.scale(c), swapped.a, swapped.b):
             assert_canonical(ctx, r.terms, r.den)
         # a sum that cancels to a multiple of the denominator
-        R = BivarPoly(ctx, data.draw(raw_dicts(ctx, 2)))
+        R = data.draw(parts(ctx))
         total = (P + R) - R
         assert total == P
         assert_canonical(ctx, total.terms, total.den)
@@ -190,9 +191,10 @@ def test_ring_product_with_cancelling_parts(ctx):
     s = -1/2 + x (1/2 + y) give b1 b2 = 1/4 + y/2, whose constant a2 b1
     cancels, and a1 b2 brings it back after y."""
     half = ctx.rfrom_fraction(1, 2)
-    r = RingElement(BivarPoly(ctx, {(0, 0): half}), BivarPoly(ctx, {(0, 0): half}))
-    s = RingElement(BivarPoly(ctx, {(0, 0): ctx.rneg(half)}),
-                    BivarPoly(ctx, {(0, 0): half, (1, 0): 1}))
+    yz = RingElement.PARTS
+    r = RingElement(MPoly(ctx, yz, {(0, 0): half}), MPoly(ctx, yz, {(0, 0): half}))
+    s = RingElement(MPoly(ctx, yz, {(0, 0): ctx.rneg(half)}),
+                    MPoly(ctx, yz, {(0, 0): half, (1, 0): 1}))
     assert list((r * s).b.terms) == [(1, 0), (0, 0)]
     for u, v in ((r, s), (s, r), (r, r), (s, s), (r - s, r + s)):
         got = u * v

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from jouanolou.errors import DivisionByZero, ParseError
 from jouanolou.field import Fp, QQ
-from jouanolou.jring import BivarPoly, RingElement, RingPolyT
+from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.polys import MPoly, canonical
 from jouanolou.textio import _Parser, parse_poly
 
@@ -32,22 +32,23 @@ CHECKS = settings(max_examples=80, deadline=None, derandomize=True)
 def substitute_T(p: RingPolyT, image: RingPolyT) -> RingPolyT:
     """T replaced by ``image``, an element of k[T]: each T^t slice of the
     terms is multiplied by image^t."""
-    ctx = p.ctx
+    ctx, yzT = p.ctx, RingPolyT.PARTS
     parts = []
     for part in (p.a, p.b):
         slices: dict = {}
         for (i, j, t), c in part.terms.items():
             slices.setdefault(t, {})[i, j, 0] = c
-        out = BivarPoly(ctx, {}, 1)
+        out = MPoly.zero(ctx, yzT)
         for t, terms in slices.items():
-            out = out + BivarPoly(ctx, *canonical(terms, part.den)) * (image**t).a
+            out = out + MPoly(ctx, yzT, *canonical(terms, part.den)) * (image**t).a
         parts.append(out)
     return RingPolyT(*parts)
 
 
 def eval_oracle(p: RingPolyT, t) -> RingElement:
     at = substitute_T(p, RingPolyT.from_raw(p.ctx, t.val))
-    a, b = (BivarPoly(at.ctx, {m[:2]: c for m, c in q.terms.items()}, q.den) for q in (at.a, at.b))
+    a, b = (MPoly(at.ctx, RingElement.PARTS, {m[:2]: c for m, c in q.terms.items()}, q.den)
+            for q in (at.a, at.b))
     return RingElement(a, b)
 
 
@@ -81,7 +82,8 @@ def polyts(ctx, max_t=6):
     """Elements of R[T] of T-degree up to ``max_t``: zero, T-free and dense
     in T among them."""
     mon = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, max_t))
-    part = st.dictionaries(mon, scalars(ctx), max_size=6).map(lambda raw: BivarPoly(ctx, raw))
+    part = st.dictionaries(mon, scalars(ctx), max_size=6).map(
+        lambda raw: MPoly(ctx, RingPolyT.PARTS, raw))
     return st.tuples(part, part).map(lambda ab: RingPolyT(*ab))
 
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from jouanolou.errors import DivisionByZero, ParseError
 from jouanolou.field import Fp, QQ
 from jouanolou.homotopy import constant_witness, scaling_witness, verify
-from jouanolou.jring import BivarPoly, RingElement, RingPolyT
+from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.morphism import g_uv, make_map, map_equal, n_pi
+from jouanolou.polys import MPoly
 from jouanolou.sl2 import complete_pointed, m_uv
 from jouanolou import textio
 
@@ -286,9 +287,9 @@ def print_scalars(ctx):
 def printed_elements(ctx, cls):
     """Elements of R or R[T]: zero and constants among them (empty or
     one-key parts)."""
-    width = len(cls.VARS) - 1
-    mon = st.tuples(*(st.integers(0, 3) for _ in range(width)))
-    part = st.dictionaries(mon, print_scalars(ctx), max_size=5).map(lambda raw: BivarPoly(ctx, raw))
+    mon = st.tuples(*(st.integers(0, 3) for _ in cls.PARTS))
+    part = st.dictionaries(mon, print_scalars(ctx), max_size=5).map(
+        lambda raw: MPoly(ctx, cls.PARTS, raw))
     return st.tuples(part, part).map(lambda ab: cls(*ab))
 
 

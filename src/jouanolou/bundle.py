@@ -72,7 +72,7 @@ def expand_sections(n: int, *pairs) -> list[tuple]:
     c0*[x^|n|; y^|n|] + c1*[z^|n|; w^|n|]).  Coefficients may lie in R or
     R[T]."""
     xn, yn, zn, wn = spanning_powers(pairs[0][0].ctx, n)
-    return [(c0 * xn + c1 * yn, c0 * zn + c1 * wn) for c0, c1 in pairs]
+    return [(dot(((c0, xn), (c1, yn))), dot(((c0, zn), (c1, wn)))) for c0, c1 in pairs]
 
 
 def rewrite_constants(ctx: FieldCtx, n: int) -> list[tuple[RingElement, RingElement]]:
@@ -109,12 +109,9 @@ def normalize_section(n: int, vector) -> tuple:
     the field is read from them."""
     if len(vector) != abs(n) + 1:
         raise ValueError(f"coefficient vector must have length {abs(n) + 1}")
-    zero = vector[0] - vector[0]
-    c0, c1 = zero, zero
-    for ci, (p, q) in zip(vector, rewrite_constants(vector[0].ctx, n)):
-        c0 = c0 + ci * p
-        c1 = c1 + ci * q
-    return c0, c1
+    rewrite = rewrite_constants(vector[0].ctx, n)
+    return (dot((ci, p) for ci, (p, _) in zip(vector, rewrite)),
+            dot((ci, q) for ci, (_, q) in zip(vector, rewrite)))
 
 
 def expand_mixed(n: int, vector, ctx: FieldCtx):

@@ -19,6 +19,7 @@ from .field import FieldCtx, FieldElem
 from .homotopy import HomotopyWitness, Segment, Sl2Path, gu1_action_witness
 from .jring import RingElement, RingPolyT
 from .morphism import JMap, n_pi
+from .polys import dot
 from .sl2 import PointedSL2, act, complete_pointed
 from .sl2 import row_sum as _row_sum
 
@@ -108,16 +109,18 @@ def _spanning_matrix(f: JMap) -> tuple[PointedSL2, FieldElem]:
     ctx = f.ctx
     a0, a1, b0, b1 = f.data
     one = RingElement.one(ctx)
-    target_r = one - (a0 * b1 - a1 * b0)
+    target_r = one - dot(((a0, b1), (-a1, b0)))
     # the map's own generation certificate supplies the completion cofactors:
     # multiplying U_x G_ax + V_x G_bx + U_w G_aw + V_w G_bw = 1 by the target
     # expresses it in the column ideal without any new ideal-membership run
     ux, vx, uw, vw = f.cert
     c, cp, d, dp = target_r * vx, target_r * vw, target_r * ux, target_r * uw
     xn, yn, zn, wn = spanning_powers(ctx, f.degree)
+    # a0 enters as a product by one, so each entry sums left to right as
+    # a0 + yn*c + wn*cp did, and a small one keeps that key order
     m_prime = (
-        (a0 + yn * c + wn * cp, a1 - xn * c - zn * cp),
-        (b0 - yn * d - wn * dp, b1 + xn * d + zn * dp),
+        (dot(((a0, one), (yn, c), (wn, cp))), dot(((a1, one), (-xn, c), (-zn, cp)))),
+        (dot(((b0, one), (-yn, d), (-wn, dp))), dot(((b1, one), (xn, d), (zn, dp)))),
     )
     e = (a1 - c).eval_basepoint()
     # det(m_prime) = a0*b1 - a1*b0 + target_r = 1 by the certificate identity

@@ -12,6 +12,11 @@ canonical, so equality is also literal equality of (terms, den).
 operand over one denominator once, the product by yz is a shift of
 exponents, and no ``Fraction`` is built; a zero or constant operand (the 0
 and 1 entries of an elementary matrix, say) scales the other instead.
+A sum of ring products (an entry of a 2x2 matrix product, of the action on
+section data or of certificate transport) is ``polys.dot``, for which this
+module registers :func:`_fused_dot`: from ``PACK_MIN_PAIRS`` term pairs on,
+each part of the sum is one accumulation, settled once; smaller sums stay
+the running sum of products.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
 T exponent: ``RingPolyT`` keeps the same normal form a + x*b, its parts in
@@ -32,7 +37,9 @@ from math import comb, lcm
 
 from .field import FieldCtx, FieldElem
 from .polys import (
+    FUSED_DOTS,
     MPoly,
+    _products,
     common_ctx,
     power,
     raw_coeff,
@@ -421,3 +428,49 @@ class RingPolyT(RingElement):
 def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:
     """Normal form in R[T] of a polynomial in x, y, z, w and T."""
     return _normal_form(p, RingPolyT)
+
+
+def _fused_dot(pairs, cutoff: int):
+    """sum(r * s for r, s in pairs) over R, or over R[T] when any factor is
+    in R[T] (the others lifted), as one accumulation per part over the lcm D
+    of the pair denominators: a = sum(a1 a2 - yz b1 b2) and
+    b = sum(a1 b2 + b1 a2 + b1 b2), each settled once by ``_products`` (one
+    packed multiply when it is large enough).  None when the sum has fewer
+    than ``cutoff`` term pairs: ``polys.dot`` then keeps the running sum."""
+    count = 0
+    for r, s in pairs:
+        rb, sb = len(r.b.terms), len(s.b.terms)
+        count += (len(r.a.terms) + rb) * (len(s.a.terms) + sb) + rb * sb
+    if count < cutoff:
+        return None
+    cls = RingPolyT if any(type(e) is RingPolyT for pair in pairs for e in pair) else RingElement
+    ctx = pairs[0][0].ctx
+    parts = []
+    for r, s in pairs:
+        ctx = common_ctx(ctx, common_ctx(r.ctx, s.ctx))
+        r, s = (e if type(e) is cls else cls.from_ring(e) for e in (r, s))
+        parts.append((*r._parts_over(), *s._parts_over()))
+    D = lcm(*(d1 * d2 for _, _, d1, _, _, d2 in parts))
+    a_sum, b_sum = [], []
+    for a1, b1, d1, a2, b2, d2 in parts:
+        k = D // (d1 * d2)
+        if a1 and a2:
+            a_sum.append((k, a1, a2))
+        if b1 and b2:
+            yz_b1 = {(m[0] + 1, m[1] + 1) + m[2:]: c for m, c in b1.items()}
+            a_sum.append((-k, yz_b1, b2))
+        if a1 and b2:
+            b_sum.append((k, a1, b2))
+        if b1:
+            b_sum += [(k, b1, B) for B in (a2, b2) if B]
+
+    def settled_part(scaled):
+        if not scaled:
+            return MPoly.zero(ctx, cls.PARTS)
+        count = sum(len(A) * len(B) for _, A, B in scaled)
+        return MPoly(ctx, cls.PARTS, *_products(ctx, scaled, count, D))
+
+    return cls(settled_part(a_sum), settled_part(b_sum))
+
+
+FUSED_DOTS[RingElement] = FUSED_DOTS[RingPolyT] = _fused_dot

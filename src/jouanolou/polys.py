@@ -35,20 +35,21 @@ the box of the exponents, multiplies the packed operands and unpacks once.
 A slot is only as wide as the sum it must hold (``slot_bytes``): 1, 2, 4
 or 8 bytes, whole 64-bit words past that.  CPython multiplies in about
 length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply.  Of
-the 306 packed sums in corpora 0-2 of the ``witness_boundary`` benchmark
-workload, mostly F_7 certificate checks, 158 take 2-byte slots, 109
-4-byte, 38 8-byte and one 16-byte, where every slot took 8 bytes or more
-before; the 195 Q sums of ``group_roundtrip`` take 4 (93) or 8 bytes
-(102), and a Q sum needing 5 bytes or more keeps 8.
+the 170 packed sums in the ops of corpora 0-2 of the ``witness_boundary``
+benchmark workload, mostly F_7 certificate checks, 89 take 2-byte slots,
+65 4-byte, 15 8-byte and one 16-byte, where every slot took 8 bytes or
+more before; the 296 Q sums of ``group_roundtrip`` take 4 (193) or 8 bytes
+(103), and a Q sum needing 5 bytes or more keeps 8.
 
 ``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``:
 the packed product from PACK_MIN_PAIRS = 1000 term pairs on, and only when
 the slot range is at most PACK_SLOTS_PER_PAIR = 1 times the pair count.
 That density guard keeps a sparse product such as x^(10^6) * (...) on the
-dict loop and bounds the packed buffer by the loop's own work; the 454
-products of 1000 pairs or more in corpora 0-2 of the ``group_roundtrip``
-and ``witness_boundary`` benchmark workloads have at most 0.39 slots per
-pair, so it keeps every win.
+dict loop and bounds the packed buffer by the loop's own work; of the 492
+products and sums of 1000 pairs or more in corpora 0-2 (set-up included)
+of the ``group_roundtrip`` and ``witness_boundary`` benchmark workloads,
+all but one ``MPoly`` sum (1.05 slots per pair, left to the loop) have at
+most 0.39 slots per pair, so it keeps every win.
 The cutoff is measured on a sample of 579 products of 100 pairs or more from
 corpora 0-1 of those workloads (CPython 3.11, 2-core x86-64 VM): the dict
 loop won 251 of the 312 below 300 pairs, packing won 159 of the 179 at
@@ -60,14 +61,22 @@ each): packing won 120 of 294 below 300 pairs (0.025 s on the loop against
 at 500-999 (0.0085 against 0.0044 s), while 208 more stayed on the loop by
 the density guard.  Lowering the cutoff to 500 would save about 4 ms in
 three corpora, far below what parent/change pairs of the benchmark
-resolve, and packed results come back in slot order where ``realize`` sums
-floats in dict order, so the cutoff stays 1000.
+resolve, so the cutoff stays 1000.
 ``dot`` on ``MPoly`` pairs is one accumulation at every size (the
 certificate checks and cofactor weights of :mod:`groebner`): the products go
 into one dict, or from the cutoff on into one packed sum, settled once.
+``dot`` on the ring elements of R and R[T] (the fused sum :mod:`jring`
+registers in FUSED_DOTS) is one accumulation per part from the cutoff on,
+a = sum(a1 a2 - yz b1 b2) and b = sum(a1 b2 + b1 a2 + b1 b2) over the lcm
+of the pair denominators, each one ``_products`` call: an entry of a 2x2
+matrix product is one packed sum where it was up to eight products.  Below
+the cutoff it is the running sum of ring products, so small results keep
+that composition's key order.  ``packed_sum`` boxes and packs an operand of
+several products once.
 The dict loop stays as the small-product path and as the tests' oracle.
-The packed path returns its keys in slot order, not the loop's: no result
-may depend on key order (printing sorts).
+Large products and large sums come back in slot order, not the loop's: no
+result may depend on key order (printing sorts; ``realize`` sums floats in
+dict order, and its recorded floats hold).
 
 Raw coefficients (``Fraction`` over Q, int over F_p) cross only at the
 boundary: ``cleared`` puts a dict of them into the stored form (the
@@ -219,13 +228,16 @@ def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None
     The slots cover the box of the products' exponents, the last variable
     with stride 1.  A slot is :func:`slot_bytes` of the bound
     sum(|s| * max|a| * max|b| * min(|A|, |B|)) on its values: 1, 2, 4 or 8
-    bytes, or whole 64-bit words past that.  Each operand is packed once,
-    each product is one big-int multiply shifted to its place, and the sum
-    is unpacked once: every slot is offset by half its range so the whole is
+    bytes, or whole 64-bit words past that.  Each operand is boxed and
+    packed once, however many products it enters; each product is one
+    big-int multiply shifted to its place, and the sum is unpacked once:
+    every slot is offset by half its range so the whole is
     nonnegative, written out by ``to_bytes`` and read back by one
     little-endian ``struct`` format (B, H, I or Q, words recombined past
     8 bytes), whatever the host's byte order."""
-    boxes = [(s, A, B, *_box(A), *_box(B)) for s, A, B in products]
+    operands = {id(X): X for _, A, B in products for X in (A, B)}
+    box = {key: _box(X) for key, X in operands.items()}
+    boxes = [(s, A, B, *box[id(A)], *box[id(B)]) for s, A, B in products]
     low = [min(v) for v in zip(*(map(add, la, lb) for _, _, _, la, _, lb, _ in boxes))]
     high = [max(v) for v in zip(*(map(add, ha, hb) for _, _, _, _, ha, _, hb in boxes))]
     spans = [h - l + 1 for l, h in zip(low, high)]
@@ -237,10 +249,11 @@ def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None
                 * min(len(A), len(B)) for s, A, B, *_ in boxes)
     nbytes = slot_bytes(bound)
     bits = 8 * nbytes
+    packed = {key: _pack(X, *box[key], strides, nbytes) for key, X in operands.items()}
     total = 0
     for s, A, B, la, ha, lb, hb in boxes:
         shift = sum(map(mul, map(sub, map(add, la, lb), low), strides)) * bits
-        total += (s * _pack(A, la, ha, strides, nbytes) * _pack(B, lb, hb, strides, nbytes)) << shift
+        total += (s * packed[id(A)] * packed[id(B)]) << shift
     half = 1 << (bits - 1)
     total += int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
     raw = total.to_bytes(slots * nbytes, "little")
@@ -402,15 +415,28 @@ def power(base, e: int, one):
     return out
 
 
+# the fused sums of products of other ring types, by the type of the first
+# factor: :mod:`jring` registers the one of R and R[T] (see ``dot``)
+FUSED_DOTS: dict = {}
+
+
 def dot(pairs):
     """sum(a * b for a, b in pairs) in any ring type, None for no pairs.
 
     ``MPoly`` pairs are one accumulation over the lcm of the pair
     denominators, settled once by :func:`_products`, as ``terms_mul`` is.
-    Other ring types keep a running sum."""
+    A type in FUSED_DOTS (the ring elements of :mod:`jring`) is given the
+    pairs and the cutoff PACK_MIN_PAIRS and returns its fused sum, or None
+    below the cutoff.  Otherwise ``dot`` keeps a running sum of ``*`` and
+    ``+``, so small ring sums keep the key order of that composition."""
     pairs = list(pairs)
-    if pairs and isinstance(pairs[0][0], MPoly):
-        return _mpoly_dot(pairs)
+    if pairs:
+        kind = type(pairs[0][0])
+        if kind is MPoly:
+            return _mpoly_dot(pairs)
+        fused = FUSED_DOTS.get(kind)
+        if fused is not None and (out := fused(pairs, PACK_MIN_PAIRS)) is not None:
+            return out
     acc = None
     for a, b in pairs:
         term = a * b

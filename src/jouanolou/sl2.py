@@ -7,7 +7,9 @@ column.  Such a matrix also acts on higher-degree maps through its action
 on section pairs.  :func:`act` is that action, written once: a pointed
 matrix over R moves a map, a path over R[T] (``homotopy.Sl2Path``) moves
 a witness segment, and the certificate and homogeneous lift transport
-exactly (no new ideal membership runs are needed).
+exactly (no new ideal membership runs are needed).  Every entry of a
+matrix product, of the action and of the transported certificate is one
+``polys.dot`` sum of products, fused for large entries.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import NoCertificate, ZeroParameter
 from .field import FieldElem
 from .jring import RingElement
 from .morphism import JMap, pointed_alpha
+from .polys import dot
 
 Entries = tuple[tuple, tuple]
 
@@ -45,7 +48,7 @@ class Mat2:
 
     def _det(self):
         (e00, e01), (e10, e11) = self.entries
-        return e00 * e11 - e01 * e10
+        return dot(((e00, e11), (-e01, e10)))
 
     def _check(self):
         """Outside data: determinant 1 and the identity at the basepoint."""
@@ -80,9 +83,9 @@ class Mat2:
         return one, cls._ring.zero(c.ctx), one.scale(c) if isinstance(c, FieldElem) else c
 
     def __matmul__(self, other):
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return self._of(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+        columns = tuple(zip(*other.entries))
+        return self._of(tuple(tuple(dot(zip(row, col)) for col in columns)
+                              for row in self.entries))
 
     def inverse(self):
         (a, b), (c, d) = self.entries
@@ -199,20 +202,21 @@ def transform_cert(entries: Entries, cert):
     (adjugate, det = 1) pulls the old certificate to the new columns.
     """
     (e00, e01), (e10, e11) = entries
+    # each difference a sum: negating the shared entry keeps the key order
+    n01, n10 = -e01, -e10
     Ux, Vx, Uw, Vw = cert
     return (
-        Ux * e11 - Vx * e10,
-        Vx * e00 - Ux * e01,
-        Uw * e11 - Vw * e10,
-        Vw * e00 - Uw * e01,
+        dot(((Ux, e11), (Vx, n10))),
+        dot(((Vx, e00), (Ux, n01))),
+        dot(((Uw, e11), (Vw, n10))),
+        dot(((Vw, e00), (Uw, n01))),
     )
 
 
 def _rows(entries: Entries, first, second):
     """(e00*first + e01*second, e10*first + e11*second), entrywise."""
-    (e00, e01), (e10, e11) = entries
     pairs = list(zip(first, second))
-    return [e00 * a + e01 * b for a, b in pairs], [e10 * a + e11 * b for a, b in pairs]
+    return tuple([dot(((e0, a), (e1, b))) for a, b in pairs] for e0, e1 in entries)
 
 
 def act(M: Mat2, f: JMap) -> JMap:

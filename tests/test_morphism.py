@@ -15,6 +15,7 @@ from jouanolou.field import Fp, QQ
 from jouanolou.homgrp import ReferenceFamily, decompose, oplus
 from jouanolou.jring import RingElement
 from jouanolou.morphism import (
+    JMap,
     RationalMapP1,
     cert_expands_to_one,
     g_uv,
@@ -42,6 +43,24 @@ def test_pi_is_valid():
     pi = make_map(1, ONE, ZERO, ZERO, ONE)
     assert pi.degree == 1 and pi.kind == "P"
     assert map_equal(pi, n_pi(1, QQ))
+
+
+def test_map_equal_on_equal_data_expands_nothing():
+    pi2 = n_pi(2, QQ)
+    f = JMap(pi2.degree, pi2.data)
+    g = JMap(pi2.degree, tuple(c + ZERO for c in pi2.data))
+    assert f.data == g.data and f.data[2] is not g.data[2]
+    assert map_equal(f, g) and map_equal(g, f)
+    assert f._expanded is None and g._expanded is None
+
+
+def test_map_equal_on_other_data_decides_by_expansion():
+    # y*[x; z] = x*[y; w]: different coefficient pairs, the same section
+    f = JMap(1, (R("y"), ZERO, R("z"), ONE))
+    g = JMap(1, (ZERO, R("x"), R("z"), ONE))
+    assert f.data != g.data
+    assert map_equal(f, g)
+    assert not map_equal(f, JMap(1, (ZERO, R("x"), R("z"), R("2"))))
 
 
 def test_pi_tilde_is_valid():

@@ -23,9 +23,10 @@ Sylvester matrix goes through one elimination, ``det_subset``, which
 returns the determinant and, when asked, the last row of the adjugate from
 the same pass: the resultant asks for the first only, a Bezout solve for
 both.  It has two routes and no size switch: a matrix of constants of k
-is eliminated over k by Gauss (a singular one has no adjugate row there),
-and any other matrix goes through Berkowitz's characteristic polynomial,
-without division.
+is eliminated over k by Gauss on raw values, and any other matrix by
+Bareiss's fraction-free elimination, whose exact divisions in R and R[T]
+go through the norm (``RingElement.divider``).  A singular matrix has no
+adjugate row on either route.
 """
 
 from __future__ import annotations
@@ -192,31 +193,17 @@ def sylvester_matrix(A: list, B: list, m: int, n: int, zero):
     """Sylvester matrix for ascending coefficient lists with degree bounds
     (m, n); columns are X^(m+n-1) .. X^0, first n rows shift A, last m shift B."""
 
-    def coef(lst, i):
-        return lst[i] if 0 <= i < len(lst) else zero
+    def row(lst, shift):
+        return [lst[i] if 0 <= (i := shift - c) < len(lst) else zero for c in range(m + n)]
 
-    size = m + n
-    rows = []
-    for r in range(n):
-        rows.append([coef(A, m - c + r) for c in range(size)])
-    for r in range(m):
-        rows.append([coef(B, n - c + r) for c in range(size)])
-    return rows
+    return [row(A, m + r) for r in range(n)] + [row(B, n + r) for r in range(m)]
 
 
 def _constant_values(rows):
     """The raw values of a matrix whose entries are all constants of k
     (over R, R[T] or k itself), or None when some entry is symbolic."""
-    out = []
-    for row in rows:
-        values = []
-        for e in row:
-            c = e.val if isinstance(e, FieldElem) else e._raw_constant()
-            if c is None:
-                return None
-            values.append(c)
-        out.append(values)
-    return out
+    values = [[e._raw_constant() for e in row] for row in rows]
+    return None if any(None in row for row in values) else values
 
 
 def _solve_over_k(ctx: FieldCtx, values) -> tuple:
@@ -262,96 +249,74 @@ def _solve_over_k(ctx: FieldCtx, values) -> tuple:
 def det_subset(rows, zero, *, adjugate=True):
     """(det M, last row of adj M) for a square matrix M given as rows;
     with ``adjugate=False``, (det M, None) at the cost of the determinant.
+    A singular M gives (0, None): no caller reads its adjugate row.
 
     Entry i of that row is the cofactor C(i, m-1), i.e. the determinant of
-    M with row i replaced by the last unit row: the Cramer vector of the
-    system M^t * lam = e_last, in one pass instead of m determinants.  For
-    an invertible matrix of constants it is det M times the solution of
-    that system over k (``_solve_over_k``); for a singular one the result
-    is (0, None), read off the same elimination.  Any other matrix, at any
-    size, goes without division, so over R, R[T] or k: the determinant is
-    the last coefficient of Berkowitz's characteristic polynomial, and the
-    row comes from Horner on adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) +
-    ... + p(m-1) I), a pass skipped without the adjugate.  The name is
-    older than these routes; it stays because profiling tools wrap this
-    function by name.
+    M with row i replaced by the last unit row: det M times the solution of
+    M^t * lam = e_last.  A matrix of constants of k is eliminated over k
+    (``_solve_over_k``), any other by Bareiss (``_bareiss``).  The name is
+    older than these routes; profiling tools wrap this function by name.
     """
-    size = len(rows)
-    if size == 0:
+    if not rows:
         raise ValueError("empty matrix has no well-defined determinant here")
     values = _constant_values(rows)
-    if values is not None:
-        ctx = zero.ctx
-        det, x = _solve_over_k(ctx, values)
-        # a singular matrix of constants: det 0, and no adjugate row
-        if not adjugate or x is None:
-            return _like(zero, det), None
-        return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
-    poly = _charpoly(rows, zero)
-    # poly[-1] = det(-M) = (-1)^m det M
-    det = poly[-1] if size % 2 == 0 else -poly[-1]
-    return det, _horner_adjugate_row(rows, poly, zero) if adjugate else None
+    if values is None:
+        return _bareiss(rows, zero, adjugate)
+    ctx = zero.ctx
+    det, x = _solve_over_k(ctx, values)
+    if not adjugate or x is None:
+        return _like(zero, det), None
+    return _like(zero, det), [_like(zero, ctx.rmul(det, v)) for v in x]
 
 
-def _horner_adjugate_row(rows, poly, zero) -> list:
-    """The last row of adj M from the characteristic polynomial ``poly`` of
-    M, by Horner on adj M = (-1)^(m+1) (M^(m-1) + p1 M^(m-2) + ... + p(m-1) I)."""
+def _bareiss(rows, zero, adjugate):
+    """(det M, last row of adj M or None) by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) of [M^t | e_last]; (0, None) when M
+    is singular.  Step c sets each entry below and right of the pivot to
+    (pivot * entry - left * top) / (previous pivot), exact by the pivot's
+    ``divider``, so the last pivot D is +-det M.  y = D*x for M^t x = e_last
+    solves U y = D*b on the triangle [U | b], y_i = (D*b_i - sum(U_ij y_j,
+    j > i)) / U_ii, and +-y is the adjugate row."""
     size = len(rows)
-    columns = _nonzero_by_row(list(zip(*rows)))
-    # row vector v <- v*M + p_k * e_last, starting from e_last
-    vec = [zero] * (size - 1) + [poly[0]]
-    for k in range(1, size):
-        vec = [_dot(col, vec, size, zero) for col in columns]
-        vec[-1] = vec[-1] + poly[k]
-    return [-v for v in vec] if size % 2 == 0 else vec
+    work = [list(col) + ([zero] if adjugate else []) for col in zip(*rows)]
+    if adjugate:
+        work[-1][-1] = _one_like(zero)
+    sign, dividers = 1, [None]  # dividers[c]: division by the pivot before step c
+    for c in range(size):
+        # the pivot of fewest terms: every entry of the next step divides by it
+        candidates = [r for r in range(c, size) if not work[r][c].is_zero]
+        if not candidates:
+            return zero, None
+        pivot = min(candidates, key=lambda r: _terms(work[r][c]))
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            sign = -sign
+        p, top, divide = work[c][c], work[c], dividers[c]
+        for row in work[c + 1:]:
+            f = row[c]
+            for k in range(c + 1, len(top)):
+                if not (row[k].is_zero and (f.is_zero or top[k].is_zero)):
+                    v = p * row[k] - f * top[k]
+                    row[k] = v if divide is None else divide(v)
+        dividers.append(p.divider() if c < size - 1 else None)
+    D = work[-1][size - 1]
+    det = D if sign > 0 else -D
+    if not adjugate:
+        return det, None
+    y = [zero] * (size - 1) + [work[-1][size]]
+    for i in reversed(range(size - 1)):
+        row = work[i]
+        acc = D * row[size]
+        for j in range(i + 1, size):
+            if not (row[j].is_zero or y[j].is_zero):
+                acc = acc - row[j] * y[j]
+        y[i] = dividers[i + 1](acc)
+    return det, y if sign > 0 else [-v for v in y]
 
 
-def _nonzero_by_row(rows):
-    return [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in rows]
-
-
-def _dot(pairs, vec, stop, zero):
-    """Sum of e * vec[j] over the (j, e) of one row's nonzero pairs, j < stop."""
-    acc = None
-    for j, e in pairs:
-        if j >= stop:
-            break
-        if not vec[j].is_zero:
-            term = e * vec[j]
-            acc = term if acc is None else acc + term
-    return zero if acc is None else acc
-
-
-def _charpoly(rows, zero) -> list:
-    """Coefficients [1, p1, ..., pm] of det(lambda*I - A), by Berkowitz.
-
-    Each leading principal block A_(r+1) = [[A_r, S], [R, a]] multiplies the
-    coefficient vector of A_r by the lower triangular Toeplitz matrix with
-    first column (1, -a, -R*S, -R*A_r*S, ..., -R*A_r^(r-1)*S).  Only +, -, *
-    of the entries are used; zero entries are skipped.
-    """
-    nz = _nonzero_by_row(rows)
-    poly = [_one_like(zero)]
-    for r in range(len(rows)):
-        # negated = (a, R*S, R*A_r*S, ...): that column below its 1, negated;
-        # column runs over A_r^k * S
-        negated = [rows[r][r]]
-        column = [rows[i][r] for i in range(r)]
-        for k in range(r):
-            negated.append(_dot(nz[r], column, r, zero))
-            if k + 1 < r:
-                column = [_dot(nz[i], column, r, zero) for i in range(r)]
-        # poly has r+1 coefficients and a leading 1; the product has r+2
-        out = list(poly) + [zero]
-        for k, c in enumerate(negated, start=1):
-            if c.is_zero:
-                continue
-            out[k] = out[k] - c
-            for j in range(1, r + 2 - k):
-                if not poly[j].is_zero:
-                    out[j + k] = out[j + k] - c * poly[j]
-        poly = out
-    return poly
+def _terms(e) -> int:
+    """The number of terms of an element of R or R[T]; 0 in k."""
+    return len(e.a.terms) + len(e.b.terms) if isinstance(e, RingElement) else 0
 
 
 def _trim(coeffs: list) -> list:
@@ -399,15 +364,10 @@ def _one_like(e):
 
 
 def unit_scalar(e) -> FieldElem | None:
-    """The field constant an element equals, if it is a nonzero constant."""
-    if isinstance(e, RingElement):  # R or R[T]
-        if not e.is_constant():
-            return None
-        v = e.constant_value()
-        return v if not v.is_zero else None
-    if isinstance(e, FieldElem):
-        return e if not e.is_zero else None
-    return None
+    """The field constant an element of R, R[T] or k equals, if it is a
+    nonzero constant."""
+    c = e._raw_constant()
+    return FieldElem(e.ctx, c) if c else None
 
 
 def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | None = None):
@@ -415,12 +375,9 @@ def bezout_from_unit_resultant(A: list, B: list, m: int | None = None, n: int | 
     is a unit of R.
 
     Works over R or R[T].  The solution of the Sylvester system is the last
-    row of the adjugate of the Sylvester matrix divided by the resultant.
-    ``det_subset`` finds both in one pass.  When every coefficient is a
-    constant of k, that pass is Gaussian elimination over k, which refuses a
-    singular matrix (no adjugate row) without a further pass.  Otherwise it
-    is Berkowitz plus Horner, division-free at every size, and the unit
-    resultant is the only division.
+    row of the adjugate of the Sylvester matrix divided by the resultant,
+    both from one ``det_subset`` elimination (Gauss over k for constants,
+    else Bareiss), which refuses a singular matrix without a further pass.
     Returns (U, V) as ascending coefficient lists with deg U < n and
     deg V < m (bounds default to the actual degrees).
     """
@@ -473,10 +430,6 @@ def poly_mul(A: list, B: list, zero) -> list:
     return out
 
 
-def poly_scale(A: list, c):
-    return [a.scale(c) for a in A]
-
-
 def generation_cofactors(n: int, L0: list, L1: list):
     """Four global cofactors certifying that the sections sigma(S0), sigma(S1)
     of a degree-n homogeneous pair with unit resultant generate.
@@ -486,8 +439,8 @@ def generation_cofactors(n: int, L0: list, L1: list):
     solve gives S0*U + S1*V = beta^(2n-1) after homogenizing; the reversed
     pair (resultant +-res(S0, S1) by the reversal identity, so a unit too)
     gives the alpha power; ``recombine_cofactors`` joins them.  Each solve
-    is one ``det_subset`` pass: over k when every coefficient is a constant
-    of k, else Berkowitz.  Generic over R and R[T] coefficient lists.
+    is one ``det_subset`` elimination, Gauss over k or Bareiss.  Generic
+    over R and R[T] coefficient lists.
     """
     if len(L0) != n + 1 or len(L1) != n + 1:
         raise ValueError("homogeneous coefficient lists must have length n+1")
@@ -581,11 +534,7 @@ def resultant_identities(A: list, B: list, C: list, u: FieldElem) -> ResultantRe
     bezout_ok = _trim(combo) == [one]
 
     # reversal at the shared bound (trim first: reversal is bound-sensitive)
-    def pad(lst, k):
-        return list(lst) + [zero] * (k - len(lst))
-
-    Ar = list(reversed(pad(At, n_bound + 1)))
-    Br = list(reversed(pad(Bt, n_bound + 1)))
+    Ar, Br = ([zero] * (n_bound + 1 - len(L)) + L[::-1] for L in (At, Bt))
     reversal_lhs = resultant_univ(Ar, Br, n_bound, n_bound)
     reversal_rhs = res_nn if n_bound % 2 == 0 else -res_nn
 
@@ -606,8 +555,8 @@ def resultant_identities(A: list, B: list, C: list, u: FieldElem) -> ResultantRe
     if Bt and len(Bt) - 1 > m:
         raise PreconditionViolated("conservation identity needs deg(B) <= deg(A)")
     AX = [zero] + list(A)  # A * X
-    left_first = poly_add(AX, poly_scale(B, -(u.inverse())))
-    conservation_lhs = resultant_univ(left_first, poly_scale(A, u), m + 1, m)
+    left_first = poly_add(AX, [b.scale(-u.inverse()) for b in B])
+    conservation_lhs = resultant_univ(left_first, [a.scale(u) for a in A], m + 1, m)
     signed = resultant_univ(A, B, m, m)
     if m % 2 == 1:
         signed = -signed

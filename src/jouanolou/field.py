@@ -244,6 +244,14 @@ class FieldElem:
     def inverse(self) -> FieldElem:
         return FieldElem(self.ctx, self.ctx.rinv(self.val))
 
+    def _raw_constant(self):
+        """The raw value, as ``RingElement._raw_constant`` reads a constant."""
+        return self.val
+
+    def divider(self):
+        """The map a -> a / self, as ``RingElement.divider`` is in R."""
+        return lambda a, inv=self.inverse(): a * inv
+
     def scale(self, c: "FieldElem") -> "FieldElem":
         return self * c
 

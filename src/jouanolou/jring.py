@@ -22,9 +22,10 @@ R[T], the one-variable polynomial extension used by homotopies, is R with a
 T exponent: ``RingPolyT`` keeps the same normal form a + x*b, its parts in
 ``PARTS`` = (y, z, T) (keys (i, j, t) for y^i z^j T^t), and runs the same
 ``RingElement`` code.  An operand of R meeting one of R[T] is lifted to
-(i, j, 0) keys; parts of the two rings never mix in one sum.  The dense
-univariate kernel in :mod:`bundle` serves only the X-polynomials of the
-resultant code.
+(i, j, 0) keys; parts of the two rings never mix in one sum.  Both are
+domains with an exact division through the norm: sigma (x <-> w) is an
+involution, N(b) = b*sigma(b) has no x part, and a/b = a*sigma(b)/N(b)
+part by part (``divexact``, ``divider``), as Bareiss's elimination needs.
 
 Substitutions are term-wise maps, one pass over the term dicts on ints: the
 normal form (w -> 1 - x, x^2 -> x - yz), T at a constant, and T -> 1 - T.
@@ -33,9 +34,10 @@ normal form (w -> 1 - x, x^2 -> x - yz), T at a constant, and T -> 1 - T.
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import comb, lcm
+from math import comb, inf, lcm
 
 from .field import FieldCtx, FieldElem
+from .groebner import _Budget, _reduce_tracked, _Tracked, pack, unpack
 from .polys import (
     FUSED_DOTS,
     MPoly,
@@ -220,6 +222,43 @@ class RingElement:
 
     # in R the basepoint value is a constant of k; RingPolyT's may vary with T
     basepoint_constant = eval_basepoint
+
+    def sigma(self) -> "RingElement":
+        """The involution x <-> w = 1 - x fixing y, z: a + x*b -> a + b - x*b."""
+        return type(self)(self.a + self.b, -self.b)
+
+    def divexact(self, b) -> "RingElement":
+        """self / b for a divisor b of self (ArithmeticError otherwise)."""
+        return b.divider()(self)
+
+    def divider(self):
+        """The map q -> q / self = q * sigma(self) / N on the multiples of
+        self, N = self * sigma(self) = a^2 + a*b + yz*b^2 (no x part), both
+        computed once: each part is divided by N by the Groebner engine's
+        reduction with the one reducer N, whose remainder must be empty."""
+        ctx, n = self.ctx, len(self.PARTS)
+        if (c := self._raw_constant()) is not None:
+            return lambda q, inv=ctx.rinv(c): q.scale(inv)
+        conj = self.sigma()
+        norm = (self * conj).a
+        basis = [_Tracked(ctx, n, {pack(m): c for m, c in norm.terms.items()}, norm.den, 0)]
+
+        def part(p):
+            keyed = {pack(m): c for m, c in p.terms.items()}
+            # degrevlex is a well-order: the division stops unbudgeted
+            (rest, _), quotients = _reduce_tracked(ctx, n, keyed, p.den, basis, _Budget(inf))
+            if rest:
+                raise ArithmeticError("not an exact division in R")
+            return MPoly(ctx, self.PARTS, {unpack(m, n): c for m, c in quotients.get(0, {}).items()})
+
+        def divide(q):
+            if type(q) is not type(self):  # one operand in R, the other in R[T]
+                q, b = q._coerced(self)
+                return q.divexact(b)
+            product = q * conj
+            return type(self)(part(product.a), part(product.b))
+
+        return divide
 
     def tau(self) -> "RingElement":
         """The involution fixing x and w and swapping y with z."""

@@ -21,10 +21,6 @@ in one pass, so the kernel returns canonical pairs when given canonical
 ones.  Stored term dicts are never written after construction: a result may
 share its dict with an operand (``terms_add`` returns A itself when B is
 empty).  ``common_ctx`` is the single check that operands share a field.
-The parts a, b of an element a + x*b of R are ``MPoly`` in
-``RingElement.PARTS`` = (y, z), and those of R[T] in (y, z, T); the dense
-univariate kernel of :mod:`bundle` serves only the X-polynomials of its
-resultant code.
 ``power`` is the one square-and-multiply, ``eval_terms`` the one
 power-cached evaluation of a term dict (summed pairwise), ``dot`` the one
 sum of products.
@@ -34,45 +30,39 @@ Fateman 2005, Harvey 2009): ``packed_sum`` maps every key to one slot in
 the box of the exponents, multiplies the packed operands and unpacks once.
 A slot is only as wide as the sum it must hold (``slot_bytes``): 1, 2, 4
 or 8 bytes, whole 64-bit words past that.  CPython multiplies in about
-length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply.  Of
-the 170 packed sums in the ops of corpora 0-2 of the ``witness_boundary``
-benchmark workload, mostly F_7 certificate checks, 89 take 2-byte slots,
-65 4-byte, 15 8-byte and one 16-byte, where every slot took 8 bytes or
-more before; the 296 Q sums of ``group_roundtrip`` take 4 (193) or 8 bytes
-(103), and a Q sum needing 5 bytes or more keeps 8.
+length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply: in
+corpora 0-2 of the benchmark workloads, 154 of the 170 packed sums of
+``witness_boundary`` (mostly F_7) take 2 or 4 bytes, and the 296 Q sums of
+``group_roundtrip`` 4 (193) or 8 bytes.
 
-``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``:
-the packed product from PACK_MIN_PAIRS = 1000 term pairs on, and only when
-the slot range is at most PACK_SLOTS_PER_PAIR = 1 times the pair count.
-That density guard keeps a sparse product such as x^(10^6) * (...) on the
-dict loop and bounds the packed buffer by the loop's own work; of the 492
-products and sums of 1000 pairs or more in corpora 0-2 (set-up included)
-of the ``group_roundtrip`` and ``witness_boundary`` benchmark workloads,
-all but one ``MPoly`` sum (1.05 slots per pair, left to the loop) have at
-most 0.39 slots per pair, so it keeps every win.
-The cutoff is measured on a sample of 579 products of 100 pairs or more from
-corpora 0-1 of those workloads (CPython 3.11, 2-core x86-64 VM): the dict
-loop won 251 of the 312 below 300 pairs, packing won 159 of the 179 at
-300-999 pairs by about 1.3x, and all 88 from 1000 pairs on, by about 2.6x.
-Re-measured with the narrower slots on the single products of 100-999
-pairs that the dict loop ran in corpora 0-2 of both workloads (best of 5
-each): packing won 120 of 294 below 300 pairs (0.025 s on the loop against
-0.035 s packed), 132 of 162 at 300-499 (0.025 against 0.019 s) and all 36
-at 500-999 (0.0085 against 0.0044 s), while 208 more stayed on the loop by
-the density guard.  Lowering the cutoff to 500 would save about 4 ms in
-three corpora, far below what parent/change pairs of the benchmark
-resolve, so the cutoff stays 1000.
-``dot`` on ``MPoly`` pairs is one accumulation at every size (the
-certificate checks and cofactor weights of :mod:`groebner`): the products go
-into one dict, or from the cutoff on into one packed sum, settled once.
-``dot`` on the ring elements of R and R[T] (the fused sum :mod:`jring`
-registers in FUSED_DOTS) is one accumulation per part from the cutoff on,
-a = sum(a1 a2 - yz b1 b2) and b = sum(a1 b2 + b1 a2 + b1 b2) over the lcm
-of the pair denominators, each one ``_products`` call: an entry of a 2x2
-matrix product is one packed sum where it was up to eight products.  Below
-the cutoff it is the running sum of ring products, so small results keep
-that composition's key order.  ``packed_sum`` boxes and packs an operand of
-several products once.
+``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``,
+by three guards, measured with CPython 3.11 on a 2-core x86-64 VM:
+- The cutoff PACK_MIN_PAIRS = 1000 term pairs.  On the products of 100
+  pairs or more in corpora 0-1 of the ``group_roundtrip`` and
+  ``witness_boundary`` benchmark workloads, the loop won 251 of 312 below
+  300 pairs and packing all 88 from 1000 on, by about 2.6x.  With the
+  narrower slots packing won 132 of 162 at 300-499 pairs and all 36 at
+  500-999 in corpora 0-2, but a cutoff of 500 would save about 4 ms in
+  three corpora, below what the benchmark resolves.
+- The slot range at most PACK_SLOTS_PER_PAIR = 1 times the pairs: it keeps
+  a sparse product such as x^(10^6) * (...) on the loop and bounds the
+  packed buffer by the loop's work.  Of the 492 products and sums of 1000
+  pairs or more in corpora 0-2 of both workloads (set-up included), all
+  but one ``MPoly`` sum (1.05) have at most 0.39 slots per pair.
+- The operand boxes: a packed multiply costs box(A) * box(B) slots, so
+  ``_products`` declines r = sum(box(A) * box(B)) / pairs above
+  PACK_BOX_PER_PAIR = 16.  Every packed sum of corpora 0-2 of both
+  workloads (set-up included) and of an ``oplus`` chain to degree 6 over Q
+  and F_7 has r = 2.0-9.4 and stays packed, in the same key order.  The
+  packed sums of cold ``n_pi(12..20)``, whose operands fill 7-10% of their
+  boxes, had r = 43.5-135 over Q (5, 19 and 39 sums at n = 12, 16, 20) and
+  157-221 over F_7 (5 at n = 20); on the loop cold ``n_pi(24)`` over Q
+  takes 0.74-0.80 s, against 8.0-8.5 s packed.
+``dot`` on ``MPoly`` pairs (the certificate checks and cofactor weights of
+:mod:`groebner`) is one ``_products`` call at every size; on the ring
+elements of R and R[T] (the fused sum :mod:`jring` registers in FUSED_DOTS)
+it is one per part from the cutoff on, and below it the running sum of ring
+products, so small results keep that composition's key order.
 The dict loop stays as the small-product path and as the tests' oracle.
 Large products and large sums come back in slot order, not the loop's: no
 result may depend on key order (printing sorts; ``realize`` sums floats in
@@ -103,11 +93,10 @@ from .errors import ContextMismatch
 from .field import FieldCtx
 
 
-# a product of PACK_MIN_PAIRS term pairs or more is one packed big-int
-# multiply when its slot range is at most PACK_SLOTS_PER_PAIR times its pair
-# count (``_products``); see the module docstring for the measurements
+# the three guards of ``_products``; the module docstring has the measurements
 PACK_MIN_PAIRS = 1000
 PACK_SLOTS_PER_PAIR = 1
+PACK_BOX_PER_PAIR = 16
 
 
 def common_ctx(c1: FieldCtx, c2: FieldCtx) -> FieldCtx:
@@ -219,7 +208,7 @@ def slot_bytes(bound: int) -> int:
     return 8 * ((bits + 63) // 64)
 
 
-def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None:
+def packed_sum(products, max_slots: int, acc: dict | None = None, box: dict | None = None):
     """sum(s * A * B over (s, A, B) in products) + acc as a dict of int
     sums, by Kronecker substitution (zero slots of the products dropped;
     the caller settles the sum); None when the slot range exceeds
@@ -228,15 +217,16 @@ def packed_sum(products, max_slots: int, acc: dict | None = None) -> dict | None
     The slots cover the box of the products' exponents, the last variable
     with stride 1.  A slot is :func:`slot_bytes` of the bound
     sum(|s| * max|a| * max|b| * min(|A|, |B|)) on its values: 1, 2, 4 or 8
-    bytes, or whole 64-bit words past that.  Each operand is boxed and
-    packed once, however many products it enters; each product is one
+    bytes, or whole 64-bit words past that.  Each operand is boxed (unless
+    ``box`` has it by id) and packed once, however many products it
+    enters; each product is one
     big-int multiply shifted to its place, and the sum is unpacked once:
     every slot is offset by half its range so the whole is
     nonnegative, written out by ``to_bytes`` and read back by one
     little-endian ``struct`` format (B, H, I or Q, words recombined past
     8 bytes), whatever the host's byte order."""
     operands = {id(X): X for _, A, B in products for X in (A, B)}
-    box = {key: _box(X) for key, X in operands.items()}
+    box = box or {key: _box(X) for key, X in operands.items()}
     boxes = [(s, A, B, *box[id(A)], *box[id(B)]) for s, A, B in products]
     low = [min(v) for v in zip(*(map(add, la, lb) for _, _, _, la, _, lb, _ in boxes))]
     high = [max(v) for v in zip(*(map(add, ha, hb) for _, _, _, _, ha, _, hb in boxes))]
@@ -290,17 +280,29 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | Non
 def _products(ctx: FieldCtx, scaled: list, pairs: int, den: int, acc: dict | None = None):
     """(terms, den) of (sum(s * A * B over (s, A, B) in scaled) + acc) / den,
     A and B nonempty, ``pairs`` the term pairs in all: one
-    :func:`packed_sum` from PACK_MIN_PAIRS pairs on, when the slot range is
-    at most PACK_SLOTS_PER_PAIR times ``pairs``, else the dict loop of
+    :func:`packed_sum` from PACK_MIN_PAIRS pairs on, when the operand boxes
+    (:func:`_box_work`) are at most PACK_BOX_PER_PAIR times ``pairs`` and
+    the slot range at most PACK_SLOTS_PER_PAIR times, else the dict loop of
     :func:`_mul_into` (``acc`` first, then the products in order)."""
     out = None
     if pairs >= PACK_MIN_PAIRS:
-        out = packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, acc)
+        work, box = _box_work(scaled)
+        if work <= PACK_BOX_PER_PAIR * pairs:
+            out = packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, acc, box)
     if out is None:
         out = {} if acc is None else dict(acc)
         for s, A, B in scaled:
             _mul_into(out, A, B, s)
     return settled(ctx, out, den)
+
+
+def _box_work(scaled: list) -> tuple[int, dict]:
+    """(sum(box(A) * box(B)) over the products (s, A, B), what the packed
+    multiplies cost, box(X) the slots of the box of X's exponents; and
+    ``_box`` of each operand by id, for :func:`packed_sum`)."""
+    box = {id(X): _box(X) for X in {id(X): X for _, A, B in scaled for X in (A, B)}.values()}
+    slots = {key: prod(h - l + 1 for l, h in zip(*b)) for key, b in box.items()}
+    return sum(slots[id(A)] * slots[id(B)] for _, A, B in scaled), box
 
 
 def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:

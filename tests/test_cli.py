@@ -141,7 +141,7 @@ def test_resultant_of_a_pair_with_a_vanishing_top(capsys, field, want):
     [("Q", "y^2*z - 2*x*z - y*z + z^2 + x"), ("Fp=7", "y^2*z + 5*x*z + 6*y*z + z^2 + x")],
 )
 def test_resultant_of_a_symbolic_pair(capsys, field, want):
-    # a 4x4 Sylvester matrix with entries in x, y, z: Berkowitz
+    # a 4x4 Sylvester matrix with entries in x, y, z: Bareiss
     pair = "x; y; 1 | z; 0; 1"
     code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", "2")
     assert code == 0 and out.strip() == want
@@ -155,10 +155,25 @@ def test_resultant_of_a_symbolic_pair(capsys, field, want):
     ],
 )
 def test_resultant_of_a_six_row_symbolic_pair(capsys, field, want):
-    # the same outputs the subset pass gave before Berkowitz took every size
+    # the same outputs the subset pass gave before the division-free routes
     pair = "x; y; 0; 1 | z; 0; 1; y"
     code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", "3")
     assert code == 0 and out.strip() == want
+
+
+@pytest.mark.parametrize(
+    "field, degree, pair, want",
+    [
+        ("Q", "4", "x; y; 0; 1; z | z; 0; 1; y; x*y", "772f2fc761cc1d1b0b83b0756b33b3423e895b65"),
+        ("Fp=7", "4", "x; y; 0; 1; z | z; 0; 1; y; x*y", "8a7e2681a62771cc02cd5313a9c7d74fb4cfdcc5"),
+        ("Q", "6", "x; y; 0; 1; z; w; 2 | z; 0; 1; y; x; 3; w", "6bef16a473a151123fa0ef29f828caf201e6b940"),
+        ("Fp=7", "6", "x; y; 0; 1; z; w; 2 | z; 0; 1; y; x; 3; w", "f3306c6d555d713bd4e20d3f047611e9aa2bd7d1"),
+    ],
+)
+def test_resultant_of_eight_and_twelve_row_symbolic_pairs(capsys, field, degree, pair, want):
+    # sha1 of the printed resultants Berkowitz gave, as the CI step pins them
+    code, out, _ = run(capsys, "--field", field, "resultant", "--pair", pair, "--degree", degree)
+    assert code == 0 and hashlib.sha1(out.encode()).hexdigest() == want
 
 
 def test_sum(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jouanolou.errors import ContextMismatch
+from jouanolou.errors import ContextMismatch, DivisionByZero
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import (
     RingElement,
@@ -276,3 +276,60 @@ def test_every_part_is_an_mpoly_in_its_rings_parts(ctx):
             assert type(part) is MPoly and part.vars == type(e).PARTS
     with pytest.raises(ValueError, match="different rings"):
         RingElement.gen_y(ctx).a + RingPolyT.gen_T(ctx).a
+
+
+# ---------------------------------------------------------------------------
+# exact division through the norm N(b) = b * sigma(b)
+
+
+def _random_element(rng, cls, ctx, count):
+    """An element of R or R[T] with up to ``count`` terms in x, y, z (and T)."""
+    raw = {}
+    for _ in range(count):
+        mon = tuple(rng.randint(0, 2) for _ in cls.VARS)
+        value = rng.randint(-4, 4)
+        raw[mon] = ctx.rfrom_fraction(value, rng.randint(1, 3)) if ctx.p is None else value % ctx.p
+    p = MPoly(ctx, cls.VARS, raw)
+    return mpoly_to_ringpolyt(p) if cls is RingPolyT else mpoly_to_ring(p)
+
+
+@pytest.mark.parametrize("cls", [RingElement, RingPolyT], ids=["R", "R[T]"])
+@pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(2)], ids=str)
+def test_divexact_inverts_the_product(ctx, cls):
+    rng = random.Random(f"divexact:{cls.__name__}:{ctx.p}")
+    tested = 0
+    for _ in range(30):
+        a, b = _random_element(rng, cls, ctx, 5), _random_element(rng, cls, ctx, 4)
+        if b.is_zero:
+            continue
+        tested += 1
+        assert (a * b).divexact(b) == a
+        divide = b.divider()
+        assert divide(a * b) == a and divide(b) == cls.one(ctx) and divide(a - a).is_zero
+        # sigma is an involution, and the norm b * sigma(b) has no x part
+        assert b.sigma().sigma() == b
+        assert (b * b.sigma()).b.is_zero
+    assert tested >= 25
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(2)], ids=str)
+def test_divexact_across_R_and_R_T(ctx):
+    a, b = R("x*y + z - 1", ctx), R("x + y*z", ctx)
+    at = parse_polyt("x*T + y*T^2 - 1", ctx)
+    assert (at * b).divexact(b) == at
+    assert (a * b).divexact(RingPolyT.from_ring(b)) == RingPolyT.from_ring(a)
+    assert RingPolyT.from_ring(a * b).divexact(b) == RingPolyT.from_ring(a)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(2)], ids=str)
+def test_divexact_refuses_an_inexact_division(ctx):
+    one, x = RingElement.one(ctx), RingElement.gen_x(ctx)
+    # x is no unit: its norm x*w = yz is not a constant
+    assert (x * x.sigma()) == R("y*z", ctx)
+    for a, b in ((one, x), (R("x + y", ctx), R("y*z + 1", ctx)), (R("y", ctx), R("y^2", ctx))):
+        with pytest.raises(ArithmeticError, match="not an exact division"):
+            a.divexact(b)
+    with pytest.raises(ArithmeticError):
+        parse_polyt("T", ctx).divexact(parse_polyt("x*T^2 + y", ctx))
+    with pytest.raises(DivisionByZero):
+        one.divexact(RingElement.zero(ctx))

@@ -30,7 +30,9 @@ from hypothesis import given, settings, strategies as st
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
 from jouanolou import jring
+from jouanolou import polys as kernel
 from jouanolou.polys import (
+    PACK_BOX_PER_PAIR,
     PACK_MIN_PAIRS,
     _mul_into,
     MPoly,
@@ -511,6 +513,32 @@ def test_a_sparse_large_product_keeps_to_the_dict_loop(ctx):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert got == settled(ctx, plain_terms_mul(ctx, a, b), 1)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_operands_that_fill_little_of_their_boxes_keep_to_the_dict_loop(ctx, monkeypatch):
+    """100 by 100 terms spread over 500 and 400 exponents: the packed
+    multiply would cost sum(box(A) * box(B)) = 20 times the 10^4 pairs,
+    above PACK_BOX_PER_PAIR, while the result box (899 slots) passes the
+    slot guard, so the loop runs.  Spread over 200 and 200 (4 times the
+    pairs) the product packs.  Both equal the plain loop."""
+    rng = random.Random(11)
+    packed = []
+
+    def counted(*args):
+        out = real(*args)
+        packed.extend([] if out is None else [len(packed)])
+        return out
+
+    real = kernel.packed_sum
+    monkeypatch.setattr(kernel, "packed_sum", counted)
+    for width_a, width_b, packs in ((500, 400, False), (200, 200, True)):
+        a, b = ({(e, 0): rng.randint(1, 6) for e in [0, width - 1, *rng.sample(range(1, width - 1), 98)]}
+                for width in (width_a, width_b))
+        before = len(packed)
+        assert terms_mul(ctx, a, 1, b, 1) == settled(ctx, plain_terms_mul(ctx, a, b), 1)
+        assert (len(packed) > before) == packs
+        assert (kernel._box_work([(1, a, b)])[0] > PACK_BOX_PER_PAIR * len(a) * len(b)) != packs
 
 
 @pytest.mark.parametrize("ctx", FIELDS)

@@ -108,19 +108,16 @@ def _spanning_matrix(f: JMap) -> tuple[PointedSL2, FieldElem]:
         raise NoCertificate("map carries no generation certificate")
     ctx = f.ctx
     a0, a1, b0, b1 = f.data
-    one = RingElement.one(ctx)
-    target_r = one - dot(((a0, b1), (-a1, b0)))
+    target_r = RingElement.one(ctx) - dot(((a0, b1), (-a1, b0)))
     # the map's own generation certificate supplies the completion cofactors:
     # multiplying U_x G_ax + V_x G_bx + U_w G_aw + V_w G_bw = 1 by the target
     # expresses it in the column ideal without any new ideal-membership run
     ux, vx, uw, vw = f.cert
     c, cp, d, dp = target_r * vx, target_r * vw, target_r * ux, target_r * uw
     xn, yn, zn, wn = spanning_powers(ctx, f.degree)
-    # a0 enters as a product by one, so each entry sums left to right as
-    # a0 + yn*c + wn*cp did, and a small one keeps that key order
     m_prime = (
-        (dot(((a0, one), (yn, c), (wn, cp))), dot(((a1, one), (-xn, c), (-zn, cp)))),
-        (dot(((b0, one), (-yn, d), (-wn, dp))), dot(((b1, one), (xn, d), (zn, dp)))),
+        (a0 + dot(((yn, c), (wn, cp))), a1 - dot(((xn, c), (zn, cp)))),
+        (b0 - dot(((yn, d), (wn, dp))), b1 + dot(((xn, d), (zn, dp)))),
     )
     e = (a1 - c).eval_basepoint()
     # det(m_prime) = a0*b1 - a1*b0 + target_r = 1 by the certificate identity

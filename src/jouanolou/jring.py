@@ -13,10 +13,10 @@ operand over one denominator once, the product by yz is a shift of
 exponents, and no ``Fraction`` is built; a zero or constant operand (the 0
 and 1 entries of an elementary matrix, say) scales the other instead.
 A sum of ring products (an entry of a 2x2 matrix product, of the action on
-section data or of certificate transport) is ``polys.dot``, for which this
-module registers :func:`_fused_dot`: from ``PACK_MIN_PAIRS`` term pairs on,
-each part of the sum is one accumulation, settled once; smaller sums stay
-the running sum of products.
+section data or of certificate transport) is ``polys.dot``, which runs
+:meth:`RingElement.sum_of_products`: each part of the sum is one
+accumulation, settled once, at every size.  No result depends on key
+order: printing sorts, and ``realize`` reads terms in sorted key order.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
 T exponent: ``RingPolyT`` keeps the same normal form a + x*b, its parts in
@@ -33,19 +33,19 @@ normal form (w -> 1 - x, x^2 -> x - yz), T at a constant, and T -> 1 - T.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import zip_longest
 from math import comb, inf, lcm
 
 from .field import FieldCtx, FieldElem
 from .groebner import _Budget, _reduce_tracked, _Tracked, pack, unpack
 from .polys import (
-    FUSED_DOTS,
     MPoly,
-    _products,
     common_ctx,
     power,
     raw_coeff,
     settled,
+    sum_of_scaled,
     terms_add,
     terms_mul,
     terms_over,
@@ -159,6 +159,26 @@ class RingElement:
         b = terms_mul(ctx, a1, d1, b2, d2, terms_mul(ctx, a2, 1, b1, 1, bb)[0])
         return type(self)(MPoly(ctx, self.PARTS, *a), MPoly(ctx, self.PARTS, *b))
 
+    @classmethod
+    def sum_of_products(cls, pairs) -> "RingElement":
+        """sum(r * s for r, s in pairs) over R, or over R[T] when any factor
+        is in R[T] (the others lifted), as one ``polys.sum_of_scaled`` per
+        part: a = sum(a1 a2 - yz b1 b2) and b = sum(a1 b2 + b1 a2 + b1 b2)."""
+        if any(type(e) is RingPolyT for pair in pairs for e in pair):
+            cls = RingPolyT
+        ctx = pairs[0][0].ctx
+        a_sum, b_sum = [], []
+        for r, s in pairs:
+            ctx = common_ctx(ctx, common_ctx(r.ctx, s.ctx))
+            r, s = (e if type(e) is cls else cls.from_ring(e) for e in (r, s))
+            a1, b1, a2, b2 = ((p.terms, p.den) for p in (r.a, r.b, s.a, s.b))
+            a_sum.append((1, *a1, *a2))
+            if b1[0] and b2[0]:
+                yz_b1 = {(m[0] + 1, m[1] + 1) + m[2:]: c for m, c in b1[0].items()}
+                a_sum.append((-1, yz_b1, b1[1], *b2))
+            b_sum += [(1, *a1, *b2), (1, *b1, *a2), (1, *b1, *b2)]
+        return cls(sum_of_scaled(ctx, cls.PARTS, a_sum), sum_of_scaled(ctx, cls.PARTS, b_sum))
+
     def _raw_constant(self):
         """The raw value of a constant element (0 for zero), None for any
         other."""
@@ -267,11 +287,6 @@ class RingElement:
             for p in (self.a, self.b)
         ))
 
-    def eval_float(self, x: float, y: float, z: float) -> float:
-        a, b = (sum(c / p.den * y**i * z**j for (i, j), c in p.terms.items())
-                for p in (self.a, self.b))
-        return a + x * b
-
     def to_mpoly(self, vars: tuple[str, ...] | None = None) -> MPoly:
         """Lift the normal form to the free polynomial ring on ``vars``
         (default: the ring's own ``VARS``)."""
@@ -327,15 +342,11 @@ def _normal_form(p: MPoly, cls):
         raise ValueError(f"no variable {sorted(unknown)[0]!r} in the device's ring")
     slots = [p.vars.index(v) if v in p.vars else None for v in ("x", "w", "y", "z", "T")]
     with_t = cls is RingPolyT
-    powers = [([1], [0])]  # (p_e, q_e), ascending coefficients in u
-    images: dict = {}  # (e_x, e_w) -> nonzero (s, coefficient of u^s) of a and of b
     a: dict = {}
     b: dict = {}
     for m, c in p.terms.items():
         ex, ew, i, j, t = (0 if k is None else m[k] for k in slots)
-        if (ex, ew) not in images:
-            images[ex, ew] = _x_w_image(ex, ew, powers)
-        for out, image in zip((a, b), images[ex, ew]):
+        for out, image in zip((a, b), _x_w_image(ex, ew)):
             for s, coef in image:
                 key = (i + s, j + s, t) if with_t else (i + s, j + s)
                 out[key] = out.get(key, 0) + c * coef
@@ -344,23 +355,28 @@ def _normal_form(p: MPoly, cls):
                MPoly(ctx, cls.PARTS, *settled(ctx, b, p.den)))
 
 
-def _x_w_image(ex: int, ew: int, powers: list) -> tuple[list, list]:
+# (p_e, q_e) with x^e = p_e(u) + x*q_e(u), ascending int coefficients in
+# u = yz, extended as needed; they do not depend on the field
+_X_POWERS = [([1], [0])]
+
+
+@cache
+def _x_w_image(ex: int, ew: int) -> tuple[tuple, tuple]:
     """x^ex * w^ew as (p, q), x^ex * (1 - x)^ew = p(u) + x*q(u), each as the
-    (s, coefficient) pairs of its nonzero u^s; ``powers`` holds (p_e, q_e)
-    and is extended as needed."""
-    while len(powers) <= ex + ew:
-        pe, qe = powers[-1]
+    (s, coefficient) pairs of its nonzero u^s; ints, kept across calls."""
+    while len(_X_POWERS) <= ex + ew:
+        pe, qe = _X_POWERS[-1]
         q_next = [c + d for c, d in zip_longest(pe, qe, fillvalue=0)]
-        powers.append(([0] + [-c for c in qe], q_next))
+        _X_POWERS.append(([0] + [-c for c in qe], q_next))
     p: list = []
     q: list = []
     for k in range(ew + 1):
         sign = comb(ew, k) * (-1) ** k
-        for acc, part in zip((p, q), powers[ex + k]):
+        for acc, part in zip((p, q), _X_POWERS[ex + k]):
             acc.extend([0] * (len(part) - len(acc)))
             for s, coef in enumerate(part):
                 acc[s] += sign * coef
-    return [(s, c) for s, c in enumerate(p) if c], [(s, c) for s, c in enumerate(q) if c]
+    return tuple(tuple((s, c) for s, c in enumerate(acc) if c) for acc in (p, q))
 
 
 CHART_VARS = {"phi0": ("a", "b"), "phi1": ("s", "t")}
@@ -423,11 +439,6 @@ class RingPolyT(RingElement):
             parts.append(MPoly(ctx, cls.PARTS, *settled(ctx, acc, part.den * scale)))
         return cls(*parts)
 
-    def eval_float(self, x: float, y: float, z: float) -> float:
-        """Refused: an element of R[T] has no value at a point of the device
-        alone; evaluate T first (``eval_at_T(t).eval_float(x, y, z)``)."""
-        raise TypeError("an element of R[T] needs a value of T: use eval_at_T(t).eval_float")
-
     def T_degree(self) -> int:
         return max((m[2] for part in (self.a, self.b) for m in part.terms), default=0)
 
@@ -467,49 +478,3 @@ class RingPolyT(RingElement):
 def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:
     """Normal form in R[T] of a polynomial in x, y, z, w and T."""
     return _normal_form(p, RingPolyT)
-
-
-def _fused_dot(pairs, cutoff: int):
-    """sum(r * s for r, s in pairs) over R, or over R[T] when any factor is
-    in R[T] (the others lifted), as one accumulation per part over the lcm D
-    of the pair denominators: a = sum(a1 a2 - yz b1 b2) and
-    b = sum(a1 b2 + b1 a2 + b1 b2), each settled once by ``_products`` (one
-    packed multiply when it is large enough).  None when the sum has fewer
-    than ``cutoff`` term pairs: ``polys.dot`` then keeps the running sum."""
-    count = 0
-    for r, s in pairs:
-        rb, sb = len(r.b.terms), len(s.b.terms)
-        count += (len(r.a.terms) + rb) * (len(s.a.terms) + sb) + rb * sb
-    if count < cutoff:
-        return None
-    cls = RingPolyT if any(type(e) is RingPolyT for pair in pairs for e in pair) else RingElement
-    ctx = pairs[0][0].ctx
-    parts = []
-    for r, s in pairs:
-        ctx = common_ctx(ctx, common_ctx(r.ctx, s.ctx))
-        r, s = (e if type(e) is cls else cls.from_ring(e) for e in (r, s))
-        parts.append((*r._parts_over(), *s._parts_over()))
-    D = lcm(*(d1 * d2 for _, _, d1, _, _, d2 in parts))
-    a_sum, b_sum = [], []
-    for a1, b1, d1, a2, b2, d2 in parts:
-        k = D // (d1 * d2)
-        if a1 and a2:
-            a_sum.append((k, a1, a2))
-        if b1 and b2:
-            yz_b1 = {(m[0] + 1, m[1] + 1) + m[2:]: c for m, c in b1.items()}
-            a_sum.append((-k, yz_b1, b2))
-        if a1 and b2:
-            b_sum.append((k, a1, b2))
-        if b1:
-            b_sum += [(k, b1, B) for B in (a2, b2) if B]
-
-    def settled_part(scaled):
-        if not scaled:
-            return MPoly.zero(ctx, cls.PARTS)
-        count = sum(len(A) * len(B) for _, A, B in scaled)
-        return MPoly(ctx, cls.PARTS, *_products(ctx, scaled, count, D))
-
-    return cls(settled_part(a_sum), settled_part(b_sum))
-
-
-FUSED_DOTS[RingElement] = FUSED_DOTS[RingPolyT] = _fused_dot

@@ -58,15 +58,13 @@ by three guards, measured with CPython 3.11 on a 2-core x86-64 VM:
   boxes, had r = 43.5-135 over Q (5, 19 and 39 sums at n = 12, 16, 20) and
   157-221 over F_7 (5 at n = 20); on the loop cold ``n_pi(24)`` over Q
   takes 0.74-0.80 s, against 8.0-8.5 s packed.
-``dot`` on ``MPoly`` pairs (the certificate checks and cofactor weights of
-:mod:`groebner`) is one ``_products`` call at every size; on the ring
-elements of R and R[T] (the fused sum :mod:`jring` registers in FUSED_DOTS)
-it is one per part from the cutoff on, and below it the running sum of ring
-products, so small results keep that composition's key order.
+``dot`` is one ``_products`` call per result polynomial at every size:
+on ``MPoly`` pairs (the certificate checks and cofactor weights of
+:mod:`groebner`) and on each part of a sum of ring elements of R and R[T].
 The dict loop stays as the small-product path and as the tests' oracle.
-Large products and large sums come back in slot order, not the loop's: no
-result may depend on key order (printing sorts; ``realize`` sums floats in
-dict order, and its recorded floats hold).
+Large products and large sums come back in slot order, not the loop's, and
+no result depends on key order: printing sorts, and ``realize`` reads the
+terms in sorted key order.
 
 Raw coefficients (``Fraction`` over Q, int over F_p) cross only at the
 boundary: ``cleared`` puts a dict of them into the stored form (the
@@ -417,46 +415,25 @@ def power(base, e: int, one):
     return out
 
 
-# the fused sums of products of other ring types, by the type of the first
-# factor: :mod:`jring` registers the one of R and R[T] (see ``dot``)
-FUSED_DOTS: dict = {}
-
-
 def dot(pairs):
-    """sum(a * b for a, b in pairs) in any ring type, None for no pairs.
-
-    ``MPoly`` pairs are one accumulation over the lcm of the pair
-    denominators, settled once by :func:`_products`, as ``terms_mul`` is.
-    A type in FUSED_DOTS (the ring elements of :mod:`jring`) is given the
-    pairs and the cutoff PACK_MIN_PAIRS and returns its fused sum, or None
-    below the cutoff.  Otherwise ``dot`` keeps a running sum of ``*`` and
-    ``+``, so small ring sums keep the key order of that composition."""
+    """sum(a * b for a, b in pairs), None for no pairs: the
+    ``sum_of_products`` of the first factor's type (``MPoly``, or the ring
+    elements of :mod:`jring`), one accumulation per result polynomial."""
     pairs = list(pairs)
-    if pairs:
-        kind = type(pairs[0][0])
-        if kind is MPoly:
-            return _mpoly_dot(pairs)
-        fused = FUSED_DOTS.get(kind)
-        if fused is not None and (out := fused(pairs, PACK_MIN_PAIRS)) is not None:
-            return out
-    acc = None
-    for a, b in pairs:
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+    return type(pairs[0][0]).sum_of_products(pairs) if pairs else None
 
 
-def _mpoly_dot(pairs):
-    """The fused sum of products of ``dot`` on MPoly pairs."""
-    first = pairs[0][0]
-    for a, b in pairs:
-        first._ctx(a)
-        ctx = a._ctx(b)
-    live = [(a, b) for a, b in pairs if a.terms and b.terms]
-    D = lcm(*(a.den * b.den for a, b in live))
-    scaled = [(D // (a.den * b.den), a.terms, b.terms) for a, b in live]
+def sum_of_scaled(ctx: FieldCtx, vars: tuple, products) -> "MPoly":
+    """sum(s * A/dA * B/dB over (s, A, dA, B, dB) in products) as an MPoly
+    in ``vars``: the products with an empty factor dropped, the others put
+    over the lcm D of the dA * dB and summed by one :func:`_products`."""
+    products = [(s, A, dA, B, dB) for s, A, dA, B, dB in products if A and B]
+    if not products:
+        return MPoly.zero(ctx, vars)
+    D = lcm(*(dA * dB for _, _, dA, _, dB in products))
+    scaled = [(s * (D // (dA * dB)), A, B) for s, A, dA, B, dB in products]
     pairs = sum(len(A) * len(B) for _, A, B in scaled)
-    return MPoly(ctx, first.vars, *_products(ctx, scaled, pairs, D))
+    return MPoly(ctx, vars, *_products(ctx, scaled, pairs, D))
 
 
 def eval_terms(terms: dict, den: int, images: list, const):
@@ -543,6 +520,16 @@ class MPoly:
         ctx = self._ctx(other)
         product = terms_mul(ctx, self.terms, self.den, other.terms, other.den)
         return MPoly(ctx, self.vars, *product)
+
+    @classmethod
+    def sum_of_products(cls, pairs) -> "MPoly":
+        """The fused sum of products of :func:`dot` on MPoly pairs."""
+        first = pairs[0][0]
+        for a, b in pairs:
+            first._ctx(a)
+            ctx = a._ctx(b)
+        products = [(1, a.terms, a.den, b.terms, b.den) for a, b in pairs]
+        return sum_of_scaled(ctx, first.vars, products)
 
     def scale(self, raw) -> "MPoly":
         return MPoly(self.ctx, self.vars, *terms_scale(self.ctx, self.terms, self.den, raw))

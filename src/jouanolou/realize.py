@@ -17,9 +17,11 @@ Bitwise contract of the evaluation: each sample is evaluated once, in its
 active chart, yet every float (section values, angles, winding profile) is
 the same bit for bit as evaluating both charts at every sample and picking
 one.  IEEE multiplies and adds are correctly rounded per element, so taking
-a subset of samples or working in place changes no bit; the term order and
-the factor order within a term are kept (no Horner, no pairwise sums), and
-the powers of y are taken on the full sample array before any subset.
+a subset of samples or working in place changes no bit.  The terms are
+read in sorted key order, so the floats depend on the map alone, not on the
+order of its term dicts; the factor order within a term is kept (no Horner,
+no pairwise sums), and the powers of y are taken on the full sample array
+before any subset.
 
 numpy is imported on the first realization (`winding_degree`,
 `winding_profile`, `eval_rp1`, `jou realize`, `jou selftest`), not when the
@@ -61,12 +63,13 @@ def gamma_point(theta: float) -> tuple[float, float, float]:
 
 
 def _compile(r) -> list[tuple[float, int, int, int]]:
-    """RingElement -> [(coeff, x-exp, y-exp, z-exp)] for float evaluation."""
+    """RingElement -> [(coeff, x-exp, y-exp, z-exp)] for float evaluation,
+    sorted by (x-exp, y-exp, z-exp)."""
     out = []
     for xe, part in enumerate((r.a, r.b)):
         den = part.den
         # int / int is correctly rounded: the same float as float(Fraction)
-        out.extend((c / den, xe, i, j) for (i, j), c in part.terms.items())
+        out.extend((c / den, xe, i, j) for (i, j), c in sorted(part.terms.items()))
     return out
 
 

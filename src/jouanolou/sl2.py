@@ -9,7 +9,7 @@ matrix over R moves a map, a path over R[T] (``homotopy.Sl2Path``) moves
 a witness segment, and the certificate and homogeneous lift transport
 exactly (no new ideal membership runs are needed).  Every entry of a
 matrix product, of the action and of the transported certificate is one
-``polys.dot`` sum of products, fused for large entries.
+``polys.dot`` sum of products, fused at every size.
 """
 
 from __future__ import annotations
@@ -202,7 +202,6 @@ def transform_cert(entries: Entries, cert):
     (adjugate, det = 1) pulls the old certificate to the new columns.
     """
     (e00, e01), (e10, e11) = entries
-    # each difference a sum: negating the shared entry keeps the key order
     n01, n10 = -e01, -e10
     Ux, Vx, Uw, Vw = cert
     return (

@@ -7,7 +7,8 @@ Over Q and F_7, with denominators up to 2^64:
 * the ring product, on ints with each operand cleared once, equals the
   four-product composition on ``Fraction`` dicts, key order included;
 * printed text equals the text of a ``Fraction``-dict oracle;
-* the floats ``realize`` evaluates are bitwise those of ``float(Fraction)``.
+* the floats ``realize`` evaluates are bitwise those of ``float(Fraction)``,
+  read in sorted key order.
 """
 
 from fractions import Fraction
@@ -264,7 +265,7 @@ def test_compiled_floats_are_bitwise_float_of_fraction(ctx):
         for out in (r, r * s):
             want = []
             for xe, part in enumerate(raw_parts(out)):
-                want.extend((float(c), xe, i, j) for (i, j), c in part.items())
+                want.extend((float(c), xe, i, j) for (i, j), c in sorted(part.items()))
             got = _compile(out)
             assert [(c.hex(), *rest) for c, *rest in got] == [(c.hex(), *rest) for c, *rest in want]
 

@@ -1,16 +1,18 @@
 """The fused sum of products over R and R[T].
 
-``polys.dot`` on ring elements is one accumulation per part from
-``PACK_MIN_PAIRS`` term pairs on, and the running sum of ``*`` and ``+``
-below.  Over Q and F_7:
+``polys.dot`` on ring elements is one accumulation per part at every size:
+the dict loop below ``PACK_MIN_PAIRS`` term pairs, one packed multiply from
+there on.  No result depends on key order (printing sorts, and ``realize``
+reads terms in sorted key order), so the running sum of ``*`` and ``+``
+is the oracle for values only.  Over Q and F_7:
 
-* its value equals the running sum of products, for pairs of R and R[T]
-  elements (an R factor meeting an R[T] one is lifted), zero and constant
-  operands included, and None for no pairs; with the cutoff at 1 the same
-  holds on the packed path;
-* below the cutoff, the results of ``dot``, ``Mat2 @``, ``act`` and
-  ``transform_cert`` keep the key order of the composition of products
-  they replace.
+* the value of ``dot`` equals the running sum of products, for pairs of R
+  and R[T] elements (an R factor meeting an R[T] one is lifted), zero and
+  constant operands included, and None for no pairs; with PACK_MIN_PAIRS
+  at 1 the same holds on the packed path;
+* no sum, small or large, runs the ring product;
+* ``Mat2 @``, ``act`` and ``transform_cert`` equal the composition of
+  products they replace.
 """
 
 import random
@@ -57,24 +59,19 @@ def running_sum(pairs):
     return acc
 
 
-def layout(r):
-    """Both parts as (key, value) lists in stored order, with their dens."""
-    return [(list(p.terms.items()), p.den) for p in (r.a, r.b)]
-
-
 def test_no_pairs_is_none():
     assert dot([]) is None
     assert dot(iter(())) is None
 
 
 @pytest.mark.parametrize("ctx", FIELDS)
-@pytest.mark.parametrize("cutoff", [None, 1], ids=["default", "packed"])
-def test_dot_equals_the_running_sum(ctx, cutoff, monkeypatch):
+@pytest.mark.parametrize("pack_min", [None, 1], ids=["default", "packed"])
+def test_dot_equals_the_running_sum(ctx, pack_min, monkeypatch):
     """Mixed R and R[T] pairs, zero and constant factors: with the default
-    cutoff these small sums take the running sum, with the cutoff at 1 every
-    sum with a term pair takes the fused path and packs."""
-    if cutoff is not None:
-        monkeypatch.setattr(polys, "PACK_MIN_PAIRS", cutoff)
+    PACK_MIN_PAIRS these small sums take the dict loop, with it at 1 every
+    sum with a term pair packs."""
+    if pack_min is not None:
+        monkeypatch.setattr(polys, "PACK_MIN_PAIRS", pack_min)
 
     @CHECKS
     @given(st.lists(st.tuples(mixed_elements(ctx), mixed_elements(ctx)), min_size=1, max_size=4),
@@ -93,8 +90,8 @@ def test_dot_equals_the_running_sum(ctx, cutoff, monkeypatch):
 @pytest.mark.parametrize("ctx", FIELDS)
 @pytest.mark.parametrize("cls", RINGS)
 def test_large_sums_take_the_fused_path(ctx, cls, monkeypatch):
-    """Dense elements whose sum reaches the cutoff: dot does not run the ring
-    product, and its value is the running sum's."""
+    """Dense elements whose sum reaches PACK_MIN_PAIRS: dot does not run the
+    ring product, and its value is the running sum's."""
     rng = random.Random(5)
 
     def dense(count):
@@ -112,9 +109,21 @@ def test_large_sums_take_the_fused_path(ctx, cls, monkeypatch):
 
 @pytest.mark.parametrize("ctx", FIELDS)
 @pytest.mark.parametrize("cls", RINGS)
-def test_small_results_keep_the_key_order_of_the_composition(ctx, cls):
-    """Below the cutoff ``Mat2 @``, ``act`` and ``transform_cert`` equal the
-    composition of products they replace, key order included."""
+def test_small_sums_take_the_fused_path(ctx, cls, monkeypatch):
+    """Sums of a few terms, constant and zero factors among them, take the
+    fused path too: dot does not run the ring product."""
+    x, y, one = cls.gen_x(ctx), cls.gen_y(ctx), cls.one(ctx)
+    pairs = [(x, y), (one, x), (cls.zero(ctx), y), (y, y)]
+    want = running_sum(pairs)
+    monkeypatch.setattr(cls, "__mul__", lambda *_: pytest.fail("ring product ran"))
+    assert dot(pairs) == want
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize("cls", RINGS)
+def test_matrix_products_and_the_action_equal_the_composition(ctx, cls):
+    """``Mat2 @``, ``act`` (data and lift) and ``transform_cert`` equal the
+    composition of products they replace."""
 
     @CHECKS
     @given(st.lists(elements(ctx, cls), min_size=12, max_size=12))
@@ -124,19 +133,17 @@ def test_small_results_keep_the_key_order_of_the_composition(ctx, cls):
         (a, b), (c, d) = m1.entries
         (e, f), (g, h) = m2.entries
         want = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        got = [r for row in (m1 @ m2).entries for r in row]
-        assert [layout(r) for r in got] == [layout(r) for r in want]
-        assert layout(dot([(a, e), (b, g)])) == layout(want[0])
+        assert tuple(r for row in (m1 @ m2).entries for r in row) == want
+        assert dot([(a, e), (b, g)]) == want[0]
 
         s0, s1, t0, t1 = es[8:]
         moved = act(m1, JMap(1, (s0, s1, t0, t1), (s1, t0, t1, s0), ([s0, s1], [t0, t1])))
         want = (a * s0 + b * t0, a * s1 + b * t1, c * s0 + d * t0, c * s1 + d * t1)
-        assert [layout(r) for r in moved.data] == [layout(r) for r in want]
-        assert [layout(r) for r in moved.homog[0] + moved.homog[1]] == [layout(r) for r in want]
+        assert moved.data == want
+        assert tuple(moved.homog[0] + moved.homog[1]) == want
         Ux, Vx, Uw, Vw = s1, t0, t1, s0
         want = (Ux * d - Vx * c, Vx * a - Ux * b, Uw * d - Vw * c, Vw * a - Uw * b)
-        got = transform_cert(m1.entries, (Ux, Vx, Uw, Vw))
-        assert [layout(r) for r in got] == [layout(r) for r in want]
-        assert [layout(r) for r in moved.cert] == [layout(r) for r in want]
+        assert transform_cert(m1.entries, (Ux, Vx, Uw, Vw)) == want
+        assert moved.cert == want
 
     check()

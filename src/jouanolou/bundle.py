@@ -316,7 +316,7 @@ def _bareiss(rows, zero, adjugate):
 
 def _terms(e) -> int:
     """The number of terms of an element of R or R[T]; 0 in k."""
-    return len(e.a.terms) + len(e.b.terms) if isinstance(e, RingElement) else 0
+    return len(e.terms) if isinstance(e, RingElement) else 0
 
 
 def _trim(coeffs: list) -> list:

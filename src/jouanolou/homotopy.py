@@ -40,7 +40,6 @@ from .morphism import (
     groebner_certificate,
     groebner_cofactors,
 )
-from .polys import MPoly
 from .sl2 import Mat2, PointedSL2, act, m_uv
 
 _const_t = RingPolyT.from_ring
@@ -408,16 +407,14 @@ def mutate_witness(w: HomotopyWitness, rng) -> HomotopyWitness:
     di = rng.randrange(len(seg.data))
     poly = seg.data[di]
     tdeg = rng.randrange(poly.T_degree() + 2)
-    part = "a" if rng.random() < 0.5 else "b"
+    x_exp = 0 if rng.random() < 0.5 else 1
     mon = (rng.randrange(3), rng.randrange(3))
     if ctx.is_rationals:
         delta = ctx.rfrom_int(rng.choice([1, -1, 2, 3]))
     else:
         delta = ctx.rfrom_int(rng.randrange(1, ctx.p))
-    bump = MPoly(ctx, RingPolyT.PARTS, {(*mon, tdeg): delta})
-    a, b = (poly.a + bump, poly.b) if part == "a" else (poly.a, poly.b + bump)
     data = list(seg.data)
-    data[di] = RingPolyT(a, b)
+    data[di] = poly + RingPolyT(ctx, {(x_exp, *mon, tdeg): delta})
     segs = list(w.segments)
     segs[si] = Segment(seg.degree, tuple(data), None)
     return HomotopyWitness(segs)

@@ -2,54 +2,46 @@
 
 The ring is R = k[x,y,z,w]/(x+w-1, xw-yz), identified with
 k[x,y,z]/(x^2 - x + yz) by eliminating w = 1 - x.  Every element has the
-unique normal form a(y,z) + x*b(y,z), kept reduced by the rewrite
-x^2 -> x - yz, so equality is literal equality of coefficient dictionaries.
-a and b are ``MPoly`` values in the part variables ``PARTS`` = (y, z), in
-the stored form of :mod:`polys`: int values over one denominator each,
-canonical, so equality is also literal equality of (terms, den).
-``RingElement`` arithmetic runs the sparse kernel of :mod:`polys`
-(``terms_add``, ``terms_mul``) directly on those ints; a product puts each
-operand over one denominator once, the product by yz is a shift of
-exponents, and no ``Fraction`` is built; a zero or constant operand (the 0
-and 1 entries of an elementary matrix, say) scales the other instead.
-A sum of ring products (an entry of a 2x2 matrix product, of the action on
+unique normal form a(y,z) + x*b(y,z), and that normal form is what a
+``RingElement`` stores: one polynomial in its ring's ``VARS`` = (x, y, z)
+of x-degree at most 1, an ``MPoly`` subclass on keys (e, i, j) for
+x^e y^i z^j, e <= 1.  The stored form is that of :mod:`polys`, int values
+over one denominator, canonical, so equality is literal equality of
+(terms, den).  Sums, differences, negation, scaling, equality and hashing
+are ``MPoly``'s, built as the operand's own type through ``MPoly._of``.
+
+The product is one sum of products: ``polys.sum_of_scaled`` of the stored
+dicts, whose keys reach x^2, then one pass that folds each x^2 key by
+x^2 = x - yz (``_fold``).  ``__mul__`` is that sum for one pair, and a sum
+of ring products (an entry of a 2x2 matrix product, of the action on
 section data or of certificate transport) is ``polys.dot``, which runs
-:meth:`RingElement.sum_of_products`: each part of the sum is one
-accumulation, settled once, at every size.  No result depends on key
-order: printing sorts, and ``realize`` reads terms in sorted key order.
+:meth:`RingElement.sum_of_products`: one accumulation, settled once, at
+every size.  No result depends on key order: printing sorts, and
+``realize`` reads terms in sorted key order.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
-T exponent: ``RingPolyT`` keeps the same normal form a + x*b, its parts in
-``PARTS`` = (y, z, T) (keys (i, j, t) for y^i z^j T^t), and runs the same
-``RingElement`` code.  An operand of R meeting one of R[T] is lifted to
-(i, j, 0) keys; parts of the two rings never mix in one sum.  Both are
-domains with an exact division through the norm: sigma (x <-> w) is an
-involution, N(b) = b*sigma(b) has no x part, and a/b = a*sigma(b)/N(b)
-part by part (``divexact``, ``divider``), as Bareiss's elimination needs.
+T exponent: ``RingPolyT`` stores the same normal form in ``VARS`` =
+(x, y, z, T) (keys (e, i, j, t)) and runs the same ``RingElement`` code.  An
+operand of R meeting one of R[T] is lifted to t = 0 keys; ``MPoly._ctx``
+refuses to add polynomials of the two rings unlifted.  Both are domains
+with an exact division through the norm: sigma (x <-> w) is an involution,
+N(b) = b*sigma(b) has no x term, and a/b = a*sigma(b)/N(b) (``divexact``,
+``divider``), as Bareiss's elimination needs.
 
-Substitutions are term-wise maps, one pass over the term dicts on ints: the
-normal form (w -> 1 - x, x^2 -> x - yz), T at a constant, and T -> 1 - T.
+Substitutions are term-wise maps, one pass over the term dict on ints: the
+normal form (w -> 1 - x, x^e -> p_e(yz) + x*q_e(yz)), sigma, tau, T at a
+constant, and T -> 1 - T.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import zip_longest
-from math import comb, inf, lcm
+from math import comb, inf
 
 from .field import FieldCtx, FieldElem
 from .groebner import _Budget, _reduce_tracked, _Tracked, pack, unpack
-from .polys import (
-    MPoly,
-    common_ctx,
-    power,
-    raw_coeff,
-    settled,
-    sum_of_scaled,
-    terms_add,
-    terms_mul,
-    terms_over,
-)
+from .polys import MPoly, common_ctx, raw_coeff, settled, sum_of_scaled
 
 
 # no class of its own: the benchmark's layer tracer counts products by the
@@ -57,29 +49,25 @@ from .polys import (
 BivarPoly = MPoly
 
 
-class RingElement:
-    """An element of R in normal form a(y,z) + x*b(y,z)."""
+class RingElement(MPoly):
+    """An element of R, stored as its normal form a(y,z) + x*b(y,z): a
+    polynomial in ``VARS`` of x-degree at most 1."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
 
-    # the variables of the parts a and b, and the public variable tuple: x,
-    # then the parts'; RingPolyT appends T to both.  Printing, the groebner
-    # engine and ``to_mpoly`` read the ring from VARS
-    PARTS = ("y", "z")
-    VARS = ("x", *PARTS)
+    # the public variable tuple; RingPolyT appends T.  Printing, the
+    # groebner engine and ``to_mpoly`` read the ring from VARS
+    VARS = ("x", "y", "z")
 
-    def __init__(self, a: MPoly, b: MPoly):
-        self.a = a
-        self.b = b
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.a.ctx
+    def __init__(self, ctx: FieldCtx, terms: dict | None = None, den: int | None = None):
+        """The element with the given stored terms (keys of x-degree at most
+        1), raw coefficients when ``den`` is None."""
+        super().__init__(ctx, self.VARS, terms, den)
 
     # constructors -----------------------------------------------------------
     @classmethod
     def from_raw(cls, ctx, raw):
-        return cls(MPoly.const(ctx, cls.PARTS, raw), MPoly.zero(ctx, cls.PARTS))
+        return cls(ctx, {(0,) * len(cls.VARS): raw})
 
     @classmethod
     def from_scalar(cls, c: FieldElem):
@@ -87,29 +75,31 @@ class RingElement:
 
     @classmethod
     def zero(cls, ctx):
-        return cls(MPoly.zero(ctx, cls.PARTS), MPoly.zero(ctx, cls.PARTS))
+        return cls(ctx, {}, 1)
 
     @classmethod
     def one(cls, ctx):
         return cls.from_raw(ctx, ctx.rone)
 
     @classmethod
+    def _gen(cls, ctx, name):
+        return cls(ctx, {tuple(int(v == name) for v in cls.VARS): 1}, 1)
+
+    @classmethod
     def gen_x(cls, ctx):
-        return cls(MPoly.zero(ctx, cls.PARTS), MPoly.const(ctx, cls.PARTS, ctx.rone))
+        return cls._gen(ctx, "x")
 
     @classmethod
     def gen_y(cls, ctx):
-        return cls(MPoly.var(ctx, cls.PARTS, "y"), MPoly.zero(ctx, cls.PARTS))
+        return cls._gen(ctx, "y")
 
     @classmethod
     def gen_z(cls, ctx):
-        return cls(MPoly.var(ctx, cls.PARTS, "z"), MPoly.zero(ctx, cls.PARTS))
+        return cls._gen(ctx, "z")
 
     @classmethod
     def gen_w(cls, ctx):
-        # w = 1 - x
-        one = MPoly.const(ctx, cls.PARTS, ctx.rone)
-        return cls(one, -one)
+        return cls.one(ctx) - cls.gen_x(ctx)  # w = 1 - x
 
     # arithmetic ---------------------------------------------------------------
     def _coerced(self, other):
@@ -121,131 +111,100 @@ class RingElement:
             return other.from_ring(self), other
         return self, self.from_ring(other)
 
+    # an entry of this class, not only inherited: the benchmark's layer
+    # tracer counts ring sums by the name ``RingElement.__add__``
     def __add__(self, other):
         if type(other) is not type(self):
             if (pair := self._coerced(other)) is None:
                 return NotImplemented
             self, other = pair
-        return type(self)(self.a + other.a, self.b + other.b)
+        return MPoly.__add__(self, other)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             if (pair := self._coerced(other)) is None:
                 return NotImplemented
             self, other = pair
-        return type(self)(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return type(self)(-self.a, -self.b)
+        return MPoly.__sub__(self, other)
 
     def __mul__(self, other):
-        # (a1 + x b1)(a2 + x b2) = a1 a2 - yz b1 b2 + x (a1 b2 + a2 b1 + b1 b2)
-        if type(other) is not type(self):
-            if (pair := self._coerced(other)) is None:
-                return NotImplemented
-            self, other = pair
-        ctx = common_ctx(self.a.ctx, other.a.ctx)
-        # a zero or constant operand scales the other in one pass
-        if (c := other._raw_constant()) is not None:
-            return self.scale(c)
-        if (c := self._raw_constant()) is not None:
-            return other.scale(c)
-        # each operand over one denominator, so every product is an int loop
-        # whose sums lie over d1 * d2 (den 1 skips the gcd pass until the end)
-        (a1, b1, d1), (a2, b2, d2) = self._parts_over(), other._parts_over()
-        bb = terms_mul(ctx, b1, 1, b2, 1)[0]
-        minus_yz_bb = {(m[0] + 1, m[1] + 1) + m[2:]: -c for m, c in bb.items()}
-        a = terms_mul(ctx, a1, d1, a2, d2, minus_yz_bb)
-        b = terms_mul(ctx, a1, d1, b2, d2, terms_mul(ctx, a2, 1, b1, 1, bb)[0])
-        return type(self)(MPoly(ctx, self.PARTS, *a), MPoly(ctx, self.PARTS, *b))
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return self.sum_of_products(((self, other),))
 
     @classmethod
     def sum_of_products(cls, pairs) -> "RingElement":
         """sum(r * s for r, s in pairs) over R, or over R[T] when any factor
-        is in R[T] (the others lifted), as one ``polys.sum_of_scaled`` per
-        part: a = sum(a1 a2 - yz b1 b2) and b = sum(a1 b2 + b1 a2 + b1 b2)."""
+        is in R[T] (the others lifted): one ``polys.sum_of_scaled`` of the
+        stored dicts, then the x^2 keys folded."""
         if any(type(e) is RingPolyT for pair in pairs for e in pair):
             cls = RingPolyT
         ctx = pairs[0][0].ctx
-        a_sum, b_sum = [], []
+        products = []
         for r, s in pairs:
             ctx = common_ctx(ctx, common_ctx(r.ctx, s.ctx))
-            r, s = (e if type(e) is cls else cls.from_ring(e) for e in (r, s))
-            a1, b1, a2, b2 = ((p.terms, p.den) for p in (r.a, r.b, s.a, s.b))
-            a_sum.append((1, *a1, *a2))
-            if b1[0] and b2[0]:
-                yz_b1 = {(m[0] + 1, m[1] + 1) + m[2:]: c for m, c in b1[0].items()}
-                a_sum.append((-1, yz_b1, b1[1], *b2))
-            b_sum += [(1, *a1, *b2), (1, *b1, *a2), (1, *b1, *b2)]
-        return cls(sum_of_scaled(ctx, cls.PARTS, a_sum), sum_of_scaled(ctx, cls.PARTS, b_sum))
+            if type(r) is not cls:
+                r = cls.from_ring(r)
+            if type(s) is not cls:
+                s = cls.from_ring(s)
+            products.append((1, r.terms, r.den, s.terms, s.den))
+        return cls(ctx, *_fold(ctx, *sum_of_scaled(products)))
 
     def _raw_constant(self):
         """The raw value of a constant element (0 for zero), None for any
         other."""
-        a = self.a
-        if self.b.terms or len(a.terms) > 1:
-            return None
-        if not a.terms:
+        if not self.terms:
             return 0
-        ((m, c),) = a.terms.items()
-        return None if any(m) else raw_coeff(self.ctx, c, a.den)
-
-    def _parts_over(self):
-        """(a, b, d): the values of both parts over d, the lcm of their
-        denominators."""
-        a, b = self.a, self.b
-        if a.den == b.den:
-            return a.terms, b.terms, a.den
-        d = lcm(a.den, b.den)
-        return terms_over(a.terms, a.den, d), terms_over(b.terms, b.den, d), d
-
-    def scale(self, c) -> "RingElement":
-        """c * self, for c a field element over the same field or a raw value."""
-        if isinstance(c, FieldElem):
-            common_ctx(self.ctx, c.ctx)
-            c = c.val
-        return type(self)(self.a.scale(c), self.b.scale(c))
-
-    def __pow__(self, e: int) -> "RingElement":
-        return power(self, e, self.one(self.ctx))
+        if len(self.terms) > 1:
+            return None
+        ((m, c),) = self.terms.items()
+        return None if any(m) else raw_coeff(self.ctx, c, self.den)
 
     # queries -------------------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return self.a.is_zero and self.b.is_zero
-
-    def is_constant(self) -> bool:
-        return self.b.is_zero and self.a.is_constant
-
     def constant_value(self) -> FieldElem:
-        return FieldElem(self.ctx, self.a.constant_value())
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        from .textio import ring_str
-
-        return ring_str(self)
+        return FieldElem(self.ctx, MPoly.constant_value(self))
 
     # morphisms -------------------------------------------------------------------
-    def eval_basepoint(self) -> FieldElem:
-        """Image in R/(x-1, y, z, w) = k: substitute x = 1, y = z = 0."""
+    def basepoint_curve(self) -> list[FieldElem]:
+        """Basepoint evaluation (x = 1, y = z = 0): the image in k[T] as
+        ascending coefficients (in R at most the constant), trailing zeros
+        trimmed."""
         ctx = self.ctx
-        return FieldElem(ctx, ctx.radd(self.a.constant_value(), self.b.constant_value()))
+        image: dict = {}
+        for m, c in self.terms.items():
+            if not (m[1] or m[2]):
+                t = sum(m[3:])
+                image[t] = image.get(t, 0) + c
+        image, den = settled(ctx, image, self.den)
+        curve = [ctx.zero] * (max(image, default=-1) + 1)
+        for t, c in image.items():
+            curve[t] = FieldElem(ctx, raw_coeff(ctx, c, den))
+        return curve
+
+    def basepoint_constant(self) -> FieldElem | None:
+        """The basepoint curve as a constant of k, or None if it genuinely
+        varies (only in R[T])."""
+        curve = self.basepoint_curve()
+        if len(curve) > 1:
+            return None
+        return curve[0] if curve else self.ctx.zero
+
+    # in R the basepoint value is always a constant of k
+    eval_basepoint = basepoint_constant
 
     def basepoint_is_zero(self) -> bool:
         return self.basepoint_constant() == 0  # None (varies with T) is not 0
 
-    # in R the basepoint value is a constant of k; RingPolyT's may vary with T
-    basepoint_constant = eval_basepoint
-
     def sigma(self) -> "RingElement":
         """The involution x <-> w = 1 - x fixing y, z: a + x*b -> a + b - x*b."""
-        return type(self)(self.a + self.b, -self.b)
+        out: dict = {}
+        for m, c in self.terms.items():
+            if m[0]:
+                low = (0,) + m[1:]
+                out[low] = out.get(low, 0) + c
+                c = -c
+            out[m] = out.get(m, 0) + c
+        return self._of(self.ctx, *settled(self.ctx, out, self.den))
 
     def divexact(self, b) -> "RingElement":
         """self / b for a divisor b of self (ArithmeticError otherwise)."""
@@ -253,58 +212,52 @@ class RingElement:
 
     def divider(self):
         """The map q -> q / self = q * sigma(self) / N on the multiples of
-        self, N = self * sigma(self) = a^2 + a*b + yz*b^2 (no x part), both
-        computed once: each part is divided by N by the Groebner engine's
-        reduction with the one reducer N, whose remainder must be empty."""
-        ctx, n = self.ctx, len(self.PARTS)
+        self, N = self * sigma(self) = a^2 + a*b + yz*b^2 (no x term), both
+        computed once: q * sigma(self) is divided by N by the Groebner
+        engine's reduction with the one reducer N, whose remainder must be
+        empty."""
+        ctx, n = self.ctx, len(self.VARS)
         if (c := self._raw_constant()) is not None:
             return lambda q, inv=ctx.rinv(c): q.scale(inv)
         conj = self.sigma()
-        norm = (self * conj).a
+        norm = self * conj
         basis = [_Tracked(ctx, n, {pack(m): c for m, c in norm.terms.items()}, norm.den, 0)]
-
-        def part(p):
-            keyed = {pack(m): c for m, c in p.terms.items()}
-            # degrevlex is a well-order: the division stops unbudgeted
-            (rest, _), quotients = _reduce_tracked(ctx, n, keyed, p.den, basis, _Budget(inf))
-            if rest:
-                raise ArithmeticError("not an exact division in R")
-            return MPoly(ctx, self.PARTS, {unpack(m, n): c for m, c in quotients.get(0, {}).items()})
 
         def divide(q):
             if type(q) is not type(self):  # one operand in R, the other in R[T]
                 q, b = q._coerced(self)
                 return q.divexact(b)
             product = q * conj
-            return type(self)(part(product.a), part(product.b))
+            keyed = {pack(m): c for m, c in product.terms.items()}
+            # degrevlex is a well-order: the division stops unbudgeted
+            (rest, _), quotients = _reduce_tracked(ctx, n, keyed, product.den, basis, _Budget(inf))
+            if rest:
+                raise ArithmeticError("not an exact division in R")
+            return type(self)(ctx, {unpack(m, n): c for m, c in quotients.get(0, {}).items()})
 
         return divide
 
     def tau(self) -> "RingElement":
         """The involution fixing x and w and swapping y with z."""
-        return type(self)(*(
-            MPoly(p.ctx, p.vars, {(m[1], m[0]) + m[2:]: c for m, c in p.terms.items()}, p.den)
-            for p in (self.a, self.b)
-        ))
+        terms = {(m[0], m[2], m[1]) + m[3:]: c for m, c in self.terms.items()}
+        return self._of(self.ctx, terms, self.den)
 
-    def to_mpoly(self, vars: tuple[str, ...] | None = None) -> MPoly:
-        """Lift the normal form to the free polynomial ring on ``vars``
-        (default: the ring's own ``VARS``)."""
-        vars = vars or self.VARS
-        ix = vars.index("x")
-        slots = [vars.index(v) for v in self.PARTS]
-        base = [0] * len(vars)
-        # both parts over the lcm of their denominators stay canonical
-        a, b, den = self._parts_over()
-        out = {}
-        for part in (a, b):
-            for key, c in part.items():
-                m = list(base)
-                for slot, e in zip(slots, key):
-                    m[slot] = e
-                out[tuple(m)] = c
-            base[ix] = 1
-        return MPoly(self.ctx, vars, out, den)
+    def to_mpoly(self) -> MPoly:
+        """The normal form as a polynomial of the free ring on ``VARS``,
+        sharing the stored dict."""
+        return MPoly(self.ctx, self.VARS, self.terms, self.den)
+
+
+def _fold(ctx: FieldCtx, acc: dict, den: int) -> tuple[dict, int]:
+    """(terms, den) of the int sums ``acc`` over den, keys of x-degree at
+    most 2, with each x^2 key folded by x^2 = x - yz; ``acc`` is the
+    caller's own dict, changed in place."""
+    for m in [m for m in acc if m[0] == 2]:
+        c = acc.pop(m)
+        high, low = (1,) + m[1:], (0, m[1] + 1, m[2] + 1) + m[3:]
+        acc[high] = acc.get(high, 0) + c
+        acc[low] = acc.get(low, 0) - c
+    return settled(ctx, acc, den)
 
 
 def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:
@@ -342,17 +295,14 @@ def _normal_form(p: MPoly, cls):
         raise ValueError(f"no variable {sorted(unknown)[0]!r} in the device's ring")
     slots = [p.vars.index(v) if v in p.vars else None for v in ("x", "w", "y", "z", "T")]
     with_t = cls is RingPolyT
-    a: dict = {}
-    b: dict = {}
+    out: dict = {}
     for m, c in p.terms.items():
         ex, ew, i, j, t = (0 if k is None else m[k] for k in slots)
-        for out, image in zip((a, b), _x_w_image(ex, ew)):
+        for e, image in enumerate(_x_w_image(ex, ew)):
             for s, coef in image:
-                key = (i + s, j + s, t) if with_t else (i + s, j + s)
+                key = (e, i + s, j + s, t) if with_t else (e, i + s, j + s)
                 out[key] = out.get(key, 0) + c * coef
-    ctx = p.ctx
-    return cls(MPoly(ctx, cls.PARTS, *settled(ctx, a, p.den)),
-               MPoly(ctx, cls.PARTS, *settled(ctx, b, p.den)))
+    return cls(p.ctx, *settled(p.ctx, out, p.den))
 
 
 # (p_e, q_e) with x^e = p_e(u) + x*q_e(u), ascending int coefficients in
@@ -404,12 +354,11 @@ def chart_pullback(r: RingElement, chart: str) -> MPoly:
 
 
 class RingPolyT(RingElement):
-    """An element of R[T] in normal form a(y,z,T) + x*b(y,z,T)."""
+    """An element of R[T], stored as its normal form a(y,z,T) + x*b(y,z,T)."""
 
     __slots__ = ()
 
-    PARTS = ("y", "z", "T")
-    VARS = ("x", *PARTS)
+    VARS = ("x", "y", "z", "T")
 
     # an entry of this class, not only inherited: the benchmark's layer
     # tracer counts products in R[T] apart from those in R by this name
@@ -417,30 +366,27 @@ class RingPolyT(RingElement):
 
     @classmethod
     def gen_T(cls, ctx):
-        return cls(MPoly.var(ctx, cls.PARTS, "T"), MPoly.zero(ctx, cls.PARTS))
+        return cls._gen(ctx, "T")
 
     @classmethod
     def from_ring(cls, r: RingElement) -> "RingPolyT":
         """An element of R as a constant of R[T]."""
-        return cls(*(MPoly(r.ctx, cls.PARTS, {(i, j, 0): c for (i, j), c in p.terms.items()}, p.den)
-                     for p in (r.a, r.b)))
+        return cls(r.ctx, {m + (0,): c for m, c in r.terms.items()}, r.den)
 
     def _map_T(self, images: list, scale: int, cls):
-        """Each term c*y^i z^j T^t adds c*e over den*scale into y^i z^j T^s
-        (y^i z^j when ``cls`` is RingElement) for the (s, e) of images[t]."""
-        ctx, with_t = self.ctx, cls is RingPolyT
-        parts = []
-        for part in (self.a, self.b):
-            acc: dict = {}
-            for (i, j, t), c in part.terms.items():
-                for s, e in images[t]:
-                    key = (i, j, s) if with_t else (i, j)
-                    acc[key] = acc.get(key, 0) + c * e
-            parts.append(MPoly(ctx, cls.PARTS, *settled(ctx, acc, part.den * scale)))
-        return cls(*parts)
+        """Each term c*x^e y^i z^j T^t adds c*v over den*scale into
+        x^e y^i z^j T^s (x^e y^i z^j when ``cls`` is RingElement) for the
+        (s, v) of images[t]."""
+        with_t = cls is RingPolyT
+        acc: dict = {}
+        for (e, i, j, t), c in self.terms.items():
+            for s, v in images[t]:
+                key = (e, i, j, s) if with_t else (e, i, j)
+                acc[key] = acc.get(key, 0) + c * v
+        return cls(self.ctx, *settled(self.ctx, acc, self.den * scale))
 
     def T_degree(self) -> int:
-        return max((m[2] for part in (self.a, self.b) for m in part.terms), default=0)
+        return self.degree_in("T")
 
     def eval_at_T(self, t: FieldElem) -> RingElement:
         """T replaced by t = n/d: c*T^k adds c*n^k*d^(top-k) over den*d^top."""
@@ -455,24 +401,6 @@ class RingPolyT(RingElement):
         images = [[(s, (-1) ** s * comb(k, s)) for s in range(k + 1)]
                   for k in range(self.T_degree() + 1)]
         return self._map_T(images, 1, RingPolyT)
-
-    def basepoint_curve(self) -> list[FieldElem]:
-        """Basepoint evaluation (x = 1, y = z = 0): the image in k[T] as
-        ascending coefficients, trailing zeros trimmed."""
-        ctx = self.ctx
-        a, b = ({m: c for m, c in p.terms.items() if m[:2] == (0, 0)} for p in (self.a, self.b))
-        image, den = terms_add(ctx, a, self.a.den, b, self.b.den)
-        curve = [ctx.zero] * (max((t for _, _, t in image), default=-1) + 1)
-        for (_, _, t), c in image.items():
-            curve[t] = FieldElem(ctx, raw_coeff(ctx, c, den))
-        return curve
-
-    def basepoint_constant(self) -> FieldElem | None:
-        """The basepoint curve as a constant of k, or None if it genuinely varies."""
-        curve = self.basepoint_curve()
-        if len(curve) > 1:
-            return None
-        return curve[0] if curve else self.ctx.zero
 
 
 def mpoly_to_ringpolyt(p: MPoly) -> RingPolyT:

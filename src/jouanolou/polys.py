@@ -14,26 +14,34 @@ The kernel runs int loops only and returns (terms, den) pairs:
 ``terms_scale`` (by a raw scalar, optionally times a monomial),
 ``terms_neg`` and ``terms_sub_into`` (a scaled, shifted subtraction in
 place from a dict the caller owns, on packed int keys, the step of the
-Groebner reduction) are the only sparse add/sub/mul loops; ``MPoly``, the
-one sparse polynomial class, and ``RingElement`` in :mod:`jring` call them
-directly.  Over Q, ``canonical`` divides a result by gcd(den, all values)
-in one pass, so the kernel returns canonical pairs when given canonical
-ones.  Stored term dicts are never written after construction: a result may
-share its dict with an operand (``terms_add`` returns A itself when B is
-empty).  ``common_ctx`` is the single check that operands share a field.
-``power`` is the one square-and-multiply, ``eval_terms`` the one
-power-cached evaluation of a term dict (summed pairwise), ``dot`` the one
-sum of products.
+Groebner reduction) are the only sparse add/sub/mul loops, and
+``sum_of_scaled`` the one unsettled sum of products.  ``MPoly`` is the one
+sparse polynomial class; the ring elements of :mod:`jring` are ``MPoly``
+subclasses, and every result of its arithmetic is built as its operand's
+type by ``MPoly._of``.  Over Q, ``canonical`` divides a result by
+gcd(den, all values) in one pass, so the kernel returns canonical pairs
+when given canonical ones.  Stored term dicts are never written after
+construction: a result may share its dict with an operand (``terms_add``
+returns A itself when B is empty).  ``common_ctx`` is the single check
+that operands share a field.  ``power`` is the one square-and-multiply,
+``eval_terms`` the one power-cached evaluation of a term dict (summed
+pairwise), ``dot`` the one sum of products.
 
 Large products are one big-integer multiply (Kronecker substitution;
 Fateman 2005, Harvey 2009): ``packed_sum`` maps every key to one slot in
 the box of the exponents, multiplies the packed operands and unpacks once.
 A slot is only as wide as the sum it must hold (``slot_bytes``): 1, 2, 4
 or 8 bytes, whole 64-bit words past that.  CPython multiplies in about
-length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply: in
-corpora 0-2 of the benchmark workloads, 154 of the 170 packed sums of
-``witness_boundary`` (mostly F_7) take 2 or 4 bytes, and the 296 Q sums of
-``group_roundtrip`` 4 (193) or 8 bytes.
+length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply.  The
+bound on a slot of A * B is min(|A|_1 * max|b|, max|a| * |B|_1), |A|_1 the
+sum of A's absolute values: rigorous (each term of A meets at most one
+term of B in a slot) and never above the older max|a| * max|b| *
+min(|A|, |B|).  In corpora 0-2 of the benchmark workloads (set-up
+included) it gives 8 bytes to 58 of the 205 packed sums of
+``group_roundtrip`` (75 under the older bound; 144 take 4) and to 7 of the
+138 of ``witness_boundary`` (11; 72 take 2, mostly F_7), and the one
+16-byte sum of a warm ``oplus(f, f)``, f = ``map 3 [1; 0 | 0; 1]`` over Q,
+takes 8.
 
 ``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``,
 by three guards, measured with CPython 3.11 on a 2-core x86-64 VM:
@@ -46,21 +54,28 @@ by three guards, measured with CPython 3.11 on a 2-core x86-64 VM:
   three corpora, below what the benchmark resolves.
 - The slot range at most PACK_SLOTS_PER_PAIR = 1 times the pairs: it keeps
   a sparse product such as x^(10^6) * (...) on the loop and bounds the
-  packed buffer by the loop's work.  Of the 492 products and sums of 1000
-  pairs or more in corpora 0-2 of both workloads (set-up included), all
-  but one ``MPoly`` sum (1.05) have at most 0.39 slots per pair.
+  packed buffer by the loop's work.  Of the 344 sums of 1000 pairs or more
+  in corpora 0-2 of both workloads (set-up included), all but one
+  ``MPoly`` sum (1.05) have at most 0.88 slots per pair.
 - The operand boxes: a packed multiply costs box(A) * box(B) slots, so
   ``_products`` declines r = sum(box(A) * box(B)) / pairs above
-  PACK_BOX_PER_PAIR = 16.  Every packed sum of corpora 0-2 of both
-  workloads (set-up included) and of an ``oplus`` chain to degree 6 over Q
-  and F_7 has r = 2.0-9.4 and stays packed, in the same key order.  The
-  packed sums of cold ``n_pi(12..20)``, whose operands fill 7-10% of their
-  boxes, had r = 43.5-135 over Q (5, 19 and 39 sums at n = 12, 16, 20) and
-  157-221 over F_7 (5 at n = 20); on the loop cold ``n_pi(24)`` over Q
-  takes 0.74-0.80 s, against 8.0-8.5 s packed.
+  PACK_BOX_PER_PAIR = 24.  The census of the sums of 1000 pairs or more,
+  their operands the stored ring elements (x spans 2 in an operand, 3 in a
+  product): corpora 0-2 of both workloads have r = 2.07-16.8 and all pack
+  but the sum above; an ``oplus`` chain to degree 6 has r = 2.5-16.0 over
+  Q and F_7 and packs; warm ``oplus(f, f)`` of ``map 3 [1; 0 | 0; 1]`` packs
+  12 of 12 sums over Q (r up to 17.8) and 10 of 12 over F_7 (r up to 23.0;
+  the other two have r = 53-55), which a cutoff of 16 left on the loop,
+  taking 36-37 ms over Q and 21-25 ms over F_7 against 30-31 and
+  9.5-10 ms at 24.  Cold ``n_pi(12, 16, 20)`` packs nothing: its sums
+  fill little of their boxes, r = 9.8-350 over Q and F_7, and every one
+  with r at most 24 has at least 5.1 slots per pair, so the slot guard
+  declines it too; those within the slot guard have r of 55 or more.
+  Packed, cold ``n_pi(24)`` over Q took 8.0-8.5 s, against 0.74-0.80 s on
+  the loop.
 ``dot`` is one ``_products`` call per result polynomial at every size:
 on ``MPoly`` pairs (the certificate checks and cofactor weights of
-:mod:`groebner`) and on each part of a sum of ring elements of R and R[T].
+:mod:`groebner`) and on a sum of ring elements of R and R[T].
 The dict loop stays as the small-product path and as the tests' oracle.
 Large products and large sums come back in slot order, not the loop's, and
 no result depends on key order: printing sorts, and ``realize`` reads the
@@ -73,10 +88,9 @@ stored value back into one (leading coefficients, printing, field
 elements).
 
 ``MPoly`` is the substrate for the Buchberger engine, for parsing and for
-the parts of the device's ring elements: polynomials in a free commutative
-polynomial ring with a fixed ordered variable tuple.  The monomial order
-everywhere is degrevlex with the variable tuple ordered from greatest to
-least.
+the device's ring elements: polynomials in a free commutative polynomial
+ring with a fixed ordered variable tuple.  The monomial order everywhere
+is degrevlex with the variable tuple ordered from greatest to least.
 """
 
 from __future__ import annotations
@@ -88,13 +102,13 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from .errors import ContextMismatch
-from .field import FieldCtx
+from .field import FieldCtx, FieldElem
 
 
 # the three guards of ``_products``; the module docstring has the measurements
 PACK_MIN_PAIRS = 1000
 PACK_SLOTS_PER_PAIR = 1
-PACK_BOX_PER_PAIR = 16
+PACK_BOX_PER_PAIR = 24
 
 
 def common_ctx(c1: FieldCtx, c2: FieldCtx) -> FieldCtx:
@@ -206,22 +220,21 @@ def slot_bytes(bound: int) -> int:
     return 8 * ((bits + 63) // 64)
 
 
-def packed_sum(products, max_slots: int, acc: dict | None = None, box: dict | None = None):
-    """sum(s * A * B over (s, A, B) in products) + acc as a dict of int
-    sums, by Kronecker substitution (zero slots of the products dropped;
-    the caller settles the sum); None when the slot range exceeds
-    ``max_slots``.
+def packed_sum(products, max_slots: int, box: dict | None = None):
+    """sum(s * A * B over (s, A, B) in products) as a dict of int sums, by
+    Kronecker substitution (zero slots of the products dropped; the caller
+    settles the sum); None when the slot range exceeds ``max_slots``.
 
     The slots cover the box of the products' exponents, the last variable
     with stride 1.  A slot is :func:`slot_bytes` of the bound
-    sum(|s| * max|a| * max|b| * min(|A|, |B|)) on its values: 1, 2, 4 or 8
-    bytes, or whole 64-bit words past that.  Each operand is boxed (unless
-    ``box`` has it by id) and packed once, however many products it
-    enters; each product is one
-    big-int multiply shifted to its place, and the sum is unpacked once:
-    every slot is offset by half its range so the whole is
-    nonnegative, written out by ``to_bytes`` and read back by one
-    little-endian ``struct`` format (B, H, I or Q, words recombined past
+    sum(|s| * min(|A|_1 * max|b|, max|a| * |B|_1)) on its values, |A|_1 the
+    sum of the absolute values of A: a slot of A * B adds at most one value
+    of A times one of B per term of A.  Each operand is boxed (unless
+    ``box`` has it by id), measured and packed once, however many products
+    it enters; each product is one big-int multiply shifted to its place,
+    and the sum is unpacked once: every slot is offset by half its range so
+    the whole is nonnegative, written out by ``to_bytes`` and read back by
+    one little-endian ``struct`` format (B, H, I or Q, words recombined past
     8 bytes), whatever the host's byte order."""
     operands = {id(X): X for _, A, B in products for X in (A, B)}
     box = box or {key: _box(X) for key, X in operands.items()}
@@ -233,8 +246,14 @@ def packed_sum(products, max_slots: int, acc: dict | None = None, box: dict | No
     if slots > max_slots:
         return None
     strides = [prod(spans[v + 1:]) for v in range(len(spans))]
-    bound = sum(abs(s) * max(map(abs, A.values())) * max(map(abs, B.values()))
-                * min(len(A), len(B)) for s, A, B, *_ in boxes)
+    sizes = {}
+    for key, X in operands.items():
+        values = list(map(abs, X.values()))
+        sizes[key] = max(values), sum(values)
+    bound = 0
+    for s, A, B in products:
+        (top_a, norm_a), (top_b, norm_b) = sizes[id(A)], sizes[id(B)]
+        bound += abs(s) * min(norm_a * top_b, top_a * norm_b)
     nbytes = slot_bytes(bound)
     bits = 8 * nbytes
     packed = {key: _pack(X, *box[key], strides, nbytes) for key, X in operands.items()}
@@ -254,44 +273,38 @@ def packed_sum(products, max_slots: int, acc: dict | None = None, box: dict | No
         for j in range(words - 2, -1, -1):
             slot_vals = [(v << 64) | w for v, w in zip(slot_vals, vals[j::words])]
     keys = product(*(range(l, h + 1) for l, h in zip(low, high)))
-    out = {m: v - half for m, v in zip(keys, slot_vals) if v != half}
-    if acc:
-        for m, c in acc.items():
-            out[m] = out.get(m, 0) + c
-    return out
+    return {m: v - half for m, v in zip(keys, slot_vals) if v != half}
 
 
-def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int, acc: dict | None = None):
-    """(terms, den) of (A * B + acc) / (dA * dB): the product of A/dA and
-    B/dB, plus the values ``acc`` over the same denominator when given.
+def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int):
+    """(terms, den) of the product of A/dA and B/dB, over dA * dB.
 
-    One int loop sums the products and reduces once at the end (over F_p
-    the values of ``acc`` may be unreduced).  With dA = dB = 1 the values
-    come back as summed, with no gcd pass.  :func:`_products` picks the
-    dict loop or one packed multiply.
+    One int loop sums the products and reduces once at the end.  With
+    dA = dB = 1 the values come back as summed, with no gcd pass.
+    :func:`_products` picks the dict loop or one packed multiply.
     """
     if not (A and B):
-        return ({}, 1) if acc is None else settled(ctx, acc, dA * dB)
-    return _products(ctx, [(1, A, B)], len(A) * len(B), dA * dB, acc)
+        return {}, 1
+    return settled(ctx, _products([(1, A, B)], len(A) * len(B)), dA * dB)
 
 
-def _products(ctx: FieldCtx, scaled: list, pairs: int, den: int, acc: dict | None = None):
-    """(terms, den) of (sum(s * A * B over (s, A, B) in scaled) + acc) / den,
-    A and B nonempty, ``pairs`` the term pairs in all: one
+def _products(scaled: list, pairs: int) -> dict:
+    """sum(s * A * B over (s, A, B) in scaled) as a new dict of int sums,
+    unsettled, A and B nonempty, ``pairs`` the term pairs in all: one
     :func:`packed_sum` from PACK_MIN_PAIRS pairs on, when the operand boxes
     (:func:`_box_work`) are at most PACK_BOX_PER_PAIR times ``pairs`` and
     the slot range at most PACK_SLOTS_PER_PAIR times, else the dict loop of
-    :func:`_mul_into` (``acc`` first, then the products in order)."""
-    out = None
+    :func:`_mul_into` (the products in order)."""
     if pairs >= PACK_MIN_PAIRS:
         work, box = _box_work(scaled)
         if work <= PACK_BOX_PER_PAIR * pairs:
-            out = packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, acc, box)
-    if out is None:
-        out = {} if acc is None else dict(acc)
-        for s, A, B in scaled:
-            _mul_into(out, A, B, s)
-    return settled(ctx, out, den)
+            out = packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, box)
+            if out is not None:
+                return out
+    out = {}
+    for s, A, B in scaled:
+        _mul_into(out, A, B, s)
+    return out
 
 
 def _box_work(scaled: list) -> tuple[int, dict]:
@@ -305,10 +318,10 @@ def _box_work(scaled: list) -> tuple[int, dict]:
 
 def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
     """Add the int products s * A * B into ``out`` in place, unsettled.
-    Exponent vectors of two to four entries are added inline: the parts of
-    R and R[T] (``MPoly`` in ``PARTS``, (y, z) and (y, z, T)), and ``MPoly``
-    in x, y, z and in x, y, z, T (certificate checks and cofactor
-    expansions)."""
+    Exponent vectors of two to four entries are added inline: the elements
+    of R and R[T] (keys (x, y, z) and (x, y, z, T)), and ``MPoly`` in
+    two to four variables (certificate checks, cofactor expansions and the
+    Groebner engine's inputs)."""
     width = len(next(iter(A)))
     for m1, c1 in A.items():
         if s != 1:
@@ -423,17 +436,17 @@ def dot(pairs):
     return type(pairs[0][0]).sum_of_products(pairs) if pairs else None
 
 
-def sum_of_scaled(ctx: FieldCtx, vars: tuple, products) -> "MPoly":
-    """sum(s * A/dA * B/dB over (s, A, dA, B, dB) in products) as an MPoly
-    in ``vars``: the products with an empty factor dropped, the others put
-    over the lcm D of the dA * dB and summed by one :func:`_products`."""
+def sum_of_scaled(products) -> tuple[dict, int]:
+    """(acc, D): sum(s * A/dA * B/dB over (s, A, dA, B, dB) in products) as
+    a new dict of int sums over D, unsettled: the products with an empty
+    factor dropped, the others put over the lcm D of the dA * dB and summed
+    by one :func:`_products`."""
     products = [(s, A, dA, B, dB) for s, A, dA, B, dB in products if A and B]
     if not products:
-        return MPoly.zero(ctx, vars)
+        return {}, 1
     D = lcm(*(dA * dB for _, _, dA, _, dB in products))
     scaled = [(s * (D // (dA * dB)), A, B) for s, A, dA, B, dB in products]
-    pairs = sum(len(A) * len(B) for _, A, B in scaled)
-    return MPoly(ctx, vars, *_products(ctx, scaled, pairs, D))
+    return _products(scaled, sum(len(A) * len(B) for _, A, B in scaled)), D
 
 
 def eval_terms(terms: dict, den: int, images: list, const):
@@ -498,28 +511,33 @@ class MPoly:
         return cls(ctx, vars, {exp: 1}, 1)
 
     def _ctx(self, other: "MPoly") -> FieldCtx:
-        # parts of one ring share its PARTS tuple: the identity test settles them
+        # polynomials of one ring share its vars tuple: the identity test settles them
         if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("polynomials from different rings")
         return common_ctx(self.ctx, other.ctx)
 
+    def _of(self, ctx: FieldCtx, terms: dict, den: int):
+        """The stored (terms, den) as a polynomial of self's type and ring:
+        every result of the arithmetic below is built here."""
+        out = object.__new__(type(self))
+        out.ctx, out.vars, out.terms, out.den = ctx, self.vars, terms, den
+        return out
+
     # arithmetic -------------------------------------------------------------
     def __add__(self, other: "MPoly") -> "MPoly":
         ctx = self._ctx(other)
-        return MPoly(ctx, self.vars, *terms_add(ctx, self.terms, self.den, other.terms, other.den))
+        return self._of(ctx, *terms_add(ctx, self.terms, self.den, other.terms, other.den))
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         ctx = self._ctx(other)
-        diff = terms_add(ctx, self.terms, self.den, other.terms, other.den, negate=True)
-        return MPoly(ctx, self.vars, *diff)
+        return self._of(ctx, *terms_add(ctx, self.terms, self.den, other.terms, other.den, True))
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.ctx, self.vars, terms_neg(self.ctx, self.terms), self.den)
+        return self._of(self.ctx, terms_neg(self.ctx, self.terms), self.den)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         ctx = self._ctx(other)
-        product = terms_mul(ctx, self.terms, self.den, other.terms, other.den)
-        return MPoly(ctx, self.vars, *product)
+        return self._of(ctx, *terms_mul(ctx, self.terms, self.den, other.terms, other.den))
 
     @classmethod
     def sum_of_products(cls, pairs) -> "MPoly":
@@ -529,16 +547,20 @@ class MPoly:
             first._ctx(a)
             ctx = a._ctx(b)
         products = [(1, a.terms, a.den, b.terms, b.den) for a, b in pairs]
-        return sum_of_scaled(ctx, first.vars, products)
+        return first._of(ctx, *settled(ctx, *sum_of_scaled(products)))
 
-    def scale(self, raw) -> "MPoly":
-        return MPoly(self.ctx, self.vars, *terms_scale(self.ctx, self.terms, self.den, raw))
+    def scale(self, c) -> "MPoly":
+        """c * self, c a raw value or an element of the same field."""
+        if isinstance(c, FieldElem):
+            common_ctx(self.ctx, c.ctx)
+            c = c.val
+        return self._of(self.ctx, *terms_scale(self.ctx, self.terms, self.den, c))
 
     def mul_term(self, mon: tuple[int, ...], raw) -> "MPoly":
-        return MPoly(self.ctx, self.vars, *terms_scale(self.ctx, self.terms, self.den, raw, mon))
+        return self._of(self.ctx, *terms_scale(self.ctx, self.terms, self.den, raw, mon))
 
     def __pow__(self, e: int) -> "MPoly":
-        return power(self, e, MPoly.const(self.ctx, self.vars, self.ctx.rone))
+        return power(self, e, self._of(self.ctx, {(0,) * len(self.vars): 1}, 1))
 
     # queries ---------------------------------------------------------------
     @property

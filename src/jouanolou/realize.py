@@ -65,12 +65,9 @@ def gamma_point(theta: float) -> tuple[float, float, float]:
 def _compile(r) -> list[tuple[float, int, int, int]]:
     """RingElement -> [(coeff, x-exp, y-exp, z-exp)] for float evaluation,
     sorted by (x-exp, y-exp, z-exp)."""
-    out = []
-    for xe, part in enumerate((r.a, r.b)):
-        den = part.den
-        # int / int is correctly rounded: the same float as float(Fraction)
-        out.extend((c / den, xe, i, j) for (i, j), c in sorted(part.terms.items()))
-    return out
+    den = r.den
+    # int / int is correctly rounded: the same float as float(Fraction)
+    return [(c / den, *m) for m, c in sorted(r.terms.items())]
 
 
 def _power_table(base: np.ndarray, exps) -> dict[int, np.ndarray]:

@@ -223,18 +223,9 @@ def mpoly_str(p: MPoly) -> str:
     return _terms_str(p.vars, p.ctx.is_rationals, terms)
 
 
-def ring_str(r: RingElement) -> str:
-    """An element of R or R[T], printed in its ring's ``VARS`` straight from
-    its normal form a + x*b: the terms of a and of b (x exponents 0 and 1),
-    each over its own den, as those of ``to_mpoly`` would print."""
-    terms = []
-    for ex, part in ((0, r.a), (1, r.b)):
-        den = part.den
-        for key, c in part.terms.items():
-            mon = (ex,) + key
-            terms.append((_print_key(mon), mon, c, den))
-    terms.sort()
-    return _terms_str(r.VARS, r.ctx.is_rationals, terms)
+# an element of R or R[T] is the polynomial of its normal form in its
+# ring's VARS, and prints as one
+ring_str = mpoly_str
 
 
 def field_str(ctx: FieldCtx) -> str:

@@ -176,7 +176,7 @@ def test_naive_sum_needs_a_constant_top_lift_coefficient():
     assert verify(witness, raised, act(m_uv(QQ.elem(2), QQ.one), naive_sum_deg1(QQ.one, f)[0]))
     twisted = act(m_uv(QQ.elem(2), QQ.elem(3)), f)
     L0, L1 = twisted.canonical_lift()
-    assert not L0[-1].is_constant() and not L1[-1].is_zero
+    assert not L0[-1].is_constant and not L1[-1].is_zero
     with pytest.raises(ResultantNotUnit, match="raised pair does not have unit resultant"):
         naive_sum_deg1(QQ.elem(2), twisted)
 

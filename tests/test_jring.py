@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from jouanolou.jring import (
     mpoly_to_ringpolyt,
     normal_form,
 )
-from jouanolou.polys import MPoly, eval_terms
+from jouanolou.polys import MPoly, dot, eval_terms
 from jouanolou.textio import mpoly_str, parse_polyt, parse_ring, ring_str
 
 
@@ -213,8 +214,8 @@ def test_charts_agree_on_overlap_numerically():
                 total += float(c) * u ** mon[0] * v ** mon[1]
             return total
 
-        # the normal form's own value: a(y, z) + x*b(y, z)
-        direct = eval2(r.a, yv, zv) + xv * eval2(r.b, yv, zv)
+        # the normal form's own value: its stored terms at (x, y, z)
+        direct = sum(float(c) * xv**e * yv**i * zv**j for (e, i, j), c in r.sorted_terms())
 
         assert eval2(p0, yv / xv, zv) == pytest.approx(direct, abs=1e-9)
         assert eval2(p1, zv / wv, yv) == pytest.approx(direct, abs=1e-9)
@@ -251,24 +252,47 @@ def test_conversion_matches_evaluation_by_ring_products(ctx, vars):
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
-def test_every_part_is_an_mpoly_in_its_rings_parts(ctx):
-    """Both parts of every element, however built, are ``MPoly`` in the
-    ring's ``PARTS``; a part of R and one of R[T] do not add."""
+def test_every_result_is_stored_in_its_rings_vars(ctx):
+    """Every element, however built, stores one canonical polynomial in its
+    ring's ``VARS`` of x-degree at most 1; ``to_mpoly`` shares that dict;
+    an element of R and one of R[T] do not add as polynomials."""
     half = ctx.elem(Fraction(1, 2))
     r = R("3/2*x*y^2 - z + 1", ctx) * R("x*z - 2*y", ctx)
+    s = R("x + y*z - 2", ctx)
     p = parse_polyt("x*T^2 + y*T - 1/3*z", ctx) * RingPolyT.gen_T(ctx)
     built = [
         *(getattr(cls, f"gen_{v}")(ctx) for cls in (RingElement, RingPolyT) for v in "xyzw"),
         RingPolyT.gen_T(ctx), RingElement.from_raw(ctx, ctx.rone), RingElement.zero(ctx),
-        r, r * r, r + r, -r, r.scale(half), r.tau(),
-        mpoly_to_ring(r.to_mpoly()), mpoly_to_ringpolyt(p.to_mpoly()),
-        RingPolyT.from_ring(r), p + r, p * r, p.eval_at_T(half), p.reverse_T(), p.tau(),
+        r, r * r, r + r, r - s, -r, r.scale(half), r.tau(), r.sigma(), r**3,
+        dot([(r, s), (s, s), (r, r)]), dot([(p, r), (s, p)]), (r * s).divexact(s),
+        (p * s).divexact(p), mpoly_to_ring(r.to_mpoly()), mpoly_to_ringpolyt(p.to_mpoly()),
+        RingPolyT.from_ring(r), p + r, p - r, p * r, p.eval_at_T(half), p.reverse_T(),
+        p.tau(), p.sigma(), normal_form("x^5*w^3 + 3/2*x^2*y*z^2*w - 7*y^2*z", ctx),
     ]
     for e in built:
-        for part in (e.a, e.b):
-            assert type(part) is MPoly and part.vars == type(e).PARTS
+        cls = type(e)
+        assert cls in (RingElement, RingPolyT) and e.vars == cls.VARS
+        assert all(len(m) == len(cls.VARS) and m[0] <= 1 for m in e.terms)
+        assert all(type(c) is int and c for c in e.terms.values())
+        assert type(e.den) is int and e.den > 0
+        if ctx.p is None:
+            assert gcd(e.den, *e.terms.values()) == 1
+        else:
+            assert e.den == 1 and all(0 < c < ctx.p for c in e.terms.values())
+        lifted = e.to_mpoly()
+        assert type(lifted) is MPoly and lifted.terms is e.terms and lifted.den == e.den
     with pytest.raises(ValueError, match="different rings"):
-        RingElement.gen_y(ctx).a + RingPolyT.gen_T(ctx).a
+        MPoly.__add__(RingElement.gen_y(ctx), RingPolyT.gen_T(ctx))
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_is_constant_is_one_property(ctx):
+    """``is_constant`` is ``MPoly``'s property on ring elements too, so no
+    caller can read a bound method as truthy."""
+    assert RingElement.__dict__.get("is_constant") is None
+    assert RingElement.one(ctx).is_constant is True and RingElement.zero(ctx).is_constant is True
+    assert RingElement.gen_x(ctx).is_constant is False
+    assert RingPolyT.gen_T(ctx).is_constant is False
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +323,9 @@ def test_divexact_inverts_the_product(ctx, cls):
         assert (a * b).divexact(b) == a
         divide = b.divider()
         assert divide(a * b) == a and divide(b) == cls.one(ctx) and divide(a - a).is_zero
-        # sigma is an involution, and the norm b * sigma(b) has no x part
+        # sigma is an involution, and the norm b * sigma(b) has no x term
         assert b.sigma().sigma() == b
-        assert (b * b.sigma()).b.is_zero
+        assert all(m[0] == 0 for m in (b * b.sigma()).terms)
     assert tested >= 25
 
 

@@ -6,10 +6,12 @@ Over F_7 the inputs are integer polynomials; sympy works over Q and its
 coefficients are reduced mod 7 afterwards (reduction is a ring map, and the
 divisor x^2 - x + yz is monic, so division commutes with it).
 
-``terms_mul`` is also checked against the plain loop on raw coefficients
-(large denominators, cancellation, every key width): its operands are the
-stored int forms of the raw dicts, and its canonical (terms, den) result must
-read back as the plain loop's coefficients in the same key order.  Those
+``terms_mul``, and a sum of products with one addend ``acc`` (``acc``
+times 1, through ``sum_of_scaled``), are also checked against the plain
+loop on raw coefficients (large denominators, cancellation, every key
+width): their operands are the stored int forms of the raw dicts, and the
+canonical (terms, den) result must read back as the plain loop's
+coefficients in the same key order.  Those
 operands stay below ``PACK_MIN_PAIRS``, on the dict loop; the packed product
 ``packed_sum`` is called directly on small operands and must equal the dict
 loop as dicts (its key order is its own), and the fused ``dot``, packed or
@@ -21,7 +23,7 @@ import itertools
 import random
 import signal
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import add
 
 import pytest
@@ -29,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
-from jouanolou import jring
 from jouanolou import polys as kernel
 from jouanolou.polys import (
     PACK_BOX_PER_PAIR,
@@ -42,8 +43,8 @@ from jouanolou.polys import (
     raw_coeff,
     slot_bytes,
     settled,
+    sum_of_scaled,
     terms_mul,
-    terms_over,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -135,7 +136,7 @@ def test_ring_products_match_sympy_remainder(ctx):
     @CHECKS
     @given(polys(XYZW, ctx), polys(XYZW, ctx))
     def check(p, q):
-        got = (mpoly_to_ring(p) * mpoly_to_ring(q)).to_mpoly(XYZ)
+        got = (mpoly_to_ring(p) * mpoly_to_ring(q)).to_mpoly()
         product = sympy.expand((to_sympy(p) * to_sympy(q)).subs(w, 1 - x))
         want = sympy.rem(product, x**2 - x + y * z, x) if product != 0 else product
         assert raw_terms(got) == from_sympy(want, XYZ, ctx)
@@ -149,9 +150,9 @@ def test_polyt_products_match_mpoly(ctx):
     @given(polys(XYZT, ctx), polys(XYZT, ctx))
     def check(p, q):
         got = mpoly_to_ringpolyt(p) * mpoly_to_ringpolyt(q)
-        assert got.to_mpoly(XYZT) == mpoly_to_ringpolyt(p * q).to_mpoly(XYZT)
+        assert got.to_mpoly() == mpoly_to_ringpolyt(p * q).to_mpoly()
         total = mpoly_to_ringpolyt(p) + mpoly_to_ringpolyt(q)
-        assert total.to_mpoly(XYZT) == mpoly_to_ringpolyt(p + q).to_mpoly(XYZT)
+        assert total.to_mpoly() == mpoly_to_ringpolyt(p + q).to_mpoly()
 
     check()
 
@@ -164,7 +165,7 @@ def test_polyt_arithmetic_matches_sympy_remainder(ctx):
         P, Q = mpoly_to_ringpolyt(p), mpoly_to_ringpolyt(q)
         sp, sq = to_sympy(p), to_sympy(q)
         for got, want in ((P, sp), (P + Q, sp + sq), (P - Q, sp - sq), (P * Q, sp * sq)):
-            assert raw_terms(got.to_mpoly(XYZT)) == from_sympy(normal_form(want), XYZT, ctx)
+            assert raw_terms(got.to_mpoly()) == from_sympy(normal_form(want), XYZT, ctx)
 
     check()
 
@@ -180,7 +181,7 @@ def test_mixed_r_and_polyt_operands_match_sympy_remainder(ctx):
                  (r - t, sp - sq), (t - r, sq - sp))
         for got, want in cases:
             assert type(got) is RingPolyT
-            assert raw_terms(got.to_mpoly(XYZT)) == from_sympy(normal_form(want), XYZT, ctx)
+            assert raw_terms(got.to_mpoly()) == from_sympy(normal_form(want), XYZT, ctx)
 
     check()
 
@@ -193,12 +194,12 @@ def test_polyt_substitutions_match_sympy(ctx):
     @given(polys(XYZWT, ctx), st.integers(-3, 3))
     def check(q, t):
         Q, sq = mpoly_to_ringpolyt(q), normal_form(to_sympy(q))
-        at_t = Q.eval_at_T(ctx.elem(t)).to_mpoly(XYZ)
+        at_t = Q.eval_at_T(ctx.elem(t)).to_mpoly()
         assert raw_terms(at_t) == from_sympy(sq.subs(T, t), XYZ, ctx)
-        reversed_ = Q.reverse_T().to_mpoly(XYZT)
+        reversed_ = Q.reverse_T().to_mpoly()
         assert raw_terms(reversed_) == from_sympy(sq.subs(T, 1 - T), XYZT, ctx)
         swapped = sq.subs({y: z, z: y}, simultaneous=True)
-        assert raw_terms(Q.tau().to_mpoly(XYZT)) == from_sympy(swapped, XYZT, ctx)
+        assert raw_terms(Q.tau().to_mpoly()) == from_sympy(swapped, XYZT, ctx)
 
     check()
 
@@ -248,18 +249,15 @@ def term_dicts(nvars, ctx, max_size=5):
 
 
 def stored_mul(ctx, A, B, acc=None):
-    """terms_mul on the stored forms of the raw dicts A and B (and acc).
-
-    acc must lie over the product's denominator dA * dB: A is scaled so that
-    dA * dB is a multiple of acc's denominator."""
+    """terms_mul on the stored forms of the raw dicts A and B; with ``acc``,
+    the settled sum of products acc * 1 + A * B (acc first, as the plain
+    loop adds it)."""
     (a, dA), (b, dB) = cleared(ctx, A), cleared(ctx, B)
     if acc is None:
         return terms_mul(ctx, a, dA, b, dB)
     c, dC = cleared(ctx, acc)
-    D = lcm(dA * dB, dC)
-    k = D // (dA * dB)
-    a, dA = {m: v * k for m, v in a.items()}, dA * k
-    return terms_mul(ctx, a, dA, b, dB, terms_over(c, dC, D))
+    one = {(0,) * len(next(iter(c or a or b))): 1}
+    return settled(ctx, *sum_of_scaled([(1, c, dC, one, 1), (1, a, dA, b, dB)]))
 
 
 def _check_product(ctx, got, want):
@@ -345,8 +343,8 @@ def shifted_dicts(nvars, ctx, max_size=5):
 
 
 def _unreduced(ctx):
-    """acc values as ``RingElement.__mul__`` hands them on: over F_p any
-    int, negative or above p; over Q the stored ints."""
+    """Addend values as an unsettled sum holds them: over F_p any int,
+    negative or above p; over Q the stored ints."""
     if ctx.p is None:
         return st.integers(-(2**70), 2**70)
     return st.integers(-10 * ctx.p, 10 * ctx.p)
@@ -356,8 +354,9 @@ def _unreduced(ctx):
 @pytest.mark.parametrize("nvars", KEY_WIDTHS)
 def test_packed_product_equals_the_dict_loop(ctx, nvars):
     """Negative values, numerators above 2^64 (slots of several words),
-    nonzero exponent minima, and an acc that may cancel the product or hold
-    unreduced F_p sums: the packed sum settles to the dict loop's pair."""
+    nonzero exponent minima, and an addend acc (a second product, acc * 1)
+    that may cancel the product or hold unreduced F_p sums: the packed sum
+    settles to the dict loop's pair."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
@@ -370,8 +369,13 @@ def test_packed_product_equals_the_dict_loop(ctx, nvars):
         acc = data.draw(st.dictionaries(keys, _unreduced(ctx), max_size=6))
         if data.draw(st.booleans()):  # cancel the whole product; acc keys off it remain
             acc.update({m: -c for m, c in terms_mul(ctx, a, 1, b, 1)[0].items()})
-        got = settled(ctx, packed_sum([(1, a, b)], ANY_SLOTS, acc), dA * dB)
-        assert got == terms_mul(ctx, a, dA, b, dB, acc)
+        acc = {m: c for m, c in acc.items() if c}
+        products = [(1, a, b)] + ([(1, acc, {(0,) * nvars: 1})] if acc else [])
+        want = {}
+        for s, A, B in products:
+            _mul_into(want, A, B, s)
+        got = settled(ctx, packed_sum(products, ANY_SLOTS), dA * dB)
+        assert got == settled(ctx, want, dA * dB)
 
     check()
 
@@ -400,6 +404,90 @@ def test_packed_sum_of_scaled_products_equals_the_dict_loop(ctx, nvars):
     check()
 
 
+# --- the slot bound of packed_sum ---------------------------------------------
+
+SLOT_FIELDS = [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7"),
+               pytest.param(Fp(2**31 - 1), id="F2^31-1")]
+
+
+def slot_bound(products):
+    """The bound ``packed_sum`` sizes its slots by: the sum over the
+    products of |s| * min(|A|_1 * max|b|, max|a| * |B|_1)."""
+    def size(X):
+        return max(map(abs, X.values())), sum(map(abs, X.values()))
+
+    return sum(abs(s) * min(size(A)[1] * size(B)[0], size(A)[0] * size(B)[1])
+               for s, A, B in products)
+
+
+def _recorded_slot_bytes(monkeypatch):
+    """The slot widths ``packed_sum`` picks from here on, in call order."""
+    widths = []
+
+    def recorded(bound):
+        widths.append(real(bound))
+        return widths[-1]
+
+    real = kernel.slot_bytes
+    monkeypatch.setattr(kernel, "slot_bytes", recorded)
+    return widths
+
+
+@pytest.mark.parametrize("ctx", SLOT_FIELDS)
+def test_slot_bound_holds_sums_within_a_factor_two_of_it(ctx, monkeypatch):
+    """Operands of one sign with values in [top/sqrt(2), top] on a line: the
+    slot where min(|A|, |B|) term pairs meet holds at least half the bound,
+    and no slot more than it.  The packed sum, in the slot bytes of that
+    bound, equals the dict loop, at tops around every slot-width edge."""
+    widths = _recorded_slot_bytes(monkeypatch)
+    tops = [ctx.p - 1] if ctx.p is not None else [2**k for k in (3, 7, 15, 30, 31, 62, 63, 70)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        top = data.draw(st.sampled_from(tops))
+        low = -(-top * 71 // 100)  # at least top / sqrt(2)
+        n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        shift = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        signs = data.draw(st.sampled_from([(1, 1), (-1, -1), (1, -1), (-1, 1)]))
+        values = st.integers(low, top)
+        A = {(shift[0], i): signs[0] * data.draw(values) for i in range(n)}
+        B = {(shift[1], j): signs[1] * data.draw(values) for j in range(m)}
+        s = data.draw(st.sampled_from([1, 2, 3]))
+        products = [(s, A, B)]
+        want = {}
+        _mul_into(want, A, B, s)
+        bound = slot_bound(products)
+        assert bound // 2 <= max(map(abs, want.values())) <= bound
+        del widths[:]
+        got = packed_sum(products, ANY_SLOTS)
+        assert widths == [slot_bytes(bound)]
+        assert got == want
+        assert settled(ctx, got, 1) == settled(ctx, want, 1)
+
+    check()
+
+
+@pytest.mark.parametrize("ctx", SLOT_FIELDS)
+def test_slot_bound_narrows_a_sixteen_byte_sum_to_eight(ctx, monkeypatch):
+    """Eight values v = 2^31 - 2 times one v and seven ones: the bound
+    max|a| * max|b| * min(|A|, |B|) = 8v^2 asks 16-byte slots, the bound
+    min(|A|_1 * max|b|, max|a| * |B|_1) = v(v + 7) 8-byte ones, and the
+    packed sum in them equals the dict loop."""
+    widths = _recorded_slot_bytes(monkeypatch)
+    v = 2**31 - 2
+    A = {(0, i): v for i in range(8)}
+    B = {(0, 0): v, **{(1, j): 1 for j in range(7)}}
+    assert slot_bytes(max(A.values()) * max(B.values()) * min(len(A), len(B))) == 16
+    assert slot_bound([(1, A, B)]) == v * (v + 7)
+    want = {}
+    _mul_into(want, A, B)
+    got = packed_sum([(1, A, B)], ANY_SLOTS)
+    assert widths == [8]
+    assert got == want
+    assert settled(ctx, got, 1) == settled(ctx, want, 1)
+
+
 # the bits a bound needs with its sign bit, and the slot bytes they get
 SLOT_EDGES = {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 16}
 
@@ -412,8 +500,9 @@ SLOT_EDGES = {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 16}
 def test_packed_sum_at_the_slot_width_edges(ctx, bits, signs):
     """For the largest and the smallest bound that needs ``bits`` bits with
     its sign bit, a packed sum whose slot at x reaches the bound (same
-    signs) or cancels (mixed) equals the dict loop, with an acc that cancels
-    that slot or not; the slot gets the bytes of ``SLOT_EDGES``."""
+    signs) or cancels (mixed) equals the dict loop, with an addend acc (acc
+    times 1) that cancels that slot or not; the slot gets the bytes of
+    ``SLOT_EDGES``."""
     field_top = 2**40 if ctx.p is None else ctx.p - 1  # the largest stored value
     for bound, with_acc in itertools.product((2 ** (bits - 1) - 1, 2 ** (bits - 2)), (False, True)):
         top = min(field_top, isqrt(bound // 2))
@@ -421,13 +510,14 @@ def test_packed_sum_at_the_slot_width_edges(ctx, bits, signs):
         b = {(0, 0): top, (1, 0): top}
         s, r = divmod(bound, 2 * top * top)  # the bound is s * top * top * 2 + r
         products = [(s, a, b)] + ([(r, {(1, 0): signs[0]}, {(0, 0): 1})] if r else [])
-        acc = {(1, 0): -signs[0] * bound, (2, 2): 1} if with_acc else None
-        want = dict(acc or {})
+        if with_acc:
+            products.append((1, {(1, 0): -signs[0] * bound, (2, 2): 1}, {(0, 0): 1}))
+        want = {}
         for scale, A, B in products:
             _mul_into(want, A, B, scale)
         if signs[0] == signs[1]:
             assert want[(1, 0)] == (0 if with_acc else signs[0] * bound)
-        got = packed_sum(products, ANY_SLOTS, acc)
+        got = packed_sum(products, ANY_SLOTS)
         assert {m: c for m, c in got.items() if c} == {m: c for m, c in want.items() if c}
         assert settled(ctx, got, 1) == settled(ctx, want, 1)
         assert slot_bytes(bound) == SLOT_EDGES[bits]
@@ -517,9 +607,9 @@ def test_a_sparse_large_product_keeps_to_the_dict_loop(ctx):
 
 @pytest.mark.parametrize("ctx", FIELDS)
 def test_operands_that_fill_little_of_their_boxes_keep_to_the_dict_loop(ctx, monkeypatch):
-    """100 by 100 terms spread over 500 and 400 exponents: the packed
-    multiply would cost sum(box(A) * box(B)) = 20 times the 10^4 pairs,
-    above PACK_BOX_PER_PAIR, while the result box (899 slots) passes the
+    """100 by 100 terms spread over 700 and 500 exponents: the packed
+    multiply would cost sum(box(A) * box(B)) = 35 times the 10^4 pairs,
+    above PACK_BOX_PER_PAIR, while the result box (1199 slots) passes the
     slot guard, so the loop runs.  Spread over 200 and 200 (4 times the
     pairs) the product packs.  Both equal the plain loop."""
     rng = random.Random(11)
@@ -532,7 +622,7 @@ def test_operands_that_fill_little_of_their_boxes_keep_to_the_dict_loop(ctx, mon
 
     real = kernel.packed_sum
     monkeypatch.setattr(kernel, "packed_sum", counted)
-    for width_a, width_b, packs in ((500, 400, False), (200, 200, True)):
+    for width_a, width_b, packs in ((700, 500, False), (200, 200, True)):
         a, b = ({(e, 0): rng.randint(1, 6) for e in [0, width - 1, *rng.sample(range(1, width - 1), 98)]}
                 for width in (width_a, width_b))
         before = len(packed)
@@ -544,8 +634,9 @@ def test_operands_that_fill_little_of_their_boxes_keep_to_the_dict_loop(ctx, mon
 @pytest.mark.parametrize("ctx", FIELDS)
 @pytest.mark.parametrize("cls", [RingElement, RingPolyT])
 def test_zero_and_constant_operands_scale_without_a_product(ctx, cls, monkeypatch):
-    """c * p and p * c for a constant c (zero included) scale p's parts in
-    one pass: no terms_mul runs, and the result is the sympy product."""
+    """c * p and p * c for a constant c (zero included) scale p in one pass:
+    one term pair per term of p, no packed multiply, and the result is the
+    sympy product."""
     vars = XYZW if cls is RingElement else XYZWT
     convert = mpoly_to_ring if cls is RingElement else mpoly_to_ringpolyt
     ring_vars = vars[:3] + vars[4:]  # w eliminated
@@ -555,15 +646,23 @@ def test_zero_and_constant_operands_scale_without_a_product(ctx, cls, monkeypatc
     @given(polys(vars, ctx), st.sampled_from(constants))
     def check(p, value):
         c = cls.from_raw(ctx, ctx.rfrom_fraction(value.numerator, value.denominator))
-        monkeypatch.setattr(jring, "terms_mul", None)  # any full product fails
+        r, pairs, real = convert(p), [], kernel._mul_into
+
+        def counted(out, A, B, s=1):
+            pairs.append(len(A) * len(B))
+            real(out, A, B, s)
+
+        monkeypatch.setattr(kernel, "_mul_into", counted)
+        monkeypatch.setattr(kernel, "packed_sum", None)  # a packed multiply fails
         try:
-            products = (convert(p) * c, c * convert(p))
+            products = (r * c, c * r)
         finally:
             monkeypatch.undo()
+        assert sum(pairs) == (2 * len(r.terms) if value else 0)
         want = normal_form(to_sympy(p) * sympy.Rational(value.numerator, value.denominator))
         for got in products:
             assert type(got) is cls
-            assert raw_terms(got.to_mpoly(ring_vars)) == from_sympy(want, ring_vars, ctx)
+            assert raw_terms(got.to_mpoly()) == from_sympy(want, ring_vars, ctx)
 
     check()
 

@@ -4,8 +4,8 @@ Over Q and F_7, with denominators up to 2^64:
 
 * every kernel result is canonical: int values only, no zeros, den > 0,
   gcd(den, all values) = 1, and den = 1 with values in [1, p) over F_p;
-* the ring product, on ints with each operand cleared once, equals the
-  four-product composition on ``Fraction`` dicts, key order included;
+* the ring product, one sum of products on the stored ints with its x^2
+  keys folded, equals the four-product composition on ``Fraction`` dicts;
 * printed text equals the text of a ``Fraction``-dict oracle;
 * the floats ``realize`` evaluates are bitwise those of ``float(Fraction)``,
   read in sorted key order.
@@ -48,13 +48,22 @@ def raw_dicts(ctx, width, max_size=4):
     return st.dictionaries(mon, scalars(ctx), max_size=max_size)
 
 
-def parts(ctx, cls=RingElement):
-    """Parts a, b of ``cls``: polynomials in its ``PARTS``."""
-    return raw_dicts(ctx, len(cls.PARTS)).map(lambda raw: MPoly(ctx, cls.PARTS, raw))
+def parts(ctx):
+    """Polynomials in y and z."""
+    return raw_dicts(ctx, 2).map(lambda raw: MPoly(ctx, ("y", "z"), raw))
 
 
 def ring_elements(ctx, cls=RingElement):
-    return st.tuples(parts(ctx, cls), parts(ctx, cls)).map(lambda ab: cls(*ab))
+    """Elements a + x*b of ``cls`` from raw dicts of a and of b."""
+    width = len(cls.VARS) - 1
+    return st.tuples(raw_dicts(ctx, width), raw_dicts(ctx, width)).map(lambda ab: cls(ctx, {
+        (e, *m): c for e, part in enumerate(ab) for m, c in part.items()}))
+
+
+def ring_of(P, Q):
+    """P + x*Q in R, for P and Q polynomials in y and z."""
+    a, b = (RingElement(P.ctx, {(0, *m): c for m, c in X.terms.items()}, X.den) for X in (P, Q))
+    return a + RingElement.gen_x(P.ctx) * b
 
 
 def assert_canonical(ctx, terms, den):
@@ -67,8 +76,8 @@ def assert_canonical(ctx, terms, den):
 
 
 def assert_ring_canonical(r):
-    for part in (r.a, r.b):
-        assert_canonical(r.ctx, part.terms, part.den)
+    assert all(len(m) == len(r.VARS) and m[0] <= 1 for m in r.terms)
+    assert_canonical(r.ctx, r.terms, r.den)
 
 
 def raw_items(ctx, terms, den) -> list:
@@ -92,8 +101,8 @@ def test_kernel_results_are_canonical(ctx):
         assert_canonical(ctx, *terms_mul(ctx, P.terms, P.den, Q.terms, Q.den))
         assert_canonical(ctx, *terms_scale(ctx, P.terms, P.den, c))
         assert_canonical(ctx, *terms_scale(ctx, P.terms, P.den, c, (1, 2)))
-        swapped = RingElement(P, Q).tau()
-        for r in (P + Q, P - Q, -P, P * Q, P.scale(c), swapped.a, swapped.b):
+        swapped = ring_of(P, Q).tau()
+        for r in (P + Q, P - Q, -P, P * Q, P.scale(c), swapped):
             assert_canonical(ctx, r.terms, r.den)
         # a sum that cancels to a multiple of the denominator
         R = data.draw(parts(ctx))
@@ -113,7 +122,7 @@ def test_ring_results_are_canonical(ctx, cls):
         assert_ring_canonical(r)
         for out in (r + s, r - s, -r, r * s, r * r, r.scale(c), r.tau(), r**2):
             assert_ring_canonical(out)
-        m = r.to_mpoly(cls.VARS)
+        m = r.to_mpoly()
         assert_canonical(ctx, m.terms, m.den)
         if cls is RingPolyT:
             assert_ring_canonical(r.reverse_T())
@@ -168,7 +177,17 @@ def composed_ring_mul(ctx, a1, b1, a2, b2):
 
 
 def raw_parts(r):
-    return [dict(raw_items(r.ctx, p.terms, p.den)) for p in (r.a, r.b)]
+    """The raw dicts of a and b in r = a + x*b, on keys without x."""
+    parts = ({}, {})
+    for m, c in raw_items(r.ctx, r.terms, r.den):
+        parts[m[0]][m[1:]] = c
+    return parts
+
+
+def composed_raw(ctx, u, v):
+    """u * v by :func:`composed_ring_mul`, as one raw dict on (x, ...) keys."""
+    a, b = composed_ring_mul(ctx, *raw_parts(u), *raw_parts(v))
+    return {(e, *m): c for e, part in enumerate((a, b)) for m, c in part.items()}
 
 
 @pytest.mark.parametrize("ctx", FIELDS)
@@ -178,9 +197,7 @@ def test_ring_product_equals_composed_products(ctx, cls):
     @given(ring_elements(ctx, cls), ring_elements(ctx, cls))
     def check(r, s):
         got = r * s
-        want = composed_ring_mul(ctx, *raw_parts(r), *raw_parts(s))
-        for part, w in zip((got.a, got.b), want):
-            assert raw_items(ctx, part.terms, part.den) == list(w.items())
+        assert dict(raw_items(ctx, got.terms, got.den)) == composed_raw(ctx, r, s)
 
     check()
 
@@ -192,16 +209,12 @@ def test_ring_product_with_cancelling_parts(ctx):
     s = -1/2 + x (1/2 + y) give b1 b2 = 1/4 + y/2, whose constant a2 b1
     cancels, and a1 b2 brings it back after y."""
     half = ctx.rfrom_fraction(1, 2)
-    yz = RingElement.PARTS
-    r = RingElement(MPoly(ctx, yz, {(0, 0): half}), MPoly(ctx, yz, {(0, 0): half}))
-    s = RingElement(MPoly(ctx, yz, {(0, 0): ctx.rneg(half)}),
-                    MPoly(ctx, yz, {(0, 0): half, (1, 0): 1}))
-    assert list((r * s).b.terms) == [(1, 0), (0, 0)]
+    r = RingElement(ctx, {(0, 0, 0): half, (1, 0, 0): half})
+    s = RingElement(ctx, {(0, 0, 0): ctx.rneg(half), (1, 0, 0): half, (1, 1, 0): 1})
+    assert {m for m in (r * s).terms if m[0]} == {(1, 1, 0), (1, 0, 0)}
     for u, v in ((r, s), (s, r), (r, r), (s, s), (r - s, r + s)):
         got = u * v
-        want = composed_ring_mul(ctx, *raw_parts(u), *raw_parts(v))
-        for part, w in zip((got.a, got.b), want):
-            assert raw_items(ctx, part.terms, part.den) == list(w.items())
+        assert dict(raw_items(ctx, got.terms, got.den)) == composed_raw(ctx, u, v)
         assert_ring_canonical(got)
 
 
@@ -236,11 +249,7 @@ def oracle_str(vars, raw: dict, rationals: bool) -> str:
 
 def oracle_ring_raw(r) -> dict:
     """The normal form a + x b of r as one raw dict on (x, y, z[, T]) keys."""
-    out = {}
-    for xe, part in enumerate(raw_parts(r)):
-        for key, c in part.items():
-            out[(xe,) + key] = c
-    return out
+    return dict(raw_items(r.ctx, r.terms, r.den))
 
 
 @pytest.mark.parametrize("ctx", FIELDS)
@@ -252,7 +261,7 @@ def test_printed_text_equals_fraction_oracle(ctx, cls):
         for out in (r, r * s, r - s):
             want = oracle_str(cls.VARS, oracle_ring_raw(out), ctx.p is None)
             assert ring_str(out) == want
-            assert mpoly_str(out.to_mpoly(cls.VARS)) == want
+            assert mpoly_str(out.to_mpoly()) == want
 
     check()
 
@@ -263,9 +272,7 @@ def test_compiled_floats_are_bitwise_float_of_fraction(ctx):
     @given(ring_elements(ctx), ring_elements(ctx))
     def check(r, s):
         for out in (r, r * s):
-            want = []
-            for xe, part in enumerate(raw_parts(out)):
-                want.extend((float(c), xe, i, j) for (i, j), c in sorted(part.items()))
+            want = [(float(c), *m) for m, c in sorted(oracle_ring_raw(out).items())]
             got = _compile(out)
             assert [(c.hex(), *rest) for c, *rest in got] == [(c.hex(), *rest) for c, *rest in want]
 

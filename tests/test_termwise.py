@@ -32,24 +32,18 @@ CHECKS = settings(max_examples=80, deadline=None, derandomize=True)
 def substitute_T(p: RingPolyT, image: RingPolyT) -> RingPolyT:
     """T replaced by ``image``, an element of k[T]: each T^t slice of the
     terms is multiplied by image^t."""
-    ctx, yzT = p.ctx, RingPolyT.PARTS
-    parts = []
-    for part in (p.a, p.b):
-        slices: dict = {}
-        for (i, j, t), c in part.terms.items():
-            slices.setdefault(t, {})[i, j, 0] = c
-        out = MPoly.zero(ctx, yzT)
-        for t, terms in slices.items():
-            out = out + MPoly(ctx, yzT, *canonical(terms, part.den)) * (image**t).a
-        parts.append(out)
-    return RingPolyT(*parts)
+    slices: dict = {}
+    for (e, i, j, t), c in p.terms.items():
+        slices.setdefault(t, {})[e, i, j, 0] = c
+    out = RingPolyT.zero(p.ctx)
+    for t, terms in slices.items():
+        out = out + RingPolyT(p.ctx, *canonical(terms, p.den)) * image**t
+    return out
 
 
 def eval_oracle(p: RingPolyT, t) -> RingElement:
     at = substitute_T(p, RingPolyT.from_raw(p.ctx, t.val))
-    a, b = (MPoly(at.ctx, RingElement.PARTS, {m[:2]: c for m, c in q.terms.items()}, q.den)
-            for q in (at.a, at.b))
-    return RingElement(a, b)
+    return RingElement(at.ctx, {m[:3]: c for m, c in at.terms.items()}, at.den)
 
 
 def reverse_oracle(p: RingPolyT) -> RingPolyT:
@@ -57,15 +51,14 @@ def reverse_oracle(p: RingPolyT) -> RingPolyT:
 
 
 def assert_canonical(r):
-    ctx = r.ctx
-    for part in (r.a, r.b):
-        terms, den = part.terms, part.den
-        assert type(den) is int and den > 0
-        assert all(type(c) is int and c for c in terms.values())
-        if ctx.p is None:
-            assert gcd(den, *terms.values()) == 1
-        else:
-            assert den == 1 and all(0 < c < ctx.p for c in terms.values())
+    ctx, terms, den = r.ctx, r.terms, r.den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in terms.values())
+    assert all(len(m) == len(r.VARS) and m[0] <= 1 for m in terms)
+    if ctx.p is None:
+        assert gcd(den, *terms.values()) == 1
+    else:
+        assert den == 1 and all(0 < c < ctx.p for c in terms.values())
 
 
 def scalars(ctx):
@@ -81,10 +74,8 @@ def scalars(ctx):
 def polyts(ctx, max_t=6):
     """Elements of R[T] of T-degree up to ``max_t``: zero, T-free and dense
     in T among them."""
-    mon = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, max_t))
-    part = st.dictionaries(mon, scalars(ctx), max_size=6).map(
-        lambda raw: MPoly(ctx, RingPolyT.PARTS, raw))
-    return st.tuples(part, part).map(lambda ab: RingPolyT(*ab))
+    mon = st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2), st.integers(0, max_t))
+    return st.dictionaries(mon, scalars(ctx), max_size=12).map(lambda raw: RingPolyT(ctx, raw))
 
 
 def parameters(ctx):

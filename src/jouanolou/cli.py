@@ -61,10 +61,11 @@ def cmd_normalize(args):
 
 def cmd_ideal(args):
     ctx = _field(args)
-    gen_texts = [g.strip() for g in args.gens.split(",") if g.strip()]
-    if not gen_texts:
+    # blank items are skipped; the others are read in place in --gens
+    items = [m for m in re.finditer(r"[^,]+", args.gens) if not m[0].isspace()]
+    if not items:
         raise ParseError("no generators given")
-    parsed = [textio.parse_poly(t, ctx, allow_T=True) for t in gen_texts]
+    parsed = [textio.parse_poly(args.gens, ctx, True, *m.span()) for m in items]
     target_p = textio.parse_poly(args.target, ctx, allow_T=True)
     with_T = any(p.degree_in("T") > 0 for p in parsed + [target_p])
     vars = (RingPolyT if with_T else RingElement).VARS
@@ -75,19 +76,15 @@ def cmd_ideal(args):
     if cert is None:
         print("NOT-IN-IDEAL")
         raise MathFailure
-    labels = gen_texts + (["x^2 - x + y*z"] if args.with_relation else [])
+    labels = [m[0].strip() for m in items] + (["x^2 - x + y*z"] if args.with_relation else [])
     for label, cof in zip(labels, cert.cofactors):
         print(f"[{label}] * ({textio.mpoly_str(cof)})")
 
 
 def cmd_resultant(args):
     ctx = _field(args)
-    parts = args.pair.split("|")
-    if len(parts) != 2:
-        raise ParseError('pair must be "<S0>|<S1>"')
     n = args.degree
-    S0 = [textio.parse_ring(t, ctx) for t in parts[0].split(";")]
-    S1 = [textio.parse_ring(t, ctx) for t in parts[1].split(";")]
+    S0, S1 = textio.parse_pair(args.pair, ctx)
     if len(S0) != n + 1 or len(S1) != n + 1:
         raise ParseError(
             f"degree {n} needs {n + 1} ';'-separated coefficients per polynomial"
@@ -137,7 +134,8 @@ def cmd_decompose(args):
 
 
 def cmd_verify_homotopy(args):
-    with open(args.witness) as fh:
+    # newline="": line ends stay as stored, so error positions count in the file
+    with open(args.witness, newline="") as fh:
         ctx, witness = textio.parse_witness(fh.read())
     f = textio.parse_map(getattr(args, "from"), ctx)
     g = textio.parse_map(args.to, ctx)

@@ -7,10 +7,16 @@ Grammar (whitespace-insensitive)::
     factor := ('x'|'y'|'z'|'w'|'T') ('^' int)?
     coeff  := int | int '/' int
     int    := ('0'..'9')+
+    body   := poly (';' poly)* ('|' poly (';' poly)*)*
 
 Every integer of the text formats (these, scalars, field markers, map and
 segment degrees, segment counts) is read by one rule, ``field.ascii_int``:
 ASCII digits, a leading '-' only where a sign is meaningful.
+
+One tokenizer, the regular expression ``_TOKEN``, scans the text a caller
+gives (a literal, a ``--pair`` or ``--gens`` value, a witness file) or a
+span of it, so a ``ParseError`` position is an offset into that text.  A
+``body`` is laid out by its tokens before any cell is read as a ``poly``.
 
 The parser sums every term, an exponent vector and a raw coefficient, into
 one dict, which ``MPoly`` clears once.
@@ -20,13 +26,15 @@ descending on (x, y, z, T), so golden files are stable and
 ``parse(serialize(v)) == v`` holds bit-exactly.
 
 Composite literals: ``map <n> [a0; a1 | b0; b1]``, ``row [A; B]``,
-``sl2 [A; -V | B; U]``.  Witness files carry a one-line header
-``jouanolou/v1 field=<Q|Fp=p>`` followed by segment blocks; their data lines
-carry checked labels, ``A``/``B`` in degree 0, else ``a0``/``a1``/``b0``/``b1``.
+``sl2 [A; -V | B; U]``: head words, then a bracketed body.  Witness files
+carry a one-line header ``jouanolou/v1 field=<Q|Fp=p>`` followed by segment
+blocks; their data lines carry checked labels, ``A``/``B`` in degree 0, else
+``a0``/``a1``/``b0``/``b1``.
 """
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 from .errors import ParseError
@@ -41,133 +49,127 @@ POLY_VARS_T = ("x", "y", "z", "w", "T")
 # ---------------------------------------------------------------------------
 # tokenizer
 
-
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if ascii_int(text[i:j], signed=False) is None:
-                raise ParseError(f"bad number {text[i:j]!r}", position=i, expected="digits 0-9")
-            toks.append(_Tok("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            toks.append(_Tok("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^[]|;":
-            toks.append(_Tok(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", position=i)
-    toks.append(_Tok("end", "", n))
-    return toks
+# \d is str.isdecimal, [^\W_] str.isalnum; finditer skips only what no group
+# takes, isspace.  Non-ASCII ints, names from '²' (not \d) or '½' are bad.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_][^\W_]*)|(?P<op>[-+*/^\[\]|;])|(?P<bad>\S)")
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: FieldCtx, allow_T: bool):
-        self.toks = _tokenize(text)
+    """Recursive descent over the tokens of text[start:end]: (kind, text,
+    position in ``text``), an operator's kind being itself, then an "end"."""
+
+    def __init__(self, text: str, ctx: FieldCtx, allow_T: bool, start: int = 0, end=None):
+        end = len(text) if end is None else end
+        self.toks = []
+        for m in _TOKEN.finditer(text, start, end):
+            kind, tok = m.lastgroup, m[0]
+            if kind == "op":
+                kind = tok
+            elif kind == "int" and not tok.isascii() or kind == "name" and not tok[0].isalpha():
+                kind = "bad"
+            self.toks.append((kind, tok, m.start()))
+        self.toks.append(("end", "", end))
         self.i = 0
         self.ctx = ctx
         self.vars = POLY_VARS_T if allow_T else POLY_VARS
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def peek(self) -> str:
+        return self.toks[self.i][0]
 
-    def take(self, kind=None) -> _Tok:
-        t = self.toks[self.i]
-        if kind is not None and t.kind != kind:
-            raise ParseError(f"unexpected token {t.text!r}", position=t.pos, expected=kind)
+    def take(self, kind=None) -> str:
+        k, text, pos = self.toks[self.i]
+        if kind is not None and k != kind:
+            raise ParseError(f"unexpected token {text!r}", position=pos, expected=kind)
         self.i += 1
-        return t
+        return text
 
-    def parse_poly(self) -> MPoly:
-        """Every term summed into one dict of raw coefficients, cleared once."""
+    def poly(self, stop: int) -> MPoly:
+        """The polynomial of the tokens up to index ``stop``, which it
+        consumes: a bad character is refused first, then every term is
+        summed into one dict of raw coefficients, cleared once."""
+        for kind, text, pos in self.toks[self.i : stop]:
+            if kind == "bad" and text[0].isdigit():
+                raise ParseError(f"bad number {text!r}", position=pos, expected="digits 0-9")
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text[0]!r}", position=pos)
         raw: dict = {}
-        op = self.take().kind if self.peek().kind == "-" else "+"
-        while True:
+        op = self.take() if self.peek() == "-" else "+"
+        while op:
             mon, c = self.parse_term()
             raw[mon] = raw.get(mon, 0) + (c if op == "+" else -c)
-            if self.peek().kind not in ("+", "-"):
-                return MPoly(self.ctx, self.vars, raw)
-            op = self.take().kind
+            op = self.take() if self.peek() in ("+", "-") else None
+        self.expect_end(self.i, stop)
+        self.i += 1
+        return MPoly(self.ctx, self.vars, raw)
+
+    def expect_end(self, k: int, stop: int):
+        _, text, pos = self.toks[k]
+        if k != stop:
+            raise ParseError(f"trailing input {text!r}", position=pos, expected="end of input")
 
     def parse_term(self) -> tuple[tuple[int, ...], object]:
         """(exponent vector, raw coefficient) of one term."""
-        t = self.peek()
+        kind, text, pos = self.toks[self.i]
         mon = [0] * len(self.vars)
-        if t.kind == "int":
+        if kind == "int":
             coeff = self.parse_coeff()
-        elif t.kind == "name":
+        elif kind == "name":
             coeff = self.ctx.rone
             self.parse_factor(mon)
         else:
-            raise ParseError(f"unexpected token {t.text!r}", position=t.pos, expected="term")
-        while self.peek().kind == "*":
+            raise ParseError(f"unexpected token {text!r}", position=pos, expected="term")
+        while self.peek() == "*":
             self.take()
             self.parse_factor(mon)
         return tuple(mon), coeff
 
     def parse_coeff(self):
-        num = int(self.take("int").text)
-        if self.peek().kind == "/":
+        num = int(self.take("int"))
+        if self.peek() == "/":
             self.take()
-            den = int(self.take("int").text)
+            den = int(self.take("int"))
             return self.ctx.rfrom_fraction(num, den)
         return self.ctx.rfrom_int(num)
 
     def parse_factor(self, mon: list):
         """Add one factor's exponent into the exponent vector ``mon``."""
-        t = self.take("name")
-        if t.text not in self.vars:
+        pos = self.toks[self.i][2]
+        name = self.take("name")
+        if name not in self.vars:
             raise ParseError(
-                f"unknown variable {t.text!r}", position=t.pos, expected="|".join(self.vars)
+                f"unknown variable {name!r}", position=pos, expected="|".join(self.vars)
             )
         e = 1
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take()
-            e = int(self.take("int").text)
-        mon[self.vars.index(t.text)] += e
+            e = int(self.take("int"))
+        mon[self.vars.index(name)] += e
 
-    def expect_end(self):
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"trailing input {t.text!r}", position=t.pos, expected="end of input")
+    def body(self, close: str):
+        """Lay out ``body`` up to the first ``close`` token ("end", or "]",
+        which must end the input): the kinds of the tokens that end its
+        cells, and the cells as elements of R, read as they are iterated."""
+        kinds = [kind for kind, _, _ in self.toks]
+        if close not in kinds[self.i :]:
+            raise ParseError("unbalanced brackets in literal", position=self.toks[-1][2])
+        k = kinds.index(close, self.i)
+        self.expect_end(k + 1 if close == "]" else k, len(kinds) - 1)
+        stops = [j for j in range(self.i, k + 1) if kinds[j] in (";", "|", close)]
+        return [kinds[j] for j in stops], (mpoly_to_ring(self.poly(j)) for j in stops)
 
 
-def parse_poly(text: str, ctx: FieldCtx, allow_T: bool = True) -> MPoly:
-    p = _Parser(text, ctx, allow_T)
-    out = p.parse_poly()
-    p.expect_end()
-    return out
+def parse_poly(text: str, ctx: FieldCtx, allow_T: bool = True, start: int = 0, end=None) -> MPoly:
+    """The polynomial of text[start:end]; error positions count in ``text``."""
+    p = _Parser(text, ctx, allow_T, start, end)
+    return p.poly(len(p.toks) - 1)
 
 
 def parse_ring(text: str, ctx: FieldCtx) -> RingElement:
     return mpoly_to_ring(parse_poly(text, ctx, allow_T=False))
 
 
-def parse_polyt(text: str, ctx: FieldCtx) -> RingPolyT:
-    return mpoly_to_ringpolyt(parse_poly(text, ctx, allow_T=True))
+def parse_polyt(text: str, ctx: FieldCtx, start: int = 0, end=None) -> RingPolyT:
+    return mpoly_to_ringpolyt(parse_poly(text, ctx, True, start, end))
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +248,14 @@ def parse_field(text: str) -> FieldCtx:
 # composite literals
 
 
-def _split_bracket(text: str):
-    """Return (head, cells) for ``head [c0; c1 | c2; c3]`` style literals;
-    only blanks may follow the closing bracket."""
+def _literal(text: str, ctx: FieldCtx, expected: str):
+    """(head words, cell ends, cells) of ``head [body]``."""
     lb = text.find("[")
-    rb = text.find("]", lb + 1)
-    if lb < 0 or rb < 0:
-        raise ParseError("unbalanced brackets in literal", position=len(text))
-    tail = text[rb + 1 :]
-    if tail.strip():
-        position = len(text) - len(tail.lstrip())
-        raise ParseError("trailing text after literal", position=position, expected="end of input")
-    head = text[:lb].split()
-    body = text[lb + 1 : rb]
-    rows = [[cell.strip() for cell in row.split(";")] for row in body.split("|")]
-    return head, rows
+    if lb < 0:
+        raise ParseError("literal has no '['", expected=expected)
+    p = _Parser(text, ctx, False, lb)
+    p.take("[")
+    return (text[:lb].split(), *p.body("]"))
 
 
 def map_str(f) -> str:
@@ -275,19 +270,15 @@ def map_str(f) -> str:
 def parse_map(text: str, ctx: FieldCtx):
     from . import morphism
 
-    text = text.strip()
-    if "[" not in text:
-        raise ParseError("expected a map or row literal", expected="map ... [...] or row [...]")
-    head, rows = _split_bracket(text)
+    head, ends, cells = _literal(text, ctx, "map ... [...] or row [...]")
     if not head:
         raise ParseError("missing literal keyword", expected="map or row")
     if head[0] == "row":
         if len(head) != 1:
             raise ParseError("row literal takes no words before [", expected="row [A; B]")
-        if len(rows) != 1 or len(rows[0]) != 2:
+        if ends != [";", "]"]:
             raise ParseError("row literal needs [A; B]")
-        A, B = (parse_ring(s, ctx) for s in rows[0])
-        return morphism.make_row(A, B)
+        return morphism.make_row(*cells)
     if head[0] == "map":
         if len(head) != 2:
             raise ParseError("map literal needs a degree", expected="map <n> [...]")
@@ -296,11 +287,9 @@ def parse_map(text: str, ctx: FieldCtx):
             raise ParseError(f"bad map degree {head[1]!r}", expected="an integer")
         if n == 0:
             raise ParseError("a degree-0 map is a row literal", expected="row [A; B]")
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        if ends != [";", "|", ";", "]"]:
             raise ParseError("map literal needs [a0; a1 | b0; b1]")
-        a0, a1 = (parse_ring(s, ctx) for s in rows[0])
-        b0, b1 = (parse_ring(s, ctx) for s in rows[1])
-        return morphism.make_map(n, a0, a1, b0, b1)
+        return morphism.make_map(n, *cells)
     raise ParseError(f"unknown literal {head[0]!r}", expected="map or row")
 
 
@@ -314,12 +303,20 @@ def sl2_str(m) -> str:
 def parse_sl2(text: str, ctx: FieldCtx):
     from . import sl2 as _sl2
 
-    head, rows = _split_bracket(text.strip())
-    if head != ["sl2"] or len(rows) != 2 or any(len(r) != 2 for r in rows):
+    head, ends, cells = _literal(text, ctx, "sl2 [A; -V | B; U]")
+    if head != ["sl2"] or ends != [";", "|", ";", "]"]:
         raise ParseError("matrix literal needs sl2 [A; -V | B; U]")
-    e00, e01 = (parse_ring(s, ctx) for s in rows[0])
-    e10, e11 = (parse_ring(s, ctx) for s in rows[1])
+    e00, e01, e10, e11 = cells
     return _sl2.PointedSL2(((e00, e01), (e10, e11)))
+
+
+def parse_pair(text: str, ctx: FieldCtx) -> tuple[list[RingElement], list[RingElement]]:
+    """The two coefficient lists of a bare body ``c0; ...; cn | d0; ...; dm``."""
+    ends, cells = _Parser(text, ctx, False).body("end")
+    if ends.count("|") != 1:
+        raise ParseError('pair must be "<S0>|<S1>"')
+    cells, n = list(cells), ends.index("|") + 1
+    return cells[:n], cells[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +325,8 @@ def parse_sl2(text: str, ctx: FieldCtx):
 WITNESS_HEADER = "jouanolou/v1"
 # the data line labels of a degree-0 segment and of any other
 _LABELS = (("A", "B"), ("a0", "a1", "b0", "b1"))
+# a line: a run of characters that are not str.splitlines boundaries
+_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 def witness_str(w, ctx: FieldCtx) -> str:
@@ -353,7 +352,8 @@ def parse_witness(text: str):
     """Parse a witness file; returns (ctx, HomotopyWitness)."""
     from .homotopy import HomotopyWitness, Segment
 
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    spans = [m.span() for m in _LINE.finditer(text) if not m[0].isspace()]
+    lines = [text[s:e].strip() for s, e in spans]
     fields = lines[0].split(None, 1) if lines else []
     if not fields or fields[0] != WITNESS_HEADER:
         raise ParseError("missing witness header", expected=WITNESS_HEADER)
@@ -376,10 +376,11 @@ def parse_witness(text: str):
         for label in _LABELS[degree != 0]:
             if i >= len(lines) or ":" not in lines[i]:
                 raise ParseError("missing segment polynomial line")
-            got, poly_text = lines[i].split(":", 1)
-            if (got := got.rstrip()) != label:
+            start, end = spans[i]
+            colon = text.index(":", start, end)
+            if (got := text[start:colon].strip()) != label:
                 raise ParseError(f"bad segment line label {got!r}", expected=label)
-            data.append(parse_polyt(poly_text, ctx))
+            data.append(parse_polyt(text, ctx, colon + 1, end))
             i += 1
         segments.append(Segment(degree, tuple(data)))
     if i != len(lines):

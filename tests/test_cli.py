@@ -118,6 +118,41 @@ def test_oplus_text_is_pinned(capsys, field, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("oplus", "map 1 [1; 0 | 0; 1 + q]", "map 1 [1; 0 | 0; 1]"),
+         "unknown variable 'q' at position 21 (expected x|y|z|w)"),
+        (("resultant", "--pair", "x; y; 1 | z; q; 1", "--degree", "2"),
+         "unknown variable 'q' at position 13 (expected x|y|z|w)"),
+        (("ideal", "--target", "1", "--gens", "x*y + 2*z - 1, y^2 - q"),
+         "unknown variable 'q' at position 21 (expected x|y|z|w|T)"),
+    ],
+)
+def test_parse_error_positions_count_in_the_argument(capsys, argv, err):
+    code, out, got = run(capsys, *argv)
+    assert code == 2 and out == "" and got == f"parse error: {err}\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_witness_parse_error_positions_count_in_the_file(tmp_path, capsys, newline):
+    wfile = tmp_path / "w.txt"
+    run(capsys, "decompose", "map 1 [1; 0 | 0; 1]", "--witness-out", str(wfile))
+    text = wfile.read_text().replace("b1: 1\n", "b1: 1 + q\n").replace("\n", newline)
+    wfile.write_bytes(text.encode())
+    identity = "map 1 [1; 0 | 0; 1]"
+    code, _, err = run(capsys, "verify-homotopy", str(wfile), "--from", identity, "--to", identity)
+    assert code == 2 and f"at position {text.index('q')} " in err
+
+
+def test_blank_gens_items_are_skipped_and_labels_stripped(capsys):
+    _, want, _ = run(capsys, "ideal", "--target", "1", "--gens", "2*x - 1, 2*y", "--with-relation")
+    code, out, _ = run(
+        capsys, "ideal", "--target", "1", "--gens", " ,\t2*x - 1 ,, 2*y  ,", "--with-relation"
+    )
+    assert code == 0 and out == want and out.startswith("[2*x - 1] * (")
+
+
 def test_ideal_negative(capsys):
     code, out, _ = run(capsys, "ideal", "--target", "1", "--gens", "y, z", "--with-relation")
     assert code == 1 and "NOT-IN-IDEAL" in out

@@ -6,7 +6,10 @@ every power t as a ring element and multiplying each T^t slice by it.  The
 text parser sums every term into one dict of raw coefficients; the oracle
 builds an ``MPoly`` product per factor and an ``MPoly`` sum per term.
 Both must give equal values in canonical (terms, den) form, and the parser
-the same ``ParseError`` text and position on malformed input.
+the same ``ParseError`` text and position on malformed input.  The parser
+oracle runs on a copy of the character-loop tokenizer and the bracket
+splitter that the regex tokenizer replaced, which also reads the composite
+literals and ``--pair`` bodies the one reader now reads by token.
 """
 
 from fractions import Fraction
@@ -16,10 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jouanolou.errors import DivisionByZero, ParseError
-from jouanolou.field import Fp, QQ
-from jouanolou.jring import RingElement, RingPolyT
+from jouanolou.field import Fp, QQ, ascii_int
+from jouanolou.homgrp import ReferenceFamily
+from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring
+from jouanolou.morphism import g_uv, make_map, make_row, n_pi
 from jouanolou.polys import MPoly, canonical
-from jouanolou.textio import _Parser, parse_poly
+from jouanolou.sl2 import PointedSL2, act, m_uv
+from jouanolou.textio import parse_map, parse_pair, parse_poly, parse_sl2
 
 F7 = Fp(7)
 FIELDS = [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")]
@@ -134,7 +140,191 @@ def test_zero_maps_to_zero(ctx):
 # --- the parser oracle ------------------------------------------------------------
 
 
-class OracleParser(_Parser):
+# The reference reader: the character-loop tokenizer, the parser and the
+# bracket splitter the regex tokenizer replaced, kept whole so that a change
+# to either tokenizer shows.
+
+
+class RefTok:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind, text, pos):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+
+
+def ref_tokenize(text: str) -> list[RefTok]:
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if ascii_int(text[i:j], signed=False) is None:
+                raise ParseError(f"bad number {text[i:j]!r}", position=i, expected="digits 0-9")
+            toks.append(RefTok("int", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            toks.append(RefTok("name", text[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^[]|;":
+            toks.append(RefTok(c, c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", position=i)
+    toks.append(RefTok("end", "", n))
+    return toks
+
+
+class RefParser:
+    def __init__(self, text: str, ctx, allow_T: bool):
+        self.toks = ref_tokenize(text)
+        self.i = 0
+        self.ctx = ctx
+        self.vars = ("x", "y", "z", "w", "T") if allow_T else ("x", "y", "z", "w")
+
+    def peek(self) -> RefTok:
+        return self.toks[self.i]
+
+    def take(self, kind=None) -> RefTok:
+        t = self.toks[self.i]
+        if kind is not None and t.kind != kind:
+            raise ParseError(f"unexpected token {t.text!r}", position=t.pos, expected=kind)
+        self.i += 1
+        return t
+
+    def parse_poly(self) -> MPoly:
+        raw: dict = {}
+        op = self.take().kind if self.peek().kind == "-" else "+"
+        while True:
+            mon, c = self.parse_term()
+            raw[mon] = raw.get(mon, 0) + (c if op == "+" else -c)
+            if self.peek().kind not in ("+", "-"):
+                return MPoly(self.ctx, self.vars, raw)
+            op = self.take().kind
+
+    def parse_term(self):
+        t = self.peek()
+        mon = [0] * len(self.vars)
+        if t.kind == "int":
+            coeff = self.parse_coeff()
+        elif t.kind == "name":
+            coeff = self.ctx.rone
+            self.parse_factor(mon)
+        else:
+            raise ParseError(f"unexpected token {t.text!r}", position=t.pos, expected="term")
+        while self.peek().kind == "*":
+            self.take()
+            self.parse_factor(mon)
+        return tuple(mon), coeff
+
+    def parse_coeff(self):
+        num = int(self.take("int").text)
+        if self.peek().kind == "/":
+            self.take()
+            den = int(self.take("int").text)
+            return self.ctx.rfrom_fraction(num, den)
+        return self.ctx.rfrom_int(num)
+
+    def parse_factor(self, mon: list):
+        t = self.take("name")
+        if t.text not in self.vars:
+            raise ParseError(
+                f"unknown variable {t.text!r}", position=t.pos, expected="|".join(self.vars)
+            )
+        e = 1
+        if self.peek().kind == "^":
+            self.take()
+            e = int(self.take("int").text)
+        mon[self.vars.index(t.text)] += e
+
+    def expect_end(self):
+        t = self.peek()
+        if t.kind != "end":
+            raise ParseError(f"trailing input {t.text!r}", position=t.pos, expected="end of input")
+
+
+def ref_split_bracket(text: str):
+    lb = text.find("[")
+    rb = text.find("]", lb + 1)
+    if lb < 0 or rb < 0:
+        raise ParseError("unbalanced brackets in literal", position=len(text))
+    tail = text[rb + 1 :]
+    if tail.strip():
+        position = len(text) - len(tail.lstrip())
+        raise ParseError("trailing text after literal", position=position, expected="end of input")
+    head = text[:lb].split()
+    body = text[lb + 1 : rb]
+    rows = [[cell.strip() for cell in row.split(";")] for row in body.split("|")]
+    return head, rows
+
+
+def ref_parse_ring(text, ctx):
+    p = RefParser(text, ctx, False)
+    out = p.parse_poly()
+    p.expect_end()
+    return mpoly_to_ring(out)
+
+
+def ref_parse_map(text, ctx):
+    text = text.strip()
+    if "[" not in text:
+        raise ParseError("expected a map or row literal", expected="map ... [...] or row [...]")
+    head, rows = ref_split_bracket(text)
+    if not head:
+        raise ParseError("missing literal keyword", expected="map or row")
+    if head[0] == "row":
+        if len(head) != 1:
+            raise ParseError("row literal takes no words before [", expected="row [A; B]")
+        if len(rows) != 1 or len(rows[0]) != 2:
+            raise ParseError("row literal needs [A; B]")
+        A, B = (ref_parse_ring(s, ctx) for s in rows[0])
+        return make_row(A, B)
+    if head[0] == "map":
+        if len(head) != 2:
+            raise ParseError("map literal needs a degree", expected="map <n> [...]")
+        n = ascii_int(head[1])
+        if n is None:
+            raise ParseError(f"bad map degree {head[1]!r}", expected="an integer")
+        if n == 0:
+            raise ParseError("a degree-0 map is a row literal", expected="row [A; B]")
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise ParseError("map literal needs [a0; a1 | b0; b1]")
+        a0, a1 = (ref_parse_ring(s, ctx) for s in rows[0])
+        b0, b1 = (ref_parse_ring(s, ctx) for s in rows[1])
+        return make_map(n, a0, a1, b0, b1)
+    raise ParseError(f"unknown literal {head[0]!r}", expected="map or row")
+
+
+def ref_parse_sl2(text, ctx):
+    head, rows = ref_split_bracket(text.strip())
+    if head != ["sl2"] or len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise ParseError("matrix literal needs sl2 [A; -V | B; U]")
+    e00, e01 = (ref_parse_ring(s, ctx) for s in rows[0])
+    e10, e11 = (ref_parse_ring(s, ctx) for s in rows[1])
+    return PointedSL2(((e00, e01), (e10, e11)))
+
+
+def ref_parse_pair(text, ctx):
+    """The --pair reading of ``jou resultant`` before the one reader."""
+    parts = text.split("|")
+    if len(parts) != 2:
+        raise ParseError('pair must be "<S0>|<S1>"')
+    return tuple([ref_parse_ring(t, ctx) for t in part.split(";")] for part in parts)
+
+
+class OracleParser(RefParser):
     """The parser that builds an ``MPoly`` per factor and per term."""
 
     def parse_poly(self) -> MPoly:
@@ -222,6 +412,7 @@ def assert_same_parse(text, ctx, allow_T=True):
         "2*3",
         "T*T*w - w*T^2",
         "1/7*x",
+        "x\u00a0+\u2003y",
     ],
 )
 def test_parser_matches_oracle(ctx, text):
@@ -269,13 +460,14 @@ def test_T_outside_R_is_an_error_in_both_parsers():
 ALPHABET = "xyzwT0123456789/+-*^ "
 
 
-def poly_texts():
-    """Texts of the grammar, nearly all well formed."""
+def poly_texts(names="xyzwT"):
+    """Texts of the grammar over the variables ``names``, nearly all well
+    formed."""
     coeff = st.one_of(
         st.integers(0, 20).map(str),
         st.tuples(st.integers(0, 30), st.integers(1, 12)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
     )
-    factor = st.tuples(st.sampled_from("xyzwT"), st.integers(0, 4)).map(
+    factor = st.tuples(st.sampled_from(names), st.integers(0, 4)).map(
         lambda ve: ve[0] if ve[1] == 1 else f"{ve[0]}^{ve[1]}"
     )
     factors = st.lists(factor, min_size=1, max_size=4).map("*".join)
@@ -311,5 +503,126 @@ def test_parser_matches_oracle_on_damaged_texts(ctx):
         damaged = text[:at] + ch + text[at + (0 if insert else 1):]
         assert_same_parse(damaged, ctx)
         assert_same_parse(damaged, ctx, allow_T=False)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x^\u00b2", "digits 0-9"),
+        ("\u0663*x", "digits 0-9"),
+        ("y + \uff17", "digits 0-9"),
+        ("2/\u0663*y", "digits 0-9"),
+        ("\u00e9", "x|y|z|w|T"),
+        ("x + 2*\u00e9", "x|y|z|w|T"),
+        ("x\u00b2 + 1", "x|y|z|w|T"),
+        ("\u00bd*x", None),
+    ],
+)
+def test_non_ascii_text_matches_oracle(text, expected):
+    # the regex's classes are not str's: \d misses '²', which isdigit
+    # takes, and a name starts at an isalpha character only
+    got = assert_same_parse(text, QQ)
+    assert got[0] is ParseError and (expected is None or f"(expected {expected})" in got[1])
+
+
+# --- composite texts: the one reader against the splitting reference ------------
+
+DAMAGE = ALPHABET + "qX()[];|,:\t\u00e9\u00b2\u0663"
+
+
+def literal_texts(ctx):
+    """The texts of valid map, row and matrix literals over ``ctx``."""
+    from jouanolou.textio import map_str, sl2_str
+
+    refs = ReferenceFamily(ctx)
+    M = m_uv(ctx.elem(3), ctx.elem(2))
+    maps = [n_pi(1, ctx), n_pi(2, ctx), refs.ref(-1), g_uv(ctx.elem(3), ctx.elem(2)),
+            act(M, n_pi(1, ctx))]
+    return [map_str(f) for f in maps] + [sl2_str(M), "map 1 [1;0|0;1]", "  row  [1; 0]  "]
+
+
+def read_outcome(read, text, ctx):
+    """ParseError, or another error's type and text, or the value read."""
+    try:
+        value = read(text, ctx)
+    except ParseError:
+        return ParseError
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, PointedSL2):
+        return value
+    return value if isinstance(value, tuple) else (value.degree, value.data)
+
+
+def read_literal(read_map, read_sl2):
+    return lambda text, ctx: (read_sl2 if text.startswith("sl2") else read_map)(text, ctx)
+
+
+def damaged(text, at, ch, insert):
+    at %= len(text) + 1
+    return text[:at] + ch + text[at + (0 if insert else 1):]
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_literals_match_the_splitting_reader_on_damaged_texts(ctx):
+    new = read_literal(parse_map, parse_sl2)
+    ref = read_literal(ref_parse_map, ref_parse_sl2)
+    texts = literal_texts(ctx)
+    for text in texts:
+        assert read_outcome(new, text, ctx) == read_outcome(ref, text, ctx) != ParseError
+
+    @CHECKS
+    @given(st.sampled_from(texts), st.integers(0, 200), st.sampled_from(DAMAGE), st.booleans())
+    def check(text, at, ch, insert):
+        text = damaged(text, at, ch, insert)
+        assert read_outcome(new, text, ctx) == read_outcome(ref, text, ctx)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # the layout is refused before any cell is read ...
+        ("map 1 [1/0; 0 | 0; 1] junk", ParseError),
+        ("map 1 [1/0; 0 | 0; 1", ParseError),
+        ("map 1 [1/0; 0 | 0]", ParseError),
+        ("map x [1/0; 0 | 0; 1]", ParseError),
+        ("sl2 [1/0; 0 | 0; 1; 0]", ParseError),
+        ("1/0; x | y | z", ParseError),
+        # ... then the cells in reading order, each a bad character first
+        ("map 1 [1/0; 0 | 0; (]", DivisionByZero),
+        ("map 1 [1; (1/0) | 0; 1]", ParseError),
+        ("map 1 [1; 0 | 1/0 + q; \u00b2]", DivisionByZero),
+        ("1/0; x | y; \u0663", DivisionByZero),
+        ("x; y + ( | 1/0; z", ParseError),
+    ],
+)
+def test_layout_first_then_cells_in_order(text, want):
+    read = parse_pair if "[" not in text else read_literal(parse_map, parse_sl2)
+    ref = ref_parse_pair if "[" not in text else read_literal(ref_parse_map, ref_parse_sl2)
+    got = read_outcome(read, text, QQ)
+    assert got == read_outcome(ref, text, QQ)
+    assert (got if got is ParseError else got[0]) is want
+
+
+def pair_texts():
+    """Bare bodies ``c0; ...; cn | d0; ...; dm`` of T-free polynomials."""
+    cells = st.lists(poly_texts("xyzw"), min_size=1, max_size=3).map("; ".join)
+    return st.tuples(cells, cells).map(" | ".join)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_pair_bodies_match_the_splitting_reader_on_damaged_texts(ctx):
+    # over F_7 a coefficient n/7 is a DivisionByZero: the layout is still
+    # refused first, and the cells are read in order, as by the reference
+    @CHECKS
+    @given(pair_texts(), st.integers(0, 400), st.sampled_from(DAMAGE), st.booleans())
+    def check(text, at, ch, insert):
+        assert read_outcome(parse_pair, text, ctx) == read_outcome(ref_parse_pair, text, ctx)
+        text = damaged(text, at, ch, insert)
+        assert read_outcome(parse_pair, text, ctx) == read_outcome(ref_parse_pair, text, ctx)
 
     check()

@@ -10,7 +10,7 @@ from jouanolou.homotopy import constant_witness, scaling_witness, verify
 from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.morphism import g_uv, make_map, map_equal, n_pi
 from jouanolou.polys import MPoly
-from jouanolou.sl2 import complete_pointed, m_uv
+from jouanolou.sl2 import act, complete_pointed, m_uv
 from jouanolou import textio
 
 
@@ -71,6 +71,32 @@ def test_text_after_a_literal_is_a_parse_error(parse, text, position):
         parse(text, QQ)
     assert info.value.position == position
     assert parse(text[: text.index("]") + 1] + "  ", QQ) is not None
+
+
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (textio.parse_map, "map 1 [1; 0 | 0; 1 + q]", 21),
+        (textio.parse_map, "map 1 [[1; 0 | 0; 1]", 7),
+        (textio.parse_map, "  row [1; 2*q]", 12),
+        (textio.parse_sl2, "sl2 [1; 0 | 0; 1 + q]", 19),
+        (textio.parse_sl2, " sl2 [1; 0 | 0; 1]  x", 20),
+    ],
+)
+def test_parse_error_positions_count_in_the_text_given(parse, text, position):
+    # a cell's error is placed in the whole literal, not in the cut-out cell
+    with pytest.raises(ParseError) as info:
+        parse(text, QQ)
+    assert info.value.position == position
+    assert text[position] in "q[x"
+
+
+def test_witness_parse_error_positions_count_in_the_file():
+    text = textio.witness_str(constant_witness(n_pi(1, QQ)), QQ)
+    bad = text.replace("\nb1: 1\n", "\nb1: 1 + q\n")
+    with pytest.raises(ParseError, match="unknown variable 'q'") as info:
+        textio.parse_witness(bad)
+    assert info.value.position == 75 and bad[75] == "q"
 
 
 @pytest.mark.parametrize("degree", ["x", "1.5", "2a", "1_0", "+1", "\u0661"])
@@ -324,3 +350,57 @@ def test_ring_str_over_a_prime_field_has_no_signs():
     r = textio.parse_polyt("-x*T + 1/2*y - 1", Fp(7))
     assert textio.ring_str(r) == "6*x*T + 4*y + 6"
     assert textio.ring_str(r) == textio.mpoly_str(r.to_mpoly())
+
+
+# --- blanks between tokens ----------------------------------------------------
+
+# next to these characters a blank splits no word or number of the formats
+GLUE = "*^;|[]:"
+BLANKS = st.lists(
+    st.tuples(st.integers(0, 10**4), st.sampled_from([" ", "\t", "  ", " \t", "\t\t"])),
+    max_size=10,
+)
+
+
+def blanked(text: str, inserts) -> str:
+    """``text`` with blanks inserted at token boundaries: at either end of a
+    line, next to a GLUE character, and next to a blank on a line of
+    polynomials (one holding ':' or '[').  The words of a witness header line
+    keep their single blanks, as its string rules ask."""
+    points, start = [], 0
+    for line in text.split("\n"):
+        polys = ":" in line or "[" in line
+        points += [start + i for i in range(len(line) + 1)
+                   if i in (0, len(line)) or line[i - 1] in GLUE or line[i] in GLUE
+                   or polys and " " in line[i - 1 : i + 1]]
+        start += len(line) + 1
+    for at, blank in sorted(((points[a % len(points)], b) for a, b in inserts), reverse=True):
+        text = text[:at] + blank + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_blanks_between_tokens_change_nothing(ctx):
+    from jouanolou.homgrp import ReferenceFamily
+
+    M = m_uv(ctx.elem(3), ctx.elem(2))
+    maps = [n_pi(1, ctx), n_pi(2, ctx), ReferenceFamily(ctx).ref(-1),
+            g_uv(ctx.elem(3), ctx.elem(2)), act(M, n_pi(1, ctx))]
+    witnesses = [constant_witness(n_pi(2, ctx)),
+                 scaling_witness(complete_pointed(maps[3]), ctx.elem(2))]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, len(maps) - 1), st.integers(0, len(witnesses) - 1), BLANKS)
+    def check(k, j, inserts):
+        f = maps[k]
+        g = textio.parse_map(blanked(textio.map_str(f), inserts), ctx)
+        assert (g.degree, g.data) == (f.degree, f.data)
+        assert textio.parse_sl2(blanked(textio.sl2_str(M), inserts), ctx) == M
+        w = witnesses[j]
+        got_ctx, got = textio.parse_witness(blanked(textio.witness_str(w, ctx), inserts))
+        assert got_ctx == ctx
+        assert [(s.degree, s.data) for s in got.segments] == [
+            (s.degree, s.data) for s in w.segments
+        ]
+
+    check()

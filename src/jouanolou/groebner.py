@@ -41,9 +41,13 @@ d - en is larger where en is smaller, then, at equal en, d - en - e(n-1)
 where e(n-1) is smaller, and so on, which is ``drl_key`` order.  Every
 field is linear in the exponents, so a monomial product is a key sum, a
 quotient of a divisible pair a key difference, and a leading monomial
-``max(keys)``.  The divisor test alone compares exponents, the remainder's
-leading key unpacked once per step against each basis element's cached
-exponent tuple.
+``max(keys)``.  The divisor test alone compares exponents, by one
+subtraction per basis element: each element caches its leading exponents
+in GUARD_BITS-wide fields (``guarded``), each field's top bit clear, and a
+step spreads the remainder's leading key the same way once, with every
+top bit set.  Subtracting a divisor's fields from those clears a top bit
+exactly where the divisor's exponent is the larger, and no borrow crosses
+a field, so "divides" is "every top bit survives".
 
 No field carries into the next: a field is at most the degree, and every
 degree stays at most MAX_DEGREE.  Packing refuses a generator or target of
@@ -61,7 +65,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
-from operator import le
+from functools import cache
 
 from .errors import BudgetExceeded, DegreeOverflow
 from .field import FieldCtx, ascii_int
@@ -70,6 +74,8 @@ from .polys import MPoly, cleared, dot, raw_coeff, terms_add, terms_scale, terms
 DEFAULT_BUDGET = 10**6
 FIELD_BITS = 32
 MAX_DEGREE = (1 << FIELD_BITS) - 1
+# a field of the divisor test: an exponent, at most MAX_DEGREE, and a guard bit
+GUARD_BITS = FIELD_BITS + 1
 
 
 def step_budget() -> int:
@@ -101,6 +107,25 @@ def unpack(key: int, n: int) -> tuple[int, ...]:
         exp.append(d - below)
         below = d
     return tuple(exp)
+
+
+def guarded(key: int, n: int) -> int:
+    """The exponents of the engine key ``key`` of n variables, the first
+    lowest, in GUARD_BITS-wide fields with their guard bits clear."""
+    out = below = 0
+    for k in range(n):
+        d = key >> (FIELD_BITS * k) & MAX_DEGREE
+        out |= (d - below) << (GUARD_BITS * k)
+        below = d
+    return out
+
+
+@cache
+def guard_mask(n: int) -> int:
+    """The guard bits of n GUARD_BITS-wide fields: with ``a`` and ``b`` from
+    :func:`guarded`, b's monomial divides a's iff
+    ((a | guards) - b) & guards == guards."""
+    return sum(1 << (GUARD_BITS * k + FIELD_BITS) for k in range(n))
 
 
 def relation_poly(ctx: FieldCtx, vars: tuple[str, ...]) -> MPoly:
@@ -148,14 +173,16 @@ class _Tracked:
     the index of the input generator it is, or (multiples, quotients) for
     the element sum(c * x^m * basis[k] over (k, m, c) in multiples)
     - sum(quotients[k] * basis[k]), m a key and quotients holding raw term
-    dicts on keys.  ``lm`` is the leading key, ``exp`` its exponents."""
+    dicts on keys.  ``lm`` is the leading key, ``exp`` its exponents and
+    ``div`` them in guard-bit fields, for the divisor test."""
 
-    __slots__ = ("terms", "den", "origin", "lm", "exp", "lc")
+    __slots__ = ("terms", "den", "origin", "lm", "exp", "div", "lc")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: dict, den: int, origin):
         self.terms, self.den, self.origin = terms, den, origin
         self.lm = max(terms)
         self.exp = unpack(self.lm, n)
+        self.div = guarded(self.lm, n)
         self.lc = raw_coeff(ctx, terms[self.lm], den)
 
 
@@ -189,14 +216,15 @@ def _reduce_tracked(ctx: FieldCtx, n: int, terms: dict, den: int, basis: list[_T
     work = dict(terms)
     heap = [-m for m in work]
     heapq.heapify(heap)
+    guards = guard_mask(n)
     while heap:
         lm = -heapq.heappop(heap)
         if lm not in work:
             continue  # cancelled since it was pushed
         lc = raw_coeff(ctx, work[lm], den)
-        exp = unpack(lm, n)
+        probe = guarded(lm, n) | guards
         for k, hit in enumerate(basis):
-            if all(map(le, hit.exp, exp)):  # hit.lm divides lm
+            if (probe - hit.div) & guards == guards:  # hit.lm divides lm
                 break
         else:
             tail[lm] = lc

@@ -20,6 +20,19 @@ here, ``ReferenceFamily.qref``/``ref`` and ``naive_sum_deg1`` in
 ``homgrp`` and ``mwk.kappa_rep``.  The test suite rebuilds each through the
 checking constructors, and checks a carried homogeneous lift there.
 
+A map built from another one defers the work of carrying its certificate
+and lift along: the group action (``sl2.act``) and :meth:`JMap.tau_transport`
+store a zero-argument builder in their place, and the ``cert``/``homog``
+properties run it on first read and keep the value.  The result of
+``homgrp.oplus`` and the recomposed map of a decomposition are printed and
+wound but rarely certified, so their transport mostly never runs.  The
+checking constructors build theirs at once, since they must check them, and
+so do :func:`n_pi` and :func:`pullback_rational`: their certificates come
+from ``bundle.generation_cofactors``, whose determinants are what the
+benchmark's ``ref_ladder`` workload times and what its tests count on a
+traced build.  Deferring them waits for that benchmark to measure a build
+whose certificate is read.
+
 Equality of maps is equality of degree and of normalized expanded
 sections (coefficient pairs are non-unique, expanded pairs are not).
 """
@@ -101,16 +114,32 @@ class JMap:
     certificate that its generation columns generate (four cofactors, or
     the Bezout pair of the row); a positive-degree map may carry its
     homogeneous lift.
+
+    ``cert`` and ``homog`` are given as values or as zero-argument builders
+    of them (see the module docstring): a builder runs on the first read of
+    its property, once, and its value is kept.
     """
 
-    __slots__ = ("degree", "data", "cert", "homog", "_expanded")
+    __slots__ = ("degree", "data", "_cert", "_homog", "_expanded")
 
     def __init__(self, degree, data, cert=None, homog=None):
         self.degree = degree
         self.data = data
-        self.cert = cert
-        self.homog = homog
+        self._cert = cert
+        self._homog = homog
         self._expanded = None
+
+    @property
+    def cert(self):
+        if callable(self._cert):
+            self._cert = self._cert()
+        return self._cert
+
+    @property
+    def homog(self):
+        if callable(self._homog):
+            self._homog = self._homog()
+        return self._homog
 
     @property
     def kind(self):
@@ -146,17 +175,23 @@ class JMap:
         pointed with a nonzero basepoint value.  Pointed means b0 (a row's
         B) vanishes at the basepoint, over R[T] for every T, and a0 (A) has
         a constant value alpha there; normalizing divides the data by alpha
-        and multiplies the certificate by it, and drops the lift.  Records
+        and multiplies the certificate by it, and drops the lift.  A map
+        with alpha = 1 is its own record, its certificate unread.  Records
         compare as maps: degree first, then expanded sections."""
         alpha = pointed_alpha(self.data[0], self.data[len(self.data) // 2])
         if alpha is None or alpha.is_zero:
             return None
-        data, cert = normalized(alpha, self.data, self.cert)
-        return self if data is self.data else type(self)(self.degree, data, cert)
+        if alpha == alpha.ctx.one:
+            return self
+        return type(self)(self.degree, *normalized(alpha, self.data, self.cert))
 
     def tau_transport(self) -> "JMap":
-        """The same map composed with the y-z swap: degree flips sign."""
-        cert = None if self.cert is None else tuple(c.tau() for c in self.cert)
+        """The same map composed with the y-z swap: degree flips sign; the
+        certificate is swapped on first read."""
+
+        def cert():
+            return None if self.cert is None else tuple(c.tau() for c in self.cert)
+
         return type(self)(-self.degree, tuple(c.tau() for c in self.data), cert)
 
     def __eq__(self, other):

@@ -41,7 +41,12 @@ included) it gives 8 bytes to 58 of the 205 packed sums of
 ``group_roundtrip`` (75 under the older bound; 144 take 4) and to 7 of the
 138 of ``witness_boundary`` (11; 72 take 2, mostly F_7), and the one
 16-byte sum of a warm ``oplus(f, f)``, f = ``map 3 [1; 0 | 0; 1]`` over Q,
-takes 8.
+takes 8.  Packing costs one interpreter step per term and unpacking one
+per slot, the rest is C: ``_pack`` adds each value to its slot in one list
+of slots offset by half their range, writes the list with one
+``struct.pack`` (joined ``to_bytes`` past 8 bytes) and subtracts the
+pattern of offsets once; the sum is offset the same way and read back by
+one ``struct.unpack``.
 
 ``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``,
 by three guards, measured with CPython 3.11 on a 2-core x86-64 VM:
@@ -189,21 +194,27 @@ def _box(A: dict) -> tuple[list, list]:
 
 def _pack(A: dict, low: list, high: list, strides: list, nbytes: int) -> int:
     """A as one int: the value at key m sits in the nbytes-byte slot
-    sum((m_v - low_v) * stride_v), positive and negative values packed
-    apart and subtracted."""
+    sum((m_v - low_v) * stride_v), every |value| below half the slot's
+    range.  Each slot holds its value plus half that range, so all are
+    nonnegative; they are written out at once (one ``struct.pack`` up to 8
+    bytes, joined ``to_bytes`` past that) and the pattern of halves is
+    subtracted once from the int read back."""
     base = sum(map(mul, low, strides))
-    size = (sum(map(mul, high, strides)) - base + 1) * nbytes
-    pos, neg = bytearray(size), None
+    count = sum(map(mul, high, strides)) - base + 1
+    half = 1 << (8 * nbytes - 1)
+    slots = [half] * count
     for m, c in A.items():
-        i = (sum(map(mul, m, strides)) - base) * nbytes
-        if c > 0:
-            pos[i:i + nbytes] = c.to_bytes(nbytes, "little")
-        else:
-            if neg is None:
-                neg = bytearray(size)
-            neg[i:i + nbytes] = (-c).to_bytes(nbytes, "little")
-    packed = int.from_bytes(pos, "little")
-    return packed if neg is None else packed - int.from_bytes(neg, "little")
+        slots[sum(map(mul, m, strides)) - base] += c
+    if nbytes <= 8:
+        raw = struct.pack(f"<{count}{_SLOT_FORMATS[nbytes]}", *slots)
+    else:
+        raw = b"".join(v.to_bytes(nbytes, "little") for v in slots)
+    return int.from_bytes(raw, "little") - _halves(nbytes, count)
+
+
+def _halves(nbytes: int, count: int) -> int:
+    """The int of ``count`` nbytes-byte slots that each hold half their range."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -231,11 +242,11 @@ def packed_sum(products, max_slots: int, box: dict | None = None):
     sum of the absolute values of A: a slot of A * B adds at most one value
     of A times one of B per term of A.  Each operand is boxed (unless
     ``box`` has it by id), measured and packed once, however many products
-    it enters; each product is one big-int multiply shifted to its place,
-    and the sum is unpacked once: every slot is offset by half its range so
-    the whole is nonnegative, written out by ``to_bytes`` and read back by
-    one little-endian ``struct`` format (B, H, I or Q, words recombined past
-    8 bytes), whatever the host's byte order."""
+    it enters (:func:`_pack`); each product is one big-int multiply shifted
+    to its place, and the sum is unpacked once: every slot is offset by
+    half its range so the whole is nonnegative, written out by ``to_bytes``
+    and read back by one little-endian ``struct`` format (B, H, I or Q,
+    words recombined past 8 bytes), whatever the host's byte order."""
     operands = {id(X): X for _, A, B in products for X in (A, B)}
     box = box or {key: _box(X) for key, X in operands.items()}
     boxes = [(s, A, B, *box[id(A)], *box[id(B)]) for s, A, B in products]
@@ -262,7 +273,7 @@ def packed_sum(products, max_slots: int, box: dict | None = None):
         shift = sum(map(mul, map(sub, map(add, la, lb), low), strides)) * bits
         total += (s * packed[id(A)] * packed[id(B)]) << shift
     half = 1 << (bits - 1)
-    total += int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+    total += _halves(nbytes, slots)
     raw = total.to_bytes(slots * nbytes, "little")
     if nbytes <= 8:
         slot_vals = struct.unpack(f"<{slots}{_SLOT_FORMATS[nbytes]}", raw)
@@ -318,27 +329,54 @@ def _box_work(scaled: list) -> tuple[int, dict]:
 
 def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
     """Add the int products s * A * B into ``out`` in place, unsettled.
-    Exponent vectors of two to four entries are added inline: the elements
-    of R and R[T] (keys (x, y, z) and (x, y, z, T)), and ``MPoly`` in
-    two to four variables (certificate checks, cofactor expansions and the
-    Groebner engine's inputs)."""
+    Exponent vectors of two to four entries are added inline, in a loop
+    picked once per call by the key width: the elements of R and R[T] (keys
+    (x, y, z) and (x, y, z, T)), and ``MPoly`` in two to four variables
+    (certificate checks, cofactor expansions and the Groebner engine's
+    inputs).  Every loop runs A's terms outside and B's inside, so the keys
+    of ``out`` come in one order whatever the width."""
     width = len(next(iter(A)))
-    for m1, c1 in A.items():
-        if s != 1:
-            c1 *= s
-        for m2, c2 in B.items():
-            if width == 2:
-                m = (m1[0] + m2[0], m1[1] + m2[1])
-            elif width == 3:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            elif width == 4:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-            else:
+    B = B.items()
+    if width == 2:
+        for (i1, j1), c1 in A.items():
+            if s != 1:
+                c1 *= s
+            for (i2, j2), c2 in B:
+                m = (i1 + i2, j1 + j2)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+    elif width == 3:
+        for (i1, j1, k1), c1 in A.items():
+            if s != 1:
+                c1 *= s
+            for (i2, j2, k2), c2 in B:
+                m = (i1 + i2, j1 + j2, k1 + k2)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+    elif width == 4:
+        for (i1, j1, k1, l1), c1 in A.items():
+            if s != 1:
+                c1 *= s
+            for (i2, j2, k2, l2), c2 in B:
+                m = (i1 + i2, j1 + j2, k1 + k2, l1 + l2)
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
+    else:
+        for m1, c1 in A.items():
+            if s != 1:
+                c1 *= s
+            for m2, c2 in B:
                 m = tuple(map(add, m1, m2))
-            if m in out:
-                out[m] += c1 * c2
-            else:
-                out[m] = c1 * c2
+                if m in out:
+                    out[m] += c1 * c2
+                else:
+                    out[m] = c1 * c2
 
 
 def terms_sub_into(ctx: FieldCtx, acc: dict, den: int, B: dict, dB: int, raw, mon: int):

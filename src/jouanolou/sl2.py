@@ -7,9 +7,10 @@ column.  Such a matrix also acts on higher-degree maps through its action
 on section pairs.  :func:`act` is that action, written once: a pointed
 matrix over R moves a map, a path over R[T] (``homotopy.Sl2Path``) moves
 a witness segment, and the certificate and homogeneous lift transport
-exactly (no new ideal membership runs are needed).  Every entry of a
-matrix product, of the action and of the transported certificate is one
-``polys.dot`` sum of products, fused at every size.
+exactly (no new ideal membership runs are needed), on their first read
+(see ``morphism``).  Every entry of a matrix product, of the action and of
+the transported certificate is one ``polys.dot`` sum of products, fused at
+every size.
 """
 
 from __future__ import annotations
@@ -228,12 +229,19 @@ def act(M: Mat2, f: JMap) -> JMap:
     the result is of ``type(f)``.  Degree and generation are preserved, and
     pointedness and normalization too when M is the identity at the
     basepoint; the certificate and the homogeneous lift, when present,
-    transport exactly."""
+    transport exactly, when the result's ``cert`` or ``homog`` is first
+    read."""
     if f.degree == 0:
         raise ValueError("degree-0 maps combine by row_sum, not the action")
-    (a0, a1), (b0, b1) = _rows(M.entries, f.data[:2], f.data[2:])
-    cert = None if f.cert is None else transform_cert(M.entries, f.cert)
-    homog = None if f.homog is None else _rows(M.entries, *f.homog)
+    entries = M.entries
+    (a0, a1), (b0, b1) = _rows(entries, f.data[:2], f.data[2:])
+
+    def cert():
+        return None if f.cert is None else transform_cert(entries, f.cert)
+
+    def homog():
+        return None if f.homog is None else _rows(entries, *f.homog)
+
     return type(f)(f.degree, (a0, a1, b0, b1), cert, homog)
 
 

@@ -360,7 +360,7 @@ def parse_witness(text: str):
     if len(fields) != 2 or not fields[1].startswith("field="):
         raise ParseError("witness header needs field=<...>")
     ctx = parse_field(fields[1][len("field=") :])
-    if len(lines) < 2 or not lines[1].startswith("segments"):
+    if len(lines) < 2 or lines[1].split()[:1] != ["segments"]:
         raise ParseError("missing segment count", expected="segments <k>")
     count = _header_int(lines[1], "segments <k>", signed=False)
     if count == 0:
@@ -368,7 +368,7 @@ def parse_witness(text: str):
     segments = []
     i = 2
     for _ in range(count):
-        if i >= len(lines) or not lines[i].startswith("segment degree"):
+        if i >= len(lines) or lines[i].split()[:2] != ["segment", "degree"]:
             raise ParseError("missing segment block", expected="segment degree <n>")
         degree = _header_int(lines[i], "segment degree <n>", signed=True)
         i += 1

@@ -2,9 +2,11 @@
 
 Products, inverses and transposes of pointed determinant-1 matrices, the
 matrix action, tau transport and first columns of completions construct
-their results unchecked, and so do the library's own constructions: the
-reference maps (``n_pi``, ``qref``, ``ref``), pullbacks of rational maps,
-``g_uv``, the degree raise ``naive_sum_deg1``, the trivial row of
+their results unchecked (the action and tau transport build certificates
+and lifts on first read, which the rebuild below does), and so do the
+library's own constructions: the reference maps (``n_pi``, ``qref``,
+``ref``), pullbacks of rational maps, ``g_uv``, the group operation
+``oplus``, the degree raise ``naive_sum_deg1``, the trivial row of
 ``kappa_rep`` and the path of ``lift_row_homotopy``.  These tests rebuild
 every such result through the checking constructors (``PointedSL2(...)``,
 ``Sl2Path(...)``, ``make_map``, ``make_row``) on random inputs over Q and
@@ -19,7 +21,7 @@ import pytest
 from jouanolou.bundle import homog_eval, pure_powers
 from jouanolou.errors import ResultantZero
 from jouanolou.field import Fp, QQ
-from jouanolou.homgrp import ReferenceFamily, decompose, naive_sum_deg1
+from jouanolou.homgrp import ReferenceFamily, decompose, naive_sum_deg1, oplus
 from jouanolou.homotopy import (
     Segment,
     Sl2Path,
@@ -186,6 +188,7 @@ def test_closed_map_operations_match_checked_rebuild(ctx, seed):
     row = M.row_map()
     built = [act(M, f), boxplus_act(M, f), f.tau_transport(), row, row.tau_transport()]
     built.append(ReferenceFamily(ctx, "naive").ref(-2))
+    built += [oplus(f, n_pi(1, ctx)), oplus(f, f.tau_transport().tau_transport())]
     built.append(naive_sum_deg1(rand_unit(ctx, rng), n_pi(1, ctx))[0])
     for g in built:
         assert_closed(g)

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -599,6 +600,40 @@ def test_engine_keys_stop_at_the_field_limit(n):
                 pack(exp)
         else:
             assert unpack(pack(exp), n) == exp
+
+    check()
+
+
+@st.composite
+def bounded_vectors(draw, n):
+    """Exponent vectors of n variables and degree at most MAX_DEGREE, whose
+    fields are often 0 or the whole degree, up to MAX_DEGREE."""
+    top = draw(st.sampled_from([0, 1, 3, MAX_DEGREE]) | st.integers(0, MAX_DEGREE))
+    cut = st.sampled_from([0, top]) | st.integers(0, top)
+    cuts = sorted(draw(st.lists(cut, min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_the_guard_bit_divisor_test_equals_the_exponent_comparison(n):
+    """``guarded`` spreads a key's exponents into guard-bit fields, and the
+    reduction's one-subtraction test says b divides a exactly when
+    all(map(le, b, a)): on independent vectors, and on b cut down from a
+    (so often dividing it) or raised by one in a field."""
+    guards = groebner.guard_mask(n)
+    W = groebner.GUARD_BITS
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bounded_vectors(n), bounded_vectors(n), st.sampled_from(["any", "cut", "raise"]),
+           st.integers(0, n - 1))
+    def check(a, b, how, k):
+        if how == "cut":
+            b = tuple(map(min, a, b))
+        elif how == "raise" and sum(a) < MAX_DEGREE:
+            b = a[:k] + (a[k] + 1,) + a[k + 1:]
+        ga, gb = groebner.guarded(pack(a), n), groebner.guarded(pack(b), n)
+        assert ga == sum(e << (W * i) for i, e in enumerate(a))
+        assert (((ga | guards) - gb) & guards == guards) == all(map(le, b, a))
 
     check()
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jouanolou import homotopy, sl2
 from jouanolou.errors import NoCertificate, ResultantNotUnit
 from jouanolou.field import Fp, QQ
 from jouanolou.homgrp import (
@@ -15,7 +16,9 @@ from jouanolou.homgrp import (
 from jouanolou.homotopy import verify
 from jouanolou.jring import RingElement
 from jouanolou.morphism import (
+    JMap,
     RationalMapP1,
+    cert_expands_to_one,
     g_uv,
     make_map,
     make_row,
@@ -307,3 +310,85 @@ def test_a_map_without_certificate_is_refused(refs):
     for f, g in ((bare, n_pi(1, QQ)), (n_pi(1, QQ), bare)):
         with pytest.raises(NoCertificate, match="no generation certificate"):
             oplus(f, g, refs)
+
+
+# --- deferred transport: certificates and lifts built on first read ---------------
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """The calls of ``module.name`` from here on, one entry each."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_action_and_tau_transport_build_on_first_read(ctx, monkeypatch):
+    """``act`` transports neither certificate nor lift, and ``tau_transport``
+    swaps no certificate, until read; a read gives the eager formula's
+    value, and a second read builds nothing."""
+    f, M = n_pi(3, ctx), m_uv(ctx.elem(2), ctx.elem(3))
+    want_cert = sl2.transform_cert(M.entries, f.cert)
+    want_homog = sl2._rows(M.entries, *f.homog)
+    certs = _counted(monkeypatch, sl2, "transform_cert")
+    rows = _counted(monkeypatch, sl2, "_rows")
+    g = act(M, f)
+    t = g.tau_transport()
+    assert (len(certs), len(rows)) == (0, 1)  # the section data's rows only
+    assert t.cert == tuple(c.tau() for c in want_cert)
+    assert g.cert == want_cert and g.homog == want_homog
+    assert (len(certs), len(rows)) == (1, 2)
+    assert g.cert is g.cert and g.homog is g.homog and t.cert is t.cert
+    assert t.homog is None
+    assert (len(certs), len(rows)) == (1, 2)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_oplus_transports_on_first_read(ctx, monkeypatch):
+    maps, refs = _oplus_operands(ctx), ReferenceFamily(ctx)
+    f, g = maps["p1"], maps["p2"]
+    total = decompose_matrix(f, refs) @ decompose_matrix(g, refs)
+    ref = refs.ref(3)
+    want = sl2.transform_cert(total.entries, ref.cert), sl2._rows(total.entries, *ref.homog)
+    certs = _counted(monkeypatch, sl2, "transform_cert")
+    rows = _counted(monkeypatch, sl2, "_rows")
+    s = oplus(f, g, refs)
+    assert (len(certs), len(rows)) == (0, 1)
+    # normalized already: its record is itself, its certificate unread
+    assert s.record() is s and not certs
+    assert (s.cert, s.homog) == want
+    assert cert_expands_to_one(s.cert, s.expanded)
+    assert (len(certs), len(rows)) == (1, 2)
+
+
+def test_record_builds_the_certificate_to_normalize_it(monkeypatch):
+    f, M = n_pi(2, QQ), m_uv(QQ.elem(2), QQ.elem(3))
+    certs = _counted(monkeypatch, sl2, "transform_cert")
+    g = act(M, f)
+    half, two = QQ.elem(1) / QQ.elem(2), QQ.elem(2)
+    scaled = JMap(2, tuple(c.scale(two) for c in g.data),
+                  lambda: tuple(c.scale(half) for c in g.cert))
+    assert not certs
+    r = scaled.record()
+    assert len(certs) == 1
+    assert (r.data, r.cert) == (g.data, g.cert)
+
+
+def _no_groebner(*args):
+    raise AssertionError("a decompose witness segment carries its certificate")
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("mode", ["qbasis", "naive"])
+def test_decompose_witnesses_verify_on_their_certificates(ctx, mode, monkeypatch):
+    maps, refs = _oplus_operands(ctx), ReferenceFamily(ctx, mode)
+    monkeypatch.setattr(homotopy, "groebner_certificate", _no_groebner)
+    for label in ("p1", "p2", "m1", "t1", "t2"):
+        f = maps[label]
+        d = decompose(f, refs)
+        assert verify(d.witness, act(d.matrix, refs.ref(d.n)), f)

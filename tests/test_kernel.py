@@ -17,14 +17,19 @@ operands stay below ``PACK_MIN_PAIRS``, on the dict loop; the packed product
 loop as dicts (its key order is its own), and the fused ``dot``, packed or
 on the dict loop, must equal the running sum of products.  The pairwise sum of ``eval_terms`` is checked
 against a running sum.
+
+Two inner loops keep their plain forms here as oracles: ``_pack`` must
+equal a byte-slice packing into two byte arrays at every slot width, and
+``_mul_into``, one loop per key width, the one loop that adds keys by
+``map``, key order included.
 """
 
 import itertools
 import random
 import signal
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import add
+from math import gcd, isqrt, prod
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -521,6 +526,80 @@ def test_packed_sum_at_the_slot_width_edges(ctx, bits, signs):
         assert {m: c for m, c in got.items() if c} == {m: c for m, c in want.items() if c}
         assert settled(ctx, got, 1) == settled(ctx, want, 1)
         assert slot_bytes(bound) == SLOT_EDGES[bits]
+
+
+# --- slow oracles of the packing and the dict loop ------------------------------
+
+
+def sliced_pack(A, low, high, strides, nbytes):
+    """The oracle of ``_pack``: each value written by ``to_bytes`` into its
+    slot of one of two byte arrays, positive and negative values apart, and
+    the two read back and subtracted."""
+    base = sum(map(mul, low, strides))
+    size = (sum(map(mul, high, strides)) - base + 1) * nbytes
+    pos, neg = bytearray(size), bytearray(size)
+    for m, c in A.items():
+        i = (sum(map(mul, m, strides)) - base) * nbytes
+        if c > 0:
+            pos[i:i + nbytes] = c.to_bytes(nbytes, "little")
+        else:
+            neg[i:i + nbytes] = (-c).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 16, 24])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_pack_equals_the_byte_slice_oracle(nbytes, nvars):
+    """Values of either sign up to half the slot's range less one, in a box
+    that may be wider than the keys', at every slot width of ``packed_sum``."""
+    top = (1 << (8 * nbytes - 1)) - 1
+    value = st.sampled_from([top, -top, 1, -1]) | st.integers(-top, top).filter(bool)
+    mon = st.tuples(*(st.integers(0, 3) for _ in range(nvars)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.dictionaries(mon, value, min_size=1, max_size=12),
+           st.tuples(*(st.integers(0, 2) for _ in range(nvars))))
+    def check(A, widen):
+        low, high = kernel._box(A)
+        high = list(map(add, high, widen))
+        spans = [h - l + 1 for l, h in zip(low, high)]
+        strides = [prod(spans[v + 1:]) for v in range(nvars)]
+        assert kernel._pack(A, low, high, strides, nbytes) == sliced_pack(A, low, high, strides, nbytes)
+
+    check()
+
+
+def generic_mul_into(out, A, B, s=1):
+    """The oracle of ``_mul_into``: one loop for every key width, keys
+    added by ``map``."""
+    for m1, c1 in A.items():
+        if s != 1:
+            c1 *= s
+        for m2, c2 in B.items():
+            m = tuple(map(add, m1, m2))
+            if m in out:
+                out[m] += c1 * c2
+            else:
+                out[m] = c1 * c2
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_mul_into_equals_the_generic_loop_in_key_order(width):
+    """Signed values, a scale, and an ``out`` that already holds some keys:
+    the same sums, inserted in the same order."""
+    mon = st.tuples(*(st.integers(0, 2) for _ in range(width)))
+    value = st.integers(-(2**70), 2**70).filter(bool)
+    terms = st.dictionaries(mon, value, min_size=1, max_size=6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(terms, terms, st.dictionaries(mon, value, max_size=4), st.sampled_from([1, -1, 3, 2**65]))
+    def check(A, B, out, s):
+        got, want = dict(out), dict(out)
+        _mul_into(got, A, B, s)
+        generic_mul_into(want, A, B, s)
+        assert list(got.items()) == list(want.items())
+
+    check()
 
 
 def _dense_mpoly(rng, ctx, vars, count, top):

@@ -196,12 +196,30 @@ def test_witness_header_word_must_equal_the_version(header):
         ("segments 0\n", "segments <k>, k >= 1"),
         ("segments 1\nsegment degree \u0661\n", "segment degree <n>"),
         ("segments 1\nsegment degree 1_0\n", "segment degree <n>"),
+        # header words are whole words
+        ("segmentsX 1\n", "segments <k>"),
+        ("segments1\n", "segments <k>"),
+        ("segments 1\nsegmentdegree 1\n", "segment degree <n>"),
+        ("segments 1\nsegment degrees 1\n", "segment degree <n>"),
+        ("segments 1\nsegments degree 1\n", "segment degree <n>"),
     ],
 )
 def test_witness_counts_must_be_integers(body, expected):
     with pytest.raises(ParseError) as exc:
         textio.parse_witness(f"{textio.WITNESS_HEADER} field=Q\n{body}")
     assert exc.value.expected == expected
+
+
+@pytest.mark.parametrize("sep", ["  ", "\t", " \t "])
+def test_witness_header_words_split_at_any_blanks(sep):
+    good = textio.witness_str(constant_witness(n_pi(1, QQ)), QQ)
+    text = good.replace("segments 1", f"segments{sep}1").replace(
+        "segment degree 1", f"segment{sep}degree{sep}1")
+    assert text != good
+    _, w = textio.parse_witness(text)
+    assert [(s.degree, s.data) for s in w.segments] == [
+        (s.degree, s.data) for s in textio.parse_witness(good)[1].segments
+    ]
 
 
 @pytest.mark.parametrize(
@@ -364,15 +382,13 @@ BLANKS = st.lists(
 
 def blanked(text: str, inserts) -> str:
     """``text`` with blanks inserted at token boundaries: at either end of a
-    line, next to a GLUE character, and next to a blank on a line of
-    polynomials (one holding ':' or '[').  The words of a witness header line
-    keep their single blanks, as its string rules ask."""
+    line, next to a GLUE character, and next to a blank, so between the
+    words of a witness header line too."""
     points, start = [], 0
     for line in text.split("\n"):
-        polys = ":" in line or "[" in line
         points += [start + i for i in range(len(line) + 1)
                    if i in (0, len(line)) or line[i - 1] in GLUE or line[i] in GLUE
-                   or polys and " " in line[i - 1 : i + 1]]
+                   or " " in line[i - 1 : i + 1]]
         start += len(line) + 1
     for at, blank in sorted(((points[a % len(points)], b) for a, b in inserts), reverse=True):
         text = text[:at] + blank + text[at:]

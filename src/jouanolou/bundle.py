@@ -13,7 +13,8 @@ Degrees are signed: every function taking a degree n reads n < 0 as Q_|n|,
 so the sign of the degree is the bundle.  Mixed spanning columns
 [x^(n-i) y^i; z^(n-i) w^i] reduce to the two canonical ones by multiplying
 with (x+w)^n = 1 and splitting the binomial expansion;
-``normalize_section`` applies that rewrite.
+``normalize_section`` applies that rewrite to the nonzero entries, with
+constants built on ints by ``jring.int_normal_form`` once per field and degree.
 
 The resultant machinery works with univariate polynomials in X over R given
 as ascending coefficient lists and is generic enough to run over R[T] as
@@ -32,31 +33,33 @@ adjugate row on either route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .errors import PreconditionViolated, ResultantNotUnit
 from .field import FieldCtx, FieldElem
-from .jring import RingElement, mpoly_to_ring
-from .polys import MPoly, dot
+from .jring import RingElement, RingPolyT, int_normal_form
+from .polys import dot
 
 _REWRITE_CACHE: dict = {}
-_POWERS_CACHE: dict = {}
 
 
-def _ring_sum(ctx: FieldCtx, terms) -> RingElement:
-    """sum(c * x^a y^b z^d w^e) over ((a, b, d, e), c) pairs, c an integer."""
-    raw = {m: r for m, c in terms if (r := ctx.rfrom_int(c))}
-    return mpoly_to_ring(MPoly(ctx, ("x", "y", "z", "w"), raw))
-
-
+@cache
 def pure_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
-    """(x^n, y^n, z^n, w^n) in R, computed once per field and n (ring
-    elements are never written after construction, so callers share them)."""
-    key = (ctx.p, n)
-    if key not in _POWERS_CACHE:
-        gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
-        _POWERS_CACHE[key] = tuple(g(ctx) ** n for g in gens)
-    return _POWERS_CACHE[key]
+    """(x^n, y^n, z^n, w^n) in R, n >= 0, built once per field and n, shared."""
+    exps = ((n, 0, 0, 0, 0), (0, 0, n, 0, 0), (0, 0, 0, n, 0), (0, n, 0, 0, 0))
+    return tuple(int_normal_form(ctx, [(e, 1)]) for e in exps)
+
+
+def _binomial_part(ctx: FieldCtx, top: int, ds, a: int, b: int, i: int = 0, j: int = 0):
+    """y^i z^j * sum(C(top, d) * x^(top-d-a) * w^(d-b) for d in ds) in R, summed
+    by power of x (w = 1 - x) before ``int_normal_form`` maps each x^k once."""
+    in_x: dict = {}
+    for d in ds:
+        for k in range(d - b + 1):
+            e = top - d - a + k
+            in_x[e] = in_x.get(e, 0) + (-1) ** k * comb(d - b, k) * comb(top, d)
+    return int_normal_form(ctx, [((e, 0, i, j, 0), c) for e, c in in_x.items()])
 
 
 def spanning_powers(ctx: FieldCtx, n: int) -> tuple[RingElement, ...]:
@@ -76,43 +79,37 @@ def expand_sections(n: int, *pairs) -> list[tuple]:
     return [(dot(((c0, xn), (c1, yn))), dot(((c0, zn), (c1, wn)))) for c0, c1 in pairs]
 
 
-def rewrite_constants(ctx: FieldCtx, n: int) -> list[tuple[RingElement, RingElement]]:
-    """For each mixed column index i of degree n, the pair (p_i, q_i) in R
+def rewrite_constants(ctx: FieldCtx, n: int, i: int) -> tuple[RingElement, RingElement]:
+    """For the mixed column index i of degree n, the pair (p_i, q_i) in R
     with mixed_i = p_i*[x^n; z^n] + q_i*[y^n; w^n] (n < 0: the Q_|n| case,
-    transported by tau).
+    transported by tau), built once per field, n and i.
 
     The boundary i+d = m is split so that the pure top column normalizes
     to the coefficient pair (0, 1).
     """
-    key = (ctx.p, n)
-    if key in _REWRITE_CACHE:
-        return _REWRITE_CACHE[key]
-    m = abs(n)
-    out = []
-    for i in range(m + 1):
+    key = (ctx.p, n, i)
+    if key not in _REWRITE_CACHE:
+        m = abs(n)
         if i == m:
-            p, q = RingElement.zero(ctx), RingElement.one(ctx)
+            pair = RingElement.zero(ctx), RingElement.one(ctx)
         else:
-            p = _ring_sum(ctx, (((m - i - d, i, 0, d), comb(m, d)) for d in range(m - i + 1)))
-            q = _ring_sum(
-                ctx, (((m - d, 0, m - i, d + i - m), comb(m, d)) for d in range(m - i + 1, m + 1))
-            )
-        if n < 0:
-            p, q = p.tau(), q.tau()
-        out.append((p, q))
-    _REWRITE_CACHE[key] = out
-    return out
+            p = _binomial_part(ctx, m, range(m - i + 1), i, 0, i)
+            q = _binomial_part(ctx, m, range(m - i + 1, m + 1), 0, m - i, 0, m - i)
+            pair = (p.tau(), q.tau()) if n < 0 else (p, q)
+        _REWRITE_CACHE[key] = pair
+    return _REWRITE_CACHE[key]
 
 
 def normalize_section(n: int, vector) -> tuple:
     """The canonical coefficient pair (c0, c1) of sum(vector[i] * mixed
-    column i) in degree n (n < 0: Q_|n|).  Entries may lie in R or R[T];
-    the field is read from them."""
+    column i) in degree n (n < 0: Q_|n|) from the nonzero entries, or zeros.
+    Entries may lie in R or R[T] (then so does the pair), over one field."""
     if len(vector) != abs(n) + 1:
         raise ValueError(f"coefficient vector must have length {abs(n) + 1}")
-    rewrite = rewrite_constants(vector[0].ctx, n)
-    return (dot((ci, p) for ci, (p, _) in zip(vector, rewrite)),
-            dot((ci, q) for ci, (_, q) in zip(vector, rewrite)))
+    ring = RingPolyT if any(type(c) is RingPolyT for c in vector) else RingElement
+    terms = [(i, c) for i, c in enumerate(vector) if not c.is_zero] or [(0, vector[0])]
+    pairs = [(c, rewrite_constants(vector[0].ctx, n, i)) for i, c in terms]
+    return tuple(ring.sum_of_products([(c, pq[k]) for c, pq in pairs]) for k in (0, 1))
 
 
 def expand_mixed(n: int, vector, ctx: FieldCtx):
@@ -157,13 +154,11 @@ class IdempotentPair:
     Mn_prime: tuple
 
 
+@cache
 def unit_split(ctx: FieldCtx, m: int) -> tuple[RingElement, RingElement]:
-    """A, B in R with x^m*A + w^m*B = 1 (split of (x+w)^(2m-1) = 1)."""
-    A = _ring_sum(ctx, (((m - 1 - k, 0, 0, k), comb(2 * m - 1, k)) for k in range(m)))
-    B = _ring_sum(
-        ctx, (((2 * m - 1 - k, 0, 0, k - m), comb(2 * m - 1, k)) for k in range(m, 2 * m))
-    )
-    return A, B
+    """A, B in R with x^m*A + w^m*B = 1 (split of (x+w)^(2m-1) = 1), cached."""
+    return (_binomial_part(ctx, 2 * m - 1, range(m), m, 0),
+            _binomial_part(ctx, 2 * m - 1, range(m, 2 * m), 0, m))
 
 
 def mn_matrices(ctx: FieldCtx, n: int) -> IdempotentPair:
@@ -430,7 +425,7 @@ def poly_mul(A: list, B: list, zero) -> list:
     return out
 
 
-def generation_cofactors(n: int, L0: list, L1: list):
+def generation_cofactors(n: int, L0: list, L1: list, pair=None):
     """Four global cofactors certifying that the sections sigma(S0), sigma(S1)
     of a degree-n homogeneous pair with unit resultant generate.
 
@@ -439,13 +434,13 @@ def generation_cofactors(n: int, L0: list, L1: list):
     solve gives S0*U + S1*V = beta^(2n-1) after homogenizing; the reversed
     pair (resultant +-res(S0, S1) by the reversal identity, so a unit too)
     gives the alpha power; ``recombine_cofactors`` joins them.  Each solve
-    is one ``det_subset`` elimination, Gauss over k or Bareiss.  Generic
-    over R and R[T] coefficient lists.
+    is one ``det_subset`` elimination, Gauss over k or Bareiss (a ``pair``
+    given skips the first).  Generic over R and R[T] coefficient lists.
     """
     if len(L0) != n + 1 or len(L1) != n + 1:
         raise ValueError("homogeneous coefficient lists must have length n+1")
     try:
-        U, V = bezout_from_unit_resultant(L0, L1, n, n)
+        U, V = pair or bezout_from_unit_resultant(L0, L1, n, n)
     except ResultantNotUnit:
         raise ResultantNotUnit("pair does not have unit resultant") from None
     Ur, Vr = bezout_from_unit_resultant(L0[::-1], L1[::-1], n, n)

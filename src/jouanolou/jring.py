@@ -38,6 +38,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import zip_longest
 from math import comb, inf
+from operator import itemgetter
 
 from .field import FieldCtx, FieldElem
 from .groebner import _Budget, _reduce_tracked, _Tracked, pack, unpack
@@ -285,28 +286,30 @@ def mpoly_to_ring(p: MPoly) -> RingElement:
 
 
 def _normal_form(p: MPoly, cls):
-    """The normal form a + x*b of p in R or R[T] (``cls``), in one pass over
-    its terms.  In u = yz, x^e = p_e(u) + x*q_e(u) with p_0 = 1, q_0 = 0,
-    p_{e+1} = -u*q_e and q_{e+1} = p_e + q_e, and w^f = (1 - x)^f expands
-    binomially; so each term adds its value times the coefficients of one
-    pair of int polynomials in u, shifted by its y, z and T exponents."""
+    """The normal form a + x*b of p in R or R[T] (``cls``); each term reads
+    the 0 appended to its key as the exponent of a variable p lacks."""
     unknown = set(p.vars) - {"x", "y", "z", "w", "T"}
     if unknown:
         raise ValueError(f"no variable {sorted(unknown)[0]!r} in the device's ring")
-    slots = [p.vars.index(v) if v in p.vars else None for v in ("x", "w", "y", "z", "T")]
+    exps = itemgetter(*(p.vars.index(v) if v in p.vars else -1 for v in ("x", "w", "y", "z", "T")))
+    return int_normal_form(p.ctx, ((exps(m + (0,)), c) for m, c in p.terms.items()), p.den, cls)
+
+
+def int_normal_form(ctx, terms, den=1, cls=RingElement):
+    """sum(c * x^a w^b y^i z^j T^t) / den over ((a, b, i, j, t), c) in ``terms``,
+    c an int, in R (R[T] for ``cls`` RingPolyT), by one pass on ints."""
     with_t = cls is RingPolyT
     out: dict = {}
-    for m, c in p.terms.items():
-        ex, ew, i, j, t = (0 if k is None else m[k] for k in slots)
+    for (ex, ew, i, j, t), c in terms:
         for e, image in enumerate(_x_w_image(ex, ew)):
             for s, coef in image:
                 key = (e, i + s, j + s, t) if with_t else (e, i + s, j + s)
                 out[key] = out.get(key, 0) + c * coef
-    return cls(p.ctx, *settled(p.ctx, out, p.den))
+    return cls(ctx, *settled(ctx, out, den))
 
 
-# (p_e, q_e) with x^e = p_e(u) + x*q_e(u), ascending int coefficients in
-# u = yz, extended as needed; they do not depend on the field
+# (p_e, q_e) with x^e = p_e(u) + x*q_e(u) in u = yz, ascending ints: p_0 = 1,
+# q_0 = 0, p_(e+1) = -u*q_e, q_(e+1) = p_e + q_e; field-free, extended as needed
 _X_POWERS = [([1], [0])]
 
 

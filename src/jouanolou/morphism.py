@@ -28,10 +28,10 @@ properties run it on first read and keep the value.  The result of
 wound but rarely certified, so their transport mostly never runs.  The
 checking constructors build theirs at once, since they must check them, and
 so do :func:`n_pi` and :func:`pullback_rational`: their certificates come
-from ``bundle.generation_cofactors``, whose determinants are what the
-benchmark's ``ref_ladder`` workload times and what its tests count on a
-traced build.  Deferring them waits for that benchmark to measure a build
-whose certificate is read.
+from ``bundle.generation_cofactors`` (for :func:`n_pi`, its reversed pair
+only), whose determinants are what the benchmark's ``ref_ladder`` workload
+times and what its tests count on a traced build.  Deferring them waits
+for that benchmark to measure a build whose certificate is read.
 
 Equality of maps is equality of degree and of normalized expanded
 sections (coefficient pairs are non-unique, expanded pairs are not).
@@ -45,7 +45,7 @@ from . import groebner
 from .bundle import (
     expand_sections,
     generation_cofactors,
-    mu_product,
+    normalize_section,
     pure_powers,
     raised_lift,
     resultant_univ,
@@ -308,28 +308,30 @@ _NPI_CACHE: dict = {}
 
 def n_pi(n: int, ctx: FieldCtx) -> JMap:
     """The reference map of degree n >= 1 built by the two-term recursion
-    F_(k+1) = [x;z]*F_k - [y^2;w^2]*F_(k-1), with second section [y;w]*F_(k-1)."""
+    F_(k+1) = [x;z]*F_k - [y^2;w^2]*F_(k-1), with second section [y;w]*F_(k-1).
+    Its lift runs (L0, L1) -> (X*L0 - L1, beta*L0), of determinant 1, so
+    (-L1, L0) one step back is its first Bezout pair (Cassini's identity)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     key = (ctx.p, n)
     if key in _NPI_CACHE:
         return _NPI_CACHE[key]
-    one = RingElement.one(ctx)
-    zero = RingElement.zero(ctx)
-    # [x; z] and [y; w] as coefficient pairs; (0, 1) is [y^2; w^2] in degree 2
-    x_col, y_col = (one, zero), (zero, one)
-    F_prev, F_cur = None, x_col  # F_0 = 1, F_1 = [x; z]
-    # homogeneous lift follows the same recursion: L0 -> X*L0 - L1, L1 -> beta*L0
-    L0, L1 = [zero, one], [one, zero]
+    one, zero = RingElement.one(ctx), RingElement.zero(ctx)
+    # F_0 = 1 and F_1 = [x; z] as coefficient pairs, beside their lifts
+    F_prev, F_cur = (one, zero), (one, zero)
+    prev, lift = ([one], [zero]), ([zero, one], [one, zero])
     for k in range(1, n):
-        top = mu_product(x_col, 1, F_cur, k)
-        # [y^2; w^2]*F_(k-1): the pair (0, 1) itself at F_0 = 1
-        low = mu_product(y_col, 2, F_prev, k - 1) if k > 1 else y_col
-        F_prev, F_cur = F_cur, (top[0] - low[0], top[1] - low[1])
-        L0, L1 = raised_lift(ctx.one, L0, L1, zero)
-    s1 = mu_product(y_col, 1, F_prev, n - 1) if n > 1 else y_col
-    cert = generation_cofactors(n, L0, L1)
-    result = JMap(n, (*F_cur, *s1), cert, (L0, L1))
+        # one vector per step: [x;z]*F_k puts F_k at 0 and k, [y^2;w^2]*F_(k-1) at 2, k+1
+        vec = [zero] * (k + 2)
+        vec[0], vec[k], vec[k + 1] = F_cur[0], F_cur[1], -F_prev[1]
+        vec[2] = vec[2] - F_prev[0]
+        F_prev, F_cur = F_cur, normalize_section(k + 1, vec)
+        prev, lift = lift, raised_lift(ctx.one, *lift, zero)
+    # [y;w]*F_(n-1): F_(n-1) at the indices 1 and n, or the pair (0, 1) at F_0 = 1
+    s1 = (zero, one) if n == 1 else normalize_section(
+        n, [zero, F_prev[0], *[zero] * (n - 2), F_prev[1]])
+    cert = generation_cofactors(n, *lift, ([-c for c in prev[1]], prev[0]))
+    result = JMap(n, (*F_cur, *s1), cert, lift)
     _NPI_CACHE[key] = result
     return result
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from jouanolou.bundle import (
     normalize_section,
     poly_add,
     poly_mul,
+    raised_lift,
     resultant_identities,
     resultant_univ,
     sigma,
@@ -24,7 +26,7 @@ from jouanolou.bundle import (
     unit_split,
 )
 from jouanolou.errors import PreconditionViolated, ResultantNotUnit
-from jouanolou.field import Fp, QQ
+from jouanolou.field import FieldCtx, Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT
 from jouanolou.morphism import cert_expands_to_one, generation_columns, n_pi
 from jouanolou.textio import map_str, parse_ring, ring_str
@@ -62,6 +64,24 @@ def test_normalize_checks_the_vector_length():
         normalize_section(2, [ONE, ZERO])
     with pytest.raises(ValueError, match="length 2"):
         sigma(1, [ZERO, ONE], [ONE, ZERO, ZERO])
+    with pytest.raises(ValueError, match="length 4"):
+        normalize_section(-3, [RingPolyT.zero(QQ)] * 2)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_normalize_skips_zero_entries_and_keeps_the_ring(ctx):
+    zero, zero_t = RingElement.zero(ctx), RingPolyT.zero(ctx)
+    for n in (1, 3, -2):
+        size = abs(n) + 1
+        assert normalize_section(n, [zero] * size) == (zero, zero)
+        assert all(type(c) is RingElement for c in normalize_section(n, [zero] * size))
+        assert all(type(c) is RingPolyT for c in normalize_section(n, [zero_t] * size))
+    # entries of R beside a zero of R[T]: the pair lies in R[T], as lifted
+    vec = [R("y", ctx), zero_t, R("x + 1", ctx), zero]
+    pair = normalize_section(3, vec)
+    assert all(type(c) is RingPolyT for c in pair)
+    flat = [R("y", ctx), zero, R("x + 1", ctx), zero]
+    assert pair == tuple(RingPolyT.from_ring(c) for c in normalize_section(3, flat))
 
 
 def test_mu_products():
@@ -125,6 +145,53 @@ def test_unit_split():
         A, B = unit_split(QQ, m)
         x, w = R("x"), R("w")
         assert x**m * A + w**m * B == ONE
+
+
+def _ring_sum(ctx, terms):
+    """sum(c * x^a y^b z^d w^e) over ((a, b, d, e), c) pairs, c an integer,
+    through the normal form of a polynomial of the free ring (oracle)."""
+    raw = {m: r for m, c in terms if (r := ctx.rfrom_int(c))}
+    return jring.mpoly_to_ring(polys.MPoly(ctx, ("x", "y", "z", "w"), raw))
+
+
+def _rewrite_oracle(ctx, n, i):
+    m = abs(n)
+    if i == m:
+        return RingElement.zero(ctx), RingElement.one(ctx)
+    p = _ring_sum(ctx, (((m - i - d, i, 0, d), comb(m, d)) for d in range(m - i + 1)))
+    q = _ring_sum(ctx, (((m - d, 0, m - i, d + i - m), comb(m, d)) for d in range(m - i + 1, m + 1)))
+    return (p.tau(), q.tau()) if n < 0 else (p, q)
+
+
+def _unit_split_oracle(ctx, m):
+    top = 2 * m - 1
+    return (_ring_sum(ctx, (((m - 1 - k, 0, 0, k), comb(top, k)) for k in range(m))),
+            _ring_sum(ctx, (((top - k, 0, 0, k - m), comb(top, k)) for k in range(m, 2 * m))))
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(5)], ids=str)
+def test_int_built_constants_equal_the_free_ring_construction(ctx, monkeypatch):
+    """The constants built afresh on ints equal the free-ring construction
+    (rewrite pairs, unit splits) and ring powers (pure powers)."""
+    monkeypatch.setattr(bundle, "_REWRITE_CACHE", {})
+    for n in (*range(1, 13), *range(-12, 0)):
+        for i in range(abs(n) + 1):
+            assert bundle.rewrite_constants(ctx, n, i) == _rewrite_oracle(ctx, n, i), (n, i)
+    for m in range(1, 25):
+        assert unit_split.__wrapped__(ctx, m) == _unit_split_oracle(ctx, m), m
+    gens = (RingElement.gen_x, RingElement.gen_y, RingElement.gen_z, RingElement.gen_w)
+    for n in range(13):
+        assert bundle.pure_powers.__wrapped__(ctx, n) == tuple(g(ctx) ** n for g in gens), n
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_cached_constants_repeat_equal_to_fresh_constants(ctx):
+    """Cached rewrite pairs and unit splits equal the oracle's on repeated
+    calls and for an equal field given as another context object."""
+    for n, i, m in ((3, 1, 2), (-4, 2, 5), (3, 1, 2)):
+        for field in (ctx, FieldCtx(ctx.p)):
+            assert bundle.rewrite_constants(field, n, i) == _rewrite_oracle(ctx, n, i)
+            assert unit_split(field, m) == _unit_split_oracle(ctx, m)
 
 
 def test_sigma_identity_pair():
@@ -838,6 +905,14 @@ REFERENCE_MAP_SHA1 = {
     ("F7", 12): "970320024b8b696bf8a297b10b59d43784b5390e",
     ("F7", 16): "7ef312e16c72612dfc0697be9fabf7d271c82304",
 }
+# sha1 of the lines ring_str(c) for c in n_pi(n).cert, recorded while the
+# certificate came from two Sylvester solves (generation_cofactors)
+REFERENCE_CERT_SHA1 = {
+    ("Q", 12): "d74fb39bc22c0d5de6098be9cf769a302a87f653",
+    ("Q", 16): "cc3667084556db923ffcbf269c054f3e488c00d8",
+    ("F7", 12): "64b68a89b1b8f43f9c300c35c867018905487ffa",
+    ("F7", 16): "112adcc890aec0d72a01fa9667b455f14f27eef7",
+}
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
@@ -856,10 +931,13 @@ def test_cold_reference_maps_pack_no_sum(ctx, monkeypatch):
     for n in (12, 16, 20):
         monkeypatch.setattr(morphism, "_NPI_CACHE", {})
         monkeypatch.setattr(bundle, "_REWRITE_CACHE", {})
-        text = map_str(n_pi(n, ctx))
+        f = n_pi(n, ctx)
+        text = map_str(f)
         assert packed == [], n
         if (str(ctx), n) in REFERENCE_MAP_SHA1:
             assert hashlib.sha1(text.encode()).hexdigest() == REFERENCE_MAP_SHA1[str(ctx), n]
+            cert = "\n".join(ring_str(c) for c in f.cert)
+            assert hashlib.sha1(cert.encode()).hexdigest() == REFERENCE_CERT_SHA1[str(ctx), n]
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])
@@ -873,3 +951,22 @@ def test_pure_powers_repeat_equal_to_fresh_powers(ctx):
         assert bundle.pure_powers(ctx, n) == fresh
     other = Fp(7) if ctx.p else QQ
     assert bundle.pure_powers(other, 2) == tuple(g(ctx) ** 2 for g in gens)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(1000003)], ids=str)
+def test_cassini_pair_is_the_bezout_pair_of_the_lift(ctx):
+    """The lift recursion of n_pi is a product of [[X, -1], [1, 0]], of
+    determinant 1: (-L1, L0) one step back solves the (n, n) system."""
+    zero, one = RingElement.zero(ctx), RingElement.one(ctx)
+    prev, lift = ([one], [zero]), ([zero, one], [one, zero])
+    for n in range(1, 30):
+        U, V = bezout_from_unit_resultant(*lift, n, n)
+        assert (U, V) == ([-c for c in prev[1]], prev[0]), n
+        prev, lift = lift, raised_lift(ctx.one, *lift, zero)
+
+
+@pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(1000003)], ids=str)
+def test_reference_certificate_equals_two_sylvester_solves(ctx):
+    for n in range(1, 17):
+        f = n_pi(n, ctx)
+        assert f.cert == generation_cofactors(n, *f.homog), n

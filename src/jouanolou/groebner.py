@@ -21,15 +21,25 @@ one fused sum of products, and the weights of the input generators are the
 cofactors, each the same sum over derivation paths as a forward expansion.
 A refuted or undecided run expands nothing.
 
-The reduction keeps one remainder dict and subtracts each reducer from it
-in place, touching only the reducer's terms; it finds each leading monomial
-by popping a heap of the remainder's monomials, and an entry whose monomial
-has left the remainder is skipped.  The monomial order is degrevlex with
-x > y > z > T throughout; pair selection is by smallest lcm and the divisor
-is the first basis element whose leading monomial divides, so identical
-inputs yield identical certificates.  The step budget is spent once per
-reduction step.  Every generator must share the target's field and
-variables, checked before any step.
+The reduction consumes the dict it is given as its remainder and subtracts
+each reducer from it in place, touching only the reducer's terms; it finds
+each leading monomial by popping a heap of the remainder's monomials, and
+an entry whose monomial has left the remainder is skipped.  Each basis
+element keeps the inverse of its leading coefficient, so a step's quotient
+coefficient is one product (one ``Fraction`` over Q), and a remainder term
+becomes a raw coefficient only when it moves to the normal form.  An
+S-polynomial is built the same way: x^mi * f_i / lc(f_i) as one shifted
+dict of ints, from which x^mj * f_j / lc(f_j) is subtracted in place.  A
+pair whose leading monomials share no variable (disjoint support bitmasks)
+is never queued, since its S-polynomial reduces to zero.  The monomial
+order is degrevlex with x > y > z > T throughout; pair selection is by
+smallest lcm and the divisor is the first basis element whose leading
+monomial divides, so identical inputs yield identical certificates.  The
+basis only grows, so that first divisor among basis[:k] never changes: one
+run keeps a memo of it per monomial, and a monomial with no divisor among
+the first k elements is later probed against basis[k:] only.  The step
+budget is spent once per reduction step.  Every generator must share the
+target's field and variables, checked before any step.
 
 Monomials are packed exponent vectors (Monagan & Pearce, CASC 2007): the
 engine packs each generator and the target once, and unpacks only the
@@ -44,10 +54,10 @@ quotient of a divisible pair a key difference, and a leading monomial
 ``max(keys)``.  The divisor test alone compares exponents, by one
 subtraction per basis element: each element caches its leading exponents
 in GUARD_BITS-wide fields (``guarded``), each field's top bit clear, and a
-step spreads the remainder's leading key the same way once, with every
-top bit set.  Subtracting a divisor's fields from those clears a top bit
-exactly where the divisor's exponent is the larger, and no borrow crosses
-a field, so "divides" is "every top bit survives".
+run spreads a monomial the same way at most once, with every top bit set.
+Subtracting a divisor's fields from those clears a top bit exactly where
+the divisor's exponent is the larger, and no borrow crosses a field, so
+"divides" is "every top bit survives".
 
 No field carries into the next: a field is at most the degree, and every
 degree stays at most MAX_DEGREE.  Packing refuses a generator or target of
@@ -65,11 +75,12 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 
 from .errors import BudgetExceeded, DegreeOverflow
 from .field import FieldCtx, ascii_int
-from .polys import MPoly, cleared, dot, raw_coeff, terms_add, terms_scale, terms_sub_into
+from .polys import MPoly, cleared, dot, raw_coeff, terms_sub_into
 
 DEFAULT_BUDGET = 10**6
 FIELD_BITS = 32
@@ -173,17 +184,21 @@ class _Tracked:
     the index of the input generator it is, or (multiples, quotients) for
     the element sum(c * x^m * basis[k] over (k, m, c) in multiples)
     - sum(quotients[k] * basis[k]), m a key and quotients holding raw term
-    dicts on keys.  ``lm`` is the leading key, ``exp`` its exponents and
-    ``div`` them in guard-bit fields, for the divisor test."""
+    dicts on keys.  ``lm`` is the leading key, ``exp`` its exponents,
+    ``div`` them in guard-bit fields, for the divisor test, and ``supp``
+    the bitmask of the variables in it, for the coprime test; ``lc`` is the
+    raw leading coefficient and ``inv`` its inverse."""
 
-    __slots__ = ("terms", "den", "origin", "lm", "exp", "div", "lc")
+    __slots__ = ("terms", "den", "origin", "lm", "exp", "div", "supp", "lc", "inv")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: dict, den: int, origin):
         self.terms, self.den, self.origin = terms, den, origin
         self.lm = max(terms)
         self.exp = unpack(self.lm, n)
         self.div = guarded(self.lm, n)
+        self.supp = sum(1 << k for k, e in enumerate(self.exp) if e)
         self.lc = raw_coeff(ctx, terms[self.lm], den)
+        self.inv = ctx.rinv(self.lc)
 
 
 class _Budget:
@@ -199,42 +214,65 @@ class _Budget:
 
 
 def _reduce_tracked(ctx: FieldCtx, n: int, terms: dict, den: int, basis: list[_Tracked],
-                    budget: _Budget):
+                    budget: _Budget, memo: dict | None = None):
     """Full normal form of terms/den (engine keys, n variables) modulo the
     basis, and the quotients: ((normal terms, den), quotients) with
     terms/den == normal + sum(quotients[k] * basis[k]), quotients mapping the
     index of every basis element a step subtracted to a dict of raw
     coefficients, one term per such step.
 
-    The remainder is one dict of values over a running denominator, this
-    loop's own: an irreducible leading term is dropped from it, and a step
-    subtracts the reducer in place (``terms_sub_into``), touching only the
-    reducer's terms and pushing the keys new to the remainder on a heap of
-    negated keys."""
+    ``terms`` is consumed: it becomes the remainder, one dict of values
+    over a running denominator.  An irreducible leading term leaves it for
+    the normal form, as a raw coefficient, and a step subtracts the reducer
+    in place (``terms_sub_into``), touching only the reducer's terms and
+    pushing the keys new to the remainder on a heap of negated keys.  A
+    step's quotient coefficient is the remainder's leading value times the
+    reducer's ``inv``, one ``Fraction`` over Q.
+
+    ``memo`` holds first divisors, valid while the basis only grows: at a
+    key m, k >= 0 is the index of the first element whose leading monomial
+    divides m, and ~k says that none of basis[:k] does, with m's
+    guard-bit fields at key ~m (a negative int, no monomial's key), so the
+    next probe of m scans basis[k:] only and spreads m no more.  A missing
+    entry reads ~0.  Without a memo the call keeps its own."""
+    if memo is None:
+        memo = {}
+    p = ctx.p
     tail = {}  # raw coefficients of the irreducible leading terms
     quotients: dict[int, dict] = {}
-    work = dict(terms)
-    heap = [-m for m in work]
+    heap = [-m for m in terms]
     heapq.heapify(heap)
     guards = guard_mask(n)
+    size = len(basis)
     while heap:
         lm = -heapq.heappop(heap)
-        if lm not in work:
+        c = terms.get(lm)
+        if c is None:
             continue  # cancelled since it was pushed
-        lc = raw_coeff(ctx, work[lm], den)
-        probe = guarded(lm, n) | guards
-        for k, hit in enumerate(basis):
-            if (probe - hit.div) & guards == guards:  # hit.lm divides lm
-                break
-        else:
-            tail[lm] = lc
-            del work[lm]
+        k = memo.get(lm, -1)
+        if k < 0 and (k := ~k) < size:
+            probe = memo.get(~lm)
+            if probe is None:
+                probe = guarded(lm, n) | guards
+            for k in range(k, size):
+                if (probe - basis[k].div) & guards == guards:  # it divides lm
+                    memo[lm] = k
+                    break
+            else:
+                memo[lm], memo[~lm] = ~size, probe
+                k = size
+        if k >= size:
+            tail[lm] = raw_coeff(ctx, terms.pop(lm), den)
             continue
+        hit = basis[k]
         budget.spend()
         qmon = lm - hit.lm
-        qc = ctx.rdiv(lc, hit.lc)
+        if p is None:
+            qc = Fraction(c * hit.inv.numerator, den * hit.inv.denominator)
+        else:
+            qc = c * hit.inv % p
         quotients.setdefault(k, {})[qmon] = qc
-        den, new = terms_sub_into(ctx, work, den, hit.terms, hit.den, qc, qmon)
+        den, new = terms_sub_into(ctx, terms, den, hit.terms, hit.den, qc, qmon)
         for m in new:  # below lm, and kept
             heapq.heappush(heap, -m)
     return cleared(ctx, tail), quotients
@@ -280,11 +318,6 @@ def _expand(basis: list[_Tracked], origin, n: int, ctx: FieldCtx, vars) -> list[
     return cofactors
 
 
-def _shifted(ctx: FieldCtx, tr: _Tracked, mon: int, raw):
-    """(terms, den) of raw * x^mon * tr, mon a key."""
-    return terms_scale(ctx, {m + mon: c for m, c in tr.terms.items()}, tr.den, raw)
-
-
 def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certificate | None:
     """Decide membership of the target; return verified cofactors or None.
 
@@ -318,15 +351,15 @@ def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certif
 
     basis: list[_Tracked] = []
     pairs: list[tuple] = []
+    memo: dict[int, int] = {}
 
     def add_element(tr: _Tracked):
         j = len(basis)
         basis.append(tr)
         for i in range(j):
-            lcm = tuple(map(max, basis[i].exp, tr.exp))
-            if sum(lcm) == sum(basis[i].exp) + sum(tr.exp):
+            if not basis[i].supp & tr.supp:
                 continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(pairs, (pack(lcm), i, j))
+            heapq.heappush(pairs, (pack(tuple(map(max, basis[i].exp, tr.exp))), i, j))
 
     if target.is_zero:
         return Certificate(problem, [MPoly.zero(ctx, vars) for _ in range(n)])
@@ -341,22 +374,30 @@ def express_in_ideal(problem: IdealProblem, budget: int | None = None) -> Certif
             return certificate_from_constant(tr)
         add_element(tr)
 
+    p = ctx.p
     while pairs:
         lcm, i, j = heapq.heappop(pairs)
         fi, fj = basis[i], basis[j]
         mi, mj = lcm - fi.lm, lcm - fj.lm
-        ci = ctx.rdiv(ctx.rone, fi.lc)
-        cj = ctx.rdiv(ctx.rone, fj.lc)
-        spoly = terms_add(ctx, *_shifted(ctx, fi, mi, ci), *_shifted(ctx, fj, mj, cj), negate=True)
-        (rem, den), quotients = _reduce_tracked(ctx, nvars, *spoly, basis, bud)
+        # the S-polynomial x^mi * fi / lc(fi) - x^mj * fj / lc(fj): the first
+        # term on ints over |its leading value|, then the second subtracted
+        if p is not None:
+            spoly, den = {m + mi: c * fi.inv % p for m, c in fi.terms.items()}, 1
+        elif (top := fi.terms[fi.lm]) > 0:
+            spoly, den = {m + mi: c for m, c in fi.terms.items()}, top
+        else:
+            spoly, den = {m + mi: -c for m, c in fi.terms.items()}, -top
+        den, _ = terms_sub_into(ctx, spoly, den, fj.terms, fj.den, fj.inv, mj)
+        (rem, den), quotients = _reduce_tracked(ctx, nvars, spoly, den, basis, bud, memo)
         if not rem:
             continue
-        tr = _Tracked(ctx, nvars, rem, den, (((i, mi, ci), (j, mj, ctx.rneg(cj))), quotients))
+        multiples = ((i, mi, fi.inv), (j, mj, ctx.rneg(fj.inv)))
+        tr = _Tracked(ctx, nvars, rem, den, (multiples, quotients))
         if const_target and tr.lm == 0:
             return certificate_from_constant(tr)
         add_element(tr)
 
-    (rem, _), quotients = _reduce_tracked(ctx, nvars, target_terms, target.den, basis, bud)
+    (rem, _), quotients = _reduce_tracked(ctx, nvars, target_terms, target.den, basis, bud, memo)
     if rem:
         return None
     return certified([-v for v in _expand(basis, ((), quotients), n, ctx, vars)])

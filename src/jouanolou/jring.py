@@ -26,7 +26,8 @@ operand of R meeting one of R[T] is lifted to t = 0 keys; ``MPoly._ctx``
 refuses to add polynomials of the two rings unlifted.  Both are domains
 with an exact division through the norm: sigma (x <-> w) is an involution,
 N(b) = b*sigma(b) has no x term, and a/b = a*sigma(b)/N(b) (``divexact``,
-``divider``), as Bareiss's elimination needs.
+``divider``), as Bareiss's elimination needs; a b with no x term is its
+own sigma, and a is divided by b itself.
 
 Substitutions are term-wise maps, one pass over the term dict on ints: the
 normal form (w -> 1 - x, x^e -> p_e(yz) + x*q_e(yz)), sigma, tau, T at a
@@ -216,19 +217,24 @@ class RingElement(MPoly):
         self, N = self * sigma(self) = a^2 + a*b + yz*b^2 (no x term), both
         computed once: q * sigma(self) is divided by N by the Groebner
         engine's reduction with the one reducer N, whose remainder must be
-        empty."""
+        empty.  A divisor with no x term is its own sigma, and q is divided
+        by it directly: a normal form q = self * r is the same product in
+        the free ring, so that reduction is exact and its quotient is r."""
         ctx, n = self.ctx, len(self.VARS)
         if (c := self._raw_constant()) is not None:
             return lambda q, inv=ctx.rinv(c): q.scale(inv)
-        conj = self.sigma()
-        norm = self * conj
+        if any(m[0] for m in self.terms):
+            conj = self.sigma()
+            norm = self * conj
+        else:
+            conj, norm = None, self
         basis = [_Tracked(ctx, n, {pack(m): c for m, c in norm.terms.items()}, norm.den, 0)]
 
         def divide(q):
             if type(q) is not type(self):  # one operand in R, the other in R[T]
                 q, b = q._coerced(self)
                 return q.divexact(b)
-            product = q * conj
+            product = q if conj is None else q * conj
             keyed = {pack(m): c for m, c in product.terms.items()}
             # degrevlex is a well-order: the division stops unbudgeted
             (rest, _), quotients = _reduce_tracked(ctx, n, keyed, product.den, basis, _Budget(inf))

@@ -14,7 +14,7 @@ The kernel runs int loops only and returns (terms, den) pairs:
 ``terms_scale`` (by a raw scalar, optionally times a monomial),
 ``terms_neg`` and ``terms_sub_into`` (a scaled, shifted subtraction in
 place from a dict the caller owns, on packed int keys, the step of the
-Groebner reduction) are the only sparse add/sub/mul loops, and
+Groebner reduction and the second half of its S-polynomial) are the only sparse add/sub/mul loops, and
 ``sum_of_scaled`` the one unsettled sum of products.  ``MPoly`` is the one
 sparse polynomial class; the ring elements of :mod:`jring` are ``MPoly``
 subclasses, and every result of its arithmetic is built as its operand's
@@ -383,8 +383,10 @@ def terms_sub_into(ctx: FieldCtx, acc: dict, den: int, B: dict, dB: int, raw, mo
     """Subtract raw * x^mon * B/dB from the int values ``acc`` over den in
     place, raw a nonzero raw coefficient; returns (den, the keys new to
     acc).  Keys are ints on which a monomial product is a sum, the packed
-    monomials of :mod:`groebner`, its only caller.
-    ``acc`` is the caller's own dict, never a stored one.
+    monomials of :mod:`groebner`, its only caller, at two sites: each
+    reduction step, and each S-polynomial, whose acc is the shifted,
+    scaled copy of its first element.  ``acc`` is the caller's own dict,
+    never a stored one; the values of acc need not be canonical over den.
 
     Only the shifted keys of B are touched: each value is updated, a zero
     one deleted.  Over F_p each touched value is reduced mod p.  Over Q acc

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 from fractions import Fraction
+from math import gcd
 from operator import le
 
 import pytest
@@ -11,7 +12,9 @@ from jouanolou.errors import BudgetExceeded, ContextMismatch, DegreeOverflow
 from jouanolou.field import Fp, QQ
 from jouanolou.groebner import MAX_DEGREE, IdealProblem, express_in_ideal, pack, relation_poly, unpack
 from jouanolou.jring import RingElement, RingPolyT
-from jouanolou.polys import MPoly, dot, drl_key
+from jouanolou.polys import (
+    MPoly, cleared, dot, drl_key, raw_coeff, terms_add, terms_scale, terms_sub_into,
+)
 
 
 def poly(s, ctx=QQ, vars=RingElement.VARS):
@@ -532,6 +535,223 @@ def test_in_place_reduction_denominator_grows_then_cancels(monkeypatch):
                          1: {(0, 0, 0): Fraction(1, 4)}}
     ref_basis = [_OracleTracked(b0, None), _OracleTracked(b1, None)]
     assert (normal, quotients) == reference_reduce(p, ref_basis, groebner._Budget(3))
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")])
+def test_the_running_denominator_is_canonical_after_every_step(ctx, monkeypatch):
+    """After each in-place subtraction, gcd(den, all values) is 1 (den 1
+    over F_p), on the drawn reductions of the copy-per-step oracle."""
+
+    def checked(ctx, acc, den, *rest):
+        den, new = terms_sub_into(ctx, acc, den, *rest)
+        assert den == 1 if ctx.p is not None else gcd(den, *acc.values()) == 1
+        return den, new
+
+    monkeypatch.setattr(groebner, "terms_sub_into", checked)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(reductions(ctx))
+    def check(case):
+        p, polys, _ = case
+        reduce_packed(p, [tracked(g, i) for i, g in enumerate(polys)], groebner._Budget(10**6))
+
+    check()
+
+
+# --- the first-divisor memo --------------------------------------------------------
+
+
+def test_the_memo_takes_the_lower_index_when_two_elements_divide():
+    """x and x*y - 1 both divide x*y: index 0 wins in either order, and the
+    memo records it."""
+    for first, second in ((poly("x - z"), poly("x*y - 1")), (poly("x*y - 1"), poly("x - z"))):
+        basis = [tracked(first, 0), tracked(second, 1)]
+        memo = {}
+        groebner._reduce_tracked(QQ, 3, {pack((1, 1, 0)): 1}, 1, basis, groebner._Budget(10), memo)
+        assert memo[pack((1, 1, 0))] == 0
+
+
+def test_the_memo_resumes_a_missed_monomial_at_the_old_length(monkeypatch):
+    """y^2 has no divisor among [x - 1]: the memo holds ~1 and y^2 spread
+    into guard-bit fields.  Once y - 2 is appended, the next probe of y^2
+    finds it at index 1, scanning basis[1:] only (an element put at index 0
+    that divides y^2 is not seen), and spreads y^2 no more; y, new to the
+    memo, is spread once and scanned from index 0, as is the constant."""
+    spread, guarded = [], groebner.guarded
+
+    def counted(key, n):
+        spread.append(key)
+        return guarded(key, n)
+
+    y2 = pack((0, 2, 0))
+    basis = [tracked(poly("x - 1"), 0)]
+    appended, swapped = tracked(poly("y - 2"), 1), tracked(poly("y^2 + z"), 0)
+    memo = {}
+    monkeypatch.setattr(groebner, "guarded", counted)
+    (normal, _), quotients = groebner._reduce_tracked(
+        QQ, 3, {y2: 1}, 1, basis, groebner._Budget(10), memo)
+    assert normal == {y2: 1} and quotients == {}
+    assert spread == [y2] and memo[y2] == ~1 and memo[~y2] == guarded(y2, 3) | groebner.guard_mask(3)
+    basis.append(appended)
+    basis[0] = swapped  # not a grown basis: shows where the scan starts
+    budget = groebner._Budget(10)
+    (normal, _), quotients = groebner._reduce_tracked(QQ, 3, {y2: 1}, 1, basis, budget, memo)
+    assert normal == {0: 4} and set(quotients) == {1} and budget.left == 8
+    assert memo[y2] == 1 and spread == [y2, pack((0, 1, 0)), pack((0, 0, 0))]
+
+
+# --- the engine before the memo, the per-element inverse, the coprime mask and
+# the in-place S-polynomial, as an oracle ------------------------------------------
+#
+# A copy of the reduction, pair queue and S-pair loop that the engine replaced:
+# a divisor scan from index 0 at every step, a Fraction per leading coefficient
+# and quotient, coprime pairs by the lcm's degree, and each S-polynomial the sum
+# of two scaled, shifted copies, copied again by the reduction.  Its histories
+# expand through the engine's ``_expand``, whose input format is unchanged.
+
+
+class _CopyTracked:
+    def __init__(self, ctx, n, terms, den, origin):
+        self.terms, self.den, self.origin = terms, den, origin
+        self.lm = max(terms)
+        self.exp = unpack(self.lm, n)
+        self.div = groebner.guarded(self.lm, n)
+        self.lc = raw_coeff(ctx, terms[self.lm], den)
+
+
+def _copy_reduce(ctx, n, terms, den, basis, budget):
+    tail, quotients = {}, {}
+    work = dict(terms)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    guards = groebner.guard_mask(n)
+    while heap:
+        lm = -heapq.heappop(heap)
+        if lm not in work:
+            continue
+        lc = raw_coeff(ctx, work[lm], den)
+        probe = groebner.guarded(lm, n) | guards
+        for k, hit in enumerate(basis):
+            if (probe - hit.div) & guards == guards:
+                break
+        else:
+            tail[lm] = lc
+            del work[lm]
+            continue
+        budget.spend()
+        qmon = lm - hit.lm
+        qc = ctx.rdiv(lc, hit.lc)
+        quotients.setdefault(k, {})[qmon] = qc
+        den, new = terms_sub_into(ctx, work, den, hit.terms, hit.den, qc, qmon)
+        for m in new:
+            heapq.heappush(heap, -m)
+    return cleared(ctx, tail), quotients
+
+
+def copy_express(problem, budget):
+    """(cofactors or None, steps spent); BudgetExceeded past ``budget``."""
+    gens = problem.all_generators()
+    target = problem.target
+    ctx, vars = target.ctx, target.vars
+    n, nvars = len(gens), len(vars)
+    bud = _OracleBudget(budget)
+
+    def packed(p):
+        return {pack(m): c for m, c in p.terms.items()}
+
+    def shifted(tr, mon, raw):
+        return terms_scale(ctx, {m + mon: c for m, c in tr.terms.items()}, tr.den, raw)
+
+    def from_constant(tr):
+        scale = ctx.rdiv(target.constant_value(), tr.lc)
+        return [v.scale(scale) for v in groebner._expand(basis, tr.origin, n, ctx, vars)], bud.spent
+
+    if target.is_zero:
+        return [MPoly.zero(ctx, vars)] * n, 0
+    basis, pairs = [], []
+
+    def add_element(tr):
+        j = len(basis)
+        basis.append(tr)
+        for i in range(j):
+            lcm = tuple(map(max, basis[i].exp, tr.exp))
+            if sum(lcm) == sum(basis[i].exp) + sum(tr.exp):
+                continue
+            heapq.heappush(pairs, (pack(lcm), i, j))
+
+    for i, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        tr = _CopyTracked(ctx, nvars, packed(g), g.den, i)
+        if target.is_constant and tr.lm == 0:
+            return from_constant(tr)
+        add_element(tr)
+    while pairs:
+        lcm, i, j = heapq.heappop(pairs)
+        fi, fj = basis[i], basis[j]
+        mi, mj = lcm - fi.lm, lcm - fj.lm
+        ci, cj = ctx.rdiv(ctx.rone, fi.lc), ctx.rdiv(ctx.rone, fj.lc)
+        spoly = terms_add(ctx, *shifted(fi, mi, ci), *shifted(fj, mj, cj), negate=True)
+        (rem, den), quotients = _copy_reduce(ctx, nvars, *spoly, basis, bud)
+        if not rem:
+            continue
+        tr = _CopyTracked(ctx, nvars, rem, den, (((i, mi, ci), (j, mj, ctx.rneg(cj))), quotients))
+        if target.is_constant and tr.lm == 0:
+            return from_constant(tr)
+        add_element(tr)
+    (rem, _), quotients = _copy_reduce(ctx, nvars, packed(target), target.den, basis, bud)
+    if rem:
+        return None, bud.spent
+    return [-v for v in groebner._expand(basis, ((), quotients), n, ctx, vars)], bud.spent
+
+
+COPY_CAP = 300
+
+
+@st.composite
+def engine_problems(draw, ctx):
+    """2-4 generators in (x, y, z) or (x, y, z, T), with or without the
+    relation, and a target that is 1, a constant, a member or a draw."""
+    vars = draw(st.sampled_from([RingElement.VARS, RingPolyT.VARS]))
+    gens = draw(st.lists(polys_in(ctx, vars, 4, 3), min_size=2, max_size=4))
+    kind = draw(st.sampled_from(["one", "constant", "member", "random"]))
+    if kind == "one":
+        target = one(ctx, vars)
+    elif kind == "constant":
+        target = MPoly.const(ctx, vars, ctx.rfrom_int(draw(st.integers(2, 5))))
+    elif kind == "member":
+        hs = draw(st.lists(polys_in(ctx, vars, 3, 2, 0), min_size=len(gens), max_size=len(gens)))
+        target = dot(zip(hs, gens))
+    else:
+        target = draw(polys_in(ctx, vars, 4, 3, 0))
+    return IdealProblem(gens, target, include_relation=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")])
+def test_the_engine_matches_its_copy_before_the_memo(ctx):
+    """Identical cofactors as (terms, den), or None in both; the engine
+    succeeds at the copy's step count s and raises BudgetExceeded at s - 1,
+    and raises wherever the copy runs out of COPY_CAP steps."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(engine_problems(ctx))
+    def check(problem):
+        try:
+            want, steps = copy_express(problem, COPY_CAP)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                express_in_ideal(problem, budget=COPY_CAP)
+            return
+        cert = express_in_ideal(problem, budget=steps)
+        if want is None:
+            assert cert is None
+        else:
+            assert [(c.terms, c.den) for c in cert.cofactors] == [(c.terms, c.den) for c in want]
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                express_in_ideal(problem, budget=steps - 1)
+
+    check()
 
 
 X_Y, X_Y_Z_T = ("x", "y"), RingPolyT.VARS

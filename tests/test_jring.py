@@ -16,7 +16,7 @@ from jouanolou.jring import (
     mpoly_to_ringpolyt,
     normal_form,
 )
-from jouanolou.polys import MPoly, dot, eval_terms
+from jouanolou.polys import MPoly, dot, eval_terms, raw_coeff
 from jouanolou.textio import mpoly_str, parse_polyt, parse_ring, ring_str
 
 
@@ -327,6 +327,51 @@ def test_divexact_inverts_the_product(ctx, cls):
         assert b.sigma().sigma() == b
         assert all(m[0] == 0 for m in (b * b.sigma()).terms)
     assert tested >= 25
+
+
+def _norm_route_divide(q, b):
+    """q / b as ``divider`` takes it for a divisor with an x term:
+    q * sigma(b) reduced by the one reducer N = b * sigma(b)."""
+    from jouanolou.groebner import _Budget, _reduce_tracked, _Tracked, pack, unpack
+
+    ctx, n = b.ctx, len(b.VARS)
+    conj = b.sigma()
+    norm, product = b * conj, q * conj
+    basis = [_Tracked(ctx, n, {pack(m): c for m, c in norm.terms.items()}, norm.den, 0)]
+    keyed = {pack(m): c for m, c in product.terms.items()}
+    (rest, _), quotients = _reduce_tracked(ctx, n, keyed, product.den, basis, _Budget(10**9))
+    if rest:
+        raise ArithmeticError("not an exact division in R")
+    return type(b)(ctx, {unpack(m, n): c for m, c in quotients.get(0, {}).items()})
+
+
+@pytest.mark.parametrize("cls", [RingElement, RingPolyT], ids=["R", "R[T]"])
+@pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
+def test_an_x_free_divisor_divides_as_the_norm_route_does(ctx, cls):
+    """A divisor with no x term is its own sigma and divides q directly:
+    the same quotient as q * b / b^2 through the norm, and the same refusal
+    of a q it does not divide."""
+    rng = random.Random(f"x-free-divider:{cls.__name__}:{ctx.p}")
+    tested = refused = 0
+    while tested < 30:
+        a, b = _random_element(rng, cls, ctx, 5), _random_element(rng, cls, ctx, 4)
+        b = type(b)(ctx, {m: raw_coeff(ctx, c, b.den) for m, c in b.terms.items() if not m[0]})
+        if b.is_constant:
+            continue
+        tested += 1
+        assert b.sigma() == b
+        divide = b.divider()
+        assert divide(a * b) == _norm_route_divide(a * b, b) == a
+        q = a * b + _random_element(rng, cls, ctx, 2)
+        try:
+            want = _norm_route_divide(q, b)
+        except ArithmeticError:
+            refused += 1
+            with pytest.raises(ArithmeticError, match="not an exact division"):
+                divide(q)
+        else:
+            assert divide(q) == want
+    assert refused >= 15
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7), Fp(2)], ids=str)

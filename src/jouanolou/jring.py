@@ -11,13 +11,14 @@ over one denominator, canonical, so equality is literal equality of
 are ``MPoly``'s, built as the operand's own type through ``MPoly._of``.
 
 The product is one sum of products: ``polys.sum_of_scaled`` of the stored
-dicts, whose keys reach x^2, then one pass that folds each x^2 key by
-x^2 = x - yz (``_fold``).  ``__mul__`` is that sum for one pair, and a sum
-of ring products (an entry of a 2x2 matrix product, of the action on
-section data or of certificate transport) is ``polys.dot``, which runs
-:meth:`RingElement.sum_of_products`: one accumulation, settled once, at
-every size.  No result depends on key order: printing sorts, and
-``realize`` reads terms in sorted key order.
+dicts with ``fold``, whose keys reach x^2 and are folded by x^2 = x - yz,
+inside the packed integer on the packed routes and key by key
+(``polys.fold_keys``) on the dict loop.  ``__mul__`` is that sum for one
+pair, and a sum of ring products (an entry of a 2x2 matrix product, of
+the action on section data or of certificate transport) is
+``polys.dot``, which runs :meth:`RingElement.sum_of_products`: one
+accumulation, settled once, at every size.  No result depends on key
+order: printing sorts, and ``realize`` reads terms in sorted key order.
 
 R[T], the one-variable polynomial extension used by homotopies, is R with a
 T exponent: ``RingPolyT`` stores the same normal form in ``VARS`` =
@@ -138,7 +139,7 @@ class RingElement(MPoly):
     def sum_of_products(cls, pairs) -> "RingElement":
         """sum(r * s for r, s in pairs) over R, or over R[T] when any factor
         is in R[T] (the others lifted): one ``polys.sum_of_scaled`` of the
-        stored dicts, then the x^2 keys folded."""
+        stored dicts, its x^2 keys folded."""
         if any(type(e) is RingPolyT for pair in pairs for e in pair):
             cls = RingPolyT
         ctx = pairs[0][0].ctx
@@ -150,7 +151,7 @@ class RingElement(MPoly):
             if type(s) is not cls:
                 s = cls.from_ring(s)
             products.append((1, r.terms, r.den, s.terms, s.den))
-        return cls(ctx, *_fold(ctx, *sum_of_scaled(products)))
+        return cls(ctx, *settled(ctx, *sum_of_scaled(products, fold=True)))
 
     def _raw_constant(self):
         """The raw value of a constant element (0 for zero), None for any
@@ -253,18 +254,6 @@ class RingElement(MPoly):
         """The normal form as a polynomial of the free ring on ``VARS``,
         sharing the stored dict."""
         return MPoly(self.ctx, self.VARS, self.terms, self.den)
-
-
-def _fold(ctx: FieldCtx, acc: dict, den: int) -> tuple[dict, int]:
-    """(terms, den) of the int sums ``acc`` over den, keys of x-degree at
-    most 2, with each x^2 key folded by x^2 = x - yz; ``acc`` is the
-    caller's own dict, changed in place."""
-    for m in [m for m in acc if m[0] == 2]:
-        c = acc.pop(m)
-        high, low = (1,) + m[1:], (0, m[1] + 1, m[2] + 1) + m[3:]
-        acc[high] = acc.get(high, 0) + c
-        acc[low] = acc.get(low, 0) - c
-    return settled(ctx, acc, den)
 
 
 def normal_form(expr, ctx: FieldCtx | None = None) -> RingElement:

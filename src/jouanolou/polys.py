@@ -36,48 +36,73 @@ length^1.585 (Karatsuba), so a narrower slot is a cheaper multiply.  The
 bound on a slot of A * B is min(|A|_1 * max|b|, max|a| * |B|_1), |A|_1 the
 sum of A's absolute values: rigorous (each term of A meets at most one
 term of B in a slot) and never above the older max|a| * max|b| *
-min(|A|, |B|).  In corpora 0-2 of the benchmark workloads (set-up
-included) it gives 8 bytes to 58 of the 205 packed sums of
-``group_roundtrip`` (75 under the older bound; 144 take 4) and to 7 of the
-138 of ``witness_boundary`` (11; 72 take 2, mostly F_7), and the one
-16-byte sum of a warm ``oplus(f, f)``, f = ``map 3 [1; 0 | 0; 1]`` over Q,
-takes 8.  Packing costs one interpreter step per term and unpacking one
-per slot, the rest is C: ``_pack`` adds each value to its slot in one list
-of slots offset by half their range, writes the list with one
-``struct.pack`` (joined ``to_bytes`` past 8 bytes) and subtracts the
-pattern of offsets once; the sum is offset the same way and read back by
-one ``struct.unpack``.
+min(|A|, |B|).  Packing costs one interpreter step per term and unpacking
+a few C passes per slot: ``_pack`` adds each value to its slot in one
+list of slots offset by half their range, the index summed inline per key
+width, and writes the list with one ``struct.pack`` (joined ``to_bytes``
+past 8 bytes); the sum is offset the same way, read back by one
+``struct.unpack`` from its lowest to its highest nonzero slot, and its
+nonzero slots are picked and keyed by ``itertools`` in C.
 
-``terms_mul`` and ``dot`` settle pack-or-loop in one place, ``_products``,
+An operand packed under the strides of the product's box is padded: in
+the certificate checks of ``witness_boundary``, 55 terms in (x, y, z, T)
+whose box holds 120 slots span 1183.  So a packed sum may split its
+keys after a head of leading variables (the two-level route): each
+operand is cut into one block per head, Kronecker-packed in the tail
+variables only, the blocks are multiplied pair by pair into one int per
+result head, and each result head is unpacked once.  Full packing is the
+split with no head, and the dict loop the split with no tail.  Ring sums
+(``fold``: keys x first, operands of x-degree at most 1) fold
+x^2 = x - yz inside the packed integer before unpacking: the x^2 block
+is contiguous, one addition puts it into the x block and one subtraction
+into the x^0 block shifted by yz, the slot bound doubles and the box is
+one wider in y and z.  The dict loop folds key by key (``fold_keys``).
+
+``terms_mul`` and ``dot`` settle the route in one place, ``_products``,
 by three guards, measured with CPython 3.11 on a 2-core x86-64 VM:
-- The cutoff PACK_MIN_PAIRS = 1000 term pairs.  On the products of 100
-  pairs or more in corpora 0-1 of the ``group_roundtrip`` and
-  ``witness_boundary`` benchmark workloads, the loop won 251 of 312 below
-  300 pairs and packing all 88 from 1000 on, by about 2.6x.  With the
-  narrower slots packing won 132 of 162 at 300-499 pairs and all 36 at
-  500-999 in corpora 0-2, but a cutoff of 500 would save about 4 ms in
-  three corpora, below what the benchmark resolves.
+- The cutoff PACK_MIN_PAIRS = 1000 term pairs, counted over the products
+  whose factors both have more than one term: a product with a one-term
+  factor is linear work on the loop.  On the products of 100 pairs or
+  more in corpora 0-1 of the ``group_roundtrip`` and ``witness_boundary``
+  benchmark workloads, the loop won 251 of 312 below 300 pairs and
+  packing all 88 from 1000 on, by about 2.6x.  With the narrower slots
+  packing won 132 of 162 at 300-499 pairs and all 36 at 500-999 in
+  corpora 0-2, but a cutoff of 500 would save about 4 ms in three
+  corpora, below what the benchmark resolves.  In corpora 0-2 of both
+  workloads (set-up included) the one-term count leaves 10 sums of
+  ``group_roundtrip`` and 1 of ``witness_boundary`` below the cutoff,
+  which had 1000 pairs or more in all: packed they took 5.8 and 0.5 ms,
+  on the loop 4.3 and 0.3 ms.
 - The slot range at most PACK_SLOTS_PER_PAIR = 1 times the pairs: it keeps
   a sparse product such as x^(10^6) * (...) on the loop and bounds the
-  packed buffer by the loop's work.  Of the 344 sums of 1000 pairs or more
-  in corpora 0-2 of both workloads (set-up included), all but one
-  ``MPoly`` sum (1.05) have at most 0.88 slots per pair.
-- The operand boxes: a packed multiply costs box(A) * box(B) slots, so
-  ``_products`` declines r = sum(box(A) * box(B)) / pairs above
-  PACK_BOX_PER_PAIR = 24.  The census of the sums of 1000 pairs or more,
-  their operands the stored ring elements (x spans 2 in an operand, 3 in a
-  product): corpora 0-2 of both workloads have r = 2.07-16.8 and all pack
-  but the sum above; an ``oplus`` chain to degree 6 has r = 2.5-16.0 over
-  Q and F_7 and packs; warm ``oplus(f, f)`` of ``map 3 [1; 0 | 0; 1]`` packs
-  12 of 12 sums over Q (r up to 17.8) and 10 of 12 over F_7 (r up to 23.0;
-  the other two have r = 53-55), which a cutoff of 16 left on the loop,
-  taking 36-37 ms over Q and 21-25 ms over F_7 against 30-31 and
-  9.5-10 ms at 24.  Cold ``n_pi(12, 16, 20)`` packs nothing: its sums
-  fill little of their boxes, r = 9.8-350 over Q and F_7, and every one
-  with r at most 24 has at least 5.1 slots per pair, so the slot guard
-  declines it too; those within the slot guard have r of 55 or more.
-  Packed, cold ``n_pi(24)`` over Q took 8.0-8.5 s, against 0.74-0.80 s on
-  the loop.
+  packed buffer by the loop's work.  Of the 309 sums past the cutoff in
+  corpora 0-2 of both workloads (set-up included), all but one ``MPoly``
+  sum of ``witness_boundary`` (1.10) have at most 0.96 slots per pair.
+- The padded work (``padded_work``): a split after h head variables
+  multiplies every block of A by every block of B, each as long as its
+  operand's tail box under the product's strides.  ``_products`` takes
+  the fewest head variables whose padded work is at most
+  PACK_PAD_PER_PAIR = 24 times the pairs, and the dict loop when no split
+  has.  The bound keeps the value of the operand-box guard it replaces,
+  which compared box(A) * box(B) with the pairs: on the sums below the
+  padding is 8.5-40 times that (median 8.7) in three variables and 13-75
+  times (median 28) in four.  The census of the sums past the cutoff
+  in corpora 0-2 (set-up included): of the 138 of ``witness_boundary``,
+  3 pack in full, 23 split after x, 94 after (x, y) and 17 after
+  (x, y, z), and the one above keeps to the loop; of the 171 of
+  ``group_roundtrip``, 54 pack in full, 108 split after x and 9 after
+  (x, y).  Best of 3 in process, they took 0.069 and 0.050 s, against
+  0.063 and 0.047 s for the fastest route of each sum.  The doubled
+  bound of the fold gives 8 bytes to 41 sums of ``group_roundtrip``
+  (130 take 4) and to 7 of ``witness_boundary``, 16 to one (69 take 2,
+  60 take 4).  Warm ``oplus(f, f)``, f = ``map 3 [1; 0 | 0; 1]``, splits
+  its 8 sums after (x, y): over Q it took 9.4 ms against 16 ms with full
+  packing and the key fold, over F_7 6.1 ms against 5.4 ms, its 1- and
+  2-byte slots making full packing cheap although padded 110-250 times
+  the pairs.  Cold ``n_pi(12, 16, 20)`` packs nothing over Q and F_7:
+  its sums within the slot guard have a padded work of at least 55
+  times the pairs at every split.  Packed, cold ``n_pi(24)`` over Q took
+  8.0-8.5 s, against 0.74-0.80 s on the loop.
 ``dot`` is one ``_products`` call per result polynomial at every size:
 on ``MPoly`` pairs (the certificate checks and cofactor weights of
 :mod:`groebner`) and on a sum of ring elements of R and R[T].
@@ -102,7 +127,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, islice, product, repeat
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -113,7 +138,7 @@ from .field import FieldCtx, FieldElem
 # the three guards of ``_products``; the module docstring has the measurements
 PACK_MIN_PAIRS = 1000
 PACK_SLOTS_PER_PAIR = 1
-PACK_BOX_PER_PAIR = 24
+PACK_PAD_PER_PAIR = 24
 
 
 def common_ctx(c1: FieldCtx, c2: FieldCtx) -> FieldCtx:
@@ -192,29 +217,62 @@ def _box(A: dict) -> tuple[list, list]:
     return [min(c) for c in cols], [max(c) for c in cols]
 
 
-def _pack(A: dict, low: list, high: list, strides: list, nbytes: int) -> int:
-    """A as one int: the value at key m sits in the nbytes-byte slot
-    sum((m_v - low_v) * stride_v), every |value| below half the slot's
-    range.  Each slot holds its value plus half that range, so all are
-    nonnegative; they are written out at once (one ``struct.pack`` up to 8
-    bytes, joined ``to_bytes`` past that) and the pattern of halves is
-    subtracted once from the int read back."""
+def _pack(A: dict, low: list, high: list, strides: list, nbytes: int) -> bytes:
+    """The slots of A, little-endian: the value at key m sits in the
+    nbytes-byte slot sum((m_v - low_v) * stride_v), every |value| below
+    half the slot's range, and each slot holds its value plus half that
+    range, so all are nonnegative.  The index is summed inline, one loop
+    per key width of two to four (as in :func:`_mul_into`), and the slots
+    are written out at once: one ``struct.pack`` up to 8 bytes, joined
+    ``to_bytes`` past that."""
     base = sum(map(mul, low, strides))
     count = sum(map(mul, high, strides)) - base + 1
-    half = 1 << (8 * nbytes - 1)
-    slots = [half] * count
-    for m, c in A.items():
-        slots[sum(map(mul, m, strides)) - base] += c
-    if nbytes <= 8:
-        raw = struct.pack(f"<{count}{_SLOT_FORMATS[nbytes]}", *slots)
+    slots = [1 << (8 * nbytes - 1)] * count
+    width = len(strides)
+    if width == 2:
+        s0, s1 = strides
+        for (i, j), c in A.items():
+            slots[i * s0 + j * s1 - base] += c
+    elif width == 3:
+        s0, s1, s2 = strides
+        for (i, j, k), c in A.items():
+            slots[i * s0 + j * s1 + k * s2 - base] += c
+    elif width == 4:
+        s0, s1, s2, s3 = strides
+        for (i, j, k, l), c in A.items():
+            slots[i * s0 + j * s1 + k * s2 + l * s3 - base] += c
     else:
-        raw = b"".join(v.to_bytes(nbytes, "little") for v in slots)
-    return int.from_bytes(raw, "little") - _halves(nbytes, count)
+        for m, c in A.items():
+            slots[sum(map(mul, m, strides)) - base] += c
+    if nbytes <= 8:
+        return struct.pack(f"<{count}{_SLOT_FORMATS[nbytes]}", *slots)
+    return b"".join(v.to_bytes(nbytes, "little") for v in slots)
+
+
+def _blocks(A: dict, low: list, high: list, strides: list, nbytes: int, head: int) -> dict:
+    """A's terms grouped by their first ``head`` exponents, each group one
+    int: {head index: block}.  A is packed once (:func:`_pack`) and cut
+    every strides[head - 1] slots, the slots of one head of the product's
+    box; each block keeps the span of A's tail box,
+    sum((high_v - low_v) * stride_v) + 1 slots over the tail variables, and
+    a block of no term is dropped.  Head 0 leaves one block, A itself."""
+    raw = _pack(A, low, high, strides, nbytes)
+    step = len(raw) if not head else strides[head - 1] * nbytes
+    count = sum(map(mul, map(sub, high[head:], low[head:]), strides[head:])) + 1
+    size = count * nbytes
+    empty, halves = _half_bytes(nbytes, count), _halves(nbytes, count)
+    chunks = (raw[i:i + size] for i in range(0, len(raw), step))
+    return {h: int.from_bytes(b, "little") - halves for h, b in enumerate(chunks) if b != empty}
+
+
+def _half_bytes(nbytes: int, count: int) -> bytes:
+    """``count`` nbytes-byte slots that each hold half their range."""
+    return (bytes(nbytes - 1) + b"\x80") * count
 
 
 def _halves(nbytes: int, count: int) -> int:
     """The int of ``count`` nbytes-byte slots that each hold half their range."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    return int.from_bytes(_half_bytes(nbytes, count), "little")
 
 
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -231,32 +289,72 @@ def slot_bytes(bound: int) -> int:
     return 8 * ((bits + 63) // 64)
 
 
-def packed_sum(products, max_slots: int, box: dict | None = None):
+def _layout(products, box: dict, fold: bool):
+    """(low, high, strides, fold) of the slots of a packed sum: the box of
+    the products' exponents, the last variable with stride 1.  ``fold``
+    stays only when x reaches 2; the box then starts at x^0 and is one
+    wider in y and z, the room of x^2 -> x and x^2 -> yz."""
+    low = [min(v) for v in zip(*(map(add, box[id(A)][0], box[id(B)][0]) for _, A, B in products))]
+    high = [max(v) for v in zip(*(map(add, box[id(A)][1], box[id(B)][1]) for _, A, B in products))]
+    fold = fold and high[0] == 2
+    if fold:
+        low[0] = 0
+        high[1] += 1
+        high[2] += 1
+    spans = [h - l + 1 for l, h in zip(low, high)]
+    return low, high, [prod(spans[v + 1:]) for v in range(len(spans))], fold
+
+
+def padded_work(products, box: dict, strides: list, head: int) -> int:
+    """What the packed multiplies of a sum split after ``head`` variables
+    cost in slot pairs: over the products (s, A, B), the blocks of A times
+    the blocks of B times their padded spans.  An operand has at most as
+    many blocks as its box has heads, and a block spans its box's tail
+    under the product's strides: with no head, 55 terms in (x, y, z, T)
+    whose box holds 120 slots span 1183."""
+    def work(X):
+        low, high = box[id(X)]
+        heads = prod(h - l + 1 for l, h in zip(low[:head], high[:head]))
+        return heads * (sum(map(mul, map(sub, high[head:], low[head:]), strides[head:])) + 1)
+
+    return sum(work(A) * work(B) for _, A, B in products)
+
+
+def packed_sum(products, max_slots: int, box: dict | None = None, head: int = 0,
+               fold: bool = False):
     """sum(s * A * B over (s, A, B) in products) as a dict of int sums, by
     Kronecker substitution (zero slots of the products dropped; the caller
     settles the sum); None when the slot range exceeds ``max_slots``.
 
-    The slots cover the box of the products' exponents, the last variable
-    with stride 1.  A slot is :func:`slot_bytes` of the bound
+    The slots cover the box of the products' exponents (:func:`_layout`).
+    A slot is :func:`slot_bytes` of the bound
     sum(|s| * min(|A|_1 * max|b|, max|a| * |B|_1)) on its values, |A|_1 the
     sum of the absolute values of A: a slot of A * B adds at most one value
     of A times one of B per term of A.  Each operand is boxed (unless
-    ``box`` has it by id), measured and packed once, however many products
-    it enters (:func:`_pack`); each product is one big-int multiply shifted
-    to its place, and the sum is unpacked once: every slot is offset by
-    half its range so the whole is nonnegative, written out by ``to_bytes``
-    and read back by one little-endian ``struct`` format (B, H, I or Q,
-    words recombined past 8 bytes), whatever the host's byte order."""
+    ``box`` has it by id), measured and cut into blocks once
+    (:func:`_blocks`), however many products it enters.  The keys split
+    after their first ``head`` exponents: a product is one big-int multiply
+    per pair of blocks, added into the int of its result head, and each
+    result head is unpacked once.  Head 0 is full packing, one multiply per
+    product; the dict loop is the split with no tail.  Unpacking offsets
+    every slot by half its range so the whole is nonnegative, writes it out
+    by ``to_bytes``, keeps each head's slots from its lowest to its highest
+    nonzero one and reads them back by one little-endian ``struct`` format
+    (B, H, I or Q, words recombined past 8 bytes), whatever the host's
+    byte order.
+
+    ``fold`` is for ring sums (x first, operands of x-degree at most 1):
+    the x^2 slots are folded by x^2 = x - yz before unpacking, one addition
+    of the x^2 block into the x block and one subtraction into the x^0
+    block shifted by yz, so a slot may hold two sums and the bound doubles
+    (:func:`_fold_packed`)."""
     operands = {id(X): X for _, A, B in products for X in (A, B)}
     box = box or {key: _box(X) for key, X in operands.items()}
-    boxes = [(s, A, B, *box[id(A)], *box[id(B)]) for s, A, B in products]
-    low = [min(v) for v in zip(*(map(add, la, lb) for _, _, _, la, _, lb, _ in boxes))]
-    high = [max(v) for v in zip(*(map(add, ha, hb) for _, _, _, _, ha, _, hb in boxes))]
-    spans = [h - l + 1 for l, h in zip(low, high)]
-    slots = prod(spans)
+    low, high, strides, fold = _layout(products, box, fold)
+    slots = strides[0] * (high[0] - low[0] + 1)
     if slots > max_slots:
         return None
-    strides = [prod(spans[v + 1:]) for v in range(len(spans))]
+    tail = strides[head - 1] if head else slots
     sizes = {}
     for key, X in operands.items():
         values = list(map(abs, X.values()))
@@ -265,26 +363,74 @@ def packed_sum(products, max_slots: int, box: dict | None = None):
     for s, A, B in products:
         (top_a, norm_a), (top_b, norm_b) = sizes[id(A)], sizes[id(B)]
         bound += abs(s) * min(norm_a * top_b, top_a * norm_b)
-    nbytes = slot_bytes(bound)
+    nbytes = slot_bytes(2 * bound if fold else bound)
     bits = 8 * nbytes
-    packed = {key: _pack(X, *box[key], strides, nbytes) for key, X in operands.items()}
-    total = 0
-    for s, A, B, la, ha, lb, hb in boxes:
-        shift = sum(map(mul, map(sub, map(add, la, lb), low), strides)) * bits
-        total += (s * packed[id(A)] * packed[id(B)]) << shift
-    half = 1 << (bits - 1)
-    total += _halves(nbytes, slots)
-    raw = total.to_bytes(slots * nbytes, "little")
+    blocks = {key: _blocks(X, *box[key], strides, nbytes, head) for key, X in operands.items()}
+    sums = {}
+    for s, A, B in products:
+        offset = sum(map(mul, map(sub, map(add, box[id(A)][0], box[id(B)][0]), low), strides))
+        h0, t0 = divmod(offset, tail)
+        blocks_b = blocks[id(B)].items()
+        for ha, xa in blocks[id(A)].items():
+            xa = (s * xa) << (t0 * bits)
+            for hb, xb in blocks_b:
+                h = ha + hb + h0
+                if h in sums:
+                    sums[h] += xa * xb
+                else:
+                    sums[h] = xa * xb
+    count = _fold_packed(sums, strides, head, bits) if fold else tail
+    # a head is read from its lowest to its highest nonzero slot: the first
+    # holds the lowest set bit of its int, the last its top bit
+    runs = [(h, ((total & -total).bit_length() - 1) // bits, abs(total).bit_length() // bits + 1, total)
+            for h, total in sums.items() if total]
+    halves = _halves(nbytes, count)
+    raw = b"".join((total + halves).to_bytes(count * nbytes, "little")[lo * nbytes:hi * nbytes]
+                   for _, lo, hi, total in runs)
+    used = len(raw) // nbytes
     if nbytes <= 8:
-        slot_vals = struct.unpack(f"<{slots}{_SLOT_FORMATS[nbytes]}", raw)
+        slot_vals = struct.unpack(f"<{used}{_SLOT_FORMATS[nbytes]}", raw)
     else:
         words = nbytes // 8
-        vals = struct.unpack(f"<{slots * words}Q", raw)
+        vals = struct.unpack(f"<{used * words}Q", raw)
         slot_vals = vals[words - 1::words]
         for j in range(words - 2, -1, -1):
             slot_vals = [(v << 64) | w for v, w in zip(slot_vals, vals[j::words])]
-    keys = product(*(range(l, h + 1) for l, h in zip(low, high)))
-    return {m: v - half for m, v in zip(keys, slot_vals) if v != half}
+    heads = list(product(*(range(l, h + 1) for l, h in zip(low[:head], high[:head]))))
+    tails = [range(l, h + 1) for l, h in zip(low[head:], high[head:])]
+    keys = chain.from_iterable(
+        islice(product(*((e,) for e in heads[h]), *tails), lo, hi) for h, lo, hi, _ in runs)
+    half = 1 << (bits - 1)
+    nonzero = bytes(map(half.__ne__, slot_vals))
+    return dict(zip(compress(keys, nonzero), map(sub, compress(slot_vals, nonzero), repeat(half))))
+
+
+def _fold_packed(sums: dict, strides: list, head: int, bits: int) -> int:
+    """Fold the x^2 slots of a packed ring sum by x^2 = x - yz, in place,
+    and return the slots each result head is unpacked from.  With no head
+    the x^2 block is the top third of the one int, read off by a rounded
+    shift (the slots below it sum to less than half its unit), added at
+    the x block and subtracted at x^0 shifted by yz, and only the x^0 and
+    x blocks are unpacked.  With a head, x is in it: each x^2 head is added
+    into its x head and subtracted into its x^0 head, y and z moved in the
+    head or, past it, by a shift of the block."""
+    sx = strides[0]
+    if not head:
+        (total,) = sums.values()
+        top_shift = 2 * sx * bits
+        top = (total + (1 << (top_shift - 1))) >> top_shift
+        sums[0] = (total - (top << top_shift) + (top << (sx * bits))
+                   - (top << ((strides[1] + strides[2]) * bits)))
+        return 2 * sx
+    tail = strides[head - 1]
+    hx = sx // tail
+    hyz = sum(strides[v] // tail for v in (1, 2) if v < head)
+    tyz = sum(strides[v] for v in (1, 2) if v >= head) * bits
+    for h in [h for h in sums if h >= 2 * hx]:
+        top = sums.pop(h)
+        for to, v in ((h - hx, top), (h - 2 * hx + hyz, -(top << tyz))):
+            sums[to] = sums[to] + v if to in sums else v
+    return tail
 
 
 def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int):
@@ -292,39 +438,51 @@ def terms_mul(ctx: FieldCtx, A: dict, dA: int, B: dict, dB: int):
 
     One int loop sums the products and reduces once at the end.  With
     dA = dB = 1 the values come back as summed, with no gcd pass.
-    :func:`_products` picks the dict loop or one packed multiply.
+    :func:`_products` picks the dict loop or a packed route.
     """
     if not (A and B):
         return {}, 1
-    return settled(ctx, _products([(1, A, B)], len(A) * len(B)), dA * dB)
+    return settled(ctx, _products([(1, A, B)], _pair_work(A, B)), dA * dB)
 
 
-def _products(scaled: list, pairs: int) -> dict:
+def _pair_work(A: dict, B: dict) -> int:
+    """The term pairs of A * B, or 0 when a factor has one term: such a
+    product is linear work on the dict loop, and packing cannot beat it."""
+    return len(A) * len(B) if len(A) > 1 < len(B) else 0
+
+
+def _products(scaled: list, pairs: int, fold: bool = False) -> dict:
     """sum(s * A * B over (s, A, B) in scaled) as a new dict of int sums,
-    unsettled, A and B nonempty, ``pairs`` the term pairs in all: one
-    :func:`packed_sum` from PACK_MIN_PAIRS pairs on, when the operand boxes
-    (:func:`_box_work`) are at most PACK_BOX_PER_PAIR times ``pairs`` and
-    the slot range at most PACK_SLOTS_PER_PAIR times, else the dict loop of
-    :func:`_mul_into` (the products in order)."""
+    unsettled, A and B nonempty, ``pairs`` the term pairs of the products
+    with no one-term factor (:func:`_pair_work`).  From PACK_MIN_PAIRS
+    pairs on, when the slot range is at most PACK_SLOTS_PER_PAIR times
+    ``pairs``, one :func:`packed_sum` split after the fewest head variables
+    whose :func:`padded_work` is at most PACK_PAD_PER_PAIR times ``pairs``;
+    else the dict loop of :func:`_mul_into` (the products in order).
+    ``fold`` folds the x^2 keys of a ring sum, in the packed integer or,
+    after the loop, by :func:`fold_keys`."""
     if pairs >= PACK_MIN_PAIRS:
-        work, box = _box_work(scaled)
-        if work <= PACK_BOX_PER_PAIR * pairs:
-            out = packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, box)
-            if out is not None:
-                return out
+        box = {id(X): _box(X) for X in {id(X): X for _, A, B in scaled for X in (A, B)}.values()}
+        low, high, strides, _ = _layout(scaled, box, fold)
+        if strides[0] * (high[0] - low[0] + 1) <= pairs * PACK_SLOTS_PER_PAIR:
+            for head in range(len(strides)):
+                if padded_work(scaled, box, strides, head) <= PACK_PAD_PER_PAIR * pairs:
+                    return packed_sum(scaled, pairs * PACK_SLOTS_PER_PAIR, box, head, fold)
     out = {}
     for s, A, B in scaled:
         _mul_into(out, A, B, s)
-    return out
+    return fold_keys(out) if fold else out
 
 
-def _box_work(scaled: list) -> tuple[int, dict]:
-    """(sum(box(A) * box(B)) over the products (s, A, B), what the packed
-    multiplies cost, box(X) the slots of the box of X's exponents; and
-    ``_box`` of each operand by id, for :func:`packed_sum`)."""
-    box = {id(X): _box(X) for X in {id(X): X for _, A, B in scaled for X in (A, B)}.values()}
-    slots = {key: prod(h - l + 1 for l, h in zip(*b)) for key, b in box.items()}
-    return sum(slots[id(A)] * slots[id(B)] for _, A, B in scaled), box
+def fold_keys(acc: dict) -> dict:
+    """``acc`` with each x^2 key folded by x^2 = x - yz, in place: keys of
+    x-degree at most 2, x first."""
+    for m in [m for m in acc if m[0] == 2]:
+        c = acc.pop(m)
+        high, low = (1,) + m[1:], (0, m[1] + 1, m[2] + 1) + m[3:]
+        acc[high] = acc.get(high, 0) + c
+        acc[low] = acc.get(low, 0) - c
+    return acc
 
 
 def _mul_into(out: dict, A: dict, B: dict, s: int = 1) -> None:
@@ -476,17 +634,17 @@ def dot(pairs):
     return type(pairs[0][0]).sum_of_products(pairs) if pairs else None
 
 
-def sum_of_scaled(products) -> tuple[dict, int]:
+def sum_of_scaled(products, fold: bool = False) -> tuple[dict, int]:
     """(acc, D): sum(s * A/dA * B/dB over (s, A, dA, B, dB) in products) as
     a new dict of int sums over D, unsettled: the products with an empty
     factor dropped, the others put over the lcm D of the dA * dB and summed
-    by one :func:`_products`."""
+    by one :func:`_products`, ``fold`` folding the x^2 keys of a ring sum."""
     products = [(s, A, dA, B, dB) for s, A, dA, B, dB in products if A and B]
     if not products:
         return {}, 1
     D = lcm(*(dA * dB for _, _, dA, _, dB in products))
     scaled = [(s * (D // (dA * dB)), A, B) for s, A, dA, B, dB in products]
-    return _products(scaled, sum(len(A) * len(B) for _, A, B in scaled)), D
+    return _products(scaled, sum(_pair_work(A, B) for _, A, B in scaled), fold), D
 
 
 def eval_terms(terms: dict, den: int, images: list, const):

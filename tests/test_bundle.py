@@ -918,12 +918,15 @@ REFERENCE_CERT_SHA1 = {
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=str)
 def test_cold_reference_maps_pack_no_sum(ctx, monkeypatch):
     # the sums of a cold n_pi(n) fill 7-10% of their operand boxes: packed,
-    # n_pi(24) over Q took ten times as long; counted, not timed
+    # n_pi(24) over Q took ten times as long; counted, not timed.  Both
+    # packed routes run through ``packed_sum``: full packing (head 0) and
+    # the two-level route (a head of one or more variables), and each sum
+    # taken is recorded by its head
     packed = []
 
-    def counted(*args):
-        out = real(*args)
-        packed.extend([] if out is None else [len(packed)])
+    def counted(products, max_slots, box=None, head=0, fold=False):
+        out = real(products, max_slots, box, head, fold)
+        packed.extend([] if out is None else [head])
         return out
 
     real = polys.packed_sum
@@ -933,7 +936,7 @@ def test_cold_reference_maps_pack_no_sum(ctx, monkeypatch):
         monkeypatch.setattr(bundle, "_REWRITE_CACHE", {})
         f = n_pi(n, ctx)
         text = map_str(f)
-        assert packed == [], n
+        assert packed == [], (n, packed)
         if (str(ctx), n) in REFERENCE_MAP_SHA1:
             assert hashlib.sha1(text.encode()).hexdigest() == REFERENCE_MAP_SHA1[str(ctx), n]
             cert = "\n".join(ring_str(c) for c in f.cert)

@@ -15,8 +15,11 @@ coefficients in the same key order.  Those
 operands stay below ``PACK_MIN_PAIRS``, on the dict loop; the packed product
 ``packed_sum`` is called directly on small operands and must equal the dict
 loop as dicts (its key order is its own), and the fused ``dot``, packed or
-on the dict loop, must equal the running sum of products.  The pairwise sum of ``eval_terms`` is checked
-against a running sum.
+on the dict loop, must equal the running sum of products.  The two-level
+route (``packed_sum`` split after a head) must equal the dict loop at
+every split point, and the fold of ring sums in the packed integer the
+loop's sum folded key by key (``fold_keys``).  The pairwise sum of
+``eval_terms`` is checked against a running sum.
 
 Two inner loops keep their plain forms here as oracles: ``_pack`` must
 equal a byte-slice packing into two byte arrays at every slot width, and
@@ -38,13 +41,15 @@ from jouanolou.field import Fp, QQ
 from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
 from jouanolou import polys as kernel
 from jouanolou.polys import (
-    PACK_BOX_PER_PAIR,
     PACK_MIN_PAIRS,
+    PACK_PAD_PER_PAIR,
     _mul_into,
     MPoly,
     cleared,
     dot,
+    fold_keys,
     packed_sum,
+    padded_work,
     raw_coeff,
     slot_bytes,
     settled,
@@ -528,6 +533,158 @@ def test_packed_sum_at_the_slot_width_edges(ctx, bits, signs):
         assert slot_bytes(bound) == SLOT_EDGES[bits]
 
 
+# --- the two-level route and the big-integer fold -------------------------------
+
+SPLIT_FIELDS = [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7"),
+                pytest.param(Fp(1000003), id="F1000003")]
+# operand values at the slot-width edges over Q, 2^k - 1 and 2^k for every
+# width the slots take; over F_p any stored value below p
+EDGE_VALUES = [2 ** k + d for k in (7, 15, 31, 63, 64) for d in (-1, 0)]
+
+
+def split_operands(ctx, nvars):
+    """Term dicts of one or two parts, each moved by a shift of its own, so
+    that some heads lie in one operand only; stored values, of either sign
+    and at the slot-width edges over Q."""
+    if ctx.p is None:
+        value = (st.sampled_from(EDGE_VALUES) | st.integers(1, 2**70)).flatmap(
+            lambda v: st.sampled_from([v, -v]))
+    else:
+        value = st.integers(1, ctx.p - 1)
+    mon = st.tuples(*(st.integers(0, 2) for _ in range(nvars)))
+    shift = st.tuples(*(st.integers(0, 8 // nvars) for _ in range(nvars)))
+    part = st.tuples(st.dictionaries(mon, value, min_size=1, max_size=6), shift).map(
+        lambda ds: {tuple(map(add, m, ds[1])): c for m, c in ds[0].items()})
+    return st.lists(part, min_size=1, max_size=2).map(lambda ps: {k: v for p in ps for k, v in p.items()})
+
+
+def loop_sum(products):
+    want = {}
+    for s, A, B in products:
+        _mul_into(want, A, B, s)
+    return {m: c for m, c in want.items() if c}
+
+
+@pytest.mark.parametrize("ctx", SPLIT_FIELDS)
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_two_level_route_equals_the_dict_loop(ctx, nvars):
+    """At every split point (head 0 is full packing), sums of one to three
+    scaled products whose operands have heads of their own equal the dict
+    loop; with an addend acc (acc times 1) that cancels the whole sum,
+    every split point returns nothing."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        count = data.draw(st.integers(1, 3))
+        products = [(data.draw(st.sampled_from([1, -1, 3, 2**40])),
+                     data.draw(split_operands(ctx, nvars)), data.draw(split_operands(ctx, nvars)))
+                    for _ in range(count)]
+        want = loop_sum(products)
+        cancel = [(1, {m: -c for m, c in want.items()}, {(0,) * nvars: 1})] if want else []
+        for head in range(nvars):
+            got = packed_sum(products, ANY_SLOTS, None, head)
+            assert got == want, head
+            assert packed_sum(products + cancel, ANY_SLOTS, None, head) == {}
+
+    check()
+
+
+def ring_operands(ctx, nvars):
+    """Stored dicts of ring elements, keys (e, i, j) or (e, i, j, t) with
+    e <= 1: some have no x term, some only x terms."""
+    value = st.integers(-(2**66), 2**66).filter(bool) if ctx.p is None else st.integers(1, ctx.p - 1)
+    xs = st.sampled_from([(0, 1), (0,), (1,)])
+    return xs.flatmap(lambda x: st.dictionaries(
+        st.tuples(st.sampled_from(x), *(st.integers(0, 3) for _ in range(nvars - 1))),
+        value, min_size=1, max_size=8))
+
+
+@pytest.mark.parametrize("ctx", SPLIT_FIELDS)
+@pytest.mark.parametrize("nvars", [pytest.param(3, id="R"), pytest.param(4, id="R[T]")])
+def test_big_integer_fold_equals_the_key_fold_of_the_loop(ctx, nvars):
+    """Ring sums folded in the packed integer, at every split point, equal
+    the loop's sum with its x^2 keys folded by ``fold_keys``, zeros
+    dropped; a sum that folds to nothing comes back empty."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        count = data.draw(st.integers(1, 3))
+        products = [(data.draw(st.sampled_from([1, -1, 5])),
+                     data.draw(ring_operands(ctx, nvars)), data.draw(ring_operands(ctx, nvars)))
+                    for _ in range(count)]
+        want = {m: c for m, c in fold_keys(loop_sum(products)).items() if c}
+        assert all(m[0] <= 1 for m in want)
+        cancel = [(1, {m: -c for m, c in want.items()}, {(0,) * nvars: 1})] if want else []
+        for head in range(nvars):
+            got = packed_sum(products, ANY_SLOTS, None, head, True)
+            assert got == want, head
+            assert packed_sum(products + cancel, ANY_SLOTS, None, head, True) == {}
+
+    check()
+
+
+def test_the_certificate_check_of_a_q_scaling_witness_file_takes_the_two_level_route(monkeypatch):
+    """A scaling witness over Q written as a v1 file and read back carries
+    no certificate, so verifying it decides the T-homotopy by Groebner
+    membership and re-expands the cofactors: that check, on generators in
+    (x, y, z, T), is a packed sum split after a head, and it verifies."""
+    from jouanolou import groebner, textio
+    from jouanolou.homotopy import scaling_witness, verify
+    from jouanolou.morphism import make_row
+    from jouanolou.sl2 import PointedSL2, m_uv
+
+    one, zero = RingElement.one(QQ), RingElement.zero(QQ)
+    y, z, w = RingElement.gen_y(QQ), RingElement.gen_z(QQ), RingElement.gen_w(QQ)
+    r = y.scale(Fraction(2)) + z.scale(Fraction(-3)) + w
+    M = m_uv(QQ.elem(2), QQ.elem(-1)) @ PointedSL2(((one, r), (zero, one)))
+    u = QQ.elem(3)
+    target = make_row(M.row_A, M.row_B.scale((u * u).val), (M.U, M.V.scale((u * u).inverse().val)))
+    text = textio.witness_str(scaling_witness(M, u), QQ)
+    assert text.startswith("jouanolou/v1 field=Q\n")
+    _, parsed = textio.parse_witness(text)
+    heads, checking = [], []
+
+    def counted(*args):
+        out = real(*args)
+        if checking and out is not None:
+            heads.append(args[3])
+        return out
+
+    def check(certificate):
+        checking.append(True)
+        try:
+            return real_verify(certificate)
+        finally:
+            checking.pop()
+
+    real, real_verify = kernel.packed_sum, groebner.Certificate.verify
+    monkeypatch.setattr(kernel, "packed_sum", counted)
+    monkeypatch.setattr(groebner.Certificate, "verify", check)
+    assert verify(parsed, M.row_map(), target, budget=300)
+    assert heads and all(head > 0 for head in heads), heads
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_a_sum_of_products_with_one_term_factors_stays_on_the_dict_loop(ctx, monkeypatch):
+    """Three products of a 400-term operand by a one-term factor make 1200
+    term pairs, but linear work: the fused sum is the dict loop's running
+    sum, with no packed multiply.  With one two-term factor among them the
+    pairs of that product alone (800) stay below the cutoff too."""
+    rng = random.Random(5)
+    big = [_dense_mpoly(rng, ctx, XYZ, 400, 9) for _ in range(3)]
+    monos = [MPoly(ctx, XYZ, {(i, 1, 0): ctx.rfrom_fraction(i + 2, 3)}) for i in range(3)]
+    monkeypatch.setattr(kernel, "packed_sum", None)  # a packed multiply fails
+    for pairs in (list(zip(big, monos)), [(big[0], monos[0] + monos[1])] + list(zip(big, monos))[1:]):
+        assert sum(len(a.terms) * len(b.terms) for a, b in pairs) >= PACK_MIN_PAIRS
+        running = pairs[0][0] * pairs[0][1]
+        for a, b in pairs[1:]:
+            running = running + a * b
+        got = dot(pairs)
+        assert (got.terms, got.den) == (running.terms, running.den)
+
+
 # --- slow oracles of the packing and the dict loop ------------------------------
 
 
@@ -564,7 +721,9 @@ def test_pack_equals_the_byte_slice_oracle(nbytes, nvars):
         high = list(map(add, high, widen))
         spans = [h - l + 1 for l, h in zip(low, high)]
         strides = [prod(spans[v + 1:]) for v in range(nvars)]
-        assert kernel._pack(A, low, high, strides, nbytes) == sliced_pack(A, low, high, strides, nbytes)
+        raw = kernel._pack(A, low, high, strides, nbytes)
+        packed = int.from_bytes(raw, "little") - kernel._halves(nbytes, len(raw) // nbytes)
+        assert packed == sliced_pack(A, low, high, strides, nbytes)
 
     check()
 
@@ -687,10 +846,11 @@ def test_a_sparse_large_product_keeps_to_the_dict_loop(ctx):
 @pytest.mark.parametrize("ctx", FIELDS)
 def test_operands_that_fill_little_of_their_boxes_keep_to_the_dict_loop(ctx, monkeypatch):
     """100 by 100 terms spread over 700 and 500 exponents: the packed
-    multiply would cost sum(box(A) * box(B)) = 35 times the 10^4 pairs,
-    above PACK_BOX_PER_PAIR, while the result box (1199 slots) passes the
-    slot guard, so the loop runs.  Spread over 200 and 200 (4 times the
-    pairs) the product packs.  Both equal the plain loop."""
+    multiply would cost 35 times the 10^4 pairs in padded slot pairs, above
+    PACK_PAD_PER_PAIR at every split point (a head of the exponent leaves a
+    block per term), while the result box (1199 slots) passes the slot
+    guard, so the loop runs.  Spread over 200 and 200 (4 times the pairs)
+    the product packs in full.  Both equal the plain loop."""
     rng = random.Random(11)
     packed = []
 
@@ -707,7 +867,10 @@ def test_operands_that_fill_little_of_their_boxes_keep_to_the_dict_loop(ctx, mon
         before = len(packed)
         assert terms_mul(ctx, a, 1, b, 1) == settled(ctx, plain_terms_mul(ctx, a, b), 1)
         assert (len(packed) > before) == packs
-        assert (kernel._box_work([(1, a, b)])[0] > PACK_BOX_PER_PAIR * len(a) * len(b)) != packs
+        box = {id(X): kernel._box(X) for X in (a, b)}
+        strides = [1, 1]
+        works = [padded_work([(1, a, b)], box, strides, head) for head in (0, 1)]
+        assert [w > PACK_PAD_PER_PAIR * len(a) * len(b) for w in works] == [not packs] * 2
 
 
 @pytest.mark.parametrize("ctx", FIELDS)

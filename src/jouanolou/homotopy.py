@@ -15,7 +15,9 @@ expands any columns.
 Constructors attach generation certificates (cofactors over R[T]) so that
 verification is a cheap exact expansion; the verifier never trusts them
 blindly: a missing or broken certificate triggers a fresh groebner
-decision with T adjoined.
+decision with T adjoined.  That decision keeps only its answer, so it
+checks the engine's derivation rather than expanding cofactors
+(``groebner.express_in_ideal`` with ``cofactors=False``).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _segment_generates(seg: Segment, budget=None) -> bool:
     cols = seg.expanded
     if seg.cert is not None and cert_expands_to_one(seg.cert, cols):
         return True
-    return groebner_certificate(cols, budget) is not None
+    return groebner_certificate(cols, budget, cofactors=False) is not None
 
 
 def verify(w: HomotopyWitness, f: JMap, g: JMap, budget=None) -> Verdict:

@@ -84,17 +84,18 @@ def cert_expands_to_one(cert, columns) -> bool:
     return acc == acc.one(acc.ctx)
 
 
-def groebner_certificate(elements, budget=None):
+def groebner_certificate(elements, budget=None, *, cofactors=True):
     """The groebner engine's verified certificate that 1 lies in the ideal of
     the given elements of R, or of R[T] (relation adjoined), with cofactors
     in the free polynomial ring on the ring's ``VARS``; None when 1 is not
-    in it."""
+    in it.  ``cofactors`` goes to ``groebner.express_in_ideal``: False for a
+    decision whose certificate's cofactors are not read."""
     vars = type(elements[0]).VARS
     ctx = elements[0].ctx
     gens = [e.to_mpoly() for e in elements]
     target = MPoly.const(ctx, vars, ctx.rone)
     return groebner.express_in_ideal(
-        groebner.IdealProblem(gens, target, include_relation=True), budget
+        groebner.IdealProblem(gens, target, include_relation=True), budget, cofactors=cofactors
     )
 
 

@@ -754,6 +754,132 @@ def test_the_engine_matches_its_copy_before_the_memo(ctx):
     check()
 
 
+# --- the decision route: the engine's derivation checked, nothing expanded -------
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")])
+def test_the_decision_route_agrees_with_the_eager_route(ctx, monkeypatch):
+    """The eager route (cofactors expanded and re-verified) is the oracle:
+    ``cofactors=False`` returns None exactly when it does, succeeds at its
+    step count s and raises BudgetExceeded at s - 1, expands nothing until
+    its cofactors are read, and then reads the eager cofactors as
+    (terms, den)."""
+    budgets, expansions = [], []
+
+    class Counted(groebner._Budget):
+        __slots__ = ()
+
+        def __init__(self, n):
+            super().__init__(n)
+            budgets.append(self)
+
+    def counted(*args):
+        expansions.append(1)
+        return expand(*args)
+
+    expand = groebner._expand
+    monkeypatch.setattr(groebner, "_Budget", Counted)
+    monkeypatch.setattr(groebner, "_expand", counted)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(problems(ctx))
+    def check(problem):
+        try:
+            want = express_in_ideal(problem, budget=ORACLE_CAP)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                express_in_ideal(problem, budget=ORACLE_CAP, cofactors=False)
+            return
+        steps = ORACLE_CAP - budgets[-1].left
+        expansions.clear()
+        got = express_in_ideal(problem, budget=steps, cofactors=False)
+        assert not expansions
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert [(c.terms, c.den) for c in got.cofactors] == [(c.terms, c.den) for c in want.cofactors]
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                express_in_ideal(problem, budget=steps - 1, cofactors=False)
+
+    check()
+
+
+def _decision_run(problem, monkeypatch):
+    """The arguments of the derivation check that ends a decision run, which
+    passes: (basis, origin, value, generators)."""
+    seen = []
+
+    def checked(*args):
+        real(*args)
+        seen.append(args)
+
+    real = groebner._check_derivation
+    monkeypatch.setattr(groebner, "_check_derivation", checked)
+    assert express_in_ideal(problem, cofactors=False) is not None
+    monkeypatch.setattr(groebner, "_check_derivation", real)
+    (args,) = seen
+    return args
+
+
+def _reached(basis, origin):
+    """The indices of the basis elements the element ``origin`` makes rests on."""
+    out, todo = set(), [origin]
+    while todo:
+        orig = todo.pop()
+        if isinstance(orig, int):
+            continue
+        multiples, quotients = orig
+        for k in [k for k, _, _ in multiples] + list(quotients):
+            if k not in out:
+                out.add(k)
+                todo.append(basis[k].origin)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")])
+@pytest.mark.parametrize("ending", ["constant", "target"])
+@pytest.mark.parametrize("corrupt", ["quotient", "multiplier", "input", "circular"])
+def test_the_derivation_check_refuses_a_corrupted_line(ctx, ending, corrupt, monkeypatch):
+    """After a real run, one corrupted line of its derivation is refused: a
+    recorded quotient coefficient, a multiplier's monomial, an input
+    element whose generator changed, or the line "element k is 1 times
+    element k", an equality that rests on itself.  The constant ending finds 1 from the generators of the CI's
+    ``jou ideal`` pin; the target ending reduces the last derived element
+    of that run by the same generators."""
+    gens = [poly(s, ctx) for s in ("x*y + 2*z - 1", "y^2 - z", "x - 3*z^2")]
+    problem = IdealProblem(gens, one(ctx), include_relation=True)
+    basis, origin, value, all_gens = _decision_run(problem, monkeypatch)
+    if ending == "target":
+        last = basis[-1]
+        target = MPoly(ctx, RingElement.VARS, {unpack(m, 3): c for m, c in last.terms.items()}, last.den)
+        problem = IdealProblem(gens, target, include_relation=True)
+        basis, origin, value, all_gens = _decision_run(problem, monkeypatch)
+        assert origin[0] == ()  # the target's reduction, not a constant
+    reached = _reached(basis, origin)
+    derived = [k for k in reached if not isinstance(basis[k].origin, int) and basis[k].origin[1]]
+    inputs = [k for k in reached if isinstance(basis[k].origin, int)]
+    assert derived and inputs
+    k = derived[-1]
+    multiples, quotients = basis[k].origin
+    if corrupt == "quotient":
+        j = next(iter(quotients))
+        q = dict(quotients[j])
+        m = next(iter(q))
+        q[m] = ctx.radd(q[m], ctx.rone)
+        basis[k].origin = (multiples, {**quotients, j: q})
+    elif corrupt == "multiplier":
+        (i, mi, ci), rest = multiples[0], multiples[1:]
+        basis[k].origin = (((i, mi + pack((0, 0, 1)), ci),) + rest, quotients)
+    elif corrupt == "circular":  # true, but resting on itself
+        basis[k].origin = (((k, pack((0, 0, 0)), ctx.rone),), {})
+    else:
+        i = basis[inputs[0]].origin
+        all_gens = list(all_gens)
+        all_gens[i] = all_gens[i] + one(ctx)
+    with pytest.raises(AssertionError, match="independent re-verification"):
+        groebner._check_derivation(basis, origin, value, all_gens)
+
+
 X_Y, X_Y_Z_T = ("x", "y"), RingPolyT.VARS
 
 

@@ -379,7 +379,7 @@ def test_record_builds_the_certificate_to_normalize_it(monkeypatch):
     assert (r.data, r.cert) == (g.data, g.cert)
 
 
-def _no_groebner(*args):
+def _no_groebner(*args, **kwargs):
     raise AssertionError("a decompose witness segment carries its certificate")
 
 

@@ -438,7 +438,7 @@ def test_degree_five_raises_verify_from_their_certificates(ctx, monkeypatch):
             assert verify(witness, raised, end)
 
 
-def _no_groebner(*args):
+def _no_groebner(*args, **kwargs):
     raise AssertionError("a certified raise needs no Groebner decision")
 
 
@@ -476,7 +476,8 @@ def test_corrupted_witness_detected():
 
 def test_certificate_free_segments_are_decided_without_converting_cofactors(monkeypatch):
     """Without segment certificates the verifier asks the groebner engine
-    for membership only: its cofactors never go back to R[T]."""
+    for membership only: it expands no cofactors, and none go back to
+    R[T]."""
     from jouanolou import groebner, morphism
 
     g = g_uv(QQ.elem(3), QQ.one)
@@ -488,11 +489,12 @@ def test_certificate_free_segments_are_decided_without_converting_cofactors(monk
         calls.append(1)
         return express(*args, **kw)
 
-    def refused(p):
-        raise AssertionError("cofactors converted")
+    def refused(*args):
+        raise AssertionError("cofactors expanded or converted")
 
     express = groebner.express_in_ideal
     monkeypatch.setattr(groebner, "express_in_ideal", counted)
+    monkeypatch.setattr(groebner, "_expand", refused)
     monkeypatch.setattr(morphism, "_normal_form", refused)
     assert verify(bare, g, g_uv(QQ.elem(12), QQ.elem(4)))
     assert len(calls) == len(w.segments)

@@ -628,11 +628,14 @@ def test_big_integer_fold_equals_the_key_fold_of_the_loop(ctx, nvars):
 def test_the_certificate_check_of_a_q_scaling_witness_file_takes_the_two_level_route(monkeypatch):
     """A scaling witness over Q written as a v1 file and read back carries
     no certificate, so verifying it decides the T-homotopy by Groebner
-    membership and re-expands the cofactors: that check, on generators in
-    (x, y, z, T), is a packed sum split after a head, and it verifies."""
+    membership.  The verifier keeps the answer only; the cofactors of the
+    same decision, asked of the engine on each segment's generation
+    columns, are re-expanded by ``Certificate.verify``: that check, on
+    generators in (x, y, z, T), is a packed sum split after a head, and it
+    verifies."""
     from jouanolou import groebner, textio
     from jouanolou.homotopy import scaling_witness, verify
-    from jouanolou.morphism import make_row
+    from jouanolou.morphism import groebner_certificate, make_row
     from jouanolou.sl2 import PointedSL2, m_uv
 
     one, zero = RingElement.one(QQ), RingElement.zero(QQ)
@@ -659,10 +662,13 @@ def test_the_certificate_check_of_a_q_scaling_witness_file_takes_the_two_level_r
         finally:
             checking.pop()
 
+    assert verify(parsed, M.row_map(), target, budget=300)
     real, real_verify = kernel.packed_sum, groebner.Certificate.verify
     monkeypatch.setattr(kernel, "packed_sum", counted)
     monkeypatch.setattr(groebner.Certificate, "verify", check)
-    assert verify(parsed, M.row_map(), target, budget=300)
+    for seg in parsed.segments:
+        assert seg.cert is None
+        assert groebner_certificate(seg.expanded, 300) is not None
     assert heads and all(head > 0 for head in heads), heads
 
 

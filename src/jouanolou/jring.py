@@ -311,7 +311,10 @@ _X_POWERS = [([1], [0])]
 @cache
 def _x_w_image(ex: int, ew: int) -> tuple[tuple, tuple]:
     """x^ex * w^ew as (p, q), x^ex * (1 - x)^ew = p(u) + x*q(u), each as the
-    (s, coefficient) pairs of its nonzero u^s; ints, kept across calls."""
+    (s, coefficient) pairs of its nonzero u^s; ints, kept across calls.
+    x*w = u first: x^ex * w^ew = u^m * x^(ex-m) * w^(ew-m), m = min(ex, ew)."""
+    if m := min(ex, ew):
+        return tuple(tuple((s + m, c) for s, c in part) for part in _x_w_image(ex - m, ew - m))
     while len(_X_POWERS) <= ex + ew:
         pe, qe = _X_POWERS[-1]
         q_next = [c + d for c, d in zip_longest(pe, qe, fillvalue=0)]

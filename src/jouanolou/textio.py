@@ -13,17 +13,30 @@ Every integer of the text formats (these, scalars, field markers, map and
 segment degrees, segment counts) is read by one rule, ``field.ascii_int``:
 ASCII digits, a leading '-' only where a sign is meaningful.
 
-One tokenizer, the regular expression ``_TOKEN``, scans the text a caller
-gives (a literal, a ``--pair`` or ``--gens`` value, a witness file) or a
-span of it, so a ``ParseError`` position is an offset into that text.  A
-``body`` is laid out by its tokens before any cell is read as a ``poly``.
-
-The parser sums every term, an exponent vector and a raw coefficient, into
-one dict, which ``MPoly`` clears once.
+Reading is split in two.  The reader, ``_read``, matches a well-formed
+polynomial term by term with one regular expression, ``_TERM`` (a sign, a
+``num[/den]`` coefficient, a run of factors); each distinct factor run maps
+to its exponent vector through a memo, and the coefficients are summed as
+ints over the lcm of the denominators (over F_p, as residues) into one
+dict, settled once.  The token parser, ``_Parser`` over the tokens of the
+regular expression ``_TOKEN``, runs only on a span the reader refuses, to
+say why: a name outside the ring's variables (T in R), a non-ASCII digit,
+a leading '+', a missing sign, a character outside the grammar.  The
+reader raises nothing before its whole span has matched, then converts the
+terms in text order, so every text is accepted or refused as the token
+parser would, with its value or its error (type, message, position): a
+``DivisionByZero`` or the ``ValueError`` of an int too long to convert
+comes from the same term.  Both read the text a caller gives (a literal, a
+``--pair`` or ``--gens`` value, a witness file) or a span of it in place,
+so a ``ParseError`` position is an offset into that text.  A ``body`` is
+laid out by its '[', ';', '|' and ']' characters, each always a token of
+its own, before any cell is read as a ``poly``, so a malformed layout is
+refused before a cell's arithmetic.
 
 Serialization is canonical: w eliminated, monomials sorted degrevlex
 descending on (x, y, z, T), so golden files are stable and
-``parse(serialize(v)) == v`` holds bit-exactly.
+``parse(serialize(v)) == v`` holds bit-exactly.  Each monomial's sort key
+and text come from a memo keyed by the variable tuple and exponent vector.
 
 Composite literals: ``map <n> [a0; a1 | b0; b1]``, ``row [A; B]``,
 ``sl2 [A; -V | B; U]``: head words, then a bracketed body.  Witness files
@@ -35,23 +48,96 @@ blocks; their data lines carry checked labels, ``A``/``B`` in degree 0, else
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ParseError
 from .field import FieldCtx, ascii_int
 from .jring import RingElement, RingPolyT, mpoly_to_ring, mpoly_to_ringpolyt
-from .polys import MPoly
+from .polys import MPoly, settled
 
 POLY_VARS = ("x", "y", "z", "w")
 POLY_VARS_T = ("x", "y", "z", "w", "T")
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the reader
 
+# One term, its sign first: sign, numerator, denominator, a first factor in
+# place of a coefficient, the run of factors after either.  Only ASCII digits
+# and the names x, y, z, w, T match, each name a whole token since no term
+# may follow without a sign; whitespace is \s, what _TOKEN skips.  Like
+# _TOKEN, it is compiled on first use (re's own cache): importing builds
+# nothing.
+_TERM = (
+    r"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(F))((?:\s*\*\s*F)*)\s*"
+).replace("F", r"[xyzwT](?:\s*\^\s*[0-9]+)?")
+
+# the exponent vectors of the factor runs read so far, in R and in R[T]: each
+# value is a function of its key alone, so sharing them changes no result; a
+# memo past _MEMO_LIMIT entries is emptied, so new text cannot grow it for ever
+_RUNS: tuple[dict, dict] = ({}, {})
+_MEMO_LIMIT = 1 << 15
+
+
+def _exponents(run: str, vars: tuple) -> tuple:
+    """The exponent vector of a factor run that ``_TERM`` matched."""
+    mon = [0] * len(vars)
+    for factor in run.split("*"):
+        name, _, e = factor.partition("^")
+        if name := name.strip():
+            mon[vars.index(name)] += int(e) if e else 1
+    return tuple(mon)
+
+
+def _read(text: str, ctx: FieldCtx, allow_T: bool, start: int, end: int):
+    """(terms, den) of the polynomial text[start:end] read term by term by
+    ``_TERM``, or None when that text is not well formed in the ring's
+    variables (a T in R included).  Nothing is raised before every term has
+    matched; then the terms are converted in text order, each numerator,
+    denominator and exponent in turn, so a DivisionByZero or an int too long
+    to convert is raised where ``_Parser`` raises it."""
+    if not allow_T and text.find("T", start, end) >= 0:
+        return None
+    match = re.compile(_TERM).match
+    m = match(text, start, end)
+    if m is None or m[1] == "+":
+        return None
+    found = [m.groups()]
+    while (pos := m.end()) < end:
+        m = match(text, pos, end)
+        if m is None or m[1] is None:
+            return None
+        found.append(m.groups())
+    vars = POLY_VARS_T if allow_T else POLY_VARS
+    runs = _RUNS[allow_T]
+    if len(runs) > _MEMO_LIMIT:
+        runs.clear()
+    p = ctx.p
+    rows = []
+    for sign, num, den, first, run in found:
+        c, d = (1 if num is None else int(num)), 1
+        if den is not None:
+            d = int(den)
+            if p is not None or d == 0:
+                c, d = ctx.rfrom_fraction(c, d), 1
+        if first is not None:
+            run = first + run
+        if (mon := runs.get(run)) is None:
+            mon = runs[run] = _exponents(run, vars)
+        rows.append((mon, -c if sign == "-" else c, d))
+    lcd = lcm(*{d for _, _, d in rows})
+    acc: dict = {}
+    for mon, c, d in rows:
+        if d != lcd:
+            c *= lcd // d
+        acc[mon] = acc.get(mon, 0) + c
+    return settled(ctx, acc, lcd)
+
+
+# The token parser: it runs only on text the reader refuses, to say why.
 # \d is str.isdecimal, [^\W_] str.isalnum; finditer skips only what no group
 # takes, isspace.  Non-ASCII ints, names from '²' (not \d) or '½' are bad.
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_][^\W_]*)|(?P<op>[-+*/^\[\]|;])|(?P<bad>\S)")
+_TOKEN = r"(?P<int>\d+)|(?P<name>[^\W\d_][^\W_]*)|(?P<op>[-+*/^\[\]|;])|(?P<bad>\S)"
 
 
 class _Parser:
@@ -61,7 +147,7 @@ class _Parser:
     def __init__(self, text: str, ctx: FieldCtx, allow_T: bool, start: int = 0, end=None):
         end = len(text) if end is None else end
         self.toks = []
-        for m in _TOKEN.finditer(text, start, end):
+        for m in re.compile(_TOKEN).finditer(text, start, end):
             kind, tok = m.lastgroup, m[0]
             if kind == "op":
                 kind = tok
@@ -84,9 +170,9 @@ class _Parser:
         return text
 
     def poly(self, stop: int) -> MPoly:
-        """The polynomial of the tokens up to index ``stop``, which it
-        consumes: a bad character is refused first, then every term is
-        summed into one dict of raw coefficients, cleared once."""
+        """The polynomial of the tokens up to index ``stop``: a bad
+        character is refused first, then every term is summed into one dict
+        of raw coefficients, cleared once."""
         for kind, text, pos in self.toks[self.i : stop]:
             if kind == "bad" and text[0].isdigit():
                 raise ParseError(f"bad number {text!r}", position=pos, expected="digits 0-9")
@@ -98,14 +184,10 @@ class _Parser:
             mon, c = self.parse_term()
             raw[mon] = raw.get(mon, 0) + (c if op == "+" else -c)
             op = self.take() if self.peek() in ("+", "-") else None
-        self.expect_end(self.i, stop)
-        self.i += 1
-        return MPoly(self.ctx, self.vars, raw)
-
-    def expect_end(self, k: int, stop: int):
-        _, text, pos = self.toks[k]
-        if k != stop:
+        _, text, pos = self.toks[self.i]
+        if self.i != stop:
             raise ParseError(f"trailing input {text!r}", position=pos, expected="end of input")
+        return MPoly(self.ctx, self.vars, raw)
 
     def parse_term(self) -> tuple[tuple[int, ...], object]:
         """(exponent vector, raw coefficient) of one term."""
@@ -145,23 +227,34 @@ class _Parser:
             e = int(self.take("int"))
         mon[self.vars.index(name)] += e
 
-    def body(self, close: str):
-        """Lay out ``body`` up to the first ``close`` token ("end", or "]",
-        which must end the input): the kinds of the tokens that end its
-        cells, and the cells as elements of R, read as they are iterated."""
-        kinds = [kind for kind, _, _ in self.toks]
-        if close not in kinds[self.i :]:
-            raise ParseError("unbalanced brackets in literal", position=self.toks[-1][2])
-        k = kinds.index(close, self.i)
-        self.expect_end(k + 1 if close == "]" else k, len(kinds) - 1)
-        stops = [j for j in range(self.i, k + 1) if kinds[j] in (";", "|", close)]
-        return [kinds[j] for j in stops], (mpoly_to_ring(self.poly(j)) for j in stops)
+
+def _poly(text: str, ctx: FieldCtx, allow_T: bool, start: int, end: int, close: int = 0) -> MPoly:
+    """The polynomial of text[start:end], whose cell ends at a delimiter
+    token of ``close`` (0 or 1) characters; a refusal is explained by the
+    tokens of the cell and its delimiter, so error positions count in
+    ``text``."""
+    got = _read(text, ctx, allow_T, start, end)
+    if got is None:
+        p = _Parser(text, ctx, allow_T, start, end + close)
+        return p.poly(len(p.toks) - 1 - close)
+    return MPoly(ctx, POLY_VARS_T if allow_T else POLY_VARS, *got)
+
+
+def _body(text: str, ctx: FieldCtx, start: int, stop: int):
+    """The body text[start:stop], which a "]" at ``stop`` or the end of the
+    text ends: the kinds of the tokens that end its cells, and the cells as
+    elements of R, read as they are iterated.  ';', '|' and ']' are tokens
+    of their own whatever surrounds them, so the body is laid out by its
+    characters before any cell is read."""
+    cuts = [m.start() for m in re.compile(r"[;|]").finditer(text, start, stop)]
+    ends = [text[k] for k in cuts] + ["]" if stop < len(text) else "end"]
+    spans = zip([start] + [k + 1 for k in cuts], cuts + [stop])
+    return ends, (mpoly_to_ring(_poly(text, ctx, False, s, e, e < len(text))) for s, e in spans)
 
 
 def parse_poly(text: str, ctx: FieldCtx, allow_T: bool = True, start: int = 0, end=None) -> MPoly:
     """The polynomial of text[start:end]; error positions count in ``text``."""
-    p = _Parser(text, ctx, allow_T, start, end)
-    return p.poly(len(p.toks) - 1)
+    return _poly(text, ctx, allow_T, start, len(text) if end is None else end)
 
 
 def parse_ring(text: str, ctx: FieldCtx) -> RingElement:
@@ -176,36 +269,43 @@ def parse_polyt(text: str, ctx: FieldCtx, start: int = 0, end=None) -> RingPolyT
 # serialization
 
 
-def _mon_str(vars, mon) -> str:
-    parts = []
-    for name, e in zip(vars, mon):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+# the (print key, text) of each monomial printed so far, per variable tuple,
+# a memo as _RUNS is
+_MONOMIALS: dict = {}
 
 
-def _print_key(mon: tuple) -> tuple:
-    """Sort key of the printed order: ascending keys are degrevlex
-    descending, the order of ``drl_key`` with larger first."""
-    return (-sum(mon),) + mon[::-1]
+def _monomial(vars: tuple, mon: tuple) -> tuple[tuple, str]:
+    """The sort key of ``mon`` in the printed order (ascending keys are
+    degrevlex descending, the order of ``drl_key`` with larger first) and
+    its text."""
+    text = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(vars, mon) if e)
+    return (-sum(mon),) + mon[::-1], text
 
 
-def _terms_str(vars, rationals: bool, terms) -> str:
-    """The text of a polynomial given as (key, exponent vector, int value,
-    den) tuples in printed order.  Over Q each value is reduced against its
-    den by one gcd; over F_p den is 1 and values lie in [1, p)."""
+def mpoly_str(p: MPoly) -> str:
+    """The text of p, its terms in printed order.  Over Q each value is
+    reduced against p.den by one gcd; over F_p den is 1 and values lie in
+    [1, p)."""
+    table = _MONOMIALS.get(p.vars)
+    if table is None or len(table) > _MEMO_LIMIT:
+        table = _MONOMIALS[p.vars] = {}
+    rows = []
+    for m, c in p.terms.items():
+        if (entry := table.get(m)) is None:
+            entry = table[m] = _monomial(p.vars, m)
+        rows.append((entry, c))
+    rows.sort()
+    rationals = p.ctx.is_rationals
     pieces = []
-    for _, mon, c, den in terms:
+    for (_, ms), c in rows:
         neg = rationals and c < 0
         if neg:
             c = -c
+        den = p.den
         if den != 1 and (g := gcd(c, den)) != 1:
             c //= g
             den //= g
         coeff = str(c) if den == 1 else f"{c}/{den}"
-        ms = _mon_str(vars, mon)
         if not ms:
             body = coeff
         elif c == 1 and den == 1:
@@ -217,12 +317,6 @@ def _terms_str(vars, rationals: bool, terms) -> str:
         else:
             pieces.append(("- " if neg else "+ ") + body)
     return " ".join(pieces) if pieces else "0"
-
-
-def mpoly_str(p: MPoly) -> str:
-    den = p.den
-    terms = sorted((_print_key(m), m, c, den) for m, c in p.terms.items())
-    return _terms_str(p.vars, p.ctx.is_rationals, terms)
 
 
 # an element of R or R[T] is the polynomial of its normal form in its
@@ -253,9 +347,13 @@ def _literal(text: str, ctx: FieldCtx, expected: str):
     lb = text.find("[")
     if lb < 0:
         raise ParseError("literal has no '['", expected=expected)
-    p = _Parser(text, ctx, False, lb)
-    p.take("[")
-    return (text[:lb].split(), *p.body("]"))
+    rb = text.find("]", lb)
+    if rb < 0:
+        raise ParseError("unbalanced brackets in literal", position=len(text))
+    if text[rb + 1 :].strip():
+        m = re.compile(_TOKEN).search(text, rb + 1)
+        raise ParseError(f"trailing input {m[0]!r}", position=m.start(), expected="end of input")
+    return (text[:lb].split(), *_body(text, ctx, lb + 1, rb))
 
 
 def map_str(f) -> str:
@@ -312,7 +410,7 @@ def parse_sl2(text: str, ctx: FieldCtx):
 
 def parse_pair(text: str, ctx: FieldCtx) -> tuple[list[RingElement], list[RingElement]]:
     """The two coefficient lists of a bare body ``c0; ...; cn | d0; ...; dm``."""
-    ends, cells = _Parser(text, ctx, False).body("end")
+    ends, cells = _body(text, ctx, 0, len(text))
     if ends.count("|") != 1:
         raise ParseError('pair must be "<S0>|<S1>"')
     cells, n = list(cells), ends.index("|") + 1

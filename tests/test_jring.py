@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jouanolou import jring
 from jouanolou.errors import ContextMismatch, DivisionByZero
 from jouanolou.field import Fp, QQ
 from jouanolou.jring import (
@@ -249,6 +250,17 @@ def test_conversion_matches_evaluation_by_ring_products(ctx, vars):
             assert type(got) is cls and got == want
 
     check()
+
+
+@pytest.mark.parametrize("ctx", [pytest.param(QQ, id="Q"), pytest.param(Fp(7), id="F7")])
+def test_x_times_w_is_reduced_to_yz_first(ctx):
+    """x^a * w^b = (yz)^m * x^(a-m) * w^(b-m), m = min(a, b): the image of
+    x^5000 * w^5000 is one term, found without extending the x-power table."""
+    before = len(jring._X_POWERS)
+    got = parse_ring("x^5000*w^5000", ctx)
+    assert len(jring._X_POWERS) == before
+    assert got.terms == {(0, 5000, 5000): 1} and got.den == 1
+    assert R("x^7*w^3", ctx) == R("y^3*z^3*x^4", ctx)
 
 
 @pytest.mark.parametrize("ctx", [QQ, Fp(7)], ids=["Q", "F7"])

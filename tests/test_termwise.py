@@ -10,6 +10,11 @@ the same ``ParseError`` text and position on malformed input.  The parser
 oracle runs on a copy of the character-loop tokenizer and the bracket
 splitter that the regex tokenizer replaced, which also reads the composite
 literals and ``--pair`` bodies the one reader now reads by token.
+
+The regex reader reads every well-formed text without the token parser,
+which only explains refusals: the tests count its runs.  The printer takes
+each monomial's key and text from a table; the oracle prints term by term,
+as the printer did before.
 """
 
 from fractions import Fraction
@@ -18,14 +23,26 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jouanolou import textio
 from jouanolou.errors import DivisionByZero, ParseError
 from jouanolou.field import Fp, QQ, ascii_int
 from jouanolou.homgrp import ReferenceFamily
+from jouanolou.homotopy import scaling_witness
 from jouanolou.jring import RingElement, RingPolyT, mpoly_to_ring
 from jouanolou.morphism import g_uv, make_map, make_row, n_pi
 from jouanolou.polys import MPoly, canonical
-from jouanolou.sl2 import PointedSL2, act, m_uv
-from jouanolou.textio import parse_map, parse_pair, parse_poly, parse_sl2
+from jouanolou.sl2 import PointedSL2, act, complete_pointed, m_uv
+from jouanolou.textio import (
+    mpoly_str,
+    parse_map,
+    parse_pair,
+    parse_poly,
+    parse_polyt,
+    parse_ring,
+    parse_sl2,
+    parse_witness,
+    witness_str,
+)
 
 F7 = Fp(7)
 FIELDS = [pytest.param(QQ, id="Q"), pytest.param(F7, id="F7")]
@@ -626,3 +643,161 @@ def test_pair_bodies_match_the_splitting_reader_on_damaged_texts(ctx):
         assert read_outcome(parse_pair, text, ctx) == read_outcome(ref_parse_pair, text, ctx)
 
     check()
+
+
+# --- well-formed text never reaches the token parser ---------------------------
+
+
+@pytest.fixture
+def parser_runs(monkeypatch):
+    """The texts handed to the token parser, which explains refusals."""
+    runs = []
+
+    class Counted(textio._Parser):
+        def __init__(self, text, *args):
+            runs.append(text)
+            super().__init__(text, *args)
+
+    monkeypatch.setattr(textio, "_Parser", Counted)
+    return runs
+
+
+def ring_elements(ctx):
+    """Elements of R: zero and constants among them."""
+    mon = st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3))
+    return st.dictionaries(mon, scalars(ctx), max_size=12).map(lambda raw: RingElement(ctx, raw))
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_printed_polynomials_are_read_without_the_token_parser(ctx, parser_runs):
+    # poly_texts draws are well formed; over F_7 an n/7 is read whole and
+    # then refused by its arithmetic, as by the token parser
+    @CHECKS
+    @given(poly_texts(), polyts(ctx), ring_elements(ctx))
+    def check(text, pt, r):
+        try:
+            drawn = parse_poly(text, ctx)
+        except DivisionByZero:
+            drawn = None
+        printed = [mpoly_str(pt), mpoly_str(r)] + ([mpoly_str(drawn)] if drawn else [])
+        assert parse_polyt(printed[0], ctx) == pt
+        assert parse_ring(printed[1], ctx) == r
+        if drawn is not None:
+            assert parse_poly(printed[2], ctx) == drawn
+        assert parser_runs == []
+
+    check()
+    with pytest.raises(ParseError):
+        parse_poly("x + q", ctx)
+    assert parser_runs == ["x + q"]
+
+
+LONG = "1" * 5000  # more digits than int() converts by default
+
+
+def token_parse(text, ctx):
+    """The token parser alone, as it reads any text it is handed."""
+    p = textio._Parser(text, ctx, True)
+    return p.poly(len(p.toks) - 1)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"1/0*x^{LONG}",
+        f"x^{LONG} + 1/0",
+        f"{LONG}/0*y",
+        f"1/{LONG}*y - 1/0",
+        f"2/7*y + z^{LONG}",
+        f"z^{LONG} - 2/7",
+    ],
+    ids=["zero-den-first", "long-exponent-first", "long-num", "long-den", "7-den-first",
+         "long-exponent-then-7-den"],
+)
+def test_the_reader_raises_conversion_errors_in_text_order(ctx, text, parser_runs):
+    # a whole well-formed span is matched first, then its terms are
+    # converted in order: the first failing term's error, as the token
+    # parser raises it (the oracle's tokenizer converts every int first)
+    def error(parse):
+        try:
+            parse(text, ctx)
+        except (ValueError, DivisionByZero) as exc:
+            return type(exc), str(exc)
+
+    got = error(parse_poly)
+    assert parser_runs == []
+    assert got == error(token_parse)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_printed_literals_and_witnesses_are_read_without_the_token_parser(ctx, parser_runs):
+    for text in literal_texts(ctx):
+        read_literal(parse_map, parse_sl2)(text, ctx)
+    w = scaling_witness(complete_pointed(g_uv(ctx.elem(3), ctx.elem(2))), ctx.elem(2))
+    text = witness_str(w, ctx)
+    got, loaded = parse_witness(text)
+    assert got == ctx and witness_str(loaded, got) == text
+    assert parse_pair("x - 1/2*y*z; 3 | 0; x + 2", ctx)[1][1] == parse_ring("x + 2", ctx)
+    assert parser_runs == []
+
+
+# --- the printer against the term-by-term printer it replaced --------------------
+
+
+def ref_mon_str(vars, mon) -> str:
+    parts = []
+    for name, e in zip(vars, mon):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def ref_print_key(mon: tuple) -> tuple:
+    return (-sum(mon),) + mon[::-1]
+
+
+def ref_terms_str(vars, rationals: bool, terms) -> str:
+    pieces = []
+    for _, mon, c, den in terms:
+        neg = rationals and c < 0
+        if neg:
+            c = -c
+        if den != 1 and (g := gcd(c, den)) != 1:
+            c //= g
+            den //= g
+        coeff = str(c) if den == 1 else f"{c}/{den}"
+        ms = ref_mon_str(vars, mon)
+        if not ms:
+            body = coeff
+        elif c == 1 and den == 1:
+            body = ms
+        else:
+            body = f"{coeff}*{ms}"
+        if not pieces:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append(("- " if neg else "+ ") + body)
+    return " ".join(pieces) if pieces else "0"
+
+
+def ref_mpoly_str(p) -> str:
+    den = p.den
+    terms = sorted((ref_print_key(m), m, c, den) for m, c in p.terms.items())
+    return ref_terms_str(p.vars, p.ctx.is_rationals, terms)
+
+
+@pytest.mark.parametrize("ctx", FIELDS)
+def test_printer_matches_the_term_by_term_printer(ctx):
+    # negative and fractional values, constants and zero among the draws
+    @CHECKS
+    @given(polyts(ctx), ring_elements(ctx), scalars(ctx))
+    def check(pt, r, c):
+        for p in (pt, r, pt + RingPolyT(ctx, {(0, 0, 0, 0): c}), r.scale(ctx.elem(c))):
+            assert mpoly_str(p) == ref_mpoly_str(p)
+
+    check()
+    for zero in (RingPolyT.zero(ctx), RingElement.zero(ctx)):
+        assert mpoly_str(zero) == ref_mpoly_str(zero) == "0"

@@ -15,28 +15,27 @@ ASCII digits, a leading '-' only where a sign is meaningful.
 
 Reading is split in two.  The reader, ``_read``, matches a well-formed
 polynomial term by term with one regular expression, ``_TERM`` (a sign, a
-``num[/den]`` coefficient, a run of factors); each distinct factor run maps
-to its exponent vector through a memo, and the coefficients are summed as
-ints over the lcm of the denominators (over F_p, as residues) into one
-dict, settled once.  The token parser, ``_Parser`` over the tokens of the
-regular expression ``_TOKEN``, runs only on a span the reader refuses, to
-say why: a name outside the ring's variables (T in R), a non-ASCII digit,
-a leading '+', a missing sign, a character outside the grammar.  The
-reader raises nothing before its whole span has matched, then converts the
-terms in text order, so every text is accepted or refused as the token
-parser would, with its value or its error (type, message, position): a
-``DivisionByZero`` or the ``ValueError`` of an int too long to convert
-comes from the same term.  Both read the text a caller gives (a literal, a
-``--pair`` or ``--gens`` value, a witness file) or a span of it in place,
-so a ``ParseError`` position is an offset into that text.  A ``body`` is
-laid out by its '[', ';', '|' and ']' characters, each always a token of
-its own, before any cell is read as a ``poly``, so a malformed layout is
-refused before a cell's arithmetic.
+``num[/den]`` coefficient, a run of factors); each factor run is read as an
+exponent vector, and the coefficients are summed as ints over the lcm of
+the denominators (over F_p, as residues) into one dict, settled once.  The
+token parser, ``_Parser`` over the tokens of the regular expression
+``_TOKEN``, runs only on a span the reader refuses, to say why: a name
+outside the ring's variables (T in R), a non-ASCII digit, a leading '+', a
+missing sign, a character outside the grammar.  The reader raises nothing
+before its whole span has matched, then converts the terms in text order,
+so every text is accepted or refused as the token parser would, with its
+value or its error (type, message, position): a ``DivisionByZero`` or the
+``ValueError`` of an int too long to convert comes from the same term.
+Both read the text a caller gives (a literal, a ``--pair`` or ``--gens``
+value, a witness file) or a span of it in place, so a ``ParseError``
+position is an offset into that text.  A ``body`` is laid out by its '[',
+';', '|' and ']' characters, each always a token of its own, before any
+cell is read as a ``poly``, so a malformed layout is refused before a
+cell's arithmetic.
 
 Serialization is canonical: w eliminated, monomials sorted degrevlex
 descending on (x, y, z, T), so golden files are stable and
-``parse(serialize(v)) == v`` holds bit-exactly.  Each monomial's sort key
-and text come from a memo keyed by the variable tuple and exponent vector.
+``parse(serialize(v)) == v`` holds bit-exactly.
 
 Composite literals: ``map <n> [a0; a1 | b0; b1]``, ``row [A; B]``,
 ``sl2 [A; -V | B; U]``: head words, then a bracketed body.  Witness files
@@ -72,12 +71,6 @@ _TERM = (
     r"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(F))((?:\s*\*\s*F)*)\s*"
 ).replace("F", r"[xyzwT](?:\s*\^\s*[0-9]+)?")
 
-# the exponent vectors of the factor runs read so far, in R and in R[T]: each
-# value is a function of its key alone, so sharing them changes no result; a
-# memo past _MEMO_LIMIT entries is emptied, so new text cannot grow it for ever
-_RUNS: tuple[dict, dict] = ({}, {})
-_MEMO_LIMIT = 1 << 15
-
 
 def _exponents(run: str, vars: tuple) -> tuple:
     """The exponent vector of a factor run that ``_TERM`` matched."""
@@ -109,9 +102,6 @@ def _read(text: str, ctx: FieldCtx, allow_T: bool, start: int, end: int):
             return None
         found.append(m.groups())
     vars = POLY_VARS_T if allow_T else POLY_VARS
-    runs = _RUNS[allow_T]
-    if len(runs) > _MEMO_LIMIT:
-        runs.clear()
     p = ctx.p
     rows = []
     for sign, num, den, first, run in found:
@@ -122,9 +112,7 @@ def _read(text: str, ctx: FieldCtx, allow_T: bool, start: int, end: int):
                 c, d = ctx.rfrom_fraction(c, d), 1
         if first is not None:
             run = first + run
-        if (mon := runs.get(run)) is None:
-            mon = runs[run] = _exponents(run, vars)
-        rows.append((mon, -c if sign == "-" else c, d))
+        rows.append((_exponents(run, vars), -c if sign == "-" else c, d))
     lcd = lcm(*{d for _, _, d in rows})
     acc: dict = {}
     for mon, c, d in rows:
@@ -269,43 +257,36 @@ def parse_polyt(text: str, ctx: FieldCtx, start: int = 0, end=None) -> RingPolyT
 # serialization
 
 
-# the (print key, text) of each monomial printed so far, per variable tuple,
-# a memo as _RUNS is
-_MONOMIALS: dict = {}
+def _mon_str(vars, mon) -> str:
+    parts = []
+    for name, e in zip(vars, mon):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
 
 
-def _monomial(vars: tuple, mon: tuple) -> tuple[tuple, str]:
-    """The sort key of ``mon`` in the printed order (ascending keys are
-    degrevlex descending, the order of ``drl_key`` with larger first) and
-    its text."""
-    text = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(vars, mon) if e)
-    return (-sum(mon),) + mon[::-1], text
+def _print_key(mon: tuple) -> tuple:
+    """Sort key of the printed order: ascending keys are degrevlex
+    descending, the order of ``drl_key`` with larger first."""
+    return (-sum(mon),) + mon[::-1]
 
 
-def mpoly_str(p: MPoly) -> str:
-    """The text of p, its terms in printed order.  Over Q each value is
-    reduced against p.den by one gcd; over F_p den is 1 and values lie in
-    [1, p)."""
-    table = _MONOMIALS.get(p.vars)
-    if table is None or len(table) > _MEMO_LIMIT:
-        table = _MONOMIALS[p.vars] = {}
-    rows = []
-    for m, c in p.terms.items():
-        if (entry := table.get(m)) is None:
-            entry = table[m] = _monomial(p.vars, m)
-        rows.append((entry, c))
-    rows.sort()
-    rationals = p.ctx.is_rationals
+def _terms_str(vars, rationals: bool, terms) -> str:
+    """The text of a polynomial given as (key, exponent vector, int value,
+    den) tuples in printed order.  Over Q each value is reduced against its
+    den by one gcd; over F_p den is 1 and values lie in [1, p)."""
     pieces = []
-    for (_, ms), c in rows:
+    for _, mon, c, den in terms:
         neg = rationals and c < 0
         if neg:
             c = -c
-        den = p.den
         if den != 1 and (g := gcd(c, den)) != 1:
             c //= g
             den //= g
         coeff = str(c) if den == 1 else f"{c}/{den}"
+        ms = _mon_str(vars, mon)
         if not ms:
             body = coeff
         elif c == 1 and den == 1:
@@ -317,6 +298,12 @@ def mpoly_str(p: MPoly) -> str:
         else:
             pieces.append(("- " if neg else "+ ") + body)
     return " ".join(pieces) if pieces else "0"
+
+
+def mpoly_str(p: MPoly) -> str:
+    den = p.den
+    terms = sorted((_print_key(m), m, c, den) for m, c in p.terms.items())
+    return _terms_str(p.vars, p.ctx.is_rationals, terms)
 
 
 # an element of R or R[T] is the polynomial of its normal form in its

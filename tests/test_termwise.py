@@ -12,9 +12,7 @@ splitter that the regex tokenizer replaced, which also reads the composite
 literals and ``--pair`` bodies the one reader now reads by token.
 
 The regex reader reads every well-formed text without the token parser,
-which only explains refusals: the tests count its runs.  The printer takes
-each monomial's key and text from a table; the oracle prints term by term,
-as the printer did before.
+which only explains refusals: the tests count its runs.
 """
 
 from fractions import Fraction
@@ -741,63 +739,3 @@ def test_printed_literals_and_witnesses_are_read_without_the_token_parser(ctx, p
     assert parse_pair("x - 1/2*y*z; 3 | 0; x + 2", ctx)[1][1] == parse_ring("x + 2", ctx)
     assert parser_runs == []
 
-
-# --- the printer against the term-by-term printer it replaced --------------------
-
-
-def ref_mon_str(vars, mon) -> str:
-    parts = []
-    for name, e in zip(vars, mon):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def ref_print_key(mon: tuple) -> tuple:
-    return (-sum(mon),) + mon[::-1]
-
-
-def ref_terms_str(vars, rationals: bool, terms) -> str:
-    pieces = []
-    for _, mon, c, den in terms:
-        neg = rationals and c < 0
-        if neg:
-            c = -c
-        if den != 1 and (g := gcd(c, den)) != 1:
-            c //= g
-            den //= g
-        coeff = str(c) if den == 1 else f"{c}/{den}"
-        ms = ref_mon_str(vars, mon)
-        if not ms:
-            body = coeff
-        elif c == 1 and den == 1:
-            body = ms
-        else:
-            body = f"{coeff}*{ms}"
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces) if pieces else "0"
-
-
-def ref_mpoly_str(p) -> str:
-    den = p.den
-    terms = sorted((ref_print_key(m), m, c, den) for m, c in p.terms.items())
-    return ref_terms_str(p.vars, p.ctx.is_rationals, terms)
-
-
-@pytest.mark.parametrize("ctx", FIELDS)
-def test_printer_matches_the_term_by_term_printer(ctx):
-    # negative and fractional values, constants and zero among the draws
-    @CHECKS
-    @given(polyts(ctx), ring_elements(ctx), scalars(ctx))
-    def check(pt, r, c):
-        for p in (pt, r, pt + RingPolyT(ctx, {(0, 0, 0, 0): c}), r.scale(ctx.elem(c))):
-            assert mpoly_str(p) == ref_mpoly_str(p)
-
-    check()
-    for zero in (RingPolyT.zero(ctx), RingElement.zero(ctx)):
-        assert mpoly_str(zero) == ref_mpoly_str(zero) == "0"
